@@ -23,10 +23,7 @@
 // every other command accepts (see cmd/dagen -list).
 //
 // A fixed -seed makes the whole run — arrivals, dispatch, scheduling —
-// bit-identical across repeats and across -procs values; -procs sets the
-// engine's end-of-instant flush parallelism (independent machines'
-// reallocation passes run concurrently under a deterministic id-ordered
-// merge — see package sim's parallel flush determinism contract) and fans
+// bit-identical across repeats and across -procs values; -procs only fans
 // out the one-time task-graph prebuilds.
 package main
 
@@ -56,7 +53,7 @@ func main() {
 		scale    = cliutil.ScaleFlag(flag.CommandLine, "tiny")
 		jobs     = flag.Int("jobs", 500, "arrival stream length")
 		seed     = flag.Uint64("seed", 1, "base seed (tenants, dispatch, per-job runtimes)")
-		procs    = flag.Int("procs", 1, "simulation parallelism: engine flush workers and task-graph prebuild workers (never affects results)")
+		procs    = flag.Int("procs", 1, "task-graph prebuild workers (never affects results)")
 		rate     = flag.Float64("rate", 7000, "total arrival rate for the default tenant mix, jobs/s")
 		tenantsF = flag.String("tenants", "", "tenant declarations: name:process:rate:spec|spec,...")
 		outputs  = cliutil.BindOutputs(flag.CommandLine, true)
@@ -81,18 +78,17 @@ func main() {
 	}
 
 	cfg := cluster.Config{
-		Machines:    *machines,
-		Machine:     mc,
-		Policy:      *policyF,
-		Runtime:     rt.DefaultOptions(),
-		Scale:       sc,
-		Tenants:     tenants,
-		Jobs:        *jobs,
-		Seed:        *seed,
-		Dispatcher:  *dispF,
-		Procs:       *procs,
-		Parallelism: *procs,
-		Audit:       *audit,
+		Machines:   *machines,
+		Machine:    mc,
+		Policy:     *policyF,
+		Runtime:    rt.DefaultOptions(),
+		Scale:      sc,
+		Tenants:    tenants,
+		Jobs:       *jobs,
+		Seed:       *seed,
+		Dispatcher: *dispF,
+		Procs:      *procs,
+		Audit:      *audit,
 	}
 	// The monitor's /trace endpoint serves the tracer's snapshot, so -http
 	// implies tracing even without a -trace output file.

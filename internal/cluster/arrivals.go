@@ -50,11 +50,12 @@ func (t *Tenant) validate(idx int) error {
 	}
 	switch t.Process {
 	case "poisson", "diurnal":
-		if t.Rate <= 0 {
+		// Negated comparisons so NaN fails them too.
+		if !(t.Rate > 0) || math.IsInf(t.Rate, 1) {
 			return fmt.Errorf("cluster: tenant %q: %s process with rate %v", t.Name, t.Process, t.Rate)
 		}
 		if t.Process == "diurnal" {
-			if t.Amplitude < 0 || t.Amplitude >= 1 {
+			if !(t.Amplitude >= 0 && t.Amplitude < 1) {
 				return fmt.Errorf("cluster: tenant %q: diurnal amplitude %v out of [0, 1)", t.Name, t.Amplitude)
 			}
 			if t.Period < 0 {

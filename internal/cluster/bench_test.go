@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 
 	"numadag/internal/apps"
@@ -56,12 +55,11 @@ func BenchmarkClusterTick(b *testing.B) {
 	b.ReportMetric(float64(makespan)/1e6, "sim-ms/run")
 }
 
-// benchFleetConfig is the parallel-flush showcase scenario: `machines`
+// benchFleetConfig is the fleet-scale lockstep scenario: `machines`
 // machines and a trace tenant submitting machine-wide bursts at identical
 // instants, spread one-per-machine by the idle dispatcher under the RNG-free
-// DFIFO policy — so every burst puts every machine's Net in the same
-// end-of-instant flush batch, the load shape the engine's worker pool
-// (Config.Parallelism) exists for.
+// DFIFO policy — so every burst makes every machine's Net churn in the same
+// simulated instant.
 func benchFleetConfig(machines, rounds int) Config {
 	burst := make([]sim.Time, 0, machines*rounds)
 	for r := 0; r < rounds; r++ {
@@ -85,38 +83,28 @@ func benchFleetConfig(machines, rounds int) Config {
 	}
 }
 
-// BenchmarkClusterTickFleet is BenchmarkClusterTick at fleet scale (64
-// machines, lockstep bursts), with a sequential row and a parallel-flush
-// row. The par=8 / par=1 ns/op ratio in BENCH_sim.json is the parallel
-// engine's headline number; on a single-core host the rows coincide (the
-// pool can only overlap prepares when the OS has cores to run them on) —
-// the determinism goldens, not this ratio, are what every host must
-// reproduce.
+// BenchmarkClusterTickFleet is BenchmarkClusterTick at fleet scale: 64
+// machines on one engine, every one of them flushed in the same instants.
 func BenchmarkClusterTickFleet(b *testing.B) {
 	const machines, rounds = 64, 6
-	for _, par := range []int{1, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			jobs := machines * rounds
-			cfg := benchFleetConfig(machines, rounds)
-			cfg.Parallelism = par
-			if _, err := Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var makespan sim.Time
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = res.Makespan
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
-			b.ReportMetric(float64(makespan)/1e6, "sim-ms/run")
-		})
+	jobs := machines * rounds
+	cfg := benchFleetConfig(machines, rounds)
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var makespan sim.Time
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		makespan = res.Makespan
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
+	b.ReportMetric(float64(makespan)/1e6, "sim-ms/run")
 }
 
 // BenchmarkDispatch isolates the placement decision: Pick + the paired

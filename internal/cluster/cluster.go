@@ -79,18 +79,10 @@ type Config struct {
 	// means kchoices with d=2.
 	Dispatcher string
 	// Procs bounds the snapshot-prebuild worker pool (<= 0 means 1). The
-	// simulation proper runs on one engine goroutine (plus the flush pool
-	// below), so results are bit-identical across Procs values — a property
-	// the determinism test pins.
+	// simulation proper is single-threaded on one engine, so results are
+	// bit-identical across Procs values — a property the determinism test
+	// pins.
 	Procs int
-	// Parallelism is the engine's end-of-instant flush parallelism
-	// (sim.Engine.SetParallelism): how many OS threads may run independent
-	// machines' reallocation passes concurrently within one simulated
-	// instant. <= 1 means sequential. Results are bit-identical at every
-	// value — the parallel flush determinism contract — so this is purely a
-	// wall-clock knob, and the determinism test pins it by sweeping
-	// NUMADAG_PAR.
-	Parallelism int
 	// Audit verifies every job's schedule against the TDG semantics after
 	// it completes (slower; on by default in tests).
 	Audit bool
@@ -431,12 +423,6 @@ func Run(cfg Config, sinks ...core.Sink) (*Result, error) {
 	disp.Init(cfg.Machines, xrand.New(core.DeriveSeed(cfg.Seed, -1)))
 
 	eng := sim.NewEngine()
-	if cfg.Parallelism > 1 {
-		eng.SetParallelism(cfg.Parallelism)
-		// The engine is run-local: retire its flush workers before it is
-		// abandoned, on every exit path.
-		defer eng.SetParallelism(1)
-	}
 	f := &fleetRun{
 		cfg:      &cfg,
 		eng:      eng,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -342,6 +343,10 @@ func TestArrivalsValidation(t *testing.T) {
 		{{Name: "a", Specs: nil, Process: "poisson", Rate: 1}},
 		{{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: 0}},
 		{{Name: "a", Specs: []string{"noop"}, Process: "diurnal", Rate: 1, Amplitude: 1.5}},
+		{{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: math.NaN()}},
+		{{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: math.Inf(1)}},
+		{{Name: "a", Specs: []string{"noop"}, Process: "diurnal", Rate: math.Inf(-1)}},
+		{{Name: "a", Specs: []string{"noop"}, Process: "diurnal", Rate: 1, Amplitude: math.NaN()}},
 		{{Name: "a", Specs: []string{"noop"}, Process: "trace", Trace: []sim.Time{5, 4}}},
 		{{Name: "a", Specs: []string{"noop"}, Process: "weibull", Rate: 1}},
 		{{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: 1},

@@ -58,13 +58,6 @@ type Config struct {
 	// observers may hold *Task beyond the run.
 	Trace    TraceAttacher
 	TracePID int
-	// Parallelism is the engine's end-of-instant flush parallelism
-	// (sim.Engine.SetParallelism). A single-machine batch cell has one
-	// flush component, so values > 1 only matter when the same knob is
-	// forwarded to multi-Net scenarios (cluster.Config.Parallelism); it is
-	// plumbed here so one flag can drive both modes. Results are
-	// bit-identical at every value.
-	Parallelism int
 }
 
 // DefaultConfig returns the evaluation settings: bullion S16 machine and
@@ -104,20 +97,6 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 		return RunResult{}, err
 	}
 	m := acquireMachine(cfg.Machine)
-	pooled := false
-	if cfg.Parallelism > 1 {
-		m.Engine().SetParallelism(cfg.Parallelism)
-		// Retire the flush workers on every exit path that abandons the
-		// machine (error returns, traced/observed runs): an abandoned engine
-		// must not park goroutines. The pooled path instead retires inside
-		// releaseMachine, before the pool hands the machine to another
-		// goroutine — after that point this function must not touch it.
-		defer func() {
-			if !pooled {
-				m.Engine().SetParallelism(1)
-			}
-		}()
-	}
 	if cfg.Trace != nil {
 		obs := cfg.Trace.AttachMachine(m, cfg.TracePID,
 			fmt.Sprintf("%s %s seed%d", cfg.App, cfg.Policy, cfg.Runtime.Seed))
@@ -153,7 +132,6 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 		// they never re-enter the pool.
 		r.Release()
 		releaseMachine(m)
-		pooled = true
 	}
 	return RunResult{Config: cfg, Stats: stats, Tasks: stats.TasksRun}, nil
 }

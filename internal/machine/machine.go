@@ -256,27 +256,6 @@ func (m *Machine) Engine() *sim.Engine { return m.eng }
 // Net returns the fluid-flow network (exposed for statistics).
 func (m *Machine) Net() *sim.Net { return m.net }
 
-// ComponentID returns the engine flush-component id of the machine's fluid
-// network. Each machine owns exactly one Net, and every Resource it contends
-// on (controllers, ports) is created through that Net and shared with no
-// other machine — so the machine is one independent component of the
-// engine's parallel end-of-instant flush, and its id orders the
-// deterministic merge (ascending in machine-construction order on a shared
-// engine). See the parallel flush determinism contract in package sim.
-func (m *Machine) ComponentID() int { return m.net.ComponentID() }
-
-// Resources returns every contended resource the machine owns — its
-// per-socket memory controllers followed by its interconnect ports. The
-// slice is freshly allocated; the Resources themselves are the machine's
-// live ones. Exposed so fleet-level code can assert component disjointness
-// (no Resource reachable from two machines).
-func (m *Machine) Resources() []*sim.Resource {
-	out := make([]*sim.Resource, 0, len(m.mcs)+len(m.ports))
-	out = append(out, m.mcs...)
-	out = append(out, m.ports...)
-	return out
-}
-
 // Controllers returns the per-socket memory-controller resources, indexed
 // by socket. The slice is the machine's own and must not be mutated.
 func (m *Machine) Controllers() []*sim.Resource { return m.mcs }

@@ -63,54 +63,17 @@
 // package that moves those goldens is a behaviour change, not an
 // optimisation.
 //
-// # Parallel flush determinism contract
+// # End-of-instant flush order
 //
-// The end-of-instant flush is the one phase the engine may execute on more
-// than one OS thread. SetParallelism(n) gives the engine a pool of n-1
-// worker goroutines (plus the engine goroutine itself) that run the
-// *prepare* phase of registered component flushers concurrently; everything
-// else — event execution, ordinary flushers, and the *apply* phase below —
-// stays on the engine goroutine. Results are bit-identical at every
-// parallelism level because of three structural rules:
-//
-//   - Components are independent. A component flusher (AddComponentFlusher)
-//     owns a disjoint state partition: in this package, one Net and the
-//     Resources created through it. Nets never share Resources — each
-//     machine's fluid network is its own component — so two prepares can
-//     never observe each other's writes, and their relative execution order
-//     cannot matter. Prepares must not touch the engine (clock, heap,
-//     slots); the engine hands each one a Stage instead.
-//
-//   - Event insertions and reschedules are staged, then merged in component
-//     id order. A prepare records its queue mutations (Stop, At,
-//     RescheduleOrAt) into its component's Stage buffer. After the barrier —
-//     all prepares of the batch joined — the engine applies the staged ops
-//     in ascending component id, which is registration order, which is
-//     exactly the order a sequential engine would have run the flushers in.
-//     Scheduling seq numbers are therefore assigned identically, so the
-//     heap (and every same-instant tie it will ever break) ends up
-//     bit-identical to the sequential run.
-//
-//   - Ordinary flushers are barriers. A flusher registered with AddFlusher
-//     (the tracer's per-link samplers, which read many components) splits
-//     the component batches: every component flusher registered before it
-//     is prepared, merged and applied first, then the ordinary flusher runs
-//     inline on the engine goroutine. Registration order is thus preserved
-//     across the two kinds.
-//
-// Same-instant events on independent machines ride the same barrier: the
-// work they defer (flow churn marking their Nets dirty) is what the batch
-// executes, one prepare per dirty component, while the events themselves
-// keep firing in (time, seq) order on the engine goroutine. Only dirty
-// components are visited — a flush triggered by one machine no longer pays
-// a call per registered machine — which is also why RequestComponentFlush
-// exists alongside the coarse RequestFlush.
+// Flushers registered with AddFlusher run in registration order on the
+// engine goroutine, once per requested flush, before the clock leaves the
+// current instant. A Net registers its flusher when it is created, so a
+// sampler registered after a Net (the tracer's per-link counters) always
+// reads that Net's settled post-fill rates for the instant.
 package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Time is simulated time in nanoseconds since the start of the run.
@@ -152,28 +115,6 @@ type event struct {
 	pos int32 // index in Engine.heap, -1 when free
 }
 
-// flushEntry is one registered end-of-instant hook, in registration order:
-// an ordinary flusher (fn != nil, comp == -1) or a component flusher
-// (comp >= 0, indexing Engine.comps).
-type flushEntry struct {
-	fn   func()
-	comp int32
-}
-
-// flushComp is the per-component flush state: the concurrent prepare hook,
-// its staged event buffer, and the dirty bit RequestComponentFlush sets.
-type flushComp struct {
-	prepare func(*Stage)
-	stage   Stage
-	dirty   bool
-}
-
-// minParallelFlush is the smallest dirty-component batch worth fanning out
-// to the worker pool; below it the pool handoff costs more than the fills
-// it would overlap. Any value is determinism-neutral (prepares are
-// order-independent and the merge is id-ordered either way).
-const minParallelFlush = 2
-
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; create one with NewEngine.
 type Engine struct {
@@ -186,102 +127,12 @@ type Engine struct {
 
 	// End-of-instant flush hooks. A subsystem that batches same-instant
 	// work (the fluid network coalescing flow churn into one reallocation)
-	// registers a flusher once and calls RequestFlush (or, for component
-	// flushers, RequestComponentFlush) when it has deferred work; the
-	// engine runs the flushers before the clock advances past the current
-	// instant and before reporting the queue drained. Flushers run in
-	// registration order — component prepares may overlap on the worker
-	// pool, but their staged effects merge in id (== registration) order —
-	// keeping runs deterministic. See the package doc's parallel flush
-	// determinism contract.
-	flushers  []flushEntry
-	comps     []flushComp
+	// registers a flusher once and calls RequestFlush when it has deferred
+	// work; the engine runs the flushers before the clock advances past the
+	// current instant and before reporting the queue drained. Flushers run
+	// in registration order, keeping runs deterministic.
+	flushers  []func()
 	needFlush bool
-
-	// Worker pool for the parallel flush phase (SetParallelism). workCh is
-	// nil when the engine is sequential; runQueue/runNext/runWG carry one
-	// batch of dirty component ids to the workers. Reset keeps the pool, so
-	// a pooled engine keeps its parallelism across runs exactly as it keeps
-	// its registered flushers.
-	par      int
-	nworkers int
-	workCh   chan struct{}
-	runQueue []int32
-	runNext  atomic.Int32
-	runWG    sync.WaitGroup
-}
-
-// stagedOp kinds. See Stage.
-const (
-	opStop = iota + 1
-	opAt
-	opRescheduleOrAt
-)
-
-// stagedOp is one recorded event-queue mutation awaiting the merge phase.
-type stagedOp struct {
-	kind  uint8
-	timer Timer
-	at    Time
-	fn    func()
-	out   *Timer
-}
-
-// Stage is the staged event buffer handed to a component flusher's prepare
-// phase. Prepares run off the engine goroutine when a flush batch is
-// parallel, so instead of touching the event heap they record insertions,
-// reschedules and cancellations here; the engine applies every component's
-// buffer on its own goroutine, in ascending component id order, producing a
-// heap bit-identical to a sequential flush. Buffers are per-component and
-// reused across flushes (no steady-state allocation).
-type Stage struct {
-	ops []stagedOp
-}
-
-// Stop stages a Timer cancellation.
-func (s *Stage) Stop(t Timer) {
-	s.ops = append(s.ops, stagedOp{kind: opStop, timer: t})
-}
-
-// At stages a new event at absolute time at. If out is non-nil it receives
-// the created Timer when the stage is applied (on the engine goroutine,
-// before any later component's ops).
-func (s *Stage) At(at Time, fn func(), out *Timer) {
-	s.ops = append(s.ops, stagedOp{kind: opAt, at: at, fn: fn, out: out})
-}
-
-// RescheduleOrAt stages "move timer t to at, keeping its seq; if t is no
-// longer live, schedule fn at at instead and deliver the fresh Timer to
-// out" — the arm-the-completion-event idiom of Net.flush, staged.
-func (s *Stage) RescheduleOrAt(t Timer, at Time, fn func(), out *Timer) {
-	s.ops = append(s.ops, stagedOp{kind: opRescheduleOrAt, timer: t, at: at, fn: fn, out: out})
-}
-
-// applyStage drains a component's staged ops into the live event queue, in
-// recording order. Runs on the engine goroutine only.
-func (e *Engine) applyStage(s *Stage) {
-	ops := s.ops
-	s.ops = s.ops[:0]
-	for i := range ops {
-		op := &ops[i]
-		switch op.kind {
-		case opStop:
-			op.timer.Stop()
-		case opAt:
-			tm := e.At(op.at, op.fn)
-			if op.out != nil {
-				*op.out = tm
-			}
-		case opRescheduleOrAt:
-			if !e.Reschedule(op.timer, op.at) {
-				tm := e.At(op.at, op.fn)
-				if op.out != nil {
-					*op.out = tm
-				}
-			}
-		}
-		op.fn, op.out = nil, nil // release for GC; the buffer is recycled
-	}
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -451,175 +302,32 @@ func (e *Engine) Reschedule(t Timer, at Time) bool {
 	return true
 }
 
-// AddFlusher registers an ordinary end-of-instant hook, run inline on the
-// engine goroutine. An ordinary flusher acts as a barrier between component
-// batches: it may read any component's settled state (the tracer's
-// per-link samplers do). See Engine.flushers.
+// AddFlusher registers an end-of-instant hook. See Engine.flushers.
 func (e *Engine) AddFlusher(fn func()) {
 	if fn == nil {
 		panic("sim: registering nil flusher")
 	}
-	e.flushers = append(e.flushers, flushEntry{fn: fn, comp: -1})
-}
-
-// AddComponentFlusher registers a component flusher and returns its
-// component id. The prepare hook owns a disjoint state partition (see the
-// parallel flush determinism contract in the package doc): it may run on a
-// worker goroutine concurrently with other components' prepares, must not
-// touch the engine, and records its event-queue mutations into the Stage it
-// is handed. Ids ascend in registration order; the engine applies staged
-// ops in id order after each batch.
-func (e *Engine) AddComponentFlusher(prepare func(*Stage)) int {
-	if prepare == nil {
-		panic("sim: registering nil component flusher")
-	}
-	id := len(e.comps)
-	e.comps = append(e.comps, flushComp{prepare: prepare})
-	e.flushers = append(e.flushers, flushEntry{comp: int32(id)})
-	return id
+	e.flushers = append(e.flushers, fn)
 }
 
 // RequestFlush asks the engine to run the registered flushers before the
 // clock next advances (or before the queue is reported drained). Idempotent
 // within an instant; flushers that have nothing deferred must tolerate being
-// called anyway. Component flushers are NOT marked dirty by this coarse
-// request — a component with deferred work calls RequestComponentFlush.
+// called anyway.
 func (e *Engine) RequestFlush() { e.needFlush = true }
-
-// RequestComponentFlush marks one component dirty and asks for an
-// end-of-instant flush. Only dirty components are prepared in the flush —
-// at fleet scale one machine's churn no longer pays a call per registered
-// machine.
-func (e *Engine) RequestComponentFlush(id int) {
-	e.comps[id].dirty = true
-	e.needFlush = true
-}
 
 // runFlush runs the registered flushers if a flush was requested, reporting
 // whether it did. Flushers may schedule new events, including events at the
 // current instant, and may request a further flush (the caller loops).
-// Dirty component flushers are batched: consecutive ones (in registration
-// order) prepare concurrently on the worker pool, then their staged ops are
-// applied in id order; an ordinary flusher is a barrier that closes the
-// current batch before running inline.
 func (e *Engine) runFlush() bool {
 	if !e.needFlush {
 		return false
 	}
 	e.needFlush = false
-	batch := e.runQueue[:0]
-	for _, entry := range e.flushers {
-		if entry.comp >= 0 {
-			c := &e.comps[entry.comp]
-			if c.dirty {
-				c.dirty = false
-				batch = append(batch, entry.comp)
-			}
-			continue
-		}
-		batch = e.flushBatch(batch)
-		entry.fn()
+	for _, fn := range e.flushers {
+		fn()
 	}
-	batch = e.flushBatch(batch)
-	e.runQueue = batch // keep grown capacity
 	return true
-}
-
-// flushBatch prepares the batched dirty components — concurrently when the
-// pool is enabled and the batch is big enough — then applies their staged
-// ops in ascending component id order on the engine goroutine. Returns the
-// emptied batch slice for reuse.
-func (e *Engine) flushBatch(batch []int32) []int32 {
-	if len(batch) == 0 {
-		return batch
-	}
-	if e.nworkers > 0 && len(batch) >= minParallelFlush {
-		// Wake no more workers than there are components beyond the one the
-		// engine goroutine takes itself — waking the full pool for a batch
-		// of two is pure handoff overhead.
-		wake := e.nworkers
-		if m := len(batch) - 1; m < wake {
-			wake = m
-		}
-		e.runQueue = batch
-		e.runNext.Store(0)
-		e.runWG.Add(wake)
-		for i := 0; i < wake; i++ {
-			e.workCh <- struct{}{}
-		}
-		e.drainPrepares() // the engine goroutine participates
-		e.runWG.Wait()
-	} else {
-		for _, id := range batch {
-			c := &e.comps[id]
-			c.prepare(&c.stage)
-		}
-	}
-	for _, id := range batch {
-		e.applyStage(&e.comps[id].stage)
-	}
-	return batch[:0]
-}
-
-// drainPrepares claims components off the current batch until it is empty.
-// Runs on workers and on the engine goroutine; claims are atomic, and the
-// WaitGroup join in flushBatch publishes every prepare's writes (the staged
-// ops) to the engine goroutine before the apply phase reads them.
-func (e *Engine) drainPrepares() {
-	n := int32(len(e.runQueue))
-	for {
-		i := e.runNext.Add(1) - 1
-		if i >= n {
-			return
-		}
-		id := e.runQueue[i]
-		c := &e.comps[id]
-		c.prepare(&c.stage)
-	}
-}
-
-// flushWorker is one pool goroutine: each token on ch is one flush batch to
-// help drain. Closing ch retires the worker.
-func (e *Engine) flushWorker(ch chan struct{}) {
-	for range ch {
-		e.drainPrepares()
-		e.runWG.Done()
-	}
-}
-
-// SetParallelism sets the number of OS threads the end-of-instant flush may
-// use: n-1 pool workers plus the engine goroutine itself. n <= 1 (the
-// default) is fully sequential. Results are bit-identical at every level —
-// see the parallel flush determinism contract. The pool persists across
-// Reset, so a pooled engine keeps its parallelism between runs; call
-// SetParallelism(1) to retire the workers before abandoning an engine.
-func (e *Engine) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n == e.par && (e.par > 1 || e.workCh == nil) {
-		return
-	}
-	if e.workCh != nil {
-		close(e.workCh) // retire the old pool
-		e.workCh = nil
-	}
-	e.par = n
-	e.nworkers = n - 1
-	if e.nworkers > 0 {
-		e.workCh = make(chan struct{})
-		for i := 0; i < e.nworkers; i++ {
-			go e.flushWorker(e.workCh)
-		}
-	}
-}
-
-// Parallelism returns the configured flush parallelism (>= 1).
-func (e *Engine) Parallelism() int {
-	if e.par < 1 {
-		return 1
-	}
-	return e.par
 }
 
 // Step executes the next event, advancing the clock to its timestamp. It
@@ -699,13 +407,4 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.nSteps = 0
 	e.needFlush = false
-	for i := range e.comps {
-		c := &e.comps[i]
-		c.dirty = false
-		for j := range c.stage.ops {
-			c.stage.ops[j] = stagedOp{}
-		}
-		c.stage.ops = c.stage.ops[:0]
-	}
-	e.runQueue = e.runQueue[:0]
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -288,5 +289,52 @@ func TestDeterministicStepCount(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("step counts differ across identical runs: %d vs %d", a, b)
+	}
+}
+
+// TestFlushersRunInRegistrationOrder pins the end-of-instant flush order the
+// tracer's link samplers depend on: two Nets and a sampler registered after
+// them share one engine, and churn on both Nets in one instant must settle
+// both before the sampler runs. A flusher's same-instant event fires before
+// the clock advances.
+func TestFlushersRunInRegistrationOrder(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) }
+	n1, n2 := NewNet(e), NewNet(e)
+	r1 := n1.NewResource("mc1", 10)
+	r2 := n2.NewResource("mc2", 6)
+	for i, n := range []*Net{n1, n2} {
+		name, fill := fmt.Sprintf("net%d", i+1), n.fill
+		n.fill = func(now Time) {
+			note(name)
+			fill(now)
+		}
+	}
+	var rates [][2]float64
+	scheduled := false
+	e.AddFlusher(func() {
+		note("sampler")
+		rates = append(rates, [2]float64{r1.Rate(), r2.Rate()})
+		if !scheduled {
+			scheduled = true
+			e.At(e.Now(), func() { note("same-instant") })
+		}
+	})
+	e.At(10, func() {
+		n1.StartFlow(1000, []*Resource{r1}, nil)
+		n1.StartFlow(1000, []*Resource{r1}, nil)
+		n2.StartFlow(600, []*Resource{r2}, nil)
+	})
+	e.At(11, func() { note("tick") })
+	e.Run()
+
+	want := []string{"net1@10", "net2@10", "sampler@10", "same-instant@10", "tick@11"}
+	if len(log) < len(want) || fmt.Sprint(log[:len(want)]) != fmt.Sprint(want) {
+		t.Fatalf("flush log %v, want prefix %v", log, want)
+	}
+	// Two flows share mc1's 10 B/ns; one flow has mc2's 6 B/ns to itself.
+	if rates[0] != [2]float64{10, 6} {
+		t.Errorf("sampler read rates %v at the churn instant, want settled [10 6]", rates[0])
 	}
 }

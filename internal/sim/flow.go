@@ -216,15 +216,6 @@ type Net struct {
 	batch    bool
 	flushing bool
 
-	// comp is this Net's engine component id (AddComponentFlusher): the Net
-	// is one independent unit of the parallel end-of-instant flush. direct
-	// is the staging buffer for forced flushes (Flow.Rate/Remaining,
-	// reallocate), which prepare and apply inline on the caller's
-	// goroutine; engine-driven flushes use the engine's per-component
-	// buffer instead.
-	comp   int
-	direct Stage
-
 	// fill runs one water-filling pass at the given instant, settling the
 	// resource integrals. Production uses (*Net).waterfill; the equivalence
 	// suite swaps in the naive reference ladder.
@@ -247,21 +238,15 @@ type Net struct {
 	onFlowEnd   func(*Flow)
 }
 
-// NewNet creates an empty flow network driven by eng. The Net registers as
-// one component of the engine's end-of-instant flush: its resources are
-// created through it and shared with no other Net, so its reallocation pass
-// is independent of every other component's and may run on a flush worker.
+// NewNet creates an empty flow network driven by eng and registers its
+// end-of-instant flusher.
 func NewNet(eng *Engine) *Net {
 	n := &Net{eng: eng, batch: true}
 	n.completeFn = n.onComplete
 	n.fill = n.waterfill
-	n.comp = eng.AddComponentFlusher(n.flushStage)
+	eng.AddFlusher(n.flush)
 	return n
 }
-
-// ComponentID returns the Net's engine flush-component id (ascending in
-// Net-creation order on the shared engine).
-func (n *Net) ComponentID() int { return n.comp }
 
 // NewResource registers a shared resource with the given capacity in
 // bytes per nanosecond (== GB/s). Capacity must be positive.
@@ -429,22 +414,17 @@ func (n *Net) noteChurn() {
 	n.pending = n.eng.At(sentinelTime, n.completeFn)
 	if !n.dirty {
 		n.dirty = true
-		n.eng.RequestComponentFlush(n.comp)
+		n.eng.RequestFlush()
 	}
 }
 
-// flushStage is the prepare phase of the deferred reallocation: one
-// water-filling pass over the network, fresh completion deadlines, and the
-// completion-event re-arm staged into st. It is the Net's component-flusher
-// hook and may run on a flush worker concurrently with other Nets'
-// prepares: it touches only this Net's state (resources included — they are
-// created through the Net and shared with no other) and records its event
-// mutations into st for the engine's id-ordered apply phase. A no-op when
-// no churn is pending, so forced flushes (Flow.Rate, the engine's
-// end-of-instant hook, RunUntil's horizon check) are free on a clean
-// network; a no-op as well when a flush is already running on this Net (see
-// Net.flushing).
-func (n *Net) flushStage(st *Stage) {
+// flush applies the deferred reallocation: one water-filling pass over the
+// network, then fresh completion deadlines and a re-armed completion event.
+// A no-op when no churn is pending, so forced flushes (Flow.Rate, the
+// engine's end-of-instant hook, RunUntil's horizon check) are free on a
+// clean network; a no-op as well when a flush is already running on this
+// Net (see Net.flushing).
+func (n *Net) flush() {
 	if !n.dirty || n.flushing {
 		return
 	}
@@ -455,7 +435,7 @@ func (n *Net) flushStage(st *Stage) {
 		for _, r := range n.resources {
 			r.settle(now, 0)
 		}
-		st.Stop(n.pending)
+		n.pending.Stop()
 		n.pending = Timer{}
 		n.flushing = false
 		return
@@ -478,28 +458,20 @@ func (n *Net) flushStage(st *Stage) {
 		}
 	}
 	// Move the placeholder claimed by the last churn to the real deadline,
-	// keeping its seq (see noteChurn). Staged as reschedule-or-insert: the
-	// fallback At (defensive — noteChurn always arms a placeholder while
-	// dirty) delivers its fresh Timer back into n.pending at apply time.
+	// keeping its seq (see noteChurn).
 	best := n.earliestDue()
 	if best == nil {
-		st.Stop(n.pending)
+		n.pending.Stop()
 		n.pending = Timer{}
 		n.flushing = false
 		return
 	}
-	st.RescheduleOrAt(n.pending, best.deadline, n.completeFn, &n.pending)
+	if !n.eng.Reschedule(n.pending, best.deadline) {
+		// No live placeholder (defensive — noteChurn always arms one while
+		// dirty): fall back to a fresh event.
+		n.pending = n.eng.At(best.deadline, n.completeFn)
+	}
 	n.flushing = false
-}
-
-// flush forces the deferred reallocation inline, on the caller's goroutine:
-// prepare into the Net's direct staging buffer, then apply immediately.
-// Equivalent to the engine-driven path because nothing engine-visible runs
-// between a staged op's recording point and the end of flushStage. Called
-// by Flow.Rate/Remaining and the unbatched (batch=false) churn path.
-func (n *Net) flush() {
-	n.flushStage(&n.direct)
-	n.eng.applyStage(&n.direct)
 }
 
 // waterfill computes the max-min fair rate for every active flow
@@ -750,7 +722,7 @@ func (n *Net) onComplete() {
 	n.finish(due)
 }
 
-// finish completes f: removes it from the active set, marks its component
+// finish completes f: removes it from the active set, marks the network
 // for reallocation (flushed immediately when batching is off, or at the end
 // of the instant — which also re-arms the completion event), runs the
 // callback, and recycles the struct.
@@ -801,10 +773,6 @@ func (n *Net) Reset() {
 	n.nextFlow = 0
 	n.dirty = false
 	n.flushing = false
-	for i := range n.direct.ops {
-		n.direct.ops[i] = stagedOp{}
-	}
-	n.direct.ops = n.direct.ops[:0]
 	n.pending = Timer{}
 	n.dcounter = 0
 	n.TotalBytes = 0

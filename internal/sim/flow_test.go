@@ -405,3 +405,76 @@ func TestFlowRecyclingKeepsAccounting(t *testing.T) {
 		t.Fatalf("resource flow count leaked: %d", r.ActiveFlows())
 	}
 }
+
+// TestFlushReentrancy pins the Flow.Rate/Remaining force-flush guard: user
+// code running inside the fill (an accounting hook, a sampler called from a
+// rate callback) may read Flow.Rate or Flow.Remaining, and that reentrant
+// read must NOT run a second fill over the half-updated scratch state — it
+// must see exactly the rates the in-progress fill assigns. Without the
+// flushing guard a reentrant forced flush would run a second fill over the
+// scratch state the first one is still using.
+func TestFlushReentrancy(t *testing.T) {
+	run := func(reenter bool) (fills int, makespan Time, bytes float64, mid []float64) {
+		eng := NewEngine()
+		n := NewNet(eng)
+		r := n.NewResource("mc", 10)
+		var probe *Flow
+		base := n.fill
+		n.fill = func(now Time) {
+			fills++
+			base(now)
+			if reenter && probe != nil && !probe.finished {
+				// Reentrant reads mid-flush: the guard must make the forced
+				// flush a no-op, returning the rate this very fill assigned.
+				mid = append(mid, probe.Rate(), probe.Remaining())
+			}
+		}
+		probe = n.StartFlow(1000, []*Resource{r}, nil)
+		n.StartFlow(500, []*Resource{r}, nil)
+		makespan = eng.Run()
+		bytes = n.TotalBytes
+		return
+	}
+
+	fills, makespan, bytes, mid := run(true)
+	refFills, refMakespan, refBytes, _ := run(false)
+	if fills != refFills {
+		t.Errorf("reentrant Rate/Remaining changed fill count: %d vs %d", fills, refFills)
+	}
+	if makespan != refMakespan || bytes != refBytes {
+		t.Errorf("reentrant reads perturbed the run: (%v, %.0f) vs (%v, %.0f)",
+			makespan, bytes, refMakespan, refBytes)
+	}
+	// Two flows share a 10 B/ns resource: the first fill assigns 5 B/ns and
+	// the mid-flush read must see exactly that, with the full volume intact.
+	if len(mid) == 0 {
+		t.Fatal("reentrant probe never ran")
+	}
+	if mid[0] != 5 || mid[1] != 1000 {
+		t.Errorf("mid-flush probe read (rate %v, remaining %v), want (5, 1000)", mid[0], mid[1])
+	}
+}
+
+// TestFlushReentrantFlushIsNoop hits the guard directly: a forced flush
+// issued while a flush is running on the same Net must neither recurse nor
+// re-arm anything.
+func TestFlushReentrantFlushIsNoop(t *testing.T) {
+	eng := NewEngine()
+	n := NewNet(eng)
+	r := n.NewResource("mc", 4)
+	depth := 0
+	base := n.fill
+	n.fill = func(now Time) {
+		depth++
+		if depth > 1 {
+			t.Fatal("fill re-entered")
+		}
+		base(now)
+		n.flush() // must be a no-op: flushing is set, dirty cleared
+		depth--
+	}
+	n.StartFlow(100, []*Resource{r}, nil)
+	if got := eng.Run(); got != 25 {
+		t.Errorf("makespan %v, want 25ns (100 bytes at 4 B/ns)", got)
+	}
+}
