@@ -91,7 +91,7 @@ bench-check:
 
 # Short coverage-guided fuzz of the FM refiner (gain-bucket vs heap
 # reference), the fluid network's full-vs-incremental reallocation contract
-# (batched CSR/worklist fill vs the eager naive ladder), and the cluster's
+# (batched class-based fill vs the eager naive ladder), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
 # tenant-skewed rates must never stall or reorder the shared clock). The
 # seed corpora also run in plain `make test`; CI uploads any new crashers as

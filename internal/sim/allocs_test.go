@@ -9,13 +9,14 @@ import (
 // `make test-allocs` and the CI allocs gate. Together with
 // TestFlowChurnSteadyStateAllocs (bench_test.go) they assert that steady-
 // state operation — including the deferred/batched reallocation path —
-// allocates nothing: event slots, Flow structs, CSR crossing lists and
-// worklists are all recycled.
+// allocates nothing: event slots, Flow structs, flow classes, crossing
+// lists and fill worklists are all recycled.
 
 // TestBatchedFanoutSteadyStateAllocs pins the batching path: bursts of
 // same-instant starts over multiple sockets' resource pairs, flushed once
 // per instant by the engine hook, then drained through batched completion
-// waves.
+// waves. The starts cycle through the three core caps, so flow classes are
+// created and retired inside the measured loop.
 func TestBatchedFanoutSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	n := NewNet(e)
@@ -38,14 +39,14 @@ func TestBatchedFanoutSteadyStateAllocs(t *testing.T) {
 	burst := func(i int) {
 		// 8 same-instant starts across 4 components: one deferred flush.
 		for j := 0; j < 8; j++ {
-			n.StartFlowCapped(4096+float64(j), paths[(i+j)%8], 640.0/90, nil)
+			n.StartFlowCapped(4096+float64(j), paths[(i+j)%8], coreBW[j%3], nil)
 		}
 		for n.ActiveFlows() > 24 {
 			e.Step()
 		}
 	}
 	for i := 0; i < 32; i++ {
-		burst(i) // warm flow pool, event arena, CSR and worklist scratch
+		burst(i) // warm flow and class pools, event arena, lists and scratch
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {

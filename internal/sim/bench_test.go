@@ -155,3 +155,32 @@ func TestFlowChurnSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state flow churn allocates %v objects per op, want 0", avg)
 	}
 }
+
+// BenchmarkReallocateMachine measures one from-scratch fill on the bullion
+// shape: 8 sockets of {mc 30, port 12}, about 26 flows over 4 busy home
+// sockets, local flows on the mc alone and 1-hop/2-hop flows on mc + port,
+// each capped by its core bandwidth (coreBW: local, 1-hop, 2-hop). Unlike
+// BenchmarkReallocate's single cap, this mix takes several cap and
+// bottleneck rounds per fill, over about 12 flow classes.
+func BenchmarkReallocateMachine(b *testing.B) {
+	e := NewEngine()
+	n := NewNet(e)
+	rs := make([]*Resource, len(machineCaps))
+	for i, c := range machineCaps {
+		rs[i] = n.NewResource("r", c)
+	}
+	for i := 0; i < 26; i++ {
+		home, kind := i%4, (i/4)%3
+		path := []*Resource{rs[2*home]}
+		if kind > 0 {
+			path = append(path, rs[2*home+1])
+		}
+		n.StartFlowCapped(1e12, path, coreBW[kind], nil)
+	}
+	n.flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.reallocate()
+	}
+}

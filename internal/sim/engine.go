@@ -47,11 +47,12 @@
 //     RequestFlush) once per instant, just before the clock advances — so a
 //     task fanning out transfers, or a wave of same-nanosecond completions,
 //     pays for one max-min redistribution instead of one per event. The
-//     water-filling pass walks per-resource crossing lists (CSR) and
-//     shrinking worklists instead of rescanning all resources x all flows
-//     per round, executing bit-for-bit the float operations of the naive
-//     ladder it replaced (kept as a test-only reference and enforced by the
-//     equivalence suite and FuzzReallocate).
+//     water-filling pass runs its rounds over flow classes (flows with equal
+//     paths and caps) and walks per-resource crossing lists kept up to date
+//     as flows start and finish, instead of rescanning all resources x all
+//     flows per round, executing bit-for-bit the float operations of the
+//     naive ladder it replaced (kept as a test-only reference and enforced
+//     by the equivalence suite and FuzzReallocate).
 //
 // # Determinism contract
 //

@@ -13,7 +13,16 @@ type Resource struct {
 	id       int
 	name     string
 	capacity float64 // bytes/ns
-	flows    int     // active flows crossing this resource (bookkeeping)
+
+	// crossing lists the active flows whose path includes this resource, in
+	// ascending flow id, once per path occurrence (a path naming the
+	// resource twice appears twice, adjacently). Kept up to date by
+	// StartFlowCapped (append: ids are monotonic) and finish (ordered
+	// delete), so the fill never rebuilds it.
+	crossing []*Flow
+	// classes indexes the live flow classes whose path starts here, for the
+	// class lookup in StartFlowCapped.
+	classes []*flowClass
 
 	// Utilization accounting: byte-time integral of allocated rate.
 	carried    float64 // total bytes carried so far
@@ -55,8 +64,9 @@ func (r *Resource) Rate() float64 { return r.rate }
 // Capacity returns the resource capacity in bytes per nanosecond.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
-// ActiveFlows returns the number of flows currently crossing the resource.
-func (r *Resource) ActiveFlows() int { return r.flows }
+// ActiveFlows returns the number of flows currently crossing the resource
+// (a flow whose path names the resource twice counts twice).
+func (r *Resource) ActiveFlows() int { return len(r.crossing) }
 
 // Flow is an in-flight transfer of a byte volume across a path of resources.
 //
@@ -72,19 +82,34 @@ type Flow struct {
 	rate       float64 // bytes/ns, current max-min allocation
 	maxRate    float64 // per-flow rate cap (source concurrency limit)
 	path       []*Resource
-	mask       uint64 // bitset over path resource IDs; valid when !wide
-	wide       bool   // some path resource has id >= 64: fall back to scans
 	lastUpdate Time
 	done       func()
 	net        *Net
 	finished   bool
 
 	// Reallocation / completion-tracking state, owned by Net.
-	frozen   bool   // scratch flag for the water-filling loop
-	idx      int    // position in Net.active
-	deadline Time   // completion event time as of the last reallocation
-	dseq     uint64 // tiebreaker mirroring engine event seq order
-	starved  bool   // rate is 0 (or non-finite volume math): no deadline
+	cls      *flowClass // the class the fill freezes this flow with
+	idx      int        // position in Net.active
+	deadline Time       // completion event time as of the last reallocation
+	dseq     uint64     // tiebreaker mirroring engine event seq order
+	starved  bool       // rate is 0 (or non-finite volume math): no deadline
+}
+
+// flowClass is the set of active flows with equal path contents and an
+// equal rate cap. Max-min water-filling cannot tell such flows apart: they
+// see the same shares and the same cap in every round, so they freeze in the
+// same round at the same rate, and the fill runs over classes instead of
+// flows (see Net.waterfill). Classes are recycled like Flow structs.
+type flowClass struct {
+	path    []*Resource // the first member's path; every member's has equal contents
+	maxRate float64
+	n       int // active member flows
+	idx     int // position in Net.classes
+
+	// Fill scratch: the round that froze the class (0 while unfrozen) and
+	// the rate every member froze at.
+	frozenIn int
+	rate     float64
 }
 
 // ID returns the flow's network-unique id. Ids are assigned in start order
@@ -123,24 +148,6 @@ func (f *Flow) Rate() float64 {
 	return f.rate
 }
 
-// crosses reports whether the flow's path includes r — a bitset test when
-// every path resource has an ID below 64 (always true for the machines the
-// paper evaluates: 2 resources per socket), a linear scan otherwise.
-func (f *Flow) crosses(r *Resource) bool {
-	if !f.wide {
-		if r.id >= 64 {
-			return false
-		}
-		return f.mask&(1<<uint(r.id)) != 0
-	}
-	for _, rr := range f.path {
-		if rr == r {
-			return true
-		}
-	}
-	return false
-}
-
 // Net is a fluid-flow network bound to an Engine. All methods must be called
 // from the engine goroutine (the simulator is single-threaded by design).
 //
@@ -162,27 +169,29 @@ func (f *Flow) crosses(r *Resource) bool {
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
 //
-// The fill itself stays a whole-network water-filling pass, restructured so
-// its cost tracks the flows that actually cross contended resources
-// (per-resource crossing lists and shrinking worklists replace the historic
-// all-resources x all-flows scans) while executing bit-for-bit the float
-// operations of the naive ladder — the determinism goldens pin simulated
-// physics down to the nanosecond, so the optimised fill must be exactly
-// equivalent, and the equivalence suite and FuzzReallocate hold it to the
-// test-only reference implementation.
+// The fill itself stays a whole-network water-filling pass with global
+// rounds, and it executes bit-for-bit the float operations of the naive
+// per-flow ladder — the determinism goldens pin simulated physics down to
+// the nanosecond, so the fill must be exactly equivalent, and the
+// equivalence suite and FuzzReallocate hold it to the test-only reference
+// implementation. What it saves is bookkeeping: its rounds run over flow
+// classes (flows with equal path contents and an equal cap; on the bullion
+// about 10 classes carry about 26 flows) instead of flows, and the
+// per-resource crossing lists it walks are maintained incrementally by
+// StartFlowCapped and finish instead of being rebuilt per fill. Why that
+// is exact is spelled out on waterfill.
 //
 // A further restriction — water-filling only the connected component of
 // resources the changed flow crosses, leaving other components' rates
-// untouched — is deliberately NOT done, although the path bitsets make it
-// cheap: with per-flow rate caps the historical global ladder freezes
-// cap-bound flows in rounds driven by the global minimum share, so another
-// component's share can split one component's cap-freeze batch and change
-// the order residual capacities are subtracted in. Per-component fills
-// reorder those subtractions, and float subtraction is not associative:
-// rates drift by ulps, ceil'd deadlines by nanoseconds, and whole schedules
-// follow (6 of the 195 determinism goldens moved when it was tried). The
-// component fill would be bit-exact only against a per-component reference,
-// not against the recorded history.
+// untouched — is deliberately NOT done: with per-flow rate caps the
+// historical global ladder freezes cap-bound flows in rounds driven by the
+// global minimum share, so another component's share can split one
+// component's cap-freeze batch and change the order residual capacities are
+// subtracted in. Per-component fills reorder those subtractions, and float
+// subtraction is not associative: rates drift by ulps, ceil'd deadlines by
+// nanoseconds, and whole schedules follow (6 of the 195 determinism goldens
+// moved when it was tried). The component fill would be bit-exact only
+// against a per-component reference, not against the recorded history.
 type Net struct {
 	eng       *Engine
 	resources []*Resource
@@ -190,18 +199,21 @@ type Net struct {
 	freeFlows []*Flow // recycled Flow structs
 	nextFlow  int
 
-	// Scratch buffers reused by the water-filling passes. residual,
-	// unfrozen and sums have len == len(resources). csrStart/csrFlows hold
-	// the per-resource crossing lists in CSR layout; liveRes and liveFlows
-	// are the shrinking round worklists.
-	residual  []float64
-	unfrozen  []int
-	sums      []float64
-	csrStart  []int32 // len == len(resources)+1; bucket r is [csrStart[r], csrStart[r+1])
-	csrCur    []int32 // fill cursors, len == len(resources)
-	csrFlows  []*Flow // flattened buckets, ascending flow id within each
-	liveRes   []int32 // resource ids with unfrozen flows, ascending
-	liveFlows []*Flow // unfrozen flows, ascending id
+	classes     []*flowClass // live flow classes, in no particular order
+	freeClasses []*flowClass // recycled classes
+
+	// Scratch buffers reused by the water-filling passes, all with
+	// len == len(resources) except liveRes and touched, the worklists of
+	// resources that still carry unfrozen flows (ascending) and of
+	// resources a cap round subtracts from. capCount and capRate tally a
+	// cap round per resource: the path occurrences it freezes there and
+	// their common cap, NaN when the caps differ (caps are never NaN).
+	residual []float64
+	unfrozen []int
+	capCount []int
+	capRate  []float64
+	liveRes  []int32
+	touched  []int32
 
 	// Deferred-reallocation state. batch controls same-instant coalescing:
 	// when false every churn event flushes immediately (one redistribution
@@ -258,8 +270,8 @@ func (n *Net) NewResource(name string, capacity float64) *Resource {
 	n.resources = append(n.resources, r)
 	n.residual = append(n.residual, 0)
 	n.unfrozen = append(n.unfrozen, 0)
-	n.sums = append(n.sums, 0)
-	n.csrCur = append(n.csrCur, 0)
+	n.capCount = append(n.capCount, 0)
+	n.capRate = append(n.capRate, 0)
 	return r
 }
 
@@ -288,13 +300,14 @@ func (n *Net) StartFlow(bytes float64, path []*Resource, done func()) *Flow {
 // StartFlowCapped is StartFlow with an additional per-flow rate ceiling in
 // bytes/ns. The cap models a source that cannot saturate the path on its own
 // — e.g. a single core whose outstanding-miss window limits its achievable
-// memory bandwidth. A non-positive cap panics.
+// memory bandwidth. A negative, NaN or infinite volume panics, and so does a
+// cap that is not positive (NaN included); +Inf is a valid cap (uncapped).
 func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, done func()) *Flow {
-	if bytes < 0 {
-		panic(fmt.Sprintf("sim: negative flow volume %v", bytes))
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		panic(fmt.Sprintf("sim: flow volume %v is not a finite non-negative number", bytes))
 	}
-	if maxRate <= 0 {
-		panic(fmt.Sprintf("sim: non-positive flow rate cap %v", maxRate))
+	if !(maxRate > 0) {
+		panic(fmt.Sprintf("sim: flow rate cap %v is not positive", maxRate))
 	}
 	if bytes == 0 || len(path) == 0 {
 		// Immediate completion; never enters the active set or the pool.
@@ -333,19 +346,16 @@ func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, 
 		lastUpdate: n.eng.Now(),
 		done:       done,
 		net:        n,
+		cls:        n.classFor(path, maxRate),
 	}
-	for _, r := range f.path {
-		if r.id >= 64 {
-			f.wide = true
-			break
-		}
-		f.mask |= 1 << uint(r.id)
-	}
+	f.cls.n++
 	n.progressAll()
+	// Ids are monotonic: appending keeps the active set and every crossing
+	// list in ascending id order.
 	f.idx = len(n.active)
-	n.active = append(n.active, f) // ids are monotonic: append keeps order
+	n.active = append(n.active, f)
 	for _, r := range f.path {
-		r.flows++
+		r.crossing = append(r.crossing, f)
 	}
 	n.noteChurn()
 	if n.onFlowStart != nil {
@@ -362,36 +372,85 @@ func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, 
 // closure per flow.
 func noop() {}
 
+// classFor returns the live class of flows with path's contents and cap
+// maxRate, creating (or recycling) one when there is none. Paths are
+// compared by contents, not by slice identity, so equal paths built
+// separately share a class.
+func (n *Net) classFor(path []*Resource, maxRate float64) *flowClass {
+	head := path[0]
+	for _, c := range head.classes {
+		if c.maxRate == maxRate && samePath(c.path, path) {
+			return c
+		}
+	}
+	var c *flowClass
+	if k := len(n.freeClasses); k > 0 {
+		c = n.freeClasses[k-1]
+		n.freeClasses = n.freeClasses[:k-1]
+	} else {
+		c = &flowClass{}
+	}
+	*c = flowClass{path: path, maxRate: maxRate, idx: len(n.classes)}
+	n.classes = append(n.classes, c)
+	head.classes = append(head.classes, c)
+	return c
+}
+
+// samePath reports whether two paths list the same resources in the same
+// order.
+func samePath(a, b []*Resource) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// retireClass recycles a class whose last member flow just finished.
+func (n *Net) retireClass(c *flowClass) {
+	last := len(n.classes) - 1
+	n.classes[c.idx] = n.classes[last]
+	n.classes[c.idx].idx = c.idx
+	n.classes = n.classes[:last]
+	head := c.path[0]
+	for i, hc := range head.classes {
+		if hc == c {
+			last = len(head.classes) - 1
+			head.classes[i] = head.classes[last]
+			head.classes = head.classes[:last]
+			break
+		}
+	}
+	c.path = nil
+	n.freeClasses = append(n.freeClasses, c)
+}
+
 // ActiveFlows returns the number of in-flight flows.
 func (n *Net) ActiveFlows() int { return len(n.active) }
 
+// progress advances f's remaining volume to now using its rate since the
+// last update.
+func (f *Flow) progress(now Time) {
+	elapsed := float64(now - f.lastUpdate)
+	if elapsed > 0 {
+		f.remaining -= elapsed * f.rate
+		if f.remaining < 1e-9 {
+			f.remaining = 0
+		}
+	}
+	f.lastUpdate = now
+}
+
 // progressAll advances every active flow's remaining volume to the current
-// time using its rate since the last update.
+// time.
 func (n *Net) progressAll() {
 	now := n.eng.Now()
 	for _, f := range n.active {
-		elapsed := float64(now - f.lastUpdate)
-		if elapsed > 0 {
-			f.remaining -= elapsed * f.rate
-			if f.remaining < 1e-9 {
-				f.remaining = 0
-			}
-		}
-		f.lastUpdate = now
-	}
-}
-
-// freezeFlow fixes a flow's rate and removes its demand from the residual
-// capacities. Part of the water-filling loop in reallocate.
-func (n *Net) freezeFlow(f *Flow, rate float64) {
-	f.rate = rate
-	f.frozen = true
-	for _, rr := range f.path {
-		n.residual[rr.id] -= rate
-		if n.residual[rr.id] < 0 {
-			n.residual[rr.id] = 0
-		}
-		n.unfrozen[rr.id]--
+		f.progress(now)
 	}
 }
 
@@ -448,6 +507,9 @@ func (n *Net) flush() {
 	// ladder recomputed every deadline from the current instant, and the
 	// ceil-rounding of remaining/rate depends on that instant, so skipping
 	// a flow here could drift its deadline a nanosecond from the reference.
+	// The same pass finds the earliest deadline: dseq rises through the
+	// loop, so a strict < keeps the flow earliestDue would pick.
+	var best *Flow
 	for _, f := range n.active {
 		dt, ok := completionDelay(f.remaining, f.rate)
 		n.dcounter++
@@ -455,11 +517,13 @@ func (n *Net) flush() {
 		f.starved = !ok
 		if ok {
 			f.deadline = now + dt
+			if best == nil || f.deadline < best.deadline {
+				best = f
+			}
 		}
 	}
 	// Move the placeholder claimed by the last churn to the real deadline,
 	// keeping its seq (see noteChurn).
-	best := n.earliestDue()
 	if best == nil {
 		n.pending.Stop()
 		n.pending = Timer{}
@@ -479,71 +543,50 @@ func (n *Net) flush() {
 //
 // Water-filling: repeatedly find the binding constraint — either the
 // bottleneck resource (smallest per-unfrozen-flow fair share) or an unfrozen
-// flow whose own cap is below that share — freeze the affected flows,
+// flow whose own cap is at or below that share — freeze the affected flows,
 // subtract their consumption from every resource they cross, repeat.
 //
-// The pass is bit-for-bit equivalent to the naive ladder (kept as the
-// test-only referenceWaterfill): identical float operations in identical
-// order. What changed is the scan structure, which the profile said was the
-// hot spot, not the arithmetic:
+// The rounds run over flow classes, yet the pass is bit-for-bit equivalent
+// to the naive per-flow ladder (kept as the test-only referenceWaterfill):
+// every residual sees the same float subtractions in the same order, and
+// every flow gets the same rate. That holds because:
 //
-//   - Per-resource crossing lists in CSR layout (rebuilt per flush in two
-//     passes over the active flows, so every bucket is in ascending flow-id
-//     order) replace the all-flows scan + crosses() test when a bottleneck
-//     resource freezes its flows.
-//   - A shrinking worklist of unfrozen flows (stable-filtered, so ascending
-//     id order is preserved) replaces the all-flows scan of the cap-freeze
-//     round.
-//   - A shrinking worklist of resources with unfrozen flows replaces the
-//     all-resources scans of the share minimum and the freeze pass.
+//   - Members of a class see the same shares and the same cap in every
+//     round, so they freeze in the same round at the same rate.
+//   - A bottleneck round subtracts one value, share, from every resource.
+//     The order of equal subtractions does not matter, so a class
+//     subtracts share c.n times per path entry, clamping at zero after each
+//     subtraction exactly as the ladder does. Resources are still visited in
+//     ascending id, each one's test seeing the subtractions of the
+//     resources before it.
+//   - Only a cap round can freeze classes with different rates on one
+//     resource. There the ladder's order matters, and it is ascending flow
+//     id, so such a resource replays its crossing list, subtracting the cap
+//     of each flow frozen in this round. A resource that sees one cap
+//     subtracts it the tallied number of times.
+//   - The settle sums add rates per resource in crossing-list order,
+//     ascending flow id, which is the ladder's order too.
 //
-// Everything runs on per-Net scratch buffers: no allocation, no map
-// iteration, no sorting. Flows are visited in ascending ID order and
-// resources in ascending id order, which both makes runs bit-reproducible
-// and matches the order completion timers were historically scheduled in.
+// Rounds stay global: no resource is skipped, and a round's share is the
+// minimum over the whole network (see Net for why). Everything runs on
+// per-Net scratch buffers: no allocation, no map iteration, no sorting.
 func (n *Net) waterfill(now Time) {
 	residual, unfrozen := n.residual, n.unfrozen
-	if len(n.csrStart) != len(n.resources)+1 {
-		n.csrStart = make([]int32, len(n.resources)+1)
-	}
-	start, cur := n.csrStart, n.csrCur
+	capCount, capRate := n.capCount, n.capRate
+	lr := n.liveRes[:0]
 	for i, r := range n.resources {
 		residual[i] = r.capacity
-		unfrozen[i] = 0
-		start[i+1] = 0
-	}
-	for _, f := range n.active {
-		for _, r := range f.path {
-			start[r.id+1]++
+		unfrozen[i] = len(r.crossing)
+		if unfrozen[i] > 0 {
+			lr = append(lr, int32(i))
 		}
 	}
-	for i := 1; i < len(start); i++ {
-		start[i] += start[i-1]
+	for _, c := range n.classes {
+		c.frozenIn = 0
 	}
-	total := int(start[len(start)-1])
-	if cap(n.csrFlows) < total {
-		n.csrFlows = make([]*Flow, total)
-	}
-	csr := n.csrFlows[:total]
-	copy(cur, start[:len(cur)])
-	lf := n.liveFlows[:0]
-	for _, f := range n.active {
-		f.frozen = false
-		lf = append(lf, f)
-		for _, r := range f.path {
-			unfrozen[r.id]++
-			csr[cur[r.id]] = f
-			cur[r.id]++
-		}
-	}
-	lr := n.liveRes[:0]
-	for id := range n.resources {
-		if unfrozen[id] > 0 {
-			lr = append(lr, int32(id))
-		}
-	}
-	left := len(n.active)
-	for left > 0 {
+	touched := n.touched[:0]
+	left := len(n.classes)
+	for round := 1; left > 0; round++ {
 		// Bottleneck-resource share, over resources that still carry
 		// unfrozen flows (compacted in place; a resource whose flows all
 		// froze can never regain one within this fill).
@@ -560,78 +603,100 @@ func (n *Net) waterfill(now Time) {
 			}
 		}
 		lr = lr[:k]
-		// A flow whose cap is at or below the share binds first. The
-		// worklist is compacted in the same stable pass, preserving the
-		// ascending-id visit order of the naive ladder.
-		capBound := false
-		k = 0
-		for _, f := range lf {
-			if f.frozen {
+		// A class whose cap is at or below the share binds first. Its
+		// subtractions are tallied per resource and applied afterwards, in
+		// the ladder's order. When share is +Inf every class binds here, so
+		// the ladder's no-contention guard has no counterpart.
+		for _, c := range n.classes {
+			if c.frozenIn != 0 || c.maxRate > share {
 				continue
 			}
-			if f.maxRate <= share {
-				n.freezeFlow(f, f.maxRate)
-				left--
-				capBound = true
-				continue
+			c.frozenIn, c.rate = round, c.maxRate
+			left--
+			for _, r := range c.path {
+				id := r.id
+				if capCount[id] == 0 {
+					touched = append(touched, int32(id))
+					capRate[id] = c.maxRate
+				} else if capRate[id] != c.maxRate {
+					capRate[id] = math.NaN()
+				}
+				capCount[id] += c.n
 			}
-			lf[k] = f
-			k++
 		}
-		lf = lf[:k]
-		if capBound {
+		if len(touched) > 0 {
+			for _, id := range touched {
+				if rate := capRate[id]; !math.IsNaN(rate) {
+					for i := 0; i < capCount[id]; i++ {
+						residual[id] = clampSub(residual[id], rate)
+					}
+				} else {
+					for _, f := range n.resources[id].crossing {
+						if f.cls.frozenIn == round {
+							residual[id] = clampSub(residual[id], f.cls.rate)
+						}
+					}
+				}
+				unfrozen[id] -= capCount[id]
+				capCount[id] = 0
+			}
+			touched = touched[:0]
 			continue // resource shares changed; recompute
 		}
-		if math.IsInf(share, 1) {
-			// Remaining flows cross no contended resource; cannot happen
-			// because every flow has a non-empty path, but guard anyway.
-			for _, f := range lf {
-				if !f.frozen {
-					f.rate = f.maxRate
-					f.frozen = true
-					left--
-				}
-			}
-			break
-		}
-		// Freeze every unfrozen flow crossing a bottleneck resource,
-		// walking the resource's own crossing list instead of scanning all
-		// active flows.
+		// Freeze every unfrozen class crossing a bottleneck resource,
+		// found through the resource's crossing list.
 		progressed := false
+		limit := share * (1 + 1e-12)
 		for _, id := range lr {
 			if unfrozen[id] == 0 {
 				continue
 			}
-			if residual[id]/float64(unfrozen[id]) > share*(1+1e-12) {
+			if residual[id]/float64(unfrozen[id]) > limit {
 				continue
 			}
-			for _, f := range csr[start[id]:start[id+1]] {
-				if f.frozen {
+			for _, f := range n.resources[id].crossing {
+				c := f.cls
+				if c.frozenIn != 0 {
 					continue
 				}
-				n.freezeFlow(f, share)
+				c.frozenIn, c.rate = round, share
 				left--
 				progressed = true
+				for _, r := range c.path {
+					for i := 0; i < c.n; i++ {
+						residual[r.id] = clampSub(residual[r.id], share)
+					}
+					unfrozen[r.id] -= c.n
+				}
 			}
 		}
 		if !progressed {
 			panic("sim: max-min water-filling made no progress")
 		}
 	}
-	n.liveFlows, n.liveRes = lf[:0], lr[:0] // keep growth; drop stale refs logically
-	// Settle per-resource rate integrals with the fresh allocation.
-	sums := n.sums
-	for i := range sums {
-		sums[i] = 0
-	}
+	n.liveRes, n.touched = lr[:0], touched
+	// Hand every flow its class's rate, then settle the per-resource rate
+	// integrals with the fresh allocation.
 	for _, f := range n.active {
-		for _, res := range f.path {
-			sums[res.id] += f.rate
+		f.rate = f.cls.rate
+	}
+	for _, r := range n.resources {
+		sum := 0.0
+		for _, f := range r.crossing {
+			sum += f.rate
 		}
+		r.settle(now, sum)
 	}
-	for _, res := range n.resources {
-		res.settle(now, sums[res.id])
+}
+
+// clampSub returns residual - rate, clamped at zero: one frozen flow's
+// demand removed from one residual capacity.
+func clampSub(residual, rate float64) float64 {
+	residual -= rate
+	if residual < 0 {
+		return 0
 	}
+	return residual
 }
 
 // reallocate forces an immediate from-scratch recompute regardless of
@@ -662,21 +727,25 @@ func completionDelay(remaining, rate float64) (dt Time, ok bool) {
 
 // earliestDue returns the active flow with the smallest (deadline, dseq) —
 // the flow whose dedicated timer would fire next under a one-event-per-flow
-// design. Starved flows have no deadline and are skipped. Both armCompletion
-// and onComplete must select by this exact rule, or the armed event would
-// belong to a different flow than the one processed when it fires.
+// design. Starved flows have no deadline and are skipped. Every place that
+// arms the completion event (flush, armCompletion) and onComplete must
+// select by this exact rule, or the armed event would belong to a different
+// flow than the one processed when it fires.
 func (n *Net) earliestDue() *Flow {
 	var best *Flow
 	for _, f := range n.active {
-		if f.starved {
-			continue
-		}
-		if best == nil || f.deadline < best.deadline ||
-			(f.deadline == best.deadline && f.dseq < best.dseq) {
+		if !f.starved && dueBefore(f, best) {
 			best = f
 		}
 	}
 	return best
+}
+
+// dueBefore reports whether f's (deadline, dseq) comes before best's; any
+// flow comes before a nil best.
+func dueBefore(f, best *Flow) bool {
+	return best == nil || f.deadline < best.deadline ||
+		(f.deadline == best.deadline && f.dseq < best.dseq)
 }
 
 // armCompletion (re)schedules the Net's single completion event for the
@@ -698,9 +767,16 @@ func (n *Net) armCompletion() {
 // flow's deadline out by the residue (at least 1ns) and re-arming.
 func (n *Net) onComplete() {
 	n.pending = Timer{}
-	n.progressAll()
 	now := n.eng.Now()
-	due := n.earliestDue()
+	// One pass progresses every flow and picks the earliest due, by the
+	// rule earliestDue applies.
+	var due *Flow
+	for _, f := range n.active {
+		f.progress(now)
+		if !f.starved && dueBefore(f, due) {
+			due = f
+		}
+	}
 	if due == nil {
 		return
 	}
@@ -731,8 +807,12 @@ func (n *Net) finish(f *Flow) {
 	f.remaining = 0
 	n.removeActive(f)
 	for _, r := range f.path {
-		r.flows--
+		r.removeCrossing(f)
 	}
+	if f.cls.n--; f.cls.n == 0 {
+		n.retireClass(f.cls)
+	}
+	f.cls = nil
 	n.TotalBytes += f.volume
 	n.noteChurn()
 	if !n.batch {
@@ -761,11 +841,18 @@ func (n *Net) Reset() {
 		f.finished = true
 		f.done = nil
 		f.path = nil
+		f.cls = nil
 		n.freeFlows = append(n.freeFlows, f)
 	}
 	n.active = n.active[:0]
+	for _, c := range n.classes {
+		c.path = nil
+		n.freeClasses = append(n.freeClasses, c)
+	}
+	n.classes = n.classes[:0]
 	for _, r := range n.resources {
-		r.flows = 0
+		r.crossing = r.crossing[:0]
+		r.classes = r.classes[:0]
 		r.carried = 0
 		r.rate = 0
 		r.lastUpdate = 0
@@ -776,6 +863,18 @@ func (n *Net) Reset() {
 	n.pending = Timer{}
 	n.dcounter = 0
 	n.TotalBytes = 0
+}
+
+// removeCrossing deletes one occurrence of f from r's crossing list,
+// preserving the ascending-id order.
+func (r *Resource) removeCrossing(f *Flow) {
+	for i, g := range r.crossing {
+		if g == f {
+			copy(r.crossing[i:], r.crossing[i+1:])
+			r.crossing = r.crossing[:len(r.crossing)-1]
+			return
+		}
+	}
 }
 
 // removeActive deletes f from the dense active slice, preserving the

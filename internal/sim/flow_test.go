@@ -290,6 +290,46 @@ func TestNonPositiveCapPanics(t *testing.T) {
 	n.StartFlowCapped(10, []*Resource{r}, 0, nil)
 }
 
+// TestNonFiniteFlowArgsPanic pins the call-site checks for volumes and caps
+// that used to slip through: a NaN volume panicked later inside the flush,
+// a NaN cap ran as uncapped, and a +Inf volume never completed. All three
+// now panic at the call; +Inf stays a valid cap.
+func TestNonFiniteFlowArgsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		bytes    float64
+		maxRate  float64
+		wantPass bool
+	}{
+		{"nan-volume", math.NaN(), 1, false},
+		{"inf-volume", math.Inf(1), 1, false},
+		{"neg-inf-volume", math.Inf(-1), 1, false},
+		{"nan-cap", 10, math.NaN(), false},
+		{"neg-inf-cap", 10, math.Inf(-1), false},
+		{"inf-cap", 10, math.Inf(1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			n := NewNet(e)
+			r := n.NewResource("r", 1)
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				n.StartFlowCapped(tc.bytes, []*Resource{r}, tc.maxRate, nil)
+				return false
+			}()
+			if panicked == tc.wantPass {
+				t.Fatalf("StartFlowCapped(%v, cap %v): panicked = %v", tc.bytes, tc.maxRate, panicked)
+			}
+			if tc.wantPass {
+				e.Run()
+				if e.Now() != 10 || n.ActiveFlows() != 0 {
+					t.Fatalf("uncapped flow ended at %v with %d active, want 10ns and 0", e.Now(), n.ActiveFlows())
+				}
+			}
+		})
+	}
+}
+
 func TestTimerStopPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	fired := false

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // FuzzReallocate drives the production fluid network (deferred, batched,
-// CSR/worklist water-filling) and the eager naive reference through the
+// class-based water-filling) and the eager naive reference through the
 // same generated flow-churn script (via buildChurnCase, shared with the
 // fixed equivalence suite) and asserts bit-exact lockstep equality of
 // clock, step count, completion times, rates, remaining bytes, deadlines

@@ -10,7 +10,7 @@ import (
 
 // Full-vs-incremental reallocation equivalence harness.
 //
-// A production Net (deferred, batched, CSR/worklist water-filling) and a
+// A production Net (deferred, batched, class-based water-filling) and a
 // reference Net (eager per-event recompute through the naive seed ladder,
 // see realloc_reference_test.go) are driven through an identical flow-churn
 // script on two engines, stopped at every churn instant, and compared
@@ -21,12 +21,15 @@ import (
 // one-ulp rate difference becomes a one-nanosecond ceil difference becomes
 // a different schedule.
 
-// churnOp is one scripted StartFlowCapped call.
+// churnOp is one scripted StartFlowCapped call. A chained op ignores at and
+// starts from the done callback of the op before it, in the instant that op
+// completes.
 type churnOp struct {
-	at   Time
-	vol  float64
-	path []int // resource indices
-	maxR float64
+	at    Time
+	vol   float64
+	path  []int // resource indices
+	maxR  float64
+	chain bool
 }
 
 // scriptRun drives one Net through a churn script.
@@ -51,19 +54,28 @@ func startScript(mk func(*Engine) *Net, caps []float64, ops []churnOp) *scriptRu
 	for i := range sr.doneAt {
 		sr.doneAt[i] = -1
 	}
+	starts := make([]func(), len(ops))
 	for i, op := range ops {
 		i, op := i, op
 		path := make([]*Resource, len(op.path))
 		for j, id := range op.path {
 			path[j] = rs[id]
 		}
-		eng.At(op.at, func() {
+		starts[i] = func() {
 			sr.order = append(sr.order, int32(i)<<1)
 			sr.flows[i] = net.StartFlowCapped(op.vol, path, op.maxR, func() {
 				sr.doneAt[i] = eng.Now()
 				sr.order = append(sr.order, int32(i)<<1|1)
+				if i+1 < len(ops) && ops[i+1].chain {
+					starts[i+1]()
+				}
 			})
-		})
+		}
+	}
+	for i, op := range ops {
+		if !op.chain {
+			eng.At(op.at, starts[i])
+		}
 	}
 	return sr
 }
@@ -132,8 +144,8 @@ func runEquivalence(t *testing.T, caps []float64, ops []churnOp) {
 	ref := startScript(newReferenceNet, caps, ops)
 	var last Time = -1
 	for _, op := range ops {
-		if op.at == last {
-			continue // one checkpoint per instant
+		if op.chain || op.at == last {
+			continue // one checkpoint per scheduled instant
 		}
 		last = op.at
 		prod.eng.RunUntil(op.at)
@@ -283,7 +295,10 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 
 // TestReallocateEquivalenceScripted pins hand-written corners: same-instant
 // fan-out bursts, the staggered-arrival shape, cap-straddling disjoint
-// components, and a zero-byte / empty-path mix.
+// components, a zero-byte / empty-path mix, and the flow-class corners of
+// the production fill: mixed caps frozen in one cap round, a class emptied
+// and re-created in one instant, a path naming a resource twice, and equal
+// paths built from distinct slices.
 func TestReallocateEquivalenceScripted(t *testing.T) {
 	mc, port := 0, 1
 	t.Run("fanout-burst", func(t *testing.T) {
@@ -325,6 +340,97 @@ func TestReallocateEquivalenceScripted(t *testing.T) {
 			{at: 1024, vol: 0, path: nil, maxR: math.Inf(1)},
 		})
 	})
+	t.Run("mixed-caps-one-round", func(t *testing.T) {
+		// Interleaved ids of two caps on one port, both below its share
+		// (12/5 = 2.4): they freeze in the same cap round, and the port's
+		// residual must see their caps in ascending flow id — 12-1.5-0.7-
+		// 1.5-0.7 differs by an ulp from any grouped or reversed order, and
+		// the uncapped flow's rate is what is left.
+		runEquivalence(t, []float64{30, 12}, []churnOp{
+			{at: 0, vol: 1 << 16, path: []int{port}, maxR: 1.5},
+			{at: 0, vol: 1 << 16, path: []int{mc, port}, maxR: 0.7},
+			{at: 0, vol: 1 << 17, path: []int{port}, maxR: 1.5},
+			{at: 0, vol: 1 << 17, path: []int{mc, port}, maxR: 0.7},
+			{at: 0, vol: 1 << 20, path: []int{port}, maxR: math.Inf(1)},
+			{at: 0, vol: 1 << 19, path: []int{mc}, maxR: coreBW[1]},
+			{at: 500, vol: 1 << 18, path: []int{mc, port}, maxR: coreBW[2]},
+		})
+	})
+	t.Run("class-emptied-and-recreated", func(t *testing.T) {
+		// Op 1 is the only member of its class; op 2 starts with the same
+		// path and cap from op 1's done callback, so the class retires and
+		// a recycled one takes its place before the instant's flush.
+		runEquivalence(t, []float64{10, 6}, []churnOp{
+			{at: 0, vol: 1 << 16, path: []int{mc}, maxR: 2.5},
+			{at: 0, vol: 1000, path: []int{mc, port}, maxR: 3},
+			{vol: 4000, path: []int{mc, port}, maxR: 3, chain: true},
+			{vol: 700, path: []int{mc, port}, maxR: 3, chain: true},
+			{at: 90, vol: 1 << 12, path: []int{port}, maxR: math.Inf(1)},
+		})
+	})
+	t.Run("resource-listed-twice", func(t *testing.T) {
+		// A path naming the mc twice counts twice in its share and
+		// subtracts twice from its residual, in both round kinds.
+		runEquivalence(t, []float64{30, 12}, []churnOp{
+			{at: 0, vol: 1 << 18, path: []int{mc, mc}, maxR: math.Inf(1)},
+			{at: 0, vol: 1 << 18, path: []int{mc, port, mc}, maxR: coreBW[0]},
+			{at: 0, vol: 1 << 17, path: []int{mc}, maxR: coreBW[2]},
+			{at: 0, vol: 1 << 17, path: []int{port, port}, maxR: coreBW[1]},
+			{at: 200, vol: 1 << 16, path: []int{mc, mc}, maxR: math.Inf(1)},
+			{at: 200, vol: 1 << 16, path: []int{port}, maxR: 1.5},
+		})
+	})
+	t.Run("equal-paths-distinct-slices", func(t *testing.T) {
+		// Every op builds its own path slice: equal contents and caps must
+		// land in one class however the slices were made, while a reversed
+		// path is a class of its own.
+		runEquivalence(t, machineCaps, []churnOp{
+			{at: 0, vol: 1 << 17, path: []int{2, 3}, maxR: coreBW[1]},
+			{at: 0, vol: 1 << 18, path: []int{2, 3}, maxR: coreBW[1]},
+			{at: 0, vol: 1 << 16, path: []int{3, 2}, maxR: coreBW[1]},
+			{at: 10, vol: 1 << 17, path: []int{2, 3}, maxR: coreBW[1]},
+			{at: 10, vol: 1 << 17, path: []int{2}, maxR: coreBW[0]},
+			{at: 20, vol: 1 << 15, path: []int{2, 3}, maxR: coreBW[2]},
+		})
+	})
+}
+
+// TestFlowClassesKeyByContents pins the class bookkeeping: flows join a
+// class by path contents and cap, not by slice identity; a class retires
+// with its last member and is recycled; Reset drops every class.
+func TestFlowClassesKeyByContents(t *testing.T) {
+	e := NewEngine()
+	n := NewNet(e)
+	a, b := n.NewResource("a", 10), n.NewResource("b", 10)
+	f1 := n.StartFlowCapped(100, []*Resource{a, b}, 2, nil)
+	f2 := n.StartFlowCapped(200, []*Resource{a, b}, 2, nil)
+	f3 := n.StartFlowCapped(100, []*Resource{b, a}, 2, nil)
+	f4 := n.StartFlowCapped(100, []*Resource{a, b}, 3, nil)
+	if f1.cls != f2.cls {
+		t.Fatal("equal paths from distinct slices got distinct classes")
+	}
+	if f3.cls == f1.cls || f4.cls == f1.cls || f3.cls == f4.cls {
+		t.Fatal("a reversed path or a different cap shared a class")
+	}
+	if len(n.classes) != 3 || f1.cls.n != 2 {
+		t.Fatalf("got %d classes, first with %d flows; want 3 and 2", len(n.classes), f1.cls.n)
+	}
+	e.Run()
+	if len(n.classes) != 0 || len(a.classes) != 0 || len(b.classes) != 0 {
+		t.Fatalf("drained net keeps %d live classes", len(n.classes))
+	}
+	if len(n.freeClasses) != 3 {
+		t.Fatalf("%d recycled classes, want 3", len(n.freeClasses))
+	}
+	n.StartFlowCapped(100, []*Resource{a}, 2, nil)
+	if len(n.freeClasses) != 2 {
+		t.Fatal("a new class did not come from the recycled pool")
+	}
+	n.Reset()
+	e.Reset()
+	if len(n.classes) != 0 || len(a.classes) != 0 || len(a.crossing) != 0 || len(n.freeClasses) != 3 {
+		t.Fatal("Reset left classes or crossing lists behind")
+	}
 }
 
 // TestSameInstantTieOrderMatchesEager pins the tie rank of the deferred

@@ -3,21 +3,21 @@ package sim
 import "math"
 
 // This file keeps the naive water-filling ladder — the seed implementation
-// reallocate() used before the deferred/batched flush and the CSR/worklist
-// scan structure — as a test-only reference, in the same spirit as the
-// partition package's heap-based refiner reference. The production fill
-// must execute bit-for-bit the same float operations: the determinism
-// goldens pin simulated physics to the nanosecond, so "equivalent" here
-// means identical rates, identical deadlines, identical event order, not
-// "close". The equivalence suite and FuzzReallocate drive a production net
-// and a reference net through the same flow churn and compare them
-// exactly.
+// reallocate() used before the deferred/batched flush and the class-based
+// fill — as a test-only reference, in the same spirit as the partition
+// package's heap-based refiner reference. The production fill must execute
+// bit-for-bit the same float operations: the determinism goldens pin
+// simulated physics to the nanosecond, so "equivalent" here means identical
+// rates, identical deadlines, identical event order, not "close". The
+// equivalence suite and FuzzReallocate drive a production net and a
+// reference net through the same flow churn and compare them exactly.
 //
 // The reference differs from production in two deliberate ways:
 //
-//   - referenceWaterfill scans every resource and every active flow each
-//     round (O(R x F) crosses() tests) instead of using the CSR crossing
-//     lists and shrinking worklists.
+//   - referenceWaterfill runs its rounds over individual flows, scanning
+//     every resource and every active flow each round (O(R x F) crosses()
+//     tests), instead of over flow classes and the per-resource crossing
+//     lists.
 //   - newReferenceNet disables same-instant batching: every StartFlow and
 //     every completion redistributes immediately, the historical one
 //     recompute per churn event.
@@ -31,17 +31,41 @@ func newReferenceNet(eng *Engine) *Net {
 	return n
 }
 
+// crosses reports whether the flow's path includes r.
+func (f *Flow) crosses(r *Resource) bool {
+	for _, rr := range f.path {
+		if rr == r {
+			return true
+		}
+	}
+	return false
+}
+
+// freezeFlow fixes a flow's rate and removes its demand from the residual
+// capacities: one step of the reference ladder.
+func (n *Net) freezeFlow(f *Flow, frozen []bool, rate float64) {
+	f.rate = rate
+	frozen[f.idx] = true
+	for _, rr := range f.path {
+		n.residual[rr.id] -= rate
+		if n.residual[rr.id] < 0 {
+			n.residual[rr.id] = 0
+		}
+		n.unfrozen[rr.id]--
+	}
+}
+
 // referenceWaterfill is the seed max-min fill: all-resources share scans,
 // all-flows cap scans, and crosses() tests against every active flow for
 // every bottleneck resource.
 func (n *Net) referenceWaterfill(now Time) {
 	residual, unfrozen := n.residual, n.unfrozen
+	frozen := make([]bool, len(n.active)) // indexed by Flow.idx
 	for i, r := range n.resources {
 		residual[i] = r.capacity
 		unfrozen[i] = 0
 	}
 	for _, f := range n.active {
-		f.frozen = false
 		for _, r := range f.path {
 			unfrozen[r.id]++
 		}
@@ -61,8 +85,8 @@ func (n *Net) referenceWaterfill(now Time) {
 		// A flow whose cap is at or below the share binds first.
 		capBound := false
 		for _, f := range n.active {
-			if !f.frozen && f.maxRate <= share {
-				n.freezeFlow(f, f.maxRate)
+			if !frozen[f.idx] && f.maxRate <= share {
+				n.freezeFlow(f, frozen, f.maxRate)
 				left--
 				capBound = true
 			}
@@ -72,9 +96,9 @@ func (n *Net) referenceWaterfill(now Time) {
 		}
 		if math.IsInf(share, 1) {
 			for _, f := range n.active {
-				if !f.frozen {
+				if !frozen[f.idx] {
 					f.rate = f.maxRate
-					f.frozen = true
+					frozen[f.idx] = true
 					left--
 				}
 			}
@@ -90,10 +114,10 @@ func (n *Net) referenceWaterfill(now Time) {
 				continue
 			}
 			for _, f := range n.active {
-				if f.frozen || !f.crosses(r) {
+				if frozen[f.idx] || !f.crosses(r) {
 					continue
 				}
-				n.freezeFlow(f, share)
+				n.freezeFlow(f, frozen, share)
 				left--
 				progressed = true
 			}
@@ -102,10 +126,7 @@ func (n *Net) referenceWaterfill(now Time) {
 			panic("sim: reference water-filling made no progress")
 		}
 	}
-	sums := n.sums
-	for i := range sums {
-		sums[i] = 0
-	}
+	sums := make([]float64, len(n.resources))
 	for _, f := range n.active {
 		for _, res := range f.path {
 			sums[res.id] += f.rate
