@@ -42,11 +42,11 @@ test-traced:
 	NUMADAG_TRACED_GOLDEN=1 $(GO) test -run 'TestDeterminismGoldenTraced' -count=1 .
 
 # Sharded-sweep equivalence gate: builds the real cmd/sweep binary and
-# drives its distribution modes end to end — 3-shard fan-out + -merge,
-# -maxcells interrupt + -resume, and -serve/-join over HTTP — demanding
-# JSONL/CSV/table outputs byte-identical to an unsharded run. Env-gated
-# because it builds a binary and runs the grid several times; CI runs it as
-# its own blocking step (`sharded sweeps` in ci.yml).
+# drives its sharded and resumable modes end to end — 3-shard fan-out +
+# -merge, -maxcells interrupt + -resume, and the resume of one crashed
+# shard — demanding JSONL/CSV/table outputs byte-identical to an unsharded
+# run. Env-gated because it builds a binary and runs the grid several
+# times; CI runs it as its own blocking step (`sharded sweeps` in ci.yml).
 test-sharded:
 	NUMADAG_SHARDED=1 $(GO) test -run 'TestShardedSweepCLI' -count=1 .
 
@@ -93,13 +93,17 @@ bench-check:
 # reference), the fluid network's full-vs-incremental reallocation contract
 # (batched class-based fill vs the eager naive ladder), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
-# tenant-skewed rates must never stall or reorder the shared clock). The
-# seed corpora also run in plain `make test`; CI uploads any new crashers as
+# tenant-skewed rates must never stall or reorder the shared clock), and
+# the shard-file parser behind -merge and -resume (arbitrary bytes must
+# yield an error or an in-grid, in-shard stream, never a panic). The seed
+# corpora also run in plain `make test`; CI uploads any new crashers as
 # workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
+	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard
+	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

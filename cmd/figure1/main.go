@@ -10,7 +10,7 @@
 // The figure grid shards, checkpoints and resumes exactly like cmd/sweep:
 // -shard i/n runs a slice into a journal under -out, -resume continues an
 // interrupted run, -merge recombines shard journals into the (byte
-// identical) figure, -serve/-join distribute the shards over HTTP.
+// identical) figure.
 //
 // Usage:
 //

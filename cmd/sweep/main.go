@@ -22,18 +22,11 @@
 //
 // -resume (with or without -shard) skips cells already journaled under
 // -out and replays them, so an interrupted sweep continues where it
-// stopped; -maxcells N stops resumably after N fresh cells. For fleets
-// without a shared filesystem, one process coordinates and any number
-// join:
-//
-//	sweep -exp sockets -serve :9119 -shards 8 -out run/
-//	sweep -exp sockets -join http://coord:9119   # on each worker host
-//
-// Workers claim shards over HTTP, heartbeat while computing, and upload
-// wire streams; a worker that dies mid-shard loses its lease and the shard
-// is reassigned. Every mode of every command validates that journals,
-// shards and payloads come from the same grid (experiment name + a
-// fingerprint of the canonical cell enumeration).
+// stopped; -maxcells N stops resumably after N fresh cells. Shards of one
+// sweep can run on any hosts that share -out. Resume and merge validate
+// that every journal comes from the same grid (experiment name + a
+// fingerprint of the canonical cell enumeration) and holds only cells of
+// its own shard.
 //
 // Usage:
 //

@@ -1,15 +1,11 @@
 package cliutil
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"time"
 
 	"numadag/internal/core"
 	"numadag/internal/shard"
@@ -19,15 +15,11 @@ import (
 // experiment-grid commands, so -shard/-resume/-out and friends are defined
 // once, not per command.
 type ShardSet struct {
-	Shard    string        // -shard i/n: run one shard of the grid
-	Out      string        // -out: directory for shard journals
-	Resume   bool          // -resume: skip cells already journaled under -out
-	MergeF   string        // -merge dir: merge shard journals, no simulation
-	Serve    string        // -serve addr: coordinate workers over HTTP
-	Join     string        // -join url: work for a coordinator
-	Shards   int           // -shards: grid split for -serve
-	Lease    time.Duration // -lease: worker heartbeat lease for -serve
-	MaxCells int           // -maxcells: stop (resumably) after N fresh cells
+	Shard    string // -shard i/n: run one shard of the grid
+	Out      string // -out: directory for shard journals
+	Resume   bool   // -resume: skip cells already journaled under -out
+	MergeF   string // -merge dir: merge shard journals, no simulation
+	MaxCells int    // -maxcells: stop (resumably) after N fresh cells
 }
 
 // BindShard registers the sharding flags on fs.
@@ -37,10 +29,6 @@ func BindShard(fs *flag.FlagSet) *ShardSet {
 	fs.StringVar(&sf.Out, "out", "sweep-out", "directory for shard/checkpoint journals")
 	fs.BoolVar(&sf.Resume, "resume", false, "skip cells already journaled under -out and replay them from the journal")
 	fs.StringVar(&sf.MergeF, "merge", "", "merge the shard journals in this directory into the canonical outputs (no simulation)")
-	fs.StringVar(&sf.Serve, "serve", "", "coordinate -shards workers on this address (e.g. :9119) and collect their journals into -out")
-	fs.StringVar(&sf.Join, "join", "", "join the coordinator at this base URL (e.g. http://host:9119) and run shards it assigns")
-	fs.IntVar(&sf.Shards, "shards", 0, "how many shards -serve splits the grid into")
-	fs.DurationVar(&sf.Lease, "lease", 30*time.Second, "worker heartbeat lease for -serve; an expired lease reassigns the shard")
 	fs.IntVar(&sf.MaxCells, "maxcells", 0, "stop after this many freshly-run cells, leaving a resumable journal (0 = no limit)")
 	return sf
 }
@@ -60,9 +48,6 @@ const (
 	ModeShard
 	// ModeMerge recombines shard journals into the canonical stream.
 	ModeMerge
-	// ModeServe coordinates joining workers; ModeJoin is one such worker.
-	ModeServe
-	ModeJoin
 )
 
 // FullStream reports whether the mode delivers the full canonical cell
@@ -73,14 +58,8 @@ func (m Mode) FullStream() bool {
 
 // Mode validates flag combinations and names the requested mode.
 func (sf *ShardSet) Mode() (Mode, error) {
-	n := 0
-	for _, set := range []bool{sf.Shard != "", sf.MergeF != "", sf.Serve != "", sf.Join != ""} {
-		if set {
-			n++
-		}
-	}
-	if n > 1 {
-		return 0, fmt.Errorf("-shard, -merge, -serve and -join are mutually exclusive")
+	if sf.Shard != "" && sf.MergeF != "" {
+		return 0, fmt.Errorf("-shard and -merge are mutually exclusive")
 	}
 	switch {
 	case sf.MergeF != "":
@@ -88,13 +67,6 @@ func (sf *ShardSet) Mode() (Mode, error) {
 			return 0, fmt.Errorf("-resume/-maxcells do not apply to -merge")
 		}
 		return ModeMerge, nil
-	case sf.Serve != "":
-		if sf.Shards < 1 {
-			return 0, fmt.Errorf("-serve needs -shards N")
-		}
-		return ModeServe, nil
-	case sf.Join != "":
-		return ModeJoin, nil
 	case sf.Shard != "":
 		return ModeShard, nil
 	case sf.Resume || sf.MaxCells > 0:
@@ -121,10 +93,6 @@ func Drive(ctx context.Context, e *core.Experiment, mode Mode, sf *ShardSet, sin
 		}
 		fmt.Fprintf(os.Stderr, "merged %s: %d cells (grid %s)\n", h.Experiment, h.Total, h.Grid)
 		return nil
-	case ModeServe:
-		return serve(e, sf)
-	case ModeJoin:
-		return join(ctx, e, sf)
 	}
 
 	// ModeShard / ModeCheckpoint: run behind a journal.
@@ -160,53 +128,4 @@ func Drive(ctx context.Context, e *core.Experiment, mode Mode, sf *ShardSet, sin
 			sp, cs.Fresh(), j.Len()-cs.Fresh(), path)
 	}
 	return runErr
-}
-
-// serve coordinates sf.Shards workers over HTTP and lands their journals
-// under -out when the grid completes.
-func serve(e *core.Experiment, sf *ShardSet) error {
-	coord, err := shard.NewCoordinator(sf.Shards, sf.Lease)
-	if err != nil {
-		return err
-	}
-	h, err := shard.HeaderFor(e, shard.Spec{Index: 0, Count: sf.Shards})
-	if err != nil {
-		return err
-	}
-	coord.Expect(h)
-	ln, err := net.Listen("tcp", sf.Serve)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "coordinating %d shards of %s (%d cells) on http://%s — workers: -join http://<host>%s\n",
-		sf.Shards, h.Experiment, h.Total, ln.Addr(), sf.Serve)
-	<-coord.Done()
-	if err := coord.WriteDir(sf.Out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "all %d shards complete -> %s; combine with -merge %s\n", sf.Shards, sf.Out, sf.Out)
-	return nil
-}
-
-// join works for a coordinator: each assigned shard runs the experiment
-// with that shard's Skip and streams its wire records into the payload the
-// coordinator collects.
-func join(ctx context.Context, e *core.Experiment, sf *ShardSet) error {
-	return shard.Work(ctx, sf.Join, func(sp shard.Spec) ([]byte, error) {
-		h, err := shard.HeaderFor(e, sp)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "claimed shard %s of %s\n", sp, h.Experiment)
-		var buf bytes.Buffer
-		w := shard.NewWriter(&buf, h)
-		e.Skip = sp.Skip
-		if err := e.Run(ctx, w); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
 }

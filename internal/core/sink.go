@@ -6,45 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
 	"numadag/internal/metrics"
 )
-
-// CheckpointableSink is the optional capability of a Sink that can
-// serialize its aggregation progress and restore it later — the hook behind
-// resumable sweeps. CheckpointState returns a deterministic snapshot of
-// everything the sink has absorbed so far; RestoreState, called on a
-// freshly-constructed sink with identical options before any Emit, makes it
-// bit-identical to the sink the state was captured from. Sinks that stream
-// records straight through (JSONL, CSV) need no checkpoint — their state is
-// the bytes already written — so they deliberately do not implement this.
-type CheckpointableSink interface {
-	Sink
-	CheckpointState() ([]byte, error)
-	RestoreState([]byte) error
-}
-
-// MergeableSink is the optional capability of a Sink that can absorb
-// another sink's partial aggregation — the hook behind sharded sweeps,
-// where each shard feeds a disjoint subset of the grid into its own sink
-// and the partials are recombined afterwards. Merging must be
-// deterministic: feeding N disjoint canonical-order streams into N sinks
-// and merging them yields exactly the sink one canonical stream would have
-// produced. TableSink implements it (means and the geomean recombine
-// exactly from per-(row,col) sums); metrics.Histogram merges the same way
-// underneath cluster.Stats. A sink that is neither Checkpointable nor
-// Mergeable still works everywhere a Sink is accepted — capabilities are
-// discovered by type assertion, so existing third-party sinks compile and
-// run unchanged.
-type MergeableSink interface {
-	Sink
-	// MergeSink folds other (a sink of the same concrete type and options,
-	// fed a disjoint cell subset) into the receiver. Called before Close on
-	// both sinks.
-	MergeSink(other Sink) error
-}
 
 // Norm selects how a TableSink turns per-cell mean makespans into table
 // values.
@@ -99,18 +64,11 @@ type TableSink struct {
 	rows []string
 	cols []string
 	seen map[[2]string]bool
-	// rowAt and colAt record the smallest Cell.Index that created each row
-	// and first-seen column. Within one canonical stream first-seen order
-	// and ascending first-index order coincide; keeping the indices is what
-	// lets MergeSink recombine per-shard partials into exactly the order
-	// one unsharded stream would have produced.
-	rowAt map[string]int
-	colAt map[string]int
-	sum   map[[2]string]float64
-	n     map[[2]string]int
-	bsum  map[[2]string]float64
-	bn    map[[2]string]int
-	tb    *metrics.Table
+	sum  map[[2]string]float64
+	n    map[[2]string]int
+	bsum map[[2]string]float64
+	bn   map[[2]string]int
+	tb   *metrics.Table
 }
 
 // NewTableSink creates a table aggregator.
@@ -122,14 +80,12 @@ func NewTableSink(opt TableOptions) *TableSink {
 		opt.Col = func(c Cell) string { return c.Policy }
 	}
 	return &TableSink{
-		opt:   opt,
-		seen:  make(map[[2]string]bool),
-		rowAt: make(map[string]int),
-		colAt: make(map[string]int),
-		sum:   make(map[[2]string]float64),
-		n:     make(map[[2]string]int),
-		bsum:  make(map[[2]string]float64),
-		bn:    make(map[[2]string]int),
+		opt:  opt,
+		seen: make(map[[2]string]bool),
+		sum:  make(map[[2]string]float64),
+		n:    make(map[[2]string]int),
+		bsum: make(map[[2]string]float64),
+		bn:   make(map[[2]string]int),
 	}
 }
 
@@ -139,7 +95,6 @@ func (t *TableSink) Emit(res CellResult) error {
 	if !t.seen[[2]string{row, ""}] {
 		t.seen[[2]string{row, ""}] = true
 		t.rows = append(t.rows, row)
-		t.rowAt[row] = res.Cell.Index
 	}
 	v := float64(res.Stats.Makespan)
 	if t.opt.Baseline != nil && t.opt.Baseline(res.Cell) {
@@ -150,167 +105,10 @@ func (t *TableSink) Emit(res CellResult) error {
 	if t.opt.Columns == nil && !t.seen[[2]string{"", col}] {
 		t.seen[[2]string{"", col}] = true
 		t.cols = append(t.cols, col)
-		t.colAt[col] = res.Cell.Index
 	}
 	t.sum[[2]string{row, col}] += v
 	t.n[[2]string{row, col}]++
 	return nil
-}
-
-// tableEntry is one (row, col) accumulator of the checkpoint encoding.
-type tableEntry struct {
-	Row  string  `json:"row"`
-	Col  string  `json:"col"`
-	Sum  float64 `json:"sum,omitempty"`
-	N    int     `json:"n,omitempty"`
-	BSum float64 `json:"bsum,omitempty"`
-	BN   int     `json:"bn,omitempty"`
-}
-
-// tableState is the serialized form of a TableSink's progress. Only data is
-// captured — the options (including the Row/Col/Baseline funcs) are the
-// constructor's job and must match on restore.
-type tableState struct {
-	Version int            `json:"version"`
-	Rows    []string       `json:"rows"`
-	Cols    []string       `json:"cols"`
-	RowAt   map[string]int `json:"row_at"`
-	ColAt   map[string]int `json:"col_at"`
-	Entries []tableEntry   `json:"entries"`
-}
-
-// CheckpointState implements CheckpointableSink: a deterministic snapshot
-// of the accumulated sums (entries sorted by row, then column).
-func (t *TableSink) CheckpointState() ([]byte, error) {
-	keys := make(map[[2]string]bool)
-	for k := range t.sum {
-		keys[k] = true
-	}
-	for k := range t.bsum {
-		keys[k] = true
-	}
-	sorted := make([][2]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i][0] != sorted[j][0] {
-			return sorted[i][0] < sorted[j][0]
-		}
-		return sorted[i][1] < sorted[j][1]
-	})
-	st := tableState{
-		Version: 1,
-		Rows:    t.rows,
-		Cols:    t.cols,
-		RowAt:   t.rowAt,
-		ColAt:   t.colAt,
-	}
-	for _, k := range sorted {
-		st.Entries = append(st.Entries, tableEntry{
-			Row: k[0], Col: k[1],
-			Sum: t.sum[k], N: t.n[k],
-			BSum: t.bsum[k], BN: t.bn[k],
-		})
-	}
-	return json.Marshal(st)
-}
-
-// RestoreState implements CheckpointableSink. It must be called on a sink
-// constructed with the same TableOptions, before any Emit.
-func (t *TableSink) RestoreState(data []byte) error {
-	if len(t.sum) != 0 || len(t.bsum) != 0 || len(t.rows) != 0 {
-		return fmt.Errorf("core: TableSink.RestoreState on a non-empty sink")
-	}
-	var st tableState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: table checkpoint: %w", err)
-	}
-	if st.Version != 1 {
-		return fmt.Errorf("core: table checkpoint version %d, want 1", st.Version)
-	}
-	t.rows = st.Rows
-	t.cols = st.Cols
-	for _, r := range st.Rows {
-		t.seen[[2]string{r, ""}] = true
-	}
-	for _, c := range st.Cols {
-		t.seen[[2]string{"", c}] = true
-	}
-	if st.RowAt != nil {
-		t.rowAt = st.RowAt
-	}
-	if st.ColAt != nil {
-		t.colAt = st.ColAt
-	}
-	for _, e := range st.Entries {
-		k := [2]string{e.Row, e.Col}
-		if e.N > 0 {
-			t.sum[k] = e.Sum
-			t.n[k] = e.N
-		}
-		if e.BN > 0 {
-			t.bsum[k] = e.BSum
-			t.bn[k] = e.BN
-		}
-	}
-	return nil
-}
-
-// MergeSink implements MergeableSink: it folds another TableSink — same
-// options, fed a disjoint subset of the same grid — into the receiver.
-// Accumulator sums add exactly, and row/column order is recombined by each
-// name's first cell index, so the merged table is identical to one sink
-// having seen the full canonical stream.
-func (t *TableSink) MergeSink(other Sink) error {
-	o, ok := other.(*TableSink)
-	if !ok {
-		return fmt.Errorf("core: TableSink.MergeSink: cannot merge %T", other)
-	}
-	if o.opt.Norm != t.opt.Norm || o.opt.Title != t.opt.Title ||
-		o.opt.BaselineColumn != t.opt.BaselineColumn || o.opt.Geomean != t.opt.Geomean {
-		return fmt.Errorf("core: TableSink.MergeSink: option mismatch")
-	}
-	t.rows = mergeByFirstIndex(t.rows, o.rows, t.rowAt, o.rowAt)
-	t.cols = mergeByFirstIndex(t.cols, o.cols, t.colAt, o.colAt)
-	for _, r := range t.rows {
-		t.seen[[2]string{r, ""}] = true
-	}
-	for _, c := range t.cols {
-		t.seen[[2]string{"", c}] = true
-	}
-	for k, v := range o.sum {
-		t.sum[k] += v
-		t.n[k] += o.n[k]
-	}
-	for k, v := range o.bsum {
-		t.bsum[k] += v
-		t.bn[k] += o.bn[k]
-	}
-	return nil
-}
-
-// mergeByFirstIndex combines two first-seen-ordered name lists into the
-// order one combined canonical stream would have produced: ascending by
-// each name's smallest cell index (a stable sort keeps receiver-then-other
-// order on ties, which only synthetic streams with duplicate indices can
-// produce). at is updated in place with the combined minima.
-func mergeByFirstIndex(a, b []string, at, oat map[string]int) []string {
-	inA := make(map[string]bool, len(a))
-	for _, s := range a {
-		inA[s] = true
-	}
-	merged := append(make([]string, 0, len(a)+len(b)), a...)
-	for _, s := range b {
-		if !inA[s] {
-			at[s] = oat[s]
-			merged = append(merged, s)
-		} else if oat[s] < at[s] {
-			at[s] = oat[s]
-		}
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return at[merged[i]] < at[merged[j]] })
-	return merged
 }
 
 // Close implements Sink: it builds the table.
@@ -468,9 +266,8 @@ func newCellRecord(res CellResult) cellRecord {
 // Every record is pushed through to the underlying writer as it lands: when
 // w buffers (it implements Flush() error, like a bufio.Writer), Emit
 // flushes after each line, so a crash mid-sweep loses at most the record
-// being written — never a buffered tail. Resume journals are built on this
-// property. For durability against machine (not just process) loss, point
-// Sync at the backing file's fsync.
+// being written — never a buffered tail. For durability against machine
+// (not just process) loss, point Sync at the backing file's fsync.
 type JSONLSink struct {
 	enc   *json.Encoder
 	flush func() error

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"numadag/internal/apps"
@@ -52,6 +54,42 @@ func TestJSONLSinkGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "sink_golden.jsonl", buf.Bytes())
+}
+
+// TestJSONLSinkFlushesEveryLine pins the crash contract: each record
+// reaches the underlying writer before Emit returns, even through a
+// buffered writer, so killing the process mid-stream loses at most the
+// record being written — never a buffered tail.
+func TestJSONLSinkFlushesEveryLine(t *testing.T) {
+	var out bytes.Buffer
+	bw := bufio.NewWriterSize(&out, 1<<20) // big enough to never self-flush
+	sink := NewJSONLSink(bw)
+	for i := 0; i < 3; i++ {
+		res := CellResult{Cell: Cell{Index: i, App: "a", Policy: "p"}}
+		res.Stats.Makespan = simDur(int64(100 * (i + 1)))
+		if err := sink.Emit(res); err != nil {
+			t.Fatal(err)
+		}
+		// Deliberately no Close: the process "dies" here.
+		if got := strings.Count(out.String(), "\n"); got != i+1 {
+			t.Fatalf("after emit %d: %d complete lines reached the writer, want %d", i, got, i+1)
+		}
+	}
+}
+
+func TestJSONLSinkSyncHook(t *testing.T) {
+	var out bytes.Buffer
+	sink := NewJSONLSink(&out)
+	syncs := 0
+	sink.Sync = func() error { syncs++; return nil }
+	for i := 0; i < 2; i++ {
+		if err := sink.Emit(CellResult{Cell: Cell{Index: i, App: "a"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if syncs != 2 {
+		t.Errorf("Sync called %d times for 2 records", syncs)
+	}
 }
 
 func TestCSVSinkGolden(t *testing.T) {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -16,9 +15,10 @@ import (
 // bucket's geometric midpoint guarantees |estimate - true| <= eps * true
 // for every recorded value (the DDSketch bound). Counts are integers and
 // bucket indices are a pure function of the value, so two histograms fed
-// the same multiset of values — in any order, through any sequence of
-// Merges — are identical: quantiles are deterministic, which is what lets
-// cluster-mode goldens pin p99s bit-exactly.
+// the same multiset of values in any order hold identical counts, min, max
+// and buckets: quantiles are deterministic, which is what lets
+// cluster-mode goldens pin p99s bit-exactly. (Sum is a float accumulation
+// and may differ in its last bits between orders.)
 //
 // Non-positive values land in a dedicated zero bucket (response times and
 // slowdowns are non-negative; exact zeros come from zero-length jobs).
@@ -117,32 +117,6 @@ func (h *Histogram) bump(idx int, n uint64) {
 	h.counts[idx-h.base] += n
 }
 
-// Merge folds o into h. Both histograms must share the same relative
-// error; merging is exact (integer bucket counts add), so the result is
-// identical to having recorded both value streams into one histogram.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if o.gamma != h.gamma {
-		panic(fmt.Sprintf("metrics: merging histograms with different relative errors (%v vs %v)", h.eps, o.eps))
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.zero += o.zero
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.counts {
-		if c > 0 {
-			h.bump(o.base+i, c)
-		}
-	}
-}
-
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.count }
 
@@ -212,74 +186,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// histogramMagic versions the Histogram binary encoding; bump it on any
-// layout change (readers reject unknown versions rather than guessing).
-const histogramMagic = "ndqh1\n"
-
-// MarshalBinary implements encoding.BinaryMarshaler: a deterministic,
-// bit-exact snapshot of the sketch (float fields are stored as IEEE-754
-// bits, so ±Inf sentinels of an empty histogram survive; bucket counts are
-// integers). Together with Merge this lets per-shard sketches be
-// checkpointed, shipped and recombined into exactly the histogram one
-// stream would have produced.
-func (h *Histogram) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, len(histogramMagic)+7*8+len(h.counts)*8)
-	buf = append(buf, histogramMagic...)
-	for _, u := range []uint64{
-		math.Float64bits(h.eps),
-		uint64(int64(h.base)),
-		h.zero,
-		h.count,
-		math.Float64bits(h.sum),
-		math.Float64bits(h.min),
-		math.Float64bits(h.max),
-		uint64(len(h.counts)),
-	} {
-		buf = binary.LittleEndian.AppendUint64(buf, u)
-	}
-	for _, c := range h.counts {
-		buf = binary.LittleEndian.AppendUint64(buf, c)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, restoring a sketch
-// captured by MarshalBinary. The receiver's previous contents are replaced.
-func (h *Histogram) UnmarshalBinary(data []byte) error {
-	if len(data) < len(histogramMagic)+8*8 || string(data[:len(histogramMagic)]) != histogramMagic {
-		return fmt.Errorf("metrics: not a histogram snapshot (or unknown version)")
-	}
-	data = data[len(histogramMagic):]
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
-	eps := math.Float64frombits(word(0))
-	if eps <= 0 || eps >= 1 {
-		return fmt.Errorf("metrics: histogram snapshot eps %v out of (0, 1)", eps)
-	}
-	n := int(word(7))
-	if len(data) != 8*8+8*n {
-		return fmt.Errorf("metrics: histogram snapshot truncated: %d buckets, %d bytes", n, len(data))
-	}
-	gamma := (1 + eps) / (1 - eps)
-	*h = Histogram{
-		gamma:    gamma,
-		logGamma: math.Log(gamma),
-		eps:      eps,
-		base:     int(int64(word(1))),
-		zero:     word(2),
-		count:    word(3),
-		sum:      math.Float64frombits(word(4)),
-		min:      math.Float64frombits(word(5)),
-		max:      math.Float64frombits(word(6)),
-	}
-	if n > 0 {
-		h.counts = make([]uint64, n)
-		for i := range h.counts {
-			h.counts[i] = word(8 + i)
-		}
-	}
-	return nil
 }
 
 // Buckets returns the number of non-empty geometric buckets (test and

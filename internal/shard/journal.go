@@ -81,44 +81,26 @@ func OpenJournal(path string, h Header, resume bool) (*Journal, error) {
 	return j, nil
 }
 
-// load parses an existing journal's bytes, returning the offset of the end
-// of the last complete line (everything after it is a torn write).
+// load parses an existing journal's bytes through ReadStream, checks that
+// it belongs to this journal's grid and shard, and returns the offset of
+// the end of the last complete line (everything after it is a torn write).
 func (j *Journal) load(path string, data []byte) (keep int64, err error) {
-	// A journal always ends every record with '\n'; anything after the last
-	// newline is a torn final write and is discarded.
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	data = data[:cut]
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return 0, fmt.Errorf("shard: %s: no intact header line; delete the file to start over", path)
-	}
-	got, err := DecodeHeader(data[:nl])
+	st, err := ReadStream(data)
 	if err != nil {
-		return 0, fmt.Errorf("shard: %s: %w", path, err)
+		return 0, fmt.Errorf("shard: %s: %w; delete the file to start over", path, err)
 	}
-	want := j.header
+	got, want := st.Header, j.header
 	if got.Experiment != want.Experiment || got.Grid != want.Grid || got.Total != want.Total ||
 		got.ShardIndex != want.ShardIndex || got.ShardCount != want.ShardCount {
 		return 0, fmt.Errorf("shard: %s: journal is for a different grid (%s shard %d/%d grid %s; this run is %s shard %d/%d grid %s) — use a fresh -out dir or drop -resume",
 			path, got.Experiment, got.ShardIndex, got.ShardCount, got.Grid,
 			want.Experiment, want.ShardIndex, want.ShardCount, want.Grid)
 	}
-	for len(data) > nl+1 {
-		rest := data[nl+1:]
-		end := bytes.IndexByte(rest, '\n')
-		line := rest[:end]
-		res, err := Decode(line)
-		if err != nil {
-			return 0, fmt.Errorf("shard: %s: record %d: %w", path, len(j.done)+1, err)
-		}
+	for _, res := range st.Results {
 		j.done[res.Cell.Index] = res
-		nl += 1 + end
 	}
-	return int64(cut), nil
+	return int64(bytes.LastIndexByte(data, '\n') + 1), nil
 }
-
-// Header returns the stream header the journal was opened with.
-func (j *Journal) Header() Header { return j.header }
 
 // Done reports whether the cell at the given canonical index is already
 // journaled.
@@ -234,10 +216,10 @@ func (s *CheckpointSink) Emit(res core.CellResult) error {
 		s.ri++
 	}
 	if s.ri < len(s.replay) && s.replay[s.ri].Cell.Index == res.Cell.Index {
-		// The cell was journaled but executed anyway (Skip not wired, or a
-		// zombie shard worker): runs are deterministic, so the fresh result
-		// equals the journaled one. Consume the replay entry and fall
-		// through — the journal's Append no-ops on the duplicate.
+		// The cell was journaled but executed anyway (Skip not wired to
+		// this sink): runs are deterministic, so the fresh result equals the
+		// journaled one. Consume the replay entry and fall through — the
+		// journal's Append no-ops on the duplicate.
 		s.ri++
 	}
 	if err := s.forward(res); err != nil {

@@ -3,61 +3,14 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"numadag/internal/core"
 )
-
-// Writer is a core.Sink that streams wire-format records (header first) to
-// w — the in-memory/network counterpart of a Journal file, used by
-// coordinator workers to build a shard payload without touching disk.
-// Merge reads the same format from either source.
-type Writer struct {
-	w     io.Writer
-	wrote bool
-	h     Header
-}
-
-// NewWriter returns a wire-stream sink over w for the given header.
-func NewWriter(w io.Writer, h Header) *Writer { return &Writer{w: w, h: h} }
-
-// Emit implements core.Sink.
-func (sw *Writer) Emit(res core.CellResult) error {
-	if !sw.wrote {
-		sw.wrote = true
-		line, err := EncodeHeader(sw.h)
-		if err != nil {
-			return err
-		}
-		if _, err := sw.w.Write(line); err != nil {
-			return err
-		}
-	}
-	line, err := Encode(res)
-	if err != nil {
-		return err
-	}
-	_, err = sw.w.Write(line)
-	return err
-}
-
-// Close implements core.Sink; an empty stream still gets its header.
-func (sw *Writer) Close() error {
-	if sw.wrote {
-		return nil
-	}
-	sw.wrote = true
-	line, err := EncodeHeader(sw.h)
-	if err != nil {
-		return err
-	}
-	_, err = sw.w.Write(line)
-	return err
-}
 
 // Stream is one parsed journal/shard stream.
 type Stream struct {
@@ -65,14 +18,14 @@ type Stream struct {
 	Results []core.CellResult // sorted by canonical index
 }
 
-// ReadStream parses a wire stream (a Journal file's or Writer's bytes). A
-// torn final line — the crash artifact journals may carry — is ignored.
+// ReadStream parses a wire stream (a Journal file's bytes). A torn final
+// line — the crash artifact journals may carry — is ignored. Every record
+// must name a distinct cell of the header's grid that the header's shard
+// owns; anything else is a corrupt or foreign stream and an error.
 func ReadStream(data []byte) (Stream, error) {
 	cut := bytes.LastIndexByte(data, '\n') + 1
 	lines := bytes.Split(data[:cut], []byte("\n"))
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
+	lines = lines[:len(lines)-1] // the empty remainder after the last '\n'
 	if len(lines) == 0 {
 		return Stream{}, fmt.Errorf("shard: empty stream")
 	}
@@ -80,17 +33,26 @@ func ReadStream(data []byte) (Stream, error) {
 	if err != nil {
 		return Stream{}, err
 	}
+	sp := Spec{Index: h.ShardIndex, Count: h.ShardCount}
 	st := Stream{Header: h}
 	for i, line := range lines[1:] {
 		res, err := Decode(line)
 		if err != nil {
 			return Stream{}, fmt.Errorf("record %d: %w", i+1, err)
 		}
+		if idx := res.Cell.Index; idx < 0 || idx >= h.Total || !sp.Owns(idx) {
+			return Stream{}, fmt.Errorf("record %d: cell %d is not in shard %s of the %d-cell grid", i+1, idx, sp, h.Total)
+		}
 		st.Results = append(st.Results, res)
 	}
 	sort.Slice(st.Results, func(a, b int) bool {
 		return st.Results[a].Cell.Index < st.Results[b].Cell.Index
 	})
+	for i := 1; i < len(st.Results); i++ {
+		if idx := st.Results[i].Cell.Index; idx == st.Results[i-1].Cell.Index {
+			return Stream{}, fmt.Errorf("shard: cell %d recorded twice", idx)
+		}
+	}
 	return st, nil
 }
 
@@ -119,12 +81,13 @@ func JournalPath(dir string, sp Spec) string {
 
 // Merge recombines shard streams into the canonical cell order and emits
 // the merged stream through the given sinks (closing them at the end,
-// exactly as Experiment.Run would). The streams must come from the same
-// grid (header experiment/total/grid fingerprint all equal) and together
-// cover every canonical index exactly once; gaps (an unfinished shard) and
-// duplicates are errors, not silently-wrong output. Because every sink
-// sees the same records in the same order as an unsharded run, the merged
-// output is byte-identical to one.
+// exactly as Experiment.Run would). The streams, as ReadStream returns
+// them, must come from the same grid (header experiment/total/grid
+// fingerprint all equal) and together cover every canonical index exactly
+// once; gaps (an unfinished shard) and duplicates are errors, not
+// silently-wrong output. Because every sink sees the same records in the
+// same order as an unsharded run, the merged output is byte-identical to
+// one.
 func Merge(streams []Stream, sinks ...core.Sink) (Header, error) {
 	h, err := merge(streams, sinks...)
 	for _, s := range sinks {
@@ -140,7 +103,7 @@ func merge(streams []Stream, sinks ...core.Sink) (Header, error) {
 		return Header{}, fmt.Errorf("shard: nothing to merge")
 	}
 	h := streams[0].Header
-	all := make([]core.CellResult, 0, h.Total)
+	var all []core.CellResult
 	for _, st := range streams {
 		if st.Header.Experiment != h.Experiment || st.Header.Total != h.Total || st.Header.Grid != h.Grid {
 			return Header{}, fmt.Errorf("shard: merging streams from different grids (%q total %d grid %s vs %q total %d grid %s)",
@@ -149,27 +112,27 @@ func merge(streams []Stream, sinks ...core.Sink) (Header, error) {
 		all = append(all, st.Results...)
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].Cell.Index < all[b].Cell.Index })
-	var missing []string
-	next := 0
-	for _, res := range all {
-		if res.Cell.Index == next-1 {
-			return Header{}, fmt.Errorf("shard: cell %d appears in more than one stream", res.Cell.Index)
+	for i := 1; i < len(all); i++ {
+		if idx := all[i].Cell.Index; idx == all[i-1].Cell.Index {
+			return Header{}, fmt.Errorf("shard: cell %d appears in more than one stream", idx)
 		}
-		for next < res.Cell.Index {
-			missing = append(missing, fmt.Sprintf("%d", next))
-			next++
+	}
+	// Every index lies in [0, Total) and none repeats, so the grid is
+	// covered exactly when the counts match.
+	if missing := h.Total - len(all); missing > 0 {
+		var gaps []string
+		for next, i := 0, 0; len(gaps) < 8 && next < h.Total; next++ {
+			if i < len(all) && all[i].Cell.Index == next {
+				i++
+				continue
+			}
+			gaps = append(gaps, strconv.Itoa(next))
 		}
-		next = res.Cell.Index + 1
-	}
-	for ; next < h.Total; next++ {
-		missing = append(missing, fmt.Sprintf("%d", next))
-	}
-	if len(missing) > 0 {
-		if len(missing) > 8 {
-			missing = append(missing[:8], fmt.Sprintf("... %d total", len(missing)))
+		if missing > len(gaps) {
+			gaps = append(gaps, fmt.Sprintf("... %d total", missing))
 		}
 		return Header{}, fmt.Errorf("shard: merge incomplete: %d of %d cells missing (indices %s) — did every shard finish?",
-			h.Total-len(all), h.Total, strings.Join(missing, ", "))
+			missing, h.Total, strings.Join(gaps, ", "))
 	}
 	for _, res := range all {
 		for _, s := range sinks {

@@ -1,9 +1,8 @@
 // Package shard makes experiment grids sharded and resumable: it defines
 // the versioned wire format for cell results, deterministic grid sharding,
 // crash-safe checkpoint journals that let an interrupted sweep skip
-// completed cells on restart, a merger that recombines per-shard streams
-// into the canonical cell order, and a small HTTP coordinator/worker
-// protocol for distributing shards across processes and machines.
+// completed cells on restart, and a merger that recombines per-shard
+// streams into the canonical cell order.
 //
 // # Sharding model
 //
@@ -16,14 +15,18 @@
 // feeds the same sinks the same records in the same order. Round-robin
 // (rather than contiguous ranges) spreads each app's cells across shards,
 // so shards finish in comparable time even when workloads differ wildly in
-// cost.
+// cost. Shards of one grid can run anywhere that shares the output
+// directory; MergeDir then recombines their journals.
 //
 // # Wire format
 //
 // One journal/shard stream is a JSON-lines file: a Header line, then one
 // Record line per completed cell, each flushed as it lands so a crash loses
 // at most a partial final line (which resume detects and truncates). See
-// Record for the format's versioning and compatibility rule.
+// Record for the format's versioning and compatibility rule. Journal is
+// the one writer of the format and ReadStream the one parser: resume and
+// merge both read through it, and it rejects any record outside the
+// header's grid or shard.
 //
 // # Resumability
 //
@@ -33,15 +36,6 @@
 // the journaled results interleaved in canonical order, so downstream sinks
 // still observe the full stream — the resumed run's output is byte-identical
 // to an uninterrupted one.
-//
-// # Distribution
-//
-// Coordinator serves shard assignments over HTTP with lease-based
-// reassignment: a worker (Work) claims a shard, heartbeats while running
-// it, and uploads its journal on completion; a worker that stops
-// heartbeating loses its lease and the shard is handed to the next
-// claimant. Cells are deterministic, so reassignment — even duplicated
-// execution by a zombie worker — never changes the merged output.
 package shard
 
 import (

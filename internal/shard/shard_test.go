@@ -135,9 +135,19 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	if _, err := shard.DecodeHeader([]byte(`{"v":1,"kind":"something-else"}`)); err == nil {
 		t.Error("foreign stream kind accepted")
 	}
+	for _, bad := range []string{
+		`{"v":1,"kind":"numadag-cells","total":4,"shard_index":1,"shard_count":0}`,
+		`{"v":1,"kind":"numadag-cells","total":4,"shard_index":0,"shard_count":0}`,
+		`{"v":1,"kind":"numadag-cells","total":4,"shard_index":3,"shard_count":3}`,
+		`{"v":1,"kind":"numadag-cells","total":-1,"shard_index":0,"shard_count":1}`,
+	} {
+		if _, err := shard.DecodeHeader([]byte(bad)); err == nil {
+			t.Errorf("header %s accepted", bad)
+		}
+	}
 }
 
-// runShard computes one shard's wire stream in-process.
+// runShard computes one shard's journal in-process and returns its bytes.
 func runShard(t *testing.T, sp shard.Spec) []byte {
 	t.Helper()
 	e := testExperiment()
@@ -145,12 +155,40 @@ func runShard(t *testing.T, sp shard.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	e.Skip = sp.Skip
-	if err := e.Run(context.Background(), shard.NewWriter(&buf, h)); err != nil {
+	path := shard.JournalPath(t.TempDir(), sp)
+	j, err := shard.OpenJournal(path, h, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	e.Skip = sp.Skip
+	if err := e.Run(context.Background(), shard.NewCheckpointSink(j)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// withRecord appends to a wire stream one more record: a copy of the
+// stream's first record moved to canonical index idx.
+func withRecord(t *testing.T, data []byte, idx int) []byte {
+	t.Helper()
+	st, err := shard.ReadStream(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := st.Results[0]
+	res.Cell.Index = idx
+	line, err := shard.Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append([]byte(nil), data...), line...)
 }
 
 // TestShardMergeByteIdentical is the tentpole acceptance test: three shards
@@ -215,6 +253,25 @@ func TestMergeRejectsGapsAndDuplicates(t *testing.T) {
 	other.Header.Experiment = "different"
 	if _, err := shard.Merge([]shard.Stream{s0, other}); err == nil {
 		t.Error("merge across grids accepted")
+	}
+	// A forged grid size is a gap to report, not a size to allocate.
+	forged := bytes.Replace(runShard(t, shard.Spec{}), []byte(`"total":4,`), []byte(`"total":4611686018427387904,`), 1)
+	huge, err := shard.ReadStream(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.Merge([]shard.Stream{huge}); err == nil {
+		t.Error("merge of a 4-cell stream claiming 2^62 cells accepted")
+	}
+
+	// Records outside the grid or the stream's shard are rejected by the
+	// parser, before they can reach a merge: shard 0/2 owns index 4 by
+	// residue, but the grid has only 4 cells; index 1 belongs to shard 1/2.
+	b0 := runShard(t, shard.Spec{Index: 0, Count: 2})
+	for _, idx := range []int{4, 1, -2} {
+		if _, err := shard.ReadStream(withRecord(t, b0, idx)); err == nil {
+			t.Errorf("shard 0/2 stream with a record for cell %d accepted", idx)
+		}
 	}
 }
 
@@ -336,6 +393,31 @@ func TestJournalTornWrite(t *testing.T) {
 	}
 	if _, err := shard.OpenJournal(path, oh, true); err == nil {
 		t.Error("journal from a different grid resumed")
+	}
+
+	// Nor does a journal holding a record outside the grid or the shard,
+	// or one whose header names no valid shard. Shard 0/2 owns index 4 by
+	// residue, but the grid has only 4 cells; index 1 belongs to shard 1/2.
+	sp := shard.Spec{Index: 0, Count: 2}
+	sh, err := shard.HeaderFor(testExperiment(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0 := runShard(t, sp)
+	for name, data := range map[string][]byte{
+		"index == total": withRecord(t, b0, 4),
+		"foreign shard":  withRecord(t, b0, 1),
+		"negative index": withRecord(t, b0, -2),
+		"shard_count 0":  bytes.Replace(b0, []byte(`"shard_count":2`), []byte(`"shard_count":0`), 1),
+	} {
+		bad := shard.JournalPath(t.TempDir(), sp)
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if j, err := shard.OpenJournal(bad, sh, true); err == nil {
+			j.Close()
+			t.Errorf("%s: journal resumed", name)
+		}
 	}
 }
 

@@ -41,11 +41,11 @@ const headerKind = "numadag-cells"
 
 // Record is version WireVersion of the cell-result wire format: the cell's
 // canonical coordinates plus the full run statistics. It is the one
-// encoding shared by checkpoint journals, shard outputs and the
-// coordinator protocol. Decode reconstructs the (Cell, Stats) half of a
-// core.CellResult bit-exactly; the Config half is not serialized — it is a
-// pure function of the experiment declaration and the cell coordinates,
-// and the stream-consuming sinks read only Cell and Stats.
+// encoding shared by checkpoint journals and shard outputs. Decode
+// reconstructs the (Cell, Stats) half of a core.CellResult bit-exactly;
+// the Config half is not serialized — it is a pure function of the
+// experiment declaration and the cell coordinates, and the
+// stream-consuming sinks read only Cell and Stats.
 type Record struct {
 	V         int       `json:"v"`
 	Index     int       `json:"index"`
@@ -157,6 +157,14 @@ func Decode(line []byte) (core.CellResult, error) {
 	if r.V != WireVersion {
 		return core.CellResult{}, fmt.Errorf("shard: record wire version %d, this reader knows %d", r.V, WireVersion)
 	}
+	// Encode omits empty slices; decode them as nil so that
+	// Decode(Encode(res)) reproduces every decoded res exactly.
+	if len(r.Stats.BusyTime) == 0 {
+		r.Stats.BusyTime = nil
+	}
+	if len(r.Stats.SocketTasks) == 0 {
+		r.Stats.SocketTasks = nil
+	}
 	return r.CellResult(), nil
 }
 
@@ -171,7 +179,9 @@ func EncodeHeader(h Header) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeHeader parses a stream's header line.
+// DecodeHeader parses a stream's header line, rejecting a shard identity
+// outside 0 <= index < count or a negative grid size. Headers always carry
+// the normalized spec, so the zero-value shorthand 0/0 is rejected too.
 func DecodeHeader(line []byte) (Header, error) {
 	var h Header
 	if err := json.Unmarshal(line, &h); err != nil {
@@ -182,6 +192,10 @@ func DecodeHeader(line []byte) (Header, error) {
 	}
 	if h.V != WireVersion {
 		return Header{}, fmt.Errorf("shard: stream wire version %d, this reader knows %d", h.V, WireVersion)
+	}
+	if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount || h.Total < 0 {
+		return Header{}, fmt.Errorf("shard: header shard %d/%d of a %d-cell grid: want 0 <= index < count and total >= 0",
+			h.ShardIndex, h.ShardCount, h.Total)
 	}
 	return h, nil
 }

@@ -48,35 +48,10 @@
 //	}
 //	table.Table().Write(os.Stdout)
 //
-// Quick start — sharded, resumable sweeps:
-//
-// An Experiment's grid can be split into deterministic shards, run
-// anywhere, checkpointed to crash-safe journals, and merged back into
-// outputs byte-identical to an unsharded run. The journal/shard wire
-// format is versioned (ShardWireVersion — see shard.Record's compatibility
-// rule: readers reject unknown versions and released versions stay
-// decodable forever), and every record round-trips bit-exactly, which is
-// what makes the byte-identity guarantee possible.
-//
-//	sp, _ := numadag.ParseShardSpec("0/3") // this process owns cells 0, 3, 6, ...
-//	h, _ := numadag.ShardHeaderFor(e, sp)
-//	j, _ := numadag.OpenShardJournal(numadag.ShardJournalPath("out", sp), h, resume)
-//	defer j.Close()
-//	cs := numadag.NewCheckpointSink(j, table) // journals fresh cells, replays journaled ones
-//	e.Skip = func(c numadag.Cell) bool { return sp.Skip(c) || cs.Skip(c) }
-//	err := e.Run(ctx, cs) // errors.Is(err, numadag.ErrSweepInterrupted) => resumable stop
-//	...
-//	numadag.MergeShardDir("out", table2, numadag.NewJSONLSink(f)) // all shards -> canonical stream
-//
-// Sinks advertise optional capabilities by interface: a CheckpointableSink
-// can snapshot and restore its aggregation state, a MergeableSink can
-// absorb another shard's partial (TableSink implements both; Histogram
-// checkpoints via MarshalBinary and merges via Merge). Plain sinks keep
-// working everywhere unchanged — capabilities are discovered by type
-// assertion. For fleets without a shared filesystem, a ShardCoordinator
-// hands shards to workers over HTTP with lease-based reassignment
-// (JoinShardFleet is the worker loop); cmd/sweep and cmd/figure1 expose
-// all of this as -shard/-resume/-out/-merge/-serve/-join/-maxcells.
+// Grids too large for one process split into deterministic shards from
+// the command line: cmd/sweep and cmd/figure1 take -shard i/n -out dir,
+// -resume and -maxcells to run and checkpoint one shard, and -merge dir to
+// recombine the shards into outputs byte-identical to an unsharded run.
 //
 // Quick start — service mode (online multi-tenant cluster):
 //
@@ -179,9 +154,7 @@
 package numadag
 
 import (
-	"context"
 	"io"
-	"time"
 
 	"numadag/internal/apps"
 	"numadag/internal/cluster"
@@ -193,7 +166,6 @@ import (
 	"numadag/internal/partition"
 	"numadag/internal/policy"
 	"numadag/internal/rt"
-	"numadag/internal/shard"
 	"numadag/internal/sim"
 	"numadag/internal/trace"
 	"numadag/internal/workload"
@@ -313,12 +285,6 @@ type (
 	TableOptions = core.TableOptions
 	// Norm selects a TableSink value transformation.
 	Norm = core.Norm
-	// CheckpointableSink is the optional Sink capability of snapshotting
-	// and restoring aggregation state (resumable sweeps).
-	CheckpointableSink = core.CheckpointableSink
-	// MergeableSink is the optional Sink capability of absorbing another
-	// sink's partial aggregation (sharded sweeps).
-	MergeableSink = core.MergeableSink
 	// PolicySpec is a parsed policy registry spec (name + parameters).
 	PolicySpec = policy.Spec
 	// PolicyFactory builds a policy instance from a parsed spec.
@@ -358,86 +324,6 @@ func NewJSONLSink(w io.Writer) Sink { return core.NewJSONLSink(w) }
 
 // NewCSVSink streams one CSV row per cell result to w.
 func NewCSVSink(w io.Writer) Sink { return core.NewCSVSink(w) }
-
-// Sharded, resumable sweeps (see the sharding quick start above).
-type (
-	// ShardSpec selects one deterministic shard (index/count) of a grid.
-	ShardSpec = shard.Spec
-	// ShardHeader binds a journal/shard stream to one experiment grid.
-	ShardHeader = shard.Header
-	// ShardJournal is a crash-safe, per-line-flushed record of completed
-	// cells; it doubles as a shard's merge-ready output file.
-	ShardJournal = shard.Journal
-	// CheckpointSink journals fresh cell results and replays journaled
-	// ones, so resumed runs deliver the full canonical stream downstream.
-	CheckpointSink = shard.CheckpointSink
-	// ShardStream is one parsed journal/shard stream.
-	ShardStream = shard.Stream
-	// ShardCoordinator distributes shards to workers over HTTP with
-	// lease-based reassignment on worker loss.
-	ShardCoordinator = shard.Coordinator
-)
-
-// ShardWireVersion is the version of the cell-result wire format shared by
-// checkpoint journals, shard outputs and the coordinator protocol.
-const ShardWireVersion = shard.WireVersion
-
-// ErrSweepInterrupted is returned (wrapped) by Experiment.Run when a
-// CheckpointSink's MaxFresh quota stops a run; the journal is valid and
-// the sweep resumable.
-var ErrSweepInterrupted = shard.ErrInterrupted
-
-// ParseShardSpec parses "index/count" (0-based), e.g. "0/3".
-func ParseShardSpec(s string) (ShardSpec, error) { return shard.ParseSpec(s) }
-
-// ShardHeaderFor fingerprints one shard of an experiment's canonical grid.
-func ShardHeaderFor(e *Experiment, sp ShardSpec) (ShardHeader, error) {
-	return shard.HeaderFor(e, sp)
-}
-
-// ShardJournalPath names shard sp's journal file under dir.
-func ShardJournalPath(dir string, sp ShardSpec) string { return shard.JournalPath(dir, sp) }
-
-// OpenShardJournal creates (or, with resume, reopens and truncates to the
-// last intact record of) the journal at path for the grid h describes.
-func OpenShardJournal(path string, h ShardHeader, resume bool) (*ShardJournal, error) {
-	return shard.OpenJournal(path, h, resume)
-}
-
-// NewCheckpointSink wraps the inner sinks behind journal j; pass it as the
-// experiment's sink and wire Experiment.Skip to its Skip method.
-func NewCheckpointSink(j *ShardJournal, inner ...Sink) *CheckpointSink {
-	return shard.NewCheckpointSink(j, inner...)
-}
-
-// MergeShards recombines shard streams into the canonical cell order and
-// feeds the sinks — byte-identical to an unsharded run's outputs.
-func MergeShards(streams []ShardStream, sinks ...Sink) (ShardHeader, error) {
-	return shard.Merge(streams, sinks...)
-}
-
-// MergeShardDir merges every shard journal found in dir.
-func MergeShardDir(dir string, sinks ...Sink) (ShardHeader, error) {
-	return shard.MergeDir(dir, sinks...)
-}
-
-// ReadShardStream parses a journal/shard stream's bytes (tolerating a torn
-// final line).
-func ReadShardStream(data []byte) (ShardStream, error) { return shard.ReadStream(data) }
-
-// NewShardCoordinator creates a coordinator handing count shards to
-// workers under the given heartbeat lease (0 means 30s); serve its
-// Handler() and collect completed journals with WriteDir.
-func NewShardCoordinator(count int, lease time.Duration) (*ShardCoordinator, error) {
-	return shard.NewCoordinator(count, lease)
-}
-
-// JoinShardFleet is the worker loop: it claims shards from the coordinator
-// at baseURL until the grid is done, heartbeating while run computes each
-// shard's wire stream (write it with a shard.Writer over ShardHeaderFor).
-func JoinShardFleet(ctx context.Context, baseURL string, run func(ShardSpec) ([]byte, error)) error {
-	return shard.Work(ctx, baseURL, run)
-}
 
 // Problem scales.
 const (
@@ -609,7 +495,7 @@ type (
 	// JSON with per-tenant tail quantiles, /trace Chrome-trace snapshot)
 	// via lock-free snapshots refreshed from the simulation goroutine.
 	ClusterMonitor = cluster.Monitor
-	// Histogram is a merge-deterministic streaming quantile sketch with
+	// Histogram is an order-independent streaming quantile sketch with
 	// bounded relative error (used for the tail-latency metrics).
 	Histogram = metrics.Histogram
 )

@@ -2,16 +2,15 @@
 // modes must reproduce an unsharded run byte for byte.
 //
 // TestShardedSweepCLI builds the real sweep binary and drives it through
-// the three distribution stories — 3-shard fan-out + merge, interrupt +
-// resume (-maxcells as the deterministic kill), and coordinator/worker over
-// HTTP (-serve/-join) — comparing every JSONL/CSV/table output against one
+// three stories — 3-shard fan-out + merge, interrupt + resume (-maxcells
+// as the deterministic kill), and the resume of one crashed shard of a
+// 3-shard run — comparing every JSONL/CSV/table output against one
 // unsharded reference run. Env-gated (NUMADAG_SHARDED=1) because it builds
 // a binary and runs the grid several times; CI runs it as its own blocking
 // step (`make test-sharded`).
 package numadag_test
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -36,16 +35,17 @@ func buildSweep(t *testing.T) string {
 }
 
 // runSweep runs the binary with the suite's grid plus extra flags and
-// returns stdout (the rendered table in full-stream modes).
-func runSweep(t *testing.T, bin string, extra ...string) []byte {
+// returns stdout (the rendered table in full-stream modes) and stderr (the
+// journal modes' progress report).
+func runSweep(t *testing.T, bin string, extra ...string) (stdout []byte, stderr string) {
 	t.Helper()
 	cmd := exec.Command(bin, append(append([]string{}, sweepArgs...), extra...)...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("sweep %v: %v\n%s", extra, err, stderr.Bytes())
+		t.Fatalf("sweep %v: %v\n%s", extra, err, errb.Bytes())
 	}
-	return stdout.Bytes()
+	return out.Bytes(), errb.String()
 }
 
 func readFile(t *testing.T, path string) []byte {
@@ -66,7 +66,7 @@ func TestShardedSweepCLI(t *testing.T) {
 	path := func(name string) string { return filepath.Join(work, name) }
 
 	// The unsharded reference outputs.
-	wantTable := runSweep(t, bin, "-jsonl", path("ref.jsonl"), "-csv", path("ref.csv"))
+	wantTable, _ := runSweep(t, bin, "-jsonl", path("ref.jsonl"), "-csv", path("ref.csv"))
 	wantJSONL := readFile(t, path("ref.jsonl"))
 	wantCSV := readFile(t, path("ref.csv"))
 
@@ -75,7 +75,7 @@ func TestShardedSweepCLI(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			runSweep(t, bin, "-shard", fmt.Sprintf("%d/3", i), "-out", dir)
 		}
-		gotTable := runSweep(t, bin, "-merge", dir, "-jsonl", path("m.jsonl"), "-csv", path("m.csv"))
+		gotTable, _ := runSweep(t, bin, "-merge", dir, "-jsonl", path("m.jsonl"), "-csv", path("m.csv"))
 		if !bytes.Equal(readFile(t, path("m.jsonl")), wantJSONL) {
 			t.Error("merged JSONL differs from unsharded run")
 		}
@@ -90,28 +90,14 @@ func TestShardedSweepCLI(t *testing.T) {
 	t.Run("interrupt-resume", func(t *testing.T) {
 		dir := path("ckpt")
 		// First run stops (resumably) after 4 of the 10 cells.
-		cmd := exec.Command(bin, append(append([]string{}, sweepArgs...),
-			"-out", dir, "-maxcells", "4")...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("interrupted run failed: %v\n%s", err, stderr.Bytes())
-		}
-		if !strings.Contains(stderr.String(), "4 cells run") {
-			t.Fatalf("interrupted run did not report its cell count:\n%s", stderr.Bytes())
+		if _, stderr := runSweep(t, bin, "-out", dir, "-maxcells", "4"); !strings.Contains(stderr, "4 cells run") {
+			t.Fatalf("interrupted run did not report its cell count:\n%s", stderr)
 		}
 		// The resumed run executes only the remaining 6 and reproduces the
 		// reference outputs exactly.
-		cmd = exec.Command(bin, append(append([]string{}, sweepArgs...),
-			"-out", dir, "-resume", "-jsonl", path("r.jsonl"), "-csv", path("r.csv"))...)
-		var stdout bytes.Buffer
-		stderr.Reset()
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("resumed run failed: %v\n%s", err, stderr.Bytes())
-		}
-		if !strings.Contains(stderr.String(), "6 cells run, 4 resumed") {
-			t.Errorf("resume re-ran the wrong cells:\n%s", stderr.Bytes())
+		gotTable, stderr := runSweep(t, bin, "-out", dir, "-resume", "-jsonl", path("r.jsonl"), "-csv", path("r.csv"))
+		if !strings.Contains(stderr, "6 cells run, 4 resumed") {
+			t.Errorf("resume re-ran the wrong cells:\n%s", stderr)
 		}
 		if !bytes.Equal(readFile(t, path("r.jsonl")), wantJSONL) {
 			t.Error("resumed JSONL differs from uninterrupted run")
@@ -119,67 +105,31 @@ func TestShardedSweepCLI(t *testing.T) {
 		if !bytes.Equal(readFile(t, path("r.csv")), wantCSV) {
 			t.Error("resumed CSV differs from uninterrupted run")
 		}
-		if !bytes.Equal(stdout.Bytes(), wantTable) {
-			t.Errorf("resumed table differs from uninterrupted run:\n%s---\n%s", stdout.Bytes(), wantTable)
+		if !bytes.Equal(gotTable, wantTable) {
+			t.Errorf("resumed table differs from uninterrupted run:\n%s---\n%s", gotTable, wantTable)
 		}
 	})
 
-	t.Run("serve-join", func(t *testing.T) {
-		dir := path("fleet")
-		serve := exec.Command(bin, append(append([]string{}, sweepArgs...),
-			"-serve", "127.0.0.1:0", "-shards", "2", "-out", dir)...)
-		serveErr, err := serve.StderrPipe()
-		if err != nil {
-			t.Fatal(err)
+	t.Run("shard-resume", func(t *testing.T) {
+		dir := path("crashed")
+		runSweep(t, bin, "-shard", "0/3", "-out", dir)
+		runSweep(t, bin, "-shard", "2/3", "-out", dir)
+		// Shard 1 "crashes" after one cell, then resumes from its journal.
+		if _, stderr := runSweep(t, bin, "-shard", "1/3", "-out", dir, "-maxcells", "1"); !strings.Contains(stderr, "1 cells run") {
+			t.Fatalf("interrupted shard did not report its cell count:\n%s", stderr)
 		}
-		if err := serve.Start(); err != nil {
-			t.Fatal(err)
+		if _, stderr := runSweep(t, bin, "-shard", "1/3", "-out", dir, "-resume"); !strings.Contains(stderr, "2 cells run, 1 resumed") {
+			t.Errorf("shard resume re-ran the wrong cells:\n%s", stderr)
 		}
-		defer serve.Process.Kill()
-
-		// The coordinator prints its bound address; workers join it.
-		var url string
-		sc := bufio.NewScanner(serveErr)
-		for sc.Scan() {
-			if _, rest, ok := strings.Cut(sc.Text(), "on http://"); ok {
-				url = "http://" + strings.Fields(rest)[0]
-				break
-			}
+		gotTable, _ := runSweep(t, bin, "-merge", dir, "-jsonl", path("c.jsonl"), "-csv", path("c.csv"))
+		if !bytes.Equal(readFile(t, path("c.jsonl")), wantJSONL) {
+			t.Error("resumed-shard JSONL differs from unsharded run")
 		}
-		if url == "" {
-			t.Fatalf("coordinator never printed its address (scan error %v)", sc.Err())
-		}
-		go func() {
-			// Drain the rest of stderr so the coordinator never blocks on it.
-			for sc.Scan() {
-			}
-		}()
-
-		workers := make(chan error, 2)
-		for i := 0; i < 2; i++ {
-			go func() {
-				out, err := exec.Command(bin, append(append([]string{}, sweepArgs...),
-					"-join", url)...).CombinedOutput()
-				if err != nil {
-					err = fmt.Errorf("worker: %v\n%s", err, out)
-				}
-				workers <- err
-			}()
-		}
-		for i := 0; i < 2; i++ {
-			if err := <-workers; err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := serve.Wait(); err != nil {
-			t.Fatalf("coordinator exit: %v", err)
-		}
-		gotTable := runSweep(t, bin, "-merge", dir, "-jsonl", path("f.jsonl"))
-		if !bytes.Equal(readFile(t, path("f.jsonl")), wantJSONL) {
-			t.Error("fleet-merged JSONL differs from unsharded run")
+		if !bytes.Equal(readFile(t, path("c.csv")), wantCSV) {
+			t.Error("resumed-shard CSV differs from unsharded run")
 		}
 		if !bytes.Equal(gotTable, wantTable) {
-			t.Errorf("fleet-merged table differs from unsharded run:\n%s---\n%s", gotTable, wantTable)
+			t.Errorf("resumed-shard table differs from unsharded run:\n%s---\n%s", gotTable, wantTable)
 		}
 	})
 }
