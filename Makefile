@@ -21,7 +21,9 @@ test-race:
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
 # hot paths — the simulator's flow churn and water-filling, the
-# partitioner's fmRefine and DAG symmetrization, induced-subgraph
+# partitioner's fmRefine and DAG symmetrization, a whole MapOnto call (the
+# same fixed count for a 256- and a 4096-vertex graph, with and without
+# fixed vertices: no per-level or per-bisection allocation), induced-subgraph
 # extraction with a warmed scratch, snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
 # nothing when no Observer is configured), the RGP window-partitioning
@@ -90,7 +92,8 @@ bench-check:
 	rm -f BENCH_sim.new.json
 
 # Short coverage-guided fuzz of the FM refiner (gain-bucket vs heap
-# reference), the fluid network's full-vs-incremental reallocation contract
+# reference), the coarsening contraction (two-pass merge vs the AddEdge
+# reference, entry by entry through whole descents), the fluid network's full-vs-incremental reallocation contract
 # (batched class-based fill vs the eager naive ladder), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
 # tenant-skewed rates must never stall or reorder the shared clock), and
@@ -100,6 +103,7 @@ bench-check:
 # workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
+	$(GO) test -fuzz=FuzzCoarsen -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"numadag/internal/apps"
@@ -29,32 +30,66 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes dagpart with the given arguments and returns its exit code:
+// 0 on success, 1 when building, partitioning or writing fails, and 2 on a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dagpart", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName   = flag.String("app", "", "build the TDG of this workload spec (see dagen -list)")
-		scale     = flag.String("scale", "tiny", "problem scale for -app")
-		inFile    = flag.String("in", "", "read a DAG from this JSON file instead of -app")
-		parts     = flag.Int("parts", 8, "number of parts")
-		imbalance = flag.Float64("imbalance", 0.05, "tolerated imbalance")
-		seed      = flag.Uint64("seed", 1, "partitioner seed")
-		useMap    = flag.Bool("map", false, "map onto the bullion architecture instead of plain k-way")
-		noRefine  = flag.Bool("norefine", false, "disable FM refinement")
-		dotOut    = flag.String("dot", "", "write colored DOT to this file")
-		jsonOut   = flag.String("json", "", "write the DAG as JSON to this file")
+		appName   = fs.String("app", "", "build the TDG of this workload spec (see dagen -list)")
+		scale     = fs.String("scale", "tiny", "problem scale for -app")
+		inFile    = fs.String("in", "", "read a DAG from this JSON file instead of -app")
+		parts     = fs.Int("parts", 8, "number of parts (with -map: the bullion's socket count, the only accepted value)")
+		imbalance = fs.Float64("imbalance", 0.05, "tolerated imbalance")
+		seed      = fs.Uint64("seed", 1, "partitioner seed")
+		useMap    = fs.Bool("map", false, "map onto the bullion architecture instead of plain k-way")
+		noRefine  = fs.Bool("norefine", false, "disable FM refinement")
+		dotOut    = fs.String("dot", "", "write colored DOT to this file")
+		jsonOut   = fs.String("json", "", "write the DAG as JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dagpart:", err)
+		return 1
+	}
+
+	// -map always targets every bullion socket, so the part count comes from
+	// the architecture; an explicit -parts must agree with it.
+	k := *parts
+	var arch *partition.Arch
+	if *useMap {
+		arch = archFrom(machine.BullionS16())
+		partsSet := false
+		fs.Visit(func(f *flag.Flag) { partsSet = partsSet || f.Name == "parts" })
+		if partsSet && k != arch.Sockets() {
+			fmt.Fprintf(stderr, "dagpart: -map maps onto the bullion's %d sockets; drop -parts %d or set it to %d\n",
+				arch.Sockets(), k, arch.Sockets())
+			return 2
+		}
+		k = arch.Sockets()
+	}
 
 	dag, err := loadDAG(*appName, *scale, *inFile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("graph: %d nodes, %d edges, total node weight %d, total edge weight %d\n",
+	fmt.Fprintf(stdout, "graph: %d nodes, %d edges, total node weight %d, total edge weight %d\n",
 		dag.Len(), dag.Edges(), dag.TotalNodeWeight(), dag.TotalEdgeWeight())
 	if prof, err := dag.ComputeProfile(); err == nil {
-		fmt.Printf("profile: %s\n", prof)
+		fmt.Fprintf(stdout, "profile: %s\n", prof)
 	}
 
 	pg := partition.FromDAG(dag)
-	opt := partition.DefaultOptions(*parts)
+	opt := partition.DefaultOptions(k)
 	opt.Imbalance = *imbalance
 	opt.Seed = *seed
 	opt.NoRefine = *noRefine
@@ -63,45 +98,46 @@ func main() {
 		part []int32
 		st   partition.Stats
 	)
-	if *useMap {
-		arch := archFrom(machine.BullionS16())
+	if arch != nil {
 		part, st, err = partition.MapOnto(pg, arch, opt)
 		if err == nil {
-			fmt.Printf("mapping onto bullion: comm cost %d\n", partition.CommCost(pg, part, arch.Dist))
+			fmt.Fprintf(stdout, "mapping onto bullion: comm cost %d\n", partition.CommCost(pg, part, arch.Dist))
 		}
 	} else {
 		part, st, err = partition.Partition(pg, opt)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("parts=%d cut=%d imbalance=%.4f\n", *parts, st.EdgeCut, st.Imbalance)
-	weights := partition.PartWeights(pg, part, *parts)
-	fmt.Printf("part weights: %v\n", weights)
+	fmt.Fprintf(stdout, "parts=%d cut=%d imbalance=%.4f\n", k, st.EdgeCut, st.Imbalance)
+	weights := partition.PartWeights(pg, part, k)
+	fmt.Fprintf(stdout, "part weights: %v\n", weights)
 
 	if *dotOut != "" {
 		f, err := os.Create(*dotOut)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := dag.DOT(f, "tdg", part); err != nil {
-			fatal(err)
+			f.Close()
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("DOT written to %s\n", *dotOut)
+		fmt.Fprintf(stdout, "DOT written to %s\n", *dotOut)
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(dag, "", " ")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("JSON written to %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "JSON written to %s\n", *jsonOut)
 	}
+	return 0
 }
 
 // loadDAG builds from a benchmark or reads from a file.
@@ -147,9 +183,4 @@ func archFrom(cfg machine.Config) *partition.Arch {
 		}
 	}
 	return &partition.Arch{Dist: d}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dagpart:", err)
-	os.Exit(1)
 }

@@ -38,7 +38,7 @@ func FuzzFMRefine(f *testing.F) {
 		feasible := w0Before >= c.minW0 && w0Before <= c.maxW0
 
 		part := append([]int32(nil), c.part...)
-		fmRefine(c.g, part, c.fixed, c.minW0, c.maxW0, c.passes, nil)
+		fmRefine(c.g, part, c.fixed, c.minW0, c.maxW0, c.passes, &refiner{})
 
 		var w0 int64
 		for v := 0; v < n; v++ {
@@ -59,5 +59,20 @@ func FuzzFMRefine(f *testing.F) {
 			t.Fatalf("feasible input left the balance envelope: w0 %d not in [%d, %d]", w0, c.minW0, c.maxW0)
 		}
 		checkEquivalence(t, c)
+	})
+}
+
+// FuzzCoarsen replays whole coarsening descents of the same random graphs
+// (buildRefineCase) through coarsen and the AddEdge reference
+// (coarsen_reference_test.go), with either matching, and demands identical
+// maps, weights, pins and adjacency order at every depth. Its seed corpus in
+// testdata/fuzz/FuzzCoarsen covers the same weight styles, hub skew and
+// fixed-set densities as FuzzFMRefine's.
+func FuzzCoarsen(f *testing.F) {
+	f.Add(uint64(1), uint64(64), uint64(2), uint64(0), uint64(0), uint64(0), uint64(1))
+	f.Add(uint64(2), uint64(399), uint64(7), uint64(1), uint64(30), uint64(1), uint64(5))
+	f.Fuzz(func(t *testing.T, seed, nRaw, degRaw, style, fixedPct, kind, matchSeed uint64) {
+		c := buildRefineCase(seed, nRaw, degRaw, style, 0, 0, fixedPct, 0)
+		checkCoarsenDescent(t, c, MatchingKind(kind%2), matchSeed, &refiner{})
 	})
 }

@@ -31,18 +31,13 @@ func (k InitialKind) String() string {
 	}
 }
 
-// initialBisect produces a 2-way partition of g with side-0 target weight
-// fraction t0 (0 < t0 < 1). fixed[v] in {-1,0,1} pins vertices. The result
-// always respects fixed assignments; weight targets are best-effort (the
-// refinement pass enforces balance within tolerance afterwards).
-// The rf scratch supplies the working arrays (the returned partition is the
-// only per-call allocation).
-func initialBisect(g *Graph, fixed []int32, t0 float64, kind InitialKind, rng *xrand.Rand, rf *refiner) []int32 {
-	if rf == nil {
-		rf = &refiner{}
-	}
+// initialBisect writes a 2-way partition of g into part (len g.Len()) with
+// side-0 target weight fraction t0 (0 < t0 < 1). fixed[v] in {-1,0,1} pins
+// vertices. The result always respects fixed assignments; weight targets are
+// best-effort (the refinement pass enforces balance within tolerance
+// afterwards). The rf scratch supplies the working arrays.
+func initialBisect(g *Graph, fixed []int32, t0 float64, kind InitialKind, rng *xrand.Rand, rf *refiner, part []int32) {
 	n := g.Len()
-	part := make([]int32, n)
 	for v := range part {
 		part[v] = 1
 	}
@@ -65,58 +60,36 @@ func initialBisect(g *Graph, fixed []int32, t0 float64, kind InitialKind, rng *x
 		}
 	}
 	if kind == RandomInit {
-		for _, v := range rng.Perm(len(free)) {
+		rf.perm = grow(rf.perm, len(free))
+		for _, v := range rng.PermInto(rf.perm) {
 			u := free[v]
 			if w0 < target0 {
 				part[u] = 0
 				w0 += g.nw[u]
 			}
 		}
-		return part
+		return
 	}
 	// Greedy graph growing of side 0.
-	if cap(rf.initFront) < n {
-		rf.initFront = make([]bool, n)
-		rf.initGain = make([]int64, n)
-	}
-	inFront, gain := rf.initFront[:n], rf.initGain[:n]
+	rf.initFront = grow(rf.initFront, n)
+	rf.initGain = grow(rf.initGain, n)
+	inFront, gain := rf.initFront, rf.initGain
 	for v := 0; v < n; v++ {
 		inFront[v] = false
 		gain[v] = 0 // connectivity of frontier vertices to side 0
 	}
 	frontier := rf.initFrontier[:0]
-	addFrontier := func(v int) {
-		if !inFront[v] && part[v] == 1 && (fixed == nil || fixed[v] < 0) {
-			inFront[v] = true
-			frontier = append(frontier, v)
-		}
-	}
-	grow := func(v int) {
-		part[v] = 0
-		w0 += g.nw[v]
-		g.Neighbors(v, func(u int, w int64) {
-			gain[u] += w
-			addFrontier(u)
-		})
-	}
 	// Seed from pinned side-0 vertices if any, else a random free vertex.
-	seeded := false
 	if fixed != nil {
 		for v := 0; v < n; v++ {
 			if fixed[v] == 0 {
-				g.Neighbors(v, func(u int, w int64) {
-					gain[u] += w
-					addFrontier(u)
-				})
-				seeded = true
+				frontier = growFrontier(g, v, part, fixed, gain, inFront, frontier)
 			}
 		}
 	}
 	for w0 < target0 {
+		var next int
 		if len(frontier) == 0 {
-			if !seeded {
-				seeded = true
-			}
 			// Disconnected remainder (or no seed yet): pick the heaviest-
 			// gain-less free vertex at random to restart growth.
 			candidates := rf.initCand[:0]
@@ -129,30 +102,46 @@ func initialBisect(g *Graph, fixed []int32, t0 float64, kind InitialKind, rng *x
 			if len(candidates) == 0 {
 				break
 			}
-			grow(candidates[rng.Intn(len(candidates))])
-			continue
-		}
-		// Extract max-gain frontier vertex (linear scan: coarsest graphs
-		// are small by construction).
-		best, bestIdx := -1, -1
-		var bestGain int64 = -1
-		for i, v := range frontier {
-			if part[v] == 0 {
-				continue // already absorbed
+			next = candidates[rng.Intn(len(candidates))]
+		} else {
+			// Extract max-gain frontier vertex (linear scan: coarsest graphs
+			// are small by construction).
+			best, bestIdx := -1, -1
+			var bestGain int64 = -1
+			for i, v := range frontier {
+				if part[v] == 0 {
+					continue // already absorbed
+				}
+				if gain[v] > bestGain {
+					best, bestIdx, bestGain = v, i, gain[v]
+				}
 			}
-			if gain[v] > bestGain {
-				best, bestIdx, bestGain = v, i, gain[v]
+			if best == -1 {
+				frontier = frontier[:0]
+				continue
 			}
+			frontier[bestIdx] = frontier[len(frontier)-1]
+			frontier = frontier[:len(frontier)-1]
+			inFront[best] = false
+			next = best
 		}
-		if best == -1 {
-			frontier = frontier[:0]
-			continue
-		}
-		frontier[bestIdx] = frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		inFront[best] = false
-		grow(best)
+		part[next] = 0
+		w0 += g.nw[next]
+		frontier = growFrontier(g, next, part, fixed, gain, inFront, frontier)
 	}
 	rf.initFrontier = frontier[:0] // retain grown capacity
-	return part
+}
+
+// growFrontier credits v's edges to its neighbors' connectivity to side 0
+// and appends the free side-1 neighbors not yet on the frontier.
+func growFrontier(g *Graph, v int, part, fixed []int32, gain []int64, inFront []bool, frontier []int) []int {
+	for _, nb := range g.adj[v] {
+		u := nb.to
+		gain[u] += nb.w
+		if !inFront[u] && part[u] == 1 && (fixed == nil || fixed[u] < 0) {
+			inFront[u] = true
+			frontier = append(frontier, int(u))
+		}
+	}
+	return frontier
 }

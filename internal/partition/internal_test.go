@@ -9,10 +9,28 @@ import (
 	"numadag/internal/xrand"
 )
 
+// coarsenFresh runs coarsen on a scratch refiner into a fresh level store,
+// returning nil when coarsening stops.
+func coarsenFresh(g *Graph, fixed []int32, kind MatchingKind, rng *xrand.Rand) *level {
+	l := &level{}
+	if !coarsen(g, fixed, kind, rng, &refiner{}, l) {
+		return nil
+	}
+	return l
+}
+
+// initialBisectFresh runs initialBisect on a scratch refiner into a fresh
+// partition.
+func initialBisectFresh(g *Graph, fixed []int32, t0 float64, kind InitialKind, rng *xrand.Rand) []int32 {
+	part := make([]int32, g.Len())
+	initialBisect(g, fixed, t0, kind, rng, &refiner{}, part)
+	return part
+}
+
 func TestCoarsenPreservesTotals(t *testing.T) {
 	g := grid2D(10, 3)
 	rng := xrand.New(1)
-	l := coarsen(g, nil, HeavyEdgeMatching, rng, nil)
+	l := coarsenFresh(g, nil, HeavyEdgeMatching, rng)
 	if l == nil {
 		t.Fatal("coarsening refused a 100-vertex grid")
 	}
@@ -47,7 +65,7 @@ func TestCoarsenHeavyEdgePrefersHeavy(t *testing.T) {
 	merged := 0
 	const seeds = 96
 	for seed := uint64(1); seed <= seeds; seed++ {
-		l := coarsen(g, nil, HeavyEdgeMatching, xrand.New(seed), nil)
+		l := coarsenFresh(g, nil, HeavyEdgeMatching, xrand.New(seed))
 		if l == nil {
 			continue
 		}
@@ -69,7 +87,7 @@ func TestCoarsenRespectsFixedConflict(t *testing.T) {
 	g.AddEdge(0, 1, 1000)
 	fixed := []int32{0, 1}
 	for seed := uint64(1); seed <= 8; seed++ {
-		l := coarsen(g, fixed, HeavyEdgeMatching, xrand.New(seed), nil)
+		l := coarsenFresh(g, fixed, HeavyEdgeMatching, xrand.New(seed))
 		if l == nil {
 			continue // no contraction possible: acceptable
 		}
@@ -85,19 +103,29 @@ func TestCoarsenStopsOnSparseMatching(t *testing.T) {
 	// nil) instead of looping.
 	g := NewGraph(1)
 	g.SetVertexWeight(0, 1)
-	// Independent vertices (no edges at all): nothing can match.
-	iso := NewGraph(20)
-	for v := 0; v < 20; v++ {
-		iso.SetVertexWeight(v, 1)
+	// Independent vertices (no edges at all): nothing can match. Below ten
+	// vertices the 10% rule alone admits a level with no contraction, which
+	// would repeat forever under a CoarsenTo that small.
+	var iso *Graph
+	for _, n := range []int{20, 5} {
+		iso = NewGraph(n)
+		for v := 0; v < n; v++ {
+			iso.SetVertexWeight(v, 1)
+		}
+		if l := coarsenFresh(iso, nil, HeavyEdgeMatching, xrand.New(1)); l != nil {
+			t.Fatalf("edgeless %d-vertex graph coarsened", n)
+		}
 	}
-	if l := coarsen(iso, nil, HeavyEdgeMatching, xrand.New(1), nil); l != nil {
-		t.Fatal("edgeless graph coarsened")
+	opt := DefaultOptions(2)
+	opt.CoarsenTo = 2
+	if _, _, err := Partition(iso, opt); err != nil { // must return, not descend forever
+		t.Fatal(err)
 	}
 }
 
 func TestProjectRoundTrips(t *testing.T) {
 	g := grid2D(8, 1)
-	l := coarsen(g, nil, HeavyEdgeMatching, xrand.New(3), nil)
+	l := coarsenFresh(g, nil, HeavyEdgeMatching, xrand.New(3))
 	if l == nil {
 		t.Fatal("no coarsening")
 	}
@@ -119,7 +147,7 @@ func TestProjectRoundTrips(t *testing.T) {
 func TestInitialBisectRespectsFraction(t *testing.T) {
 	g := grid2D(10, 1)
 	for _, frac := range []float64{0.25, 0.5, 0.75} {
-		part := initialBisect(g, nil, frac, GreedyGrowing, xrand.New(7), nil)
+		part := initialBisectFresh(g, nil, frac, GreedyGrowing, xrand.New(7))
 		var w0 int64
 		for v, p := range part {
 			if p == 0 {
@@ -144,7 +172,7 @@ func TestInitialBisectGrowsConnected(t *testing.T) {
 			g.AddEdge(v, v+1, 10)
 		}
 	}
-	part := initialBisect(g, nil, 0.5, GreedyGrowing, xrand.New(5), nil)
+	part := initialBisectFresh(g, nil, 0.5, GreedyGrowing, xrand.New(5))
 	transitions := 0
 	for v := 1; v < n; v++ {
 		if part[v] != part[v-1] {
@@ -165,7 +193,7 @@ func TestInitialBisectHonorsFixed(t *testing.T) {
 	fixed[0] = 0
 	fixed[35] = 1
 	for _, kind := range []InitialKind{GreedyGrowing, RandomInit} {
-		part := initialBisect(g, fixed, 0.5, kind, xrand.New(9), nil)
+		part := initialBisectFresh(g, fixed, 0.5, kind, xrand.New(9))
 		if part[0] != 0 || part[35] != 1 {
 			t.Fatalf("%v ignored fixed vertices", kind)
 		}
@@ -181,7 +209,7 @@ func TestFMRefineReducesCut(t *testing.T) {
 	}
 	before := EdgeCut(g, part)
 	total := g.TotalVertexWeight()
-	fmRefine(g, part, nil, total*45/100, total*55/100, 10, nil)
+	fmRefine(g, part, nil, total*45/100, total*55/100, 10, &refiner{})
 	after := EdgeCut(g, part)
 	if after >= before {
 		t.Fatalf("FM did not improve random bisection: %d -> %d", before, after)
@@ -208,7 +236,7 @@ func TestFMRefineLocksFixed(t *testing.T) {
 	fixed[7] = 1
 	part[7] = 1
 	total := g.TotalVertexWeight()
-	fmRefine(g, part, fixed, total*40/100, total*60/100, 8, nil)
+	fmRefine(g, part, fixed, total*40/100, total*60/100, 8, &refiner{})
 	if part[7] != 1 {
 		t.Fatal("FM moved a fixed vertex")
 	}
@@ -216,7 +244,7 @@ func TestFMRefineLocksFixed(t *testing.T) {
 
 func TestFMRefineEmptyGraph(t *testing.T) {
 	g := NewGraph(0)
-	fmRefine(g, nil, nil, 0, 0, 4, nil) // must not panic
+	fmRefine(g, nil, nil, 0, 0, 4, &refiner{}) // must not panic
 }
 
 func TestMatchingKindStrings(t *testing.T) {
@@ -236,7 +264,7 @@ func TestMatchingKindStrings(t *testing.T) {
 
 func TestRandomMatchingCoarsens(t *testing.T) {
 	g := grid2D(10, 1)
-	l := coarsen(g, nil, RandomMatching, xrand.New(2), nil)
+	l := coarsenFresh(g, nil, RandomMatching, xrand.New(2))
 	if l == nil {
 		t.Fatal("random matching failed to coarsen a grid")
 	}

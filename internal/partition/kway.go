@@ -16,9 +16,6 @@ func refineKWay(g *Graph, part []int32, fixed []int32, k int, targets []float64,
 	if k <= 1 || g.Len() == 0 {
 		return 0
 	}
-	if rf == nil {
-		rf = &refiner{}
-	}
 	maxW := partCaps(g, k, targets, imbalance, rf)
 	weights := kwayWeights(g, part, k, rf)
 	conn := kwayConn(k, rf)
@@ -41,9 +38,6 @@ func refineKWayMapped(g *Graph, part []int32, fixed []int32, arch *Arch, imbalan
 	k := arch.Sockets()
 	if k <= 1 || g.Len() == 0 {
 		return 0
-	}
-	if rf == nil {
-		rf = &refiner{}
 	}
 	maxW := partCaps(g, k, archTargets(arch), imbalance, rf)
 	weights := kwayWeights(g, part, k, rf)
@@ -121,21 +115,23 @@ func kwayPass(g *Graph, part []int32, fixed []int32, k int, weights, maxW []int6
 		}
 		boundary := false
 		if dist == nil {
-			g.Neighbors(v, func(u int, w int64) {
-				conn[part[u]] += w
-				if part[u] != home {
+			for _, nb := range g.adj[v] {
+				pu := part[nb.to]
+				conn[pu] += nb.w
+				if pu != home {
 					boundary = true
 				}
-			})
+			}
 		} else {
-			g.Neighbors(v, func(u int, w int64) {
+			for _, nb := range g.adj[v] {
+				pu := part[nb.to]
 				for p := 0; p < k; p++ {
-					conn[p] -= w * int64(dist[p][part[u]])
+					conn[p] -= nb.w * int64(dist[p][pu])
 				}
-				if part[u] != home {
+				if pu != home {
 					boundary = true
 				}
-			})
+			}
 		}
 		if !boundary {
 			continue

@@ -23,7 +23,7 @@ func TestKWayRefineImprovesScatteredGrid(t *testing.T) {
 	g := grid2D(12, 1)
 	part := scatter(g.Len(), 4)
 	before := EdgeCut(g, part)
-	gain := refineKWay(g, part, nil, 4, nil, 0.05, 10, nil)
+	gain := refineKWay(g, part, nil, 4, nil, 0.05, 10, &refiner{})
 	after := EdgeCut(g, part)
 	if gain <= 0 {
 		t.Fatalf("no gain on scattered grid (cut %d)", before)
@@ -39,7 +39,7 @@ func TestKWayRefineImprovesScatteredGrid(t *testing.T) {
 func TestKWayRefineKeepsBalance(t *testing.T) {
 	g := grid2D(12, 1)
 	part := scatter(g.Len(), 4)
-	refineKWay(g, part, nil, 4, nil, 0.05, 10, nil)
+	refineKWay(g, part, nil, 4, nil, 0.05, 10, &refiner{})
 	if imb := Imbalance(g, part, 4, nil); imb > 0.06 {
 		t.Fatalf("refinement broke balance: %v", imb)
 	}
@@ -54,7 +54,7 @@ func TestKWayRefineRespectsFixed(t *testing.T) {
 	}
 	fixed[0], part[0] = 2, 2
 	fixed[10], part[10] = 3, 3
-	refineKWay(g, part, fixed, 4, nil, 0.05, 10, nil)
+	refineKWay(g, part, fixed, 4, nil, 0.05, 10, &refiner{})
 	if part[0] != 2 || part[10] != 3 {
 		t.Fatalf("fixed vertices moved: %d, %d", part[0], part[10])
 	}
@@ -67,7 +67,7 @@ func TestKWayRefineNoOpOnOptimal(t *testing.T) {
 	for v := 8; v < 16; v++ {
 		part[v] = 1
 	}
-	if gain := refineKWay(g, part, nil, 2, nil, 0.05, 5, nil); gain != 0 {
+	if gain := refineKWay(g, part, nil, 2, nil, 0.05, 5, &refiner{}); gain != 0 {
 		t.Fatalf("gained %d on an optimal partition", gain)
 	}
 }
@@ -75,11 +75,11 @@ func TestKWayRefineNoOpOnOptimal(t *testing.T) {
 func TestKWayRefineTrivialCases(t *testing.T) {
 	g := grid2D(4, 1)
 	part := make([]int32, g.Len())
-	if refineKWay(g, part, nil, 1, nil, 0.05, 3, nil) != 0 {
+	if refineKWay(g, part, nil, 1, nil, 0.05, 3, &refiner{}) != 0 {
 		t.Fatal("k=1 refined something")
 	}
 	empty := NewGraph(0)
-	if refineKWay(empty, nil, nil, 4, nil, 0.05, 3, nil) != 0 {
+	if refineKWay(empty, nil, nil, 4, nil, 0.05, 3, &refiner{}) != 0 {
 		t.Fatal("empty graph refined something")
 	}
 }
@@ -89,7 +89,7 @@ func TestKWayMappedReducesCommCost(t *testing.T) {
 	arch := bullionArch()
 	part := scatter(g.Len(), arch.Sockets())
 	before := CommCost(g, part, arch.Dist)
-	gain := refineKWayMapped(g, part, nil, arch, 0.10, 10, nil)
+	gain := refineKWayMapped(g, part, nil, arch, 0.10, 10, &refiner{})
 	after := CommCost(g, part, arch.Dist)
 	if gain <= 0 || after >= before {
 		t.Fatalf("mapped refinement did not reduce comm cost: %d -> %d (gain %d)", before, after, gain)
@@ -124,7 +124,7 @@ func TestPropertyKWayRefineMonotone(t *testing.T) {
 			part[v] = int32(rng.Intn(k))
 		}
 		before := EdgeCut(g, part)
-		refineKWay(g, part, nil, k, nil, 0.30, 6, nil)
+		refineKWay(g, part, nil, k, nil, 0.30, 6, &refiner{})
 		after := EdgeCut(g, part)
 		if after > before {
 			return false

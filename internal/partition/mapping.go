@@ -53,8 +53,20 @@ func (a *Arch) validate() error {
 			}
 		}
 	}
-	if a.Capacity != nil && len(a.Capacity) != n {
-		return fmt.Errorf("partition: %d capacities for %d sockets", len(a.Capacity), n)
+	if a.Capacity != nil {
+		if len(a.Capacity) != n {
+			return fmt.Errorf("partition: %d capacities for %d sockets", len(a.Capacity), n)
+		}
+		sum := 0.0
+		for i, c := range a.Capacity {
+			if !(c >= 0) || math.IsInf(c, 1) {
+				return fmt.Errorf("partition: socket %d capacity %v is not a finite non-negative number", i, c)
+			}
+			sum += c
+		}
+		if !(sum > 0) || math.IsInf(sum, 1) {
+			return fmt.Errorf("partition: socket capacities sum to %v", sum)
+		}
 	}
 	return nil
 }
@@ -69,6 +81,13 @@ func (a *Arch) validate() error {
 // opt.Parts and opt.TargetWeights are ignored (derived from arch); other
 // options apply to each bisection.
 func MapOnto(g *Graph, arch *Arch, opt Options) ([]int32, Stats, error) {
+	rf := refinerPool.Get().(*refiner)
+	defer refinerPool.Put(rf)
+	return mapOnto(g, arch, opt, rf)
+}
+
+// mapOnto is MapOnto on a caller-supplied refiner.
+func mapOnto(g *Graph, arch *Arch, opt Options, rf *refiner) ([]int32, Stats, error) {
 	if err := arch.validate(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -83,13 +102,7 @@ func MapOnto(g *Graph, arch *Arch, opt Options) ([]int32, Stats, error) {
 	for i := range sockets {
 		sockets[i] = i
 	}
-	vertices := make([]int, g.Len())
-	for i := range vertices {
-		vertices[i] = i
-	}
-	rf := refinerPool.Get().(*refiner)
-	defer refinerPool.Put(rf)
-	drb(g, vertices, opt.Fixed, part, sockets, arch, &opt, rng, rf)
+	drb(g, rf.allVertices(g.Len()), opt.Fixed, part, sockets, arch, &opt, rng, rf)
 	if opt.KWayRefine && !opt.NoRefine {
 		refineKWayMapped(g, part, opt.Fixed, arch, opt.Imbalance, opt.FMPasses, rf)
 	}
@@ -135,38 +148,31 @@ func drb(g *Graph, vertices []int, fixed []int32, part []int32, sockets []int, a
 	sub := subgraph(g, vertices, rf)
 	var subFixed []int32
 	if fixed != nil {
-		in0 := make(map[int]bool, len(s0))
+		// side[s] is socket s's side of this split; -1 marks a socket
+		// outside this branch, whose pinned vertices stay free here.
+		rf.sockSide = grow(rf.sockSide, arch.Sockets())
+		side := rf.sockSide
+		for s := range side {
+			side[s] = -1
+		}
 		for _, s := range s0 {
-			in0[s] = true
+			side[s] = 0
 		}
-		in1 := make(map[int]bool, len(s1))
 		for _, s := range s1 {
-			in1[s] = true
+			side[s] = 1
 		}
-		subFixed = make([]int32, sub.Len())
+		rf.subFixed = grow(rf.subFixed, sub.Len())
+		subFixed = rf.subFixed
 		for i, v := range vertices {
-			f := fixed[v]
-			switch {
-			case f < 0:
+			if f := fixed[v]; f < 0 {
 				subFixed[i] = -1
-			case in0[int(f)]:
-				subFixed[i] = 0
-			case in1[int(f)]:
-				subFixed[i] = 1
-			default:
-				subFixed[i] = -1 // fixed to a socket outside this branch
+			} else {
+				subFixed[i] = side[f]
 			}
 		}
 	}
 	bis, _ := multilevelBisect(sub, subFixed, frac, opt, rng, rf)
-	var left, right []int
-	for i, v := range vertices {
-		if bis[i] == 0 {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
-		}
-	}
+	left, right := rf.split(vertices, bis)
 	drb(g, left, fixed, part, s0, arch, opt, rng.Fork(), rf)
 	drb(g, right, fixed, part, s1, arch, opt, rng.Fork(), rf)
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 )
 
@@ -45,11 +46,20 @@ func TestArchValidation(t *testing.T) {
 		{Dist: [][]int{{0, 1}, {2, 0}}},
 		{Dist: [][]int{{0, -1}, {-1, 0}}, Capacity: nil},
 		{Dist: [][]int{{0, 1}, {1, 0}}, Capacity: []float64{1}},
+		{Dist: NewUniformArch(4).Dist, Capacity: []float64{0, 0, 0, 0}},
+		{Dist: [][]int{{0, 1}, {1, 0}}, Capacity: []float64{-1, 2}},
+		{Dist: [][]int{{0, 1}, {1, 0}}, Capacity: []float64{math.NaN(), 1}},
+		{Dist: [][]int{{0, 1}, {1, 0}}, Capacity: []float64{math.Inf(1), 1}},
+		{Dist: [][]int{{0, 1}, {1, 0}}, Capacity: []float64{math.MaxFloat64, math.MaxFloat64}},
 	}
 	for i, a := range bad {
 		if err := a.validate(); err == nil {
 			t.Errorf("case %d: invalid arch accepted", i)
 		}
+	}
+	// A zero capacity on some sockets stays valid.
+	if err := (&Arch{Dist: [][]int{{0, 1}, {1, 0}}, Capacity: []float64{0, 1}}).validate(); err != nil {
+		t.Errorf("partly zero capacities rejected: %v", err)
 	}
 }
 
@@ -205,10 +215,59 @@ func TestMapOntoRespectsFixed(t *testing.T) {
 	}
 }
 
+// TestMapOntoScratchReuseIsInert maps a graph, then a larger one with fixed
+// vertices (deeper hierarchy, pinned levels), then the first graph again,
+// all on one refiner: both results for the first graph must equal a fresh
+// refiner's, so per-depth level stores, try buffers and split scratch left
+// by a deeper hierarchy cannot leak into a shallower one.
+func TestMapOntoScratchReuseIsInert(t *testing.T) {
+	a := grid2D(12, 3)
+	b := benchGraph(3000, 9)
+	optA := DefaultOptions(0)
+	optA.Seed = 5
+	optB := DefaultOptions(0)
+	optB.Fixed = make([]int32, b.Len())
+	for v := range optB.Fixed {
+		optB.Fixed[v] = -1
+		if v%5 == 0 {
+			optB.Fixed[v] = int32(v/5) % 8 // every fifth vertex pinned, all sockets
+		}
+	}
+	want, wantSt, err := mapOnto(a, bullionArch(), optA, &refiner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf := &refiner{}
+	for _, step := range []struct {
+		g   *Graph
+		opt Options
+	}{{a, optA}, {b, optB}, {a, optA}} {
+		got, st, err := mapOnto(step.g, bullionArch(), step.opt, rf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step.g != a {
+			continue
+		}
+		if st != wantSt {
+			t.Fatalf("reused refiner: stats %+v, fresh %+v", st, wantSt)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("reused refiner mapped vertex %d to %d, fresh refiner to %d", v, got[v], want[v])
+			}
+		}
+	}
+}
+
 func BenchmarkMapOntoBullion(b *testing.B) {
 	g := grid2D(32, 64)
 	opt := DefaultOptions(0)
 	arch := bullionArch()
+	if _, _, err := MapOnto(g, arch, opt); err != nil { // warm the refiner pool
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Seed = uint64(i + 1)

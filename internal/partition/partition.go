@@ -62,8 +62,8 @@ func (o *Options) validate(n int) error {
 	switch {
 	case o.Parts < 1:
 		return fmt.Errorf("partition: %d parts", o.Parts)
-	case o.Imbalance < 0:
-		return fmt.Errorf("partition: negative imbalance %v", o.Imbalance)
+	case !(o.Imbalance >= 0) || math.IsInf(o.Imbalance, 1):
+		return fmt.Errorf("partition: imbalance %v is not a finite non-negative number", o.Imbalance)
 	case o.CoarsenTo < 2:
 		return fmt.Errorf("partition: CoarsenTo %d < 2", o.CoarsenTo)
 	case o.Tries < 1:
@@ -77,8 +77,8 @@ func (o *Options) validate(n int) error {
 		}
 		sum := 0.0
 		for _, t := range o.TargetWeights {
-			if t < 0 {
-				return fmt.Errorf("partition: negative target weight")
+			if !(t >= 0) || math.IsInf(t, 1) {
+				return fmt.Errorf("partition: target weight %v is not a finite non-negative number", t)
 			}
 			sum += t
 		}
@@ -121,13 +121,9 @@ func Partition(g *Graph, opt Options) ([]int32, Stats, error) {
 			targets[i] = 1.0 / float64(opt.Parts)
 		}
 	}
-	vertices := make([]int, g.Len())
-	for i := range vertices {
-		vertices[i] = i
-	}
 	rf := refinerPool.Get().(*refiner)
 	defer refinerPool.Put(rf)
-	levels := recursiveBisect(g, vertices, opt.Fixed, part, 0, opt.Parts, targets, &opt, rng, rf)
+	levels := recursiveBisect(g, rf.allVertices(g.Len()), opt.Fixed, part, 0, opt.Parts, targets, &opt, rng, rf)
 	if opt.KWayRefine && !opt.NoRefine {
 		refineKWay(g, part, opt.Fixed, opt.Parts, opt.TargetWeights, opt.Imbalance, opt.FMPasses, rf)
 	}
@@ -167,7 +163,8 @@ func recursiveBisect(g *Graph, vertices []int, fixed []int32, part []int32, lo, 
 	sub := subgraph(g, vertices, rf)
 	var subFixed []int32
 	if fixed != nil {
-		subFixed = make([]int32, sub.Len())
+		rf.subFixed = grow(rf.subFixed, sub.Len())
+		subFixed = rf.subFixed
 		for i, v := range vertices {
 			f := fixed[v]
 			switch {
@@ -181,25 +178,18 @@ func recursiveBisect(g *Graph, vertices []int, fixed []int32, part []int32, lo, 
 		}
 	}
 	bis, levels := multilevelBisect(sub, subFixed, frac, opt, rng, rf)
-	var left, right []int
-	for i, v := range vertices {
-		if bis[i] == 0 {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
-		}
-	}
+	left, right := rf.split(vertices, bis)
 	recursiveBisect(g, left, fixed, part, lo, mid, targets, opt, rng.Fork(), rf)
 	recursiveBisect(g, right, fixed, part, mid, hi, targets, opt, rng.Fork(), rf)
 	return levels
 }
 
-// subgraph extracts the induced subgraph on vertices (in order). The
-// original->subset index lives in the refiner's dense scratch (epoch-
-// stamped so consecutive extractions skip clearing it) instead of a
-// per-call map, and the adjacency lists are cut from one slab sized by a
-// counting pass, so building the level costs two allocations instead of a
-// growslice cascade.
+// subgraph extracts the induced subgraph on vertices (in order) into the
+// refiner's pooled subgraph, which it returns; the next extraction
+// overwrites it. The original->subset index lives in the refiner's dense
+// scratch (epoch-stamped so consecutive extractions skip clearing it)
+// instead of a per-call map, and the adjacency lists are cut from one slab
+// sized by a counting pass.
 func subgraph(g *Graph, vertices []int, rf *refiner) *Graph {
 	n := g.Len()
 	if cap(rf.subIdx) < n {
@@ -219,12 +209,9 @@ func subgraph(g *Graph, vertices []int, rf *refiner) *Graph {
 		idx[v] = int32(i)
 		ep[v] = e
 	}
-	sub := NewGraph(len(vertices))
 	// Counting pass: exact subset degrees.
-	if cap(rf.subDeg) < len(vertices) {
-		rf.subDeg = make([]int32, len(vertices))
-	}
-	deg := rf.subDeg[:len(vertices)]
+	rf.subDeg = grow(rf.subDeg, len(vertices))
+	deg := rf.subDeg
 	total := 0
 	for i, v := range vertices {
 		d := 0
@@ -237,10 +224,11 @@ func subgraph(g *Graph, vertices []int, rf *refiner) *Graph {
 		total += d
 	}
 	// Slab the lists so the fill pass never reallocates.
-	slab := make([]neighbor, total)
+	sub := &rf.sub
+	sub.reset(len(vertices), total)
 	off := 0
 	for i := range vertices {
-		sub.adj[i] = slab[off : off : off+int(deg[i])]
+		sub.adj[i] = sub.slab[off : off : off+int(deg[i])]
 		off += int(deg[i])
 	}
 	// Fill pass: the input adjacency is deduplicated and each unordered
@@ -261,29 +249,34 @@ func subgraph(g *Graph, vertices []int, rf *refiner) *Graph {
 
 // multilevelBisect runs the full coarsen/initial/refine pipeline for a
 // 2-way split with side-0 fraction frac. Returns the partition and the
-// number of coarsening levels used.
+// number of coarsening levels used. The hierarchy lives in the refiner's
+// per-depth level stores, and the partition returned is one of the
+// refiner's buffers: it stays valid only until the next bisection.
 func multilevelBisect(g *Graph, fixed []int32, frac float64, opt *Options, rng *xrand.Rand, rf *refiner) ([]int32, int) {
 	if g.Len() == 0 {
 		return nil, 0
 	}
 	// Coarsening descent.
-	var levels []*level
+	depth := 0
 	cur, curFixed := g, fixed
 	for cur.Len() > opt.CoarsenTo {
-		l := coarsen(cur, curFixed, opt.Matching, rng, rf)
-		if l == nil {
+		l := rf.levelAt(depth)
+		if !coarsen(cur, curFixed, opt.Matching, rng, rf, l) {
 			break
 		}
-		levels = append(levels, l)
-		cur, curFixed = l.coarse, l.coarseFixed
+		depth++
+		cur, curFixed = &l.coarse, l.coarseFixed
 	}
-	// Initial partitioning: several tries, keep the best balanced cut.
+	// Initial partitioning: several tries, keep the best balanced cut. The
+	// two try buffers trade places whenever a try becomes the best.
 	minW0, maxW0 := bisectEnvelope(cur.TotalVertexWeight(), frac, opt.Imbalance)
-	var best []int32
+	rf.tries[0] = grow(rf.tries[0], cur.Len())
+	rf.tries[1] = grow(rf.tries[1], cur.Len())
+	best, p := rf.tries[0], rf.tries[1]
 	var bestCut int64 = math.MaxInt64
 	var bestImb float64 = math.Inf(1)
 	for try := 0; try < opt.Tries; try++ {
-		p := initialBisect(cur, curFixed, frac, opt.Initial, rng, rf)
+		initialBisect(cur, curFixed, frac, opt.Initial, rng, rf, p)
 		if !opt.NoRefine {
 			fmRefine(cur, p, curFixed, minW0, maxW0, opt.FMPasses, rf)
 		}
@@ -294,7 +287,7 @@ func multilevelBisect(g *Graph, fixed []int32, frac float64, opt *Options, rng *
 		feasible := imb <= opt.Imbalance+1e-9
 		bestFeasible := bestImb <= opt.Imbalance+1e-9
 		switch {
-		case best == nil:
+		case try == 0:
 			better = true
 		case feasible && !bestFeasible:
 			better = true
@@ -304,13 +297,14 @@ func multilevelBisect(g *Graph, fixed []int32, frac float64, opt *Options, rng *
 			better = true
 		}
 		if better {
-			best, bestCut, bestImb = p, cut, imb
+			best, p = p, best
+			bestCut, bestImb = cut, imb
 		}
 	}
 	// Uncoarsening with refinement at each level.
-	p := best
-	for i := len(levels) - 1; i >= 0; i-- {
-		l := levels[i]
+	p = best
+	for i := depth - 1; i >= 0; i-- {
+		l := rf.levels[i]
 		p = l.project(p)
 		if !opt.NoRefine {
 			lo, hi := bisectEnvelope(l.fine.TotalVertexWeight(), frac, opt.Imbalance)
@@ -318,12 +312,12 @@ func multilevelBisect(g *Graph, fixed []int32, frac float64, opt *Options, rng *
 			if i == 0 {
 				ffixed = fixed
 			} else {
-				ffixed = levels[i-1].coarseFixed
+				ffixed = rf.levels[i-1].coarseFixed
 			}
 			fmRefine(l.fine, p, ffixed, lo, hi, opt.FMPasses, rf)
 		}
 	}
-	return p, len(levels)
+	return p, depth
 }
 
 // bisectEnvelope derives side-0 weight bounds [minW0, maxW0] from the

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -238,6 +239,9 @@ func TestOptionsValidation(t *testing.T) {
 		{Parts: 2, CoarsenTo: 32, Tries: 1, TargetWeights: []float64{0.9, 0.9}},
 		{Parts: 2, CoarsenTo: 32, Tries: 1, Fixed: []int32{0}},
 		{Parts: 2, CoarsenTo: 32, Tries: 1, Fixed: append(make([]int32, 15), 7)},
+		{Parts: 2, Imbalance: math.NaN(), CoarsenTo: 32, Tries: 1},
+		{Parts: 2, Imbalance: math.Inf(1), CoarsenTo: 32, Tries: 1},
+		{Parts: 2, CoarsenTo: 32, Tries: 1, TargetWeights: []float64{math.NaN(), 1}},
 	}
 	for i, opt := range bad {
 		if _, _, err := Partition(g, opt); err == nil {

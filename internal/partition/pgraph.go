@@ -21,10 +21,34 @@
 // for O(1) remove/reinsert on neighbor-gain updates, a two-level occupancy
 // bitmap, and a max-gain cursor that decays monotonically between
 // insertions. Exact per-vertex gains are kept alongside, so quantization
-// never changes which vertex is extracted. All refinement scratch — the
-// gain-bucket, subgraph/coarsening index arrays, initial-bisection and
-// k-way buffers — lives in a pooled refiner threaded through Partition and
-// MapOnto, making the refinement hot path allocation-free in steady state.
+// never changes which vertex is extracted.
+//
+// # Pooled state and its lifetime
+//
+// All partitioner state — the gain-bucket, subgraph/coarsening index
+// arrays, initial-bisection and k-way buffers, and the multilevel hierarchy
+// itself — lives in a pooled refiner threaded through Partition and MapOnto,
+// so a call allocates a fixed number of objects whatever the graph size or
+// coarsening depth. The hierarchy is one store per coarsening depth (the
+// coarse graph, the fine->coarse map, the coarse pins and the projected
+// partition of that depth's fine graph) plus one subgraph and two
+// initial-bisection try buffers. One set serves every bisection of the
+// recursion and every call because a bisection's hierarchy is dead before
+// the next bisection starts: recursiveBisect and drb split their vertex set
+// by the returned partition, in place, before they recurse. The rule that
+// keeps this safe is therefore that the partition multilevelBisect returns
+// is valid only until the next bisection, and the split consumes it first.
+//
+// Contraction builds each coarse graph in two linear passes. The first
+// appends every crossing edge half in the order AddEdge was once fed (fine
+// vertex ascending, adjacency order, lower endpoint only); the second folds
+// each coarse list's repeats into their first occurrence through a dense
+// marker array. AddEdge's dedup scan also kept neighbors in first-occurrence
+// order, and int64 weight sums are exact in any order, so every coarse
+// adjacency list — and with it every downstream tie-break — is what the
+// O(d²) AddEdge loop produced. The AddEdge contraction survives as the
+// test-only coarsenReference that TestCoarsenMatchesReference and
+// FuzzCoarsen replay against coarsen.
 //
 // # Determinism contract
 //
@@ -52,9 +76,9 @@ import (
 type Graph struct {
 	nw  []int64      // vertex weights
 	adj [][]neighbor // adjacency, deduplicated, no self-loops
-	// slab backs the adjacency lists carved by LoadDAG; reused across loads
-	// so repeated symmetrization (one per window) stops allocating once the
-	// slab has grown to the largest window seen.
+	// slab backs the adjacency lists carved by LoadDAG, subgraph and
+	// coarsen; reused across refills (see reset) so a pooled Graph stops
+	// allocating once the slab has grown to the largest graph seen.
 	slab []neighbor
 }
 
@@ -159,16 +183,7 @@ func FromDAG(d *graph.DAG) *Graph {
 // need the duplicate accumulation AddEdge performs and LoadDAG skips.
 func (g *Graph) LoadDAG(d *graph.DAG) {
 	n := d.Len()
-	if cap(g.nw) < n {
-		g.nw = make([]int64, n)
-		g.adj = make([][]neighbor, n)
-	}
-	g.nw = g.nw[:n]
-	g.adj = g.adj[:n]
-	total := 2 * d.Edges()
-	if cap(g.slab) < total {
-		g.slab = make([]neighbor, total)
-	}
+	g.reset(n, 2*d.Edges())
 	// Carve each vertex's list with exact capacity (its degree in the
 	// symmetrized graph is out-degree + in-degree, since the DAG holds each
 	// dependency once), so a later AddEdge grows out of the slab instead of
@@ -196,6 +211,26 @@ func (g *Graph) LoadDAG(d *graph.DAG) {
 			g.adj[from] = append(g.adj[from], neighbor{to: int32(to), w: w})
 			g.adj[to] = append(g.adj[to], neighbor{to: int32(from), w: w})
 		})
+	}
+}
+
+// reset empties g to n zero-weight vertices with room for slabLen adjacency
+// entries, the one grow path of every pooled Graph (LoadDAG, subgraph,
+// coarsen): the vertex, header and slab arrays are regrown only when they
+// are too small, so refilling a Graph no larger than before allocates
+// nothing. The caller carves g.adj from g.slab.
+func (g *Graph) reset(n, slabLen int) {
+	if cap(g.nw) < n {
+		g.nw = make([]int64, n)
+		g.adj = make([][]neighbor, n)
+	}
+	g.nw = g.nw[:n]
+	g.adj = g.adj[:n]
+	for v := range g.nw {
+		g.nw[v] = 0
+	}
+	if cap(g.slab) < slabLen {
+		g.slab = make([]neighbor, slabLen)
 	}
 }
 

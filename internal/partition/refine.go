@@ -2,26 +2,43 @@ package partition
 
 import "sync"
 
-// refiner bundles the reusable scratch of every refinement stage — the FM
-// gain-bucket, the per-pass lock/move buffers, and the k-way pass's
-// connectivity arrays. One instance is created per Partition/MapOnto call
-// and threaded through the whole recursion, so repeated passes, levels, and
-// bisections share the same grow-only backing arrays: steady state performs
-// zero allocations inside fmRefine. A refiner is single-goroutine state;
-// concurrent partitioner calls each get their own.
+// refiner bundles the reusable state of the whole partitioner — the
+// recursion's vertex split, each bisection's subgraph and per-depth
+// coarsening levels, the initial-bisection tries, the FM gain-bucket and
+// per-pass lock/move buffers, and the k-way pass's connectivity arrays. One
+// instance is drawn per Partition/MapOnto call and threaded through the
+// whole recursion, so repeated passes, levels, and bisections share the same
+// grow-only backing arrays: a call allocates a fixed number of objects
+// whatever the graph size or coarsening depth. A refiner is single-goroutine
+// state; concurrent partitioner calls each get their own.
 type refiner struct {
 	gb     gainBucket
 	locked []bool
 	moves  []fmMove
-	// subgraph extraction scratch: dense original->subset index plus an
-	// epoch stamp so consecutive extractions skip clearing it.
+	// recursion scratch: the root vertex set, split in place by each
+	// bisection (splitBuf holds side 1 meanwhile), and drb's socket sides.
+	vertices []int
+	splitBuf []int
+	sockSide []int32
+	// subgraph extraction: the pooled subgraph and its fixed parts, a dense
+	// original->subset index plus an epoch stamp so consecutive extractions
+	// skip clearing it.
+	sub      Graph
+	subFixed []int32
 	subIdx   []int32
 	subEpoch []int32
 	subDeg   []int32
 	epoch    int32
-	// coarsening scratch.
-	match []int32
-	// initial-bisection scratch.
+	// coarsening: one store per depth (pointers, so a level's fine graph
+	// can point at the previous level's coarse graph), the match array,
+	// the contraction marks (all -1 between uses) and the random order
+	// shared with RandomInit.
+	levels []*level
+	match  []int32
+	mark   []int32
+	perm   []int
+	// initial-bisection scratch: two try buffers (best so far, current).
+	tries        [2][]int32
 	initFree     []int
 	initFront    []bool
 	initGain     []int64
@@ -39,11 +56,58 @@ type refiner struct {
 
 // refinerPool recycles refiner scratch across Partition/MapOnto calls: the
 // RGP policies partition one window at a time, and without the pool every
-// window would regrow the same buffers from zero. Scratch contents never
-// influence results (pinned by TestFMRefineScratchReuseIsInert), so pooling
-// cannot perturb determinism; concurrent experiment workers simply draw
-// distinct instances.
+// window would regrow the same buffers and level stores from zero. Scratch
+// contents never influence results (pinned by TestFMRefineScratchReuseIsInert
+// and TestMapOntoScratchReuseIsInert), so pooling cannot perturb
+// determinism; concurrent experiment workers simply draw distinct instances.
 var refinerPool = sync.Pool{New: func() any { return &refiner{} }}
+
+// grow returns s resized to n, reusing its backing array when capacity
+// allows and reallocating (without copying) otherwise. The contents are
+// unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// levelAt returns the store of coarsening depth d, creating it on first use.
+func (rf *refiner) levelAt(d int) *level {
+	for len(rf.levels) <= d {
+		rf.levels = append(rf.levels, &level{})
+	}
+	return rf.levels[d]
+}
+
+// allVertices returns the identity vertex set 0..n-1 that the recursion
+// splits in place.
+func (rf *refiner) allVertices(n int) []int {
+	rf.vertices = grow(rf.vertices, n)
+	for i := range rf.vertices {
+		rf.vertices[i] = i
+	}
+	return rf.vertices
+}
+
+// split stably partitions vertices in place by their bisection side bis[i]
+// (side 0 first) and returns the two halves. It runs before the recursion
+// descends, which is what lets every bisection reuse the refiner's buffers.
+func (rf *refiner) split(vertices []int, bis []int32) (left, right []int) {
+	ones := rf.splitBuf[:0]
+	k := 0
+	for i, v := range vertices {
+		if bis[i] == 0 {
+			vertices[k] = v
+			k++
+		} else {
+			ones = append(ones, v)
+		}
+	}
+	copy(vertices[k:], ones)
+	rf.splitBuf = ones[:0]
+	return vertices[:k], vertices[k:]
+}
 
 type fmMove struct {
 	v    int32
@@ -69,9 +133,6 @@ func fmRefine(g *Graph, part []int32, fixed []int32, minW0, maxW0 int64, maxPass
 	n := g.Len()
 	if n == 0 {
 		return
-	}
-	if rf == nil {
-		rf = &refiner{}
 	}
 	if cap(rf.locked) < n {
 		rf.locked = make([]bool, n)

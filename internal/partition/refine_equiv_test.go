@@ -150,7 +150,7 @@ func TestFMRefineMatchesHeapReference(t *testing.T) {
 func TestFMRefineScratchReuseIsInert(t *testing.T) {
 	c := buildRefineCase(42, 120, 3, mixedWeights, 25, 10, 10, 4)
 	fresh := append([]int32(nil), c.part...)
-	fmRefine(c.g, fresh, c.fixed, c.minW0, c.maxW0, c.passes, nil)
+	fmRefine(c.g, fresh, c.fixed, c.minW0, c.maxW0, c.passes, &refiner{})
 
 	rf := &refiner{}
 	for _, warm := range []refineCase{

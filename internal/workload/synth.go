@@ -85,6 +85,7 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 	}
 	build := func(r *rt.Runtime) error {
 		rng := xrand.New(seed)
+		perm := make([]int, width) // parent draws, reused for every task
 		var prev []*memory.Region
 		for l := 0; l < layers; l++ {
 			cur := make([]*memory.Region, width)
@@ -100,7 +101,7 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 					if k > len(prev) {
 						k = len(prev)
 					}
-					for _, p := range rng.Perm(len(prev))[:k] {
+					for _, p := range rng.PermInto(perm[:len(prev)])[:k] {
 						acc = append(acc, rt.Access{Region: prev[p], Mode: rt.In})
 					}
 				}

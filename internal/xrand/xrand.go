@@ -52,8 +52,13 @@ func (r *Rand) Float64() float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
+func (r *Rand) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto overwrites p with a pseudo-random permutation of [0, len(p)) and
+// returns it. It draws exactly what Perm(len(p)) draws, so a caller that
+// reuses one buffer sees the same permutations and leaves the generator in
+// the same state.
+func (r *Rand) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i
 	}

@@ -90,6 +90,46 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm pins PermInto to the draws of the Fisher–Yates
+// loop Perm has always used: the same permutation for every seed and
+// length, whatever the buffer held before, and the same generator state
+// afterwards.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	reference := func(r *Rand, n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		for i := n - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			p[i], p[j] = p[j], p[i]
+		}
+		return p
+	}
+	buf := make([]int, 100)
+	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
+		for _, n := range []int{0, 1, 2, 3, 17, 64, 100} {
+			want, viaPerm, viaInto := New(seed), New(seed), New(seed)
+			ref := reference(want, n)
+			perm := viaPerm.Perm(n)
+			for i := range buf {
+				buf[i] = -7 // stale contents must not leak into the result
+			}
+			into := viaInto.PermInto(buf[:n])
+			for i := 0; i < n; i++ {
+				if perm[i] != ref[i] || into[i] != ref[i] {
+					t.Fatalf("seed %d n %d: position %d: reference %d, Perm %d, PermInto %d",
+						seed, n, i, ref[i], perm[i], into[i])
+				}
+			}
+			next := want.Uint64()
+			if viaPerm.Uint64() != next || viaInto.Uint64() != next {
+				t.Fatalf("seed %d n %d: generator state diverged after the permutation", seed, n)
+			}
+		}
+	}
+}
+
 func TestForkDecorrelated(t *testing.T) {
 	parent := New(1234)
 	child := parent.Fork()

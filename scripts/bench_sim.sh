@@ -17,6 +17,7 @@ out="${1:-BENCH_sim.json}"
   go test -run '^$' -bench 'BenchmarkInducedSubgraph' -benchmem ./internal/graph/
   go test -run '^$' -bench 'BenchmarkSnapshotInstall' -benchmem ./internal/rt/
   go test -run '^$' -bench 'BenchmarkRGPPrepare' -benchmem ./internal/policy/
+  go test -run '^$' -bench 'BenchmarkMapOntoBullion|BenchmarkFMRefine' -benchmem ./internal/partition/
   go test -run '^$' -bench 'BenchmarkClusterTick|BenchmarkDispatch' -benchmem ./internal/cluster/
 } | awk '
 BEGIN { print "["; first = 1 }
