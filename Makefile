@@ -27,10 +27,11 @@ test-race:
 # extraction with a warmed scratch, snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
 # nothing when no Observer is configured), the RGP window-partitioning
-# pass, a full audited cell through the pooled machine/engine pair, and the
-# cluster dispatcher's placement step. A named, blocking CI step (`allocs`
-# in ci.yml); a regression fails the build, not just the nightly bench
-# trend.
+# pass, a full audited cell through the pooled machine/engine pair, cold
+# task-graph construction (build + snapshot of a random layered graph on a
+# pooled prototype runtime, bounded per task), and the cluster dispatcher's
+# placement step. A named, blocking CI step (`allocs` in ci.yml); a
+# regression fails the build, not just the nightly bench trend.
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' -count=1 \
 		./internal/sim ./internal/partition ./internal/graph ./internal/rt ./internal/policy \
@@ -96,10 +97,12 @@ bench-check:
 # reference, entry by entry through whole descents), the fluid network's full-vs-incremental reallocation contract
 # (batched class-based fill vs the eager naive ladder), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
-# tenant-skewed rates must never stall or reorder the shared clock), and
-# the shard-file parser behind -merge and -resume (arbitrary bytes must
-# yield an error or an in-grid, in-shard stream, never a panic). The seed
-# corpora also run in plain `make test`; CI uploads any new crashers as
+# tenant-skewed rates must never stall or reorder the shared clock), the
+# shard-file parser behind -merge and -resume (arbitrary bytes must yield an
+# error or an in-grid, in-shard stream, never a panic), and the workload
+# spec grammar (any spec string must resolve and build at tiny scale into an
+# error or a graph under workload.MaxTasks, never a panic or a hang). The
+# seed corpora also run in plain `make test`; CI uploads any new crashers as
 # workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
@@ -108,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
+	$(GO) test -fuzz=FuzzWorkloadSpec -fuzztime=15s ./internal/workload
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

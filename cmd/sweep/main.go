@@ -1,4 +1,4 @@
-// Command sweep runs the ablation experiments documented in DESIGN.md:
+// Command sweep runs the paper's design ablations (the §2.2 knobs):
 //
 //	-exp window      (A1) window-size sensitivity of RGP+LAS
 //	-exp partitioner (A2) partitioner quality: full multilevel vs ablated

@@ -1,7 +1,7 @@
 // Package core orchestrates the paper's evaluation: it wires an application
 // task graph, a scheduling policy and a simulated machine together, runs the
 // simulation, and produces the speedup tables of Figure 1 and the ablation
-// sweeps documented in DESIGN.md.
+// sweeps cmd/sweep runs.
 package core
 
 import (

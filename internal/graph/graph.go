@@ -16,6 +16,13 @@
 // adjacency order is identical to incremental AddEdge construction —
 // sorted by sub-graph ID — so window partitioning over extracted subgraphs
 // stays bit-deterministic.
+//
+// Streaming construction is allocation-lean the same way: AddNodeDeps adds
+// a node with all its incoming edges at once and carves every adjacency
+// list it creates or outgrows from shared chunks, again with exact
+// capacity. Compact then moves a finished graph into one exactly sized
+// slab, so a graph kept for a long time (a runtime snapshot's) holds no
+// construction slack.
 package graph
 
 import (
@@ -47,6 +54,25 @@ type DAG struct {
 	succ   [][]halfEdge // sorted by target id per node (kept sorted on insert)
 	pred   [][]halfEdge
 	nEdges int
+	// adj is the unused tail of the chunk AddNodeDeps carves adjacency
+	// lists from.
+	adj []halfEdge
+}
+
+// adjChunk is the size of the chunks AddNodeDeps carves adjacency lists
+// from.
+const adjChunk = 1024
+
+// carve returns an empty adjacency list with capacity n cut from the
+// current chunk. The capacity is exact, so appending to one carved list
+// reallocates it instead of clobbering its neighbor.
+func (g *DAG) carve(n int) []halfEdge {
+	if cap(g.adj) < n {
+		g.adj = make([]halfEdge, max(n, adjChunk))
+	}
+	l := g.adj[:0:n]
+	g.adj = g.adj[n:]
+	return l
 }
 
 type halfEdge struct {
@@ -84,6 +110,70 @@ func (g *DAG) AddNode(label string, weight int64) NodeID {
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
 	return id
+}
+
+// Dep is one incoming edge of a node added by AddNodeDeps: the predecessor
+// and the edge weight.
+type Dep struct {
+	From   NodeID
+	Weight int64
+}
+
+// AddNodeDeps appends a node together with its incoming edges, as AddNode
+// followed by AddEdge(d.From, id, d.Weight) for each dep would, with the
+// same adjacency order. deps must be sorted by strictly increasing From
+// (parallel dependences already merged into one weight). The node's
+// predecessor list is allocated at exactly len(deps), and since the new node
+// has the largest ID every successor list it joins grows at its end. Both
+// lists are carved from shared chunks: a full successor list moves to a
+// carved list of twice its capacity.
+func (g *DAG) AddNodeDeps(label string, weight int64, deps []Dep) NodeID {
+	next := NodeID(len(g.nodeW))
+	for i, d := range deps {
+		if d.Weight < 0 {
+			panic(fmt.Sprintf("graph: negative edge weight %d", d.Weight))
+		}
+		if d.From < 0 || d.From >= next || (i > 0 && d.From <= deps[i-1].From) {
+			panic(fmt.Sprintf("graph: dep %d of node %d: predecessor %d out of order or range", i, next, d.From))
+		}
+	}
+	id := g.AddNode(label, weight)
+	if len(deps) == 0 {
+		return id
+	}
+	pred := g.carve(len(deps))
+	for _, d := range deps {
+		pred = append(pred, halfEdge{to: d.From, w: d.Weight})
+		succ := g.succ[d.From]
+		if len(succ) == cap(succ) {
+			succ = append(g.carve(max(2*len(succ), 2)), succ...)
+		}
+		g.succ[d.From] = append(succ, halfEdge{to: id, w: d.Weight})
+	}
+	g.pred[id] = pred
+	g.nEdges += len(deps)
+	return id
+}
+
+// Compact moves every adjacency list into one exactly sized slab, releasing
+// the spare capacity and the outgrown lists that incremental construction
+// (AddEdge's appends, AddNodeDeps' chunks) leaves behind. Contents and
+// order are unchanged. A graph that is built once and then kept read-only,
+// such as a snapshot's, calls it when construction ends.
+func (g *DAG) Compact() {
+	slab := make([]halfEdge, 2*g.nEdges)
+	for _, lists := range [2][][]halfEdge{g.succ, g.pred} {
+		for i, l := range lists {
+			if len(l) == 0 {
+				lists[i] = nil
+				continue
+			}
+			n := copy(slab, l)
+			lists[i] = slab[:n:n]
+			slab = slab[n:]
+		}
+	}
+	g.adj = nil
 }
 
 // NodeWeight returns the node's weight.

@@ -401,3 +401,114 @@ func BenchmarkTopoOrder10k(b *testing.B) {
 		}
 	}
 }
+
+// TestAddNodeDepsMatchesAddEdge builds random DAGs twice — once with
+// AddNode plus one AddEdge per (possibly repeated) dependence, once with
+// AddNodeDeps over the merged, sorted dependences — and demands identical
+// adjacency, in order, with identical weights and edge counts — also after
+// Compact moves every list into one slab. Extra edges inserted afterwards
+// with AddEdge into the middle of lists carved from a shared chunk or slab
+// must not clobber their neighbors.
+func TestAddNodeDepsMatchesAddEdge(t *testing.T) {
+	rng := xrand.New(5)
+	for trial := 0; trial < 50; trial++ {
+		ref, got := New(), New()
+		n := 1 + rng.Intn(40)
+		for v := 0; v < n; v++ {
+			merged := map[NodeID]int64{}
+			var deps []Dep
+			if v > 0 {
+				for k := rng.Intn(6); k > 0; k-- {
+					from := NodeID(rng.Intn(v))
+					w := int64(rng.Intn(100))
+					merged[from] += w
+				}
+			}
+			id := ref.AddNode("n", int64(v))
+			for from := NodeID(0); from < id; from++ {
+				if w, ok := merged[from]; ok {
+					ref.AddEdge(from, id, w)
+					deps = append(deps, Dep{From: from, Weight: w})
+				}
+			}
+			if gid := got.AddNodeDeps("n", int64(v), deps); gid != id {
+				t.Fatalf("trial %d: AddNodeDeps id %d, want %d", trial, gid, id)
+			}
+		}
+		for v := 0; v < n; v++ {
+			id := NodeID(v)
+			if cap(got.pred[id]) != len(got.pred[id]) {
+				t.Fatalf("trial %d node %d: pred list cap %d, len %d", trial, v, cap(got.pred[id]), len(got.pred[id]))
+			}
+		}
+		compareAdjacency(t, trial, ref, got)
+		if trial%2 == 1 {
+			got.Compact()
+			compareAdjacency(t, trial, ref, got)
+			for v := 0; v < n; v++ {
+				if s, p := got.succ[v], got.pred[v]; cap(s) != len(s) || cap(p) != len(p) {
+					t.Fatalf("trial %d node %d: compacted lists have spare capacity", trial, v)
+				}
+			}
+		}
+		for k := 0; k < n && n > 1; k++ {
+			from := NodeID(rng.Intn(n - 1))
+			to := from + 1 + NodeID(rng.Intn(n-1-int(from)))
+			w := int64(rng.Intn(50))
+			ref.AddEdge(from, to, w)
+			got.AddEdge(from, to, w)
+		}
+		compareAdjacency(t, trial, ref, got)
+	}
+}
+
+func compareAdjacency(t *testing.T, trial int, ref, got *DAG) {
+	t.Helper()
+	if ref.Edges() != got.Edges() {
+		t.Fatalf("trial %d: %d edges, want %d", trial, got.Edges(), ref.Edges())
+	}
+	for v := 0; v < ref.Len(); v++ {
+		id := NodeID(v)
+		if !equalHalves(ref.succ[id], got.succ[id]) || !equalHalves(ref.pred[id], got.pred[id]) {
+			t.Fatalf("trial %d node %d: adjacency differs\nsucc %v vs %v\npred %v vs %v",
+				trial, v, ref.succ[id], got.succ[id], ref.pred[id], got.pred[id])
+		}
+	}
+}
+
+func equalHalves(a, b []halfEdge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestAddNodeDepsRejectsBadDeps(t *testing.T) {
+	for name, deps := range map[string][]Dep{
+		"unsorted":  {{From: 1, Weight: 1}, {From: 0, Weight: 1}},
+		"repeated":  {{From: 0, Weight: 1}, {From: 0, Weight: 1}},
+		"self":      {{From: 2, Weight: 1}},
+		"negative":  {{From: -1, Weight: 1}},
+		"negweight": {{From: 0, Weight: -1}},
+	} {
+		g := New()
+		g.AddNode("a", 0)
+		g.AddNode("b", 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AddNodeDeps accepted %v", name, deps)
+				}
+			}()
+			g.AddNodeDeps("c", 0, deps)
+		}()
+		if g.Len() != 2 || g.Edges() != 0 {
+			t.Errorf("%s: a rejected AddNodeDeps left %d nodes, %d edges", name, g.Len(), g.Edges())
+		}
+	}
+}

@@ -14,8 +14,16 @@
 //     the producing task will run (Drebes et al.'s deferred allocation,
 //     the cornerstone of LAS); the first Touch then homes all pages at once.
 //
-// The Manager tracks per-socket residency so schedulers can ask "where does
-// this task's data live?" in O(sockets).
+// Every region keeps two running totals next to its page table: the bytes
+// homed on each socket and the number of pages still unallocated. Alloc,
+// Touch and Migrate (the only operations that home pages) update them, so
+// the scheduler's residency query ("where does this task's data live?",
+// asked on every LAS pick and in every read and write phase) costs
+// O(sockets) per region instead of a page walk, and Allocated is O(1). The
+// per-socket totals of all regions live in one slab owned by the Manager
+// (region i owns entries [i*sockets, (i+1)*sockets)), so a pooled Manager
+// re-filled by the next run allocates nothing for them. The page table
+// (homes) stays the page-level record the totals summarize.
 package memory
 
 import (
@@ -70,7 +78,9 @@ type Region struct {
 	name  string
 	bytes int64
 	// homes[i] is the socket of page i, or Unallocated.
-	homes     []int16
+	homes []int16
+	// unalloc counts the pages of homes that are Unallocated.
+	unalloc   int
 	pageSize  int64
 	placement Placement
 	mgr       *Manager
@@ -92,13 +102,13 @@ func (r *Region) Pages() int { return len(r.homes) }
 func (r *Region) Placement() Placement { return r.placement }
 
 // Allocated reports whether every page has a home.
-func (r *Region) Allocated() bool {
-	for _, h := range r.homes {
-		if h == Unallocated {
-			return false
-		}
-	}
-	return true
+func (r *Region) Allocated() bool { return r.unalloc == 0 }
+
+// onSocket returns the region's per-socket homed bytes: its window of the
+// manager's slab, valid until the manager's next Alloc.
+func (r *Region) onSocket() []int64 {
+	s := r.mgr.sockets
+	return r.mgr.homed[r.id*s : (r.id+1)*s : (r.id+1)*s]
 }
 
 // HomeOfPage returns the home socket of page i, or Unallocated.
@@ -117,21 +127,16 @@ func (r *Region) BytesOnSocket(sockets int) []int64 {
 // allocation-free form of BytesOnSocket for schedulers that query residency
 // once per task.
 func (r *Region) AddBytesOnSocket(out []int64) {
-	for i, h := range r.homes {
-		if h == Unallocated {
-			continue
-		}
-		out[h] += r.pageBytes(i)
+	for s, b := range r.onSocket() {
+		out[s] += b
 	}
 }
 
 // AllocatedBytes returns the bytes with a home.
 func (r *Region) AllocatedBytes() int64 {
 	var n int64
-	for i, h := range r.homes {
-		if h != Unallocated {
-			n += r.pageBytes(i)
-		}
+	for _, b := range r.onSocket() {
+		n += b
 	}
 	return n
 }
@@ -157,6 +162,9 @@ func (r *Region) Touch(socket int) int64 {
 	if socket < 0 || socket >= r.mgr.sockets {
 		panic(fmt.Sprintf("memory: touch on socket %d of %d", socket, r.mgr.sockets))
 	}
+	if r.unalloc == 0 {
+		return 0
+	}
 	var newly int64
 	for i, h := range r.homes {
 		if h == Unallocated {
@@ -164,6 +172,8 @@ func (r *Region) Touch(socket int) int64 {
 			newly += r.pageBytes(i)
 		}
 	}
+	r.onSocket()[socket] += newly
+	r.unalloc = 0
 	return newly
 }
 
@@ -175,15 +185,14 @@ func (r *Region) Migrate(socket int) int64 {
 	if socket < 0 || socket >= r.mgr.sockets {
 		panic(fmt.Sprintf("memory: migrate to socket %d of %d", socket, r.mgr.sockets))
 	}
-	var moved int64
-	for i, h := range r.homes {
-		if h != int16(socket) {
-			if h != Unallocated {
-				moved += r.pageBytes(i)
-			}
-			r.homes[i] = int16(socket)
-		}
+	on := r.onSocket()
+	moved := r.AllocatedBytes() - on[socket]
+	for i := range r.homes {
+		r.homes[i] = int16(socket)
 	}
+	clear(on)
+	on[socket] = r.bytes
+	r.unalloc = 0
 	return moved
 }
 
@@ -199,6 +208,10 @@ type Manager struct {
 	// always pool[:n]. Reset just truncates, and Alloc revives pool entries
 	// (reusing their homes tables) before allocating fresh ones.
 	pool []*Region
+	// homed is the per-socket homed-bytes slab: region i's totals are
+	// homed[i*sockets : (i+1)*sockets], and len(homed) is always
+	// len(regions)*sockets.
+	homed []int64
 }
 
 // NewManager creates a Manager for a machine with the given socket count
@@ -235,6 +248,15 @@ func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocke
 	if bytes < 0 {
 		panic(fmt.Sprintf("memory: alloc %q of %d bytes", name, bytes))
 	}
+	switch placement {
+	case Deferred, FirstTouch, Interleave:
+	case Home:
+		if homeSocket < 0 || homeSocket >= m.sockets {
+			panic(fmt.Sprintf("memory: home socket %d of %d", homeSocket, m.sockets))
+		}
+	default:
+		panic(fmt.Sprintf("memory: unknown placement %v", placement))
+	}
 	nPages := int((bytes + m.pageSize - 1) / m.pageSize)
 	if nPages == 0 {
 		nPages = 1
@@ -263,24 +285,29 @@ func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocke
 		placement: placement,
 		mgr:       m,
 	}
+	if end := (id + 1) * m.sockets; end <= cap(m.homed) {
+		m.homed = m.homed[:end]
+		clear(m.homed[id*m.sockets:])
+	} else {
+		m.homed = append(make([]int64, 0, 2*end), m.homed[:id*m.sockets]...)[:end]
+	}
+	on := r.onSocket()
 	switch placement {
 	case Deferred, FirstTouch:
 		for i := range r.homes {
 			r.homes[i] = Unallocated
 		}
+		r.unalloc = nPages
 	case Interleave:
 		for i := range r.homes {
 			r.homes[i] = int16(i % m.sockets)
+			on[i%m.sockets] += r.pageBytes(i)
 		}
 	case Home:
-		if homeSocket < 0 || homeSocket >= m.sockets {
-			panic(fmt.Sprintf("memory: home socket %d of %d", homeSocket, m.sockets))
-		}
 		for i := range r.homes {
 			r.homes[i] = int16(homeSocket)
 		}
-	default:
-		panic(fmt.Sprintf("memory: unknown placement %v", placement))
+		on[homeSocket] = bytes
 	}
 	m.regions = m.pool[:id+1]
 	return r
@@ -291,17 +318,14 @@ func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocke
 // the reset are recycled by those later Allocs and must not be retained.
 func (m *Manager) Reset() {
 	m.regions = m.pool[:0]
+	m.homed = m.homed[:0]
 }
 
 // TotalBytesOnSocket sums the homed bytes of every region per socket.
 func (m *Manager) TotalBytesOnSocket() []int64 {
 	out := make([]int64, m.sockets)
-	for _, r := range m.regions {
-		for i, h := range r.homes {
-			if h != Unallocated {
-				out[h] += r.pageBytes(i)
-			}
-		}
+	for i, b := range m.homed {
+		out[i%m.sockets] += b
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -301,4 +302,111 @@ func TestAddBytesOnSocketMatchesBytesOnSocket(t *testing.T) {
 			t.Fatalf("socket %d: got %d, want %d", s, got[s], want[s]+base)
 		}
 	}
+}
+
+// walkTotals recomputes a region's residency from its page table, the way
+// the queries did before the per-socket totals: homed bytes per socket and
+// the unallocated page count.
+func walkTotals(r *Region, sockets int) ([]int64, int) {
+	on := make([]int64, sockets)
+	unalloc := 0
+	for i := 0; i < r.Pages(); i++ {
+		if h := r.HomeOfPage(i); h == Unallocated {
+			unalloc++
+		} else {
+			on[h] += r.pageBytes(i)
+		}
+	}
+	return on, unalloc
+}
+
+// checkTotals demands that every residency query of every live region, and
+// the manager-wide sums, agree with a page walk.
+func checkTotals(t *testing.T, step string, m *Manager) {
+	t.Helper()
+	total := make([]int64, m.Sockets())
+	var unallocBytes int64
+	for _, r := range m.Regions() {
+		want, unalloc := walkTotals(r, m.Sockets())
+		got := make([]int64, m.Sockets())
+		r.AddBytesOnSocket(got)
+		var homed int64
+		for s := range want {
+			if got[s] != want[s] {
+				t.Fatalf("%s: region %q socket %d: totals %d, page walk %d", step, r.Name(), s, got[s], want[s])
+			}
+			homed += want[s]
+			total[s] += want[s]
+		}
+		if r.AllocatedBytes() != homed {
+			t.Fatalf("%s: region %q AllocatedBytes %d, page walk %d", step, r.Name(), r.AllocatedBytes(), homed)
+		}
+		if r.Allocated() != (unalloc == 0) {
+			t.Fatalf("%s: region %q Allocated %v with %d unallocated pages", step, r.Name(), r.Allocated(), unalloc)
+		}
+		unallocBytes += r.Bytes() - homed
+	}
+	if got := m.TotalBytesOnSocket(); !reflect.DeepEqual(got, total) {
+		t.Fatalf("%s: TotalBytesOnSocket %v, page walk %v", step, got, total)
+	}
+	if got := m.UnallocatedBytes(); got != unallocBytes {
+		t.Fatalf("%s: UnallocatedBytes %d, page walk %d", step, got, unallocBytes)
+	}
+}
+
+// TestSocketTotalsMatchPageWalk drives every operation that homes pages —
+// each placement at Alloc (full and partial last pages, zero-byte regions),
+// Touch, repeated Touch, Migrate of allocated and unallocated regions — and
+// a pooled re-Alloc after Reset, checking the running totals against a page
+// walk after each step.
+func TestSocketTotalsMatchPageWalk(t *testing.T) {
+	m := NewManager(4)
+	fill := func() []*Region {
+		return []*Region{
+			m.Alloc("interleave", 10*DefaultPageSize+123, Interleave, 0),
+			m.Alloc("interleave-exact", 8*DefaultPageSize, Interleave, 0),
+			m.Alloc("home", 3*DefaultPageSize+1, Home, 2),
+			m.Alloc("deferred", 5*DefaultPageSize+7, Deferred, 0),
+			m.Alloc("first-touch", 2*DefaultPageSize, FirstTouch, 0),
+			m.Alloc("zero-deferred", 0, Deferred, 0),
+			m.Alloc("zero-interleave", 0, Interleave, 0),
+			m.Alloc("zero-home", 0, Home, 3),
+			m.Alloc("small", 100, Deferred, 0),
+		}
+	}
+	rs := fill()
+	checkTotals(t, "alloc", m)
+	rs[3].Touch(1)
+	rs[5].Touch(2)
+	checkTotals(t, "touch", m)
+	if rs[3].Touch(0) != 0 {
+		t.Fatal("second Touch homed bytes")
+	}
+	checkTotals(t, "retouch", m)
+	for _, step := range []struct {
+		r      *Region
+		socket int
+	}{{rs[0], 3}, {rs[2], 2}, {rs[4], 1}, {rs[8], 0}, {rs[6], 1}, {rs[3], 1}} {
+		want, _ := walkTotals(step.r, m.Sockets())
+		var moved int64
+		for s, b := range want {
+			if s != step.socket {
+				moved += b
+			}
+		}
+		if got := step.r.Migrate(step.socket); got != moved {
+			t.Fatalf("Migrate(%q, %d) = %d, page walk %d", step.r.Name(), step.socket, got, moved)
+		}
+		checkTotals(t, "migrate "+step.r.Name(), m)
+	}
+	// A pooled re-Alloc revives the same structs and slab windows with
+	// different shapes; nothing of the previous fill may survive.
+	m.Reset()
+	checkTotals(t, "reset", m)
+	m.Alloc("d", 2*DefaultPageSize, Deferred, 0)
+	m.Alloc("i", 20*DefaultPageSize+5, Interleave, 0)
+	m.Alloc("h", DefaultPageSize, Home, 0)
+	checkTotals(t, "re-alloc", m)
+	fill()
+	checkTotals(t, "re-fill", m)
 }

@@ -1,0 +1,73 @@
+package rt
+
+import (
+	"testing"
+
+	"numadag/internal/machine"
+	"numadag/internal/sim"
+)
+
+// checkInert demands that a runtime's pooled build state — the dependence
+// trackers, including the spare capacity of every readers list, and every
+// slot of every task-arena slab — holds no *Task and no task data.
+func checkInert(t *testing.T, step string, r *Runtime) {
+	t.Helper()
+	if len(r.tracks) != 0 {
+		t.Fatalf("%s: %d live trackers", step, len(r.tracks))
+	}
+	for i, tr := range r.tracks[:cap(r.tracks)] {
+		if tr.lastWriter != nil {
+			t.Fatalf("%s: tracker %d keeps writer %q", step, i, tr.lastWriter.Label)
+		}
+		for j, rd := range tr.readers[:cap(tr.readers)] {
+			if rd != nil {
+				t.Fatalf("%s: tracker %d reader slot %d keeps task %q", step, i, j, rd.Label)
+			}
+		}
+	}
+	if r.arena.cur != 0 || r.arena.used != 0 {
+		t.Fatalf("%s: arena not rewound (slab %d, slot %d)", step, r.arena.cur, r.arena.used)
+	}
+	for i, slab := range r.arena.slabs {
+		for j := range slab {
+			if tk := &slab[j]; tk.Label != "" || tk.Accesses != nil || tk.succs != nil || tk.ID != 0 {
+				t.Fatalf("%s: arena slab %d slot %d keeps task %d %q", step, i, j, tk.ID, tk.Label)
+			}
+		}
+	}
+}
+
+// TestReleaseLeavesNoStaleTasks pins the recycling contract of the Submit
+// path: after Release, and in the runtime NewRuntime draws from the pool,
+// the trackers and the task arena reference no task of the previous build.
+// A stale *Task there keeps that build's graph, access lists and arena slabs
+// alive for as long as the runtime sits in the pool.
+func TestReleaseLeavesNoStaleTasks(t *testing.T) {
+	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
+	for _, run := range []bool{false, true} {
+		r := NewRuntime(m, cyclic{}, Options{WindowSize: 4, Seed: 1})
+		buildMixed(r, true)
+		buildLayeredRT(r, 30, 10) // grows the arena past its first slabs
+		if len(r.arena.slabs) < 2 || len(r.tracks) == 0 {
+			t.Fatalf("build left %d slabs, %d trackers: too small to test", len(r.arena.slabs), len(r.tracks))
+		}
+		if run {
+			r.Run() // links every successor list into the arena's tasks
+			m.Reset()
+		}
+		r.Release()
+		checkInert(t, "after Release", r)
+		r2 := NewRuntime(m, cyclic{}, Options{WindowSize: 4, Seed: 1})
+		if r2 == r { // the pool may drop r (always possible under -race)
+			checkInert(t, "after NewRuntime", r2)
+		}
+		// The recycled runtime builds and runs.
+		buildMixed(r2, true)
+		res := r2.Run()
+		m.Reset()
+		if res.TasksRun != len(r2.tasks) || len(r2.tasks) == 0 {
+			t.Fatalf("recycled runtime ran %d of %d tasks", res.TasksRun, len(r2.tasks))
+		}
+		r2.Release()
+	}
+}

@@ -1,8 +1,11 @@
 package rt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -58,6 +61,70 @@ type regionTrack struct {
 	readers    []*Task // readers since the last write
 }
 
+// taskArena hands out Task structs from pooled slabs. A slab is never
+// resized or dropped while the arena lives, so a *Task stays valid for the
+// whole build, and reset zeroes every slot handed out, so a pooled arena
+// references nothing of the previous build.
+type taskArena struct {
+	slabs [][]Task
+	cur   int // slab being carved
+	used  int // slots handed out from slabs[cur]
+}
+
+// minArenaSlab is the smallest slab the Submit path grows the arena by.
+const minArenaSlab = 64
+
+// free returns the number of slots left before the arena must grow.
+func (a *taskArena) free() int {
+	n := 0
+	for i := a.cur; i < len(a.slabs); i++ {
+		n += len(a.slabs[i])
+	}
+	if a.cur < len(a.slabs) {
+		n -= a.used
+	}
+	return n
+}
+
+// reserve grows the arena, by one slab of exactly the shortfall, until n
+// more slots are free — Install's exact sizing.
+func (a *taskArena) reserve(n int) {
+	if short := n - a.free(); short > 0 {
+		a.slabs = append(a.slabs, make([]Task, short))
+	}
+}
+
+// next returns the next free slot, growing the arena by a slab as large as
+// everything carved so far when it is full.
+func (a *taskArena) next() *Task {
+	for a.cur < len(a.slabs) && a.used == len(a.slabs[a.cur]) {
+		a.cur++
+		a.used = 0
+	}
+	if a.cur == len(a.slabs) {
+		total := 0
+		for _, sl := range a.slabs {
+			total += len(sl)
+		}
+		a.slabs = append(a.slabs, make([]Task, max(total, minArenaSlab)))
+	}
+	t := &a.slabs[a.cur][a.used]
+	a.used++
+	return t
+}
+
+// reset zeroes every slot handed out since the last reset and rewinds the
+// arena to its first slab.
+func (a *taskArena) reset() {
+	for i := 0; i < a.cur && i < len(a.slabs); i++ {
+		clear(a.slabs[i])
+	}
+	if a.cur < len(a.slabs) {
+		clear(a.slabs[a.cur][:a.used])
+	}
+	a.cur, a.used = 0, 0
+}
+
 // Runtime executes submitted tasks over a simulated machine under a Policy.
 type Runtime struct {
 	mach *machine.Machine
@@ -66,9 +133,17 @@ type Runtime struct {
 	opts Options
 	rng  *xrand.Rand
 
-	tdg    *graph.DAG
-	tasks  []*Task
-	tracks map[int]*regionTrack // by region ID
+	tdg   *graph.DAG
+	tasks []*Task
+	// tracks holds the dependence trackers, indexed by region ID. Entries
+	// past len are always clean (no writer, empty zeroed readers), so
+	// growing within capacity needs no clearing.
+	tracks []regionTrack
+	// deps is Submit's scratch for one task's merged dependences; depAt,
+	// indexed by task ID, holds a predecessor's position in deps plus one
+	// while that Submit runs and zero otherwise.
+	deps  []graph.Dep
+	depAt []int32
 
 	// Queues.
 	sockQ []taskDeque // per-socket FIFO (back end feeds stealing)
@@ -125,10 +200,10 @@ type Runtime struct {
 	// allocation-free. The closures capture the Runtime pointer, which pool
 	// reuse keeps stable.
 	coreConts []coreCont
-	// Arena backing for Install and audit, recycled through the runtime pool:
-	// one slab of Task structs, one of task pointers, one for all successor
-	// lists, one for all access lists.
-	taskArena  []Task
+	// Arena backing for Submit, Install and audit, recycled through the
+	// runtime pool: the Task structs, one slab for all successor lists
+	// (linked at Run/Start), one for all installed access lists.
+	arena      taskArena
 	succSlab   []*Task
 	accSlab    []Access
 	regScratch []*memory.Region
@@ -198,8 +273,11 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 		portBase:    r.portBase[:0],
 		portNow:     r.portNow[:0],
 		barrierIDs:  r.barrierIDs[:0],
+		tracks:      r.tracks[:0],
+		deps:        r.deps[:0],
+		depAt:       r.depAt[:0],
 		coreConts:   r.coreConts,
-		taskArena:   r.taskArena,
+		arena:       r.arena,
 		succSlab:    r.succSlab,
 		accSlab:     r.accSlab,
 		regScratch:  r.regScratch,
@@ -314,8 +392,22 @@ func (r *Runtime) Release() {
 		return
 	}
 	r.released = true
+	r.recycle()
 	releases.Add(1)
 	runtimePool.Put(r)
+}
+
+// recycle drops every reference the pooled state holds to this build's
+// tasks: the arena's slots are zeroed and the trackers emptied, so a runtime
+// waiting in the pool pins nothing of the build that used it.
+func (r *Runtime) recycle() {
+	r.arena.reset()
+	for i := range r.tracks {
+		tr := &r.tracks[i]
+		clear(tr.readers[:cap(tr.readers)])
+		*tr = regionTrack{readers: tr.readers[:0]}
+	}
+	r.tracks = r.tracks[:0]
 }
 
 // releases counts completed Release calls process-wide; tests use it to
@@ -387,19 +479,22 @@ func (r *Runtime) Barrier() {
 		r.windowCount = 0
 	}
 	r.barriers++
-	sync := r.Submit(TaskSpec{Label: fmt.Sprintf("barrier#%d", r.barriers), EPSocket: NoEPHint})
-	// Wire every current leaf (except the sync task itself) into the sync
-	// task; non-leaves reach it transitively through their successors.
-	for _, t := range r.tasks {
-		if t == sync {
-			continue
-		}
-		if len(t.succs) == 0 && !r.tdg.HasEdge(t.ID, sync.ID) {
-			t.succs = append(t.succs, sync)
-			sync.nDeps++
-			r.tdg.AddEdge(t.ID, sync.ID, 1)
+	// The sync task depends on the previous sync task and on every current
+	// leaf; non-leaves reach it transitively through their successors. Every
+	// task before the previous sync task already reaches it, so the leaf
+	// scan starts there.
+	deps, first := r.deps[:0], 0
+	if b := r.barrierTask; b != nil {
+		deps = append(deps, graph.Dep{From: b.ID, Weight: 1})
+		first = int(b.ID) + 1
+	}
+	for _, t := range r.tasks[first:] {
+		if r.tdg.OutDegree(t.ID) == 0 {
+			deps = append(deps, graph.Dep{From: t.ID, Weight: 1})
 		}
 	}
+	r.deps = deps
+	sync := r.addTask(TaskSpec{Label: "barrier#" + strconv.Itoa(r.barriers), EPSocket: NoEPHint}, deps)
 	r.barrierTask = sync
 	r.barrierIDs = append(r.barrierIDs, sync.ID)
 	// The sync task consumed one slot of the fresh window; give user tasks
@@ -456,66 +551,49 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 	if spec.Flops < 0 {
 		panic("rt: negative flops")
 	}
-	if r.tracks == nil {
-		r.tracks = make(map[int]*regionTrack)
+	// Merge the task's dependences in the scratch: one entry per distinct
+	// predecessor, weights summed as repeated AddEdge calls would.
+	deps := r.deps[:0]
+	add := func(from *Task, w int64) {
+		if at := r.depAt[from.ID]; at > 0 {
+			deps[at-1].Weight += w
+			return
+		}
+		deps = append(deps, graph.Dep{From: from.ID, Weight: w})
+		r.depAt[from.ID] = int32(len(deps))
 	}
-	id := r.tdg.AddNode(spec.Label, int64(spec.Flops))
-	t := &Task{
-		ID:       id,
-		Label:    spec.Label,
-		Flops:    spec.Flops,
-		Accesses: spec.Accesses,
-		EPSocket: spec.EPSocket,
-		Window:   r.nextWindowSlot(),
-		Socket:   -1,
-		Core:     -1,
-		pickedBy: AnySocket,
-	}
-	r.tasks = append(r.tasks, t)
 	// Taskwait semantics: everything after a barrier depends on it.
-	if r.barrierTask != nil && r.barrierTask != t {
-		b := r.barrierTask
-		b.succs = append(b.succs, t)
-		t.nDeps++
-		r.tdg.AddEdge(b.ID, t.ID, 1)
-	}
-
-	addDep := func(from *Task, w int64) {
-		if from == t {
-			return // e.g. in+out on the same region within one task
-		}
-		if !r.tdg.HasEdge(from.ID, t.ID) {
-			from.succs = append(from.succs, t)
-			t.nDeps++
-		}
-		r.tdg.AddEdge(from.ID, t.ID, w)
+	if b := r.barrierTask; b != nil {
+		add(b, 1)
 	}
 	for _, a := range spec.Accesses {
 		if a.Region == nil {
 			panic("rt: access with nil region")
 		}
-		tr := r.tracks[a.Region.ID()]
-		if tr == nil {
-			tr = &regionTrack{}
-			r.tracks[a.Region.ID()] = tr
-		}
+		tr := r.track(a.Region.ID())
 		if a.Mode.Reads() {
 			if tr.lastWriter != nil {
-				addDep(tr.lastWriter, a.Region.Bytes()) // RAW: real data
+				add(tr.lastWriter, a.Region.Bytes()) // RAW: real data
 			}
 		}
 		if a.Mode.Writes() {
 			if tr.lastWriter != nil {
-				addDep(tr.lastWriter, 1) // WAW: ordering only
+				add(tr.lastWriter, 1) // WAW: ordering only
 			}
 			for _, rd := range tr.readers {
-				addDep(rd, 1) // WAR: ordering only
+				add(rd, 1) // WAR: ordering only
 			}
 		}
 	}
+	for _, d := range deps {
+		r.depAt[d.From] = 0
+	}
+	slices.SortFunc(deps, func(a, b graph.Dep) int { return cmp.Compare(a.From, b.From) })
+	r.deps = deps
+	t := r.addTask(spec, deps)
 	// Update trackers after dependence edges are drawn.
 	for _, a := range spec.Accesses {
-		tr := r.tracks[a.Region.ID()]
+		tr := &r.tracks[a.Region.ID()]
 		if a.Mode.Writes() {
 			tr.lastWriter = t
 			tr.readers = tr.readers[:0]
@@ -525,6 +603,64 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 		}
 	}
 	return t
+}
+
+// addTask appends the task for spec to the TDG and the task list, with the
+// given merged, ID-sorted dependences as its predecessors. The Task comes
+// from the pooled arena.
+func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep) *Task {
+	id := r.tdg.AddNodeDeps(spec.Label, int64(spec.Flops), deps)
+	t := r.arena.next()
+	*t = Task{
+		ID:       id,
+		Label:    spec.Label,
+		Flops:    spec.Flops,
+		Accesses: spec.Accesses,
+		EPSocket: spec.EPSocket,
+		Window:   r.nextWindowSlot(),
+		Socket:   -1,
+		Core:     -1,
+		nDeps:    len(deps),
+		pickedBy: AnySocket,
+	}
+	r.tasks = append(r.tasks, t)
+	r.depAt = append(r.depAt, 0)
+	return t
+}
+
+// track returns the dependence tracker of region id, extending the tracker
+// slice over clean entries when id is new.
+func (r *Runtime) track(id int) *regionTrack {
+	if id >= len(r.tracks) {
+		if id < cap(r.tracks) {
+			r.tracks = r.tracks[:id+1]
+		} else {
+			r.tracks = append(r.tracks[:cap(r.tracks)], make([]regionTrack, id+1-cap(r.tracks))...)
+		}
+	}
+	return &r.tracks[id]
+}
+
+// linkSuccs points every task's successor list at its TDG successors, in
+// the graph's adjacency order, carving all lists from one pooled slab. Run
+// and Start call it once, before the policy's Prepare; until then
+// Task.NumSuccs reports zero.
+func (r *Runtime) linkSuccs() {
+	n := r.tdg.Edges()
+	if cap(r.succSlab) < n {
+		r.succSlab = make([]*Task, n)
+	}
+	slab, off := r.succSlab[:n], 0
+	for _, t := range r.tasks {
+		d := r.tdg.OutDegree(t.ID)
+		if d == 0 {
+			continue
+		}
+		succ := slab[off : off : off+d]
+		off += d
+		r.tdg.Succs(t.ID, func(to graph.NodeID, _ int64) { succ = append(succ, r.tasks[to]) })
+		t.succs = succ
+	}
 }
 
 // ResidencyBytes returns, per socket, the allocated bytes of the task's
@@ -590,6 +726,7 @@ func (r *Runtime) Run() Result {
 	r.ranAlready = true
 	r.running = true
 	r.remaining = len(r.tasks)
+	r.linkSuccs()
 	if p, ok := r.pol.(Preparer); ok {
 		p.Prepare(r)
 	}
@@ -637,6 +774,7 @@ func (r *Runtime) Start(done func(Result)) {
 	r.portBase = resetSlice(r.portBase, r.mach.Sockets())
 	r.mach.PortTraffic(r.portBase)
 	r.remaining = len(r.tasks)
+	r.linkSuccs()
 	if p, ok := r.pol.(Preparer); ok {
 		p.Prepare(r)
 	}

@@ -49,8 +49,9 @@ type taskSnap struct {
 
 // Snap captures the submission phase of r. It must be called after the task
 // graph is fully built and before Run. The snapshot borrows r's dependency
-// graph, so r must not submit further tasks afterwards (it is typically a
-// throwaway prototype runtime discarded after the capture).
+// graph, compacted (graph.DAG.Compact) because it outlives the build, so r
+// must not submit further tasks afterwards (it is typically a throwaway
+// prototype runtime discarded after the capture).
 //
 // Every region a task accesses must come from r's own memory manager
 // (r.Mem().Alloc); a builder that allocates elsewhere cannot be snapshotted.
@@ -67,15 +68,20 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		}
 		rs[i] = regionSnap{name: reg.Name(), bytes: reg.Bytes(), placement: reg.Placement(), home: home}
 	}
-	isBarrier := make(map[graph.NodeID]bool, len(r.barrierIDs))
-	for _, id := range r.barrierIDs {
-		isBarrier[id] = true
+	// Every task's access list is carved from one slab, and barrierIDs is
+	// in submission order, so one cursor marks the sync tasks.
+	nAcc := 0
+	for _, t := range r.tasks {
+		nAcc += len(t.Accesses)
 	}
+	slab := make([]accessSnap, nAcc)
 	ts := make([]taskSnap, len(r.tasks))
+	nextBarrier := 0
 	for i, t := range r.tasks {
 		var acc []accessSnap
 		if len(t.Accesses) > 0 {
-			acc = make([]accessSnap, len(t.Accesses))
+			acc = slab[:len(t.Accesses):len(t.Accesses)]
+			slab = slab[len(t.Accesses):]
 			for j, a := range t.Accesses {
 				id := a.Region.ID()
 				if id < 0 || id >= len(regions) || regions[id] != a.Region {
@@ -84,8 +90,13 @@ func Snap(r *Runtime) (*Snapshot, error) {
 				acc[j] = accessSnap{region: int32(id), mode: a.Mode}
 			}
 		}
-		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: isBarrier[t.ID], accesses: acc}
+		barrier := nextBarrier < len(r.barrierIDs) && r.barrierIDs[nextBarrier] == t.ID
+		if barrier {
+			nextBarrier++
+		}
+		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
 	}
+	r.tdg.Compact()
 	return &Snapshot{tdg: r.tdg, regions: rs, tasks: ts}, nil
 }
 
@@ -109,11 +120,12 @@ func (s *Snapshot) Graph() *graph.DAG { return s.tdg }
 
 // Install materializes the snapshot into a fresh runtime: regions are
 // re-allocated (in the original order, so IDs match), tasks are recreated
-// with their dependence counts and successor lists taken from the shared
-// graph, and window indices are recomputed for the runtime's WindowSize.
-// The result is bit-identical to rebuilding the same task graph through
-// Submit. The runtime must be freshly created; after Install it can only
-// Run, not Submit.
+// with their dependence counts taken from the shared graph (Run or Start
+// links their successor lists from it, as for a Submit-built graph), and
+// window indices are recomputed for the runtime's WindowSize. The result is
+// bit-identical to rebuilding the same task graph through Submit. The
+// runtime must be freshly created; after Install it can only Run, not
+// Submit.
 func (s *Snapshot) Install(r *Runtime) {
 	if r.running || r.ranAlready {
 		panic("rt: Install into a runtime that already ran")
@@ -129,14 +141,10 @@ func (s *Snapshot) Install(r *Runtime) {
 		regs[i] = r.mem.Alloc(rp.name, rp.bytes, rp.placement, rp.home)
 	}
 	n := len(s.tasks)
-	// Tasks come out of the runtime's pooled arena: one slab of Task structs,
-	// one of pointers, one backing every access list, one backing every
-	// successor list. All are fully overwritten below, so recycling cannot
-	// leak state between runs.
-	if cap(r.taskArena) < n {
-		r.taskArena = make([]Task, n)
-	}
-	arena := r.taskArena[:n]
+	// Tasks come out of the runtime's pooled arenas: the Task structs, one
+	// slab of pointers, one backing every access list. All are fully
+	// overwritten below, so recycling cannot leak state between runs.
+	r.arena.reserve(n)
 	if cap(r.tasks) < n {
 		r.tasks = make([]*Task, n)
 	}
@@ -149,10 +157,6 @@ func (s *Snapshot) Install(r *Runtime) {
 		r.accSlab = make([]Access, nAcc)
 	}
 	accSlab, accOff := r.accSlab[:nAcc], 0
-	if cap(r.succSlab) < s.tdg.Edges() {
-		r.succSlab = make([]*Task, s.tdg.Edges())
-	}
-	succSlab, succOff := r.succSlab[:s.tdg.Edges()], 0
 	// Window state machine, replayed exactly as Submit/Barrier drive it.
 	ws := r.opts.WindowSize
 	curWindow, windowCount := 0, 0
@@ -167,7 +171,7 @@ func (s *Snapshot) Install(r *Runtime) {
 	}
 	for i := range s.tasks {
 		tp := &s.tasks[i]
-		t := &arena[i]
+		t := r.arena.next()
 		var acc []Access
 		if len(tp.accesses) > 0 {
 			acc = accSlab[accOff : accOff+len(tp.accesses) : accOff+len(tp.accesses)]
@@ -184,6 +188,7 @@ func (s *Snapshot) Install(r *Runtime) {
 			EPSocket: tp.ep,
 			Socket:   -1,
 			Core:     -1,
+			nDeps:    s.tdg.InDegree(graph.NodeID(i)),
 			pickedBy: AnySocket,
 		}
 		if tp.barrier {
@@ -203,16 +208,6 @@ func (s *Snapshot) Install(r *Runtime) {
 			t.Window = nextSlot()
 		}
 		tasks[i] = t
-	}
-	for i := range tasks {
-		id := graph.NodeID(i)
-		tasks[i].nDeps = s.tdg.InDegree(id)
-		if d := s.tdg.OutDegree(id); d > 0 {
-			succ := succSlab[succOff : succOff : succOff+d]
-			succOff += d
-			s.tdg.Succs(id, func(to graph.NodeID, _ int64) { succ = append(succ, tasks[to]) })
-			tasks[i].succs = succ
-		}
 	}
 	r.tdg = s.tdg
 	r.tasks = tasks

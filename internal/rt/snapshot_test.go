@@ -59,6 +59,8 @@ func newSnapRT(pol Policy, opts Options) *Runtime {
 // TestSnapshotInstallEquivalence demands that a snapshot installed into a
 // fresh runtime is indistinguishable from rebuilding through Submit: same
 // windows, dependence counts, successor order, and a bit-identical run.
+// Successor lists are linked from the TDG when Run starts, so their order is
+// compared once both runtimes have run.
 func TestSnapshotInstallEquivalence(t *testing.T) {
 	for _, barriers := range []bool{false, true} {
 		for _, ws := range []int{0, 3, 5, 2048} {
@@ -83,15 +85,10 @@ func TestSnapshotInstallEquivalence(t *testing.T) {
 			for i := range direct.tasks {
 				d, in := direct.tasks[i], installed.tasks[i]
 				if d.Label != in.Label || d.Flops != in.Flops || d.EPSocket != in.EPSocket ||
-					d.Window != in.Window || d.nDeps != in.nDeps || len(d.succs) != len(in.succs) {
-					t.Fatalf("%s: task %d differs: direct {%s f=%v ep=%d w=%d deps=%d succs=%d} installed {%s f=%v ep=%d w=%d deps=%d succs=%d}",
-						name, i, d.Label, d.Flops, d.EPSocket, d.Window, d.nDeps, len(d.succs),
-						in.Label, in.Flops, in.EPSocket, in.Window, in.nDeps, len(in.succs))
-				}
-				for j := range d.succs {
-					if d.succs[j].ID != in.succs[j].ID {
-						t.Fatalf("%s: task %d succ %d: %d vs %d", name, i, j, d.succs[j].ID, in.succs[j].ID)
-					}
+					d.Window != in.Window || d.nDeps != in.nDeps {
+					t.Fatalf("%s: task %d differs: direct {%s f=%v ep=%d w=%d deps=%d} installed {%s f=%v ep=%d w=%d deps=%d}",
+						name, i, d.Label, d.Flops, d.EPSocket, d.Window, d.nDeps,
+						in.Label, in.Flops, in.EPSocket, in.Window, in.nDeps)
 				}
 				if len(d.Accesses) != len(in.Accesses) {
 					t.Fatalf("%s: task %d access count differs", name, i)
@@ -112,6 +109,23 @@ func TestSnapshotInstallEquivalence(t *testing.T) {
 			iRes := installed.Run()
 			if !reflect.DeepEqual(dRes, iRes) {
 				t.Fatalf("%s: run results diverge:\ndirect:    %+v\ninstalled: %+v", name, dRes, iRes)
+			}
+			linked := 0
+			for i := range direct.tasks {
+				d, in := direct.tasks[i], installed.tasks[i]
+				if len(d.succs) != len(in.succs) || len(d.succs) != direct.tdg.OutDegree(d.ID) {
+					t.Fatalf("%s: task %d: %d direct vs %d installed successors, %d in the TDG",
+						name, i, len(d.succs), len(in.succs), direct.tdg.OutDegree(d.ID))
+				}
+				for j := range d.succs {
+					if d.succs[j].ID != in.succs[j].ID {
+						t.Fatalf("%s: task %d succ %d: %d vs %d", name, i, j, d.succs[j].ID, in.succs[j].ID)
+					}
+				}
+				linked += len(d.succs)
+			}
+			if linked == 0 {
+				t.Fatalf("%s: no successor lists were linked", name)
 			}
 			dSteps := direct.mach.Engine().Steps()
 			iSteps := installed.mach.Engine().Steps()

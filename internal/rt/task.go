@@ -14,17 +14,28 @@
 //
 // # Arena recycling
 //
-// Runtimes are pooled: Release returns a runtime's grow-only state — task
-// and region arenas, successor/access slabs, queues, per-core continuation
-// closures, scratch — to a package pool NewRuntime draws from, so a sweep's
-// replicates stop allocating once the first run has grown everything to the
-// workload's high-water mark. Snapshot.Install carves all per-task storage
-// out of those arenas (one slab of Task structs, one backing every
-// successor list, one backing every access list) and fully overwrites each
-// slot, so recycling cannot leak state between runs. The two Result slices
-// and anything an Observer may retain escape the run and are therefore
-// always freshly allocated; Release is only legal when no Observer was
-// configured and the caller retains no *Task or *Region.
+// Runtimes are pooled: Release returns a runtime's grow-only state — the
+// task arena, region pool, dependence trackers, successor/access slabs,
+// queues, per-core continuation closures, scratch — to a package pool
+// NewRuntime draws from, so a sweep's replicates, and the prototype
+// runtimes that build each graph once, stop allocating once the first use
+// has grown everything to the workload's high-water mark.
+//
+// Both ways of building a task graph draw on these arenas. Submit takes
+// each Task struct from the task arena (slabs that never move, so a *Task
+// stays valid while the graph grows), keeps the dependence trackers in a
+// dense slice indexed by region ID, and merges each task's dependences in a
+// scratch before adding its TDG node with an exactly sized predecessor
+// list. Snapshot.Install sizes the arena to the graph and carves every
+// access list from one slab. Neither builds successor lists: Run and Start
+// link every task's successors once from the TDG, in its adjacency order
+// and from one slab, before the policy's Prepare, so Task.NumSuccs is valid
+// from then on (it reports zero before). Release zeroes every arena slot
+// and tracker the build used, so a pooled runtime references nothing of
+// its previous build, and reuse fully overwrites each slot. The two Result
+// slices and anything an Observer may retain escape the run and are
+// therefore always freshly allocated; Release is only legal when no
+// Observer was configured and the caller retains no *Task or *Region.
 //
 // Recycling never trades away determinism: a pooled runtime re-runs a
 // configuration bit-identically to a fresh one (queue order, RNG stream,
@@ -135,9 +146,9 @@ type Task struct {
 	EndAt   sim.Time
 
 	state    taskState
-	nDeps    int // unresolved predecessors
-	succs    []*Task
-	pickedBy int // socket chosen by the policy (before stealing), -1 for cyclic
+	nDeps    int     // unresolved predecessors
+	succs    []*Task // linked from the TDG when Run or Start begins
+	pickedBy int     // socket chosen by the policy (before stealing), -1 for cyclic
 }
 
 // State helpers used by tests and policies.
@@ -148,7 +159,9 @@ func (t *Task) Done() bool { return t.state == stateDone }
 // Running reports whether the task is currently executing.
 func (t *Task) Running() bool { return t.state == stateRunning }
 
-// NumSuccs returns the number of distinct dependent tasks.
+// NumSuccs returns the number of distinct dependent tasks. Successor lists
+// are linked from the TDG when Run or Start begins; before that NumSuccs
+// reports zero (Runtime.Graph().OutDegree counts them at any time).
 func (t *Task) NumSuccs() int { return len(t.succs) }
 
 // PendingDeps returns the number of unresolved predecessors.

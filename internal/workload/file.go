@@ -30,6 +30,11 @@ func fileFactory(s Spec, _ apps.Scale, _ uint64) (Workload, error) {
 	if f := s.Str("format", "json"); f != "json" {
 		return Workload{}, fmt.Errorf("workload: file: unsupported format %q (only json)", f)
 	}
+	if fi, err := os.Stat(path); err != nil {
+		return Workload{}, fmt.Errorf("workload: file: %w", err)
+	} else if !fi.Mode().IsRegular() || fi.Size() > maxDAGFileBytes {
+		return Workload{}, fmt.Errorf("workload: file: %s is not a regular file of at most %d bytes", path, maxDAGFileBytes)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: file: %w", err)
@@ -41,11 +46,41 @@ func fileFactory(s Spec, _ apps.Scale, _ uint64) (Workload, error) {
 	if d.Len() == 0 {
 		return Workload{}, fmt.Errorf("workload: file: %s holds an empty graph", path)
 	}
+	if err := checkDAGSize(&d); err != nil {
+		return Workload{}, fmt.Errorf("workload: file: %s: %w", path, err)
+	}
 	order, err := d.TopoOrder()
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: file: %s: %w", path, err)
 	}
 	return Workload{Build: dagBuilder(&d, order)}, nil
+}
+
+// maxDAGFileBytes bounds the DAG files the file generator reads, far above
+// the JSON of a MaxTasks-node graph.
+const maxDAGFileBytes = 1 << 28
+
+// checkDAGSize applies the synthetic generators' caps to an imported graph:
+// its node count (MaxTasks), its summed edge weights, which become region
+// bytes (MaxBytes), and each node weight, which becomes task flops
+// (MaxFlops).
+func checkDAGSize(d *graph.DAG) error {
+	if d.Len() > MaxTasks {
+		return fmt.Errorf("%d nodes exceed %d (MaxTasks)", d.Len(), MaxTasks)
+	}
+	var bytes int64
+	for _, e := range d.EdgeList() {
+		if e.Weight > MaxBytes-bytes {
+			return fmt.Errorf("edge weights exceed %d bytes (MaxBytes)", int64(MaxBytes))
+		}
+		bytes += e.Weight
+	}
+	for id := 0; id < d.Len(); id++ {
+		if w := d.NodeWeight(graph.NodeID(id)); w > MaxFlops {
+			return fmt.Errorf("node %d weight %d exceeds %d (MaxFlops)", id, w, int64(MaxFlops))
+		}
+	}
+	return nil
 }
 
 // dagBuilder replays an in-memory DAG through Submit, in topological order
@@ -88,6 +123,9 @@ func dagBuilder(d *graph.DAG, order []graph.NodeID) func(r *rt.Runtime) error {
 // file generator is this plus JSON loading). The DAG must be acyclic and is
 // not copied; it must not be mutated afterwards.
 func FromDAG(name string, d *graph.DAG) (Workload, error) {
+	if err := checkDAGSize(d); err != nil {
+		return Workload{}, fmt.Errorf("workload: %s: %w", name, err)
+	}
 	order, err := d.TopoOrder()
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: %w", err)

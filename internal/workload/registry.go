@@ -4,7 +4,7 @@
 //
 // A workload spec is a string, "name?key=value&key=value": the eight paper
 // benchmarks ("jacobi", "qr?nt=32&tile=1M"), synthetic generators
-// ("random-layered?layers=24&width=96&cv=0.4", "forkjoin?depth=10&fanout=4"),
+// ("random-layered?layers=24&width=96&cv=0.4", "forkjoin?depth=8&fanout=3"),
 // or DAGs imported from disk ("file?path=testdata/dags/diamond.json"). New
 // resolves a spec to a Workload — a named, seeded TDG builder that submits
 // the task graph and allocates its memory regions on an rt.Runtime. Every
@@ -16,6 +16,11 @@
 // is what lets core.Experiment build a workload's TDG once (rt.Snap) and
 // install it into every replicate of a sweep (rt.Install). A builder that
 // cannot honor it sets NoCache.
+//
+// The synthetic generators and file imports size their graph before
+// building it and return an error above MaxTasks tasks, MaxBytes of regions
+// or MaxFlops per task, so no spec can ask for an unbounded build;
+// non-finite numbers are rejected by the spec grammar itself (Spec.Float).
 package workload
 
 import (

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,7 +103,9 @@ func (s Spec) Int(key string, def int) (int, error) {
 	return n, nil
 }
 
-// Float returns the named float parameter, or def when absent.
+// Float returns the named float parameter, or def when absent. NaN and
+// infinities are rejected here, once for every generator: range checks such
+// as cv < 0 || cv > 1 are false for NaN and would let it through.
 func (s Spec) Float(key string, def float64) (float64, error) {
 	v, ok := s.Params[key]
 	if !ok {
@@ -111,6 +114,9 @@ func (s Spec) Float(key string, def float64) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("workload: %s: %s=%q is not a number", s.Name, key, v)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("workload: %s: %s=%q is not a finite number", s.Name, key, v)
 	}
 	return f, nil
 }
@@ -141,7 +147,7 @@ func (s Spec) Bytes(key string, def int64) (int64, error) {
 		mult, v = 1<<30, v[:len(v)-1]
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
+	if err != nil || n > math.MaxInt64/mult || n < math.MinInt64/mult {
 		return 0, fmt.Errorf("workload: %s: %s=%q is not a size (want bytes with optional K/M/G suffix)", s.Name, key, s.Params[key])
 	}
 	return n * mult, nil

@@ -109,3 +109,45 @@ func TestRegisterValidation(t *testing.T) {
 		t.Error("nil factory accepted")
 	}
 }
+
+// TestSpecFloatRejectsNonFinite pins the fix for NaN and infinite spec
+// numbers: they are rejected once, in Spec.Float, with an error naming the
+// key. Before, range checks such as cv < 0 || cv > 1 (false for NaN) let
+// them through and "random-layered?cv=NaN" panicked inside rt.Submit.
+func TestSpecFloatRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "+Inf", "-Inf", "inf", "Infinity"} {
+		s, err := ParseSpec("x?cv=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Float("cv", 0)
+		if err == nil || !strings.Contains(err.Error(), "cv=") || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("Float(cv=%s) = %v, want a non-finite error naming cv", v, err)
+		}
+	}
+	for _, spec := range []string{
+		"random-layered?cv=NaN&layers=3&width=4",
+		"random-layered?flops=+Inf",
+		"random-layered?flops=-Inf",
+		"forkjoin?cv=NaN",
+		"forkjoin?flops=Inf",
+		"noop?flops=NaN",
+		"noop?flops=+Inf",
+	} {
+		if _, err := New(spec, apps.Tiny); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("New(%q) = %v, want a non-finite error", spec, err)
+		}
+	}
+}
+
+func TestSpecBytesRejectsOverflow(t *testing.T) {
+	for _, v := range []string{"9223372036854775807K", "9999999999G", "-9999999999G"} {
+		s, err := ParseSpec("x?b=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s.Bytes("b", 0); err == nil {
+			t.Errorf("Bytes(%s) = %d, want an overflow error", v, n)
+		}
+	}
+}

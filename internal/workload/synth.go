@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"numadag/internal/apps"
 	"numadag/internal/memory"
@@ -15,6 +16,51 @@ import (
 // reduction trees. All randomness flows through the workload seed (the
 // reserved seed= parameter), never the runtime's Rand, so a generated graph
 // is a pure function of its spec and stays cacheable across replicates.
+
+// MaxTasks caps the task count of a synthetic or imported graph. Each such
+// generator computes its count from its parameters (layers x width, the
+// fork-join tree size, the node count of a file) before building anything
+// and returns an error above the cap, so no spec can ask for an unbounded
+// build. The largest spec a golden, example or benchmark uses has 13121
+// tasks (forkjoin at paper scale).
+const MaxTasks = 1 << 18
+
+// MaxBytes caps the summed region bytes of a synthetic or imported graph.
+// The simulator keeps one page-table entry per 4 KiB page, so the cap
+// bounds that host memory at 32 MiB per build.
+const MaxBytes = 1 << 36
+
+// MaxFlops caps the mean work of one synthetic or imported task, keeping
+// every (jittered) task weight an exact, positive int64 in the TDG.
+const MaxFlops = 1 << 50
+
+// checkSize returns an error when a generator's task count or footprint
+// (tasks regions of bytes each) exceeds the caps. tasks must already be
+// saturated at MaxTasks+1 by the caller's overflow-checked count.
+func checkSize(gen string, tasks int, bytes int64) error {
+	if tasks > MaxTasks {
+		return fmt.Errorf("workload: %s: more than %d tasks (MaxTasks)", gen, MaxTasks)
+	}
+	if tasks > 0 && bytes > MaxBytes/int64(tasks) {
+		return fmt.Errorf("workload: %s: %d regions of %d bytes exceed %d bytes (MaxBytes)", gen, tasks, bytes, int64(MaxBytes))
+	}
+	return nil
+}
+
+// accessSlab carves exactly sized access lists out of shared chunks, so a
+// generator pays one allocation per chunk instead of one or more per task.
+// The runtime keeps every task's list, so chunks are never reused.
+type accessSlab struct{ free []rt.Access }
+
+// take returns an empty list with capacity n.
+func (s *accessSlab) take(n int) []rt.Access {
+	if cap(s.free) < n {
+		s.free = make([]rt.Access, max(n, 1024))
+	}
+	a := s.free[:0:n]
+	s.free = s.free[n:]
+	return a
+}
 
 // jitter scales base by a uniform factor in [1-cv, 1+cv].
 func jitter(rng *xrand.Rand, base float64, cv float64) float64 {
@@ -79,40 +125,53 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 	if err != nil {
 		return Workload{}, err
 	}
-	if layers < 1 || width < 1 || fan < 1 || cv < 0 || cv > 1 || bytes <= 0 || flops <= 0 {
+	if layers < 1 || width < 1 || fan < 1 || fan > MaxTasks || cv < 0 || cv > 1 || bytes <= 0 || flops <= 0 || flops > MaxFlops {
 		return Workload{}, fmt.Errorf("workload: random-layered: invalid parameters (layers=%d width=%d fan=%d cv=%g bytes=%d flops=%g)",
 			layers, width, fan, cv, bytes, flops)
+	}
+	tasks := MaxTasks + 1
+	if layers <= MaxTasks/width {
+		tasks = layers * width
+	}
+	if err := checkSize("random-layered", tasks, bytes); err != nil {
+		return Workload{}, err
 	}
 	build := func(r *rt.Runtime) error {
 		rng := xrand.New(seed)
 		perm := make([]int, width) // parent draws, reused for every task
-		var prev []*memory.Region
+		prev, cur := make([]*memory.Region, width), make([]*memory.Region, width)
+		var accs accessSlab
+		var text []byte
 		for l := 0; l < layers; l++ {
-			cur := make([]*memory.Region, width)
 			for i := 0; i < width; i++ {
-				out := r.Mem().Alloc(fmt.Sprintf("d[%d][%d]", l, i), bytes, memory.Deferred, 0)
+				text = appendPair(append(text[:0], "d["...), l, "][", i, "]")
+				out := r.Mem().Alloc(string(text), bytes, memory.Deferred, 0)
 				cur[i] = out
-				acc := []rt.Access{{Region: out, Mode: rt.Out}}
+				k := 0
 				if l > 0 {
-					k := 1
+					k = 1
 					if fan > 1 {
 						k += rng.Intn(2*fan - 1) // uniform on [1, 2*fan-1], mean fan
 					}
 					if k > len(prev) {
 						k = len(prev)
 					}
+				}
+				acc := append(accs.take(1+k), rt.Access{Region: out, Mode: rt.Out})
+				if k > 0 {
 					for _, p := range rng.PermInto(perm[:len(prev)])[:k] {
 						acc = append(acc, rt.Access{Region: prev[p], Mode: rt.In})
 					}
 				}
+				text = appendPair(append(text[:0], "t("...), l, ",", i, ")")
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("t(%d,%d)", l, i),
+					Label:    string(text),
 					Flops:    jitter(rng, flops, cv),
 					Accesses: acc,
 					EPSocket: rt.NoEPHint,
 				})
 			}
-			prev = cur
+			prev, cur = cur, prev
 		}
 		return nil
 	}
@@ -148,55 +207,76 @@ func forkJoinFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	if depth < 1 || fanout < 2 || cv < 0 || cv > 1 || bytes <= 0 || flops <= 0 {
+	if depth < 1 || fanout < 2 || cv < 0 || cv > 1 || bytes <= 0 || flops <= 0 || flops > MaxFlops {
 		return Workload{}, fmt.Errorf("workload: forkjoin: invalid parameters (depth=%d fanout=%d cv=%g bytes=%d flops=%g)",
 			depth, fanout, cv, bytes, flops)
 	}
+	if err := checkSize("forkjoin", forkJoinTasks(depth, fanout), bytes); err != nil {
+		return Workload{}, err
+	}
 	build := func(r *rt.Runtime) error {
 		rng := xrand.New(seed)
+		var accs accessSlab
+		// submit allocates the task's output region, named like the task,
+		// and submits the task reading the non-nil inputs.
+		submit := func(label string, work float64, inputs ...*memory.Region) *memory.Region {
+			out := r.Mem().Alloc(label, bytes, memory.Deferred, 0)
+			acc := accs.take(len(inputs) + 1)
+			for _, in := range inputs {
+				if in != nil {
+					acc = append(acc, rt.Access{Region: in, Mode: rt.In})
+				}
+			}
+			r.Submit(rt.TaskSpec{
+				Label:    label,
+				Flops:    jitter(rng, work, cv),
+				Accesses: append(acc, rt.Access{Region: out, Mode: rt.Out}),
+				EPSocket: rt.NoEPHint,
+			})
+			return out
+		}
 		var expand func(level int, path string, in *memory.Region) *memory.Region
 		expand = func(level int, path string, in *memory.Region) *memory.Region {
-			read := func() []rt.Access {
-				if in == nil {
-					return nil
-				}
-				return []rt.Access{{Region: in, Mode: rt.In}}
-			}
 			if level == depth {
-				out := r.Mem().Alloc("leaf"+path, bytes, memory.Deferred, 0)
-				r.Submit(rt.TaskSpec{
-					Label:    "leaf" + path,
-					Flops:    jitter(rng, flops, cv),
-					Accesses: append(read(), rt.Access{Region: out, Mode: rt.Out}),
-					EPSocket: rt.NoEPHint,
-				})
-				return out
+				return submit("leaf"+path, flops, in)
 			}
-			fork := r.Mem().Alloc("fork"+path, bytes, memory.Deferred, 0)
-			r.Submit(rt.TaskSpec{
-				Label:    "fork" + path,
-				Flops:    jitter(rng, flops/4, cv),
-				Accesses: append(read(), rt.Access{Region: fork, Mode: rt.Out}),
-				EPSocket: rt.NoEPHint,
-			})
-			joinAcc := make([]rt.Access, 0, fanout+1)
-			for c := 0; c < fanout; c++ {
-				child := expand(level+1, fmt.Sprintf("%s.%d", path, c), fork)
-				joinAcc = append(joinAcc, rt.Access{Region: child, Mode: rt.In})
+			fork := submit("fork"+path, flops/4, in)
+			children := make([]*memory.Region, fanout)
+			for c := range children {
+				children[c] = expand(level+1, path+"."+strconv.Itoa(c), fork)
 			}
-			join := r.Mem().Alloc("join"+path, bytes, memory.Deferred, 0)
-			r.Submit(rt.TaskSpec{
-				Label:    "join" + path,
-				Flops:    jitter(rng, flops/2, cv),
-				Accesses: append(joinAcc, rt.Access{Region: join, Mode: rt.Out}),
-				EPSocket: rt.NoEPHint,
-			})
-			return join
+			return submit("join"+path, flops/2, children...)
 		}
 		expand(0, "", nil)
 		return nil
 	}
 	return Workload{Build: build}, nil
+}
+
+// forkJoinTasks returns the task count of a fork-join tree — a fork and a
+// join per inner node, fanout^depth leaves — saturated at MaxTasks+1.
+func forkJoinTasks(depth, fanout int) int {
+	tasks, width := 0, 1 // width: nodes on the current level
+	for l := 0; l < depth; l++ {
+		tasks += 2 * width
+		if width > MaxTasks/fanout {
+			return MaxTasks + 1
+		}
+		width *= fanout
+	}
+	if tasks += width; tasks > MaxTasks {
+		return MaxTasks + 1
+	}
+	return tasks
+}
+
+// appendPair appends a, sep, b and end to buf in decimal — the "d[l][i]"
+// and "t(l,i)" names of a layered graph, without fmt.
+func appendPair(buf []byte, a int, sep string, b int, end string) []byte {
+	buf = strconv.AppendInt(buf, int64(a), 10)
+	buf = append(buf, sep...)
+	buf = strconv.AppendInt(buf, int64(b), 10)
+	return append(buf, end...)
 }
 
 // noopFactory builds a graph of independent tasks with no memory accesses
@@ -216,13 +296,16 @@ func noopFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	if tasks < 0 || flops < 0 {
+	if tasks < 0 || flops < 0 || flops > MaxFlops {
 		return Workload{}, fmt.Errorf("workload: noop: invalid parameters (tasks=%d flops=%g)", tasks, flops)
+	}
+	if err := checkSize("noop", tasks, 0); err != nil {
+		return Workload{}, err
 	}
 	build := func(r *rt.Runtime) error {
 		for i := 0; i < tasks; i++ {
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("noop%d", i),
+				Label:    "noop" + strconv.Itoa(i),
 				Flops:    flops,
 				EPSocket: rt.NoEPHint,
 			})

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"numadag/internal/apps"
@@ -246,5 +247,107 @@ func TestFileImportRoundtrip(t *testing.T) {
 	}
 	if _, err := New("file?path="+cyclic, apps.Tiny); err == nil {
 		t.Error("cyclic file accepted")
+	}
+}
+
+// TestTaskCap pins the up-front size check of every capped generator: a
+// spec exactly at MaxTasks resolves, one task over is an error (before
+// anything is built), and the once-hanging forkjoin?depth=64&fanout=4 fails
+// at once.
+func TestTaskCap(t *testing.T) {
+	if MaxTasks != 262144 {
+		t.Fatalf("MaxTasks = %d: update the specs below to sit at and just over it", MaxTasks)
+	}
+	for _, c := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"random-layered?layers=1&width=262144", true},
+		{"random-layered?layers=1&width=262145", false},
+		{"random-layered?layers=512&width=513", false},
+		{"random-layered?layers=9223372036854775807&width=9223372036854775807", false},
+		{"forkjoin?depth=16&fanout=2", true}, // 3*2^16-2 = 196606 tasks
+		{"forkjoin?depth=17&fanout=2", false},
+		{"forkjoin?depth=1&fanout=262142", true}, // fork + join + 262142 leaves
+		{"forkjoin?depth=1&fanout=262143", false},
+		{"forkjoin?depth=64&fanout=4", false},
+		{"forkjoin?depth=2&fanout=9223372036854775807", false},
+		{"noop?tasks=262144", true},
+		{"noop?tasks=262145", false},
+	} {
+		_, err := New(c.spec, apps.Tiny)
+		if c.ok && err != nil {
+			t.Errorf("New(%q) at the cap: %v", c.spec, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "MaxTasks")) {
+			t.Errorf("New(%q) over the cap = %v, want a MaxTasks error", c.spec, err)
+		}
+	}
+	for _, n := range []int{MaxTasks, MaxTasks + 1} {
+		var b strings.Builder
+		b.WriteString(`{"nodes":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(`{"weight":1}`)
+		}
+		b.WriteString(`],"edges":[]}`)
+		path := filepath.Join(t.TempDir(), "wide.json")
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New("file?path="+path, apps.Tiny)
+		if n <= MaxTasks && err != nil {
+			t.Errorf("file with %d nodes: %v", n, err)
+		}
+		if n > MaxTasks && (err == nil || !strings.Contains(err.Error(), "MaxTasks")) {
+			t.Errorf("file with %d nodes = %v, want a MaxTasks error", n, err)
+		}
+	}
+}
+
+// TestFootprintAndWorkCaps pins the other two up-front bounds: summed
+// region bytes (MaxBytes, which bounds the page tables a build allocates)
+// and per-task work (MaxFlops, which keeps every TDG node weight a valid
+// int64), for the generators and for file imports.
+func TestFootprintAndWorkCaps(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want string // "" when the spec must resolve
+	}{
+		{"random-layered?layers=1&width=1&bytes=64G", ""},
+		{"random-layered?layers=1&width=2&bytes=64G", "MaxBytes"},
+		{"forkjoin?depth=1&fanout=2&bytes=16G", ""}, // 4 regions
+		{"forkjoin?depth=1&fanout=2&bytes=17G", "MaxBytes"},
+		{"random-layered?flops=1125899906842624", ""},
+		{"random-layered?flops=1125899906842625", "invalid parameters"},
+		{"forkjoin?flops=1e300", "invalid parameters"},
+		{"noop?flops=1e300", "invalid parameters"},
+		{"random-layered?fan=262145", "invalid parameters"},
+	} {
+		_, err := New(c.spec, apps.Tiny)
+		if c.want == "" && err != nil {
+			t.Errorf("New(%q): %v", c.spec, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("New(%q) = %v, want an error mentioning %s", c.spec, err, c.want)
+		}
+	}
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"bytes": `{"nodes":[{"weight":1},{"weight":1},{"weight":1}],"edges":[{"from":0,"to":1,"weight":68719476736},{"from":1,"to":2,"weight":1}]}`,
+		"flops": `{"nodes":[{"weight":9223372036854775807}],"edges":[]}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New("file?path="+path, apps.Tiny); err == nil || !strings.Contains(err.Error(), "Max") {
+			t.Errorf("file with oversized %s = %v, want a cap error", name, err)
+		}
+	}
+	if _, err := New("file?path="+dir, apps.Tiny); err == nil || !strings.Contains(err.Error(), "regular file") {
+		t.Errorf("file?path=<directory> = %v, want a not-a-regular-file error", err)
 	}
 }

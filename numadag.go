@@ -111,7 +111,7 @@
 // registry spec works: "name?key=value&key=value". The registered
 // generators are the eight paper benchmarks (parameterizable:
 // "jacobi?nb=32&tile=1M&iters=4"), the synthetic families
-// "random-layered?layers=24&width=96&cv=0.4" and "forkjoin?depth=10&fanout=4",
+// "random-layered?layers=24&width=96&cv=0.4" and "forkjoin?depth=8&fanout=3",
 // and "file?path=graph.json" for DAGs in cmd/dagpart's JSON format. Two
 // keys are reserved on every workload: scale=tiny|small|paper overrides the
 // contextual scale and seed=N drives the generator's own randomness —

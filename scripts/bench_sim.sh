@@ -16,6 +16,7 @@ out="${1:-BENCH_sim.json}"
   go test -run '^$' -bench 'BenchmarkReallocate|BenchmarkFlowChurn|BenchmarkTimerChurn' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkInducedSubgraph' -benchmem ./internal/graph/
   go test -run '^$' -bench 'BenchmarkSnapshotInstall' -benchmem ./internal/rt/
+  go test -run '^$' -bench 'BenchmarkBuildSnapshot' -benchmem ./internal/core/
   go test -run '^$' -bench 'BenchmarkRGPPrepare' -benchmem ./internal/policy/
   go test -run '^$' -bench 'BenchmarkMapOntoBullion|BenchmarkFMRefine' -benchmem ./internal/partition/
   go test -run '^$' -bench 'BenchmarkClusterTick|BenchmarkDispatch' -benchmem ./internal/cluster/
