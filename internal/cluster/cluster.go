@@ -159,7 +159,7 @@ func (c *Config) validate() error {
 	if c.Jobs < 1 {
 		return fmt.Errorf("cluster: need at least one job, got %d", c.Jobs)
 	}
-	return nil
+	return c.Machine.Validate()
 }
 
 // fleetRun is the in-flight state of one Run call.

@@ -414,6 +414,7 @@ func TestClusterValidation(t *testing.T) {
 		func(c *Config) { c.Dispatcher = "bogus" },
 		func(c *Config) { c.Policy = "no-such-policy" },
 		func(c *Config) { c.Tenants[0].Specs = []string{"no-such-workload"} },
+		func(c *Config) { c.Machine.MemBandwidth = math.NaN() },
 	} {
 		cfg := good
 		cfg.Tenants = testTenants()

@@ -37,6 +37,20 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(DefaultConfig("jacobi", "nope", apps.Tiny)); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	// A NaN machine parameter is an error, not a panic deep in the
+	// simulator or a silently wrong makespan.
+	for _, mut := range []func(*machine.Config){
+		func(m *machine.Config) { m.CoreFlops = math.NaN() },
+		func(m *machine.Config) { m.MemParallelism = math.NaN() },
+		func(m *machine.Config) { m.MemBandwidth = math.NaN() },
+		func(m *machine.Config) { m.LinkBandwidth = math.Inf(1) },
+	} {
+		cfg := DefaultConfig("jacobi", "LAS", apps.Tiny)
+		mut(&cfg.Machine)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("non-finite machine parameter accepted: %+v", cfg.Machine)
+		}
+	}
 }
 
 func TestEveryAppUnderEveryPolicy(t *testing.T) {

@@ -12,6 +12,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"numadag/internal/sim"
 )
@@ -57,12 +58,20 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: %d cores per socket", c.CoresPerSocket)
 	case c.LocalLatency < 0 || c.HopLatency < 0:
 		return fmt.Errorf("machine: negative latency")
-	case c.MemBandwidth <= 0 || c.LinkBandwidth <= 0:
-		return fmt.Errorf("machine: non-positive bandwidth")
-	case c.CoreFlops <= 0:
-		return fmt.Errorf("machine: non-positive core flops")
-	case c.MemParallelism <= 0:
-		return fmt.Errorf("machine: non-positive memory parallelism")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MemBandwidth", c.MemBandwidth},
+		{"LinkBandwidth", c.LinkBandwidth},
+		{"CoreFlops", c.CoreFlops},
+		{"MemParallelism", c.MemParallelism},
+	} {
+		// NaN fails every comparison, so test for the valid range.
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("machine: %s %v is not a positive finite number", f.name, f.v)
+		}
 	}
 	if c.Distance != nil {
 		if len(c.Distance) != c.Sockets {

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"numadag/internal/sim"
@@ -60,6 +62,36 @@ func TestValidationErrors(t *testing.T) {
 		mu.mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid config", mu.name)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite pins that every bandwidth and rate parameter
+// is finite: NaN fails every comparison, so a `<= 0` check alone let NaN
+// through (a NaN CoreFlops made a negative task delay, a NaN MemParallelism
+// a NaN flow cap, a NaN MemBandwidth a silent garbage makespan), and +Inf
+// capacities make the fill's quotients non-finite. The error names the
+// field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		ptr  func(*Config) *float64
+	}{
+		{"MemBandwidth", func(c *Config) *float64 { return &c.MemBandwidth }},
+		{"LinkBandwidth", func(c *Config) *float64 { return &c.LinkBandwidth }},
+		{"CoreFlops", func(c *Config) *float64 { return &c.CoreFlops }},
+		{"MemParallelism", func(c *Config) *float64 { return &c.MemParallelism }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := BullionS16()
+			*f.ptr(&cfg) = v
+			err := cfg.Validate()
+			if err == nil {
+				t.Errorf("%s = %v: Validate accepted it", f.name, v)
+			} else if !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: error %q does not name the field", f.name, v, err)
+			}
 		}
 	}
 }

@@ -79,3 +79,31 @@ func TestReallocateFullSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("full reallocation allocates %v objects per op, want 0", avg)
 	}
 }
+
+// TestReallocateChurnSteadyStateAllocs pins the replaying fill: warmed
+// bullion-shaped churn (see machineChurn) finishes and starts a flow per op,
+// creating and retiring flow classes, while the groups the op did not touch
+// replay their logged steps. Logs, groups and worklists are all reused.
+func TestReallocateChurnSteadyStateAllocs(t *testing.T) {
+	c := newMachineChurn()
+	for i := 0; i < 256; i++ {
+		c.op(i) // warm the flow and class pools, logs and scratch
+	}
+	replayed := 0
+	for g := range c.n.groups {
+		if c.n.groups[g].pos > 0 {
+			replayed++
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("no group replayed a logged step")
+	}
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		c.op(i)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("churn with replayed groups allocates %v objects per op, want 0", avg)
+	}
+}

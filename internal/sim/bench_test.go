@@ -184,3 +184,62 @@ func BenchmarkReallocateMachine(b *testing.B) {
 		n.reallocate()
 	}
 }
+
+// machineChurn drives the production churn pattern on the bullion shape: 8
+// sockets of {mc 30, port 12} carrying 32 long flows, local flows on the mc
+// alone and 1-hop/2-hop flows on mc + port, each capped by its core
+// bandwidth. Each op finishes one flow, starts one on the same socket with
+// the next cap in rotation, and flushes. Classes are created and retired
+// along the way, while the seven sockets the op did not touch replay their
+// logged fill steps.
+type machineChurn struct {
+	n     *Net
+	paths [8][2][]*Resource // per socket: local, remote
+	flows []*Flow
+	next  int
+}
+
+func newMachineChurn() *machineChurn {
+	c := &machineChurn{n: NewNet(NewEngine())}
+	rs := make([]*Resource, len(machineCaps))
+	for i, cp := range machineCaps {
+		rs[i] = c.n.NewResource("r", cp)
+	}
+	for s := range c.paths {
+		c.paths[s] = [2][]*Resource{{rs[2*s]}, {rs[2*s], rs[2*s+1]}}
+	}
+	for i := 0; i < 32; i++ {
+		c.flows = append(c.flows, c.start(i%8))
+	}
+	c.n.flush()
+	return c
+}
+
+// start begins a flow on socket s, kind local, 1-hop or 2-hop in rotation.
+func (c *machineChurn) start(s int) *Flow {
+	kind := c.next % 3
+	c.next++
+	return c.n.StartFlowCapped(1e12, c.paths[s][min(kind, 1)], coreBW[kind], nil)
+}
+
+func (c *machineChurn) op(i int) {
+	j := i % len(c.flows)
+	c.n.finish(c.flows[j])
+	c.flows[j] = c.start(j % 8)
+	c.n.flush()
+}
+
+// BenchmarkReallocateChurn measures the fill as production runs it: one
+// flow finishes and one starts on one socket, then the net flushes, so one
+// group computes and the others replay (see machineChurn).
+func BenchmarkReallocateChurn(b *testing.B) {
+	c := newMachineChurn()
+	for i := 0; i < 64; i++ {
+		c.op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.op(i)
+	}
+}

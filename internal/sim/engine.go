@@ -28,9 +28,10 @@
 //     Stop removes the slot from the heap immediately — the heap never holds
 //     cancelled events, so Pending is len(heap) and Step never skips.
 //   - Net keeps active flows in a dense slice ordered by ascending flow ID
-//     (the deterministic iteration order), reuses per-resource scratch
-//     buffers across reallocate calls, and answers "does flow f cross
-//     resource r" with a bitset when the network has at most 64 resources.
+//     (the deterministic iteration order), and per resource the list of
+//     flows crossing it in the same order, updated as flows start and
+//     finish rather than rebuilt per fill. Fills reuse per-Net scratch
+//     buffers.
 //   - Finished Flow structs are recycled through a free list; a *Flow handle
 //     is valid for inspection until the next StartFlow call on the same Net
 //     after the flow completes.
@@ -48,11 +49,15 @@
 //     task fanning out transfers, or a wave of same-nanosecond completions,
 //     pays for one max-min redistribution instead of one per event. The
 //     water-filling pass runs its rounds over flow classes (flows with equal
-//     paths and caps) and walks per-resource crossing lists kept up to date
-//     as flows start and finish, instead of rescanning all resources x all
-//     flows per round, executing bit-for-bit the float operations of the
-//     naive ladder it replaced (kept as a test-only reference and enforced
-//     by the equivalence suite and FuzzReallocate).
+//     paths and caps) and the crossing lists, and splits each round into
+//     one step per resource group — a set of resources no flow path leaves,
+//     on the bullion one socket's memory controller and port. A group whose
+//     crossing lists did not change since the last fill replays the steps
+//     it logged then while every round hands it the same inputs, so a fill
+//     recomputes only the churned sockets. It executes bit-for-bit the
+//     float operations of the naive global ladder it replaced (kept as a
+//     test-only reference and enforced by the equivalence suite and
+//     FuzzReallocate).
 //
 // # Determinism contract
 //

@@ -21,8 +21,21 @@ type Resource struct {
 	// delete), so the fill never rebuilds it.
 	crossing []*Flow
 	// classes indexes the live flow classes whose path starts here, for the
-	// class lookup in StartFlowCapped.
+	// class lookup in StartFlowCapped and the fill's walk over a group's
+	// classes.
 	classes []*flowClass
+	// gid is the resource group (see Net.waterfill), -1 while no class path
+	// has reached the resource since the last Reset.
+	gid int
+
+	// Fill scratch: the residual capacity, the unfrozen path occurrences
+	// crossing the resource, and a cap step's tally — the occurrences it
+	// freezes here and their common cap, NaN when the caps differ (caps are
+	// never NaN).
+	residual float64
+	unfrozen int
+	capCount int
+	capRate  float64
 
 	// Utilization accounting: byte-time integral of allocated rate.
 	carried    float64 // total bytes carried so far
@@ -99,15 +112,16 @@ type Flow struct {
 // equal rate cap. Max-min water-filling cannot tell such flows apart: they
 // see the same shares and the same cap in every round, so they freeze in the
 // same round at the same rate, and the fill runs over classes instead of
-// flows (see Net.waterfill). Classes are recycled like Flow structs.
+// flows (see Net.waterfill). A class is listed on its path's first
+// resource; classes are recycled like Flow structs.
 type flowClass struct {
 	path    []*Resource // the first member's path; every member's has equal contents
 	maxRate float64
 	n       int // active member flows
-	idx     int // position in Net.classes
 
-	// Fill scratch: the round that froze the class (0 while unfrozen) and
-	// the rate every member froze at.
+	// Fill state: the step that froze the class (0 while unfrozen) and the
+	// rate every member froze at, kept until the class's group is computed
+	// again.
 	frozenIn int
 	rate     float64
 }
@@ -169,29 +183,30 @@ func (f *Flow) Rate() float64 {
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
 //
-// The fill itself stays a whole-network water-filling pass with global
-// rounds, and it executes bit-for-bit the float operations of the naive
-// per-flow ladder — the determinism goldens pin simulated physics down to
-// the nanosecond, so the fill must be exactly equivalent, and the
+// The fill executes bit-for-bit the float operations of the naive per-flow
+// ladder with global rounds — the determinism goldens pin simulated physics
+// down to the nanosecond, so the fill must be exactly equivalent, and the
 // equivalence suite and FuzzReallocate hold it to the test-only reference
-// implementation. What it saves is bookkeeping: its rounds run over flow
-// classes (flows with equal path contents and an equal cap; on the bullion
-// about 10 classes carry about 26 flows) instead of flows, and the
-// per-resource crossing lists it walks are maintained incrementally by
-// StartFlowCapped and finish instead of being rebuilt per fill. Why that
-// is exact is spelled out on waterfill.
+// implementation. What it saves is work, not rounds. Its rounds run over
+// flow classes (flows with equal path contents and an equal cap; on the
+// bullion about 10 classes carry about 26 flows) instead of flows, over
+// per-resource crossing lists maintained by StartFlowCapped and finish.
+// Each round is one step per resource group: a set of resources that no
+// class path leaves (on the bullion, one socket's memory controller and
+// port). A group whose crossing lists did not change since the last fill
+// replays the steps it logged then instead of recomputing them, as long as
+// each round hands it the same inputs; a churned group computes.
 //
-// A further restriction — water-filling only the connected component of
-// resources the changed flow crosses, leaving other components' rates
-// untouched — is deliberately NOT done: with per-flow rate caps the
-// historical global ladder freezes cap-bound flows in rounds driven by the
-// global minimum share, so another component's share can split one
-// component's cap-freeze batch and change the order residual capacities are
-// subtracted in. Per-component fills reorder those subtractions, and float
-// subtraction is not associative: rates drift by ulps, ceil'd deadlines by
-// nanoseconds, and whole schedules follow (6 of the 195 determinism goldens
-// moved when it was tried). The component fill would be bit-exact only
-// against a per-component reference, not against the recorded history.
+// Fills run separately per group — leaving untouched groups' rates alone —
+// would not be exact: the ladder's rounds are global, so another group's
+// share can split one group's cap freezes across rounds, and the ladder's
+// 1e-12 tolerance freezes a group at another group's share. Either changes
+// the order or the values of residual subtractions, float subtraction is
+// not associative, and rates drift by ulps, deadlines by nanoseconds, whole
+// schedules after them (6 of the 195 determinism goldens moved when
+// per-component fills were tried). Replay keeps the global rounds and
+// checks every logged step against the round that would run it; why that
+// is exact is spelled out on waterfill.
 type Net struct {
 	eng       *Engine
 	resources []*Resource
@@ -199,21 +214,25 @@ type Net struct {
 	freeFlows []*Flow // recycled Flow structs
 	nextFlow  int
 
-	classes     []*flowClass // live flow classes, in no particular order
 	freeClasses []*flowClass // recycled classes
 
-	// Scratch buffers reused by the water-filling passes, all with
-	// len == len(resources) except liveRes and touched, the worklists of
-	// resources that still carry unfrozen flows (ascending) and of
-	// resources a cap round subtracts from. capCount and capRate tally a
-	// cap round per resource: the path occurrences it freezes there and
-	// their common cap, NaN when the caps differ (caps are never NaN).
-	residual []float64
-	unfrozen []int
-	capCount []int
-	capRate  []float64
-	liveRes  []int32
-	touched  []int32
+	touched []*Resource // the worklist of resources a cap step subtracts from
+	stamp   int         // the last fill step taken; marks the classes it froze
+
+	// Resource groups (see waterfill). uf is a union-find forest over
+	// resource ids, -1 for a resource no class path has reached since the
+	// last Reset; groups only merge until Reset. gres lists the grouped
+	// resources group by group. gMinQ, gMinCap and gLeft are the dense
+	// per-group fill state: smallest resource quotient, smallest unfrozen
+	// cap and unfrozen class count. live is the worklist of groups that
+	// still have unfrozen classes.
+	uf      []int
+	gres    []*Resource
+	groups  []fillGroup
+	gMinQ   []float64
+	gMinCap []float64
+	gLeft   []int
+	live    []int
 
 	// Deferred-reallocation state. batch controls same-instant coalescing:
 	// when false every churn event flushes immediately (one redistribution
@@ -261,17 +280,14 @@ func NewNet(eng *Engine) *Net {
 }
 
 // NewResource registers a shared resource with the given capacity in
-// bytes per nanosecond (== GB/s). Capacity must be positive.
+// bytes per nanosecond (== GB/s). Capacity must be positive and finite.
 func (n *Net) NewResource(name string, capacity float64) *Resource {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("sim: resource %q with non-positive capacity %v", name, capacity))
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		panic(fmt.Sprintf("sim: resource %q capacity %v is not a positive finite number", name, capacity))
 	}
-	r := &Resource{id: len(n.resources), name: name, capacity: capacity}
+	r := &Resource{id: len(n.resources), name: name, capacity: capacity, gid: -1}
 	n.resources = append(n.resources, r)
-	n.residual = append(n.residual, 0)
-	n.unfrozen = append(n.unfrozen, 0)
-	n.capCount = append(n.capCount, 0)
-	n.capRate = append(n.capRate, 0)
+	n.uf = append(n.uf, -1)
 	return r
 }
 
@@ -357,6 +373,7 @@ func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, 
 	for _, r := range f.path {
 		r.crossing = append(r.crossing, f)
 	}
+	n.groups[path[0].gid].dirty = true
 	n.noteChurn()
 	if n.onFlowStart != nil {
 		n.onFlowStart(f)
@@ -375,7 +392,8 @@ func noop() {}
 // classFor returns the live class of flows with path's contents and cap
 // maxRate, creating (or recycling) one when there is none. Paths are
 // compared by contents, not by slice identity, so equal paths built
-// separately share a class.
+// separately share a class. A new class whose path leaves its group joins
+// the groups it touches.
 func (n *Net) classFor(path []*Resource, maxRate float64) *flowClass {
 	head := path[0]
 	for _, c := range head.classes {
@@ -390,9 +408,11 @@ func (n *Net) classFor(path []*Resource, maxRate float64) *flowClass {
 	} else {
 		c = &flowClass{}
 	}
-	*c = flowClass{path: path, maxRate: maxRate, idx: len(n.classes)}
-	n.classes = append(n.classes, c)
+	*c = flowClass{path: path, maxRate: maxRate}
 	head.classes = append(head.classes, c)
+	if !inGroup(path) {
+		n.joinGroups(path)
+	}
 	return c
 }
 
@@ -412,14 +432,10 @@ func samePath(a, b []*Resource) bool {
 
 // retireClass recycles a class whose last member flow just finished.
 func (n *Net) retireClass(c *flowClass) {
-	last := len(n.classes) - 1
-	n.classes[c.idx] = n.classes[last]
-	n.classes[c.idx].idx = c.idx
-	n.classes = n.classes[:last]
 	head := c.path[0]
 	for i, hc := range head.classes {
 		if hc == c {
-			last = len(head.classes) - 1
+			last := len(head.classes) - 1
 			head.classes[i] = head.classes[last]
 			head.classes = head.classes[:last]
 			break
@@ -538,157 +554,6 @@ func (n *Net) flush() {
 	n.flushing = false
 }
 
-// waterfill computes the max-min fair rate for every active flow
-// (water-filling with per-flow caps) and settles the resource integrals.
-//
-// Water-filling: repeatedly find the binding constraint — either the
-// bottleneck resource (smallest per-unfrozen-flow fair share) or an unfrozen
-// flow whose own cap is at or below that share — freeze the affected flows,
-// subtract their consumption from every resource they cross, repeat.
-//
-// The rounds run over flow classes, yet the pass is bit-for-bit equivalent
-// to the naive per-flow ladder (kept as the test-only referenceWaterfill):
-// every residual sees the same float subtractions in the same order, and
-// every flow gets the same rate. That holds because:
-//
-//   - Members of a class see the same shares and the same cap in every
-//     round, so they freeze in the same round at the same rate.
-//   - A bottleneck round subtracts one value, share, from every resource.
-//     The order of equal subtractions does not matter, so a class
-//     subtracts share c.n times per path entry, clamping at zero after each
-//     subtraction exactly as the ladder does. Resources are still visited in
-//     ascending id, each one's test seeing the subtractions of the
-//     resources before it.
-//   - Only a cap round can freeze classes with different rates on one
-//     resource. There the ladder's order matters, and it is ascending flow
-//     id, so such a resource replays its crossing list, subtracting the cap
-//     of each flow frozen in this round. A resource that sees one cap
-//     subtracts it the tallied number of times.
-//   - The settle sums add rates per resource in crossing-list order,
-//     ascending flow id, which is the ladder's order too.
-//
-// Rounds stay global: no resource is skipped, and a round's share is the
-// minimum over the whole network (see Net for why). Everything runs on
-// per-Net scratch buffers: no allocation, no map iteration, no sorting.
-func (n *Net) waterfill(now Time) {
-	residual, unfrozen := n.residual, n.unfrozen
-	capCount, capRate := n.capCount, n.capRate
-	lr := n.liveRes[:0]
-	for i, r := range n.resources {
-		residual[i] = r.capacity
-		unfrozen[i] = len(r.crossing)
-		if unfrozen[i] > 0 {
-			lr = append(lr, int32(i))
-		}
-	}
-	for _, c := range n.classes {
-		c.frozenIn = 0
-	}
-	touched := n.touched[:0]
-	left := len(n.classes)
-	for round := 1; left > 0; round++ {
-		// Bottleneck-resource share, over resources that still carry
-		// unfrozen flows (compacted in place; a resource whose flows all
-		// froze can never regain one within this fill).
-		share := math.Inf(1)
-		k := 0
-		for _, id := range lr {
-			if unfrozen[id] == 0 {
-				continue
-			}
-			lr[k] = id
-			k++
-			if s := residual[id] / float64(unfrozen[id]); s < share {
-				share = s
-			}
-		}
-		lr = lr[:k]
-		// A class whose cap is at or below the share binds first. Its
-		// subtractions are tallied per resource and applied afterwards, in
-		// the ladder's order. When share is +Inf every class binds here, so
-		// the ladder's no-contention guard has no counterpart.
-		for _, c := range n.classes {
-			if c.frozenIn != 0 || c.maxRate > share {
-				continue
-			}
-			c.frozenIn, c.rate = round, c.maxRate
-			left--
-			for _, r := range c.path {
-				id := r.id
-				if capCount[id] == 0 {
-					touched = append(touched, int32(id))
-					capRate[id] = c.maxRate
-				} else if capRate[id] != c.maxRate {
-					capRate[id] = math.NaN()
-				}
-				capCount[id] += c.n
-			}
-		}
-		if len(touched) > 0 {
-			for _, id := range touched {
-				if rate := capRate[id]; !math.IsNaN(rate) {
-					for i := 0; i < capCount[id]; i++ {
-						residual[id] = clampSub(residual[id], rate)
-					}
-				} else {
-					for _, f := range n.resources[id].crossing {
-						if f.cls.frozenIn == round {
-							residual[id] = clampSub(residual[id], f.cls.rate)
-						}
-					}
-				}
-				unfrozen[id] -= capCount[id]
-				capCount[id] = 0
-			}
-			touched = touched[:0]
-			continue // resource shares changed; recompute
-		}
-		// Freeze every unfrozen class crossing a bottleneck resource,
-		// found through the resource's crossing list.
-		progressed := false
-		limit := share * (1 + 1e-12)
-		for _, id := range lr {
-			if unfrozen[id] == 0 {
-				continue
-			}
-			if residual[id]/float64(unfrozen[id]) > limit {
-				continue
-			}
-			for _, f := range n.resources[id].crossing {
-				c := f.cls
-				if c.frozenIn != 0 {
-					continue
-				}
-				c.frozenIn, c.rate = round, share
-				left--
-				progressed = true
-				for _, r := range c.path {
-					for i := 0; i < c.n; i++ {
-						residual[r.id] = clampSub(residual[r.id], share)
-					}
-					unfrozen[r.id] -= c.n
-				}
-			}
-		}
-		if !progressed {
-			panic("sim: max-min water-filling made no progress")
-		}
-	}
-	n.liveRes, n.touched = lr[:0], touched
-	// Hand every flow its class's rate, then settle the per-resource rate
-	// integrals with the fresh allocation.
-	for _, f := range n.active {
-		f.rate = f.cls.rate
-	}
-	for _, r := range n.resources {
-		sum := 0.0
-		for _, f := range r.crossing {
-			sum += f.rate
-		}
-		r.settle(now, sum)
-	}
-}
-
 // clampSub returns residual - rate, clamped at zero: one frozen flow's
 // demand removed from one residual capacity.
 func clampSub(residual, rate float64) float64 {
@@ -700,8 +565,12 @@ func clampSub(residual, rate float64) float64 {
 }
 
 // reallocate forces an immediate from-scratch recompute regardless of
-// pending churn. Benchmarks use it to measure one full fill.
+// pending churn: every group is marked dirty, so nothing replays.
+// Benchmarks use it to measure one full fill.
 func (n *Net) reallocate() {
+	for g := range n.groups {
+		n.groups[g].dirty = true
+	}
 	n.noteChurn()
 	n.flush()
 }
@@ -809,6 +678,7 @@ func (n *Net) finish(f *Flow) {
 	for _, r := range f.path {
 		r.removeCrossing(f)
 	}
+	n.groups[f.path[0].gid].dirty = true
 	if f.cls.n--; f.cls.n == 0 {
 		n.retireClass(f.cls)
 	}
@@ -830,12 +700,13 @@ func (n *Net) finish(f *Flow) {
 	n.freeFlows = append(n.freeFlows, f)
 }
 
-// Reset returns the network to its initial state — no active flows, zeroed
-// resource integrals and traffic counters — while keeping the registered
-// resources, the recycled-Flow pool and every grown scratch buffer. It must
-// be paired with a reset of the driving engine (the parked completion
-// placeholder is abandoned here; the engine reset invalidates it wholesale).
-// Machine.Reset is the intended caller.
+// Reset returns the network to its initial state — no active flows, no
+// resource groups or fill logs, zeroed resource integrals and traffic
+// counters — while keeping the registered resources, the recycled-Flow and
+// class pools and every grown scratch buffer. It must be paired with a
+// reset of the driving engine (the parked completion placeholder is
+// abandoned here; the engine reset invalidates it wholesale). Machine.Reset
+// is the intended caller.
 func (n *Net) Reset() {
 	for _, f := range n.active {
 		f.finished = true
@@ -845,18 +716,21 @@ func (n *Net) Reset() {
 		n.freeFlows = append(n.freeFlows, f)
 	}
 	n.active = n.active[:0]
-	for _, c := range n.classes {
-		c.path = nil
-		n.freeClasses = append(n.freeClasses, c)
-	}
-	n.classes = n.classes[:0]
-	for _, r := range n.resources {
+	for i, r := range n.resources {
+		for _, c := range r.classes {
+			c.path = nil
+			n.freeClasses = append(n.freeClasses, c)
+		}
 		r.crossing = r.crossing[:0]
 		r.classes = r.classes[:0]
+		r.gid = -1
+		n.uf[i] = -1
 		r.carried = 0
 		r.rate = 0
 		r.lastUpdate = 0
 	}
+	n.groups = n.groups[:0] // joinGroups reuses the log buffers
+	n.gres = n.gres[:0]
 	n.nextFlow = 0
 	n.dirty = false
 	n.flushing = false

@@ -121,6 +121,22 @@ func TestNonPositiveCapacityPanics(t *testing.T) {
 	n.NewResource("bad", 0)
 }
 
+// TestNonFiniteCapacityPanics pins that capacities are finite: a NaN
+// capacity fails every comparison, and an infinite one makes the fill's
+// quotients non-finite.
+func TestNonFiniteCapacityPanics(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("capacity %v did not panic", c)
+				}
+			}()
+			NewNet(NewEngine()).NewResource("bad", c)
+		}()
+	}
+}
+
 func TestResourceAccounting(t *testing.T) {
 	e := NewEngine()
 	n := NewNet(e)

@@ -10,16 +10,17 @@ import (
 
 // Full-vs-incremental reallocation equivalence harness.
 //
-// A production Net (deferred, batched, class-based water-filling) and a
-// reference Net (eager per-event recompute through the naive seed ladder,
-// see realloc_reference_test.go) are driven through an identical flow-churn
-// script on two engines, stopped at every churn instant, and compared
-// bit-for-bit: simulated clock, executed steps, queued events, every
-// completion time, and the rate / remaining-bytes / deadline / starvation
-// state of every in-flight flow. Nothing is allowed to drift by even an
-// ulp — the determinism goldens pin physics to the nanosecond, and a
-// one-ulp rate difference becomes a one-nanosecond ceil difference becomes
-// a different schedule.
+// A production Net (deferred, batched, class-based water-filling with
+// replayed resource groups) and a reference Net (eager per-event recompute
+// through the naive seed ladder, see realloc_reference_test.go) are driven
+// through an identical flow-churn script on two engines, stopped at every
+// churn instant, and compared bit-for-bit: simulated clock, executed steps,
+// queued events, every completion time, every resource's rate and carried
+// bytes, and the rate / remaining-bytes / deadline / starvation state of
+// every in-flight flow. Nothing is allowed to drift by even an ulp — the
+// determinism goldens pin physics to the nanosecond, and a one-ulp rate
+// difference becomes a one-nanosecond ceil difference becomes a different
+// schedule.
 
 // churnOp is one scripted StartFlowCapped call. A chained op ignores at and
 // starts from the done callback of the op before it, in the instant that op
@@ -36,6 +37,7 @@ type churnOp struct {
 type scriptRun struct {
 	eng    *Engine
 	net    *Net
+	rs     []*Resource
 	flows  []*Flow
 	doneAt []Time  // completion instant per op, -1 while in flight
 	order  []int32 // callback interleaving: op i start = i<<1, done = i<<1|1
@@ -48,7 +50,13 @@ func startScript(mk func(*Engine) *Net, caps []float64, ops []churnOp) *scriptRu
 	for i, c := range caps {
 		rs[i] = net.NewResource(fmt.Sprintf("r%d", i), c)
 	}
-	sr := &scriptRun{eng: eng, net: net}
+	return scheduleScript(eng, net, rs, ops)
+}
+
+// scheduleScript schedules ops on an existing engine and net over the
+// net's resources rs.
+func scheduleScript(eng *Engine, net *Net, rs []*Resource, ops []churnOp) *scriptRun {
+	sr := &scriptRun{eng: eng, net: net, rs: rs}
 	sr.flows = make([]*Flow, len(ops))
 	sr.doneAt = make([]Time, len(ops))
 	for i := range sr.doneAt {
@@ -97,6 +105,14 @@ func compareState(t *testing.T, tag string, a, b *scriptRun) {
 	if math.Float64bits(a.net.TotalBytes) != math.Float64bits(b.net.TotalBytes) {
 		t.Fatalf("%s: TotalBytes diverged: production %v, reference %v", tag, a.net.TotalBytes, b.net.TotalBytes)
 	}
+	for i, ra := range a.rs {
+		rb, now := b.rs[i], a.eng.Now()
+		if math.Float64bits(ra.Rate()) != math.Float64bits(rb.Rate()) ||
+			math.Float64bits(ra.Carried(now)) != math.Float64bits(rb.Carried(now)) {
+			t.Fatalf("%s: resource %d diverged: production rate %v carried %v, reference rate %v carried %v",
+				tag, i, ra.Rate(), ra.Carried(now), rb.Rate(), rb.Carried(now))
+		}
+	}
 	if len(a.order) != len(b.order) {
 		t.Fatalf("%s: callback count diverged: production %d, reference %d", tag, len(a.order), len(b.order))
 	}
@@ -140,8 +156,13 @@ func compareState(t *testing.T, tag string, a, b *scriptRun) {
 // lockstep, comparing at every churn instant and after the drain.
 func runEquivalence(t *testing.T, caps []float64, ops []churnOp) {
 	t.Helper()
-	prod := startScript(NewNet, caps, ops)
-	ref := startScript(newReferenceNet, caps, ops)
+	lockstep(t, startScript(NewNet, caps, ops), startScript(newReferenceNet, caps, ops), ops)
+}
+
+// lockstep runs two nets scheduled with the same ops, comparing them at
+// every churn instant and after the drain.
+func lockstep(t *testing.T, prod, ref *scriptRun, ops []churnOp) {
+	t.Helper()
 	var last Time = -1
 	for _, op := range ops {
 		if op.chain || op.at == last {
@@ -190,7 +211,7 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 	var ops []churnOp
 	now := Time(0)
 	pick := func(ids ...int) []int { return ids }
-	switch style % 5 {
+	switch style % 8 {
 	case 0:
 		// Machine-shaped: per-socket {mc, port} components, capped local and
 		// remote transfers — the exact shape rt.fanOutTransfers produces.
@@ -271,6 +292,67 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 						seen[r] = true
 						op.path = append(op.path, r)
 					}
+				}
+				ops = append(ops, op)
+			}
+		}
+	case 5:
+		// Near-tie groups: single-resource groups whose capacities sit a few
+		// 1e-13 apart, so equal flow counts put their quotients inside the
+		// ladder's 1e-12 tolerance of each other: a clean group must freeze
+		// at a churned group's share instead of replaying its own.
+		for i := 0; i < 4; i++ {
+			caps = append(caps, 10*(1-float64(i)*3e-13))
+		}
+		for len(ops) < nOps {
+			now += Time(rng.Intn(2000))
+			for j := 0; j < burst && len(ops) < nOps; j++ {
+				op := churnOp{at: now, vol: float64(1 + rng.Intn(1<<20)), maxR: math.Inf(1)}
+				if rng.Intn(4) == 0 {
+					op.maxR = 1 + 4*rng.Float64()
+				}
+				op.path = pick(rng.Intn(len(caps)))
+				ops = append(ops, op)
+			}
+		}
+	case 6:
+		// Cap splits across fills: groups of capacity 12 hold caps whose
+		// subtraction order shows in the last ulp of an uncapped flow's rate
+		// (12-2.3-1.1 != 12-1.1-2.3), next to splitter groups whose shares
+		// fall between those caps and come and go: a clean group's caps
+		// freeze in one cap round in one fill and in two in the next.
+		caps = []float64{12, 12, 2, 1.5, 3}
+		capped := []float64{2.3, 1.1, math.Inf(1)}
+		for len(ops) < nOps {
+			now += Time(rng.Intn(3000))
+			for j := 0; j < burst && len(ops) < nOps; j++ {
+				op := churnOp{at: now, path: pick(rng.Intn(len(caps)))}
+				if op.path[0] < 2 {
+					op.vol, op.maxR = float64(1+rng.Intn(1<<22)), capped[rng.Intn(3)]
+				} else {
+					op.vol, op.maxR = float64(1+rng.Intn(1<<12)), math.Inf(1)
+				}
+				ops = append(ops, op)
+			}
+		}
+	case 7:
+		// Linking classes: mostly single-resource flows, plus short flows
+		// on a pair of resources that join two groups and then retire; the
+		// joined groups stay joined while churn moves between them.
+		caps = []float64{30, 12, 30, 12, 20, 8}
+		for len(ops) < nOps {
+			now += Time(rng.Intn(2500))
+			for j := 0; j < burst && len(ops) < nOps; j++ {
+				op := churnOp{at: now, vol: float64(1 + rng.Intn(1<<20)), maxR: coreBW[rng.Intn(3)]}
+				if rng.Intn(3) == 0 {
+					op.maxR = math.Inf(1)
+				}
+				a := rng.Intn(len(caps))
+				if rng.Intn(6) == 0 {
+					op.vol = float64(1 + rng.Intn(1<<12))
+					op.path = pick(a, (a+1+rng.Intn(len(caps)-1))%len(caps))
+				} else {
+					op.path = pick(a)
 				}
 				ops = append(ops, op)
 			}
@@ -395,6 +477,96 @@ func TestReallocateEquivalenceScripted(t *testing.T) {
 	})
 }
 
+// TestReallocateReplayScripted pins the resource groups and the replay of
+// logged fill steps (see Net.waterfill) against the reference ladder. Each
+// case names a broken variant of the fill that it catches.
+func TestReallocateReplayScripted(t *testing.T) {
+	inf := math.Inf(1)
+	t.Run("near-tie-groups", func(t *testing.T) {
+		// Group {r1} sits 4e-13 below group {r0}, inside the ladder's 1e-12
+		// tolerance. When r1 churns, clean r0 must freeze at r1's share, not
+		// replay the step it logged at its own share; then the roles swap.
+		// Catches: replay that matches a bottleneck step by kind alone.
+		runEquivalence(t, []float64{10, 10 * (1 - 4e-13)}, []churnOp{
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: inf},
+			{at: 100, vol: 1 << 30, path: []int{1}, maxR: inf},
+			{at: 200, vol: 1 << 30, path: []int{0}, maxR: inf},
+			{at: 300, vol: 1 << 30, path: []int{1}, maxR: inf},
+			{at: 400, vol: 1 << 12, path: []int{0}, maxR: inf},
+		})
+	})
+	t.Run("cap-split-across-fills", func(t *testing.T) {
+		// Clean group {r0} holds caps 2.3 and 1.1 (in flow-id order) and an
+		// uncapped flow. Alone it freezes both caps in one round, and the
+		// uncapped flow gets 12-2.3-1.1 = 8.6. While {r1}'s share 2.0 runs
+		// it freezes them in two rounds and gets 12-1.1-2.3, one ulp more;
+		// after r1's flow ends (t=600), one round again, checked when r2
+		// churns at t=1000.
+		// Catches: a cap match without the lower bound (largest frozen cap
+		// <= share) and one without the upper bound (share < next cap).
+		runEquivalence(t, []float64{12, 2, 5}, []churnOp{
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 2.3},
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 1.1},
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: inf},
+			{at: 100, vol: 1000, path: []int{1}, maxR: inf},
+			{at: 1000, vol: 1 << 20, path: []int{2}, maxR: inf},
+			{at: 2000, vol: 1000, path: []int{1}, maxR: inf},
+			{at: 3000, vol: 1 << 20, path: []int{2}, maxR: inf},
+		})
+	})
+	t.Run("linking-class-retires", func(t *testing.T) {
+		// A short flow on [r0, r1] joins the groups {r0} and {r1}; after it
+		// retires the joined group stays, and churn on r2 leaves it clean.
+		// Catches: a new class that links two groups without joining them
+		// (the churn of one group would not dirty the other).
+		runEquivalence(t, []float64{30, 12, 20}, []churnOp{
+			{at: 0, vol: 1 << 22, path: []int{0}, maxR: coreBW[0]},
+			{at: 0, vol: 1 << 22, path: []int{1}, maxR: inf},
+			{at: 0, vol: 1 << 22, path: []int{2}, maxR: coreBW[1]},
+			{at: 50, vol: 3000, path: []int{0, 1}, maxR: coreBW[1]},
+			{at: 60, vol: 1 << 20, path: []int{1}, maxR: 3},
+			{at: 5000, vol: 1 << 20, path: []int{2}, maxR: inf},
+			{at: 6000, vol: 1 << 20, path: []int{0}, maxR: coreBW[2]},
+			{at: 7000, vol: 1 << 18, path: []int{1}, maxR: inf},
+		})
+	})
+	t.Run("root-off-live-paths", func(t *testing.T) {
+		// r0 roots the union-find tree of {r0, r1} but its only class
+		// retires; a class on [r1, r2] then rebuilds the groups, and r0,
+		// crossed by no live path, must stay in its group for the flow that
+		// later starts on it.
+		// Catches: a regroup that lists only resources on live class paths.
+		runEquivalence(t, []float64{10, 10, 10}, []churnOp{
+			{at: 0, vol: 2000, path: []int{0, 1}, maxR: inf},
+			{at: 0, vol: 1 << 22, path: []int{1}, maxR: 4},
+			{at: 500, vol: 1 << 20, path: []int{1, 2}, maxR: inf},
+			{at: 600, vol: 1 << 20, path: []int{0}, maxR: inf},
+			{at: 700, vol: 1 << 19, path: []int{2}, maxR: 3},
+		})
+	})
+	t.Run("reset-with-logs", func(t *testing.T) {
+		// The production net runs the cap-split script until both groups
+		// hold logs, is Reset mid-flight, and replays only group {r0}'s
+		// flows: {r1} lost its flows in the Reset and must not replay its
+		// log into the rounds (its share 2.0 would split r0's caps).
+		// Catches: a Reset that keeps the groups and their logs.
+		caps := []float64{12, 2}
+		warm := []churnOp{
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 2.3},
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 1.1},
+			{at: 0, vol: 1 << 30, path: []int{0}, maxR: inf},
+			{at: 0, vol: 1 << 30, path: []int{1}, maxR: inf},
+		}
+		ops := warm[:3]
+		prod := startScript(NewNet, caps, warm)
+		prod.eng.RunUntil(100)
+		prod.eng.Reset()
+		prod.net.Reset()
+		prod = scheduleScript(prod.eng, prod.net, prod.rs, ops)
+		lockstep(t, prod, startScript(newReferenceNet, caps, ops), ops)
+	})
+}
+
 // TestFlowClassesKeyByContents pins the class bookkeeping: flows join a
 // class by path contents and cap, not by slice identity; a class retires
 // with its last member and is recycled; Reset drops every class.
@@ -412,12 +584,12 @@ func TestFlowClassesKeyByContents(t *testing.T) {
 	if f3.cls == f1.cls || f4.cls == f1.cls || f3.cls == f4.cls {
 		t.Fatal("a reversed path or a different cap shared a class")
 	}
-	if len(n.classes) != 3 || f1.cls.n != 2 {
-		t.Fatalf("got %d classes, first with %d flows; want 3 and 2", len(n.classes), f1.cls.n)
+	if len(a.classes)+len(b.classes) != 3 || f1.cls.n != 2 {
+		t.Fatalf("got %d classes, first with %d flows; want 3 and 2", len(a.classes)+len(b.classes), f1.cls.n)
 	}
 	e.Run()
-	if len(n.classes) != 0 || len(a.classes) != 0 || len(b.classes) != 0 {
-		t.Fatalf("drained net keeps %d live classes", len(n.classes))
+	if len(a.classes) != 0 || len(b.classes) != 0 {
+		t.Fatalf("drained net keeps %d live classes", len(a.classes)+len(b.classes))
 	}
 	if len(n.freeClasses) != 3 {
 		t.Fatalf("%d recycled classes, want 3", len(n.freeClasses))
@@ -428,7 +600,7 @@ func TestFlowClassesKeyByContents(t *testing.T) {
 	}
 	n.Reset()
 	e.Reset()
-	if len(n.classes) != 0 || len(a.classes) != 0 || len(a.crossing) != 0 || len(n.freeClasses) != 3 {
+	if len(a.classes) != 0 || len(a.crossing) != 0 || len(n.freeClasses) != 3 {
 		t.Fatal("Reset left classes or crossing lists behind")
 	}
 }
@@ -473,7 +645,7 @@ func TestSameInstantTieOrderMatchesEager(t *testing.T) {
 // styles; the fuzz target FuzzReallocate explores the same space
 // coverage-guided.
 func TestReallocateEquivalenceRandom(t *testing.T) {
-	for style := uint64(0); style < 5; style++ {
+	for style := uint64(0); style < 8; style++ {
 		for seed := uint64(1); seed <= 6; seed++ {
 			caps, ops := buildChurnCase(seed, style, 64+seed*13, seed)
 			t.Run(fmt.Sprintf("style%d/seed%d", style, seed), func(t *testing.T) {

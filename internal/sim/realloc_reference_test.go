@@ -17,7 +17,8 @@ import "math"
 //   - referenceWaterfill runs its rounds over individual flows, scanning
 //     every resource and every active flow each round (O(R x F) crosses()
 //     tests), instead of over flow classes and the per-resource crossing
-//     lists.
+//     lists, and recomputes every resource at every fill instead of
+//     replaying the groups no churn touched.
 //   - newReferenceNet disables same-instant batching: every StartFlow and
 //     every completion redistributes immediately, the historical one
 //     recompute per churn event.
@@ -41,29 +42,29 @@ func (f *Flow) crosses(r *Resource) bool {
 	return false
 }
 
-// freezeFlow fixes a flow's rate and removes its demand from the residual
-// capacities: one step of the reference ladder.
-func (n *Net) freezeFlow(f *Flow, frozen []bool, rate float64) {
-	f.rate = rate
-	frozen[f.idx] = true
-	for _, rr := range f.path {
-		n.residual[rr.id] -= rate
-		if n.residual[rr.id] < 0 {
-			n.residual[rr.id] = 0
-		}
-		n.unfrozen[rr.id]--
-	}
-}
-
 // referenceWaterfill is the seed max-min fill: all-resources share scans,
 // all-flows cap scans, and crosses() tests against every active flow for
-// every bottleneck resource.
+// every bottleneck resource. It keeps its residuals and counts in arrays of
+// its own, sharing no scratch with the production fill.
 func (n *Net) referenceWaterfill(now Time) {
-	residual, unfrozen := n.residual, n.unfrozen
+	residual := make([]float64, len(n.resources))
+	unfrozen := make([]int, len(n.resources))
 	frozen := make([]bool, len(n.active)) // indexed by Flow.idx
+	// freezeFlow fixes a flow's rate and removes its demand from the
+	// residual capacities: one step of the reference ladder.
+	freezeFlow := func(f *Flow, rate float64) {
+		f.rate = rate
+		frozen[f.idx] = true
+		for _, rr := range f.path {
+			residual[rr.id] -= rate
+			if residual[rr.id] < 0 {
+				residual[rr.id] = 0
+			}
+			unfrozen[rr.id]--
+		}
+	}
 	for i, r := range n.resources {
 		residual[i] = r.capacity
-		unfrozen[i] = 0
 	}
 	for _, f := range n.active {
 		for _, r := range f.path {
@@ -86,7 +87,7 @@ func (n *Net) referenceWaterfill(now Time) {
 		capBound := false
 		for _, f := range n.active {
 			if !frozen[f.idx] && f.maxRate <= share {
-				n.freezeFlow(f, frozen, f.maxRate)
+				freezeFlow(f, f.maxRate)
 				left--
 				capBound = true
 			}
@@ -117,7 +118,7 @@ func (n *Net) referenceWaterfill(now Time) {
 				if frozen[f.idx] || !f.crosses(r) {
 					continue
 				}
-				n.freezeFlow(f, frozen, share)
+				freezeFlow(f, share)
 				left--
 				progressed = true
 			}
