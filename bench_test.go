@@ -38,7 +38,7 @@ import (
 func runSim(b *testing.B, cfg core.Config) {
 	b.Helper()
 	b.ReportAllocs()
-	runner := core.NewRunner(0)
+	runner := core.NewRunner()
 	var last float64
 	for i := 0; i < b.N; i++ {
 		cfg.Runtime.Seed = uint64(i + 1)
@@ -249,7 +249,7 @@ func BenchmarkDagpart(b *testing.B) {
 // tasks/second (infrastructure).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := core.DefaultConfig("jacobi", "LAS", apps.Small)
-	runner := core.NewRunner(0)
+	runner := core.NewRunner()
 	var tasks int
 	for i := 0; i < b.N; i++ {
 		cfg.Runtime.Seed = uint64(i + 1)

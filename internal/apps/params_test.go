@@ -62,6 +62,39 @@ func TestWithParamsConstructors(t *testing.T) {
 	}
 }
 
+// TestSizeMatchesBuild pins the up-front size each constructor checks
+// against MaxTasks and MaxBytes: at every preset, the computed task count
+// and region bytes equal the built graph's.
+func TestSizeMatchesBuild(t *testing.T) {
+	sizes := map[string]func(Scale) (tasks, bytes int64){
+		"jacobi":       func(s Scale) (int64, int64) { return StencilPreset(s).size(2) },
+		"red-black":    func(s Scale) (int64, int64) { return StencilPreset(s).size(1) },
+		"gauss-seidel": func(s Scale) (int64, int64) { return StencilPreset(s).size(1) },
+		"nstream":      func(s Scale) (int64, int64) { return NStreamPreset(s).size() },
+		"cg":           func(s Scale) (int64, int64) { return CGPreset(s).size() },
+		"inthist":      func(s Scale) (int64, int64) { return IntHistPreset(s).size() },
+		"qr":           func(s Scale) (int64, int64) { return DensePreset(s).qrSize() },
+		"syminv":       func(s Scale) (int64, int64) { return DensePreset(s).symInvSize() },
+	}
+	for _, name := range Names() {
+		for _, s := range []Scale{Tiny, Small, Paper} {
+			app, err := ByName(name, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := buildOn(t, app)
+			var bytes int64
+			for _, reg := range r.Mem().Regions() {
+				bytes += reg.Bytes()
+			}
+			wantTasks, wantBytes := sizes[name](s)
+			if got := int64(r.Graph().Len()); got != wantTasks || bytes != wantBytes {
+				t.Errorf("%s at %s: built %d tasks and %d bytes, computed %d and %d", name, s, got, bytes, wantTasks, wantBytes)
+			}
+		}
+	}
+}
+
 func TestWithParamsValidation(t *testing.T) {
 	if _, err := NewJacobiWith(StencilParams{NB: 1, TileBytes: 1, Iters: 1}); err == nil {
 		t.Error("NB=1 accepted")

@@ -11,9 +11,6 @@ import (
 // allocation-free for both implementations — the dispatcher sits on the
 // per-arrival hot path of every service-mode run.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	const fleet = 256
 	for _, spec := range []string{"kchoices?d=2", "idle"} {
 		d, err := NewDispatcher(spec)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"numadag/internal/apps"
@@ -22,10 +21,7 @@ import (
 // open). The bound leaves headroom over 11 but sits far below the ~55 a
 // rebuilt machine would cost again, so a pool regression trips it.
 func TestPlainCellSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomizes caching under the race detector")
-	}
-	rn := NewRunner(0)
+	rn := NewRunner()
 	cfg := Config{
 		App:     "jacobi",
 		Scale:   apps.Tiny,
@@ -41,9 +37,6 @@ func TestPlainCellSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cycle() // warm the snapshot cache and the machine/runtime pools
 	}
-	// Pools are sync.Pools; disable GC so a collection mid-measure cannot
-	// drop a warmed machine and charge its full reconstruction to one run.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const limit = 24
 	if avg := testing.AllocsPerRun(20, cycle); avg > limit {
 		t.Fatalf("plain cell allocates %.1f allocs/op in steady state, want <= %d", avg, limit)
@@ -61,9 +54,6 @@ func TestPlainCellSteadyStateAllocs(t *testing.T) {
 // the pooled runtime; a map-based tracker, per-list adjacency allocation or
 // heap-allocated tasks each add at least one per task.
 func TestBuildSnapshotSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomizes caching under the race detector")
-	}
 	const layers, width = 16, 32
 	w, err := workload.New(fmt.Sprintf("random-layered?layers=%d&width=%d&seed=5", layers, width), apps.Paper)
 	if err != nil {
@@ -78,7 +68,6 @@ func TestBuildSnapshotSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		build() // grow the pooled prototype runtime
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const limit = 2.5
 	if perTask := testing.AllocsPerRun(10, build) / (layers * width); perTask > limit {
 		t.Fatalf("build+snapshot allocates %.2f allocs per task in steady state, want <= %v", perTask, limit)

@@ -9,20 +9,27 @@ import (
 	"numadag/internal/workload"
 )
 
-// snapshotCache memoizes built task graphs (rt.Snapshot) for one
-// Experiment, keyed by (workload key, machine topology). Concurrent workers
-// asking for the same key share a single build — the first caller runs it
-// under the entry's once, the rest block on it — so an N-replicate sweep
-// constructs each graph exactly once. The cache is bounded: beyond cap
-// entries the oldest key is evicted (in-flight holders of an evicted entry
-// are unaffected; they keep their reference).
+// snapshotCache memoizes built task graphs (rt.Snapshot), keyed by
+// (workload key, machine topology). Concurrent workers asking for the same
+// key share a single build — the first caller runs it under the entry's
+// once, the rest block on it — so a sweep constructs each graph exactly
+// once.
+//
+// An Experiment's cache knows each key's planned cells up front and counts
+// them down as they take the snapshot: the last one drops the entry, and
+// the graph is garbage once that cell finishes. Canonical order runs all of
+// a workload's cells before the next workload's, so a sweep holds only the
+// graphs of the workloads in progress — about one per worker and machine —
+// however many distinct graphs it runs. A Runner's cache has no plan and
+// keeps every entry.
 type snapshotCache struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[string]*cacheEntry
-	order   []string
-	hits    int
-	misses  int
+	// left counts, per key, the planned cells that have not yet taken the
+	// snapshot; nil keeps entries forever.
+	left   map[string]int
+	hits   int
+	misses int
 }
 
 type cacheEntry struct {
@@ -31,11 +38,11 @@ type cacheEntry struct {
 	err  error
 }
 
-func newSnapshotCache(capacity int) *snapshotCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &snapshotCache{cap: capacity, entries: make(map[string]*cacheEntry)}
+// newSnapshotCache returns an empty cache. planned maps each key to the
+// number of get calls that will ask for it, and the cache takes ownership
+// of it; nil means the calls are not known in advance.
+func newSnapshotCache(planned map[string]int) *snapshotCache {
+	return &snapshotCache{entries: make(map[string]*cacheEntry), left: planned}
 }
 
 // get returns the snapshot for key, building it at most once across
@@ -49,11 +56,11 @@ func (c *snapshotCache) get(key string, build func() (*rt.Snapshot, error)) (*rt
 		c.misses++
 		e = &cacheEntry{}
 		c.entries[key] = e
-		c.order = append(c.order, key)
-		if len(c.order) > c.cap {
-			evict := c.order[0]
-			c.order = c.order[1:]
-			delete(c.entries, evict)
+	}
+	if c.left != nil {
+		if c.left[key]--; c.left[key] == 0 {
+			delete(c.entries, key)
+			delete(c.left, key)
 		}
 	}
 	c.mu.Unlock()

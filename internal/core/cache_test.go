@@ -144,7 +144,7 @@ func TestExperimentCacheEquivalence(t *testing.T) {
 // TestSnapshotCacheSingleflight hammers one key from many goroutines and
 // demands exactly one build, everyone sharing its result.
 func TestSnapshotCacheSingleflight(t *testing.T) {
-	c := newSnapshotCache(4)
+	c := newSnapshotCache(nil)
 	var builds atomic.Int64
 	w, err := workload.New("forkjoin?depth=3&fanout=2", apps.Tiny)
 	if err != nil {
@@ -182,23 +182,77 @@ func TestSnapshotCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheBounded checks FIFO eviction at the capacity bound.
-func TestSnapshotCacheBounded(t *testing.T) {
-	c := newSnapshotCache(2)
-	mk := func(key string) int {
-		n := 0
-		if _, err := c.get(key, func() (*rt.Snapshot, error) { n++; return &rt.Snapshot{}, nil }); err != nil {
-			t.Fatal(err)
-		}
-		return n
+// size returns the number of cached snapshots (test hook).
+func (c *snapshotCache) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// TestSnapshotCacheLastUse pins the cache's memory bound: an Experiment
+// drops each snapshot once the last cell planned for it has taken it, so
+// with each graph's cells back to back the cache never holds more than one
+// graph per worker plus the one the next cell starts, and it is empty when
+// Run returns. The plan must count exactly the cells that take a snapshot:
+// a Skip shard's skipped cells and a NoCache workload's cells never do, and
+// counting either would leave entries behind. Dropping an entry early would
+// rebuild its graph; the counting workload checks that each graph is still
+// built once.
+func TestSnapshotCacheLastUse(t *testing.T) {
+	spec, builds := countingWorkload(t, false)
+	nspec, nbuilds := countingWorkload(t, true)
+	specs := []string{spec, nspec}
+	for k := 0; k < 6; k++ {
+		specs = append(specs, fmt.Sprintf("random-layered?layers=3&width=4&seed=%d", k))
 	}
-	mk("a")
-	mk("b")
-	if n := mk("a"); n != 0 {
-		t.Error("a rebuilt while cached")
-	}
-	mk("c") // evicts a (oldest)
-	if n := mk("a"); n != 1 {
-		t.Error("a not evicted at capacity")
+	for _, c := range []struct {
+		name    string
+		workers int
+		skip    func(Cell) bool
+	}{
+		{"workers=1", 1, nil},
+		{"workers=2", 2, nil},
+		{"workers=2/shard", 2, func(c Cell) bool { return c.Index%3 == 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			builds.Store(0)
+			nbuilds.Store(0)
+			e := &Experiment{
+				Apps:     specs,
+				Policies: []string{"LAS"},
+				Scale:    apps.Tiny,
+				Machines: []machine.Config{machine.TwoSocketXeon()},
+				Seeds:    2,
+				Workers:  c.workers,
+				Skip:     c.skip,
+			}
+			g, err := e.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := 0
+			e.Progress = func(int, int, CellResult) { peak = max(peak, g.cache.size()) }
+			if err := e.execute(context.Background(), g); err != nil {
+				t.Fatal(err)
+			}
+			if peak > c.workers+1 {
+				t.Errorf("cache held %d snapshots with %d workers, want <= %d", peak, c.workers, c.workers+1)
+			}
+			if n := g.cache.size(); n != 0 || len(g.cache.left) != 0 {
+				t.Errorf("after Run: %d cached snapshots, %d planned keys left; want none", n, len(g.cache.left))
+			}
+			ncells := 0
+			for _, p := range g.ps {
+				if p.cell.App == nspec {
+					ncells++
+				}
+			}
+			if got := builds.Load(); got != 1 {
+				t.Errorf("cached workload built %d times, want 1", got)
+			}
+			if got := nbuilds.Load(); got != int64(ncells) {
+				t.Errorf("NoCache workload built %d times, want %d (one per executed cell)", got, ncells)
+			}
+		})
 	}
 }

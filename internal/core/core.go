@@ -151,15 +151,12 @@ type Runner struct {
 	wls   map[string]workload.Workload
 }
 
-// NewRunner returns a Runner whose snapshot cache holds up to capacity
-// graphs; capacity <= 0 means an unbounded-in-practice default (the cache
-// evicts oldest-first beyond it).
-func NewRunner(capacity int) *Runner {
-	if capacity <= 0 {
-		capacity = 1 << 20
-	}
+// NewRunner returns a Runner with an empty cache. A Runner cannot know
+// which configurations it will be asked to run again, so it keeps every
+// snapshot it builds for its own lifetime; drop the Runner to free them.
+func NewRunner() *Runner {
 	return &Runner{
-		cache: newSnapshotCache(capacity),
+		cache: newSnapshotCache(nil),
 		wls:   make(map[string]workload.Workload),
 	}
 }

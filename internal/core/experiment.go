@@ -106,15 +106,15 @@ type Experiment struct {
 	Trace TraceAttacher
 	// Workers caps the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// TDGCache bounds the per-experiment snapshot cache that shares each
-	// workload's built task graph across replicates (and across policy and
-	// variant cells): 0 auto-sizes it to the grid's distinct (workload,
-	// machine) pairs, a positive value caps the number of cached graphs,
-	// and a negative value disables caching — every cell then rebuilds its
-	// graph from the generator. Installed graphs are bit-identical to
-	// rebuilt ones, so the cache never changes results; disabling it only
-	// matters for workloads that declare NoCache themselves (those are
-	// always rebuilt) or to bound memory on huge grids.
+	// TDGCache < 0 disables the per-experiment snapshot cache; every cell
+	// then rebuilds its graph from the generator. Otherwise (0 or any
+	// positive value, which no longer caps the cache) each (workload,
+	// machine) graph is built once, shared by the replicate, policy and
+	// variant cells that install it, and dropped once the last of them
+	// has taken it, so a sweep's memory follows its workers rather than
+	// its number of distinct graphs. Installed graphs are bit-identical to
+	// rebuilt ones, so the cache never changes results. Workloads that
+	// declare NoCache are always rebuilt.
 	TDGCache int
 	// Progress, if set, is called after each in-order delivery with the
 	// number of delivered cells and the grid size (the executed subset when
@@ -281,9 +281,27 @@ func (e *Experiment) Run(ctx context.Context, sinks ...Sink) error {
 }
 
 func (e *Experiment) run(ctx context.Context, sinks ...Sink) error {
-	ps, err := e.plans()
+	g, err := e.resolve()
 	if err != nil {
 		return err
+	}
+	return e.execute(ctx, g, sinks...)
+}
+
+// grid is one Run's resolved work: the cells to execute, their workloads
+// by spec, and the snapshot cache (nil when disabled).
+type grid struct {
+	ps    []plan
+	wls   map[string]workload.Workload
+	cache *snapshotCache
+}
+
+// resolve enumerates the cells Run will execute, resolves their workloads
+// and plans the snapshot cache.
+func (e *Experiment) resolve() (*grid, error) {
+	ps, err := e.plans()
+	if err != nil {
+		return nil, err
 	}
 	if e.Skip != nil {
 		// Filter skipped cells out of the work list up front, keeping
@@ -302,28 +320,33 @@ func (e *Experiment) run(ctx context.Context, sinks ...Sink) error {
 	// and by the snapshot cache. A bad spec fails the whole grid here,
 	// before any simulation time is spent.
 	wls := make(map[string]workload.Workload)
-	pairs := make(map[string]struct{})
+	planned := make(map[string]int)
 	for _, p := range ps {
 		w, ok := wls[p.cell.App]
 		if !ok {
 			var err error
 			if w, err = workload.New(p.cell.App, e.Scale); err != nil {
-				return err
+				return nil, err
 			}
 			wls[p.cell.App] = w
 		}
-		// Count distinct cells under the cache's own key scheme, so the
-		// auto-sized capacity matches the number of live entries exactly.
-		pairs[cacheKey(w, p.mach)] = struct{}{}
-	}
-	var cache *snapshotCache
-	if e.TDGCache >= 0 {
-		capacity := e.TDGCache
-		if capacity == 0 {
-			capacity = len(pairs)
+		// Count the cells that will take each snapshot — the executed ones
+		// that go through the cache — under the cache's own key scheme.
+		if !w.NoCache {
+			planned[cacheKey(w, p.mach)]++
 		}
-		cache = newSnapshotCache(capacity)
 	}
+	g := &grid{ps: ps, wls: wls}
+	if e.TDGCache >= 0 {
+		g.cache = newSnapshotCache(planned)
+	}
+	return g, nil
+}
+
+// execute runs the resolved cells on the worker pool and delivers their
+// results to the sinks in canonical order.
+func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error {
+	ps, cache := g.ps, g.cache
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -356,7 +379,7 @@ func (e *Experiment) run(ctx context.Context, sinks ...Sink) error {
 					return
 				}
 				cfg := e.config(ps[i])
-				res, err := runCell(cfg, ps[i], wls[ps[i].cell.App], cache)
+				res, err := runCell(cfg, ps[i], g.wls[ps[i].cell.App], cache)
 				if err != nil {
 					// Any error dooms the experiment; stop claiming cells
 					// instead of burning cycles until cancellation lands.

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"numadag/internal/freelist"
 	"numadag/internal/machine"
 	"numadag/internal/sim"
 )
@@ -11,8 +12,9 @@ import (
 // resources, precomputed path tables) per run — the largest remaining
 // per-run constant after the runtime pool (ROADMAP "finish the 0-alloc
 // cell"). Machines for equal configs are interchangeable once Reset, so
-// runWith draws them from per-config pools and returns them alongside
-// r.Release.
+// runWith draws them from per-config free lists and returns them alongside
+// r.Release. A free list survives garbage collection and holds at most as
+// many machines of a config as were ever in use at once.
 //
 // Pools are keyed by a comparable digest of the full Config — every scalar
 // field verbatim plus an FNV-1a hash of the Distance matrix (the one
@@ -69,8 +71,10 @@ func keyOf(cfg *machine.Config) machineKey {
 	}
 }
 
-// machinePools maps machineKey -> *sync.Pool of *machine.Machine.
+// machinePools maps machineKey -> *machineList.
 var machinePools sync.Map
+
+type machineList = freelist.List[machine.Machine]
 
 // acquireMachine returns a reset machine for cfg, recycled when one is
 // pooled and freshly constructed otherwise.
@@ -78,9 +82,9 @@ func acquireMachine(cfg machine.Config) *machine.Machine {
 	key := keyOf(&cfg)
 	p, ok := machinePools.Load(key)
 	if !ok {
-		p, _ = machinePools.LoadOrStore(key, &sync.Pool{})
+		p, _ = machinePools.LoadOrStore(key, &machineList{})
 	}
-	if m, ok := p.(*sync.Pool).Get().(*machine.Machine); ok && m != nil {
+	if m := p.(*machineList).Get(); m != nil {
 		return m
 	}
 	return machine.New(cfg, sim.NewEngine())
@@ -94,6 +98,6 @@ func releaseMachine(m *machine.Machine) {
 	m.Reset()
 	cfg := m.Config()
 	if p, ok := machinePools.Load(keyOf(&cfg)); ok {
-		p.(*sync.Pool).Put(m)
+		p.(*machineList).Put(m)
 	}
 }

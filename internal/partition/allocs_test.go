@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 )
 
@@ -38,12 +37,6 @@ func TestFMRefineSteadyStateAllocs(t *testing.T) {
 // vertices. Subgraphs, level stores, try buffers, vertex splits and pinned
 // parts all come from the pooled refiner.
 func TestMapOntoSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomizes caching under the race detector")
-	}
-	// The refiner lives in a sync.Pool; disable GC so a collection
-	// mid-measure cannot drop the warmed scratch.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	arch := bullionArch()
 	want := -1.0
 	for _, side := range []int{16, 64} { // 256 and 4096 vertices

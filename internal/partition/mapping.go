@@ -81,7 +81,7 @@ func (a *Arch) validate() error {
 // opt.Parts and opt.TargetWeights are ignored (derived from arch); other
 // options apply to each bisection.
 func MapOnto(g *Graph, arch *Arch, opt Options) ([]int32, Stats, error) {
-	rf := refinerPool.Get().(*refiner)
+	rf := getRefiner()
 	defer refinerPool.Put(rf)
 	return mapOnto(g, arch, opt, rf)
 }

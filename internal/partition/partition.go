@@ -121,7 +121,7 @@ func Partition(g *Graph, opt Options) ([]int32, Stats, error) {
 			targets[i] = 1.0 / float64(opt.Parts)
 		}
 	}
-	rf := refinerPool.Get().(*refiner)
+	rf := getRefiner()
 	defer refinerPool.Put(rf)
 	levels := recursiveBisect(g, rf.allVertices(g.Len()), opt.Fixed, part, 0, opt.Parts, targets, &opt, rng, rf)
 	if opt.KWayRefine && !opt.NoRefine {

@@ -1,6 +1,6 @@
 package partition
 
-import "sync"
+import "numadag/internal/freelist"
 
 // refiner bundles the reusable state of the whole partitioner — the
 // recursion's vertex split, each bisection's subgraph and per-depth
@@ -59,8 +59,19 @@ type refiner struct {
 // window would regrow the same buffers and level stores from zero. Scratch
 // contents never influence results (pinned by TestFMRefineScratchReuseIsInert
 // and TestMapOntoScratchReuseIsInert), so pooling cannot perturb
-// determinism; concurrent experiment workers simply draw distinct instances.
-var refinerPool = sync.Pool{New: func() any { return &refiner{} }}
+// determinism. A refiner is checked out for a whole call, so concurrent
+// experiment workers each hold their own; the free list keeps as many
+// refiners as were ever in use at once, across garbage collections.
+var refinerPool freelist.List[refiner]
+
+// getRefiner checks a refiner out of the pool, or makes one when the pool
+// is empty. Callers return it with refinerPool.Put.
+func getRefiner() *refiner {
+	if rf := refinerPool.Get(); rf != nil {
+		return rf
+	}
+	return &refiner{}
+}
 
 // grow returns s resized to n, reusing its backing array when capacity
 // allows and reallocating (without copying) otherwise. The contents are

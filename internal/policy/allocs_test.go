@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"numadag/internal/machine"
@@ -28,9 +27,6 @@ func prepareRT(tb testing.TB, ws int) *rt.Runtime {
 // (its result, the socket groups of each split, targets and weights:
 // partition.TestMapOntoSteadyStateAllocs pins it).
 func TestRGPPrepareSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomizes caching under the race detector")
-	}
 	r := prepareRT(t, 64)
 	run := func() {
 		pol := rgpPrepareProbe.pol
@@ -42,9 +38,6 @@ func TestRGPPrepareSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		run() // warm the prepare pool and the partitioner scratch
 	}
-	// The prepare state lives in a sync.Pool; disable GC so a collection
-	// mid-measure cannot drop the warmed scratch.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Measured 331 allocs for 16 windows. Reintroducing per-window maps or
 	// fresh subgraph, level or try construction adds hundreds more and trips
 	// the bound.

@@ -7,8 +7,8 @@ package policy
 
 import (
 	"fmt"
-	"sync"
 
+	"numadag/internal/freelist"
 	"numadag/internal/graph"
 	"numadag/internal/partition"
 	"numadag/internal/rt"
@@ -169,7 +169,9 @@ type prepScratch struct {
 	fixed []int32        // pinned-vertex array handed to MapOnto
 }
 
-var prepPool = sync.Pool{New: func() any { return &prepScratch{} }}
+// prepPool keeps warmed scratch across garbage collections and holds at
+// most as many as were ever in use at once.
+var prepPool freelist.List[prepScratch]
 
 // NewRGPLAS returns the paper's RGP+LAS configuration.
 func NewRGPLAS() *RGP { return &RGP{Propagate: PropagateLAS} }
@@ -205,7 +207,10 @@ func (p *RGP) Prepare(r *rt.Runtime) {
 	if p.Propagate == PropagateRepartition {
 		limit = nWindows
 	}
-	sc := prepPool.Get().(*prepScratch)
+	sc := prepPool.Get()
+	if sc == nil {
+		sc = &prepScratch{}
+	}
 	defer prepPool.Put(sc)
 	if cap(sc.seenW) < n {
 		sc.seenW = make([]int32, n)

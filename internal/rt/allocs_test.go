@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"numadag/internal/machine"
@@ -37,9 +36,6 @@ func buildLayeredRT(r *Runtime, layers, width int) {
 // per-task (Task structs, pointer table, access and successor slabs,
 // region objects) must come from the recycled arenas.
 func TestInstallSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomizes caching under the race detector")
-	}
 	proto := newSnapRT(pinned(0), Options{})
 	buildLayeredRT(proto, 24, 16)
 	snap, err := Snap(proto)
@@ -56,9 +52,6 @@ func TestInstallSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cycle() // grow the pooled arenas to steady state
 	}
-	// The runtime pool is a sync.Pool; disable GC so a collection mid-measure
-	// cannot drop the warmed runtime and charge a full re-grow to one run.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const limit = 8
 	if avg := testing.AllocsPerRun(20, cycle); avg > limit {
 		t.Fatalf("Install cycle allocates %.1f allocs/op in steady state, want <= %d", avg, limit)
@@ -77,9 +70,6 @@ func TestInstallSteadyStateAllocs(t *testing.T) {
 // closures one traced run of this graph pays, so a hook leaking onto the
 // plain path trips it.
 func TestRunNilObserverSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomizes caching under the race detector")
-	}
 	proto := newSnapRT(pinned(0), Options{})
 	buildLayeredRT(proto, 24, 16)
 	snap, err := Snap(proto)
@@ -101,7 +91,6 @@ func TestRunNilObserverSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cycle() // grow the pooled arenas and the engine's event arena
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const limit = 16
 	if avg := testing.AllocsPerRun(20, cycle); avg > limit {
 		t.Fatalf("nil-observer run allocates %.1f allocs/op in steady state, want <= %d", avg, limit)

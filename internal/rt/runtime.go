@@ -6,9 +6,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
+	"numadag/internal/freelist"
 	"numadag/internal/graph"
 	"numadag/internal/machine"
 	"numadag/internal/memory"
@@ -225,8 +225,10 @@ type Runtime struct {
 
 // runtimePool recycles released runtimes so a sweep's replicates reuse one
 // runtime's grow-only state (queues, arenas, region pool, continuations)
-// instead of re-growing it per cell.
-var runtimePool sync.Pool
+// instead of re-growing it per cell. The free list keeps warmed runtimes
+// across garbage collections and holds at most as many as were ever in use
+// at once.
+var runtimePool freelist.List[Runtime]
 
 // NewRuntime creates a runtime over the machine, with its own memory
 // manager. It draws on the pool of Released runtimes when one is available.
@@ -237,7 +239,7 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 	if opts.WindowSize < 0 || opts.PartitionCostPerTask < 0 {
 		panic("rt: negative option")
 	}
-	r, _ := runtimePool.Get().(*Runtime)
+	r := runtimePool.Get()
 	if r == nil {
 		r = &Runtime{}
 	}
@@ -398,9 +400,12 @@ func (r *Runtime) Release() {
 }
 
 // recycle drops every reference the pooled state holds to this build's
-// tasks: the arena's slots are zeroed and the trackers emptied, so a runtime
-// waiting in the pool pins nothing of the build that used it.
+// tasks: the arena's slots are zeroed, the trackers emptied and the task
+// graph and policy handles cleared, so a runtime waiting in the pool pins
+// nothing of the build that used it — in particular not a snapshot's graph
+// that the experiment cache has already dropped.
 func (r *Runtime) recycle() {
+	r.tdg, r.pol = nil, nil
 	r.arena.reset()
 	for i := range r.tracks {
 		tr := &r.tracks[i]

@@ -10,10 +10,8 @@ import (
 // FuzzWorkloadSpec drives arbitrary spec strings through the whole
 // resolution path: ParseSpec and New, then Instantiate at tiny scale. Every
 // input must yield an error or a graph of at most MaxTasks tasks — never a
-// panic or a hang. The paper apps validate their sizes but have no
-// up-front task count, so an app spec is built only at its presets (no size
-// parameters). The seed corpus under testdata/fuzz holds the two crashers
-// this fuzzer was written for: cv=NaN (a panic in rt.Submit) and
+// panic or a hang. The seed corpus under testdata/fuzz holds the two
+// crashers this fuzzer was written for: cv=NaN (a panic in rt.Submit) and
 // forkjoin?depth=64&fanout=4 (an unbounded build).
 func FuzzWorkloadSpec(f *testing.F) {
 	for _, spec := range []string{
@@ -27,6 +25,8 @@ func FuzzWorkloadSpec(f *testing.F) {
 		"jacobi",
 		"qr?scale=tiny",
 		"cg?blocks=4",
+		"jacobi?nb=100000",
+		"inthist?nb=3&frames=2",
 		"file?path=../../testdata/dags/diamond.json",
 	} {
 		f.Add(spec)
@@ -35,9 +35,6 @@ func FuzzWorkloadSpec(f *testing.F) {
 		w, err := New(spec, apps.Tiny)
 		if err != nil {
 			return
-		}
-		if _, err := apps.ByName(w.Name, apps.Tiny); err == nil && w.Spec != w.Name {
-			return // a paper app with explicit sizes: no task cap to bound the build
 		}
 		r, err := w.Instantiate(machine.TwoSocketXeon())
 		if err != nil {

@@ -17,10 +17,11 @@
 // install it into every replicate of a sweep (rt.Install). A builder that
 // cannot honor it sets NoCache.
 //
-// The synthetic generators and file imports size their graph before
-// building it and return an error above MaxTasks tasks, MaxBytes of regions
-// or MaxFlops per task, so no spec can ask for an unbounded build;
-// non-finite numbers are rejected by the spec grammar itself (Spec.Float).
+// Every workload sizes its graph before building it and returns an error
+// above MaxTasks tasks or MaxBytes of regions (the synthetic generators and
+// file imports also above MaxFlops per task), so no spec can ask for an
+// unbounded build; non-finite numbers are rejected by the spec grammar
+// itself (Spec.Float).
 package workload
 
 import (

@@ -17,18 +17,17 @@ import (
 // reserved seed= parameter), never the runtime's Rand, so a generated graph
 // is a pure function of its spec and stays cacheable across replicates.
 
-// MaxTasks caps the task count of a synthetic or imported graph. Each such
-// generator computes its count from its parameters (layers x width, the
-// fork-join tree size, the node count of a file) before building anything
-// and returns an error above the cap, so no spec can ask for an unbounded
-// build. The largest spec a golden, example or benchmark uses has 13121
-// tasks (forkjoin at paper scale).
-const MaxTasks = 1 << 18
+// MaxTasks caps the task count of every workload: the paper apps, whose
+// constructors enforce it (apps.MaxTasks), and the synthetic and imported
+// graphs here. Each generator computes its count from its parameters
+// (layers x width, the fork-join tree size, the node count of a file)
+// before building anything and returns an error above the cap, so no spec
+// can ask for an unbounded build.
+const MaxTasks = apps.MaxTasks
 
-// MaxBytes caps the summed region bytes of a synthetic or imported graph.
-// The simulator keeps one page-table entry per 4 KiB page, so the cap
-// bounds that host memory at 32 MiB per build.
-const MaxBytes = 1 << 36
+// MaxBytes caps the summed region bytes of every workload, the same way
+// (apps.MaxBytes).
+const MaxBytes = apps.MaxBytes
 
 // MaxFlops caps the mean work of one synthetic or imported task, keeping
 // every (jittered) task weight an exact, positive int64 in the TDG.

@@ -250,9 +250,9 @@ func TestFileImportRoundtrip(t *testing.T) {
 	}
 }
 
-// TestTaskCap pins the up-front size check of every capped generator: a
-// spec exactly at MaxTasks resolves, one task over is an error (before
-// anything is built), and the once-hanging forkjoin?depth=64&fanout=4 fails
+// TestTaskCap pins the up-front size check of every workload: a spec at
+// MaxTasks resolves, one step over is an error (before anything is built),
+// and the once-hanging forkjoin?depth=64&fanout=4 and jacobi?nb=100000 fail
 // at once.
 func TestTaskCap(t *testing.T) {
 	if MaxTasks != 262144 {
@@ -274,6 +274,28 @@ func TestTaskCap(t *testing.T) {
 		{"forkjoin?depth=2&fanout=9223372036854775807", false},
 		{"noop?tasks=262144", true},
 		{"noop?tasks=262145", false},
+		// The paper apps, each at (or, where no parameters reach exactly
+		// 262144 tasks, just under) the cap and one step over it.
+		{"jacobi?nb=256&iters=3", true}, // 256² x (1+3) = 262144
+		{"jacobi?nb=256&iters=4", false},
+		{"red-black?nb=256&iters=3", true},
+		{"red-black?nb=257&iters=3", false},
+		{"gauss-seidel?nb=256&iters=3", true},
+		{"gauss-seidel?nb=256&iters=4", false},
+		{"nstream?chunks=65536&iters=1", true}, // 65536 x (3+1)
+		{"nstream?chunks=65537&iters=1", false},
+		{"cg?blocks=9362&iters=4", true}, // 4x9362 + 4x(6x9362+2)
+		{"cg?blocks=9363&iters=4", false},
+		{"inthist?nb=8&frames=2184", true}, // 64 + 2184x8x15
+		{"inthist?nb=8&frames=2185", false},
+		{"qr?nt=90", true}, // 255165 tasks; nt=91 has 263627
+		{"qr?nt=91", false},
+		{"syminv?nt=79", true}, // 256039 tasks; nt=80 has 265760
+		{"syminv?nt=80", false},
+		{"jacobi?nb=100000", false},
+		{"jacobi?nb=9223372036854775807&iters=9223372036854775807", false},
+		{"cg?blocks=9223372036854775807&iters=9223372036854775807", false},
+		{"syminv?nt=9223372036854775807", false},
 	} {
 		_, err := New(c.spec, apps.Tiny)
 		if c.ok && err != nil {
@@ -309,8 +331,8 @@ func TestTaskCap(t *testing.T) {
 
 // TestFootprintAndWorkCaps pins the other two up-front bounds: summed
 // region bytes (MaxBytes, which bounds the page tables a build allocates)
-// and per-task work (MaxFlops, which keeps every TDG node weight a valid
-// int64), for the generators and for file imports.
+// for every workload, and per-task work (MaxFlops, which keeps every TDG
+// node weight a valid int64) for the generators and for file imports.
 func TestFootprintAndWorkCaps(t *testing.T) {
 	for _, c := range []struct {
 		spec string
@@ -325,6 +347,23 @@ func TestFootprintAndWorkCaps(t *testing.T) {
 		{"forkjoin?flops=1e300", "invalid parameters"},
 		{"noop?flops=1e300", "invalid parameters"},
 		{"random-layered?fan=262145", "invalid parameters"},
+		{"jacobi?nb=4&tile=2G", ""}, // two grids of 16 tiles: 64G
+		{"jacobi?nb=4&tile=2147483649", "MaxBytes"},
+		{"red-black?nb=4&tile=4G", ""}, // one grid: 64G
+		{"red-black?nb=4&tile=4294967297", "MaxBytes"},
+		{"gauss-seidel?nb=4&tile=4G", ""},
+		{"gauss-seidel?nb=5&tile=4G", "MaxBytes"},
+		{"nstream?chunks=1&chunk=21G", ""}, // three arrays: 63G
+		{"nstream?chunks=1&chunk=22G", "MaxBytes"},
+		{"cg?blocks=2&ablock=34359738298&vblock=1", ""}, // + 6x2 vector bytes + 2 scalars: 64G
+		{"cg?blocks=2&ablock=34359738299&vblock=1", "MaxBytes"},
+		{"inthist?nb=2&imgtile=8G&hist=8G", ""}, // 4 x 16G
+		{"inthist?nb=2&imgtile=8G&hist=8589934593", "MaxBytes"},
+		{"qr?nt=2&tile=14G", ""}, // 4 x (14G + 14G/8): 63G
+		{"qr?nt=2&tile=15G", "MaxBytes"},
+		{"syminv?nt=2&tile=21G", ""}, // 3 lower-triangle tiles: 63G
+		{"syminv?nt=2&tile=22G", "MaxBytes"},
+		{"qr?nt=2&tile=9223372036854775807", "MaxBytes"},
 	} {
 		_, err := New(c.spec, apps.Tiny)
 		if c.want == "" && err != nil {
