@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race test-allocs test-traced test-sharded bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
+.PHONY: build test test-short test-race test-allocs test-traced test-sharded test-benchmark bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,14 @@ test-traced:
 test-sharded:
 	NUMADAG_SHARDED=1 $(GO) test -run 'TestShardedSweepCLI' -count=1 .
 
+# The benchmark harness is its own module (benchmark/go.mod, replacing
+# numadag with ../), so the root `./...` never builds it: this step catches
+# an internal change that breaks it. CI runs it as the blocking `benchmark
+# module` step.
+test-benchmark:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 vet:
 	$(GO) vet ./...
 
@@ -66,7 +74,7 @@ fmt-check:
 # Mirrors the blocking steps of .github/workflows/ci.yml (the race job runs
 # in parallel there; fuzz-smoke is non-blocking and nightly.yml tracks the
 # benchmark trajectory).
-ci: fmt-check build vet test test-race test-allocs test-traced test-sharded
+ci: fmt-check build vet test test-race test-allocs test-traced test-sharded test-benchmark
 
 # Full benchmark families (paper figures + ablations).
 bench:
@@ -103,8 +111,10 @@ bench-check:
 # shard-file parser behind -merge and -resume (arbitrary bytes must yield an
 # error or an in-grid, in-shard stream, never a panic), and the workload
 # spec grammar (any spec string must resolve and build at tiny scale into an
-# error or a graph under workload.MaxTasks, never a panic or a hang). The
-# seed corpora also run in plain `make test`; CI uploads any new crashers as
+# error or a graph under workload.MaxTasks, never a panic or a hang), and
+# the policy spec grammar (any spec string must yield an error or a policy
+# whose tiny-jacobi schedule passes the audit, never a panic). The seed
+# corpora also run in plain `make test`; CI uploads any new crashers as
 # workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
@@ -114,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzWorkloadSpec -fuzztime=15s ./internal/workload
+	$(GO) test -fuzz=FuzzPolicySpec -fuzztime=15s ./internal/policy
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must
 # survive a clean.

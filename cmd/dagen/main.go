@@ -1,8 +1,8 @@
 // Command dagen is the workload generator's front door: it lists and
 // describes the registered task-graph generators, resolves workload specs,
-// prints graph statistics, exports generated DAGs as JSON (re-importable via
-// "file?path=...") or Graphviz DOT, and can run a generated workload
-// end-to-end through the audited partition -> schedule -> audit pipeline.
+// prints graph statistics, and exports generated DAGs as JSON (re-importable
+// via "file?path=...") or Graphviz DOT. To run a workload spec under a
+// policy, use rgpsim -app with the same spec.
 //
 // Usage:
 //
@@ -10,7 +10,6 @@
 //	dagen -describe random-layered                   # one generator's doc
 //	dagen -spec "random-layered?layers=24&width=96"  # graph statistics
 //	dagen -spec "forkjoin?depth=6&fanout=3" -json t.json -dot t.dot
-//	dagen -spec "file?path=testdata/dags/diamond.json" -run -policy RGP+LAS
 package main
 
 import (
@@ -20,8 +19,6 @@ import (
 	"os"
 
 	"numadag/internal/cliutil"
-	"numadag/internal/core"
-	"numadag/internal/rt"
 	"numadag/internal/workload"
 )
 
@@ -34,9 +31,6 @@ func main() {
 		machF    = cliutil.MachineFlag(flag.CommandLine, "bullion")
 		jsonOut  = flag.String("json", "", "export the generated DAG as JSON to this file")
 		dotOut   = flag.String("dot", "", "export the generated DAG as Graphviz DOT to this file")
-		run      = flag.Bool("run", false, "run the workload end-to-end (schedule + audit) and print statistics")
-		polName  = flag.String("policy", "RGP+LAS", "policy registry spec for -run")
-		seed     = flag.Uint64("seed", 1, "runtime seed for -run")
 	)
 	flag.Parse()
 
@@ -105,23 +99,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("DOT written to %s\n", *dotOut)
-	}
-	if *run {
-		cfg := core.Config{
-			App:     *spec,
-			Scale:   sc,
-			Policy:  *polName,
-			Machine: mach,
-			Runtime: rt.DefaultOptions(),
-		}
-		cfg.Runtime.Seed = *seed
-		res, err := core.Run(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("run: policy=%s machine=%s seed=%d\n", *polName, mach.Name, *seed)
-		fmt.Printf("  %s\n", res.Stats.Summary())
-		fmt.Printf("  socket task counts: %v\n", res.Stats.SocketTasks)
 	}
 }
 

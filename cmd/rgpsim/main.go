@@ -1,9 +1,12 @@
 // Command rgpsim runs one workload under one scheduling policy on the
 // simulated NUMA machine and reports the run's statistics, optionally
-// dumping an execution trace. Both axes are registry specs: -policy accepts
-// any policy spec ("RGP+LAS?matching=random") and -app accepts any workload
-// spec — a paper benchmark, a parameterized synthetic generator or an
-// imported DAG; every run goes through the audited core.Run path.
+// tracing it. Both axes are registry specs: -policy accepts any policy spec
+// ("RGP+LAS?matching=random") and -app accepts any workload spec — a paper
+// benchmark, a parameterized synthetic generator or an imported DAG; every
+// run goes through the audited core.Run path. -trace writes the run's Chrome
+// trace (task, transfer and flow spans, link-utilization counters) and
+// -gantt prints it as a text timeline: one row per core, then one per
+// memory controller or port that carried traffic.
 //
 // Usage:
 //
@@ -11,54 +14,71 @@
 //	rgpsim -app "random-layered?layers=24&width=96" -policy RGP+LAS
 //	rgpsim -app "file?path=testdata/dags/diamond.json" -policy LAS
 //	rgpsim -app nstream -policy LAS -machine 2socket -gantt
-//	rgpsim -app qr -policy EP -trace qr.json   # chrome://tracing format
+//	rgpsim -app qr -policy EP -trace qr.json   # load in Perfetto
 //	rgpsim -list                               # registered policies + workloads
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"numadag/internal/apps"
+	"numadag/internal/cliutil"
 	"numadag/internal/core"
-	"numadag/internal/machine"
 	"numadag/internal/policy"
 	"numadag/internal/rt"
-	"numadag/internal/trace"
 	"numadag/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes rgpsim with the given arguments and returns its exit code:
+// 0 on success, 1 when the run or the trace output fails, and 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rgpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName  = flag.String("app", "jacobi", "workload registry spec (see -list), e.g. jacobi or forkjoin?depth=6")
-		polName  = flag.String("policy", "RGP+LAS", "policy registry spec (see -list), e.g. LAS or RGP+LAS?refine=off")
-		scale    = flag.String("scale", "small", "problem scale: tiny, small, paper")
-		machName = flag.String("machine", "bullion", "machine: bullion, 2socket, 4socket, uniform")
-		window   = flag.Int("window", rt.DefaultOptions().WindowSize, "window size limit (tasks)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		noSteal  = flag.Bool("nosteal", false, "disable cross-socket work stealing")
-		traceOut = flag.String("trace", "", "write Chrome trace JSON to this file")
-		gantt    = flag.Bool("gantt", false, "print a per-core text Gantt chart")
-		list     = flag.Bool("list", false, "list registered policies and workloads, then exit")
+		appName  = fs.String("app", "jacobi", "workload registry spec (see -list), e.g. jacobi or forkjoin?depth=6")
+		polName  = fs.String("policy", "RGP+LAS", "policy registry spec (see -list), e.g. LAS or RGP+LAS?refine=off")
+		scale    = cliutil.ScaleFlag(fs, "small")
+		machF    = cliutil.MachineFlag(fs, "bullion")
+		window   = fs.Int("window", rt.DefaultOptions().WindowSize, "window size limit (tasks)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		noSteal  = fs.Bool("nosteal", false, "disable cross-socket work stealing")
+		traceOut = cliutil.BindTrace(fs)
+		gantt    = fs.Bool("gantt", false, "print a text Gantt chart: per-core and per-link rows")
+		list     = fs.Bool("list", false, "list registered policies and workloads, then exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "rgpsim:", err)
+		return 1
+	}
 
 	if *list {
-		fmt.Println("policies:")
-		fmt.Println("  " + strings.Join(policy.Names(), "\n  "))
-		fmt.Println("workloads (dagen -list for docs):")
-		fmt.Println("  " + strings.Join(workload.Names(), "\n  "))
-		return
+		fmt.Fprintln(stdout, "policies:")
+		fmt.Fprintln(stdout, "  "+strings.Join(policy.Names(), "\n  "))
+		fmt.Fprintln(stdout, "workloads (dagen -list for docs):")
+		fmt.Fprintln(stdout, "  "+strings.Join(workload.Names(), "\n  "))
+		return 0
 	}
-	sc, err := apps.ParseScale(*scale)
+	sc, err := scale()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	mach, err := machine.ByName(*machName)
+	mach, err := machF()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cfg := core.Config{
 		App:     *appName,
@@ -70,43 +90,28 @@ func main() {
 	cfg.Runtime.WindowSize = *window
 	cfg.Runtime.Seed = *seed
 	cfg.Runtime.Steal = !*noSteal
-
-	var rec *trace.Recorder
-	if *traceOut != "" || *gantt {
-		rec = trace.NewRecorder()
-		cfg.Runtime.Observer = rec
-	}
+	traceOut.Enable(*gantt)
+	cfg.Trace = traceOut.Attacher()
 
 	res, err := core.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("app=%s policy=%s scale=%s machine=%s window=%d seed=%d\n",
+	fmt.Fprintf(stdout, "app=%s policy=%s scale=%s machine=%s window=%d seed=%d\n",
 		*appName, *polName, sc, mach.Name, *window, *seed)
-	fmt.Printf("  %s\n", res.Stats.Summary())
-	fmt.Printf("  socket task counts: %v\n", res.Stats.SocketTasks)
+	fmt.Fprintf(stdout, "  %s\n", res.Stats.Summary())
+	fmt.Fprintf(stdout, "  socket task counts: %v\n", res.Stats.SocketTasks)
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
+	if traceOut.Path != "" {
+		if err := traceOut.Write(); err != nil {
+			return fail(err)
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  trace written to %s (open in chrome://tracing)\n", *traceOut)
+		fmt.Fprintf(stdout, "  trace written to %s (load in Perfetto)\n", traceOut.Path)
 	}
 	if *gantt {
-		if err := rec.WriteGantt(os.Stdout, mach.TotalCores(), 100); err != nil {
-			fatal(err)
+		if err := traceOut.Tracer.WriteGantt(stdout, 0, 100); err != nil {
+			return fail(err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rgpsim:", err)
-	os.Exit(1)
+	return 0
 }

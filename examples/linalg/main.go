@@ -1,7 +1,7 @@
 // Linalg: run the symmetric matrix inversion benchmark (the three-sweep
-// Cholesky inversion DAG) under the expert-programmer policy, record an
-// execution trace, and emit both a Chrome trace file and a terminal Gantt
-// chart of the factorization pipeline.
+// Cholesky inversion DAG) under the expert-programmer policy, trace it, and
+// emit both a Chrome trace file and a terminal Gantt chart of the
+// factorization pipeline (core rows, then the links that carried traffic).
 //
 //	go run ./examples/linalg
 //	# then open syminv_trace.json in chrome://tracing or ui.perfetto.dev
@@ -20,12 +20,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := numadag.NewTraceRecorder()
+	tr := numadag.NewTracer()
 
 	eng := numadag.NewEngine()
 	m := numadag.NewMachine(numadag.BullionS16(), eng)
 	opts := numadag.DefaultRuntimeOptions()
-	opts.Observer = rec
+	opts.Observer = tr.AttachMachine(m, 0, "syminv EP")
 	r := numadag.NewRuntime(m, pol, opts)
 
 	// Build via the app registry (same generator the evaluation uses).
@@ -38,16 +38,10 @@ func main() {
 	res := r.Run()
 	fmt.Printf("symmetric matrix inversion under EP: %s\n\n", res.Summary())
 
-	if err := rec.WriteGantt(os.Stdout, m.Cores(), 100); err != nil {
+	if err := tr.WriteGantt(os.Stdout, 0, 100); err != nil {
 		log.Fatal(err)
 	}
-
-	f, err := os.Create("syminv_trace.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := rec.WriteChromeTrace(f); err != nil {
+	if err := tr.WriteFile("syminv_trace.json"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\ntrace written to syminv_trace.json (open in chrome://tracing)")

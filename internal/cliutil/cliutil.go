@@ -1,9 +1,9 @@
 // Package cliutil holds the flag surface shared by the numadag commands
-// (cmd/sweep, cmd/figure1, cmd/dagen, cmd/dcsim): the apps/scale/seeds/
-// machine flags and their validation, the -jsonl/-csv streaming outputs,
-// the -trace sink, and — via ShardSet and Drive — the sharded/resumable
-// sweep modes (-shard, -resume, -out, -merge, -maxcells), so each flag's
-// name, usage text and parsing live in exactly one place.
+// (cmd/sweep, cmd/figure1, cmd/rgpsim, cmd/dagen, cmd/dcsim): the
+// apps/scale/seeds/machine flags and their validation, the -jsonl/-csv
+// streaming outputs, the -trace sink, and — via ShardSet and Drive — the
+// sharded/resumable sweep modes (-shard, -resume, -out, -merge, -maxcells),
+// so each flag's name, usage text and parsing live in exactly one place.
 package cliutil
 
 import (

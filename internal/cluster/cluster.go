@@ -159,6 +159,9 @@ func (c *Config) validate() error {
 	if c.Jobs < 1 {
 		return fmt.Errorf("cluster: need at least one job, got %d", c.Jobs)
 	}
+	if err := c.Runtime.Validate(); err != nil {
+		return err
+	}
 	return c.Machine.Validate()
 }
 

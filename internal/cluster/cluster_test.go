@@ -406,21 +406,27 @@ func TestClusterValidation(t *testing.T) {
 	// 40 jobs guarantees every poisson tenant contributes, so a bad spec on
 	// tenant 0 is certain to be resolved (and rejected).
 	good := testConfig(40)
-	for _, mut := range []func(*Config){
-		func(c *Config) { c.Machines = 0 },
-		func(c *Config) { c.Policy = "" },
-		func(c *Config) { c.Jobs = 0 },
-		func(c *Config) { c.Tenants = nil },
-		func(c *Config) { c.Dispatcher = "bogus" },
-		func(c *Config) { c.Policy = "no-such-policy" },
-		func(c *Config) { c.Tenants[0].Specs = []string{"no-such-workload"} },
-		func(c *Config) { c.Machine.MemBandwidth = math.NaN() },
+	for _, tc := range []struct {
+		mut  func(*Config)
+		want string // substring the error must contain
+	}{
+		{func(c *Config) { c.Machines = 0 }, ""},
+		{func(c *Config) { c.Policy = "" }, ""},
+		{func(c *Config) { c.Jobs = 0 }, ""},
+		{func(c *Config) { c.Tenants = nil }, ""},
+		{func(c *Config) { c.Dispatcher = "bogus" }, ""},
+		{func(c *Config) { c.Policy = "no-such-policy" }, ""},
+		{func(c *Config) { c.Tenants[0].Specs = []string{"no-such-workload"} }, ""},
+		{func(c *Config) { c.Machine.MemBandwidth = math.NaN() }, ""},
+		// Options NewRuntime would panic on fail up front, naming the field.
+		{func(c *Config) { c.Runtime.WindowSize = -3 }, "WindowSize"},
+		{func(c *Config) { c.Runtime.PartitionCostPerTask = -1 }, "PartitionCostPerTask"},
 	} {
 		cfg := good
 		cfg.Tenants = testTenants()
-		mut(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Fatalf("invalid config accepted: %+v", cfg)
+		tc.mut(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("invalid config: err = %v, want one containing %q: %+v", err, tc.want, cfg)
 		}
 	}
 }

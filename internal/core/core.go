@@ -99,6 +99,9 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 	if err := cfg.Machine.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	if err := cfg.Runtime.Validate(); err != nil {
+		return RunResult{}, err
+	}
 	m := acquireMachine(cfg.Machine)
 	if cfg.Trace != nil {
 		obs := cfg.Trace.AttachMachine(m, cfg.TracePID,

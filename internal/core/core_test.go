@@ -1,15 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
+	"numadag/internal/rt"
 )
 
 func TestNewPolicyKnownNames(t *testing.T) {
-	for _, n := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP", "Random"} {
+	for _, n := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP"} {
 		p, err := NewPolicy(n)
 		if err != nil || p == nil {
 			t.Errorf("NewPolicy(%q): %v", n, err)
@@ -53,12 +56,41 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestNegativeRuntimeOptionsRejected feeds each option NewRuntime rejects
+// through Run and through an Experiment variant: both must return an error
+// naming the field instead of panicking (in the Experiment's case, inside a
+// worker goroutine, which would kill the process).
+func TestNegativeRuntimeOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*rt.Options)
+	}{
+		{"WindowSize", func(o *rt.Options) { o.WindowSize = -3 }},
+		{"PartitionCostPerTask", func(o *rt.Options) { o.PartitionCostPerTask = -1 }},
+	} {
+		cfg := DefaultConfig("jacobi", "RGP+LAS", apps.Tiny)
+		tc.mut(&cfg.Runtime)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Run with negative %s: err = %v", tc.field, err)
+		}
+		e := &Experiment{
+			Apps:     []string{"jacobi"},
+			Policies: []string{"RGP+LAS"},
+			Scale:    apps.Tiny,
+			Variants: []Variant{{Name: "bad", Mutate: tc.mut}},
+		}
+		if err := e.Run(context.Background()); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Experiment with negative %s: err = %v", tc.field, err)
+		}
+	}
+}
+
 func TestEveryAppUnderEveryPolicy(t *testing.T) {
-	// Exhaustive integration grid: 8 apps x 7 policies at tiny scale, with
+	// Exhaustive integration grid: 8 apps x 5 policies at tiny scale, with
 	// the schedule audit Run performs internally. This is the suite's
 	// broadest correctness net.
 	for _, app := range apps.Names() {
-		for _, pol := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP", "Random", "OSMigrate", "HEFT"} {
+		for _, pol := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP"} {
 			app, pol := app, pol
 			t.Run(app+"/"+pol, func(t *testing.T) {
 				cfg := DefaultConfig(app, pol, apps.Tiny)

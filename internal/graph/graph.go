@@ -1,8 +1,8 @@
 // Package graph provides the weighted directed-acyclic-graph structure the
 // runtime uses for task dependency graphs (TDGs), together with the
 // algorithms the scheduler and partitioner need: topological orders, level
-// assignment, connected components, induced subgraphs and transitive
-// reduction. Node weights carry computational work; edge weights carry the
+// assignment, critical paths and induced subgraphs. Node weights carry
+// computational work; edge weights carry the
 // bytes a dependency communicates, which is exactly the weighting §2.2 of
 // the paper feeds to the partitioner.
 //
@@ -25,10 +25,7 @@
 // construction slack.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID indexes a node within its DAG. IDs are dense: 0..N-1 in insertion
 // order.
@@ -394,44 +391,6 @@ func (g *DAG) CriticalPathWeight() (int64, error) {
 	return best, nil
 }
 
-// WeaklyConnectedComponents labels each node with a component number
-// (0-based, in order of first appearance) and returns the labels and the
-// component count.
-func (g *DAG) WeaklyConnectedComponents() ([]int, int) {
-	n := g.Len()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	stack := make([]NodeID, 0, 64)
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = next
-		stack = append(stack[:0], NodeID(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, h := range g.succ[v] {
-				if comp[h.to] == -1 {
-					comp[h.to] = next
-					stack = append(stack, h.to)
-				}
-			}
-			for _, h := range g.pred[v] {
-				if comp[h.to] == -1 {
-					comp[h.to] = next
-					stack = append(stack, h.to)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
-}
-
 // InducedSubgraph returns the subgraph on the given nodes (in the given
 // order: subgraph ID i corresponds to nodes[i]) together with the mapping
 // back to the original IDs. Edges with both endpoints inside are preserved.
@@ -439,59 +398,6 @@ func (g *DAG) WeaklyConnectedComponents() ([]int, int) {
 // hot path should use InducedSubgraphInto with a reused SubgraphScratch.
 func (g *DAG) InducedSubgraph(nodes []NodeID) (*DAG, []NodeID) {
 	return g.InducedSubgraphInto(nil, nodes)
-}
-
-// TransitiveReduction removes every edge (u,v) for which another path
-// u -> ... -> v exists, keeping the DAG's reachability identical. Runs in
-// O(V·E) worst case; intended for analysis and visualization of window-sized
-// graphs, not for the streaming hot path.
-func (g *DAG) TransitiveReduction() (removed int, err error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0, err
-	}
-	pos := make([]int, g.Len())
-	for i, id := range order {
-		pos[id] = i
-	}
-	reach := make([]map[NodeID]bool, g.Len())
-	// Process in reverse topological order so each node's reachable set is
-	// available when its predecessors need it.
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		var drop []NodeID
-		// Consider direct successors farthest-first (by topo position):
-		// an edge is redundant iff the target is reachable via another
-		// successor that precedes it topologically.
-		succs := append([]halfEdge(nil), g.succ[id]...)
-		sort.Slice(succs, func(a, b int) bool { return pos[succs[a].to] < pos[succs[b].to] })
-		r := make(map[NodeID]bool)
-		for _, h := range succs {
-			if r[h.to] {
-				drop = append(drop, h.to)
-				continue
-			}
-			r[h.to] = true
-			for v := range reach[h.to] {
-				r[v] = true
-			}
-		}
-		reach[id] = r
-		for _, to := range drop {
-			g.removeEdge(id, to)
-			removed++
-		}
-	}
-	return removed, nil
-}
-
-func (g *DAG) removeEdge(from, to NodeID) {
-	if i, ok := findHalf(g.succ[from], to); ok {
-		g.succ[from] = append(g.succ[from][:i], g.succ[from][i+1:]...)
-		j, _ := findHalf(g.pred[to], from)
-		g.pred[to] = append(g.pred[to][:j], g.pred[to][j+1:]...)
-		g.nEdges--
-	}
 }
 
 func (g *DAG) checkID(id NodeID) {

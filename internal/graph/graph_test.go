@@ -172,22 +172,6 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestWeaklyConnectedComponents(t *testing.T) {
-	g := New()
-	a, b := g.AddNode("a", 1), g.AddNode("b", 1)
-	c, d := g.AddNode("c", 1), g.AddNode("d", 1)
-	_ = g.AddNode("lone", 1)
-	g.AddEdge(a, b, 1)
-	g.AddEdge(c, d, 1)
-	comp, n := g.WeaklyConnectedComponents()
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if comp[a] != comp[b] || comp[c] != comp[d] || comp[a] == comp[c] {
-		t.Fatalf("component labels wrong: %v", comp)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g, ids := diamond(t)
 	sub, back := g.InducedSubgraph([]NodeID{ids[0], ids[1], ids[3]})
@@ -214,38 +198,6 @@ func TestInducedSubgraphDuplicatePanics(t *testing.T) {
 		}
 	}()
 	g.InducedSubgraph([]NodeID{ids[0], ids[0]})
-}
-
-func TestTransitiveReduction(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode("a", 1), g.AddNode("b", 1), g.AddNode("c", 1)
-	g.AddEdge(a, b, 1)
-	g.AddEdge(b, c, 1)
-	g.AddEdge(a, c, 1) // redundant
-	removed, err := g.TransitiveReduction()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("removed %d edges, want 1", removed)
-	}
-	if g.HasEdge(a, c) {
-		t.Fatal("redundant edge survived")
-	}
-	if !g.HasEdge(a, b) || !g.HasEdge(b, c) {
-		t.Fatal("necessary edge removed")
-	}
-}
-
-func TestTransitiveReductionDiamondKeepsAll(t *testing.T) {
-	g, _ := diamond(t)
-	removed, err := g.TransitiveReduction()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 {
-		t.Fatalf("diamond has no redundant edges, removed %d", removed)
-	}
 }
 
 func TestTotalWeights(t *testing.T) {
@@ -311,53 +263,6 @@ func TestPropertyTopoOrderRespectsEdges(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: transitive reduction preserves reachability.
-func TestPropertyTransitiveReductionPreservesReachability(t *testing.T) {
-	reach := func(g *DAG) map[[2]NodeID]bool {
-		m := make(map[[2]NodeID]bool)
-		for s := 0; s < g.Len(); s++ {
-			seen := make([]bool, g.Len())
-			stack := []NodeID{NodeID(s)}
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				g.Succs(v, func(to NodeID, _ int64) {
-					if !seen[to] {
-						seen[to] = true
-						stack = append(stack, to)
-					}
-				})
-			}
-			for v := 0; v < g.Len(); v++ {
-				if seen[v] {
-					m[[2]NodeID{NodeID(s), NodeID(v)}] = true
-				}
-			}
-		}
-		return m
-	}
-	f := func(seed uint64) bool {
-		g := randomDAG(xrand.New(seed), 25, 80)
-		before := reach(g)
-		if _, err := g.TransitiveReduction(); err != nil {
-			return false
-		}
-		after := reach(g)
-		if len(before) != len(after) {
-			return false
-		}
-		for k := range before {
-			if !after[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }

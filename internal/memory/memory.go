@@ -16,7 +16,7 @@
 //
 // Every region keeps two running totals next to its page table: the bytes
 // homed on each socket and the number of pages still unallocated. Alloc,
-// Touch and Migrate (the only operations that home pages) update them, so
+// and Touch (the only operations that home pages) update them, so
 // the scheduler's residency query ("where does this task's data live?",
 // asked on every LAS pick and in every read and write phase) costs
 // O(sockets) per region instead of a page walk, and Allocated is O(1). The
@@ -175,25 +175,6 @@ func (r *Region) Touch(socket int) int64 {
 	r.onSocket()[socket] += newly
 	r.unalloc = 0
 	return newly
-}
-
-// Migrate re-homes every page of the region to the given socket and returns
-// the bytes moved (pages already there are not counted). This is the
-// page-migration primitive OS-level techniques use; the paper's policies
-// don't migrate, but ablations can.
-func (r *Region) Migrate(socket int) int64 {
-	if socket < 0 || socket >= r.mgr.sockets {
-		panic(fmt.Sprintf("memory: migrate to socket %d of %d", socket, r.mgr.sockets))
-	}
-	on := r.onSocket()
-	moved := r.AllocatedBytes() - on[socket]
-	for i := range r.homes {
-		r.homes[i] = int16(socket)
-	}
-	clear(on)
-	on[socket] = r.bytes
-	r.unalloc = 0
-	return moved
 }
 
 // Manager owns the regions of one simulated application run. A Manager can

@@ -88,32 +88,6 @@ func TestZeroByteRegion(t *testing.T) {
 	}
 }
 
-func TestMigrate(t *testing.T) {
-	m := NewManager(4)
-	r := m.Alloc("a", 8*DefaultPageSize, Home, 0)
-	moved := r.Migrate(3)
-	if moved != 8*DefaultPageSize {
-		t.Fatalf("Migrate moved %d bytes", moved)
-	}
-	if r.BytesOnSocket(4)[3] != 8*DefaultPageSize {
-		t.Fatal("pages not re-homed")
-	}
-	if again := r.Migrate(3); again != 0 {
-		t.Fatalf("idempotent migrate moved %d bytes", again)
-	}
-}
-
-func TestMigrateUnallocatedPagesNotCounted(t *testing.T) {
-	m := NewManager(4)
-	r := m.Alloc("a", 8*DefaultPageSize, Deferred, 0)
-	if moved := r.Migrate(1); moved != 0 {
-		t.Fatalf("migrating unallocated pages reported %d bytes moved", moved)
-	}
-	if !r.Allocated() {
-		t.Fatal("migrate should home pages")
-	}
-}
-
 func TestTotalBytesOnSocket(t *testing.T) {
 	m := NewManager(2)
 	m.Alloc("a", 4*DefaultPageSize, Home, 0)
@@ -356,9 +330,8 @@ func checkTotals(t *testing.T, step string, m *Manager) {
 
 // TestSocketTotalsMatchPageWalk drives every operation that homes pages —
 // each placement at Alloc (full and partial last pages, zero-byte regions),
-// Touch, repeated Touch, Migrate of allocated and unallocated regions — and
-// a pooled re-Alloc after Reset, checking the running totals against a page
-// walk after each step.
+// Touch and repeated Touch — and a pooled re-Alloc after Reset, checking
+// the running totals against a page walk after each step.
 func TestSocketTotalsMatchPageWalk(t *testing.T) {
 	m := NewManager(4)
 	fill := func() []*Region {
@@ -383,22 +356,6 @@ func TestSocketTotalsMatchPageWalk(t *testing.T) {
 		t.Fatal("second Touch homed bytes")
 	}
 	checkTotals(t, "retouch", m)
-	for _, step := range []struct {
-		r      *Region
-		socket int
-	}{{rs[0], 3}, {rs[2], 2}, {rs[4], 1}, {rs[8], 0}, {rs[6], 1}, {rs[3], 1}} {
-		want, _ := walkTotals(step.r, m.Sockets())
-		var moved int64
-		for s, b := range want {
-			if s != step.socket {
-				moved += b
-			}
-		}
-		if got := step.r.Migrate(step.socket); got != moved {
-			t.Fatalf("Migrate(%q, %d) = %d, page walk %d", step.r.Name(), step.socket, got, moved)
-		}
-		checkTotals(t, "migrate "+step.r.Name(), m)
-	}
 	// A pooled re-Alloc revives the same structs and slab windows with
 	// different shapes; nothing of the previous fill may survive.
 	m.Reset()

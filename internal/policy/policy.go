@@ -95,18 +95,6 @@ func (EP) PickSocket(r *rt.Runtime, t *rt.Task) int {
 // tasks across sockets.
 func (EP) VetoSteal() bool { return true }
 
-// RandomSocket scatters tasks uniformly at random over sockets; an ablation
-// lower bound distinct from DFIFO (which at least balances perfectly).
-type RandomSocket struct{}
-
-// Name implements rt.Policy.
-func (RandomSocket) Name() string { return "Random" }
-
-// PickSocket implements rt.Policy.
-func (RandomSocket) PickSocket(r *rt.Runtime, t *rt.Task) int {
-	return r.Rand().Intn(r.Machine().Sockets())
-}
-
 // Propagation selects how RGP extends the initial window's partition to the
 // rest of the TDG.
 type Propagation int

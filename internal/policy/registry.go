@@ -91,8 +91,8 @@ func (s Spec) Only(allowed ...string) error {
 }
 
 // Factory builds a policy instance from a parsed spec. A factory must
-// return a fresh instance on every call: stateful policies (RGP, OSMigrate,
-// HEFT) are instantiated once per run.
+// return a fresh instance on every call: stateful policies (the RGP family)
+// are instantiated once per run.
 type Factory func(Spec) (rt.Policy, error)
 
 var registry = struct {
@@ -211,19 +211,6 @@ func init() {
 	MustRegister("DFIFO", paramless(DFIFO{}))
 	MustRegister("LAS", paramless(LAS{}))
 	MustRegister("EP", paramless(EP{}))
-	MustRegister("Random", paramless(RandomSocket{}))
 	MustRegister("RGP+LAS", rgpFactory(PropagateLAS))
 	MustRegister("RGP", rgpFactory(PropagateRepartition))
-	MustRegister("OSMigrate", func(s Spec) (rt.Policy, error) {
-		if err := s.Only(); err != nil {
-			return nil, err
-		}
-		return NewOSMigrate(), nil
-	})
-	MustRegister("HEFT", func(s Spec) (rt.Policy, error) {
-		if err := s.Only(); err != nil {
-			return nil, err
-		}
-		return NewHEFT(), nil
-	})
 }

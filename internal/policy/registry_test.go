@@ -29,7 +29,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestRegistryBuiltins(t *testing.T) {
-	for _, n := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP", "Random", "OSMigrate", "HEFT"} {
+	for _, n := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP"} {
 		p, err := New(n)
 		if err != nil || p == nil {
 			t.Errorf("New(%q): %v", n, err)

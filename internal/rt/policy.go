@@ -61,10 +61,9 @@ type StealObserver interface {
 	TaskStolen(t *Task, victim, thief int)
 }
 
-// TaskDoneHook is implemented by policies that react to completions — e.g.
-// OS-style page-migration baselines that watch access patterns and move
-// memory after the fact. The hook runs at the task's completion instant,
-// before dependents are released.
+// TaskDoneHook is implemented by policies that react to completions. The
+// hook runs at the task's completion instant, before dependents are
+// released.
 type TaskDoneHook interface {
 	TaskDone(r *Runtime, t *Task)
 }

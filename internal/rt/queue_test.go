@@ -100,25 +100,24 @@ func TestPickedSocketRecordedBeforeSteal(t *testing.T) {
 	}
 }
 
-func TestInputBytesOutputBytes(t *testing.T) {
+// TestTaskDepCounts checks the dependence accessors: successor lists are
+// linked when Run begins, so NumSuccs reads zero before it; PendingDeps
+// counts unresolved predecessors from Submit on.
+func TestTaskDepCounts(t *testing.T) {
 	r := newTestRT(t, pinned(0), Options{})
 	a := r.Mem().Alloc("a", 1000, memory.Deferred, 0)
-	b := r.Mem().Alloc("b", 500, memory.Deferred, 0)
-	tk := r.Submit(TaskSpec{Label: "t", Flops: 1,
-		Accesses: []Access{
-			{Region: a, Mode: In},
-			{Region: b, Mode: InOut},
-		}, EPSocket: NoEPHint})
-	if got := tk.InputBytes(); got != 1500 {
-		t.Fatalf("InputBytes = %d", got)
-	}
-	if got := tk.OutputBytes(); got != 500 {
-		t.Fatalf("OutputBytes = %d", got)
-	}
-	if tk.NumSuccs() != 0 || tk.PendingDeps() != 0 {
-		t.Fatal("fresh task has deps/succs")
+	prod := r.Submit(TaskSpec{Label: "p", Flops: 1,
+		Accesses: []Access{{Region: a, Mode: Out}}, EPSocket: NoEPHint})
+	cons := r.Submit(TaskSpec{Label: "c", Flops: 1,
+		Accesses: []Access{{Region: a, Mode: In}}, EPSocket: NoEPHint})
+	if prod.NumSuccs() != 0 || prod.PendingDeps() != 0 || cons.PendingDeps() != 1 {
+		t.Fatalf("before Run: producer %d succs/%d deps, consumer %d deps",
+			prod.NumSuccs(), prod.PendingDeps(), cons.PendingDeps())
 	}
 	r.Run()
+	if prod.NumSuccs() != 1 || cons.PendingDeps() != 0 {
+		t.Fatalf("after Run: producer %d succs, consumer %d deps", prod.NumSuccs(), cons.PendingDeps())
+	}
 }
 
 func TestAccessModeHelpers(t *testing.T) {

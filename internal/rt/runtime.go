@@ -55,6 +55,18 @@ func DefaultOptions() Options {
 	}
 }
 
+// Validate reports an option NewRuntime rejects — a negative WindowSize or
+// PartitionCostPerTask — naming the field; nil if the options are usable.
+func (o Options) Validate() error {
+	if o.WindowSize < 0 {
+		return fmt.Errorf("rt: negative WindowSize %d", o.WindowSize)
+	}
+	if o.PartitionCostPerTask < 0 {
+		return fmt.Errorf("rt: negative PartitionCostPerTask %d", o.PartitionCostPerTask)
+	}
+	return nil
+}
+
 // regionTrack holds per-region dependence bookkeeping (OmpSs semantics).
 type regionTrack struct {
 	lastWriter *Task
@@ -232,12 +244,14 @@ var runtimePool freelist.List[Runtime]
 
 // NewRuntime creates a runtime over the machine, with its own memory
 // manager. It draws on the pool of Released runtimes when one is available.
+// It panics on options Validate rejects; callers taking options from input
+// validate them first.
 func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 	if pol == nil {
 		panic("rt: nil policy")
 	}
-	if opts.WindowSize < 0 || opts.PartitionCostPerTask < 0 {
-		panic("rt: negative option")
+	if err := opts.Validate(); err != nil {
+		panic(err)
 	}
 	r := runtimePool.Get()
 	if r == nil {

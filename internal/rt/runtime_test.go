@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"strings"
 	"testing"
 
 	"numadag/internal/machine"
@@ -319,6 +320,32 @@ func TestRunTwicePanics(t *testing.T) {
 		}
 	}()
 	r.Run()
+}
+
+// TestOptionsValidate pins the one check NewRuntime and the input-facing
+// entry points share: negative options are named, and NewRuntime panics
+// with the same error.
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("default options rejected: %v", err)
+	}
+	for field, opts := range map[string]Options{
+		"WindowSize":           {WindowSize: -1},
+		"PartitionCostPerTask": {PartitionCostPerTask: -1},
+	} {
+		err := opts.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: Validate() = %v", field, err)
+		}
+		func() {
+			defer func() {
+				if pe, ok := recover().(error); !ok || pe.Error() != err.Error() {
+					t.Errorf("negative %s: NewRuntime panicked with %v, want %v", field, pe, err)
+				}
+			}()
+			newTestRT(t, pinned(0), opts)
+		}()
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -166,25 +166,3 @@ func (t *Task) NumSuccs() int { return len(t.succs) }
 
 // PendingDeps returns the number of unresolved predecessors.
 func (t *Task) PendingDeps() int { return t.nDeps }
-
-// InputBytes sums the sizes of the regions the task reads.
-func (t *Task) InputBytes() int64 {
-	var n int64
-	for _, a := range t.Accesses {
-		if a.Mode.Reads() {
-			n += a.Region.Bytes()
-		}
-	}
-	return n
-}
-
-// OutputBytes sums the sizes of the regions the task writes.
-func (t *Task) OutputBytes() int64 {
-	var n int64
-	for _, a := range t.Accesses {
-		if a.Mode.Writes() {
-			n += a.Region.Bytes()
-		}
-	}
-	return n
-}

@@ -1,3 +1,6 @@
+// Package trace records execution timelines and renders them as Chrome
+// trace-event JSON (load chrome://tracing or Perfetto) or as a plain-text
+// Gantt chart — the role Paraver traces play in the paper's workflow.
 package trace
 
 import (

@@ -93,7 +93,9 @@
 //	tr.WriteGantt(os.Stdout, 0, 100)   // text timeline: cores + links
 //
 // The same Tracer slot exists on Experiment, Figure1Options and
-// ClusterConfig (cmd/figure1 -trace, cmd/dcsim -trace). For long
+// ClusterConfig (cmd/rgpsim -trace/-gantt, cmd/figure1 -trace, cmd/dcsim
+// -trace). A hand-built runtime is traced by attaching its machine:
+// opts.Observer = tr.AttachMachine(m, 0, "name") before NewRuntime. For long
 // service-mode runs, a ClusterMonitor serves live progress over HTTP —
 // /status returns jobs in flight and per-tenant p50/p95/p99 slowdown as
 // JSON, /trace downloads the trace so far (cmd/dcsim -http :8080):
@@ -148,7 +150,9 @@
 // out. cmd/dagen lists, describes, generates and exports workloads.
 //
 // Policy names are registry specs: "name?key=value" parameterizes a
-// registered family (e.g. the RGP partitioner ablations). Replicate seeds
+// registered family (e.g. the RGP partitioner ablations). The built-ins are
+// the four configurations the paper evaluates (DFIFO, LAS, EP, RGP+LAS) and
+// RGP, its repartition-every-window mode. Replicate seeds
 // always derive from the base seed via DeriveSeed — seed + 1000*replicate —
 // and every cell of an Experiment runs through the audited Run path.
 package numadag
@@ -403,8 +407,9 @@ func ParseWorkloadSpec(s string) (WorkloadSpec, error) { return workload.ParseSp
 func PolicyNames() []string { return append([]string(nil), core.PolicyNames...) }
 
 // NewPolicy instantiates a policy from a registry spec — a built-in name
-// (DFIFO, LAS, EP, RGP+LAS, RGP, Random, OSMigrate, HEFT), a registered
-// custom name, or a parameterized form like "RGP+LAS?matching=random".
+// (the paper's DFIFO, LAS, EP and RGP+LAS, plus RGP, which repartitions
+// every window), a registered custom name, or a parameterized form like
+// "RGP+LAS?matching=random".
 func NewPolicy(spec string) (Policy, error) { return core.NewPolicy(spec) }
 
 // Graph partitioning (the SCOTCH substitute), exposed for direct use.
@@ -446,27 +451,18 @@ func MapOnto(g *PGraph, arch *Arch, opt PartitionOptions) ([]int32, partition.St
 	return partition.MapOnto(g, arch, opt)
 }
 
-// Tracing.
-type (
-	// TraceRecorder collects task execution spans (implements the
-	// runtime's Observer).
-	TraceRecorder = trace.Recorder
-	// Tracer merges task, transfer, fluid-flow, link-utilization and
-	// cluster-dispatch events from any number of machines into one Chrome
-	// trace-event timeline (Perfetto-loadable). See the tracing quick start
-	// in the package documentation.
-	Tracer = trace.Tracer
-)
-
-// NewTraceRecorder returns an empty trace recorder; pass it in
-// RuntimeOptions.Observer.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
+// Tracer merges task, transfer, fluid-flow, link-utilization and
+// cluster-dispatch events from any number of machines into one Chrome
+// trace-event timeline (Perfetto-loadable). See the tracing quick start in
+// the package documentation.
+type Tracer = trace.Tracer
 
 // NewTracer returns an empty multi-source tracer. Set it as Config.Trace,
-// Experiment.Trace, Figure1Options.Trace or ClusterConfig.Trace; after the
-// run, WriteFile emits Chrome trace JSON and WriteGantt a text timeline.
-// Tracing observes without perturbing: a fixed-seed run is bit-identical
-// with or without it.
+// Experiment.Trace, Figure1Options.Trace or ClusterConfig.Trace, or trace a
+// hand-built runtime by passing AttachMachine's observer in
+// RuntimeOptions.Observer; after the run, WriteFile emits Chrome trace JSON
+// and WriteGantt a text timeline. Tracing observes without perturbing: a
+// fixed-seed run is bit-identical with or without it.
 func NewTracer() *Tracer { return trace.NewTracer() }
 
 // Service mode: online multi-tenant cluster simulation (cmd/dcsim).
@@ -486,8 +482,6 @@ type (
 	// ClusterStats aggregates streaming response/slowdown distributions,
 	// per-tenant fairness and the utilization timeline.
 	ClusterStats = cluster.Stats
-	// Dispatcher places arriving jobs on fleet machines.
-	Dispatcher = cluster.Dispatcher
 	// ClusterObserver receives job lifecycle callbacks (submit, dispatch
 	// with sampled candidates, start, complete) from a service-mode run.
 	ClusterObserver = cluster.Observer
@@ -512,17 +506,3 @@ func NewClusterMonitor(tr *Tracer) *ClusterMonitor { return cluster.NewMonitor(t
 func RunCluster(cfg ClusterConfig, sinks ...Sink) (*ClusterResult, error) {
 	return cluster.Run(cfg, sinks...)
 }
-
-// ClusterArrivals generates the first n jobs of the configured tenants'
-// merged arrival stream — useful for inspecting a scenario without running
-// it.
-func ClusterArrivals(tenants []ClusterTenant, seed uint64, n int) ([]ClusterJob, error) {
-	return cluster.Arrivals(tenants, seed, n)
-}
-
-// NewDispatcher parses a dispatcher spec ("kchoices?d=2", "idle").
-func NewDispatcher(spec string) (Dispatcher, error) { return cluster.NewDispatcher(spec) }
-
-// NewHistogram returns an empty streaming quantile sketch with the given
-// relative accuracy (0 < eps < 1).
-func NewHistogram(eps float64) *Histogram { return metrics.NewHistogram(eps) }

@@ -80,21 +80,31 @@ func TestFacadeNames(t *testing.T) {
 	}
 }
 
-func TestFacadeTraceRecorder(t *testing.T) {
+// TestFacadeTracer traces a hand-built runtime through the facade: the
+// machine is attached as pid 0 and the returned observer goes in the
+// runtime options.
+func TestFacadeTracer(t *testing.T) {
 	eng := numadag.NewEngine()
 	m := numadag.NewMachine(numadag.TwoSocketXeon(), eng)
 	pol, _ := numadag.NewPolicy("DFIFO")
-	rec := numadag.NewTraceRecorder()
+	tr := numadag.NewTracer()
 	opts := numadag.DefaultRuntimeOptions()
-	opts.Observer = rec
+	opts.Observer = tr.AttachMachine(m, 0, "facade")
 	r := numadag.NewRuntime(m, pol, opts)
 	reg := r.Mem().Alloc("x", 4096, numadag.Deferred, 0)
 	r.Submit(numadag.TaskSpec{Label: "t", Flops: 100,
 		Accesses: []numadag.Access{{Region: reg, Mode: numadag.Out}},
 		EPSocket: numadag.NoEPHint})
 	r.Run()
-	if rec.Len() != 1 {
-		t.Fatalf("trace recorded %d events", rec.Len())
+	if n := tr.Spans(); n < 1 {
+		t.Fatalf("trace recorded %d spans", n)
+	}
+	var gantt strings.Builder
+	if err := tr.WriteGantt(&gantt, 0, 40); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(gantt.String(), "#") {
+		t.Fatalf("gantt shows no busy core:\n%s", gantt.String())
 	}
 }
 
