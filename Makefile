@@ -113,14 +113,17 @@ bench-check:
 # spec grammar (any spec string must resolve and build at tiny scale into an
 # error or a graph under workload.MaxTasks, never a panic or a hang), and
 # the policy spec grammar (any spec string must yield an error or a policy
-# whose tiny-jacobi schedule passes the audit, never a panic). The seed
-# corpora also run in plain `make test`; CI uploads any new crashers as
-# workflow artifacts.
+# whose tiny-jacobi schedule passes the audit, never a panic), and the dcsim
+# tenant-mix grammar (any -tenants string and total rate must yield an error
+# or tenants whose 20-job audited run completes, never a panic or a hang).
+# The seed corpora also run in plain `make test`; CI uploads any new
+# crashers as workflow artifacts.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMRefine -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzCoarsen -fuzztime=15s ./internal/partition
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
+	$(GO) test -fuzz=FuzzTenantMix -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzWorkloadSpec -fuzztime=15s ./internal/workload

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"numadag/internal/apps"
+	"numadag/internal/cliutil"
 	"numadag/internal/graph"
 	"numadag/internal/machine"
 	"numadag/internal/partition"
@@ -36,7 +37,7 @@ func main() {
 // run executes dagpart with the given arguments and returns its exit code:
 // 0 on success, 1 when building, partitioning or writing fails, and 2 on a
 // usage error.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dagpart", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -50,6 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noRefine  = fs.Bool("norefine", false, "disable FM refinement")
 		dotOut    = fs.String("dot", "", "write colored DOT to this file")
 		jsonOut   = fs.String("json", "", "write the DAG as JSON to this file")
+		cpuProf   = cliutil.BindCPUProfile(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -61,6 +63,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dagpart:", err)
 		return 1
 	}
+	if err := cpuProf.Start(); err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := cpuProf.Stop(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
 
 	// -map always targets every bullion socket, so the part count comes from
 	// the architecture; an explicit -parts must agree with it.

@@ -34,14 +34,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"numadag/internal/cliutil"
 	"numadag/internal/cluster"
 	"numadag/internal/rt"
-	"numadag/internal/sim"
 )
 
 func main() {
@@ -61,8 +58,12 @@ func main() {
 		traceOut = cliutil.BindTrace(flag.CommandLine)
 		httpF    = flag.String("http", "", "serve the live monitor on this address (e.g. :8080): /status JSON, /trace snapshot")
 		lingerF  = flag.Duration("http-linger", 0, "with -http: keep serving the monitor this long after the run ends, so a scraper can read the final snapshot")
+		cpuProf  = cliutil.BindCPUProfile(flag.CommandLine)
 	)
 	flag.Parse()
+	if err := cpuProf.Start(); err != nil {
+		fatal(err)
+	}
 
 	sc, err := scale()
 	if err != nil {
@@ -72,7 +73,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tenants, err := parseTenants(*tenantsF, *rate)
+	tenants, err := cluster.ParseTenants(*tenantsF, *rate)
 	if err != nil {
 		fatal(err)
 	}
@@ -122,6 +123,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := cpuProf.Stop(); err != nil {
+		fatal(err)
+	}
 	if err := traceOut.Write(); err != nil {
 		fatal(err)
 	}
@@ -137,45 +141,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dcsim: run complete; monitor lingering %v\n", *lingerF)
 		time.Sleep(*lingerF)
 	}
-}
-
-// parseTenants decodes the -tenants grammar, or returns the default
-// four-tenant mix (rates split 4:2:1 across interactive/batch/science plus
-// a three-entry cron trace) at the given total rate.
-func parseTenants(spec string, totalRate float64) ([]cluster.Tenant, error) {
-	if spec == "" {
-		if totalRate <= 0 {
-			return nil, fmt.Errorf("-rate must be positive")
-		}
-		return []cluster.Tenant{
-			{Name: "interactive", Specs: []string{"noop?tasks=4&flops=4096", "noop?tasks=1&flops=1024"},
-				Process: "diurnal", Rate: totalRate * 4 / 7, Amplitude: 0.6, Period: 200 * sim.Millisecond},
-			{Name: "batch", Specs: []string{"forkjoin?depth=2&fanout=2", "random-layered?layers=3&width=4"},
-				Process: "poisson", Rate: totalRate * 2 / 7},
-			{Name: "science", Specs: []string{"random-layered?layers=4&width=3&fan=2"},
-				Process: "poisson", Rate: totalRate / 7},
-			{Name: "cron", Specs: []string{"noop?tasks=0"},
-				Process: "trace", Trace: []sim.Time{0, sim.Millisecond, 50 * sim.Millisecond}},
-		}, nil
-	}
-	var tenants []cluster.Tenant
-	for _, decl := range strings.Split(spec, ",") {
-		parts := strings.SplitN(decl, ":", 4)
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("tenant %q: want name:process:rate:spec|spec", decl)
-		}
-		r, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q: bad rate %q", parts[0], parts[2])
-		}
-		tenants = append(tenants, cluster.Tenant{
-			Name:    parts[0],
-			Process: parts[1],
-			Rate:    r,
-			Specs:   strings.Split(parts[3], "|"),
-		})
-	}
-	return tenants, nil
 }
 
 func fatal(err error) {

@@ -46,8 +46,17 @@ func main() {
 		appsF    = cliutil.AppsFlag(flag.CommandLine, "comma-separated workload specs (default: the eight paper benchmarks)")
 		traceOut = cliutil.BindTrace(flag.CommandLine)
 		shardSet = cliutil.BindShard(flag.CommandLine)
+		cpuProf  = cliutil.BindCPUProfile(flag.CommandLine)
 	)
 	flag.Parse()
+	if err := cpuProf.Start(); err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := cpuProf.Stop(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	sc, err := scale()
 	if err != nil {

@@ -39,7 +39,7 @@ func main() {
 // run executes rgpsim with the given arguments and returns its exit code:
 // 0 on success, 1 when the run or the trace output fails, and 2 on a usage
 // error.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("rgpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -53,6 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceOut = cliutil.BindTrace(fs)
 		gantt    = fs.Bool("gantt", false, "print a text Gantt chart: per-core and per-link rows")
 		list     = fs.Bool("list", false, "list registered policies and workloads, then exit")
+		cpuProf  = cliutil.BindCPUProfile(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -64,6 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rgpsim:", err)
 		return 1
 	}
+	if err := cpuProf.Start(); err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := cpuProf.Stop(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
 
 	if *list {
 		fmt.Fprintln(stdout, "policies:")

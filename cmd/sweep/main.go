@@ -63,8 +63,17 @@ func main() {
 		seeds    = cliutil.SeedsFlag(flag.CommandLine, 2)
 		outputs  = cliutil.BindOutputs(flag.CommandLine, true)
 		shardSet = cliutil.BindShard(flag.CommandLine)
+		cpuProf  = cliutil.BindCPUProfile(flag.CommandLine)
 	)
 	flag.Parse()
+	if err := cpuProf.Start(); err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := cpuProf.Stop(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	sc, err := scale()
 	if err != nil {

@@ -1,15 +1,17 @@
 // Package cliutil holds the flag surface shared by the numadag commands
-// (cmd/sweep, cmd/figure1, cmd/rgpsim, cmd/dagen, cmd/dcsim): the
-// apps/scale/seeds/machine flags and their validation, the -jsonl/-csv
-// streaming outputs, the -trace sink, and — via ShardSet and Drive — the
-// sharded/resumable sweep modes (-shard, -resume, -out, -merge, -maxcells),
-// so each flag's name, usage text and parsing live in exactly one place.
+// (cmd/sweep, cmd/figure1, cmd/rgpsim, cmd/dagen, cmd/dagpart, cmd/dcsim):
+// the apps/scale/seeds/machine flags and their validation, the -jsonl/-csv
+// streaming outputs, the -trace sink, the -cpuprofile CPU profile, and —
+// via ShardSet and Drive — the sharded/resumable sweep modes (-shard,
+// -resume, -out, -merge, -maxcells), so each flag's name, usage text and
+// parsing live in exactly one place.
 package cliutil
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"numadag/internal/apps"
@@ -151,6 +153,49 @@ func (t *TraceOut) Write() error {
 		return nil
 	}
 	return t.Tracer.WriteFile(t.Path)
+}
+
+// CPUProfile binds -cpuprofile: a pprof CPU profile of the command's run,
+// for `go tool pprof`.
+type CPUProfile struct {
+	Path string
+	f    *os.File
+}
+
+// BindCPUProfile registers -cpuprofile on fs.
+func BindCPUProfile(fs *flag.FlagSet) *CPUProfile {
+	p := &CPUProfile{}
+	fs.StringVar(&p.Path, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	return p
+}
+
+// Start begins profiling into Path; a no-op when -cpuprofile is unset. Call
+// Stop when the command's work is done, or the profile is left unwritten.
+func (p *CPUProfile) Start() error {
+	if p.Path == "" {
+		return nil
+	}
+	f, err := os.Create(p.Path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	p.f = f
+	return nil
+}
+
+// Stop ends a running profile and closes its file; a no-op otherwise.
+func (p *CPUProfile) Stop() error {
+	if p.f == nil {
+		return nil
+	}
+	pprof.StopCPUProfile()
+	err := p.f.Close()
+	p.f = nil
+	return err
 }
 
 // Fatal prints "cmd: err" and exits 1 — the commands' shared error exit.

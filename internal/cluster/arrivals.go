@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"numadag/internal/core"
 	"numadag/internal/sim"
@@ -71,11 +73,61 @@ func (t *Tenant) validate(idx int) error {
 		if len(t.Trace) > 0 && t.Trace[0] < 0 {
 			return fmt.Errorf("cluster: tenant %q: negative trace time", t.Name)
 		}
+		if len(t.Trace) > 0 && t.Trace[len(t.Trace)-1] > maxSubmit {
+			return fmt.Errorf("cluster: tenant %q: trace time %v beyond the last submit time %v", t.Name, t.Trace[len(t.Trace)-1], maxSubmit)
+		}
 	default:
 		return fmt.Errorf("cluster: tenant %q: unknown arrival process %q (poisson, diurnal, trace)", t.Name, t.Process)
 	}
 	return nil
 }
+
+// ParseTenants decodes a tenant mix: comma-separated declarations of the
+// form name:process:rate:spec[|spec...], where rate is jobs per simulated
+// second. An empty spec yields the default four-tenant mix at the given
+// total rate, split 4:2:1 across interactive/batch/science, plus a
+// three-entry cron trace. Only the syntax is checked here; Run (through
+// Arrivals) validates the tenants themselves.
+func ParseTenants(spec string, totalRate float64) ([]Tenant, error) {
+	if spec == "" {
+		if totalRate <= 0 {
+			return nil, fmt.Errorf("-rate must be positive")
+		}
+		return []Tenant{
+			{Name: "interactive", Specs: []string{"noop?tasks=4&flops=4096", "noop?tasks=1&flops=1024"},
+				Process: "diurnal", Rate: totalRate * 4 / 7, Amplitude: 0.6, Period: 200 * sim.Millisecond},
+			{Name: "batch", Specs: []string{"forkjoin?depth=2&fanout=2", "random-layered?layers=3&width=4"},
+				Process: "poisson", Rate: totalRate * 2 / 7},
+			{Name: "science", Specs: []string{"random-layered?layers=4&width=3&fan=2"},
+				Process: "poisson", Rate: totalRate / 7},
+			{Name: "cron", Specs: []string{"noop?tasks=0"},
+				Process: "trace", Trace: []sim.Time{0, sim.Millisecond, 50 * sim.Millisecond}},
+		}, nil
+	}
+	var tenants []Tenant
+	for _, decl := range strings.Split(spec, ",") {
+		parts := strings.SplitN(decl, ":", 4)
+		if len(parts) != 4 {
+			return nil, fmt.Errorf("tenant %q: want name:process:rate:spec|spec", decl)
+		}
+		r, err := strconv.ParseFloat(parts[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %q: bad rate %q", parts[0], parts[2])
+		}
+		tenants = append(tenants, Tenant{
+			Name:    parts[0],
+			Process: parts[1],
+			Rate:    r,
+			Specs:   strings.Split(parts[3], "|"),
+		})
+	}
+	return tenants, nil
+}
+
+// maxSubmit bounds submit times to a quarter of the simulated clock's
+// range, leaving the rest for the jobs to run: a tenant whose rate is so
+// low that its stream passes it is an error, not a wrapped clock.
+const maxSubmit = sim.Time(math.MaxInt64 / 4)
 
 // arrivalStream generates one tenant's submit times lazily. next returns
 // the next submit time, or ok=false when the stream is exhausted (only the
@@ -103,12 +155,14 @@ func expDelay(rng *xrand.Rand, ratePerSec float64) sim.Time {
 	return sim.Time(gap)
 }
 
-func (s *arrivalStream) next() (sim.Time, bool) {
+func (s *arrivalStream) next() (sim.Time, bool, error) {
 	t := s.tenant
 	switch t.Process {
 	case "poisson":
-		s.now += expDelay(s.rng, t.Rate)
-		return s.now, true
+		if err := s.advance(expDelay(s.rng, t.Rate)); err != nil {
+			return 0, false, err
+		}
+		return s.now, true, nil
 	case "diurnal":
 		// Lewis-Shedler thinning against the peak rate: draw candidate gaps
 		// at Rate*(1+A) and accept each candidate with probability
@@ -119,22 +173,33 @@ func (s *arrivalStream) next() (sim.Time, bool) {
 		}
 		peak := t.Rate * (1 + t.Amplitude)
 		for {
-			s.now += expDelay(s.rng, peak)
+			if err := s.advance(expDelay(s.rng, peak)); err != nil {
+				return 0, false, err
+			}
 			phase := 2 * math.Pi * float64(s.now%period) / float64(period)
 			rate := t.Rate * (1 + t.Amplitude*math.Sin(phase))
 			if s.rng.Float64()*peak <= rate {
-				return s.now, true
+				return s.now, true, nil
 			}
 		}
 	case "trace":
 		if s.idx >= len(t.Trace) {
-			return 0, false
+			return 0, false, nil
 		}
 		at := t.Trace[s.idx]
 		s.idx++
-		return at, true
+		return at, true, nil
 	}
 	panic("cluster: unvalidated arrival process")
+}
+
+// advance moves the stream's clock on by gap, failing past maxSubmit.
+func (s *arrivalStream) advance(gap sim.Time) error {
+	if gap > maxSubmit-s.now {
+		return fmt.Errorf("cluster: tenant %q: rate %v puts submit times beyond %v", s.tenant.Name, s.tenant.Rate, maxSubmit)
+	}
+	s.now += gap
+	return nil
 }
 
 // Arrivals generates the first n jobs of the configured tenants, merged
@@ -168,9 +233,12 @@ func Arrivals(tenants []Tenant, seed uint64, n int) ([]Job, error) {
 	streams := make([]arrivalStream, len(tenants))
 	heads := make([]sim.Time, len(tenants))
 	live := make([]bool, len(tenants))
+	var err error
 	for i := range tenants {
 		streams[i] = arrivalStream{tenant: &tenants[i], rng: xrand.New(core.DeriveSeed(seed, i))}
-		heads[i], live[i] = streams[i].next()
+		if heads[i], live[i], err = streams[i].next(); err != nil {
+			return nil, err
+		}
 	}
 	jobs := make([]Job, 0, n)
 	for len(jobs) < n {
@@ -198,7 +266,9 @@ func Arrivals(tenants []Tenant, seed uint64, n int) ([]Job, error) {
 			SubmitAt: heads[best],
 			Machine:  -1,
 		})
-		heads[best], live[best] = streams[best].next()
+		if heads[best], live[best], err = streams[best].next(); err != nil {
+			return nil, err
+		}
 	}
 	// The k-way pick already yields (time, tenant) order; assert it rather
 	// than trust it — FuzzArrivals leans on this invariant.

@@ -444,8 +444,8 @@ func Run(cfg Config, sinks ...core.Sink) (*Result, error) {
 	for i := range f.machines {
 		f.machines[i] = machine.New(cfg.Machine, eng)
 	}
-	// Attach tracing after every machine exists: on the shared engine the
-	// tracer's sampling flushers must run after all network flushes.
+	// The tracer's sampling flushers read settled link rates: the engine
+	// fills every churned Net before it runs any flusher.
 	if cfg.Trace != nil {
 		f.machObs = make([]rt.Observer, cfg.Machines)
 		for i, m := range f.machines {
@@ -460,10 +460,13 @@ func Run(cfg Config, sinks ...core.Sink) (*Result, error) {
 		cfg.Monitor.bind(f)
 		f.obs = append(f.obs, cfg.Monitor)
 	}
+	// The stream is sorted by submit time, and AtEach queues one arrival
+	// at a time under the seqs per-job At calls would have claimed here.
+	submit := make([]sim.Time, len(jobs))
 	for i := range jobs {
-		id := jobs[i].ID
-		eng.At(jobs[i].SubmitAt, func() { f.arrive(id) })
+		submit[i] = jobs[i].SubmitAt
 	}
+	eng.AtEach(submit, func(i int) { f.arrive(jobs[i].ID) })
 	eng.Run()
 	if f.err != nil {
 		return nil, f.err

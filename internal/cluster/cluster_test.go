@@ -351,6 +351,11 @@ func TestArrivalsValidation(t *testing.T) {
 		{{Name: "a", Specs: []string{"noop"}, Process: "weibull", Rate: 1}},
 		{{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: 1},
 			{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: 1}},
+		// Submit times past maxSubmit: from a trace, or from a rate so low
+		// that five gaps would wrap the clock.
+		{{Name: "a", Specs: []string{"noop"}, Process: "trace", Trace: []sim.Time{0, math.MaxInt64}}},
+		{{Name: "a", Specs: []string{"noop"}, Process: "poisson", Rate: 1e-300}},
+		{{Name: "a", Specs: []string{"noop"}, Process: "diurnal", Rate: 1e-300, Amplitude: 0.5}},
 	}
 	for i, tenants := range bad {
 		if _, err := Arrivals(tenants, 1, 5); err == nil {

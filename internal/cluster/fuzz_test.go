@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"numadag/internal/apps"
@@ -97,6 +98,73 @@ func FuzzArrivals(f *testing.F) {
 		}
 		if res.CompletionHash() != res2.CompletionHash() {
 			t.Fatalf("repeat run diverged: %x vs %x", res.CompletionHash(), res2.CompletionHash())
+		}
+	})
+}
+
+// FuzzTenantMix drives arbitrary -tenants strings and total rates through
+// ParseTenants and a 20-job audited Run. Every input must yield an error or
+// a run in which every job completes — never a panic or a hang. Mixes whose
+// workload specs build graphs above 1024 tasks are parsed but not run:
+// FuzzWorkloadSpec covers building those, and 20 audited jobs of up to
+// workload.MaxTasks tasks would make one input take minutes.
+func FuzzTenantMix(f *testing.F) {
+	for _, seed := range []struct {
+		spec string
+		rate float64
+	}{
+		{"", 7000},
+		{"", math.NaN()},
+		{"", math.Inf(1)},
+		{"", 0},
+		{"", -5},
+		{"web:poisson:4000:noop?tasks=4,hpc:diurnal:500:forkjoin?depth=5", 0},
+		{"a:poisson:NaN:noop?tasks=1", 0},
+		{"a:poisson:+Inf:noop?tasks=1", 0},
+		{"a:diurnal:-Inf:noop?tasks=1", 0},
+		{"a:poisson:0:noop?tasks=1", 0},
+		{"a:poisson:-3:noop?tasks=1", 0},
+		{"a:poisson:1e-300:noop?tasks=1", 0},
+		{"a:poisson:100:noop?tasks=1,", 0},
+		{"a:poisson:100:noop?tasks=1,a:diurnal:50:noop?tasks=2", 0},
+		{"cron:trace:1:noop?tasks=0", 0},
+		{"cron:trace:1:noop?tasks=0,web:poisson:1e6:noop?tasks=0|noop?tasks=3", 0},
+		{"a:poisson:10:", 0},
+		{"a:burst:10:noop", 0},
+	} {
+		f.Add(seed.spec, seed.rate)
+	}
+	mc := machine.TwoSocketXeon()
+	f.Fuzz(func(t *testing.T, spec string, rate float64) {
+		tenants, err := ParseTenants(spec, rate)
+		if err != nil {
+			return
+		}
+		for _, tn := range tenants {
+			for _, s := range tn.Specs {
+				if snap, err := snapshotFor(s, mc, apps.Tiny); err == nil && snap.Tasks() > 1024 {
+					return
+				}
+			}
+		}
+		cfg := Config{
+			Machines: 2,
+			Machine:  mc,
+			Policy:   "LAS",
+			Runtime:  rt.DefaultOptions(),
+			Scale:    apps.Tiny,
+			Tenants:  tenants,
+			Jobs:     20,
+			Seed:     1,
+			Audit:    true,
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			return
+		}
+		// Run reports a stall as an error; check the count it returned.
+		if res.Stats.All.Jobs != len(res.Jobs) {
+			t.Fatalf("%q: %d of %d jobs completed", spec, res.Stats.All.Jobs, len(res.Jobs))
 		}
 	})
 }

@@ -106,4 +106,11 @@ func TestReallocateChurnSteadyStateAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("churn with replayed groups allocates %v objects per op, want 0", avg)
 	}
+	// The ops flush the Net directly and never step the engine, so it stays
+	// listed for the engine's flush the whole time — once. AllocsPerRun
+	// rounds down, so a list that grew by one entry per op would still
+	// average 0 allocs above.
+	if l := len(c.n.eng.dirty); l != 1 {
+		t.Fatalf("engine dirty list holds %d entries after the churn ops, want 1", l)
+	}
 }

@@ -20,18 +20,26 @@
 //
 // Both layers are engineered for allocation-free steady-state operation —
 // the reallocation loop is >half the CPU of every paper-scale sweep, so the
-// structures are dense and recycled rather than pointer-built per call:
+// structures are dense and recycled rather than pointer-built per call —
+// and the engine's per-step cost follows the live work, not the run's
+// length or the number of Nets sharing it:
 //
 //   - The event queue is an indexed binary heap of slot IDs over a value
 //     arena ([]event). Slots are recycled through a free list, Timer handles
 //     are (slot, generation) values so Stop after reuse is a safe no-op, and
 //     Stop removes the slot from the heap immediately — the heap never holds
 //     cancelled events, so Pending is len(heap) and Step never skips.
+//   - A long pre-computed schedule, such as a service run's whole arrival
+//     stream, enters through AtEach: it claims every event's scheduling seq
+//     up front but queues only the next one, so the heap holds the live
+//     events (about 16 per step on a 16-machine fleet) instead of every
+//     future arrival (about 6,000), with the firing order unchanged.
 //   - Net keeps active flows in a dense slice ordered by ascending flow ID
 //     (the deterministic iteration order), and per resource the list of
 //     flows crossing it in the same order, updated as flows start and
 //     finish rather than rebuilt per fill. Fills reuse per-Net scratch
-//     buffers.
+//     buffers. Progressing every flow to now is skipped when the last pass
+//     already ran at this instant.
 //   - Finished Flow structs are recycled through a free list; a *Flow handle
 //     is valid for inspection until the next StartFlow call on the same Net
 //     after the flow completes.
@@ -42,22 +50,25 @@
 //     finishes, reallocation recomputes deadlines, and the one event is
 //     rescheduled. Completion order is identical to the per-flow-timer
 //     design because the engine fires same-instant events in scheduling
-//     order and deadlines are assigned in that same order.
+//     order and deadlines are assigned in that same order. Churn parks the
+//     event far in the future under a fresh seq, re-stamping its slot in
+//     place rather than freeing and re-taking it.
 //   - Reallocation itself is deferred and batched: flow churn marks the Net
-//     dirty and the engine runs registered flush hooks (AddFlusher /
-//     RequestFlush) once per instant, just before the clock advances — so a
+//     dirty and lists it, once, on its engine, and the engine fills the
+//     listed Nets once per instant, just before the clock advances — so a
 //     task fanning out transfers, or a wave of same-nanosecond completions,
-//     pays for one max-min redistribution instead of one per event. The
-//     water-filling pass runs its rounds over flow classes (flows with equal
-//     paths and caps) and the crossing lists, and splits each round into
-//     one step per resource group — a set of resources no flow path leaves,
-//     on the bullion one socket's memory controller and port. A group whose
-//     crossing lists did not change since the last fill replays the steps
-//     it logged then while every round hands it the same inputs, so a fill
-//     recomputes only the churned sockets. It executes bit-for-bit the
-//     float operations of the naive global ladder it replaced (kept as a
-//     test-only reference and enforced by the equivalence suite and
-//     FuzzReallocate).
+//     pays for one max-min redistribution instead of one per event, and a
+//     flush on a shared engine visits the churned Nets only, not the whole
+//     fleet. The water-filling pass runs its rounds over flow classes
+//     (flows with equal paths and caps) and the crossing lists, and splits
+//     each round into one step per resource group — a set of resources no
+//     flow path leaves, on the bullion one socket's memory controller and
+//     port. A group whose crossing lists did not change since the last fill
+//     replays the steps it logged then while every round hands it the same
+//     inputs, so a fill recomputes only the churned sockets. It executes
+//     bit-for-bit the float operations of the naive global ladder it
+//     replaced (kept as a test-only reference and enforced by the
+//     equivalence suite and FuzzReallocate).
 //
 // # Determinism contract
 //
@@ -71,11 +82,14 @@
 //
 // # End-of-instant flush order
 //
-// Flushers registered with AddFlusher run in registration order on the
-// engine goroutine, once per requested flush, before the clock leaves the
-// current instant. A Net registers its flusher when it is created, so a
-// sampler registered after a Net (the tracer's per-link counters) always
-// reads that Net's settled post-fill rates for the instant.
+// Before the clock leaves an instant in which any Net churned, the engine
+// flushes: it fills every churned Net, then runs the flushers registered
+// with AddFlusher in registration order, all on the engine goroutine. A
+// sampler (the tracer's per-link counters) therefore reads settled
+// post-fill rates for the instant whenever it was registered, before or
+// after the Nets it samples. Fills and flushers may queue events at the
+// current instant; those run before the clock advances, and churn they
+// cause triggers a further flush.
 package sim
 
 import (
@@ -131,14 +145,14 @@ type Engine struct {
 	seq    uint64
 	nSteps uint64
 
-	// End-of-instant flush hooks. A subsystem that batches same-instant
-	// work (the fluid network coalescing flow churn into one reallocation)
-	// registers a flusher once and calls RequestFlush when it has deferred
-	// work; the engine runs the flushers before the clock advances past the
-	// current instant and before reporting the queue drained. Flushers run
-	// in registration order, keeping runs deterministic.
-	flushers  []func()
-	needFlush bool
+	// End-of-instant flush state. dirty lists the Nets churned since the
+	// last flush, each once (Net.listed), in churn order; flushers are the
+	// hooks registered with AddFlusher. A flush is due while dirty is
+	// non-empty: before the clock advances past the current instant, and
+	// before the queue is reported drained, the engine fills every listed
+	// Net and then runs the flushers in registration order.
+	dirty    []*Net
+	flushers []func()
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -260,6 +274,11 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic("sim: scheduling nil event function")
 	}
 	e.seq++
+	return e.push(t, e.seq, fn)
+}
+
+// push queues fn at t under the scheduling seq seq.
+func (e *Engine) push(t Time, seq uint64, fn func()) Timer {
 	var id int32
 	if n := len(e.free); n > 0 {
 		id = e.free[n-1]
@@ -269,11 +288,61 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		id = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[id]
-	s.at, s.seq, s.fn = t, e.seq, fn
+	s.at, s.seq, s.fn = t, seq, fn
 	s.pos = int32(len(e.heap))
 	e.heap = append(e.heap, id)
 	e.siftUp(len(e.heap) - 1)
 	return Timer{e: e, slot: id, gen: s.gen}
+}
+
+// AtEach schedules fn(i) to run at each at[i], firing exactly as len(at)
+// consecutive At calls would: it claims their scheduling seqs now, so every
+// same-instant tie with other events resolves as if all of them were
+// queued, but only the stream's next event sits in the queue. at must be
+// non-decreasing and not before now (a violation panics, as in At); it is
+// read as the stream runs, so the caller must not change it until the last
+// event has fired. The stream's events cannot be cancelled.
+func (e *Engine) AtEach(at []Time, fn func(i int)) {
+	if fn == nil {
+		panic("sim: scheduling nil event function")
+	}
+	for i, t := range at {
+		if t < e.now {
+			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+		}
+		if i > 0 && t < at[i-1] {
+			panic(fmt.Sprintf("sim: AtEach times decrease at index %d (%v after %v)", i, t, at[i-1]))
+		}
+	}
+	if len(at) == 0 {
+		return
+	}
+	s := &eventStream{e: e, at: at, fn: fn, seq0: e.seq + 1}
+	e.seq += uint64(len(at))
+	s.fire = s.step
+	e.push(at[0], s.seq0, s.fire)
+}
+
+// eventStream is one AtEach call in flight: event next is queued under seq
+// seq0+next, and fire (allocated once) is every event's function.
+type eventStream struct {
+	e    *Engine
+	at   []Time
+	fn   func(int)
+	seq0 uint64
+	next int
+	fire func()
+}
+
+// step runs the due event, queueing its successor first so the stream is
+// visible in the queue while fn runs.
+func (s *eventStream) step() {
+	i := s.next
+	s.next++
+	if s.next < len(s.at) {
+		s.e.push(s.at[s.next], s.seq0+uint64(s.next), s.fire)
+	}
+	s.fn(i)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -308,7 +377,10 @@ func (e *Engine) Reschedule(t Timer, at Time) bool {
 	return true
 }
 
-// AddFlusher registers an end-of-instant hook. See Engine.flushers.
+// AddFlusher registers an end-of-instant hook. Flushers run on the engine
+// goroutine in registration order, once per flush, after every Net churned
+// in the instant has filled: a sampler reads settled rates whenever it was
+// registered. See Engine.dirty.
 func (e *Engine) AddFlusher(fn func()) {
 	if fn == nil {
 		panic("sim: registering nil flusher")
@@ -316,20 +388,40 @@ func (e *Engine) AddFlusher(fn func()) {
 	e.flushers = append(e.flushers, fn)
 }
 
-// RequestFlush asks the engine to run the registered flushers before the
-// clock next advances (or before the queue is reported drained). Idempotent
-// within an instant; flushers that have nothing deferred must tolerate being
-// called anyway.
-func (e *Engine) RequestFlush() { e.needFlush = true }
+// restamp gives the live event t a fresh scheduling seq and moves it to at:
+// the key Stop followed by At would give it, without releasing and
+// re-taking its slot. A fired, stopped or zero timer is scheduled anew with
+// fn.
+func (e *Engine) restamp(t Timer, at Time, fn func()) Timer {
+	if t.e != nil {
+		if s := &e.slots[t.slot]; s.gen == t.gen && s.pos >= 0 {
+			e.seq++
+			s.at, s.seq = at, e.seq
+			if !e.siftDown(int(s.pos)) {
+				e.siftUp(int(s.pos))
+			}
+			return t
+		}
+	}
+	return e.At(at, fn)
+}
 
-// runFlush runs the registered flushers if a flush was requested, reporting
-// whether it did. Flushers may schedule new events, including events at the
-// current instant, and may request a further flush (the caller loops).
+// runFlush runs a due end-of-instant flush, reporting whether it did: every
+// listed Net fills, in churn order, then the registered flushers run. Nets
+// fill independently (a fill touches only its own Net, and Reschedule keeps
+// the completion event's seq), so the listing order cannot move a result.
+// A fill or a flusher may schedule new events, including events at the
+// current instant, and a flusher that churns a Net lists it for a further
+// flush (the caller loops).
 func (e *Engine) runFlush() bool {
-	if !e.needFlush {
+	if len(e.dirty) == 0 {
 		return false
 	}
-	e.needFlush = false
+	for _, n := range e.dirty {
+		n.listed = false
+		n.flush()
+	}
+	e.dirty = e.dirty[:0]
 	for _, fn := range e.flushers {
 		fn()
 	}
@@ -339,9 +431,9 @@ func (e *Engine) runFlush() bool {
 // Step executes the next event, advancing the clock to its timestamp. It
 // reports whether an event was executed. (Cancelled events are removed at
 // Stop time, so every queued event is live.) Before the clock advances past
-// the current instant — and before reporting the queue drained — any
-// requested end-of-instant flush runs; flushed work may queue same-instant
-// events, which are then executed first.
+// the current instant — and before reporting the queue drained — a due
+// end-of-instant flush runs; flushed work may queue same-instant events,
+// which are then executed first.
 func (e *Engine) Step() bool {
 	for len(e.heap) == 0 || e.slots[e.heap[0]].at > e.now {
 		if !e.runFlush() {
@@ -393,12 +485,12 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // queue immediately, so this is a live count, in O(1).
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// Reset rewinds the engine to time zero with an empty queue while keeping
-// its grown arena capacity and — crucially — its registered flushers, so a
-// pooled engine/machine pair can serve a fresh run without re-wiring the
-// Net's end-of-instant hook. Every slot generation is bumped, so Timer
-// handles from the previous run can never touch the recycled slots; a
-// stale Stop or Reschedule is a no-op exactly as if the event had fired.
+// Reset rewinds the engine to time zero with an empty queue and no pending
+// flush while keeping its grown arena capacity and its registered flushers,
+// so a pooled engine/machine pair can serve a fresh run without re-wiring
+// its hooks. Every slot generation is bumped, so Timer handles from the
+// previous run can never touch the recycled slots; a stale Stop or
+// Reschedule is a no-op exactly as if the event had fired.
 func (e *Engine) Reset() {
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
@@ -412,5 +504,8 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.nSteps = 0
-	e.needFlush = false
+	for _, n := range e.dirty {
+		n.listed = false
+	}
+	e.dirty = e.dirty[:0]
 }

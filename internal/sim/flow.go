@@ -70,8 +70,9 @@ func (r *Resource) Name() string { return r.name }
 // Rate returns the aggregate allocated rate in bytes/ns — the sum of the
 // fair shares of every active flow crossing the resource, as of the last
 // reallocation. Unlike Flow.Rate it never forces a flush: it is meant for
-// samplers that run as engine flushers registered after the Net's own (so
-// they read settled post-fill values) and must not perturb the network.
+// samplers that run as engine flushers (which run after every churned Net
+// has filled, so they read settled post-fill values) and must not perturb
+// the network.
 func (r *Resource) Rate() float64 { return r.rate }
 
 // Capacity returns the resource capacity in bytes per nanosecond.
@@ -168,12 +169,12 @@ func (f *Flow) Rate() float64 {
 // # Incremental reallocation
 //
 // Starting or finishing a flow invalidates rates, but the recompute is
-// deferred: churn marks the network dirty and parks the completion event on
-// a far-future placeholder, and the engine runs the Net's flush hook once,
-// just before the clock leaves the current instant. That batches
-// same-instant churn — a task fanning out transfers to several home
-// sockets, or a wave of flows finishing at one timestamp, pays for one
-// redistribution instead of one per event. Deferral is observationally
+// deferred: churn marks the network dirty, parks the completion event on a
+// far-future placeholder and lists the Net on its engine, and the engine
+// fills every listed Net once, just before the clock leaves the current
+// instant. That batches same-instant churn — a task fanning out transfers
+// to several home sockets, or a wave of flows finishing at one timestamp,
+// pays for one redistribution instead of one per event. Deferral is observationally
 // exact: intermediate same-instant rates would exist for zero simulated
 // time, remaining-byte accounting is progressed eagerly per event, the
 // flush reassigns deadlines at the same instant an eager recompute would
@@ -234,7 +235,11 @@ type Net struct {
 	gLeft   []int
 	live    []int
 
-	// Deferred-reallocation state. batch controls same-instant coalescing:
+	// Deferred-reallocation state. listed marks the Net as on its engine's
+	// dirty list (Engine.dirty): set by the first churn of an instant and
+	// cleared only by the engine, at its flush or Reset, never by an early
+	// flush, so a Net is listed at most once however often Flow.Rate
+	// flushes it between churns. batch controls same-instant coalescing:
 	// when false every churn event flushes immediately (one redistribution
 	// per start/finish, the historical behaviour); the equivalence tests
 	// use it to pin batching against eager recomputation. flushing guards
@@ -244,6 +249,7 @@ type Net struct {
 	// the fill is about to settle, so the reentrant call must be a no-op,
 	// not a second fill over half-updated scratch state.
 	dirty    bool
+	listed   bool
 	batch    bool
 	flushing bool
 
@@ -258,6 +264,10 @@ type Net struct {
 	completeFn func()
 	dcounter   uint64 // deadline assignment counter (see Flow.dseq)
 
+	// progressed is the instant every active flow was last progressed to;
+	// while it is now, progressAll has nothing to do.
+	progressed Time
+
 	// TotalBytes accumulates the volume completed through the network,
 	// a convenient global traffic counter for statistics.
 	TotalBytes float64
@@ -269,13 +279,12 @@ type Net struct {
 	onFlowEnd   func(*Flow)
 }
 
-// NewNet creates an empty flow network driven by eng and registers its
-// end-of-instant flusher.
+// NewNet creates an empty flow network driven by eng. The engine fills it
+// at the end of every instant in which it churned (see Engine.dirty).
 func NewNet(eng *Engine) *Net {
 	n := &Net{eng: eng, batch: true}
 	n.completeFn = n.onComplete
 	n.fill = n.waterfill
-	eng.AddFlusher(n.flush)
 	return n
 }
 
@@ -462,12 +471,18 @@ func (f *Flow) progress(now Time) {
 }
 
 // progressAll advances every active flow's remaining volume to the current
-// time.
+// time. Flows started since the last pass start at their own instant, so
+// when that pass ran at this instant there is nothing to do: progress over
+// zero elapsed time changes nothing.
 func (n *Net) progressAll() {
 	now := n.eng.Now()
+	if n.progressed == now {
+		return
+	}
 	for _, f := range n.active {
 		f.progress(now)
 	}
+	n.progressed = now
 }
 
 // sentinelTime parks the completion-event placeholder beyond any reachable
@@ -483,22 +498,26 @@ const sentinelTime = Time(math.MaxInt64)
 // the historical eager recompute re-armed its timer. The flush only moves
 // the placeholder to the real deadline (Engine.Reschedule keeps the seq),
 // so a tie between the completion and an event scheduled later in the same
-// instant resolves exactly as it did under one-recompute-per-churn.
+// instant resolves exactly as it did under one-recompute-per-churn. A
+// placeholder still parked from an earlier churn is re-stamped in place:
+// the fresh seq and far-future time Stop and At would give it, on the same
+// slot. The first churn since the engine's last flush lists the Net for the
+// next one.
 func (n *Net) noteChurn() {
-	n.pending.Stop()
-	n.pending = n.eng.At(sentinelTime, n.completeFn)
-	if !n.dirty {
-		n.dirty = true
-		n.eng.RequestFlush()
+	n.pending = n.eng.restamp(n.pending, sentinelTime, n.completeFn)
+	n.dirty = true
+	if !n.listed {
+		n.listed = true
+		n.eng.dirty = append(n.eng.dirty, n)
 	}
 }
 
 // flush applies the deferred reallocation: one water-filling pass over the
 // network, then fresh completion deadlines and a re-armed completion event.
 // A no-op when no churn is pending, so forced flushes (Flow.Rate, the
-// engine's end-of-instant hook, RunUntil's horizon check) are free on a
-// clean network; a no-op as well when a flush is already running on this
-// Net (see Net.flushing).
+// engine's end-of-instant flush of a Net Flow.Rate already flushed) are
+// free on a clean network; a no-op as well when a flush is already running
+// on this Net (see Net.flushing).
 func (n *Net) flush() {
 	if !n.dirty || n.flushing {
 		return
@@ -646,6 +665,7 @@ func (n *Net) onComplete() {
 			due = f
 		}
 	}
+	n.progressed = now
 	if due == nil {
 		return
 	}
@@ -705,8 +725,8 @@ func (n *Net) finish(f *Flow) {
 // counters — while keeping the registered resources, the recycled-Flow and
 // class pools and every grown scratch buffer. It must be paired with a
 // reset of the driving engine (the parked completion placeholder is
-// abandoned here; the engine reset invalidates it wholesale). Machine.Reset
-// is the intended caller.
+// abandoned here, and the engine owns the dirty list; its reset drops
+// both). Machine.Reset is the intended caller.
 func (n *Net) Reset() {
 	for _, f := range n.active {
 		f.finished = true
@@ -736,6 +756,7 @@ func (n *Net) Reset() {
 	n.flushing = false
 	n.pending = Timer{}
 	n.dcounter = 0
+	n.progressed = 0
 	n.TotalBytes = 0
 }
 

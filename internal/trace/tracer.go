@@ -185,11 +185,9 @@ func (tr *Tracer) ensureProc(pid int) *proc {
 // group, and steal instants; independently of it, the tracer hooks m's fluid
 // network for flow spans and registers an end-of-instant engine flusher
 // sampling per-link utilization counters — so flows and counters are traced
-// even when the runtime's Observer slot is taken by a user observer.
-//
-// Attach after the machine (and, on a shared engine, all machines) is
-// constructed, so the sampling flusher runs after the network's own
-// end-of-instant reallocation and reads settled rates.
+// even when the runtime's Observer slot is taken by a user observer. The
+// engine runs flushers after every churned network has filled, so the
+// sampler reads settled rates.
 func (tr *Tracer) AttachMachine(m *machine.Machine, pid int, name string) rt.Observer {
 	tr.mu.Lock()
 	if _, dup := tr.byPid[pid]; dup {

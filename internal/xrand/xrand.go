@@ -8,6 +8,8 @@
 // that is trivial to fork deterministically.
 package xrand
 
+import "math/bits"
+
 // Rand is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; fork one per goroutine with Fork if needed. The simulator
 // itself is single-threaded per run, so a single Rand per run suffices.
@@ -39,7 +41,7 @@ func (r *Rand) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
@@ -62,16 +64,12 @@ func (r *Rand) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap (Fisher–Yates).
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
+	// Fisher–Yates.
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		swap(i, j)
+		p[i], p[j] = p[j], p[i]
 	}
+	return p
 }
 
 // Fork derives an independent generator from the current state. The derived
@@ -79,21 +77,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // parent advances by one step, so repeated Fork calls yield distinct children.
 func (r *Rand) Fork() *Rand {
 	return &Rand{state: r.Uint64() ^ 0xd1b54a32d192ed03}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // Reseed resets the generator to the stream New(seed) would produce,

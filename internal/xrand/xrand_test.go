@@ -1,8 +1,10 @@
 package xrand
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -154,40 +156,46 @@ func TestForkDeterministic(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesBigMultiplication(t *testing.T) {
-	f := func(x, y uint64) bool {
-		hi, lo := mul64(x, y)
-		// Verify against the identity computed via 32-bit limbs done
-		// a second, independent way: ((x*y) mod 2^64) must equal lo.
-		if lo != x*y {
-			return false
-		}
-		// hi*2^64 + lo == x*y over the integers; check a weaker
-		// congruence that still pins hi: compare against float when safe.
-		if x < 1<<32 && y < 1<<32 {
-			return hi == 0
-		}
-		return true
+// streamDigest folds a fixed-seed mix of every drawing method into one
+// FNV-1a hash: Intn over small, mid and near-2^63 bounds (the high word of
+// the 128-bit product is the result, so wide bounds pin all of it), PermInto
+// over several lengths into one reused buffer, Float64 bits, and the first
+// draws of forked children.
+func streamDigest() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	r := New(20180224)
+	bounds := []int{1, 2, 3, 7, 10, 64, 1000, 1 << 20, 1<<31 - 1, 1 << 32, 1<<32 + 1,
+		1<<40 + 12345, 1<<62 + 1, math.MaxInt64/3 + 7, math.MaxInt64}
+	perm := make([]int, 100)
+	for round := 0; round < 64; round++ {
+		for _, n := range bounds {
+			put(uint64(r.Intn(n)))
+		}
+		for _, n := range []int{0, 1, 2, 5, 17, 64, 100} {
+			for _, v := range r.PermInto(perm[:n]) {
+				put(uint64(v))
+			}
+		}
+		put(math.Float64bits(r.Float64()))
+		c := r.Fork()
+		put(c.Uint64())
+		put(uint64(c.Intn(1 << 48)))
 	}
+	return h.Sum64()
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(11)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element multiset: sum %d -> %d", sum, got)
+// TestStreamGolden pins the generator's output stream: every simulated
+// partition, schedule and arrival draws through these methods, so a change
+// to how they compute must leave the digest alone.
+func TestStreamGolden(t *testing.T) {
+	const want = 0xbf7ba5ca320d1631
+	if got := streamDigest(); got != want {
+		t.Fatalf("stream digest %#x, want %#x", got, uint64(want))
 	}
 }
 
@@ -195,5 +203,17 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+// BenchmarkPermInto measures one 64-element permutation into a reused
+// buffer, the draw graph generators and the partitioner's random matching
+// make per call.
+func BenchmarkPermInto(b *testing.B) {
+	r := New(1)
+	p := make([]int, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.PermInto(p)
 	}
 }

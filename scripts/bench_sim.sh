@@ -20,6 +20,7 @@ out="${1:-BENCH_sim.json}"
   go test -run '^$' -bench 'BenchmarkRGPPrepare' -benchmem ./internal/policy/
   go test -run '^$' -bench 'BenchmarkMapOntoBullion|BenchmarkFMRefine' -benchmem ./internal/partition/
   go test -run '^$' -bench 'BenchmarkClusterTick|BenchmarkDispatch' -benchmem ./internal/cluster/
+  go test -run '^$' -bench 'BenchmarkPermInto' -benchmem ./internal/xrand/
 } | awk '
 BEGIN { print "["; first = 1 }
 /^Benchmark/ {
