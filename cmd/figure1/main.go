@@ -129,8 +129,13 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Println("\npaper reference: RGP+LAS geomean 1.12x over LAS; NStream 1.75x (EP) / 1.74x (RGP+LAS);")
-	fmt.Println("DFIFO annotations: integral histogram 0.40, Jacobi 0.42, NStream 0.49; sym. inv. 0.68.")
+	fmt.Print("\npaper reference (speedup over LAS):")
+	sep := ""
+	for _, v := range core.Figure1Paper {
+		fmt.Printf("%s %s %s %.2f", sep, v.App, v.Policy, v.Speedup)
+		sep = ","
+	}
+	fmt.Println()
 }
 
 func fatal(err error) {

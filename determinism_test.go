@@ -31,6 +31,7 @@ import (
 	"numadag/internal/machine"
 	"numadag/internal/rt"
 	"numadag/internal/sim"
+	"numadag/internal/trace"
 	"numadag/internal/workload"
 )
 
@@ -69,6 +70,14 @@ var determinismSynthetics = []string{
 }
 
 func runCell(t testing.TB, spec, polName string, seed uint64) goldenEntry {
+	return runGoldenCell(t, spec, polName, seed, nil)
+}
+
+// runGoldenCell runs one golden cell at small scale on a fresh bullion,
+// recording it into tr when tr is non-nil, and checks the run against
+// physics before returning its golden triple (see checkPhysics).
+func runGoldenCell(t testing.TB, spec, polName string, seed uint64, tr *trace.Tracer) goldenEntry {
+	t.Helper()
 	w, err := workload.New(spec, apps.Small)
 	if err != nil {
 		t.Fatal(err)
@@ -81,15 +90,87 @@ func runCell(t testing.TB, spec, polName string, seed uint64) goldenEntry {
 	m := numadag.NewMachine(machine.BullionS16(), eng)
 	opts := rt.DefaultOptions()
 	opts.Seed = seed
+	if tr != nil {
+		opts.Observer = tr.AttachMachine(m, 0, spec)
+	}
+	over := watchCapacity(m)
 	r := rt.NewRuntime(m, pol, opts)
 	if err := w.Build(r); err != nil {
 		t.Fatal(err)
 	}
 	res := r.Run()
+	checkPhysics(t, cellKey(spec, polName, seed), r, res, *over)
 	return goldenEntry{
 		Makespan:   int64(res.Makespan),
 		Steps:      eng.Steps(),
 		TotalBytes: m.Net().TotalBytes,
+	}
+}
+
+// capacityTol is the relative amount by which a settled resource rate may
+// exceed its capacity. A settled rate is the float sum of its flows' shares,
+// and each share comes out of a chain of residual subtractions and a
+// division, every one rounding by half an ulp (1.1e-16 relative): the sum
+// can land a few ulps above the capacity it exactly fills. The golden cells
+// reach 1.6e-15 relative; 1e-12 is the fill's own tie tolerance, far above
+// rounding and far below a real overcommit.
+const capacityTol = 1e-12
+
+// capacityExcess is the worst overcommit a capacity watch saw.
+type capacityExcess struct {
+	rel  float64 // settled rate / capacity - 1
+	name string
+	at   sim.Time
+}
+
+// watchCapacity checks, after every end-of-instant flush of m's engine,
+// that no memory controller or port settles above its capacity, and keeps
+// the worst excess it sees.
+func watchCapacity(m *machine.Machine) *capacityExcess {
+	worst := &capacityExcess{}
+	check := func(rs []*sim.Resource) {
+		for _, r := range rs {
+			if rel := r.Rate()/r.Capacity() - 1; rel > worst.rel {
+				*worst = capacityExcess{rel, r.Name(), m.Engine().Now()}
+			}
+		}
+	}
+	m.Engine().AddFlusher(func() {
+		check(m.Controllers())
+		check(m.Ports())
+	})
+	return worst
+}
+
+// checkPhysics checks a finished golden cell against physics rather than
+// against the goldens: the schedule passes the audit (dependences respected,
+// cores exclusive), no resource settled above its capacity, and bytes are
+// conserved — the runtime's local and remote bytes, the bytes the network
+// completed and the bytes the tasks' accesses name (a read-write access
+// moves its region twice, once in and once out) all agree.
+func checkPhysics(t testing.TB, cell string, r *rt.Runtime, res rt.Result, over capacityExcess) {
+	t.Helper()
+	if err := r.AuditSchedule(); err != nil {
+		t.Errorf("%s: %v", cell, err)
+	}
+	if over.rel > capacityTol {
+		t.Errorf("%s: %s settled %.3g above its capacity (relative) at %v", cell, over.name, over.rel, over.at)
+	}
+	var named int64
+	for _, task := range r.Tasks() {
+		for _, a := range task.Accesses {
+			if a.Mode.Reads() {
+				named += a.Region.Bytes()
+			}
+			if a.Mode.Writes() {
+				named += a.Region.Bytes()
+			}
+		}
+	}
+	moved := res.LocalBytes + res.RemoteBytes
+	if net := r.Machine().Net().TotalBytes; float64(moved) != net || moved != named {
+		t.Errorf("%s: bytes not conserved: runtime moved %d, network completed %.0f, accesses name %d",
+			cell, moved, net, named)
 	}
 }
 

@@ -17,43 +17,16 @@ import (
 	"os"
 	"testing"
 
-	"numadag"
 	"numadag/internal/apps"
 	"numadag/internal/cluster"
-	"numadag/internal/core"
-	"numadag/internal/machine"
-	"numadag/internal/rt"
 	"numadag/internal/trace"
-	"numadag/internal/workload"
 )
 
 // runCellTraced is runCell with a fresh Tracer attached — each cell gets its
 // own tracer so traced machines (which carry undetachable hooks) never leak
 // state between cells.
 func runCellTraced(t testing.TB, spec, polName string, seed uint64) goldenEntry {
-	w, err := workload.New(spec, apps.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := core.NewPolicy(polName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := numadag.NewEngine()
-	m := numadag.NewMachine(machine.BullionS16(), eng)
-	opts := rt.DefaultOptions()
-	opts.Seed = seed
-	opts.Observer = trace.NewTracer().AttachMachine(m, 0, spec)
-	r := rt.NewRuntime(m, pol, opts)
-	if err := w.Build(r); err != nil {
-		t.Fatal(err)
-	}
-	res := r.Run()
-	return goldenEntry{
-		Makespan:   int64(res.Makespan),
-		Steps:      eng.Steps(),
-		TotalBytes: m.Net().TotalBytes,
-	}
+	return runGoldenCell(t, spec, polName, seed, trace.NewTracer())
 }
 
 func runClusterCellTraced(t testing.TB, dispatcher string, seed uint64) goldenEntry {
