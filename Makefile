@@ -21,8 +21,8 @@ test-race:
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
 # hot paths — the simulator's flow churn and water-filling (a full fill,
-# and bullion-shaped churn whose untouched groups replay their logged fill
-# steps), the partitioner's fmRefine and DAG symmetrization, a whole MapOnto call (the
+# and bullion-shaped churn that fills only the churned socket's group), the
+# partitioner's fmRefine and DAG symmetrization, a whole MapOnto call (the
 # same fixed count for a 256- and a 4096-vertex graph, with and without
 # fixed vertices: no per-level or per-bisection allocation), induced-subgraph
 # extraction with a warmed scratch, snapshot Install into pooled runtime
@@ -104,8 +104,8 @@ bench-check:
 # Short coverage-guided fuzz of the FM refiner (gain-bucket vs heap
 # reference), the coarsening contraction (two-pass merge vs the AddEdge
 # reference, entry by entry through whole descents), the fluid network's full-vs-incremental reallocation contract
-# (batched class-based fill with replayed resource groups vs the eager naive
-# ladder), and the cluster's
+# (batched class-based fill of the churned resource groups vs the eager naive
+# ladder run per group, plus the max-min oracle), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
 # tenant-skewed rates must never stall or reorder the shared clock), the
 # shard-file parser behind -merge and -resume (arbitrary bytes must yield an

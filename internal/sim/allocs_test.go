@@ -80,23 +80,20 @@ func TestReallocateFullSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReallocateChurnSteadyStateAllocs pins the replaying fill: warmed
-// bullion-shaped churn (see machineChurn) finishes and starts a flow per op,
-// creating and retiring flow classes, while the groups the op did not touch
-// replay their logged steps. Logs, groups and worklists are all reused.
+// TestReallocateChurnSteadyStateAllocs pins the per-group fill under
+// production churn: warmed bullion-shaped churn (see machineChurn) finishes
+// and starts a flow per op on one socket, creating and retiring flow
+// classes, and only that socket's group fills. Groups and worklists are
+// all reused.
 func TestReallocateChurnSteadyStateAllocs(t *testing.T) {
 	c := newMachineChurn()
 	for i := 0; i < 256; i++ {
-		c.op(i) // warm the flow and class pools, logs and scratch
+		c.op(i) // warm the flow and class pools and scratch
 	}
-	replayed := 0
-	for g := range c.n.groups {
-		if c.n.groups[g].pos > 0 {
-			replayed++
-		}
-	}
-	if replayed == 0 {
-		t.Fatal("no group replayed a logged step")
+	stamp := c.n.stamp
+	c.op(257) // churns socket 1 (see machineChurn.op)
+	if got, want := filledGroups(c.n, stamp), c.paths[1][0][0].gid; len(got) != 1 || got[0] != want {
+		t.Fatalf("a churn on socket 1 filled groups %v, want only its group %d", got, want)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
@@ -104,7 +101,7 @@ func TestReallocateChurnSteadyStateAllocs(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("churn with replayed groups allocates %v objects per op, want 0", avg)
+		t.Fatalf("churn filling one group allocates %v objects per op, want 0", avg)
 	}
 	// The ops flush the Net directly and never step the engine, so it stays
 	// listed for the engine's flush the whole time — once. AllocsPerRun

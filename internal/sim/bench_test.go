@@ -190,8 +190,8 @@ func BenchmarkReallocateMachine(b *testing.B) {
 // alone and 1-hop/2-hop flows on mc + port, each capped by its core
 // bandwidth. Each op finishes one flow, starts one on the same socket with
 // the next cap in rotation, and flushes. Classes are created and retired
-// along the way, while the seven sockets the op did not touch replay their
-// logged fill steps.
+// along the way, while the seven sockets the op did not touch keep their
+// rates.
 type machineChurn struct {
 	n     *Net
 	paths [8][2][]*Resource // per socket: local, remote
@@ -231,7 +231,7 @@ func (c *machineChurn) op(i int) {
 
 // BenchmarkReallocateChurn measures the fill as production runs it: one
 // flow finishes and one starts on one socket, then the net flushes, so one
-// group computes and the others replay (see machineChurn).
+// group fills and the others keep their rates (see machineChurn).
 func BenchmarkReallocateChurn(b *testing.B) {
 	c := newMachineChurn()
 	for i := 0; i < 64; i++ {

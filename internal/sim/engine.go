@@ -60,15 +60,15 @@
 //     pays for one max-min redistribution instead of one per event, and a
 //     flush on a shared engine visits the churned Nets only, not the whole
 //     fleet. The water-filling pass runs its rounds over flow classes
-//     (flows with equal paths and caps) and the crossing lists, and splits
-//     each round into one step per resource group — a set of resources no
-//     flow path leaves, on the bullion one socket's memory controller and
-//     port. A group whose crossing lists did not change since the last fill
-//     replays the steps it logged then while every round hands it the same
-//     inputs, so a fill recomputes only the churned sockets. It executes
-//     bit-for-bit the float operations of the naive global ladder it
-//     replaced (kept as a test-only reference and enforced by the
-//     equivalence suite and FuzzReallocate).
+//     (flows with equal paths and caps) and the crossing lists, one resource
+//     group at a time — a set of resources no flow path leaves, on the
+//     bullion one socket's memory controller and port. Max-min fairness
+//     separates exactly across groups, so only a group whose crossing lists
+//     changed since the last fill runs its rounds, with its own shares, and
+//     a fill after one task's churn touches that task's sockets only. A
+//     test-only naive ladder run per group pins it bit for bit (the
+//     equivalence suite and FuzzReallocate), and a max-min oracle checks
+//     both against the definition after every flush.
 //
 // # Determinism contract
 //

@@ -121,8 +121,7 @@ type flowClass struct {
 	n       int // active member flows
 
 	// Fill state: the step that froze the class (0 while unfrozen) and the
-	// rate every member froze at, kept until the class's group is computed
-	// again.
+	// rate every member froze at, kept until the class's group fills again.
 	frozenIn int
 	rate     float64
 }
@@ -184,30 +183,18 @@ func (f *Flow) Rate() float64 {
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
 //
-// The fill executes bit-for-bit the float operations of the naive per-flow
-// ladder with global rounds — the determinism goldens pin simulated physics
-// down to the nanosecond, so the fill must be exactly equivalent, and the
-// equivalence suite and FuzzReallocate hold it to the test-only reference
-// implementation. What it saves is work, not rounds. Its rounds run over
-// flow classes (flows with equal path contents and an equal cap; on the
-// bullion about 10 classes carry about 26 flows) instead of flows, over
-// per-resource crossing lists maintained by StartFlowCapped and finish.
-// Each round is one step per resource group: a set of resources that no
-// class path leaves (on the bullion, one socket's memory controller and
-// port). A group whose crossing lists did not change since the last fill
-// replays the steps it logged then instead of recomputing them, as long as
-// each round hands it the same inputs; a churned group computes.
-//
-// Fills run separately per group — leaving untouched groups' rates alone —
-// would not be exact: the ladder's rounds are global, so another group's
-// share can split one group's cap freezes across rounds, and the ladder's
-// 1e-12 tolerance freezes a group at another group's share. Either changes
-// the order or the values of residual subtractions, float subtraction is
-// not associative, and rates drift by ulps, deadlines by nanoseconds, whole
-// schedules after them (6 of the 195 determinism goldens moved when
-// per-component fills were tried). Replay keeps the global rounds and
-// checks every logged step against the round that would run it; why that
-// is exact is spelled out on waterfill.
+// The fill computes the max-min fair allocation with per-flow caps (see
+// waterfill). Its rounds run over flow classes (flows with equal path
+// contents and an equal cap; on the bullion about 10 classes carry about 26
+// flows) instead of flows, over per-resource crossing lists maintained by
+// StartFlowCapped and finish. Max-min fairness separates across resource
+// groups — sets of resources no class path leaves, on the bullion one
+// socket's memory controller and port — so each group whose crossing lists
+// changed since the last fill runs its own rounds, with its own shares, and
+// every other group keeps its rates. A fill after one task's churn fills
+// that task's sockets only. The equivalence suite and FuzzReallocate hold
+// the fill bit for bit to a test-only naive ladder run per group, and a
+// max-min oracle checks both against the definition after every flush.
 type Net struct {
 	eng       *Engine
 	resources []*Resource
@@ -223,17 +210,10 @@ type Net struct {
 	// Resource groups (see waterfill). uf is a union-find forest over
 	// resource ids, -1 for a resource no class path has reached since the
 	// last Reset; groups only merge until Reset. gres lists the grouped
-	// resources group by group. gMinQ, gMinCap and gLeft are the dense
-	// per-group fill state: smallest resource quotient, smallest unfrozen
-	// cap and unfrozen class count. live is the worklist of groups that
-	// still have unfrozen classes.
-	uf      []int
-	gres    []*Resource
-	groups  []fillGroup
-	gMinQ   []float64
-	gMinCap []float64
-	gLeft   []int
-	live    []int
+	// resources group by group.
+	uf     []int
+	gres   []*Resource
+	groups []fillGroup
 
 	// Deferred-reallocation state. listed marks the Net as on its engine's
 	// dirty list (Engine.dirty): set by the first churn of an instant and
@@ -584,7 +564,7 @@ func clampSub(residual, rate float64) float64 {
 }
 
 // reallocate forces an immediate from-scratch recompute regardless of
-// pending churn: every group is marked dirty, so nothing replays.
+// pending churn: every group is marked dirty, so every group fills.
 // Benchmarks use it to measure one full fill.
 func (n *Net) reallocate() {
 	for g := range n.groups {
@@ -721,7 +701,7 @@ func (n *Net) finish(f *Flow) {
 }
 
 // Reset returns the network to its initial state — no active flows, no
-// resource groups or fill logs, zeroed resource integrals and traffic
+// resource groups, zeroed resource integrals and traffic
 // counters — while keeping the registered resources, the recycled-Flow and
 // class pools and every grown scratch buffer. It must be paired with a
 // reset of the driving engine (the parked completion placeholder is
@@ -749,7 +729,7 @@ func (n *Net) Reset() {
 		r.rate = 0
 		r.lastUpdate = 0
 	}
-	n.groups = n.groups[:0] // joinGroups reuses the log buffers
+	n.groups = n.groups[:0]
 	n.gres = n.gres[:0]
 	n.nextFlow = 0
 	n.dirty = false

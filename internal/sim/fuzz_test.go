@@ -3,24 +3,24 @@ package sim
 import "testing"
 
 // FuzzReallocate drives the production fluid network (deferred, batched,
-// class-based water-filling that replays unchurned resource groups) and the
-// eager naive reference through the same generated flow-churn script (via
-// buildChurnCase, shared with the fixed equivalence suite) and asserts
-// bit-exact lockstep equality of clock, step count, completion times, flow
-// and resource rates, carried bytes, remaining bytes, deadlines and
-// starvation — see realloc_equiv_test.go for the comparison contract.
+// class-based water-filling of the churned resource groups) and the eager
+// naive reference run per group through the same generated flow-churn
+// script (via buildChurnCase, shared with the fixed equivalence suite),
+// asserts bit-exact lockstep equality of clock, step count, completion
+// times, flow and resource rates, carried bytes, remaining bytes, deadlines
+// and starvation, and checks both nets against the max-min oracle after
+// every flush — see realloc_equiv_test.go for the comparison contract.
 //
 // The seed corpus in testdata/fuzz/FuzzReallocate pins the churn shapes
 // that matter: bursts of same-instant starts and finishes (the batching
 // stress), single-link bottlenecks with capped and starved flows, disjoint
-// components whose caps straddle each other's fair shares (the float-
-// ordering trap that makes fills run separately per component drift from
-// the global ladder, and that replay must reproduce by taking the global
-// rounds), completion waves where many flows finish at one nanosecond, and
-// three replay traps: groups whose quotients lie within the ladder's 1e-12
-// tolerance of each other (near-tie-groups), caps a clean group freezes in
-// one cap round in one fill and in two in the next (cap-split-rounds), and
-// short classes that join two groups and retire (linking-class-retires).
+// components whose caps straddle each other's fair shares, completion waves
+// where many flows finish at one nanosecond, and three group traps: groups
+// whose quotients lie within the fill's 1e-12 tolerance of each other, each
+// of which must freeze at its own share (near-tie-groups), caps a group
+// must freeze in one cap step while other groups' shares fall between them
+// (cap-split-rounds), and short classes that join two groups and retire
+// (linking-class-retires).
 // Corpus entries run as plain unit tests in normal `go test` invocations;
 // `make fuzz-smoke` runs a short coverage-guided session on top.
 func FuzzReallocate(f *testing.F) {

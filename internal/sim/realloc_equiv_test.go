@@ -10,9 +10,10 @@ import (
 
 // Full-vs-incremental reallocation equivalence harness.
 //
-// A production Net (deferred, batched, class-based water-filling with
-// replayed resource groups) and a reference Net (eager per-event recompute
-// through the naive seed ladder, see realloc_reference_test.go) are driven
+// A production Net (deferred, batched, class-based water-filling of the
+// churned resource groups) and a reference Net (eager per-event recompute
+// through the naive seed ladder run per group, see
+// realloc_reference_test.go) are driven
 // through an identical flow-churn script on two engines, stopped at every
 // churn instant, and compared bit-for-bit: simulated clock, executed steps,
 // queued events, every completion time, every resource's rate and carried
@@ -256,8 +257,7 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 		}
 	case 2:
 		// Disjoint components with caps straddling each other's fair shares:
-		// the float-ordering trap that makes per-component fills diverge from
-		// the global ladder; the production fill must take the global rounds.
+		// each component's cap steps must see its own share only.
 		caps = []float64{30, 12, 30, 12, 7, 3}
 		straddle := []float64{640.0 / 90, 640.0 / 125, 4.0, 2.5, 1.0, 0.6}
 		for len(ops) < nOps {
@@ -302,8 +302,8 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 	case 5:
 		// Near-tie groups: single-resource groups whose capacities sit a few
 		// 1e-13 apart, so equal flow counts put their quotients inside the
-		// ladder's 1e-12 tolerance of each other: a clean group must freeze
-		// at a churned group's share instead of replaying its own.
+		// fill's 1e-12 tolerance of each other: each group must still freeze
+		// at its own share.
 		for i := 0; i < 4; i++ {
 			caps = append(caps, 10*(1-float64(i)*3e-13))
 		}
@@ -322,8 +322,8 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 		// Cap splits across fills: groups of capacity 12 hold caps whose
 		// subtraction order shows in the last ulp of an uncapped flow's rate
 		// (12-2.3-1.1 != 12-1.1-2.3), next to splitter groups whose shares
-		// fall between those caps and come and go: a clean group's caps
-		// freeze in one cap round in one fill and in two in the next.
+		// fall between those caps and come and go: a group's caps must
+		// freeze in one cap step whatever the other groups' shares are.
 		caps = []float64{12, 12, 2, 1.5, 3}
 		capped := []float64{2.3, 1.1, math.Inf(1)}
 		for len(ops) < nOps {
@@ -405,9 +405,9 @@ func TestReallocateEquivalenceScripted(t *testing.T) {
 		})
 	})
 	t.Run("cap-straddle-components", func(t *testing.T) {
-		// Two disjoint components; component B's share (4.0) splits component
-		// A's cap-freeze batch between rounds. The global ladder handles both
-		// identically in production and reference by construction.
+		// Two disjoint components; component B's share (4.0) reaches only
+		// the lower of component A's caps, and A must still freeze both in
+		// one cap step.
 		runEquivalence(t, []float64{30, 12}, []churnOp{
 			{at: 0, vol: 1 << 18, path: []int{mc}, maxR: 640.0 / 90},
 			{at: 0, vol: 1 << 18, path: []int{mc}, maxR: 640.0 / 160},
@@ -480,42 +480,166 @@ func TestReallocateEquivalenceScripted(t *testing.T) {
 	})
 }
 
-// TestReallocateReplayScripted pins the resource groups and the replay of
-// logged fill steps (see Net.waterfill) against the reference ladder. Each
-// case names a broken variant of the fill that it catches.
-func TestReallocateReplayScripted(t *testing.T) {
+// filledGroups returns, in ascending index, the groups of n that filled
+// since the fill step stamp: a filling group freezes each of its classes in
+// a step of its own fill, and a clean group's classes keep the steps of an
+// earlier one. Groups without a live class cannot show and are left out.
+func filledGroups(n *Net, stamp int) []int {
+	var filled []int
+	for g, grp := range n.groups {
+		for _, r := range n.gres[grp.lo:grp.hi] {
+			if len(r.classes) > 0 && r.classes[0].frozenIn > stamp {
+				filled = append(filled, g)
+				break
+			}
+		}
+	}
+	return filled
+}
+
+// TestReallocateGroupScripted pins the per-group fill (see Net.waterfill)
+// and the resource groups it runs over, against the reference ladder run
+// per group and against values worked out by hand. Each case names the
+// broken fill or grouping it catches.
+func TestReallocateGroupScripted(t *testing.T) {
 	inf := math.Inf(1)
+	// rates runs ops on a production net until the instant at and returns
+	// the rates of the flows ops started then, in op order, and the groups
+	// that instant's flush filled.
+	rates := func(caps []float64, ops []churnOp, at Time) ([]float64, []int) {
+		run := startScript(NewNet, caps, ops)
+		run.eng.RunUntil(at - 1)
+		stamp := run.net.stamp
+		run.eng.RunUntil(at)
+		var got []float64
+		for i, op := range ops {
+			if op.at == at && !op.chain {
+				got = append(got, run.flows[i].rate)
+			}
+		}
+		return got, filledGroups(run.net, stamp)
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
 	t.Run("near-tie-groups", func(t *testing.T) {
-		// Group {r1} sits 4e-13 below group {r0}, inside the ladder's 1e-12
-		// tolerance. When r1 churns, clean r0 must freeze at r1's share, not
-		// replay the step it logged at its own share; then the roles swap.
-		// Catches: replay that matches a bottleneck step by kind alone.
-		runEquivalence(t, []float64{10, 10 * (1 - 4e-13)}, []churnOp{
-			{at: 0, vol: 1 << 30, path: []int{0}, maxR: inf},
+		// Groups {r0} and {r1} have shares 4e-13 apart, inside the 1e-12
+		// tolerance; each must freeze at its own share, also once a second
+		// flow on each halves both.
+		// Catches: one share shared across groups (r0 freezing at r1's).
+		c1 := 10 * (1 - 4e-13)
+		caps := []float64{10, c1}
+		ops := []churnOp{
+			{at: 1, vol: 1 << 30, path: []int{0}, maxR: inf},
+			{at: 1, vol: 1 << 30, path: []int{1}, maxR: inf},
 			{at: 100, vol: 1 << 30, path: []int{1}, maxR: inf},
 			{at: 200, vol: 1 << 30, path: []int{0}, maxR: inf},
-			{at: 300, vol: 1 << 30, path: []int{1}, maxR: inf},
-			{at: 400, vol: 1 << 12, path: []int{0}, maxR: inf},
-		})
+		}
+		if got, _ := rates(caps, ops, 1); !same(got, []float64{10, c1}) {
+			t.Errorf("one flow each: rates %v, want each group's capacity %v", got, caps)
+		}
+		run := startScript(NewNet, caps, ops)
+		run.eng.RunUntil(200)
+		if got, want := []float64{run.flows[0].rate, run.flows[2].rate}, []float64{10.0 / 2, c1 / 2}; !same(got, want) {
+			t.Errorf("two flows each: rates %v, want %v", got, want)
+		}
+		runEquivalence(t, caps, ops)
 	})
-	t.Run("cap-split-across-fills", func(t *testing.T) {
-		// Clean group {r0} holds caps 2.3 and 1.1 (in flow-id order) and an
-		// uncapped flow. Alone it freezes both caps in one round, and the
-		// uncapped flow gets 12-2.3-1.1 = 8.6. While {r1}'s share 2.0 runs
-		// it freezes them in two rounds and gets 12-1.1-2.3, one ulp more;
-		// after r1's flow ends (t=600), one round again, checked when r2
-		// churns at t=1000.
-		// Catches: a cap match without the lower bound (largest frozen cap
-		// <= share) and one without the upper bound (share < next cap).
-		runEquivalence(t, []float64{12, 2, 5}, []churnOp{
-			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 2.3},
-			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 1.1},
-			{at: 0, vol: 1 << 30, path: []int{0}, maxR: inf},
-			{at: 100, vol: 1000, path: []int{1}, maxR: inf},
-			{at: 1000, vol: 1 << 20, path: []int{2}, maxR: inf},
-			{at: 2000, vol: 1000, path: []int{1}, maxR: inf},
-			{at: 3000, vol: 1 << 20, path: []int{2}, maxR: inf},
-		})
+	t.Run("cap-step-not-split", func(t *testing.T) {
+		// Group {r0} holds caps 2.3 and 1.1 (in flow-id order) and an
+		// uncapped flow, so its share is 4: one cap step freezes both caps,
+		// and the uncapped flow gets 12-2.3-1.1. Group {r1}'s share, 2.0,
+		// lies between the two caps and must not split that step: split,
+		// the uncapped flow would get 12-1.1-2.3, one ulp more.
+		// Catches: global cap rounds (a cap step at the smallest share of
+		// all groups).
+		caps := []float64{12, 2}
+		ops := []churnOp{
+			{at: 1, vol: 1 << 30, path: []int{0}, maxR: 2.3},
+			{at: 1, vol: 1 << 30, path: []int{0}, maxR: 1.1},
+			{at: 1, vol: 1 << 30, path: []int{0}, maxR: inf},
+			{at: 1, vol: 1000, path: []int{1}, maxR: inf},
+			{at: 1000, vol: 1 << 20, path: []int{1}, maxR: inf},
+		}
+		a, b := 2.3, 1.1
+		want := 12 - a - b
+		if got, _ := rates(caps, ops, 1); !same(got, []float64{a, b, want, 2}) {
+			t.Errorf("rates %v, want [2.3 1.1 %v 2]", got, want)
+		}
+		runEquivalence(t, caps, ops)
+	})
+	t.Run("linking-class-merges", func(t *testing.T) {
+		// A short flow on [r0, r1] joins groups {r0} and {r1} into one,
+		// which stays after the flow retires: churn on either resource
+		// fills both, and never {r2}.
+		// Catches: filling every group (r2 refills), and a linking class
+		// that does not join (r0 keeps its own group).
+		caps := []float64{30, 12, 20}
+		ops := []churnOp{
+			{at: 1, vol: 1 << 22, path: []int{0}, maxR: coreBW[0]},
+			{at: 1, vol: 1 << 22, path: []int{1}, maxR: inf},
+			{at: 1, vol: 1 << 22, path: []int{2}, maxR: coreBW[1]},
+			{at: 50, vol: 3000, path: []int{0, 1}, maxR: coreBW[1]},
+			{at: 60, vol: 1 << 20, path: []int{1}, maxR: 3},
+			{at: 5000, vol: 1 << 20, path: []int{0}, maxR: coreBW[2]},
+		}
+		for _, at := range []Time{60, 5000} {
+			run := startScript(NewNet, caps, ops)
+			run.eng.RunUntil(at - 1)
+			stamp := run.net.stamp
+			run.eng.RunUntil(at)
+			g0, g2 := run.rs[0].gid, run.rs[2].gid
+			if run.rs[1].gid != g0 || g0 == g2 {
+				t.Fatalf("t=%v: groups of r0, r1, r2 are %d, %d, %d; want r0 and r1 joined, r2 apart",
+					at, g0, run.rs[1].gid, g2)
+			}
+			if got := filledGroups(run.net, stamp); len(got) != 1 || got[0] != g0 {
+				t.Errorf("t=%v: groups %v filled, want only the joined group %d", at, got, g0)
+			}
+		}
+		runEquivalence(t, caps, ops)
+	})
+	t.Run("only-churned-groups-fill", func(t *testing.T) {
+		// Four single-resource groups each carry a flow. A start on r2 must
+		// fill r2's group alone; a short flow on r0 that finishes in the
+		// instant a flow starts on r3 must fill exactly those two.
+		// Catches: filling every group.
+		caps := []float64{30, 12, 20, 8}
+		ops := []churnOp{
+			{at: 1, vol: 1 << 22, path: []int{0}, maxR: coreBW[0]},
+			{at: 1, vol: 1 << 22, path: []int{1}, maxR: inf},
+			{at: 1, vol: 1 << 22, path: []int{2}, maxR: coreBW[1]},
+			{at: 1, vol: 1 << 22, path: []int{3}, maxR: inf},
+			{at: 1, vol: 1000, path: []int{0}, maxR: inf},
+			{vol: 1 << 20, path: []int{3}, maxR: 2, chain: true},
+			{at: 20, vol: 1 << 20, path: []int{2}, maxR: 3},
+		}
+		if _, got := rates(caps, ops, 1); len(got) != 4 {
+			t.Errorf("first fill filled groups %v, want all four", got)
+		}
+		probe := startScript(NewNet, caps, ops)
+		probe.eng.RunUntil(1000)
+		for _, tc := range []struct {
+			at   Time
+			want []int
+		}{{20, []int{2}}, {probe.doneAt[4], []int{0, 3}}} {
+			run := startScript(NewNet, caps, ops)
+			run.eng.RunUntil(tc.at - 1)
+			stamp := run.net.stamp
+			run.eng.RunUntil(tc.at)
+			if got := filledGroups(run.net, stamp); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("t=%v: groups %v filled, want %v", tc.at, got, tc.want)
+			}
+		}
+		runEquivalence(t, caps, ops)
 	})
 	t.Run("linking-class-retires", func(t *testing.T) {
 		// A short flow on [r0, r1] joins the groups {r0} and {r1}; after it
@@ -547,22 +671,30 @@ func TestReallocateReplayScripted(t *testing.T) {
 			{at: 700, vol: 1 << 19, path: []int{2}, maxR: 3},
 		})
 	})
-	t.Run("reset-with-logs", func(t *testing.T) {
-		// The production net runs the cap-split script until both groups
-		// hold logs, is Reset mid-flight, and replays only group {r0}'s
-		// flows: {r1} lost its flows in the Reset and must not replay its
-		// log into the rounds (its share 2.0 would split r0's caps).
-		// Catches: a Reset that keeps the groups and their logs.
+	t.Run("reset-drops-groups", func(t *testing.T) {
+		// The production net runs until a linking flow has joined {r0} and
+		// {r1}, is Reset mid-flight, and then runs flows on r0 and r1
+		// alone: they must fill as two groups again.
+		// Catches: a Reset that keeps the groups.
 		caps := []float64{12, 2}
 		warm := []churnOp{
+			{at: 0, vol: 1 << 30, path: []int{0, 1}, maxR: inf},
 			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 2.3},
-			{at: 0, vol: 1 << 30, path: []int{0}, maxR: 1.1},
-			{at: 0, vol: 1 << 30, path: []int{0}, maxR: inf},
-			{at: 0, vol: 1 << 30, path: []int{1}, maxR: inf},
 		}
-		ops := warm[:3]
+		ops := []churnOp{
+			{at: 0, vol: 1 << 20, path: []int{0}, maxR: 2.3},
+			{at: 0, vol: 1 << 20, path: []int{0}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{1}, maxR: inf},
+		}
 		prod := startScript(NewNet, caps, warm)
 		prod.eng.RunUntil(100)
+		prod.eng.Reset()
+		prod.net.Reset()
+		prod = scheduleScript(prod.eng, prod.net, prod.rs, ops)
+		prod.eng.RunUntil(0)
+		if prod.rs[0].gid == prod.rs[1].gid {
+			t.Fatal("r0 and r1 still share a group after Reset")
+		}
 		prod.eng.Reset()
 		prod.net.Reset()
 		prod = scheduleScript(prod.eng, prod.net, prod.rs, ops)

@@ -5,20 +5,24 @@ import "math"
 // This file keeps the naive water-filling ladder — the seed implementation
 // reallocate() used before the deferred/batched flush and the class-based
 // fill — as a test-only reference, in the same spirit as the partition
-// package's heap-based refiner reference. The production fill must execute
-// bit-for-bit the same float operations: the determinism goldens pin
-// simulated physics to the nanosecond, so "equivalent" here means identical
-// rates, identical deadlines, identical event order, not "close". The
-// equivalence suite and FuzzReallocate drive a production net and a
-// reference net through the same flow churn and compare them exactly.
+// package's heap-based refiner reference, run once per resource group. The
+// production fill must execute bit-for-bit the same float operations: the
+// determinism goldens pin simulated physics to the nanosecond, so
+// "equivalent" here means identical rates, identical deadlines, identical
+// event order, not "close". The equivalence suite and FuzzReallocate drive
+// a production net and a reference net through the same flow churn and
+// compare them exactly.
 //
-// The reference differs from production in two deliberate ways:
+// The reference differs from production in three deliberate ways:
 //
 //   - referenceWaterfill runs its rounds over individual flows, scanning
-//     every resource and every active flow each round (O(R x F) crosses()
-//     tests), instead of over flow classes and the per-resource crossing
-//     lists, and recomputes every resource at every fill instead of
-//     replaying the groups no churn touched.
+//     every resource of the group and every active flow each round
+//     (O(R x F) crosses() tests), instead of over flow classes and the
+//     per-resource crossing lists.
+//   - It fills every group at every fill instead of only the groups whose
+//     crossing lists changed. The groups themselves are the Net's own (the
+//     union-find over class paths, which both nets run), so the two nets
+//     fill the same resource sets.
 //   - newReferenceNet disables same-instant batching: every StartFlow and
 //     every completion redistributes immediately, the historical one
 //     recompute per churn event.
@@ -42,9 +46,10 @@ func (f *Flow) crosses(r *Resource) bool {
 	return false
 }
 
-// referenceWaterfill is the seed max-min fill: all-resources share scans,
-// all-flows cap scans, and crosses() tests against every active flow for
-// every bottleneck resource. It keeps its residuals and counts in arrays of
+// referenceWaterfill is the seed max-min fill, run once per resource
+// group: all-resources share scans, all-flows cap scans, and crosses()
+// tests against every active flow for every bottleneck resource, each
+// restricted to the group. It keeps its residuals and counts in arrays of
 // its own, sharing no scratch with the production fill.
 func (n *Net) referenceWaterfill(now Time) {
 	residual := make([]float64, len(n.resources))
@@ -71,60 +76,57 @@ func (n *Net) referenceWaterfill(now Time) {
 			unfrozen[r.id]++
 		}
 	}
-	left := len(n.active)
-	for left > 0 {
-		// Bottleneck-resource share.
-		share := math.Inf(1)
-		for id := range n.resources {
-			if unfrozen[id] == 0 {
-				continue
-			}
-			if s := residual[id] / float64(unfrozen[id]); s < share {
-				share = s
-			}
-		}
-		// A flow whose cap is at or below the share binds first.
-		capBound := false
+	for g := range n.groups {
+		left := 0
 		for _, f := range n.active {
-			if !frozen[f.idx] && f.maxRate <= share {
-				freezeFlow(f, f.maxRate)
-				left--
-				capBound = true
+			if f.path[0].gid == g {
+				left++
 			}
 		}
-		if capBound {
-			continue // resource shares changed; recompute
-		}
-		if math.IsInf(share, 1) {
-			for _, f := range n.active {
-				if !frozen[f.idx] {
-					f.rate = f.maxRate
-					frozen[f.idx] = true
-					left--
-				}
-			}
-			break
-		}
-		// Freeze every unfrozen flow crossing a bottleneck resource.
-		progressed := false
-		for _, r := range n.resources {
-			if unfrozen[r.id] == 0 {
-				continue
-			}
-			if residual[r.id]/float64(unfrozen[r.id]) > share*(1+1e-12) {
-				continue
-			}
-			for _, f := range n.active {
-				if frozen[f.idx] || !f.crosses(r) {
+		for left > 0 {
+			// Bottleneck-resource share.
+			share := math.Inf(1)
+			for id, r := range n.resources {
+				if r.gid != g || unfrozen[id] == 0 {
 					continue
 				}
-				freezeFlow(f, share)
-				left--
-				progressed = true
+				if s := residual[id] / float64(unfrozen[id]); s < share {
+					share = s
+				}
 			}
-		}
-		if !progressed {
-			panic("sim: reference water-filling made no progress")
+			// A flow whose cap is at or below the share binds first.
+			capBound := false
+			for _, f := range n.active {
+				if f.path[0].gid == g && !frozen[f.idx] && f.maxRate <= share {
+					freezeFlow(f, f.maxRate)
+					left--
+					capBound = true
+				}
+			}
+			if capBound {
+				continue // resource shares changed; recompute
+			}
+			// Freeze every unfrozen flow crossing a bottleneck resource.
+			progressed := false
+			for _, r := range n.resources {
+				if r.gid != g || unfrozen[r.id] == 0 {
+					continue
+				}
+				if residual[r.id]/float64(unfrozen[r.id]) > share*(1+1e-12) {
+					continue
+				}
+				for _, f := range n.active {
+					if frozen[f.idx] || !f.crosses(r) {
+						continue
+					}
+					freezeFlow(f, share)
+					left--
+					progressed = true
+				}
+			}
+			if !progressed {
+				panic("sim: reference water-filling made no progress")
+			}
 		}
 	}
 	sums := make([]float64, len(n.resources))
