@@ -183,18 +183,14 @@ func (f *Flow) Rate() float64 {
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
 //
-// The fill computes the max-min fair allocation with per-flow caps (see
-// waterfill). Its rounds run over flow classes (flows with equal path
-// contents and an equal cap; on the bullion about 10 classes carry about 26
-// flows) instead of flows, over per-resource crossing lists maintained by
-// StartFlowCapped and finish. Max-min fairness separates across resource
-// groups — sets of resources no class path leaves, on the bullion one
-// socket's memory controller and port — so each group whose crossing lists
-// changed since the last fill runs its own rounds, with its own shares, and
-// every other group keeps its rates. A fill after one task's churn fills
-// that task's sockets only. The equivalence suite and FuzzReallocate hold
-// the fill bit for bit to a test-only naive ladder run per group, and a
-// max-min oracle checks both against the definition after every flush.
+// The fill computes the max-min fair allocation with per-flow caps over flow
+// classes (flows with equal path contents and an equal cap; on the bullion
+// about 10 classes carry about 26 flows) and the per-resource crossing lists
+// StartFlowCapped and finish maintain. Only the resource groups whose
+// crossing lists changed since the last fill run it (see waterfill). The
+// equivalence suite and FuzzReallocate hold it bit for bit to a test-only
+// naive ladder run per group, and a max-min oracle checks both against the
+// definition after every flush.
 type Net struct {
 	eng       *Engine
 	resources []*Resource
@@ -701,12 +697,12 @@ func (n *Net) finish(f *Flow) {
 }
 
 // Reset returns the network to its initial state — no active flows, no
-// resource groups, zeroed resource integrals and traffic
-// counters — while keeping the registered resources, the recycled-Flow and
-// class pools and every grown scratch buffer. It must be paired with a
-// reset of the driving engine (the parked completion placeholder is
-// abandoned here, and the engine owns the dirty list; its reset drops
-// both). Machine.Reset is the intended caller.
+// resource groups, zeroed resource integrals and traffic counters — while
+// keeping the registered resources, the recycled-Flow and class pools and
+// every grown scratch buffer. It must be paired with a reset of the driving
+// engine (the parked completion placeholder is abandoned here, and the
+// engine owns the dirty list; its reset drops both). Machine.Reset is the
+// intended caller.
 func (n *Net) Reset() {
 	for _, f := range n.active {
 		f.finished = true

@@ -503,32 +503,30 @@ func filledGroups(n *Net, stamp int) []int {
 // broken fill or grouping it catches.
 func TestReallocateGroupScripted(t *testing.T) {
 	inf := math.Inf(1)
-	// rates runs ops on a production net until the instant at and returns
-	// the rates of the flows ops started then, in op order, and the groups
-	// that instant's flush filled.
-	rates := func(caps []float64, ops []churnOp, at Time) ([]float64, []int) {
+	// fillAt runs ops on a production net through the instant at and
+	// returns the run and the groups that instant's flush filled.
+	fillAt := func(caps []float64, ops []churnOp, at Time) (*scriptRun, []int) {
 		run := startScript(NewNet, caps, ops)
 		run.eng.RunUntil(at - 1)
 		stamp := run.net.stamp
 		run.eng.RunUntil(at)
+		return run, filledGroups(run.net, stamp)
+	}
+	// rates returns the rates of the given ops' flows.
+	rates := func(run *scriptRun, ops ...int) []float64 {
 		var got []float64
-		for i, op := range ops {
-			if op.at == at && !op.chain {
-				got = append(got, run.flows[i].rate)
-			}
+		for _, i := range ops {
+			got = append(got, run.flows[i].rate)
 		}
-		return got, filledGroups(run.net, stamp)
+		return got
 	}
 	same := func(a, b []float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				return false
 			}
 		}
-		return true
+		return len(a) == len(b)
 	}
 	t.Run("near-tie-groups", func(t *testing.T) {
 		// Groups {r0} and {r1} have shares 4e-13 apart, inside the 1e-12
@@ -543,12 +541,11 @@ func TestReallocateGroupScripted(t *testing.T) {
 			{at: 100, vol: 1 << 30, path: []int{1}, maxR: inf},
 			{at: 200, vol: 1 << 30, path: []int{0}, maxR: inf},
 		}
-		if got, _ := rates(caps, ops, 1); !same(got, []float64{10, c1}) {
-			t.Errorf("one flow each: rates %v, want each group's capacity %v", got, caps)
+		if run, _ := fillAt(caps, ops, 1); !same(rates(run, 0, 1), caps) {
+			t.Errorf("one flow each: rates %v, want each group's capacity %v", rates(run, 0, 1), caps)
 		}
-		run := startScript(NewNet, caps, ops)
-		run.eng.RunUntil(200)
-		if got, want := []float64{run.flows[0].rate, run.flows[2].rate}, []float64{10.0 / 2, c1 / 2}; !same(got, want) {
+		run, _ := fillAt(caps, ops, 200)
+		if got, want := rates(run, 0, 2), []float64{10.0 / 2, c1 / 2}; !same(got, want) {
 			t.Errorf("two flows each: rates %v, want %v", got, want)
 		}
 		runEquivalence(t, caps, ops)
@@ -571,8 +568,8 @@ func TestReallocateGroupScripted(t *testing.T) {
 		}
 		a, b := 2.3, 1.1
 		want := 12 - a - b
-		if got, _ := rates(caps, ops, 1); !same(got, []float64{a, b, want, 2}) {
-			t.Errorf("rates %v, want [2.3 1.1 %v 2]", got, want)
+		if run, _ := fillAt(caps, ops, 1); !same(rates(run, 0, 1, 2, 3), []float64{a, b, want, 2}) {
+			t.Errorf("rates %v, want [2.3 1.1 %v 2]", rates(run, 0, 1, 2, 3), want)
 		}
 		runEquivalence(t, caps, ops)
 	})
@@ -592,17 +589,14 @@ func TestReallocateGroupScripted(t *testing.T) {
 			{at: 5000, vol: 1 << 20, path: []int{0}, maxR: coreBW[2]},
 		}
 		for _, at := range []Time{60, 5000} {
-			run := startScript(NewNet, caps, ops)
-			run.eng.RunUntil(at - 1)
-			stamp := run.net.stamp
-			run.eng.RunUntil(at)
+			run, filled := fillAt(caps, ops, at)
 			g0, g2 := run.rs[0].gid, run.rs[2].gid
 			if run.rs[1].gid != g0 || g0 == g2 {
 				t.Fatalf("t=%v: groups of r0, r1, r2 are %d, %d, %d; want r0 and r1 joined, r2 apart",
 					at, g0, run.rs[1].gid, g2)
 			}
-			if got := filledGroups(run.net, stamp); len(got) != 1 || got[0] != g0 {
-				t.Errorf("t=%v: groups %v filled, want only the joined group %d", at, got, g0)
+			if len(filled) != 1 || filled[0] != g0 {
+				t.Errorf("t=%v: groups %v filled, want only the joined group %d", at, filled, g0)
 			}
 		}
 		runEquivalence(t, caps, ops)
@@ -622,20 +616,12 @@ func TestReallocateGroupScripted(t *testing.T) {
 			{vol: 1 << 20, path: []int{3}, maxR: 2, chain: true},
 			{at: 20, vol: 1 << 20, path: []int{2}, maxR: 3},
 		}
-		if _, got := rates(caps, ops, 1); len(got) != 4 {
-			t.Errorf("first fill filled groups %v, want all four", got)
-		}
-		probe := startScript(NewNet, caps, ops)
-		probe.eng.RunUntil(1000)
+		probe, _ := fillAt(caps, ops, 1000)
 		for _, tc := range []struct {
 			at   Time
 			want []int
-		}{{20, []int{2}}, {probe.doneAt[4], []int{0, 3}}} {
-			run := startScript(NewNet, caps, ops)
-			run.eng.RunUntil(tc.at - 1)
-			stamp := run.net.stamp
-			run.eng.RunUntil(tc.at)
-			if got := filledGroups(run.net, stamp); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+		}{{1, []int{0, 1, 2, 3}}, {20, []int{2}}, {probe.doneAt[4], []int{0, 3}}} {
+			if _, got := fillAt(caps, ops, tc.at); fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Errorf("t=%v: groups %v filled, want %v", tc.at, got, tc.want)
 			}
 		}
