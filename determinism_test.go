@@ -123,9 +123,9 @@ type capacityExcess struct {
 	at   sim.Time
 }
 
-// watchCapacity checks, after every end-of-instant flush of m's engine,
-// that no memory controller or port settles above its capacity, and keeps
-// the worst excess it sees.
+// watchCapacity records, after every end-of-instant flush of m's engine,
+// the worst amount by which a memory controller or port settles above its
+// capacity.
 func watchCapacity(m *machine.Machine) *capacityExcess {
 	worst := &capacityExcess{}
 	check := func(rs []*sim.Resource) {
