@@ -8,8 +8,9 @@ import "testing"
 // script (via buildChurnCase, shared with the fixed equivalence suite),
 // asserts bit-exact lockstep equality of clock, step count, completion
 // times, flow and resource rates, carried bytes, remaining bytes, deadlines
-// and starvation, and checks both nets against the max-min oracle after
-// every flush — see realloc_equiv_test.go for the comparison contract.
+// and starvation, checks both nets against the max-min oracle after every
+// flush and every production completion against the completion oracle —
+// see realloc_equiv_test.go for the comparison contract.
 //
 // The seed corpus in testdata/fuzz/FuzzReallocate pins the churn shapes
 // that matter: bursts of same-instant starts and finishes (the batching

@@ -63,3 +63,113 @@ func checkMaxMin(t testing.TB, n *Net) {
 		}
 	}
 }
+
+// completionTol is the completion oracle's relative byte tolerance. The
+// oracle integrates a flow's settled rates segment by segment, while the
+// network progresses the flow's remaining bytes in steps of its own: two
+// chains of float products and differences over the same rates and spans,
+// each step rounding by half an ulp (1.1e-16 of the volume), a few hundred
+// steps at most on these scripts. 1e-12 of the volume covers both chains a
+// few dozen times over and stays far below the 1e-6 bytes a flow may
+// finish early by.
+const completionTol = 1e-12
+
+// rateSeg is one span of a flow's settled rate, from at until the next
+// segment or the flow's end.
+type rateSeg struct {
+	at   Time
+	rate float64
+}
+
+// completionRecord is what the completion oracle keeps of one live flow.
+type completionRecord struct {
+	id       int
+	segs     []rateSeg
+	pushouts int
+}
+
+// checkCompletions wires a completion oracle to n, which must not have
+// started a flow yet. After every flush it records each live flow's settled
+// rate; when a flow ends it integrates the recorded rates and checks the
+// finish instant against the fluid definition, not against any ladder:
+//
+//   - by the finish instant, the rates have delivered all of the volume but
+//     1e-6 bytes, the residue a due flow may finish with;
+//   - the flow finishes no later than the ceiling of the instant its rates
+//     deliver the whole volume, plus 1 ns per pushout: a completion event
+//     that found the due flow more than 1e-6 bytes short and moved its
+//     deadline.
+//
+// Both bounds widen by completionTol of the volume, converted to time at
+// the rate the flow crossed its volume with.
+func checkCompletions(t testing.TB, n *Net) {
+	live := map[*Flow]*completionRecord{}
+	n.eng.AddFlusher(func() {
+		now := n.eng.Now()
+		for f, rec := range live {
+			k := len(rec.segs) - 1
+			switch {
+			case k >= 0 && rec.segs[k].rate == f.rate:
+			case k >= 0 && rec.segs[k].at == now:
+				rec.segs[k].rate = f.rate
+			default:
+				rec.segs = append(rec.segs, rateSeg{now, f.rate})
+			}
+		}
+	})
+	// A pushout is a completion event after which a flow that was due at
+	// the event's instant is still in flight, due later.
+	complete := n.completeFn
+	var due []*Flow
+	n.completeFn = func() {
+		now := n.eng.Now()
+		due = due[:0]
+		for f := range live {
+			if !f.starved && f.deadline == now {
+				due = append(due, f)
+			}
+		}
+		complete()
+		for _, f := range due {
+			if rec := live[f]; rec != nil && !f.finished && f.deadline > now {
+				rec.pushouts++
+			}
+		}
+	}
+	n.SetFlowHooks(func(f *Flow) {
+		live[f] = &completionRecord{id: f.id}
+	}, func(f *Flow) {
+		rec := live[f]
+		delete(live, f)
+		checkCompletion(t, rec, f.volume, n.eng.Now())
+	})
+}
+
+// checkCompletion checks one flow that ends at now against its recorded
+// rates (see checkCompletions).
+func checkCompletion(t testing.TB, rec *completionRecord, volume float64, now Time) {
+	t.Helper()
+	tol := completionTol * volume
+	delivered := 0.0
+	exact, slack := math.Inf(1), 0.0 // the instant the rates deliver volume
+	for i, s := range rec.segs {
+		end := now
+		if i+1 < len(rec.segs) {
+			end = rec.segs[i+1].at
+		}
+		span := s.rate * float64(end-s.at)
+		if math.IsInf(exact, 1) && s.rate > 0 && delivered+span >= volume {
+			exact = float64(s.at) + (volume-delivered)/s.rate
+			slack = tol / s.rate
+		}
+		delivered += span
+	}
+	if delivered < volume-1e-6-tol {
+		t.Fatalf("t=%v: flow %d finished with %v of its %v bytes delivered by its rates %v",
+			now, rec.id, delivered, volume, rec.segs)
+	}
+	if limit := math.Ceil(exact+slack) + float64(rec.pushouts); float64(now) > limit {
+		t.Fatalf("t=%v: flow %d finished after %v, the ceiling of the instant %v its rates %v deliver its %v bytes plus %d pushouts",
+			now, rec.id, limit, exact, rec.segs, volume, rec.pushouts)
+	}
+}

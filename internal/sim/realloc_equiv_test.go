@@ -161,12 +161,14 @@ func runEquivalence(t *testing.T, caps []float64, ops []churnOp) {
 }
 
 // lockstep runs two nets scheduled with the same ops, comparing them at
-// every churn instant and after the drain, and checks each against the
-// max-min oracle after every flush.
+// every churn instant and after the drain, checks each against the max-min
+// oracle after every flush, and checks every production completion against
+// the completion oracle.
 func lockstep(t *testing.T, prod, ref *scriptRun, ops []churnOp) {
 	t.Helper()
 	prod.eng.AddFlusher(func() { checkMaxMin(t, prod.net) })
 	ref.eng.AddFlusher(func() { checkMaxMin(t, ref.net) })
+	checkCompletions(t, prod.net)
 	var last Time = -1
 	for _, op := range ops {
 		if op.chain || op.at == last {
