@@ -21,7 +21,8 @@ test-race:
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
 # hot paths — the simulator's flow churn and water-filling (a full fill,
-# and bullion-shaped churn that fills only the churned socket's group), the
+# and bullion-shaped churn that progresses, fills and re-deadlines only the
+# churned socket's group), the
 # partitioner's fmRefine and DAG symmetrization, a whole MapOnto call (the
 # same fixed count for a 256- and a 4096-vertex graph, with and without
 # fixed vertices: no per-level or per-bisection allocation), induced-subgraph
@@ -105,7 +106,7 @@ bench-check:
 # reference), the coarsening contraction (two-pass merge vs the AddEdge
 # reference, entry by entry through whole descents), the fluid network's full-vs-incremental reallocation contract
 # (batched class-based fill of the churned resource groups vs the eager naive
-# ladder run per group, plus the max-min oracle), and the cluster's
+# ladder run per group, plus the max-min and completion oracles), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
 # tenant-skewed rates must never stall or reorder the shared clock), the
 # shard-file parser behind -merge and -resume (arbitrary bytes must yield an

@@ -80,11 +80,11 @@ func TestReallocateFullSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReallocateChurnSteadyStateAllocs pins the per-group fill under
+// TestReallocateChurnSteadyStateAllocs pins the per-group flush under
 // production churn: warmed bullion-shaped churn (see machineChurn) finishes
 // and starts a flow per op on one socket, creating and retiring flow
-// classes, and only that socket's group fills. Groups and worklists are
-// all reused.
+// classes, and only that socket's group is progressed, filled and
+// re-deadlined. Groups, their flow lists and worklists are all reused.
 func TestReallocateChurnSteadyStateAllocs(t *testing.T) {
 	c := newMachineChurn()
 	for i := 0; i < 256; i++ {

@@ -34,25 +34,24 @@
 //     up front but queues only the next one, so the heap holds the live
 //     events (about 16 per step on a 16-machine fleet) instead of every
 //     future arrival (about 6,000), with the firing order unchanged.
-//   - Net keeps active flows in a dense slice ordered by ascending flow ID
-//     (the deterministic iteration order), and per resource the list of
-//     flows crossing it in the same order, updated as flows start and
-//     finish rather than rebuilt per fill. Fills reuse per-Net scratch
-//     buffers. Progressing every flow to now is skipped when the last pass
-//     already ran at this instant.
+//   - Net keeps each resource group's in-flight flows in a dense slice
+//     ordered by ascending flow ID (the deterministic iteration order), and
+//     per resource the list of flows crossing it in the same order, updated
+//     as flows start and finish rather than rebuilt per fill. Fills reuse
+//     per-Net scratch buffers.
 //   - Finished Flow structs are recycled through a free list; a *Flow handle
 //     is valid for inspection until the next StartFlow call on the same Net
 //     after the flow completes.
-//   - Instead of one completion timer per flow (cancelled and rescheduled on
-//     every reallocation), the Net keeps a single earliest-completion event.
-//     Per-flow deadlines are tracked as plain (Time, sequence) fields; when
-//     the event fires, the due flow with the earliest (deadline, sequence)
-//     finishes, reallocation recomputes deadlines, and the one event is
-//     rescheduled. Completion order is identical to the per-flow-timer
-//     design because the engine fires same-instant events in scheduling
-//     order and deadlines are assigned in that same order. Churn parks the
-//     event far in the future under a fresh seq, re-stamping its slot in
-//     place rather than freeing and re-taking it.
+//   - Instead of one completion timer per flow, the Net keeps a single
+//     earliest-completion event. A flow's deadline is a plain Time field,
+//     set when its group fills and kept until the group fills again, and
+//     each group remembers its earliest-due flow. The event is armed for
+//     the earliest of those by (deadline, flow ID) and remembers its flow,
+//     so a completion progresses that one flow and scans nothing.
+//     Same-deadline ties complete in flow-ID order whether churn was
+//     batched or not. Churn parks the event far in the future under a
+//     fresh seq, re-stamping its slot in place rather than freeing and
+//     re-taking it.
 //   - Reallocation itself is deferred and batched: flow churn marks the Net
 //     dirty and lists it, once, on its engine, and the engine fills the
 //     listed Nets once per instant, just before the clock advances — so a
@@ -64,11 +63,14 @@
 //     group at a time — a set of resources no flow path leaves, on the
 //     bullion one socket's memory controller and port. Max-min fairness
 //     separates exactly across groups, so only a group whose crossing lists
-//     changed since the last fill runs its rounds, with its own shares, and
-//     a fill after one task's churn touches that task's sockets only. A
-//     test-only naive ladder run per group pins it bit for bit (the
-//     equivalence suite and FuzzReallocate), and a max-min oracle checks
-//     both against the definition after every flush.
+//     changed since the last flush is on the churn worklist. The flush
+//     progresses, fills and re-deadlines the worklist's flows alone, with
+//     each group's own shares, so a flush after one task's churn touches
+//     that task's sockets only. A test-only naive ladder run per group pins
+//     it bit for bit (the equivalence suite and FuzzReallocate), a max-min
+//     oracle checks both against the definition after every flush, and a
+//     completion oracle checks every completion against the rates the flow
+//     ran at.
 //
 // # Determinism contract
 //

@@ -6,18 +6,22 @@ import (
 )
 
 // fillGroup is a resource group: the resources Net.gres[lo:hi], in
-// ascending id. Every live class's path lies inside one group.
+// ascending id, and the in-flight flows whose paths lie in them. Every live
+// class's path lies inside one group.
 type fillGroup struct {
 	lo, hi int
-	dirty  bool // a crossing list of the group changed since the last fill
+	flows  []*Flow // in-flight flows, ascending id
+	due    *Flow   // earliest (deadline, id) of flows, nil if all starved
+	listed bool    // on Net.churned
 }
 
-// waterfill computes the max-min fair rate for every active flow
-// (water-filling with per-flow caps) and settles the resource integrals.
+// waterfill computes the max-min fair rate for every flow of the groups on
+// the churn worklist (water-filling with per-flow caps) and settles their
+// resource integrals.
 //
 // No class path leaves its resource group, so max-min fairness separates
 // across groups: each group fills on its own, and a group none of whose
-// crossing lists changed since the last fill keeps its rates. A churned
+// crossing lists changed since the last flush keeps its rates. A churned
 // group runs its own rounds. Each round takes the group's share, the
 // smallest per-unfrozen-flow quotient of its resources. When an unfrozen
 // class's cap is at or below that share, the round is a cap step: it
@@ -35,23 +39,12 @@ type fillGroup struct {
 //
 // The settle pass hands each filled group's rates to its flows and re-sums
 // its resources in crossing-list order, ascending flow id. A clean group's
-// resources keep their rates but still fold their integrals, since Carried
-// and Utilization are observable; an idle one is skipped, as folding a zero
-// rate changes nothing. Everything runs on per-resource and per-Net
-// scratch: no allocation, no map iteration, no sorting.
+// resources keep their rates and integrals untouched: Carried progresses
+// them to any instant. Everything runs on per-resource and per-Net scratch:
+// no allocation, no map iteration, no sorting.
 func (n *Net) waterfill(now Time) {
-	for g := range n.groups {
-		grp := &n.groups[g]
-		res := n.gres[grp.lo:grp.hi]
-		if !grp.dirty {
-			for _, r := range res {
-				if r.rate != 0 {
-					r.settle(now, r.rate)
-				}
-			}
-			continue
-		}
-		grp.dirty = false
+	for _, g := range n.churned {
+		res := n.gres[n.groups[g].lo:n.groups[g].hi]
 		n.fillGroup(res)
 		for _, r := range res {
 			sum := 0.0
@@ -224,8 +217,17 @@ func (n *Net) find(id int) int {
 // adopting its ungrouped resources, and rebuilds the dense layout from the
 // union-find forest: every resource ever joined keeps its group, whether or
 // not a live path still crosses it. Groups are numbered in ascending order
-// of their lowest resource id. Indices move, so every group is dirty.
+// of their lowest resource id. Indices move, so every group joins the churn
+// worklist, and the live flows move into their new groups in ascending id,
+// through the groups' own slices and the Net's moved scratch.
 func (n *Net) joinGroups(path []*Resource) {
+	moved := n.moved[:0]
+	for g := range n.groups {
+		grp := &n.groups[g]
+		moved = append(moved, grp.flows...)
+		*grp = fillGroup{flows: grp.flows[:0]}
+	}
+	slices.SortFunc(moved, func(a, b *Flow) int { return a.id - b.id })
 	uf := n.uf
 	root := -1
 	for _, r := range path {
@@ -254,8 +256,11 @@ func (n *Net) joinGroups(path []*Resource) {
 		r.gid = rt.gid
 	}
 	n.groups = slices.Grow(n.groups[:0], ng)[:ng]
+	n.churned = n.churned[:0]
 	for g := range n.groups {
-		n.groups[g].lo, n.groups[g].hi, n.groups[g].dirty = 0, 0, true
+		grp := &n.groups[g]
+		*grp = fillGroup{flows: grp.flows[:0], listed: true}
+		n.churned = append(n.churned, g)
 	}
 	for _, r := range n.resources {
 		if r.gid >= 0 {
@@ -277,4 +282,9 @@ func (n *Net) joinGroups(path []*Resource) {
 			grp.hi++
 		}
 	}
+	for _, f := range moved {
+		grp := &n.groups[f.path[0].gid]
+		grp.flows = append(grp.flows, f)
+	}
+	n.moved = moved[:0]
 }

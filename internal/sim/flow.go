@@ -103,9 +103,7 @@ type Flow struct {
 
 	// Reallocation / completion-tracking state, owned by Net.
 	cls      *flowClass // the class the fill freezes this flow with
-	idx      int        // position in Net.active
-	deadline Time       // completion event time as of the last reallocation
-	dseq     uint64     // tiebreaker mirroring engine event seq order
+	deadline Time       // completion instant as of its group's last flush
 	starved  bool       // rate is 0 (or non-finite volume math): no deadline
 }
 
@@ -167,34 +165,47 @@ func (f *Flow) Rate() float64 {
 //
 // # Incremental reallocation
 //
-// Starting or finishing a flow invalidates rates, but the recompute is
-// deferred: churn marks the network dirty, parks the completion event on a
-// far-future placeholder and lists the Net on its engine, and the engine
-// fills every listed Net once, just before the clock leaves the current
-// instant. That batches same-instant churn — a task fanning out transfers
-// to several home sockets, or a wave of flows finishing at one timestamp,
-// pays for one redistribution instead of one per event. Deferral is observationally
-// exact: intermediate same-instant rates would exist for zero simulated
-// time, remaining-byte accounting is progressed eagerly per event, the
-// flush reassigns deadlines at the same instant an eager recompute would
-// have, and the completion event keeps the tie rank the eager design gave
-// it — its scheduling seq is claimed at the churn point and the flush only
-// moves the placeholder to the real deadline (see noteChurn and
+// Starting or finishing a flow invalidates the rates of its resource group
+// (see waterfill), but the recompute is deferred: churn puts the group on
+// the Net's churn worklist, marks the network dirty, parks the completion
+// event on a far-future placeholder and lists the Net on its engine, and
+// the engine flushes every listed Net once, just before the clock leaves
+// the current instant. That batches same-instant churn — a task fanning out
+// transfers to several home sockets, or a wave of flows finishing at one
+// timestamp, pays for one redistribution instead of one per event. The
+// flush works on the worklist's groups alone: it progresses their flows to
+// now at the rates they ran at, fills the groups and gives their flows
+// fresh deadlines. Deferral is observationally exact: intermediate
+// same-instant rates would exist for zero simulated time, an eager
+// recompute would progress and re-deadline the same flows at the same
+// instant, and the completion event keeps the tie rank the eager design
+// gave it — its scheduling seq is claimed at the churn point and the flush
+// only moves the placeholder to the real deadline (see noteChurn and
 // TestSameInstantTieOrderMatchesEager). Rates become observable only
 // between instants, or through Flow.Rate/Remaining, which force the flush.
+//
+// A clean group's flows keep their rate, their remaining bytes as of their
+// last progress and their deadline, as a timer per flow would: a deadline
+// is worked out once per rate, ceil-rounded to the nanosecond at the
+// instant the rate takes effect, and not again until the rate changes.
+// Flows complete at their deadlines, same-deadline ties in flow-id order,
+// whichever groups other churn flushed and whether churn was batched or
+// not. One completion event per Net stands for the per-flow timers: it is
+// armed for the earliest of the groups' earliest-due flows (see onComplete).
 //
 // The fill computes the max-min fair allocation with per-flow caps over flow
 // classes (flows with equal path contents and an equal cap; on the bullion
 // about 10 classes carry about 26 flows) and the per-resource crossing lists
 // StartFlowCapped and finish maintain. Only the resource groups whose
-// crossing lists changed since the last fill run it (see waterfill). The
+// crossing lists changed since the last flush run it (see waterfill). The
 // equivalence suite and FuzzReallocate hold it bit for bit to a test-only
-// naive ladder run per group, and a max-min oracle checks both against the
-// definition after every flush.
+// naive ladder run per group, a max-min oracle checks both against the
+// definition after every flush, and a completion oracle checks every
+// completion against the rates its flow ran at.
 type Net struct {
 	eng       *Engine
 	resources []*Resource
-	active    []*Flow // in-flight flows, ascending id (deterministic order)
+	live      int     // in-flight flows
 	freeFlows []*Flow // recycled Flow structs
 	nextFlow  int
 
@@ -206,10 +217,14 @@ type Net struct {
 	// Resource groups (see waterfill). uf is a union-find forest over
 	// resource ids, -1 for a resource no class path has reached since the
 	// last Reset; groups only merge until Reset. gres lists the grouped
-	// resources group by group.
-	uf     []int
-	gres   []*Resource
-	groups []fillGroup
+	// resources group by group. churned is the churn worklist: the groups
+	// whose crossing lists changed since the last flush, each once
+	// (fillGroup.listed). moved is joinGroups' scratch.
+	uf      []int
+	gres    []*Resource
+	groups  []fillGroup
+	churned []int
+	moved   []*Flow
 
 	// Deferred-reallocation state. listed marks the Net as on its engine's
 	// dirty list (Engine.dirty): set by the first churn of an instant and
@@ -229,20 +244,17 @@ type Net struct {
 	batch    bool
 	flushing bool
 
-	// fill runs one water-filling pass at the given instant, settling the
-	// resource integrals. Production uses (*Net).waterfill; the equivalence
-	// suite swaps in the naive reference ladder.
+	// fill runs one water-filling pass over the churned groups at the given
+	// instant, settling their resource integrals. Production uses
+	// (*Net).waterfill; the equivalence suite swaps in the naive reference
+	// ladder.
 	fill func(Time)
 
-	// Single earliest-completion event; completeFn is allocated once so
-	// rescheduling never creates a new closure.
+	// Single earliest-completion event, armed for next; completeFn is
+	// allocated once so rescheduling never creates a new closure.
 	pending    Timer
 	completeFn func()
-	dcounter   uint64 // deadline assignment counter (see Flow.dseq)
-
-	// progressed is the instant every active flow was last progressed to;
-	// while it is now, progressAll has nothing to do.
-	progressed Time
+	next       *Flow
 
 	// TotalBytes accumulates the volume completed through the network,
 	// a convenient global traffic counter for statistics.
@@ -350,15 +362,15 @@ func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, 
 		cls:        n.classFor(path, maxRate),
 	}
 	f.cls.n++
-	n.progressAll()
-	// Ids are monotonic: appending keeps the active set and every crossing
-	// list in ascending id order.
-	f.idx = len(n.active)
-	n.active = append(n.active, f)
+	// Ids are monotonic: appending keeps the group's flows and every
+	// crossing list in ascending id order.
+	g := path[0].gid
+	n.groups[g].flows = append(n.groups[g].flows, f)
 	for _, r := range f.path {
 		r.crossing = append(r.crossing, f)
 	}
-	n.groups[path[0].gid].dirty = true
+	n.live++
+	n.churn(g)
 	n.noteChurn()
 	if n.onFlowStart != nil {
 		n.onFlowStart(f)
@@ -431,7 +443,7 @@ func (n *Net) retireClass(c *flowClass) {
 }
 
 // ActiveFlows returns the number of in-flight flows.
-func (n *Net) ActiveFlows() int { return len(n.active) }
+func (n *Net) ActiveFlows() int { return n.live }
 
 // progress advances f's remaining volume to now using its rate since the
 // last update.
@@ -446,41 +458,35 @@ func (f *Flow) progress(now Time) {
 	f.lastUpdate = now
 }
 
-// progressAll advances every active flow's remaining volume to the current
-// time. Flows started since the last pass start at their own instant, so
-// when that pass ran at this instant there is nothing to do: progress over
-// zero elapsed time changes nothing.
-func (n *Net) progressAll() {
-	now := n.eng.Now()
-	if n.progressed == now {
-		return
-	}
-	for _, f := range n.active {
-		f.progress(now)
-	}
-	n.progressed = now
-}
-
 // sentinelTime parks the completion-event placeholder beyond any reachable
 // deadline; the end-of-instant flush always reschedules or stops it before
 // the clock could get there.
 const sentinelTime = Time(math.MaxInt64)
 
-// noteChurn records that a flow just started or finished: rates are stale
-// and must be recomputed before the current instant ends. The armed
-// completion event is replaced by a far-future placeholder, so it can never
-// fire on stale deadlines — and, crucially, the placeholder claims the
-// completion event's scheduling seq here, at the churn point, exactly where
-// the historical eager recompute re-armed its timer. The flush only moves
-// the placeholder to the real deadline (Engine.Reschedule keeps the seq),
-// so a tie between the completion and an event scheduled later in the same
-// instant resolves exactly as it did under one-recompute-per-churn. A
-// placeholder still parked from an earlier churn is re-stamped in place:
-// the fresh seq and far-future time Stop and At would give it, on the same
-// slot. The first churn since the engine's last flush lists the Net for the
-// next one.
+// churn puts group g on the churn worklist, once: a flow of the group
+// started or finished, so its rates are stale and must be recomputed before
+// the current instant ends.
+func (n *Net) churn(g int) {
+	if grp := &n.groups[g]; !grp.listed {
+		grp.listed = true
+		n.churned = append(n.churned, g)
+	}
+}
+
+// noteChurn records that rates are stale. The armed completion event is
+// replaced by a far-future placeholder, so it can never fire on stale
+// deadlines — and, crucially, the placeholder claims the completion event's
+// scheduling seq here, at the churn point, exactly where the historical
+// eager recompute re-armed its timer. The flush only moves the placeholder
+// to the real deadline (Engine.Reschedule keeps the seq), so a tie between
+// the completion and an event scheduled later in the same instant resolves
+// exactly as it did under one-recompute-per-churn. A placeholder still
+// parked from an earlier churn is re-stamped in place: the fresh seq and
+// far-future time Stop and At would give it, on the same slot. The first
+// churn since the engine's last flush lists the Net for the next one.
 func (n *Net) noteChurn() {
 	n.pending = n.eng.restamp(n.pending, sentinelTime, n.completeFn)
+	n.next = nil
 	n.dirty = true
 	if !n.listed {
 		n.listed = true
@@ -488,12 +494,14 @@ func (n *Net) noteChurn() {
 	}
 }
 
-// flush applies the deferred reallocation: one water-filling pass over the
-// network, then fresh completion deadlines and a re-armed completion event.
-// A no-op when no churn is pending, so forced flushes (Flow.Rate, the
-// engine's end-of-instant flush of a Net Flow.Rate already flushed) are
-// free on a clean network; a no-op as well when a flush is already running
-// on this Net (see Net.flushing).
+// flush applies the deferred reallocation to the groups on the churn
+// worklist: it progresses their flows to now at the rates they ran at, fills
+// the groups, gives their flows fresh deadlines, and re-arms the completion
+// event. The progress pass runs before the fill because a fill (the
+// test-only reference too) overwrites the rates. A no-op when no churn is
+// pending, so forced flushes (Flow.Rate, the engine's end-of-instant flush
+// of a Net Flow.Rate already flushed) are free on a clean network; a no-op
+// as well when a flush is already running on this Net (see Net.flushing).
 func (n *Net) flush() {
 	if !n.dirty || n.flushing {
 		return
@@ -501,51 +509,50 @@ func (n *Net) flush() {
 	n.flushing = true
 	n.dirty = false
 	now := n.eng.Now()
-	if len(n.active) == 0 {
+	if n.live == 0 {
 		for _, r := range n.resources {
 			r.settle(now, 0)
 		}
-		n.pending.Stop()
-		n.pending = Timer{}
+		for _, g := range n.churned {
+			n.groups[g].listed = false
+			n.groups[g].due = nil
+		}
+		n.churned = n.churned[:0]
+		n.arm()
 		n.flushing = false
 		return
 	}
+	for _, g := range n.churned {
+		for _, f := range n.groups[g].flows {
+			f.progress(now)
+		}
+	}
 	n.fill(now)
-	// Assign fresh completion deadlines in flow-ID order — mirroring the
-	// (time, seq) order per-flow timers would have been scheduled in — and
-	// arm the single completion event for the earliest one. The pass covers
-	// every active flow, not only those whose rate changed: the historical
-	// ladder recomputed every deadline from the current instant, and the
-	// ceil-rounding of remaining/rate depends on that instant, so skipping
-	// a flow here could drift its deadline a nanosecond from the reference.
-	// The same pass finds the earliest deadline: dseq rises through the
-	// loop, so a strict < keeps the flow earliestDue would pick.
-	var best *Flow
-	for _, f := range n.active {
-		dt, ok := completionDelay(f.remaining, f.rate)
-		n.dcounter++
-		f.dseq = n.dcounter
-		f.starved = !ok
-		if ok {
-			f.deadline = now + dt
-			if best == nil || f.deadline < best.deadline {
-				best = f
+	// Only the churned groups' rates changed, so only their flows get fresh
+	// deadlines: ceil(remaining/rate) from now, the deadline a timer set
+	// when the rate took effect would carry. A clean group's flows keep the
+	// deadlines their rates gave them. Re-deadlining them here as well
+	// would round their ceil again from this instant and could move them a
+	// nanosecond, so a flow's completion would depend on when other groups
+	// churned. Flows are in ascending id, so a strict < keeps the lowest id
+	// among the group's ties.
+	for _, g := range n.churned {
+		grp := &n.groups[g]
+		grp.listed = false
+		grp.due = nil
+		for _, f := range grp.flows {
+			dt, ok := completionDelay(f.remaining, f.rate)
+			f.starved = !ok
+			if ok {
+				f.deadline = now + dt
+				if grp.due == nil || f.deadline < grp.due.deadline {
+					grp.due = f
+				}
 			}
 		}
 	}
-	// Move the placeholder claimed by the last churn to the real deadline,
-	// keeping its seq (see noteChurn).
-	if best == nil {
-		n.pending.Stop()
-		n.pending = Timer{}
-		n.flushing = false
-		return
-	}
-	if !n.eng.Reschedule(n.pending, best.deadline) {
-		// No live placeholder (defensive — noteChurn always arms one while
-		// dirty): fall back to a fresh event.
-		n.pending = n.eng.At(best.deadline, n.completeFn)
-	}
+	n.churned = n.churned[:0]
+	n.arm()
 	n.flushing = false
 }
 
@@ -560,11 +567,11 @@ func clampSub(residual, rate float64) float64 {
 }
 
 // reallocate forces an immediate from-scratch recompute regardless of
-// pending churn: every group is marked dirty, so every group fills.
+// pending churn: every group joins the worklist, so every group fills.
 // Benchmarks use it to measure one full fill.
 func (n *Net) reallocate() {
 	for g := range n.groups {
-		n.groups[g].dirty = true
+		n.churn(g)
 	}
 	n.noteChurn()
 	n.flush()
@@ -589,97 +596,85 @@ func completionDelay(remaining, rate float64) (dt Time, ok bool) {
 	return Time(d), true
 }
 
-// earliestDue returns the active flow with the smallest (deadline, dseq) —
-// the flow whose dedicated timer would fire next under a one-event-per-flow
-// design. Starved flows have no deadline and are skipped. Every place that
-// arms the completion event (flush, armCompletion) and onComplete must
-// select by this exact rule, or the armed event would belong to a different
-// flow than the one processed when it fires.
-func (n *Net) earliestDue() *Flow {
-	var best *Flow
-	for _, f := range n.active {
-		if !f.starved && dueBefore(f, best) {
-			best = f
-		}
-	}
-	return best
-}
-
-// dueBefore reports whether f's (deadline, dseq) comes before best's; any
-// flow comes before a nil best.
-func dueBefore(f, best *Flow) bool {
-	return best == nil || f.deadline < best.deadline ||
-		(f.deadline == best.deadline && f.dseq < best.dseq)
-}
-
-// armCompletion (re)schedules the Net's single completion event for the
-// earliest flow deadline, if any flow has one.
-func (n *Net) armCompletion() {
-	best := n.earliestDue()
-	n.pending.Stop()
-	if best == nil {
-		n.pending = Timer{}
-		return
-	}
-	n.pending = n.eng.At(best.deadline, n.completeFn)
-}
-
-// onComplete fires when the earliest flow deadline arrives. It processes
-// exactly the flow that deadline belongs to — the same flow whose dedicated
-// timer would have fired under a one-event-per-flow design — finishing it,
-// or, when ceil rounding made the event marginally early, pushing that
-// flow's deadline out by the residue (at least 1ns) and re-arming.
-func (n *Net) onComplete() {
-	n.pending = Timer{}
-	now := n.eng.Now()
-	// One pass progresses every flow and picks the earliest due, by the
-	// rule earliestDue applies.
+// earliest returns the group's flow with the earliest deadline, the lowest
+// id among ties; nil when every flow is starved or none is in flight.
+func (grp *fillGroup) earliest() *Flow {
 	var due *Flow
-	for _, f := range n.active {
-		f.progress(now)
-		if !f.starved && dueBefore(f, due) {
+	for _, f := range grp.flows {
+		if !f.starved && (due == nil || f.deadline < due.deadline) {
 			due = f
 		}
 	}
-	n.progressed = now
-	if due == nil {
-		return
-	}
-	if due.remaining > 1e-6 {
-		dt, ok := completionDelay(due.remaining, due.rate)
-		if !ok {
-			due.starved = true // re-examined at the next reallocation
-		} else {
-			if dt < 1 {
-				dt = 1
-			}
-			n.dcounter++
-			due.deadline = now + dt
-			due.dseq = n.dcounter
-		}
-		n.armCompletion()
-		return
-	}
-	n.finish(due)
+	return due
 }
 
-// finish completes f: removes it from the active set, marks the network
-// for reallocation (flushed immediately when batching is off, or at the end
-// of the instant — which also re-arms the completion event), runs the
-// callback, and recycles the struct.
+// arm points the Net's single completion event at the earliest of the
+// groups' due flows by (deadline, id) — the flow whose own timer would fire
+// next under a one-event-per-flow design — and remembers that flow, so the
+// event knows which flow it belongs to when it fires. The placeholder a
+// churn parked moves to the deadline, keeping its seq (see noteChurn).
+func (n *Net) arm() {
+	var best *Flow
+	for g := range n.groups {
+		f := n.groups[g].due
+		if f != nil && (best == nil || f.deadline < best.deadline ||
+			f.deadline == best.deadline && f.id < best.id) {
+			best = f
+		}
+	}
+	n.next = best
+	if best == nil {
+		n.pending.Stop()
+		n.pending = Timer{}
+		return
+	}
+	if !n.eng.Reschedule(n.pending, best.deadline) {
+		n.pending = n.eng.At(best.deadline, n.completeFn)
+	}
+}
+
+// onComplete fires at the deadline of the flow arm chose, and progresses
+// that flow alone: it finishes, or, when ceil rounding made the event
+// marginally early, its deadline moves out by the residue (at least 1 ns),
+// its group's earliest due is found again and the event re-armed.
+func (n *Net) onComplete() {
+	n.pending = Timer{}
+	f := n.next
+	now := n.eng.Now()
+	f.progress(now)
+	if f.remaining <= 1e-6 {
+		n.finish(f)
+		return
+	}
+	if dt, ok := completionDelay(f.remaining, f.rate); ok {
+		f.deadline = now + max(dt, 1)
+	} else {
+		f.starved = true // re-examined when its group next flushes
+	}
+	grp := &n.groups[f.path[0].gid]
+	grp.due = grp.earliest()
+	n.arm()
+}
+
+// finish completes f: removes it from its group and crossing lists, puts
+// its group on the churn worklist (flushed immediately when batching is
+// off, or at the end of the instant — which also re-arms the completion
+// event), runs the callback, and recycles the struct.
 func (n *Net) finish(f *Flow) {
 	f.finished = true
 	f.remaining = 0
-	n.removeActive(f)
+	g := f.path[0].gid
+	n.groups[g].flows = removeFlow(n.groups[g].flows, f)
 	for _, r := range f.path {
-		r.removeCrossing(f)
+		r.crossing = removeFlow(r.crossing, f)
 	}
-	n.groups[f.path[0].gid].dirty = true
+	n.live--
 	if f.cls.n--; f.cls.n == 0 {
 		n.retireClass(f.cls)
 	}
 	f.cls = nil
 	n.TotalBytes += f.volume
+	n.churn(g)
 	n.noteChurn()
 	if !n.batch {
 		n.flush()
@@ -704,14 +699,22 @@ func (n *Net) finish(f *Flow) {
 // engine owns the dirty list; its reset drops both). Machine.Reset is the
 // intended caller.
 func (n *Net) Reset() {
-	for _, f := range n.active {
-		f.finished = true
-		f.done = nil
-		f.path = nil
-		f.cls = nil
-		n.freeFlows = append(n.freeFlows, f)
+	for g := range n.groups {
+		grp := &n.groups[g]
+		for _, f := range grp.flows {
+			f.finished = true
+			f.done = nil
+			f.path = nil
+			f.cls = nil
+			n.freeFlows = append(n.freeFlows, f)
+		}
+		grp.flows = grp.flows[:0]
+		grp.due = nil
+		grp.listed = false
 	}
-	n.active = n.active[:0]
+	n.live = 0
+	n.churned = n.churned[:0]
+	n.next = nil
 	for i, r := range n.resources {
 		for _, c := range r.classes {
 			c.path = nil
@@ -731,32 +734,19 @@ func (n *Net) Reset() {
 	n.dirty = false
 	n.flushing = false
 	n.pending = Timer{}
-	n.dcounter = 0
-	n.progressed = 0
 	n.TotalBytes = 0
 }
 
-// removeCrossing deletes one occurrence of f from r's crossing list,
-// preserving the ascending-id order.
-func (r *Resource) removeCrossing(f *Flow) {
-	for i, g := range r.crossing {
+// removeFlow deletes the first occurrence of f from list, preserving the
+// ascending-id order. Lists are a group's flows or a resource's crossing
+// flows, a handful each, so the shift is cheaper than any order-breaking
+// trick plus re-sort.
+func removeFlow(list []*Flow, f *Flow) []*Flow {
+	for i, g := range list {
 		if g == f {
-			copy(r.crossing[i:], r.crossing[i+1:])
-			r.crossing = r.crossing[:len(r.crossing)-1]
-			return
+			copy(list[i:], list[i+1:])
+			return list[:len(list)-1]
 		}
 	}
-}
-
-// removeActive deletes f from the dense active slice, preserving the
-// ascending-ID order. Active counts are small (bounded by in-flight
-// transfers, at most a few per core), so the shift is cheaper than any
-// order-breaking trick plus re-sort.
-func (n *Net) removeActive(f *Flow) {
-	i := f.idx
-	copy(n.active[i:], n.active[i+1:])
-	n.active = n.active[:len(n.active)-1]
-	for ; i < len(n.active); i++ {
-		n.active[i].idx = i
-	}
+	return list
 }

@@ -21,7 +21,10 @@ import "testing"
 // of which must freeze at its own share (near-tie-groups), caps a group
 // must freeze in one cap step while other groups' shares fall between them
 // (cap-split-rounds), and short classes that join two groups and retire
-// (linking-class-retires).
+// (linking-class-retires); and two per-flow timer shapes: flows in
+// different groups, deadlined at different flushes, due at one nanosecond
+// (timer-ties-cross-group), and flows whose completion event finds them
+// more than 1e-6 bytes short and pushes them out (timer-pushouts).
 // Corpus entries run as plain unit tests in normal `go test` invocations;
 // `make fuzz-smoke` runs a short coverage-guided session on top.
 func FuzzReallocate(f *testing.F) {

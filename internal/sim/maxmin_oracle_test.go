@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -29,7 +30,8 @@ func checkMaxMin(t testing.TB, n *Net) {
 	t.Helper()
 	load := make([]float64, len(n.resources)) // the crossing flows' total rate
 	top := make([]float64, len(n.resources))  // the highest crossing rate
-	for _, f := range n.active {
+	active := activeFlows(n)
+	for _, f := range active {
 		if !(f.rate >= 0 && f.rate <= f.maxRate) {
 			t.Fatalf("t=%v: flow %d runs at %v, outside [0, cap %v]", n.eng.Now(), f.id, f.rate, f.maxRate)
 		}
@@ -46,7 +48,7 @@ func checkMaxMin(t testing.TB, n *Net) {
 			t.Fatalf("t=%v: resource %s reports rate %v, its flows sum to %v", n.eng.Now(), r.name, r.rate, load[r.id])
 		}
 	}
-	for _, f := range n.active {
+	for _, f := range active {
 		if f.rate == f.maxRate {
 			continue
 		}
@@ -62,6 +64,22 @@ func checkMaxMin(t testing.TB, n *Net) {
 				n.eng.Now(), f.id, f.rate, f.maxRate)
 		}
 	}
+}
+
+// activeFlows returns n's in-flight flows in ascending id, gathered from
+// the resources' crossing lists rather than from the groups' flow lists
+// the network keeps.
+func activeFlows(n *Net) []*Flow {
+	var active []*Flow
+	for _, r := range n.resources {
+		for _, f := range r.crossing {
+			if !slices.Contains(active, f) {
+				active = append(active, f)
+			}
+		}
+	}
+	slices.SortFunc(active, func(a, b *Flow) int { return a.id - b.id })
+	return active
 }
 
 // completionTol is the completion oracle's relative byte tolerance. The

@@ -217,7 +217,7 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 	var ops []churnOp
 	now := Time(0)
 	pick := func(ids ...int) []int { return ids }
-	switch style % 8 {
+	switch style % 9 {
 	case 0:
 		// Machine-shaped: per-socket {mc, port} components, capped local and
 		// remote transfers — the exact shape rt.fanOutTransfers produces.
@@ -360,6 +360,34 @@ func buildChurnCase(seed, style, nOpsRaw, burstRaw uint64) ([]float64, []churnOp
 					op.path = pick(a)
 				}
 				ops = append(ops, op)
+			}
+		}
+	case 8:
+		// Per-flow timers: eight single-resource groups wide enough that
+		// flows run at their caps. On r0-r3 volumes are whole nanoseconds
+		// at exactly representable caps and starts are whole microseconds,
+		// so flows in different groups started at different instants fall
+		// due at one nanosecond. r4-r7 carry at most one flow each, whose
+		// volume divides by its cap onto a whole nanosecond in float but
+		// leaves more than 1e-6 bytes there: its completion event pushes it
+		// out.
+		caps = []float64{100, 100, 100, 100, 100, 100, 100, 100}
+		exact := []float64{2.5, 1.25, 4, 0.5}
+		pushouts := [][2]float64{{2.3, 12482610508}, {1.1, 16350309091.600002},
+			{5.12, 16227291622.400002}, {640.0 / 90, 30962693944.88889}}
+		used := 0
+		for len(ops) < nOps {
+			now += Time(1000 * rng.Intn(4))
+			for j := 0; j < burst && len(ops) < nOps; j++ {
+				if used < len(pushouts) && rng.Intn(4) == 0 {
+					p := pushouts[used]
+					ops = append(ops, churnOp{at: now, vol: p[1], path: pick(4 + used), maxR: p[0]})
+					used++
+					continue
+				}
+				rate := exact[rng.Intn(len(exact))]
+				ops = append(ops, churnOp{at: now, vol: rate * float64(1000*(1+rng.Intn(8))),
+					path: pick(rng.Intn(4)), maxR: rate})
 			}
 		}
 	default:
@@ -690,6 +718,222 @@ func TestReallocateGroupScripted(t *testing.T) {
 	})
 }
 
+// TestFlushGroupScripted pins the per-group flush and completion path (see
+// Net.flush and Net.onComplete): a flush progresses, fills and re-deadlines
+// the churned groups' flows alone, and a completion event progresses the
+// one flow it belongs to. Each case names the broken flush or completion
+// it catches.
+func TestFlushGroupScripted(t *testing.T) {
+	inf := math.Inf(1)
+	type flowState struct {
+		deadline, lastUpdate Time
+		remaining            uint64
+		rate                 uint64
+		starved              bool
+	}
+	state := func(f *Flow) flowState {
+		return flowState{f.deadline, f.lastUpdate, math.Float64bits(f.remaining), math.Float64bits(f.rate), f.starved}
+	}
+	t.Run("clean-group-untouched", func(t *testing.T) {
+		// Op 0 runs alone on r0 while r1 churns: a start at 50, and op 2's
+		// completion at 250 and the flush after it. Op 0's deadline, last
+		// update and remaining bytes must stay those of its t=0 flush, and
+		// it completes at that deadline.
+		// Catches: a flush that progresses or re-deadlines every flow, and
+		// a completion event that progresses every flow.
+		caps := []float64{10, 10}
+		ops := []churnOp{
+			{at: 0, vol: 1 << 20, path: []int{0}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{1}, maxR: inf},
+			{at: 50, vol: 1000, path: []int{1}, maxR: inf},
+		}
+		run := startScript(NewNet, caps, ops)
+		run.eng.RunUntil(0)
+		want := state(run.flows[0])
+		for _, at := range []Time{50, 250} {
+			run.eng.RunUntil(at)
+			if got := state(run.flows[0]); got != want {
+				t.Fatalf("t=%v: r0's flow moved from %+v to %+v by churn on r1", at, want, got)
+			}
+		}
+		if run.doneAt[2] != 250 {
+			t.Fatalf("r1's short flow finished at %v, want 250", run.doneAt[2])
+		}
+		run.eng.Run()
+		if run.doneAt[0] != want.deadline {
+			t.Fatalf("r0's flow finished at %v, want its t=0 deadline %v", run.doneAt[0], want.deadline)
+		}
+		runEquivalence(t, caps, ops)
+	})
+	t.Run("cross-group-tie-by-id", func(t *testing.T) {
+		// Op 0 (flow 1, on r1, capped at 5) and op 1 (flow 2, alone on r0)
+		// are both due at t=100. Op 2 churns r1 at t=50 without changing
+		// op 0's rate, so op 0's deadline is assigned again, later than op
+		// 1's, in a group with a higher index. Flow ids decide: op 0
+		// completes first, batched and eager alike.
+		// Catches: ties broken by group index or by the order deadlines
+		// were assigned in.
+		caps := []float64{10, 10}
+		ops := []churnOp{
+			{at: 0, vol: 500, path: []int{1}, maxR: 5},
+			{at: 0, vol: 1000, path: []int{0}, maxR: inf},
+			{at: 50, vol: 1000, path: []int{1}, maxR: 5},
+		}
+		for _, mk := range []func(*Engine) *Net{NewNet, newReferenceNet} {
+			run := startScript(mk, caps, ops)
+			run.eng.Run()
+			if run.doneAt[0] != 100 || run.doneAt[1] != 100 {
+				t.Fatalf("ops 0 and 1 finished at %v and %v, want both at 100", run.doneAt[0], run.doneAt[1])
+			}
+			if got := fmt.Sprint(run.order[3:5]); got != fmt.Sprint([]int32{0<<1 | 1, 1<<1 | 1}) {
+				t.Fatalf("batch=%v: completion order %v, want op 0 then op 1", run.net.batch, run.order)
+			}
+		}
+		runEquivalence(t, caps, ops)
+	})
+	t.Run("pushout", func(t *testing.T) {
+		// At its cap of 2.3 B/ns, op 0's volume divides to exactly
+		// 5427221960 ns in float, but 1.9e-6 bytes are left then: its
+		// event pushes it out by 1 ns. Op 1 (cap 1) is due at the same
+		// instant in the same group, with a higher id: the pushout must
+		// find it again, and it completes on time.
+		// Catches: finishing a due flow whatever it has left, and a
+		// pushout that does not rescan its group.
+		const due = 5427221960
+		caps := []float64{12}
+		ops := []churnOp{
+			{at: 0, vol: 12482610508, path: []int{0}, maxR: 2.3},
+			{at: 0, vol: due, path: []int{0}, maxR: 1},
+		}
+		run := startScript(NewNet, caps, ops)
+		run.eng.RunUntil(0)
+		if d := run.flows[0].deadline; d != due {
+			t.Fatalf("op 0 due at %v, want %v", d, due)
+		}
+		run.eng.RunUntil(due)
+		if f := run.flows[0]; f.finished || f.deadline < due+1 || f.remaining <= 1e-6 {
+			t.Fatalf("at its deadline op 0 is finished=%v, due %v, %v bytes left; want pushed out with more than 1e-6 bytes left",
+				f.finished, f.deadline, f.remaining)
+		}
+		if run.doneAt[1] != due {
+			t.Fatalf("op 1 finished at %v, want %v", run.doneAt[1], due)
+		}
+		run.eng.Run()
+		if run.doneAt[0] != due+1 {
+			t.Fatalf("op 0 finished at %v, want %v", run.doneAt[0], due+1)
+		}
+		runEquivalence(t, caps, ops)
+	})
+	t.Run("starved-stays-parked", func(t *testing.T) {
+		// Pretend r0's fill gave s nothing (float rounding can starve a
+		// flow in big runs but not on demand). Churn on r1 must leave it
+		// parked: no rate, no deadline, no progress. A start on r0 fills
+		// its group again, and it completes at the work-conserving time.
+		// Catches: a flush that fills every group.
+		e := NewEngine()
+		n := NewNet(e)
+		r0, r1 := n.NewResource("r0", 10), n.NewResource("r1", 10)
+		s := n.StartFlow(1000, []*Resource{r0}, nil)
+		n.StartFlow(500, []*Resource{r1}, nil) // groups r1 before the churn
+		n.flush()
+		s.rate, s.starved = 0, true
+		r0.settle(0, 0)
+		grp := &n.groups[r0.gid]
+		grp.due = grp.earliest()
+		n.arm()
+		want := state(s)
+		var doneAt Time
+		e.At(10, func() { n.StartFlow(500, []*Resource{r1}, nil) })
+		e.At(200, func() { n.StartFlow(500, []*Resource{r1}, nil) })
+		e.RunUntil(300)
+		if got := state(s); got != want || s.finished {
+			t.Fatalf("churn on r1 moved the parked flow from %+v to %+v (finished %v)", want, got, s.finished)
+		}
+		e.At(400, func() { n.StartFlow(500, []*Resource{r0}, func() { doneAt = e.Now() }) })
+		end := e.Run()
+		if !s.finished || doneAt != 500 || end != 550 {
+			t.Fatalf("parked flow finished=%v, r0's starter done at %v, drained at %v; want true, 500, 550",
+				s.finished, doneAt, end)
+		}
+	})
+	t.Run("join-keeps-id-order", func(t *testing.T) {
+		// Flows start on r3, r0, r2, r1, r3; then a flow on [r1, r3] joins
+		// the groups of r1 and r3, and one on [r2, r0] those of r0 and r2.
+		// Every group must list its flows in ascending id.
+		// Catches: a join that appends the merged groups' lists in group
+		// order.
+		caps := []float64{10, 10, 10, 10}
+		ops := []churnOp{
+			{at: 0, vol: 1 << 20, path: []int{3}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{0}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{2}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{1}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{3}, maxR: 2},
+			{at: 10, vol: 1 << 16, path: []int{1, 3}, maxR: inf},
+			{at: 20, vol: 1 << 16, path: []int{2, 0}, maxR: inf},
+		}
+		run := startScript(NewNet, caps, ops)
+		for _, at := range []Time{0, 10, 20} {
+			run.eng.RunUntil(at)
+			seen := 0
+			for g, grp := range run.net.groups {
+				for i, f := range grp.flows {
+					if f.path[0].gid != g || i > 0 && grp.flows[i-1].id >= f.id {
+						t.Fatalf("t=%v: group %d lists flows %v", at, g, flowIDs(grp.flows))
+					}
+				}
+				seen += len(grp.flows)
+			}
+			if seen != run.net.ActiveFlows() {
+				t.Fatalf("t=%v: groups list %d flows, %d in flight", at, seen, run.net.ActiveFlows())
+			}
+		}
+		if got := flowIDs(run.net.groups[run.rs[1].gid].flows); fmt.Sprint(got) != "[1 4 5 6]" {
+			t.Fatalf("joined group of r1 and r3 lists %v, want [1 4 5 6]", got)
+		}
+		runEquivalence(t, caps, ops)
+	})
+	t.Run("reset-empties-groups", func(t *testing.T) {
+		// A net Reset mid-flight keeps its group structs for reuse, and
+		// every one of them, live or spare, must come back empty.
+		// Catches: a Reset that keeps the group lists.
+		caps := []float64{10, 10, 10}
+		warm := []churnOp{
+			{at: 0, vol: 1 << 20, path: []int{0}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{1}, maxR: inf},
+			{at: 0, vol: 1 << 20, path: []int{2}, maxR: 3},
+			{at: 5, vol: 1 << 20, path: []int{0, 2}, maxR: inf},
+		}
+		run := startScript(NewNet, caps, warm)
+		run.eng.RunUntil(100)
+		run.eng.Reset()
+		run.net.Reset()
+		for g, grp := range run.net.groups[:cap(run.net.groups)] {
+			if len(grp.flows) != 0 || grp.due != nil || grp.listed {
+				t.Fatalf("group %d after Reset lists %v, due %v, listed %v", g, flowIDs(grp.flows), grp.due, grp.listed)
+			}
+		}
+		if len(run.net.churned) != 0 || run.net.next != nil || run.net.ActiveFlows() != 0 {
+			t.Fatalf("Reset left %d churned groups, next %v, %d flows", len(run.net.churned), run.net.next, run.net.ActiveFlows())
+		}
+		ops := []churnOp{
+			{at: 0, vol: 1 << 16, path: []int{1}, maxR: inf},
+			{at: 0, vol: 1 << 16, path: []int{2}, maxR: 2},
+		}
+		run = scheduleScript(run.eng, run.net, run.rs, ops)
+		lockstep(t, run, startScript(newReferenceNet, caps, ops), ops)
+	})
+}
+
+// flowIDs returns the ids of flows, in order.
+func flowIDs(flows []*Flow) []int {
+	ids := make([]int, len(flows))
+	for i, f := range flows {
+		ids[i] = f.id
+	}
+	return ids
+}
+
 // TestFlowClassesKeyByContents pins the class bookkeeping: flows join a
 // class by path contents and cap, not by slice identity; a class retires
 // with its last member and is recycled; Reset drops every class.
@@ -768,7 +1012,7 @@ func TestSameInstantTieOrderMatchesEager(t *testing.T) {
 // styles; the fuzz target FuzzReallocate explores the same space
 // coverage-guided.
 func TestReallocateEquivalenceRandom(t *testing.T) {
-	for style := uint64(0); style < 8; style++ {
+	for style := uint64(0); style < 9; style++ {
 		for seed := uint64(1); seed <= 6; seed++ {
 			caps, ops := buildChurnCase(seed, style, 64+seed*13, seed)
 			t.Run(fmt.Sprintf("style%d/seed%d", style, seed), func(t *testing.T) {

@@ -19,10 +19,12 @@ import "math"
 //     every resource of the group and every active flow each round
 //     (O(R x F) crosses() tests), instead of over flow classes and the
 //     per-resource crossing lists.
-//   - It fills every group at every fill instead of only the groups whose
-//     crossing lists changed. The groups themselves are the Net's own (the
-//     union-find over class paths, which both nets run), so the two nets
-//     fill the same resource sets.
+//   - It fills every group at every flush instead of only the groups on
+//     the churn worklist; a clean group's rates come out bit-equal to the
+//     ones its last fill gave it. It settles the worklist's resources
+//     alone, as production does, so Carried compares bit for bit. The
+//     groups themselves are the Net's own (the union-find over class paths,
+//     which both nets run), so the two nets fill the same resource sets.
 //   - newReferenceNet disables same-instant batching: every StartFlow and
 //     every completion redistributes immediately, the historical one
 //     recompute per churn event.
@@ -50,16 +52,18 @@ func (f *Flow) crosses(r *Resource) bool {
 // group: all-resources share scans, all-flows cap scans, and crosses()
 // tests against every active flow for every bottleneck resource, each
 // restricted to the group. It keeps its residuals and counts in arrays of
-// its own, sharing no scratch with the production fill.
+// its own, sharing no scratch with the production fill, and takes the
+// active flows from the crossing lists, not from the groups' flow lists.
 func (n *Net) referenceWaterfill(now Time) {
+	active := activeFlows(n)
 	residual := make([]float64, len(n.resources))
 	unfrozen := make([]int, len(n.resources))
-	frozen := make([]bool, len(n.active)) // indexed by Flow.idx
+	frozen := map[*Flow]bool{}
 	// freezeFlow fixes a flow's rate and removes its demand from the
 	// residual capacities: one step of the reference ladder.
 	freezeFlow := func(f *Flow, rate float64) {
 		f.rate = rate
-		frozen[f.idx] = true
+		frozen[f] = true
 		for _, rr := range f.path {
 			residual[rr.id] -= rate
 			if residual[rr.id] < 0 {
@@ -71,14 +75,14 @@ func (n *Net) referenceWaterfill(now Time) {
 	for i, r := range n.resources {
 		residual[i] = r.capacity
 	}
-	for _, f := range n.active {
+	for _, f := range active {
 		for _, r := range f.path {
 			unfrozen[r.id]++
 		}
 	}
 	for g := range n.groups {
 		left := 0
-		for _, f := range n.active {
+		for _, f := range active {
 			if f.path[0].gid == g {
 				left++
 			}
@@ -96,8 +100,8 @@ func (n *Net) referenceWaterfill(now Time) {
 			}
 			// A flow whose cap is at or below the share binds first.
 			capBound := false
-			for _, f := range n.active {
-				if f.path[0].gid == g && !frozen[f.idx] && f.maxRate <= share {
+			for _, f := range active {
+				if f.path[0].gid == g && !frozen[f] && f.maxRate <= share {
 					freezeFlow(f, f.maxRate)
 					left--
 					capBound = true
@@ -115,8 +119,8 @@ func (n *Net) referenceWaterfill(now Time) {
 				if residual[r.id]/float64(unfrozen[r.id]) > share*(1+1e-12) {
 					continue
 				}
-				for _, f := range n.active {
-					if frozen[f.idx] || !f.crosses(r) {
+				for _, f := range active {
+					if frozen[f] || !f.crosses(r) {
 						continue
 					}
 					freezeFlow(f, share)
@@ -130,12 +134,14 @@ func (n *Net) referenceWaterfill(now Time) {
 		}
 	}
 	sums := make([]float64, len(n.resources))
-	for _, f := range n.active {
+	for _, f := range active {
 		for _, res := range f.path {
 			sums[res.id] += f.rate
 		}
 	}
 	for _, res := range n.resources {
-		res.settle(now, sums[res.id])
+		if res.gid >= 0 && n.groups[res.gid].listed {
+			res.settle(now, sums[res.id])
+		}
 	}
 }
