@@ -114,9 +114,12 @@ bench-check:
 # spec grammar (any spec string must resolve and build at tiny scale into an
 # error or a graph under workload.MaxTasks, never a panic or a hang), and
 # the policy spec grammar (any spec string must yield an error or a policy
-# whose tiny-jacobi schedule passes the audit, never a panic), and the dcsim
+# whose tiny-jacobi schedule passes the audit, never a panic), the dcsim
 # tenant-mix grammar (any -tenants string and total rate must yield an error
-# or tenants whose 20-job audited run completes, never a panic or a hang).
+# or tenants whose 20-job audited run completes, never a panic or a hang),
+# and the DAG-file loader behind the file workload and dagpart -in (any
+# bytes must yield an error or an acyclic graph within the workload caps
+# that partitions in two, never a panic).
 # The seed corpora also run in plain `make test`; CI uploads any new
 # crashers as workflow artifacts.
 fuzz-smoke:
@@ -128,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzWorkloadSpec -fuzztime=15s ./internal/workload
+	$(GO) test -fuzz=FuzzDAGFile -fuzztime=15s ./internal/workload
 	$(GO) test -fuzz=FuzzPolicySpec -fuzztime=15s ./internal/policy
 
 # BENCH_sim.json is tracked (the perf trajectory across PRs) and must

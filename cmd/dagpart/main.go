@@ -154,15 +154,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 func loadDAG(appName, scale, inFile string) (*graph.DAG, error) {
 	switch {
 	case inFile != "":
-		data, err := os.ReadFile(inFile)
-		if err != nil {
-			return nil, err
-		}
-		var d graph.DAG
-		if err := json.Unmarshal(data, &d); err != nil {
-			return nil, err
-		}
-		return &d, nil
+		d, _, err := workload.LoadDAG(inFile)
+		return d, err
 	case appName != "":
 		sc, err := apps.ParseScale(scale)
 		if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,6 +44,50 @@ func TestRunMapPartCount(t *testing.T) {
 				if n := len(strings.Fields(weights)); n != 8 {
 					t.Errorf("%d part weights reported, want 8:\n%s", n, stdout.String())
 				}
+			}
+		})
+	}
+}
+
+// TestRunInRejectsBadFiles drives -in through the DAG-file loader the file
+// workload uses: weights that overflow int64 sums, which used to panic the
+// partitioner or print negative weights, and a cycle exit 1 with the
+// loader's error, while a valid file partitions.
+func TestRunInRejectsBadFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		json   string
+		code   int
+		stdout string // substring expected on stdout
+		stderr string // substring expected on stderr
+	}{
+		{"edge-weights-overflow", `{"nodes":[{"weight":1},{"weight":1},{"weight":1}],"edges":[` +
+			`{"from":0,"to":1,"weight":9223372036854775807},{"from":1,"to":2,"weight":9223372036854775807}]}`,
+			1, "", "(MaxBytes)"},
+		{"node-weights-overflow", `{"nodes":[{"weight":9223372036854775807},{"weight":9223372036854775807},` +
+			`{"weight":1}],"edges":[{"from":0,"to":1,"weight":8},{"from":1,"to":2,"weight":8}]}`,
+			1, "", "(MaxFlops)"},
+		{"cycle", `{"nodes":[{"weight":1},{"weight":1}],"edges":[{"from":0,"to":1,"weight":8},{"from":1,"to":0,"weight":8}]}`,
+			1, "", "cycle"},
+		{"chain", `{"nodes":[{"weight":5},{"weight":5},{"weight":5}],"edges":[{"from":0,"to":1,"weight":8},{"from":1,"to":2,"weight":8}]}`,
+			0, "total node weight 15, total edge weight 16", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".json")
+			if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-in", path, "-parts", "2"}, &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.code, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.stdout) {
+				t.Errorf("stdout lacks %q:\n%s", tc.stdout, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr.String())
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -98,6 +99,10 @@ func (g *DAG) UnmarshalJSON(data []byte) error {
 		}
 		if e.Weight < 0 {
 			return fmt.Errorf("graph: negative edge weight %d", e.Weight)
+		}
+		// A repeated edge adds its weight to the first (see AddEdge).
+		if w := g.EdgeWeight(NodeID(e.From), NodeID(e.To)); e.Weight > math.MaxInt64-w {
+			return fmt.Errorf("graph: edge (%d,%d) weights overflow", e.From, e.To)
 		}
 		g.AddEdge(NodeID(e.From), NodeID(e.To), e.Weight)
 	}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -30,40 +29,68 @@ func fileFactory(s Spec, _ apps.Scale, _ uint64) (Workload, error) {
 	if f := s.Str("format", "json"); f != "json" {
 		return Workload{}, fmt.Errorf("workload: file: unsupported format %q (only json)", f)
 	}
-	if fi, err := os.Stat(path); err != nil {
+	d, order, err := LoadDAG(path)
+	if err != nil {
 		return Workload{}, fmt.Errorf("workload: file: %w", err)
+	}
+	return Workload{Build: dagBuilder(d, order)}, nil
+}
+
+// maxDAGFileBytes bounds the DAG files LoadDAG reads, far above the JSON of
+// a MaxTasks-node graph.
+const maxDAGFileBytes = 1 << 28
+
+// LoadDAG reads a DAG in dagpart's JSON format from path, a regular file of
+// at most maxDAGFileBytes, and checks it as every imported graph is checked
+// (see decodeDAG). It returns the graph and a topological order of it. The
+// file workload and dagpart -in both load through it.
+func LoadDAG(path string) (*graph.DAG, []graph.NodeID, error) {
+	if fi, err := os.Stat(path); err != nil {
+		return nil, nil, err
 	} else if !fi.Mode().IsRegular() || fi.Size() > maxDAGFileBytes {
-		return Workload{}, fmt.Errorf("workload: file: %s is not a regular file of at most %d bytes", path, maxDAGFileBytes)
+		return nil, nil, fmt.Errorf("%s is not a regular file of at most %d bytes", path, maxDAGFileBytes)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Workload{}, fmt.Errorf("workload: file: %w", err)
+		return nil, nil, err
 	}
-	var d graph.DAG
-	if err := json.Unmarshal(data, &d); err != nil {
-		return Workload{}, fmt.Errorf("workload: file: malformed DAG in %s: %w", path, err)
+	d, order, err := decodeDAG(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, order, nil
+}
+
+// decodeDAG decodes a DAG in dagpart's JSON format and checks it: a
+// non-empty graph within the caps checkDAGSize applies, without a cycle. It
+// returns the graph and a topological order of it.
+func decodeDAG(data []byte) (*graph.DAG, []graph.NodeID, error) {
+	d := new(graph.DAG)
+	if err := d.UnmarshalJSON(data); err != nil {
+		return nil, nil, fmt.Errorf("malformed DAG: %w", err)
 	}
 	if d.Len() == 0 {
-		return Workload{}, fmt.Errorf("workload: file: %s holds an empty graph", path)
+		return nil, nil, fmt.Errorf("empty graph")
 	}
-	if err := checkDAGSize(&d); err != nil {
-		return Workload{}, fmt.Errorf("workload: file: %s: %w", path, err)
+	if err := checkDAGSize(d); err != nil {
+		return nil, nil, err
 	}
 	order, err := d.TopoOrder()
 	if err != nil {
-		return Workload{}, fmt.Errorf("workload: file: %s: %w", path, err)
+		return nil, nil, err
 	}
-	return Workload{Build: dagBuilder(&d, order)}, nil
+	return d, order, nil
 }
 
-// maxDAGFileBytes bounds the DAG files the file generator reads, far above
-// the JSON of a MaxTasks-node graph.
-const maxDAGFileBytes = 1 << 28
+// maxDAGFlops caps the summed node weight of an imported graph, so the
+// partitioner's int64 part weights, scaled by a balance tolerance, cannot
+// overflow: MaxTasks nodes of MaxFlops each would sum to 2^68.
+const maxDAGFlops = 1 << 62
 
 // checkDAGSize applies the synthetic generators' caps to an imported graph:
 // its node count (MaxTasks), its summed edge weights, which become region
 // bytes (MaxBytes), and each node weight, which becomes task flops
-// (MaxFlops).
+// (MaxFlops), and caps the summed node weight (maxDAGFlops).
 func checkDAGSize(d *graph.DAG) error {
 	if d.Len() > MaxTasks {
 		return fmt.Errorf("%d nodes exceed %d (MaxTasks)", d.Len(), MaxTasks)
@@ -75,10 +102,16 @@ func checkDAGSize(d *graph.DAG) error {
 		}
 		bytes += e.Weight
 	}
+	var flops int64
 	for id := 0; id < d.Len(); id++ {
-		if w := d.NodeWeight(graph.NodeID(id)); w > MaxFlops {
+		w := d.NodeWeight(graph.NodeID(id))
+		if w > MaxFlops {
 			return fmt.Errorf("node %d weight %d exceeds %d (MaxFlops)", id, w, int64(MaxFlops))
 		}
+		if w > maxDAGFlops-flops {
+			return fmt.Errorf("node weights exceed %d in total", int64(maxDAGFlops))
+		}
+		flops += w
 	}
 	return nil
 }

@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"numadag/internal/apps"
+	"numadag/internal/graph"
 	"numadag/internal/machine"
+	"numadag/internal/partition"
 )
 
 // FuzzWorkloadSpec drives arbitrary spec strings through the whole
@@ -44,5 +48,71 @@ func FuzzWorkloadSpec(f *testing.F) {
 			t.Fatalf("%q built %d tasks, above MaxTasks=%d", spec, n, MaxTasks)
 		}
 		r.Release()
+	})
+}
+
+// FuzzDAGFile drives arbitrary bytes through LoadDAG, the loader behind the
+// file workload and dagpart -in. Every input must yield an error or a graph
+// that is acyclic (its order lists every node, each edge's source first),
+// has at most MaxTasks nodes of non-negative weight at most MaxFlops, and
+// has non-negative edge weights that sum to at most MaxBytes. A graph of at
+// most 64 nodes must also partition in two without a panic. The seed corpus
+// holds testdata/dags/diamond.json, the two files whose weights overflow
+// int64 sums (which panicked and misreported dagpart -in), a cycle, a
+// self-loop, an out-of-range edge, a zero-weight edge and a duplicate edge.
+func FuzzDAGFile(f *testing.F) {
+	diamond, err := os.ReadFile("../../testdata/dags/diamond.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(diamond)
+	for _, s := range []string{
+		`{"nodes":[{"weight":1},{"weight":1},{"weight":1}],"edges":[{"from":0,"to":1,"weight":9223372036854775807},{"from":1,"to":2,"weight":9223372036854775807}]}`,
+		`{"nodes":[{"weight":9223372036854775807},{"weight":9223372036854775807},{"weight":1}],"edges":[{"from":0,"to":1,"weight":8}]}`,
+		`{"nodes":[{"weight":1},{"weight":1},{"weight":1}],"edges":[{"from":0,"to":1,"weight":8},{"from":1,"to":2,"weight":8},{"from":2,"to":0,"weight":8}]}`,
+		`{"nodes":[{"weight":1},{"weight":1}],"edges":[{"from":1,"to":1,"weight":8}]}`,
+		`{"nodes":[{"weight":1},{"weight":1}],"edges":[{"from":0,"to":2,"weight":8}]}`,
+		`{"nodes":[{"label":"a","weight":3},{"label":"b","weight":4}],"edges":[{"from":0,"to":1,"weight":0}]}`,
+		`{"nodes":[{"weight":3},{"weight":4}],"edges":[{"from":0,"to":1,"weight":4611686018427387904},{"from":0,"to":1,"weight":4611686018427387904}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	path := filepath.Join(f.TempDir(), "dag.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, order, err := LoadDAG(path)
+		if err != nil {
+			return
+		}
+		if n := d.Len(); n == 0 || n > MaxTasks || len(order) != n {
+			t.Fatalf("loaded %d nodes with an order of %d, want 1 to MaxTasks=%d", n, len(order), MaxTasks)
+		}
+		pos := make([]int, d.Len())
+		for i, id := range order {
+			pos[id] = i + 1
+		}
+		for id, p := range pos {
+			if p == 0 {
+				t.Fatalf("node %d missing from the order", id)
+			}
+			if w := d.NodeWeight(graph.NodeID(id)); w < 0 || w > MaxFlops {
+				t.Fatalf("node %d weight %d outside [0, MaxFlops]", id, w)
+			}
+		}
+		var bytes int64
+		for _, e := range d.EdgeList() {
+			if e.Weight < 0 || e.Weight > MaxBytes-bytes {
+				t.Fatalf("edge (%d,%d) weight %d takes the edge weights past MaxBytes=%d", e.From, e.To, e.Weight, int64(MaxBytes))
+			}
+			bytes += e.Weight
+			if pos[e.From] >= pos[e.To] {
+				t.Fatalf("edge (%d,%d) runs against the order: the graph has a cycle", e.From, e.To)
+			}
+		}
+		if d.Len() <= 64 {
+			partition.Partition(partition.FromDAG(d), partition.DefaultOptions(2))
+		}
 	})
 }
