@@ -218,16 +218,13 @@ func (n *Net) find(id int) int {
 // union-find forest: every resource ever joined keeps its group, whether or
 // not a live path still crosses it. Groups are numbered in ascending order
 // of their lowest resource id. Indices move, so every group joins the churn
-// worklist, and the live flows move into their new groups in ascending id,
-// through the groups' own slices and the Net's moved scratch.
+// worklist, and each group's flow list is rebuilt in its own slice from
+// the crossing lists of the flows' first resources, in ascending id.
 func (n *Net) joinGroups(path []*Resource) {
-	moved := n.moved[:0]
 	for g := range n.groups {
 		grp := &n.groups[g]
-		moved = append(moved, grp.flows...)
 		*grp = fillGroup{flows: grp.flows[:0]}
 	}
-	slices.SortFunc(moved, func(a, b *Flow) int { return a.id - b.id })
 	uf := n.uf
 	root := -1
 	for _, r := range path {
@@ -256,9 +253,18 @@ func (n *Net) joinGroups(path []*Resource) {
 		r.gid = rt.gid
 	}
 	n.groups = slices.Grow(n.groups[:0], ng)[:ng]
+	if cap(n.churned) < len(n.resources) {
+		// Every group holds a resource: size the worklist once.
+		n.churned = make([]int, 0, len(n.resources))
+	}
 	n.churned = n.churned[:0]
 	for g := range n.groups {
 		grp := &n.groups[g]
+		if grp.flows == nil {
+			// A group carries a few flows (about four on the bullion):
+			// start its list at a size that rarely grows.
+			grp.flows = make([]*Flow, 0, 8)
+		}
 		*grp = fillGroup{flows: grp.flows[:0], listed: true}
 		n.churned = append(n.churned, g)
 	}
@@ -282,9 +288,17 @@ func (n *Net) joinGroups(path []*Resource) {
 			grp.hi++
 		}
 	}
-	for _, f := range moved {
-		grp := &n.groups[f.path[0].gid]
-		grp.flows = append(grp.flows, f)
+	for _, r := range n.resources {
+		for i, f := range r.crossing {
+			// A path naming its first resource twice lists the flow there
+			// twice, adjacently.
+			if f.path[0] == r && (i == 0 || r.crossing[i-1] != f) {
+				grp := &n.groups[r.gid]
+				grp.flows = append(grp.flows, f)
+			}
+		}
 	}
-	n.moved = moved[:0]
+	for g := range n.groups {
+		slices.SortFunc(n.groups[g].flows, func(a, b *Flow) int { return a.id - b.id })
+	}
 }

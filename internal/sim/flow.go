@@ -219,12 +219,11 @@ type Net struct {
 	// last Reset; groups only merge until Reset. gres lists the grouped
 	// resources group by group. churned is the churn worklist: the groups
 	// whose crossing lists changed since the last flush, each once
-	// (fillGroup.listed). moved is joinGroups' scratch.
+	// (fillGroup.listed).
 	uf      []int
 	gres    []*Resource
 	groups  []fillGroup
 	churned []int
-	moved   []*Flow
 
 	// Deferred-reallocation state. listed marks the Net as on its engine's
 	// dirty list (Engine.dirty): set by the first churn of an instant and
