@@ -103,7 +103,7 @@ type Flow struct {
 
 	// Reallocation / completion-tracking state, owned by Net.
 	cls      *flowClass // the class the fill freezes this flow with
-	deadline Time       // completion instant as of its group's last flush
+	deadline Time       // completion instant as of its group's last flush; ignored while starved
 	starved  bool       // rate is 0 (or non-finite volume math): no deadline
 }
 
@@ -509,46 +509,34 @@ func (n *Net) flush() {
 	n.dirty = false
 	now := n.eng.Now()
 	if n.live == 0 {
+		// Nothing to fill: every resource settles at zero.
 		for _, r := range n.resources {
 			r.settle(now, 0)
 		}
+	} else {
 		for _, g := range n.churned {
-			n.groups[g].listed = false
-			n.groups[g].due = nil
+			for _, f := range n.groups[g].flows {
+				f.progress(now)
+			}
 		}
-		n.churned = n.churned[:0]
-		n.arm()
-		n.flushing = false
-		return
+		n.fill(now)
 	}
-	for _, g := range n.churned {
-		for _, f := range n.groups[g].flows {
-			f.progress(now)
-		}
-	}
-	n.fill(now)
 	// Only the churned groups' rates changed, so only their flows get fresh
 	// deadlines: ceil(remaining/rate) from now, the deadline a timer set
 	// when the rate took effect would carry. A clean group's flows keep the
 	// deadlines their rates gave them. Re-deadlining them here as well
 	// would round their ceil again from this instant and could move them a
 	// nanosecond, so a flow's completion would depend on when other groups
-	// churned. Flows are in ascending id, so a strict < keeps the lowest id
-	// among the group's ties.
+	// churned.
 	for _, g := range n.churned {
 		grp := &n.groups[g]
 		grp.listed = false
-		grp.due = nil
 		for _, f := range grp.flows {
 			dt, ok := completionDelay(f.remaining, f.rate)
 			f.starved = !ok
-			if ok {
-				f.deadline = now + dt
-				if grp.due == nil || f.deadline < grp.due.deadline {
-					grp.due = f
-				}
-			}
+			f.deadline = now + dt
 		}
+		grp.due = grp.earliest()
 	}
 	n.churned = n.churned[:0]
 	n.arm()
