@@ -41,9 +41,10 @@ func fileFactory(s Spec, _ apps.Scale, _ uint64) (Workload, error) {
 const maxDAGFileBytes = 1 << 28
 
 // LoadDAG reads a DAG in dagpart's JSON format from path, a regular file of
-// at most maxDAGFileBytes, and checks it as every imported graph is checked
-// (see decodeDAG). It returns the graph and a topological order of it. The
-// file workload and dagpart -in both load through it.
+// at most maxDAGFileBytes, and checks it as every imported graph is
+// checked: a non-empty graph within the caps checkDAGSize applies, without
+// a cycle. It returns the graph and a topological order of it. The file
+// workload and dagpart -in both load through it.
 func LoadDAG(path string) (*graph.DAG, []graph.NodeID, error) {
 	if fi, err := os.Stat(path); err != nil {
 		return nil, nil, err
@@ -54,30 +55,19 @@ func LoadDAG(path string) (*graph.DAG, []graph.NodeID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d, order, err := decodeDAG(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, order, nil
-}
-
-// decodeDAG decodes a DAG in dagpart's JSON format and checks it: a
-// non-empty graph within the caps checkDAGSize applies, without a cycle. It
-// returns the graph and a topological order of it.
-func decodeDAG(data []byte) (*graph.DAG, []graph.NodeID, error) {
 	d := new(graph.DAG)
 	if err := d.UnmarshalJSON(data); err != nil {
-		return nil, nil, fmt.Errorf("malformed DAG: %w", err)
+		return nil, nil, fmt.Errorf("malformed DAG in %s: %w", path, err)
 	}
 	if d.Len() == 0 {
-		return nil, nil, fmt.Errorf("empty graph")
+		return nil, nil, fmt.Errorf("%s holds an empty graph", path)
 	}
 	if err := checkDAGSize(d); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	order, err := d.TopoOrder()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, order, nil
 }
