@@ -799,6 +799,9 @@ func TestFlushGroupScripted(t *testing.T) {
 		// find it again, and it completes on time.
 		// Catches: finishing a due flow whatever it has left, and a
 		// pushout that does not rescan its group.
+		// The numbers assume each float64 product and difference rounds on
+		// its own, as on amd64: fusing them into one rounding moves the
+		// residue, as it would move the goldens.
 		const due = 5427221960
 		caps := []float64{12}
 		ops := []churnOp{
