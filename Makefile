@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race test-allocs test-traced test-sharded test-benchmark bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
+.PHONY: build test test-short test-race test-allocs test-traced test-benchmark bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
 
 build:
 	$(GO) build ./...
@@ -46,15 +46,6 @@ test-allocs:
 test-traced:
 	NUMADAG_TRACED_GOLDEN=1 $(GO) test -run 'TestDeterminismGoldenTraced' -count=1 .
 
-# Sharded-sweep equivalence gate: builds the real cmd/sweep binary and
-# drives its sharded and resumable modes end to end — 3-shard fan-out +
-# -merge, -maxcells interrupt + -resume, and the resume of one crashed
-# shard — demanding JSONL/CSV/table outputs byte-identical to an unsharded
-# run. Env-gated because it builds a binary and runs the grid several
-# times; CI runs it as its own blocking step (`sharded sweeps` in ci.yml).
-test-sharded:
-	NUMADAG_SHARDED=1 $(GO) test -run 'TestShardedSweepCLI' -count=1 .
-
 # The benchmark harness is its own module (benchmark/go.mod, replacing
 # numadag with ../), so the root `./...` never builds it: this step catches
 # an internal change that breaks it. CI runs it as the blocking `benchmark
@@ -75,7 +66,7 @@ fmt-check:
 # Mirrors the blocking steps of .github/workflows/ci.yml (the race job runs
 # in parallel there; fuzz-smoke is non-blocking and nightly.yml tracks the
 # benchmark trajectory).
-ci: fmt-check build vet test test-race test-allocs test-traced test-sharded test-benchmark
+ci: fmt-check build vet test test-race test-allocs test-traced test-benchmark
 
 # Full benchmark families (paper figures + ablations).
 bench:
@@ -109,10 +100,9 @@ bench-check:
 # ladder run per group, plus the max-min and completion oracles), and the cluster's
 # arrival/dispatch loop (bursty same-instant arrivals, zero-length jobs and
 # tenant-skewed rates must never stall or reorder the shared clock), the
-# shard-file parser behind -merge and -resume (arbitrary bytes must yield an
-# error or an in-grid, in-shard stream, never a panic), and the workload
-# spec grammar (any spec string must resolve and build at tiny scale into an
-# error or a graph under workload.MaxTasks, never a panic or a hang), and
+# workload spec grammar (any spec string must resolve and build at tiny
+# scale into an error or a graph under workload.MaxTasks whose summed task
+# weight stays within 2^62, never a panic or a hang), and
 # the policy spec grammar (any spec string must yield an error or a policy
 # whose tiny-jacobi schedule passes the audit, never a panic), the dcsim
 # tenant-mix grammar (any -tenants string and total rate must yield an error
@@ -128,8 +118,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzTenantMix -fuzztime=15s ./internal/cluster
-	$(GO) test -fuzz=FuzzReadStream -fuzztime=15s ./internal/shard
-	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzWorkloadSpec -fuzztime=15s ./internal/workload
 	$(GO) test -fuzz=FuzzDAGFile -fuzztime=15s ./internal/workload
 	$(GO) test -fuzz=FuzzPolicySpec -fuzztime=15s ./internal/policy

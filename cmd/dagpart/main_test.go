@@ -92,3 +92,25 @@ func TestRunInRejectsBadFiles(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAppRejectsWrappingFlops drives -app with synthetic specs whose
+// summed task flops pass 2^63: each must exit 1 with the generator's cap
+// error instead of partitioning wrapped, negative weights.
+func TestRunAppRejectsWrappingFlops(t *testing.T) {
+	for _, spec := range []string{
+		"random-layered?layers=100&width=100&cv=0&flops=1125899906842624&bytes=64",
+		"noop?tasks=10000&flops=1125899906842624",
+		"forkjoin?depth=13&fanout=2&cv=0&flops=1125899906842624&bytes=64",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-app", spec, "-parts", "2"}, &stdout, &stderr)
+			if code != 1 {
+				t.Fatalf("exit code %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+			}
+			if want := "flops in total"; !strings.Contains(stderr.String(), want) {
+				t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+			}
+		})
+	}
+}

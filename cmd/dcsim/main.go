@@ -11,7 +11,6 @@
 //	dcsim -tenants "web:poisson:4000:noop?tasks=4,hpc:diurnal:500:forkjoin?depth=5" -jobs 1000
 //	dcsim -machines 16 -machine bullion -jsonl jobs.jsonl
 //	dcsim -trace run.json            # Chrome trace (load in Perfetto)
-//	dcsim -http :8080                # live monitor: /status JSON, /trace
 //
 // The -tenants grammar is comma-separated tenant declarations of the form
 //
@@ -24,17 +23,16 @@
 //
 // A fixed -seed makes the whole run — arrivals, dispatch, scheduling —
 // bit-identical across repeats and across -procs values; -procs only fans
-// out the one-time task-graph prebuilds.
+// out the one-time task-graph prebuilds. A run at the default sizes lasts
+// milliseconds (a 200,000-job run about 2 s on two cores); its outputs are
+// the summary table printed at the end, the per-job -jsonl/-csv streams and
+// the -trace file.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"time"
 
 	"numadag/internal/cliutil"
 	"numadag/internal/cluster"
@@ -56,8 +54,6 @@ func main() {
 		outputs  = cliutil.BindOutputs(flag.CommandLine, true)
 		audit    = flag.Bool("audit", false, "audit every job's schedule against TDG semantics")
 		traceOut = cliutil.BindTrace(flag.CommandLine)
-		httpF    = flag.String("http", "", "serve the live monitor on this address (e.g. :8080): /status JSON, /trace snapshot")
-		lingerF  = flag.Duration("http-linger", 0, "with -http: keep serving the monitor this long after the run ends, so a scraper can read the final snapshot")
 		cpuProf  = cliutil.BindCPUProfile(flag.CommandLine)
 	)
 	flag.Parse()
@@ -91,27 +87,7 @@ func main() {
 		Procs:      *procs,
 		Audit:      *audit,
 	}
-	// The monitor's /trace endpoint serves the tracer's snapshot, so -http
-	// implies tracing even without a -trace output file.
-	cfg.Trace = traceOut.Enable(*httpF != "")
-	if *httpF != "" {
-		mon := cluster.NewMonitor(cfg.Trace)
-		cfg.Monitor = mon
-		ln, err := net.Listen("tcp", *httpF)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dcsim: live monitor on http://%s (/status, /trace)\n", ln.Addr())
-		go func() {
-			// Serve returns ErrClosed on a clean listener close at exit;
-			// anything else (port stolen, accept failure) must be surfaced,
-			// not dropped — a dead monitor that looks alive is worse than
-			// none.
-			if err := http.Serve(ln, mon.Handler()); err != nil && !errors.Is(err, net.ErrClosed) {
-				fmt.Fprintln(os.Stderr, "dcsim: monitor:", err)
-			}
-		}()
-	}
+	cfg.Trace = traceOut.Enable(false)
 
 	sinks, err := outputs.Sinks()
 	if err != nil {
@@ -135,12 +111,6 @@ func main() {
 	fmt.Printf("\n%s\n", res.Stats.Summary())
 	fmt.Printf("makespan %v, %d engine steps, %.0f bytes moved, completion hash %016x\n",
 		res.Makespan, res.Steps, res.TotalBytes, res.CompletionHash())
-	if *httpF != "" && *lingerF > 0 {
-		// Without the linger the process exits the instant the run ends and
-		// the monitor dies with the final snapshot unread.
-		fmt.Fprintf(os.Stderr, "dcsim: run complete; monitor lingering %v\n", *lingerF)
-		time.Sleep(*lingerF)
-	}
 }
 
 func fatal(err error) {

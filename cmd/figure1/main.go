@@ -5,62 +5,74 @@
 // Each (workload, machine) task graph is built once per run and shared
 // across the policy/seed cells via the experiment's TDG cache, so multi-seed
 // sweeps pay generator cost once. -apps accepts workload registry specs, so
-// the figure can be regenerated over synthetic or imported DAGs too.
-//
-// The figure grid shards, checkpoints and resumes exactly like cmd/sweep:
-// -shard i/n runs a slice into a journal under -out, -resume continues an
-// interrupted run, -merge recombines shard journals into the (byte
-// identical) figure.
+// the figure can be regenerated over synthetic or imported DAGs too. The
+// whole grid runs in one process: its 96 cells at paper scale take 1–1.5 s
+// on two cores.
 //
 // Usage:
 //
-//	figure1                      # paper scale, 3 seeds (a few minutes)
+//	figure1                      # paper scale, 3 seeds
 //	figure1 -scale small -seeds 2
 //	figure1 -bars                # ASCII bar chart like the paper's figure
 //	figure1 -jsonl cells.jsonl   # stream per-cell results while running
+//	figure1 -csv fig1.csv        # also write the table as CSV
 //	figure1 -trace cells.json    # Chrome trace of every grid cell (Perfetto)
 //	figure1 -apps "jacobi,forkjoin?depth=8&fanout=3" -scale small
-//	figure1 -shard 0/2 -out run/ # half the grid, merge with -merge run/
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"numadag/internal/cliutil"
 	"numadag/internal/core"
-	"numadag/internal/shard"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes figure1 with the given arguments and returns its exit code:
+// 0 on success, 1 when the grid or an output fails, and 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("figure1", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale    = cliutil.ScaleFlag(flag.CommandLine, "paper")
-		seeds    = cliutil.SeedsFlag(flag.CommandLine, 3)
-		bars     = flag.Bool("bars", false, "render ASCII bars instead of a table")
-		csvF     = flag.String("csv", "", "also write the table as CSV to this file")
-		outputs  = cliutil.BindOutputs(flag.CommandLine, false)
-		wsize    = flag.Int("window", 0, "override window size (0 = default 2048)")
-		appsF    = cliutil.AppsFlag(flag.CommandLine, "comma-separated workload specs (default: the eight paper benchmarks)")
-		traceOut = cliutil.BindTrace(flag.CommandLine)
-		shardSet = cliutil.BindShard(flag.CommandLine)
-		cpuProf  = cliutil.BindCPUProfile(flag.CommandLine)
+		scale    = cliutil.ScaleFlag(fs, "paper")
+		seeds    = cliutil.SeedsFlag(fs, 3)
+		bars     = fs.Bool("bars", false, "render ASCII bars instead of a table")
+		csvF     = fs.String("csv", "", "also write the table as CSV to this file")
+		outputs  = cliutil.BindOutputs(fs, false)
+		wsize    = fs.Int("window", 0, "override window size (0 = default 2048)")
+		appsF    = cliutil.AppsFlag(fs, "comma-separated workload specs (default: the eight paper benchmarks)")
+		traceOut = cliutil.BindTrace(fs)
+		cpuProf  = cliutil.BindCPUProfile(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "figure1:", err)
+		return 1
+	}
 	if err := cpuProf.Start(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer func() {
-		if err := cpuProf.Stop(); err != nil {
-			fatal(err)
+		if err := cpuProf.Stop(); err != nil && code == 0 {
+			code = fail(err)
 		}
 	}()
 
 	sc, err := scale()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	opt := core.DefaultFigure1Options()
 	opt.Scale = sc
@@ -74,70 +86,53 @@ func main() {
 	traceOut.Enable(false)
 	opt.Trace = traceOut.Attacher()
 
-	mode, err := shardSet.Mode()
-	if err != nil {
-		fatal(err)
-	}
-	e := core.Figure1Experiment(opt)
 	table := core.Figure1Table(opt)
-	var sinks []core.Sink
-	if mode.FullStream() {
-		sinks = append(sinks, table)
-		extra, err := outputs.Sinks()
-		if err != nil {
-			fatal(err)
-		}
-		sinks = append(sinks, extra...)
-	} else if outputs.Any() {
-		fmt.Fprintln(os.Stderr, "figure1: note: -jsonl applies to full-stream modes; shard journals land in -out (combine with -merge)")
+	sinks, err := outputs.Sinks()
+	if err != nil {
+		return fail(err)
 	}
-	err = cliutil.Drive(context.Background(), e, mode, shardSet, sinks...)
+	err = core.Figure1Experiment(opt).Run(context.Background(), append([]core.Sink{table}, sinks...)...)
 	if cerr := outputs.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if errors.Is(err, shard.ErrInterrupted) {
-		fmt.Fprintf(os.Stderr, "figure1: interrupted after -maxcells=%d fresh cells; continue with -resume\n", shardSet.MaxCells)
-		return
-	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := traceOut.Write(); err != nil {
-		fatal(err)
-	}
-	if !mode.FullStream() {
-		return
+		return fail(err)
 	}
 	if *csvF != "" {
-		f, err := os.Create(*csvF)
-		if err != nil {
-			fatal(err)
-		}
-		if err := table.Table().WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := writeCSV(*csvF, table); err != nil {
+			return fail(err)
 		}
 	}
 	if *bars {
-		if err := table.Table().WriteBars(os.Stdout, 48); err != nil {
-			fatal(err)
-		}
+		err = table.Table().WriteBars(stdout, 48)
 	} else {
-		if err := table.Table().Write(os.Stdout); err != nil {
-			fatal(err)
-		}
+		err = table.Table().Write(stdout)
 	}
-	fmt.Print("\npaper reference (speedup over LAS):")
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprint(stdout, "\npaper reference (speedup over LAS):")
 	sep := ""
 	for _, v := range core.Figure1Paper {
-		fmt.Printf("%s %s %s %.2f", sep, v.App, v.Policy, v.Speedup)
+		fmt.Fprintf(stdout, "%s %s %s %.2f", sep, v.App, v.Policy, v.Speedup)
 		sep = ","
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	return 0
 }
 
-func fatal(err error) {
-	cliutil.Fatal("figure1", err)
+// writeCSV writes the aggregated table as CSV to path.
+func writeCSV(path string, table *core.TableSink) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := table.Table().WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

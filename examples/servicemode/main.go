@@ -14,9 +14,8 @@
 //
 // The second run also demonstrates observability: a Tracer records every
 // task, transfer, flow and job as a Chrome trace (servicemode.json, load in
-// Perfetto), and a ClusterMonitor captures the same live snapshot the
-// dcsim -http endpoint serves. Tracing never perturbs the simulation — both
-// runs see the identical arrival stream and schedule.
+// Perfetto), next to the run's final statistics. Tracing never perturbs the
+// simulation — both runs see the identical arrival stream and schedule.
 package main
 
 import (
@@ -47,14 +46,9 @@ func main() {
 			Seed:       1,
 			Dispatcher: disp,
 		}
-		var mon *numadag.ClusterMonitor
 		if disp == "idle" {
-			// Trace the second run end to end and capture the live-monitor
-			// snapshot. To watch a run in progress instead, serve
-			// mon.Handler() on a listener (that is all dcsim -http does).
+			// Trace the second run end to end (dcsim -trace does the same).
 			cfg.Trace = numadag.NewTracer()
-			mon = numadag.NewClusterMonitor(cfg.Trace)
-			cfg.Monitor = mon
 		}
 		res, err := numadag.RunCluster(cfg)
 		if err != nil {
@@ -69,9 +63,8 @@ func main() {
 			if err := cfg.Trace.WriteFile("servicemode.json"); err != nil {
 				log.Fatal(err)
 			}
-			snap := mon.Snapshot()
-			fmt.Printf("traced run: %d spans -> servicemode.json (load in Perfetto); final monitor snapshot: %d jobs done, utilization %.2f\n\n",
-				cfg.Trace.Spans(), snap.JobsDone, snap.Utilization)
+			fmt.Printf("traced run: %d spans -> servicemode.json (load in Perfetto); %d jobs done, utilization %.2f\n\n",
+				cfg.Trace.Spans(), res.Stats.All.Jobs, res.Stats.MeanUtilization())
 		}
 	}
 	fmt.Println("command-line driver with the same knobs: go run ./cmd/dcsim -h")

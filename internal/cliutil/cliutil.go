@@ -1,10 +1,8 @@
 // Package cliutil holds the flag surface shared by the numadag commands
 // (cmd/sweep, cmd/figure1, cmd/rgpsim, cmd/dagen, cmd/dagpart, cmd/dcsim):
 // the apps/scale/seeds/machine flags and their validation, the -jsonl/-csv
-// streaming outputs, the -trace sink, the -cpuprofile CPU profile, and —
-// via ShardSet and Drive — the sharded/resumable sweep modes (-shard,
-// -resume, -out, -merge, -maxcells), so each flag's name, usage text and
-// parsing live in exactly one place.
+// streaming outputs, the -trace sink and the -cpuprofile CPU profile, so
+// each flag's name, usage text and parsing live in exactly one place.
 package cliutil
 
 import (
@@ -71,9 +69,6 @@ func BindOutputs(fs *flag.FlagSet, withCSV bool) *Outputs {
 	return o
 }
 
-// Any reports whether any streaming output was requested.
-func (o *Outputs) Any() bool { return o.JSONL != "" || o.CSV != "" }
-
 // Sinks opens the requested output files and returns their sinks. Close
 // the Outputs when the run is over.
 func (o *Outputs) Sinks() ([]core.Sink, error) {
@@ -125,8 +120,8 @@ func BindTrace(fs *flag.FlagSet) *TraceOut {
 	return t
 }
 
-// Enable creates the tracer when -trace (or force, for callers like dcsim
-// -http that imply tracing) asks for one; nil otherwise.
+// Enable creates the tracer when -trace (or force, for callers like rgpsim
+// -gantt that imply tracing) asks for one; nil otherwise.
 func (t *TraceOut) Enable(force bool) *trace.Tracer {
 	if t.Path == "" && !force {
 		return nil

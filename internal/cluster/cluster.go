@@ -96,9 +96,6 @@ type Config struct {
 	// sink. Traced runs skip the runtime pool (tracer observers hold *Task
 	// beyond each job).
 	Trace *trace.Tracer
-	// Monitor optionally publishes live snapshots of the run for the HTTP
-	// monitor (see Monitor).
-	Monitor *Monitor
 }
 
 // Result is a completed service-mode run.
@@ -178,7 +175,7 @@ type fleetRun struct {
 	busy     []bool
 	pumping  []bool
 	stats    *Stats
-	obs      []Observer    // trace adapter, user observer, monitor — in order
+	obs      []Observer    // trace adapter, then user observer
 	machObs  []rt.Observer // per-machine tracer observers (nil when untraced)
 	done     int
 	err      error
@@ -291,7 +288,6 @@ func (f *fleetRun) arrive(id int) {
 		return
 	}
 	job := &f.jobs[id]
-	f.stats.Submitted++
 	f.notifySubmit(job)
 	m := f.disp.Pick()
 	f.disp.Update(m, +1)
@@ -455,10 +451,6 @@ func Run(cfg Config, sinks ...core.Sink) (*Result, error) {
 	}
 	if cfg.Observer != nil {
 		f.obs = append(f.obs, cfg.Observer)
-	}
-	if cfg.Monitor != nil {
-		cfg.Monitor.bind(f)
-		f.obs = append(f.obs, cfg.Monitor)
 	}
 	// The stream is sorted by submit time, and AtEach queues one arrival
 	// at a time under the seqs per-job At calls would have claimed here.

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"numadag/internal/rt"
@@ -125,140 +123,5 @@ func TestClusterReleaseVsTraceContract(t *testing.T) {
 	}
 	if cfg.Trace.Spans() == 0 {
 		t.Error("cluster tracer recorded no spans")
-	}
-}
-
-// TestMonitorSnapshotAndEndpoints drives a full run with a Monitor attached
-// and checks the final published snapshot and both HTTP endpoints (the
-// in-process equivalent of dcsim -http).
-func TestMonitorSnapshotAndEndpoints(t *testing.T) {
-	cfg := testConfig(40)
-	cfg.Trace = trace.NewTracer()
-	mon := NewMonitor(cfg.Trace)
-	cfg.Monitor = mon
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := mon.Snapshot()
-	if snap == nil {
-		t.Fatal("no snapshot published")
-	}
-	if snap.JobsDone != res.Stats.All.Jobs {
-		t.Errorf("snapshot has %d jobs done, run completed %d", snap.JobsDone, res.Stats.All.Jobs)
-	}
-	if snap.JobsRunning != 0 || snap.JobsQueued != 0 {
-		t.Errorf("final snapshot still shows %d running, %d queued", snap.JobsRunning, snap.JobsQueued)
-	}
-	if len(snap.Tenants) != len(cfg.Tenants)+1 { // per-tenant digests + "all"
-		t.Errorf("snapshot has %d tenant digests, want %d", len(snap.Tenants), len(cfg.Tenants)+1)
-	}
-	for _, ts := range snap.Tenants {
-		if ts.Jobs > 0 && (ts.P50 <= 0 || ts.P99 < ts.P50) {
-			t.Errorf("tenant %s: degenerate quantiles %+v", ts.Name, ts)
-		}
-	}
-
-	h := mon.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/status returned %d", rec.Code)
-	}
-	var decoded MonitorSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("/status is not valid JSON: %v", err)
-	}
-	if decoded.JobsDone != snap.JobsDone {
-		t.Errorf("/status reports %d jobs done, snapshot has %d", decoded.JobsDone, snap.JobsDone)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/trace returned %d", rec.Code)
-	}
-	if !json.Valid(rec.Body.Bytes()) {
-		t.Error("/trace is not valid JSON")
-	}
-
-	// Without a tracer, /trace 404s but /status still works.
-	bare := NewMonitor(nil)
-	rec = httptest.NewRecorder()
-	bare.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
-	if rec.Code != 404 {
-		t.Errorf("/trace without tracer returned %d, want 404", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	bare.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	if rec.Code != 503 { // no run bound yet
-		t.Errorf("/status before a run returned %d, want 503", rec.Code)
-	}
-}
-
-// submitProbe reads the monitor's snapshot from inside the observer chain.
-// User observers run before the monitor for each event, so at our
-// JobDispatch callback the monitor has processed this job's submit but NOT
-// its dispatch — if the snapshot already counts the submission, it was
-// published at submit time, which is exactly the regression this pins
-// (Monitor.JobSubmit used to be a no-op, leaving /status blind to
-// submitted-but-queued load until dispatch).
-type submitProbe struct {
-	mon        *Monitor
-	submits    int
-	atDispatch []int // snapshot's JobsSubmitted at each dispatch
-}
-
-func (p *submitProbe) JobSubmit(j *Job) { p.submits++ }
-func (p *submitProbe) JobDispatch(j *Job, cands []int, queued int) {
-	if s := p.mon.Snapshot(); s != nil {
-		p.atDispatch = append(p.atDispatch, s.JobsSubmitted)
-	}
-}
-func (p *submitProbe) JobStart(j *Job, queued int) {}
-func (p *submitProbe) JobComplete(j *Job)          {}
-
-// TestMonitorPublishesOnSubmit pins the JobSubmit bugfix from inside the
-// run and over HTTP: the snapshot visible at a job's dispatch already
-// counts that job's submission, and the final /status JSON reports the full
-// submitted count.
-func TestMonitorPublishesOnSubmit(t *testing.T) {
-	cfg := testConfig(40)
-	mon := NewMonitor(nil)
-	cfg.Monitor = mon
-	probe := &submitProbe{mon: mon}
-	cfg.Observer = probe
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.atDispatch) == 0 {
-		t.Fatal("probe saw no dispatches")
-	}
-	for i, got := range probe.atDispatch {
-		// Dispatch i happens after submit i+1 was published (submits and
-		// dispatches alternate within arrive), so the snapshot must already
-		// count at least that many submissions — and at most the total seen.
-		if got < i+1 || got > probe.submits {
-			t.Fatalf("dispatch %d: snapshot counts %d submitted, want in [%d, %d] — submit not published before dispatch",
-				i, got, i+1, probe.submits)
-		}
-	}
-	snap := mon.Snapshot()
-	if snap.JobsSubmitted != len(res.Jobs) {
-		t.Errorf("final snapshot counts %d submitted, run had %d jobs", snap.JobsSubmitted, len(res.Jobs))
-	}
-
-	rec := httptest.NewRecorder()
-	mon.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/status returned %d", rec.Code)
-	}
-	var decoded MonitorSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("/status is not valid JSON: %v", err)
-	}
-	if decoded.JobsSubmitted != len(res.Jobs) {
-		t.Errorf("/status reports %d submitted, run had %d jobs", decoded.JobsSubmitted, len(res.Jobs))
 	}
 }

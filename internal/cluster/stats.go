@@ -40,13 +40,6 @@ type Stats struct {
 	Timeline       []UtilPoint
 	JobsPerMachine []int
 
-	// Submitted counts jobs that have entered the system (arrival events
-	// fired), whether or not they have been dispatched yet. Together with
-	// All.Jobs (completed) it bounds the in-flight population — the number
-	// a monitor scraper needs to see rise at submit time, not first at
-	// dispatch.
-	Submitted int
-
 	machines int
 	lastAt   sim.Time
 	busyInt  float64 // time-weighted busy-machine integral

@@ -194,10 +194,9 @@ func (c *snapshotCache) size() int {
 // with each graph's cells back to back the cache never holds more than one
 // graph per worker plus the one the next cell starts, and it is empty when
 // Run returns. The plan must count exactly the cells that take a snapshot:
-// a Skip shard's skipped cells and a NoCache workload's cells never do, and
-// counting either would leave entries behind. Dropping an entry early would
-// rebuild its graph; the counting workload checks that each graph is still
-// built once.
+// a NoCache workload's cells never do, and counting them would leave
+// entries behind. Dropping an entry early would rebuild its graph; the
+// counting workload checks that each graph is still built once.
 func TestSnapshotCacheLastUse(t *testing.T) {
 	spec, builds := countingWorkload(t, false)
 	nspec, nbuilds := countingWorkload(t, true)
@@ -208,11 +207,9 @@ func TestSnapshotCacheLastUse(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		workers int
-		skip    func(Cell) bool
 	}{
-		{"workers=1", 1, nil},
-		{"workers=2", 2, nil},
-		{"workers=2/shard", 2, func(c Cell) bool { return c.Index%3 == 0 }},
+		{"workers=1", 1},
+		{"workers=2", 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			builds.Store(0)
@@ -224,7 +221,6 @@ func TestSnapshotCacheLastUse(t *testing.T) {
 				Machines: []machine.Config{machine.TwoSocketXeon()},
 				Seeds:    2,
 				Workers:  c.workers,
-				Skip:     c.skip,
 			}
 			g, err := e.resolve()
 			if err != nil {

@@ -200,7 +200,8 @@ type Figure1Options struct {
 	Runtime rt.Options
 	// Seeds averages each (app, policy) cell over this many seeds (the
 	// paper averages repeated executions; randomized policies like LAS
-	// need it for stable numbers). Must be >= 1.
+	// need it for stable numbers). 0 means 1 in Figure1Experiment and
+	// Figure1Table, as in Experiment.Seeds; Figure1 rejects values below 1.
 	Seeds int
 	// Apps optionally restricts the benchmark list (nil = all eight).
 	Apps []string
@@ -253,7 +254,7 @@ func Figure1Experiment(opt Figure1Options) *Experiment {
 func Figure1Table(opt Figure1Options) *TableSink {
 	return NewTableSink(TableOptions{
 		Title: fmt.Sprintf("Figure 1: speedup over LAS (%s, %s scale, %d seed(s))",
-			opt.Machine.Name, opt.Scale, opt.Seeds),
+			opt.Machine.Name, opt.Scale, replicates(opt.Seeds)),
 		Columns:  figure1Cols(),
 		Norm:     NormSpeedup,
 		Baseline: func(c Cell) bool { return c.Policy == "LAS" },

@@ -117,20 +117,8 @@ type Experiment struct {
 	// declare NoCache are always rebuilt.
 	TDGCache int
 	// Progress, if set, is called after each in-order delivery with the
-	// number of delivered cells and the grid size (the executed subset when
-	// Skip is set).
+	// number of delivered cells and the grid size.
 	Progress func(done, total int, res CellResult)
-	// Skip, if set, is consulted once per cell (on the coordinating
-	// goroutine, in canonical order, before any cell runs): cells for which
-	// it returns true are neither executed nor emitted, but every cell —
-	// skipped or not — keeps its canonical Index, so the emitted stream is
-	// the canonical subsequence of the full grid. This is the hook behind
-	// sharded sweeps (shard.Spec restricts a run to its partition class)
-	// and resumable ones (shard.CheckpointSink skips journaled cells and
-	// replays their recorded results to downstream sinks, so those still
-	// see the full in-order stream). Skip does not affect Cells, which
-	// always enumerates the whole grid.
-	Skip func(Cell) bool
 }
 
 // plan is one fully-resolved cell: the public coordinates plus the machine
@@ -169,10 +157,7 @@ func (e *Experiment) plans() ([]plan, error) {
 	if len(variants) == 0 {
 		return nil, errors.New("core: experiment has no variants")
 	}
-	seeds := e.Seeds
-	if seeds == 0 {
-		seeds = 1
-	}
+	seeds := replicates(e.Seeds)
 	base := e.baseOptions()
 	var ps []plan
 	for _, app := range appNames {
@@ -199,6 +184,14 @@ func (e *Experiment) plans() ([]plan, error) {
 		}
 	}
 	return ps, nil
+}
+
+// replicates is the number of replicates a Seeds value runs: 0 means 1.
+func replicates(seeds int) int {
+	if seeds == 0 {
+		return 1
+	}
+	return seeds
 }
 
 func (e *Experiment) baseOptions() rt.Options {
@@ -303,18 +296,6 @@ func (e *Experiment) resolve() (*grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.Skip != nil {
-		// Filter skipped cells out of the work list up front, keeping
-		// canonical Index values. Workloads below resolve for the kept
-		// subset only, so a shard never builds graphs it will not run.
-		kept := ps[:0]
-		for _, p := range ps {
-			if !e.Skip(p.cell) {
-				kept = append(kept, p)
-			}
-		}
-		ps = kept
-	}
 	// Resolve each distinct workload spec once up front: resolution may
 	// touch disk (file import) and the instances are shared by every cell
 	// and by the snapshot cache. A bad spec fails the whole grid here,
@@ -330,8 +311,8 @@ func (e *Experiment) resolve() (*grid, error) {
 			}
 			wls[p.cell.App] = w
 		}
-		// Count the cells that will take each snapshot — the executed ones
-		// that go through the cache — under the cache's own key scheme.
+		// Count the cells that will take each snapshot — the ones that go
+		// through the cache — under the cache's own key scheme.
 		if !w.NoCache {
 			planned[cacheKey(w, p.mach)]++
 		}
@@ -351,7 +332,6 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 	defer cancel()
 
 	type outcome struct {
-		pos int // position in ps — the delivery key (Cell.Index has gaps under Skip)
 		res CellResult
 		err error
 	}
@@ -386,16 +366,17 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 					results <- outcome{err: err}
 					return
 				}
-				results <- outcome{pos: i, res: CellResult{Cell: ps[i].cell, Config: cfg, Stats: res.Stats}}
+				results <- outcome{res: CellResult{Cell: ps[i].cell, Config: cfg, Stats: res.Stats}}
 			}
 		}()
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 
-	// Reorder buffer: deliver results to sinks in canonical cell order.
+	// Reorder buffer: deliver results to sinks in canonical cell order,
+	// keyed by Cell.Index, which is the cell's position in ps.
 	pending := make(map[int]CellResult)
-	nextEmit, delivered, received := 0, 0, 0
+	nextEmit, received := 0, 0
 	var firstErr error
 	for received < len(ps) {
 		if firstErr != nil && received >= int(min(next.Load(), int64(len(ps)))) {
@@ -416,7 +397,7 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 		if firstErr != nil {
 			continue
 		}
-		pending[o.pos] = o.res
+		pending[o.res.Cell.Index] = o.res
 		for {
 			res, ok := pending[nextEmit]
 			if !ok {
@@ -433,9 +414,8 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 				break
 			}
 			nextEmit++
-			delivered++
 			if e.Progress != nil {
-				e.Progress(delivered, len(ps), res)
+				e.Progress(nextEmit, len(ps), res)
 			}
 		}
 	}

@@ -72,11 +72,6 @@ func LoadDAG(path string) (*graph.DAG, []graph.NodeID, error) {
 	return d, order, nil
 }
 
-// maxDAGFlops caps the summed node weight of an imported graph, so the
-// partitioner's int64 part weights, scaled by a balance tolerance, cannot
-// overflow: MaxTasks nodes of MaxFlops each would sum to 2^68.
-const maxDAGFlops = 1 << 62
-
 // checkDAGSize applies the synthetic generators' caps to an imported graph:
 // its node count (MaxTasks), its summed edge weights, which become region
 // bytes (MaxBytes), and each node weight, which becomes task flops

@@ -13,10 +13,14 @@ import (
 
 // FuzzWorkloadSpec drives arbitrary spec strings through the whole
 // resolution path: ParseSpec and New, then Instantiate at tiny scale. Every
-// input must yield an error or a graph of at most MaxTasks tasks — never a
-// panic or a hang. The seed corpus under testdata/fuzz holds the two
-// crashers this fuzzer was written for: cv=NaN (a panic in rt.Submit) and
-// forkjoin?depth=64&fanout=4 (an unbounded build).
+// input must yield an error or a graph of at most MaxTasks tasks whose task
+// weights sum, without wrapping, to at most maxDAGFlops — never a panic or
+// a hang. The seed corpus under testdata/fuzz holds the two crashers this
+// fuzzer was written for: cv=NaN (a panic in rt.Submit) and
+// forkjoin?depth=64&fanout=4 (an unbounded build). The 10000-task noop seed
+// asks for 2^50 flops per task, a sum past 2^63 that must be an error; the
+// 4097-task one sums to 4 flops past the cap, which a float64 product
+// rounds back onto it.
 func FuzzWorkloadSpec(f *testing.F) {
 	for _, spec := range []string{
 		"random-layered?layers=3&width=4",
@@ -26,6 +30,8 @@ func FuzzWorkloadSpec(f *testing.F) {
 		"forkjoin?depth=2&fanout=3&cv=0&bytes=4K",
 		"noop?tasks=4&flops=4096",
 		"noop?tasks=0",
+		"noop?tasks=10000&flops=1125899906842624",
+		"noop?tasks=4097&flops=1125625096028164",
 		"jacobi",
 		"qr?scale=tiny",
 		"cg?blocks=4",
@@ -44,8 +50,17 @@ func FuzzWorkloadSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := r.Graph().Len(); n > MaxTasks {
+		d := r.Graph()
+		if n := d.Len(); n > MaxTasks {
 			t.Fatalf("%q built %d tasks, above MaxTasks=%d", spec, n, MaxTasks)
+		}
+		var flops int64
+		for id := 0; id < d.Len(); id++ {
+			w := d.NodeWeight(graph.NodeID(id))
+			if w < 0 || w > maxDAGFlops-flops {
+				t.Fatalf("%q: task %d weight %d takes the summed weight past %d", spec, id, w, int64(maxDAGFlops))
+			}
+			flops += w
 		}
 		r.Release()
 	})

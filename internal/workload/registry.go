@@ -19,9 +19,10 @@
 //
 // Every workload sizes its graph before building it and returns an error
 // above MaxTasks tasks or MaxBytes of regions (the synthetic generators and
-// file imports also above MaxFlops per task), so no spec can ask for an
-// unbounded build; non-finite numbers are rejected by the spec grammar
-// itself (Spec.Float).
+// file imports also above MaxFlops per task and 2^62 flops in total), so no
+// spec can ask for an unbounded build or a graph whose summed weight wraps
+// int64; non-finite numbers are rejected by the spec grammar itself
+// (Spec.Float).
 package workload
 
 import (

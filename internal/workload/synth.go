@@ -33,15 +33,24 @@ const MaxBytes = apps.MaxBytes
 // every (jittered) task weight an exact, positive int64 in the TDG.
 const MaxFlops = 1 << 50
 
-// checkSize returns an error when a generator's task count or footprint
-// (tasks regions of bytes each) exceeds the caps. tasks must already be
+// maxDAGFlops caps the summed task weight of a generated or imported graph,
+// so the partitioner's int64 part weights, scaled by a balance tolerance,
+// cannot overflow: MaxTasks tasks of MaxFlops each would sum to 2^68.
+const maxDAGFlops = 1 << 62
+
+// checkSize returns an error when a generator's task count, footprint
+// (tasks regions of bytes each) or summed work (tasks of at most flops
+// each, flops <= 2*MaxFlops) exceeds the caps. tasks must already be
 // saturated at MaxTasks+1 by the caller's overflow-checked count.
-func checkSize(gen string, tasks int, bytes int64) error {
+func checkSize(gen string, tasks int, bytes int64, flops float64) error {
 	if tasks > MaxTasks {
 		return fmt.Errorf("workload: %s: more than %d tasks (MaxTasks)", gen, MaxTasks)
 	}
 	if tasks > 0 && bytes > MaxBytes/int64(tasks) {
 		return fmt.Errorf("workload: %s: %d regions of %d bytes exceed %d bytes (MaxBytes)", gen, tasks, bytes, int64(MaxBytes))
+	}
+	if tasks > 0 && int64(flops) > maxDAGFlops/int64(tasks) {
+		return fmt.Errorf("workload: %s: %d tasks of up to %d flops exceed %d flops in total", gen, tasks, int64(flops), int64(maxDAGFlops))
 	}
 	return nil
 }
@@ -132,7 +141,7 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 	if layers <= MaxTasks/width {
 		tasks = layers * width
 	}
-	if err := checkSize("random-layered", tasks, bytes); err != nil {
+	if err := checkSize("random-layered", tasks, bytes, flops*(1+cv)); err != nil {
 		return Workload{}, err
 	}
 	build := func(r *rt.Runtime) error {
@@ -210,7 +219,7 @@ func forkJoinFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 		return Workload{}, fmt.Errorf("workload: forkjoin: invalid parameters (depth=%d fanout=%d cv=%g bytes=%d flops=%g)",
 			depth, fanout, cv, bytes, flops)
 	}
-	if err := checkSize("forkjoin", forkJoinTasks(depth, fanout), bytes); err != nil {
+	if err := checkSize("forkjoin", forkJoinTasks(depth, fanout), bytes, flops*(1+cv)); err != nil {
 		return Workload{}, err
 	}
 	build := func(r *rt.Runtime) error {
@@ -298,7 +307,7 @@ func noopFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 	if tasks < 0 || flops < 0 || flops > MaxFlops {
 		return Workload{}, fmt.Errorf("workload: noop: invalid parameters (tasks=%d flops=%g)", tasks, flops)
 	}
-	if err := checkSize("noop", tasks, 0); err != nil {
+	if err := checkSize("noop", tasks, 0, flops); err != nil {
 		return Workload{}, err
 	}
 	build := func(r *rt.Runtime) error {

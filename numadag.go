@@ -48,11 +48,6 @@
 //	}
 //	table.Table().Write(os.Stdout)
 //
-// Grids too large for one process split into deterministic shards from
-// the command line: cmd/sweep and cmd/figure1 take -shard i/n -out dir,
-// -resume and -maxcells to run and checkpoint one shard, and -merge dir to
-// recombine the shards into outputs byte-identical to an unsharded run.
-//
 // Quick start — service mode (online multi-tenant cluster):
 //
 //	res, err := numadag.RunCluster(numadag.ClusterConfig{
@@ -74,7 +69,7 @@
 // fixed-seed service run is bit-identical across repeats; cmd/dcsim is the
 // command-line driver.
 //
-// Quick start — tracing and the live monitor:
+// Quick start — tracing:
 //
 // A Tracer records the whole stack — task spans per core, memory transfers,
 // fluid flows per link, per-link bandwidth-utilization counters, and in
@@ -95,16 +90,7 @@
 // The same Tracer slot exists on Experiment, Figure1Options and
 // ClusterConfig (cmd/rgpsim -trace/-gantt, cmd/figure1 -trace, cmd/dcsim
 // -trace). A hand-built runtime is traced by attaching its machine:
-// opts.Observer = tr.AttachMachine(m, 0, "name") before NewRuntime. For long
-// service-mode runs, a ClusterMonitor serves live progress over HTTP —
-// /status returns jobs in flight and per-tenant p50/p95/p99 slowdown as
-// JSON, /trace downloads the trace so far (cmd/dcsim -http :8080):
-//
-//	mon := numadag.NewClusterMonitor(tr)
-//	ccfg.Trace, ccfg.Monitor = tr, mon
-//	ln, _ := net.Listen("tcp", ":8080")
-//	go http.Serve(ln, mon.Handler())
-//	res, err := numadag.RunCluster(ccfg)
+// opts.Observer = tr.AttachMachine(m, 0, "name") before NewRuntime.
 //
 // Quick start — workload specs:
 //
@@ -485,19 +471,10 @@ type (
 	// ClusterObserver receives job lifecycle callbacks (submit, dispatch
 	// with sampled candidates, start, complete) from a service-mode run.
 	ClusterObserver = cluster.Observer
-	// ClusterMonitor publishes live service-mode state over HTTP (/status
-	// JSON with per-tenant tail quantiles, /trace Chrome-trace snapshot)
-	// via lock-free snapshots refreshed from the simulation goroutine.
-	ClusterMonitor = cluster.Monitor
 	// Histogram is an order-independent streaming quantile sketch with
 	// bounded relative error (used for the tail-latency metrics).
 	Histogram = metrics.Histogram
 )
-
-// NewClusterMonitor returns a live monitor for a service-mode run; tr may
-// be nil to serve /status only. Set it as ClusterConfig.Monitor and serve
-// Handler() on a listener of your choice.
-func NewClusterMonitor(tr *Tracer) *ClusterMonitor { return cluster.NewMonitor(tr) }
 
 // RunCluster executes one service-mode simulation; per-job results stream
 // through the same sinks batch experiments use (the job's tenant is the
