@@ -29,8 +29,11 @@ test-race:
 # extraction with a warmed scratch, snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
 # nothing when no Observer is configured), the RGP window-partitioning
-# pass, a full audited cell through the pooled machine/engine pair, cold
-# task-graph construction (build + snapshot of a random layered graph on a
+# pass, every small-scale Figure-1 cell and socket-ablation cell as a full
+# audited run through the pooled machine/engine pair (each row bounded at
+# its own count — the gate the nightly bench-check held on the retired
+# root Figure-1 and socket-ablation benchmarks), cold task-graph
+# construction (build + snapshot of a random layered graph on a
 # pooled prototype runtime, bounded per task), and the cluster dispatcher's
 # placement step. A named, blocking CI step (`allocs` in ci.yml); a
 # regression fails the build, not just the nightly bench trend.
@@ -72,11 +75,11 @@ ci: fmt-check build vet test test-race test-allocs test-traced test-benchmark
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Simulator hot-path families only: the Figure-1 runs, the multi-seed sweep
-# (TDG-cache) family, plus the sim micro-benchmarks whose allocs/op pin the
+# Simulator hot-path families only: the multi-seed sweep (TDG-cache)
+# family, plus the sim micro-benchmarks whose allocs/op pin the
 # zero-allocation contract.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure1|BenchmarkAblationSockets|BenchmarkMultiSeedSweep' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkMultiSeedSweep' -benchmem .
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/
 
 # Machine-readable perf trajectory: writes BENCH_sim.json. Regenerate (and

@@ -1,18 +1,15 @@
-// Benchmark harness for the paper's evaluation.
+// Benchmarks for the host-side cost of the evaluation's layers.
 //
-// The poster has a single exhibit — Figure 1 — plus the design knobs §2.2
-// describes (window size, partitioner, propagation). One benchmark family
-// regenerates each:
+// The paper's Figure-1 grid and the ablation sweeps run end to end in the
+// benchmark/ harness (fig1-paper, rgp-repartition, fleet-16, cold-sweep),
+// and each small-scale Figure-1 and socket-ablation cell's steady-state
+// allocation count is gated by internal/core's
+// TestPlainCellSteadyStateAllocs (make test-allocs). What stays here:
 //
-//	BenchmarkFigure1/<app>/<policy>   every bar of Figure 1 (small scale;
-//	                                  run cmd/figure1 for the paper scale)
-//	BenchmarkAblationWindow/w=<n>     A1: window-size sensitivity (RGP+LAS)
 //	BenchmarkAblationPartitioner/...  A2: partitioner quality on app TDGs
-//	BenchmarkAblationSockets/...      A3: socket-count scaling
-//	BenchmarkAblationPropagation/...  A4: RGP+LAS vs repartitioning RGP
-//
-// Each simulation bench reports the simulated makespan as "sim-ms/run" —
-// that metric, not wall-clock ns/op, is the figure's y-axis input.
+//	BenchmarkMultiSeedSweep/cached    a replicated grid on the TDG cache
+//	BenchmarkPartitionerScaling/...   partitioner cost on growing grids
+//	BenchmarkDagpart/...              cmd/dagpart's partition + mapping flow
 package numadag_test
 
 import (
@@ -28,51 +25,6 @@ import (
 	"numadag/internal/rt"
 	"numadag/internal/workload"
 )
-
-// runSim executes one configuration per iteration and reports simulated
-// time. It runs through a snapshot-cached core.Runner, the sweep execution
-// path: the workload's TDG is built once and installed into every
-// iteration's pooled runtime (bit-identical to rebuilding — the workload
-// determinism contract), so allocs/op tracks the true steady-state per-run
-// cost of a Figure-1 cell rather than one-off graph construction.
-func runSim(b *testing.B, cfg core.Config) {
-	b.Helper()
-	b.ReportAllocs()
-	runner := core.NewRunner()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		cfg.Runtime.Seed = uint64(i + 1)
-		res, err := runner.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = float64(res.Stats.Makespan) / 1e6
-	}
-	b.ReportMetric(last, "sim-ms/run")
-}
-
-// BenchmarkFigure1 regenerates every bar of Figure 1 at small scale: eight
-// apps x four policies (LAS is the baseline the speedups divide by).
-func BenchmarkFigure1(b *testing.B) {
-	for _, app := range apps.Names() {
-		for _, pol := range []string{"LAS", "DFIFO", "RGP+LAS", "EP"} {
-			b.Run(fmt.Sprintf("%s/%s", app, pol), func(b *testing.B) {
-				runSim(b, core.DefaultConfig(app, pol, apps.Small))
-			})
-		}
-	}
-}
-
-// BenchmarkAblationWindow sweeps the RGP+LAS window size (A1).
-func BenchmarkAblationWindow(b *testing.B) {
-	for _, w := range []int{64, 256, 1024, 2048, 8192} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			cfg := core.DefaultConfig("jacobi", "RGP+LAS", apps.Small)
-			cfg.Runtime.WindowSize = w
-			runSim(b, cfg)
-		})
-	}
-}
 
 // BenchmarkAblationPartitioner measures partitioner quality (edge cut, as
 // "cut-bytes") on real app TDGs under the pipeline ablations (A2). This is
@@ -115,62 +67,29 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSockets scales the machine from 2 to 8 sockets (A3).
-func BenchmarkAblationSockets(b *testing.B) {
-	for _, m := range []machine.Config{
-		machine.TwoSocketXeon(),
-		machine.FourSocket(),
-		machine.BullionS16(),
-	} {
-		for _, pol := range []string{"LAS", "RGP+LAS"} {
-			b.Run(fmt.Sprintf("%s/%s", m.Name, pol), func(b *testing.B) {
-				cfg := core.DefaultConfig("nstream", pol, apps.Small)
-				cfg.Machine = m
-				runSim(b, cfg)
-			})
-		}
-	}
-}
-
-// BenchmarkAblationPropagation compares the two RGP propagation modes (A4).
-func BenchmarkAblationPropagation(b *testing.B) {
-	for _, pol := range []string{"LAS", "RGP+LAS", "RGP"} {
-		b.Run(pol, func(b *testing.B) {
-			runSim(b, core.DefaultConfig("gauss-seidel", pol, apps.Small))
-		})
-	}
-}
-
 // BenchmarkMultiSeedSweep measures a replicated experiment grid — the
 // paper-scale sweep pattern (one workload x policy cell averaged over many
-// seeds). With the TDG cache each workload's task graph is generated once
-// per (workload, machine) and installed into every replicate; /nocache runs
-// the identical grid with the cache disabled, so the delta between the two
-// is the redundant graph-construction cost the cache removes.
+// seeds), where each workload's task graph is generated once per
+// (workload, machine) and installed into every replicate. The sub-benchmark
+// keeps its name, "cached", so the row's allocs/op trajectory continues.
 func BenchmarkMultiSeedSweep(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		tdgCache int
-	}{{"cached", 0}, {"nocache", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opts := rt.DefaultOptions()
-				opts.Seed = uint64(i + 1)
-				e := &core.Experiment{
-					Apps:     []string{"jacobi", "qr"},
-					Policies: []string{"LAS"},
-					Scale:    apps.Small,
-					Runtime:  opts,
-					Seeds:    8,
-					TDGCache: mode.tdgCache,
-				}
-				if err := e.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			opts := rt.DefaultOptions()
+			opts.Seed = uint64(i + 1)
+			e := &core.Experiment{
+				Apps:     []string{"jacobi", "qr"},
+				Policies: []string{"LAS"},
+				Scale:    apps.Small,
+				Runtime:  opts,
+				Seeds:    8,
 			}
-		})
-	}
+			if err := e.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPartitionerScaling measures the multilevel partitioner's
@@ -243,23 +162,6 @@ func BenchmarkDagpart(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkSimulatorThroughput measures host-side simulation speed in
-// tasks/second (infrastructure).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := core.DefaultConfig("jacobi", "LAS", apps.Small)
-	runner := core.NewRunner()
-	var tasks int
-	for i := 0; i < b.N; i++ {
-		cfg.Runtime.Seed = uint64(i + 1)
-		res, err := runner.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tasks = res.Tasks
-	}
-	b.ReportMetric(float64(tasks), "tasks/run")
 }
 
 type benchPolicy struct{}

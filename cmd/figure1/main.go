@@ -83,8 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if apps := appsF(); apps != nil {
 		opt.Apps = apps
 	}
-	traceOut.Enable(false)
-	opt.Trace = traceOut.Attacher()
+	opt.Trace = traceOut.Enable(false)
 
 	table := core.Figure1Table(opt)
 	sinks, err := outputs.Sinks()

@@ -99,8 +99,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	cfg.Runtime.WindowSize = *window
 	cfg.Runtime.Seed = *seed
 	cfg.Runtime.Steal = !*noSteal
-	traceOut.Enable(*gantt)
-	cfg.Trace = traceOut.Attacher()
+	cfg.Trace = traceOut.Enable(*gantt)
 
 	res, err := core.Run(cfg)
 	if err != nil {

@@ -130,18 +130,6 @@ func (t *TraceOut) Enable(force bool) *trace.Tracer {
 	return t.Tracer
 }
 
-// Attacher returns the enabled tracer as a core.TraceAttacher, or an
-// untyped nil when tracing is off. Callers with interface-typed config
-// fields must use this instead of assigning Enable's *trace.Tracer
-// directly: a typed-nil pointer in the interface is non-nil and core
-// would call methods on it.
-func (t *TraceOut) Attacher() core.TraceAttacher {
-	if t.Tracer == nil {
-		return nil
-	}
-	return t.Tracer
-}
-
 // Write lands the trace on disk if a path was given.
 func (t *TraceOut) Write() error {
 	if t.Path == "" || t.Tracer == nil {

@@ -7,30 +7,6 @@ import (
 	"testing"
 )
 
-// The figure1 panic regression: Enable returns a typed-nil *trace.Tracer
-// when tracing is off, and assigning that directly to an interface-typed
-// config field (core.TraceAttacher) yields a non-nil interface whose
-// methods core then calls. Attacher must return an untyped nil instead.
-func TestTraceAttacherNilWhenDisabled(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	to := BindTrace(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if tr := to.Enable(false); tr != nil {
-		t.Fatalf("Enable(false) with no -trace = %v, want nil", tr)
-	}
-	if a := to.Attacher(); a != nil {
-		t.Fatalf("disabled Attacher() = %#v, want untyped nil interface", a)
-	}
-	if tr := to.Enable(true); tr == nil {
-		t.Fatal("Enable(true) did not create a tracer")
-	}
-	if a := to.Attacher(); a == nil {
-		t.Fatal("enabled Attacher() = nil, want the tracer")
-	}
-}
-
 // TestCPUProfileWritesFile checks that -cpuprofile produces a non-empty
 // profile once Stop returns, and that an unset flag makes Start and Stop
 // no-ops.

@@ -248,7 +248,11 @@ func prebuildSnapshots(jobs []Job, mc machine.Config, scale apps.Scale, procs in
 				i := next
 				next++
 				mu.Unlock()
-				snap, err := snapshotFor(specs[i], mc, scale)
+				var snap *rt.Snapshot
+				w, err := workload.New(specs[i], scale)
+				if err == nil {
+					snap, err = w.Snapshot(mc)
+				}
 				mu.Lock()
 				snaps[specs[i]], errs[i] = snap, err
 				mu.Unlock()
@@ -262,23 +266,6 @@ func prebuildSnapshots(jobs []Job, mc machine.Config, scale apps.Scale, procs in
 		}
 	}
 	return snaps, nil
-}
-
-func snapshotFor(spec string, mc machine.Config, scale apps.Scale) (*rt.Snapshot, error) {
-	w, err := workload.New(spec, scale)
-	if err != nil {
-		return nil, err
-	}
-	proto, err := w.Instantiate(mc)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: build %s: %w", spec, err)
-	}
-	snap, err := rt.Snap(proto)
-	if err != nil {
-		return nil, err
-	}
-	proto.Release()
-	return snap, nil
 }
 
 // arrive handles one job's submission: dispatch, enqueue, and kick the

@@ -8,6 +8,7 @@ import (
 	"numadag/internal/machine"
 	"numadag/internal/rt"
 	"numadag/internal/sim"
+	"numadag/internal/workload"
 )
 
 // FuzzArrivals throws adversarial arrival patterns at the full service
@@ -142,7 +143,11 @@ func FuzzTenantMix(f *testing.F) {
 		}
 		for _, tn := range tenants {
 			for _, s := range tn.Specs {
-				if snap, err := snapshotFor(s, mc, apps.Tiny); err == nil && snap.Tasks() > 1024 {
+				w, err := workload.New(s, apps.Tiny)
+				if err != nil {
+					continue
+				}
+				if snap, err := w.Snapshot(mc); err == nil && snap.Tasks() > 1024 {
 					return
 				}
 			}

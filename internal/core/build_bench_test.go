@@ -23,8 +23,8 @@ func coldSweepSpecs() []string {
 // BenchmarkBuildSnapshot measures cold task-graph construction: one op
 // resolves, builds (rt.Submit's dependence derivation on a pooled
 // prototype runtime) and snapshots every spec of a row once, through the
-// same buildSnapshot the experiment cache calls. Rows: the eight paper apps
-// and the cold-sweep specs, both at paper scale on the bullion.
+// same Workload.Snapshot the experiment cache calls. Rows: the eight paper
+// apps and the cold-sweep specs, both at paper scale on the bullion.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	mc := machine.BullionS16()
 	for _, row := range []struct {
@@ -46,7 +46,7 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, w := range ws {
-					if _, err := buildSnapshot(w, mc); err != nil {
+					if _, err := w.Snapshot(mc); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -15,18 +15,17 @@ import (
 // once, the rest block on it — so a sweep constructs each graph exactly
 // once.
 //
-// An Experiment's cache knows each key's planned cells up front and counts
-// them down as they take the snapshot: the last one drops the entry, and
-// the graph is garbage once that cell finishes. Canonical order runs all of
-// a workload's cells before the next workload's, so a sweep holds only the
-// graphs of the workloads in progress — about one per worker and machine —
-// however many distinct graphs it runs. A Runner's cache has no plan and
-// keeps every entry.
+// The cache knows each key's planned cells up front and counts them down as
+// they take the snapshot: the last one drops the entry, and the graph is
+// garbage once that cell finishes. Canonical order runs all of a workload's
+// cells before the next workload's, so a sweep holds only the graphs of the
+// workloads in progress — about one per worker and machine — however many
+// distinct graphs it runs.
 type snapshotCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	// left counts, per key, the planned cells that have not yet taken the
-	// snapshot; nil keeps entries forever.
+	// snapshot.
 	left   map[string]int
 	hits   int
 	misses int
@@ -40,7 +39,7 @@ type cacheEntry struct {
 
 // newSnapshotCache returns an empty cache. planned maps each key to the
 // number of get calls that will ask for it, and the cache takes ownership
-// of it; nil means the calls are not known in advance.
+// of it.
 func newSnapshotCache(planned map[string]int) *snapshotCache {
 	return &snapshotCache{entries: make(map[string]*cacheEntry), left: planned}
 }
@@ -57,11 +56,9 @@ func (c *snapshotCache) get(key string, build func() (*rt.Snapshot, error)) (*rt
 		e = &cacheEntry{}
 		c.entries[key] = e
 	}
-	if c.left != nil {
-		if c.left[key]--; c.left[key] == 0 {
-			delete(c.entries, key)
-			delete(c.left, key)
-		}
+	if c.left[key]--; c.left[key] == 0 {
+		delete(c.entries, key)
+		delete(c.left, key)
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.snap, e.err = build() })
@@ -81,22 +78,4 @@ func (c *snapshotCache) stats() (hits, misses int) {
 // different machine is a different graph.
 func cacheKey(w workload.Workload, mc machine.Config) string {
 	return fmt.Sprintf("%s|%s/%dx%d", w.Key(), mc.Name, mc.Sockets, mc.CoresPerSocket)
-}
-
-// buildSnapshot prototypes the workload on a throwaway runtime and captures
-// the result for installation into real runs.
-func buildSnapshot(w workload.Workload, mc machine.Config) (*rt.Snapshot, error) {
-	r, err := w.Instantiate(mc)
-	if err != nil {
-		return nil, fmt.Errorf("core: build %s: %w", w.Spec, err)
-	}
-	snap, err := rt.Snap(r)
-	if err != nil {
-		return nil, err
-	}
-	// The snapshot copies task/region state and borrows only the TDG, which
-	// Release does not recycle — the prototype runtime's scratch can go back
-	// to the pool.
-	r.Release()
-	return snap, nil
 }

@@ -17,16 +17,15 @@ import (
 
 // countingWorkload registers a tiny unique workload whose Build invocations
 // are counted, and returns its spec plus the counter.
-func countingWorkload(t *testing.T, noCache bool) (string, *atomic.Int64) {
+func countingWorkload(t *testing.T) (string, *atomic.Int64) {
 	t.Helper()
 	var builds atomic.Int64
-	name := fmt.Sprintf("count-%s-%v", t.Name(), noCache)
+	name := fmt.Sprintf("count-%s", t.Name())
 	err := workload.Register(name, "test counter", func(s workload.Spec, _ apps.Scale, _ uint64) (workload.Workload, error) {
 		if err := s.Only(); err != nil {
 			return workload.Workload{}, err
 		}
 		return workload.Workload{
-			NoCache: noCache,
 			Build: func(r *rt.Runtime) error {
 				builds.Add(1)
 				reg := r.Mem().Alloc("x", 64<<10, memory.Deferred, 0)
@@ -51,7 +50,7 @@ func countingWorkload(t *testing.T, noCache bool) (string, *atomic.Int64) {
 // on concurrent workers and checks the workload generator ran exactly once
 // per (workload, machine) pair.
 func TestExperimentTDGCacheBuildsOnce(t *testing.T) {
-	spec, builds := countingWorkload(t, false)
+	spec, builds := countingWorkload(t)
 	e := &Experiment{
 		Name:     "cache-once",
 		Apps:     []string{spec},
@@ -69,74 +68,35 @@ func TestExperimentTDGCacheBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestExperimentTDGCacheDisabled checks that TDGCache < 0 and per-workload
-// NoCache both fall back to building every cell.
-func TestExperimentTDGCacheDisabled(t *testing.T) {
-	spec, builds := countingWorkload(t, false)
-	e := &Experiment{
-		Apps:     []string{spec},
-		Policies: []string{"LAS"},
-		Scale:    apps.Tiny,
-		Machines: []machine.Config{machine.TwoSocketXeon()},
-		Seeds:    4,
-		Workers:  2,
-		TDGCache: -1,
-	}
-	if err := e.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := builds.Load(); got != 4 {
-		t.Errorf("disabled cache: builds = %d, want 4", got)
-	}
-
-	nspec, nbuilds := countingWorkload(t, true)
-	e2 := &Experiment{
-		Apps:     []string{nspec},
-		Policies: []string{"LAS"},
-		Scale:    apps.Tiny,
-		Machines: []machine.Config{machine.TwoSocketXeon()},
-		Seeds:    3,
-		Workers:  2,
-	}
-	if err := e2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := nbuilds.Load(); got != 3 {
-		t.Errorf("NoCache workload: builds = %d, want 3", got)
-	}
-}
-
-// TestExperimentCacheEquivalence pins the cache's core guarantee: a grid
-// run with the cache produces cell-for-cell identical statistics to the
-// same grid with the cache disabled.
+// TestExperimentCacheEquivalence pins the cache's core guarantee: every
+// cell of a grid, run on a cached snapshot, has statistics identical to
+// core.Run of the cell's config, which builds the graph from the generator.
 func TestExperimentCacheEquivalence(t *testing.T) {
-	collect := func(tdgCache int) []CellResult {
-		var out []CellResult
-		e := &Experiment{
-			Apps:     []string{"jacobi", "random-layered?layers=5&width=8&seed=3"},
-			Policies: []string{"LAS", "RGP+LAS"},
-			Scale:    apps.Tiny,
-			Seeds:    2,
-			TDGCache: tdgCache,
-		}
-		err := e.Run(context.Background(), SinkFunc(func(r CellResult) error {
-			out = append(out, r)
-			return nil
-		}))
+	var cached []CellResult
+	e := &Experiment{
+		Apps:     []string{"jacobi", "random-layered?layers=5&width=8&seed=3"},
+		Policies: []string{"LAS", "RGP+LAS"},
+		Scale:    apps.Tiny,
+		Seeds:    2,
+	}
+	err := e.Run(context.Background(), SinkFunc(func(r CellResult) error {
+		cached = append(cached, r)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cached) != 2*2*2 {
+		t.Fatalf("%d cells, want 8", len(cached))
+	}
+	for i, c := range cached {
+		rebuilt, err := Run(c.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	cached, rebuilt := collect(0), collect(-1)
-	if len(cached) != len(rebuilt) || len(cached) == 0 {
-		t.Fatalf("cell counts: %d vs %d", len(cached), len(rebuilt))
-	}
-	for i := range cached {
-		if !reflect.DeepEqual(cached[i].Stats, rebuilt[i].Stats) {
+		if !reflect.DeepEqual(c.Stats, rebuilt.Stats) {
 			t.Errorf("cell %d (%s/%s seed %d) diverged with cache:\n  cached:  %+v\n  rebuilt: %+v",
-				i, cached[i].Cell.App, cached[i].Cell.Policy, cached[i].Cell.Seed,
-				cached[i].Stats, rebuilt[i].Stats)
+				i, c.Cell.App, c.Cell.Policy, c.Cell.Seed, c.Stats, rebuilt.Stats)
 		}
 	}
 }
@@ -144,7 +104,8 @@ func TestExperimentCacheEquivalence(t *testing.T) {
 // TestSnapshotCacheSingleflight hammers one key from many goroutines and
 // demands exactly one build, everyone sharing its result.
 func TestSnapshotCacheSingleflight(t *testing.T) {
-	c := newSnapshotCache(nil)
+	const callers = 16
+	c := newSnapshotCache(map[string]int{"k": callers})
 	var builds atomic.Int64
 	w, err := workload.New("forkjoin?depth=3&fanout=2", apps.Tiny)
 	if err != nil {
@@ -152,10 +113,10 @@ func TestSnapshotCacheSingleflight(t *testing.T) {
 	}
 	build := func() (*rt.Snapshot, error) {
 		builds.Add(1)
-		return buildSnapshot(w, machine.TwoSocketXeon())
+		return w.Snapshot(machine.TwoSocketXeon())
 	}
 	var wg sync.WaitGroup
-	snaps := make([]*rt.Snapshot, 16)
+	snaps := make([]*rt.Snapshot, callers)
 	for i := 0; i < len(snaps); i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -193,14 +154,11 @@ func (c *snapshotCache) size() int {
 // drops each snapshot once the last cell planned for it has taken it, so
 // with each graph's cells back to back the cache never holds more than one
 // graph per worker plus the one the next cell starts, and it is empty when
-// Run returns. The plan must count exactly the cells that take a snapshot:
-// a NoCache workload's cells never do, and counting them would leave
-// entries behind. Dropping an entry early would rebuild its graph; the
+// Run returns. Dropping an entry early would rebuild its graph; the
 // counting workload checks that each graph is still built once.
 func TestSnapshotCacheLastUse(t *testing.T) {
-	spec, builds := countingWorkload(t, false)
-	nspec, nbuilds := countingWorkload(t, true)
-	specs := []string{spec, nspec}
+	spec, builds := countingWorkload(t)
+	specs := []string{spec}
 	for k := 0; k < 6; k++ {
 		specs = append(specs, fmt.Sprintf("random-layered?layers=3&width=4&seed=%d", k))
 	}
@@ -213,7 +171,6 @@ func TestSnapshotCacheLastUse(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			builds.Store(0)
-			nbuilds.Store(0)
 			e := &Experiment{
 				Apps:     specs,
 				Policies: []string{"LAS"},
@@ -237,17 +194,8 @@ func TestSnapshotCacheLastUse(t *testing.T) {
 			if n := g.cache.size(); n != 0 || len(g.cache.left) != 0 {
 				t.Errorf("after Run: %d cached snapshots, %d planned keys left; want none", n, len(g.cache.left))
 			}
-			ncells := 0
-			for _, p := range g.ps {
-				if p.cell.App == nspec {
-					ncells++
-				}
-			}
 			if got := builds.Load(); got != 1 {
 				t.Errorf("cached workload built %d times, want 1", got)
-			}
-			if got := nbuilds.Load(); got != int64(ncells) {
-				t.Errorf("NoCache workload built %d times, want %d (one per executed cell)", got, ncells)
 			}
 		})
 	}

@@ -7,13 +7,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
 	"numadag/internal/metrics"
 	"numadag/internal/policy"
 	"numadag/internal/rt"
+	"numadag/internal/trace"
 	"numadag/internal/workload"
 )
 
@@ -30,16 +30,6 @@ func NewPolicy(spec string) (rt.Policy, error) {
 	return policy.New(spec)
 }
 
-// TraceAttacher hooks a simulated machine up to a trace sink before a run —
-// trace.Tracer implements it. It is an interface here so core does not
-// depend on the trace package; the returned observer is installed on the
-// runtime when the caller has not configured one of their own (a user
-// observer wins the Observer slot; machine-level flow/counter hooks record
-// either way).
-type TraceAttacher interface {
-	AttachMachine(m *machine.Machine, pid int, name string) rt.Observer
-}
-
 // Config describes one simulation run. App is a workload registry spec —
 // a benchmark name ("jacobi"), a parameterized generator
 // ("random-layered?layers=24&width=96") or an imported DAG
@@ -51,12 +41,13 @@ type Config struct {
 	Policy  string
 	Machine machine.Config
 	Runtime rt.Options
-	// Trace, when non-nil, records the run into a trace sink: the machine is
-	// attached under process id TracePID and the attacher's observer is
-	// installed unless Runtime.Observer is already set. Traced runs bypass
-	// the runtime and machine pools — tracer hooks cannot be detached, and
-	// observers may hold *Task beyond the run.
-	Trace    TraceAttacher
+	// Trace, when non-nil, records the run: the machine is attached under
+	// process id TracePID and the tracer's task observer is installed unless
+	// Runtime.Observer is already set (a user observer wins the Observer
+	// slot; the machine-level flow and counter hooks record either way).
+	// Traced runs bypass the runtime and machine pools — tracer hooks cannot
+	// be detached, and observers may hold *Task beyond the run.
+	Trace    *trace.Tracer
 	TracePID int
 }
 
@@ -84,14 +75,14 @@ type RunResult struct {
 // statistics are trusted; an audit failure is a bug in the runtime or
 // policy, surfaced as an error rather than a silently wrong data point.
 func Run(cfg Config) (RunResult, error) {
-	return runWith(cfg, nil, nil)
+	return runWith(cfg, nil)
 }
 
-// runWith executes one configuration. The task graph comes from, in order
-// of preference: a previously captured snapshot (the Experiment cache's hit
-// path — bit-identical to rebuilding), an already-resolved workload, or
-// resolving cfg.App through the workload registry.
-func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, error) {
+// runWith executes one configuration. The task graph is installed from snap
+// when it is non-nil (the Experiment cache's path — bit-identical to
+// rebuilding), and otherwise built by resolving cfg.App through the
+// workload registry.
+func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return RunResult{}, err
@@ -114,12 +105,9 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 	if snap != nil {
 		snap.Install(r)
 	} else {
-		if w == nil {
-			resolved, err := workload.New(cfg.App, cfg.Scale)
-			if err != nil {
-				return RunResult{}, err
-			}
-			w = &resolved
+		w, err := workload.New(cfg.App, cfg.Scale)
+		if err != nil {
+			return RunResult{}, err
 		}
 		if err := w.Build(r); err != nil {
 			return RunResult{}, fmt.Errorf("core: build %s: %w", cfg.App, err)
@@ -142,57 +130,6 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 	return RunResult{Config: cfg, Stats: stats, Tasks: stats.TasksRun}, nil
 }
 
-// Runner runs configurations through the same audited path as Run while
-// memoizing resolved workloads and built task-graph snapshots across calls —
-// the persistent-service counterpart of one Experiment's per-grid cache.
-// Repeat runs of a (workload, machine) pair install the memoized snapshot
-// (bit-identical to rebuilding) instead of re-running the generator and
-// re-deriving dependences. A Runner is safe for concurrent use.
-type Runner struct {
-	cache *snapshotCache
-	mu    sync.Mutex
-	wls   map[string]workload.Workload
-}
-
-// NewRunner returns a Runner with an empty cache. A Runner cannot know
-// which configurations it will be asked to run again, so it keeps every
-// snapshot it builds for its own lifetime; drop the Runner to free them.
-func NewRunner() *Runner {
-	return &Runner{
-		cache: newSnapshotCache(nil),
-		wls:   make(map[string]workload.Workload),
-	}
-}
-
-// Run executes one configuration, reusing cached workloads and snapshots.
-// Workloads that declare NoCache are rebuilt every call, exactly as in an
-// Experiment grid.
-func (rn *Runner) Run(cfg Config) (RunResult, error) {
-	key := fmt.Sprintf("%s@%s", cfg.App, cfg.Scale)
-	rn.mu.Lock()
-	w, ok := rn.wls[key]
-	rn.mu.Unlock()
-	if !ok {
-		var err error
-		if w, err = workload.New(cfg.App, cfg.Scale); err != nil {
-			return RunResult{}, err
-		}
-		rn.mu.Lock()
-		rn.wls[key] = w
-		rn.mu.Unlock()
-	}
-	if w.NoCache {
-		return runWith(cfg, &w, nil)
-	}
-	snap, err := rn.cache.get(cacheKey(w, cfg.Machine), func() (*rt.Snapshot, error) {
-		return buildSnapshot(w, cfg.Machine)
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return runWith(cfg, nil, snap)
-}
-
 // Figure1Options tunes the Figure-1 reproduction.
 type Figure1Options struct {
 	Scale   apps.Scale
@@ -200,14 +137,13 @@ type Figure1Options struct {
 	Runtime rt.Options
 	// Seeds averages each (app, policy) cell over this many seeds (the
 	// paper averages repeated executions; randomized policies like LAS
-	// need it for stable numbers). 0 means 1 in Figure1Experiment and
-	// Figure1Table, as in Experiment.Seeds; Figure1 rejects values below 1.
+	// need it for stable numbers). As in Experiment.Seeds, 0 means 1 and a
+	// negative count is an error.
 	Seeds int
 	// Apps optionally restricts the benchmark list (nil = all eight).
 	Apps []string
-	// Trace optionally records every grid cell into a trace sink (see
-	// Experiment.Trace).
-	Trace TraceAttacher
+	// Trace optionally records every grid cell (see Experiment.Trace).
+	Trace *trace.Tracer
 }
 
 // DefaultFigure1Options returns the paper-faithful settings.
@@ -274,9 +210,6 @@ func Figure1Table(opt Figure1Options) *TableSink {
 // evaluation. Extra sinks (e.g. a JSONL trajectory) receive every cell
 // result alongside the table aggregation.
 func Figure1(opt Figure1Options, extra ...Sink) (*metrics.Table, error) {
-	if opt.Seeds < 1 {
-		return nil, fmt.Errorf("core: Seeds must be >= 1")
-	}
 	table := Figure1Table(opt)
 	sinks := append([]Sink{table}, extra...)
 	if err := Figure1Experiment(opt).Run(context.Background(), sinks...); err != nil {

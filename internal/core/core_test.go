@@ -185,11 +185,24 @@ func TestFigure1RestrictedApps(t *testing.T) {
 	}
 }
 
+// TestFigure1SeedValidation pins the one replicate-count rule Figure1
+// shares with Experiment: Seeds 0 runs one replicate, a negative count is
+// an error.
 func TestFigure1SeedValidation(t *testing.T) {
 	opt := DefaultFigure1Options()
+	opt.Scale = apps.Tiny
+	opt.Apps = []string{"jacobi"}
 	opt.Seeds = 0
+	tb, err := Figure1(opt)
+	if err != nil {
+		t.Fatalf("zero seeds: %v", err)
+	}
+	if !strings.Contains(tb.Title, "1 seed(s)") {
+		t.Errorf("zero seeds: title %q, want one replicate", tb.Title)
+	}
+	opt.Seeds = -1
 	if _, err := Figure1(opt); err == nil {
-		t.Error("zero seeds accepted")
+		t.Error("negative seeds accepted")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"numadag/internal/apps"
 	"numadag/internal/machine"
 	"numadag/internal/rt"
+	"numadag/internal/trace"
 	"numadag/internal/workload"
 )
 
@@ -72,6 +73,12 @@ type Sink interface {
 // pool and streams the results, in deterministic order, to the given
 // sinks. The paper's Figure 1 and all ablation sweeps are declarations of
 // this type.
+//
+// Each (workload, machine) task graph is built once (Workload.Snapshot),
+// installed by every policy, variant and replicate cell that runs it, and
+// dropped once the last of them has taken it, so a sweep's memory follows
+// its workers rather than its number of distinct graphs. Installed graphs
+// are bit-identical to rebuilt ones, so the cache never changes results.
 type Experiment struct {
 	// Name labels the experiment (used in progress/diagnostic output).
 	Name string
@@ -98,24 +105,13 @@ type Experiment struct {
 	Runtime rt.Options
 	// Seeds is the number of replicates per cell; 0 means 1.
 	Seeds int
-	// Trace, when non-nil, records every cell into the trace sink, each cell
-	// attached under its canonical Index as the process id — so a grid's
-	// trace holds one deterministic "process" per cell even when cells run
-	// concurrently. Traced cells bypass the runtime/machine pools (see
-	// Config.Trace).
-	Trace TraceAttacher
+	// Trace, when non-nil, records every cell, each attached under its
+	// canonical Index as the process id — so a grid's trace holds one
+	// deterministic "process" per cell even when cells run concurrently.
+	// Traced cells bypass the runtime/machine pools (see Config.Trace).
+	Trace *trace.Tracer
 	// Workers caps the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// TDGCache < 0 disables the per-experiment snapshot cache; every cell
-	// then rebuilds its graph from the generator. Otherwise (0 or any
-	// positive value, which no longer caps the cache) each (workload,
-	// machine) graph is built once, shared by the replicate, policy and
-	// variant cells that install it, and dropped once the last of them
-	// has taken it, so a sweep's memory follows its workers rather than
-	// its number of distinct graphs. Installed graphs are bit-identical to
-	// rebuilt ones, so the cache never changes results. Workloads that
-	// declare NoCache are always rebuilt.
-	TDGCache int
 	// Progress, if set, is called after each in-order delivery with the
 	// number of delivered cells and the grid size.
 	Progress func(done, total int, res CellResult)
@@ -221,21 +217,17 @@ func (e *Experiment) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// runCell executes one grid cell. With the cache enabled (and the workload
-// not marked NoCache), the cell installs the memoized task-graph snapshot —
-// built once per (workload, machine) pair no matter how many policies,
-// variants and replicates share it — instead of re-running the generator.
-func runCell(cfg Config, p plan, w workload.Workload, cache *snapshotCache) (RunResult, error) {
-	if cache == nil || w.NoCache {
-		return runWith(cfg, &w, nil)
-	}
-	snap, err := cache.get(cacheKey(w, p.mach), func() (*rt.Snapshot, error) {
-		return buildSnapshot(w, p.mach)
+// runCell executes one grid cell on the cached task-graph snapshot of its
+// (workload, machine) pair.
+func (g *grid) runCell(cfg Config, p plan) (RunResult, error) {
+	w := g.wls[p.cell.App]
+	snap, err := g.cache.get(cacheKey(w, p.mach), func() (*rt.Snapshot, error) {
+		return w.Snapshot(p.mach)
 	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runWith(cfg, nil, snap)
+	return runWith(cfg, snap)
 }
 
 // config builds the audited-run configuration for one plan.
@@ -282,7 +274,7 @@ func (e *Experiment) run(ctx context.Context, sinks ...Sink) error {
 }
 
 // grid is one Run's resolved work: the cells to execute, their workloads
-// by spec, and the snapshot cache (nil when disabled).
+// by spec, and the snapshot cache.
 type grid struct {
 	ps    []plan
 	wls   map[string]workload.Workload
@@ -311,23 +303,17 @@ func (e *Experiment) resolve() (*grid, error) {
 			}
 			wls[p.cell.App] = w
 		}
-		// Count the cells that will take each snapshot — the ones that go
-		// through the cache — under the cache's own key scheme.
-		if !w.NoCache {
-			planned[cacheKey(w, p.mach)]++
-		}
+		// Count the cells that will take each snapshot, under the cache's
+		// own key scheme.
+		planned[cacheKey(w, p.mach)]++
 	}
-	g := &grid{ps: ps, wls: wls}
-	if e.TDGCache >= 0 {
-		g.cache = newSnapshotCache(planned)
-	}
-	return g, nil
+	return &grid{ps: ps, wls: wls, cache: newSnapshotCache(planned)}, nil
 }
 
 // execute runs the resolved cells on the worker pool and delivers their
 // results to the sinks in canonical order.
 func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error {
-	ps, cache := g.ps, g.cache
+	ps := g.ps
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -359,7 +345,7 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 					return
 				}
 				cfg := e.config(ps[i])
-				res, err := runCell(cfg, ps[i], g.wls[ps[i].cell.App], cache)
+				res, err := g.runCell(cfg, ps[i])
 				if err != nil {
 					// Any error dooms the experiment; stop claiming cells
 					// instead of burning cycles until cancellation lands.

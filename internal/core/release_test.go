@@ -68,7 +68,7 @@ func TestReleaseVsObserverContract(t *testing.T) {
 	if _, err := Run(both); err != nil {
 		t.Fatal(err)
 	}
-	if both.Trace.(*trace.Tracer).Spans() == 0 {
+	if both.Trace.Spans() == 0 {
 		t.Error("tracer recorded no spans when sharing the run with a user observer")
 	}
 }

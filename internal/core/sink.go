@@ -266,15 +266,10 @@ func newCellRecord(res CellResult) cellRecord {
 // Every record is pushed through to the underlying writer as it lands: when
 // w buffers (it implements Flush() error, like a bufio.Writer), Emit
 // flushes after each line, so a crash mid-sweep loses at most the record
-// being written — never a buffered tail. For durability against machine
-// (not just process) loss, point Sync at the backing file's fsync.
+// being written — never a buffered tail.
 type JSONLSink struct {
 	enc   *json.Encoder
 	flush func() error
-	// Sync, when non-nil, is called after every record reaches the writer
-	// (e.g. (*os.File).Sync). It trades throughput for crash durability;
-	// leave it nil for ordinary trajectory files.
-	Sync func() error
 }
 
 // NewJSONLSink creates a JSON-lines sink over w. Buffered writers are
@@ -293,12 +288,7 @@ func (s *JSONLSink) Emit(res CellResult) error {
 		return err
 	}
 	if s.flush != nil {
-		if err := s.flush(); err != nil {
-			return err
-		}
-	}
-	if s.Sync != nil {
-		return s.Sync()
+		return s.flush()
 	}
 	return nil
 }

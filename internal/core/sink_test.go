@@ -77,21 +77,6 @@ func TestJSONLSinkFlushesEveryLine(t *testing.T) {
 	}
 }
 
-func TestJSONLSinkSyncHook(t *testing.T) {
-	var out bytes.Buffer
-	sink := NewJSONLSink(&out)
-	syncs := 0
-	sink.Sync = func() error { syncs++; return nil }
-	for i := 0; i < 2; i++ {
-		if err := sink.Emit(CellResult{Cell: Cell{Index: i, App: "a"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if syncs != 2 {
-		t.Errorf("Sync called %d times for 2 records", syncs)
-	}
-}
-
 func TestCSVSinkGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenExperiment().Run(context.Background(), NewCSVSink(&buf)); err != nil {

@@ -341,37 +341,16 @@ func (m *Machine) Transfer(home, exec int, bytes int64, done func()) {
 	m.net.StartFlowCapped(float64(bytes), m.Path(home, exec), m.CoreBandwidth(exec, home), done)
 }
 
-// ControllerUtilization returns each socket memory controller's average
-// utilization over the run so far.
-func (m *Machine) ControllerUtilization() []float64 {
-	out := make([]float64, m.cfg.Sockets)
-	for s, mc := range m.mcs {
-		out[s] = mc.Utilization(m.eng.Now())
-	}
-	return out
-}
-
 // PortTraffic fills out (len Sockets) with each socket port's carried
 // bytes progressed to the current time. Paired samples bound a window:
 // (carried(t1) - carried(t0)) / (LinkBandwidth * (t1 - t0)) is the port's
-// utilization over [t0, t1] — how a shared-clock cluster job measures its
-// own interconnect pressure without resetting the machine.
+// utilization over [t0, t1] — how a run measures its own interconnect
+// pressure on a machine that earlier runs have used.
 func (m *Machine) PortTraffic(out []float64) {
 	now := m.eng.Now()
 	for s, p := range m.ports {
 		out[s] = p.Carried(now)
 	}
-}
-
-// PortUtilization returns each socket interconnect port's average
-// utilization over the run so far — the saturation signal behind DFIFO's
-// collapse on scattered placements.
-func (m *Machine) PortUtilization() []float64 {
-	out := make([]float64, m.cfg.Sockets)
-	for s, p := range m.ports {
-		out[s] = p.Utilization(m.eng.Now())
-	}
-	return out
 }
 
 // ComputeTime converts task FLOPs to core time.

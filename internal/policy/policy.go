@@ -129,12 +129,10 @@ func (p Propagation) String() string {
 type RGP struct {
 	// Propagate selects the propagation mode (default PropagateLAS).
 	Propagate Propagation
-	// Opt tunes the partitioner; zero value means partition.DefaultOptions.
-	Opt partition.Options
-	// Tune, if set, adjusts the effective partitioner options after the
-	// defaults (including the machine's socket count and the runtime seed)
-	// have been resolved — the ablation hook the registry's "matching" and
-	// "refine" spec parameters use.
+	// Tune, if set, adjusts the partitioner options after the defaults
+	// (partition.DefaultOptions for the machine's socket count, seeded with
+	// the runtime seed) have been resolved — the ablation hook the
+	// registry's "matching" and "refine" spec parameters use.
 	Tune func(*partition.Options)
 
 	// assign[id] is the socket the window partitioning chose for task id, or
@@ -235,11 +233,8 @@ func (p *RGP) Prepare(r *rt.Runtime) {
 		sc.all = all
 		sub, back := r.Graph().InducedSubgraphInto(&sc.sub, all)
 		sc.pg.LoadDAG(sub)
-		opt := p.Opt
-		if opt.Parts == 0 && opt.CoarsenTo == 0 {
-			opt = partition.DefaultOptions(r.Machine().Sockets())
-			opt.Seed = r.Options().Seed
-		}
+		opt := partition.DefaultOptions(r.Machine().Sockets())
+		opt.Seed = r.Options().Seed
 		if p.Tune != nil {
 			p.Tune(&opt)
 		}

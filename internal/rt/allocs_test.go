@@ -65,8 +65,8 @@ func TestInstallSteadyStateAllocs(t *testing.T) {
 // must never be paid by plain runs. The layered graph on AnySocket with
 // stealing exercises transfers (obsXfer nil-check) and steals (obsSteal
 // nil-check); what remains per cycle is the per-run constant: the TDG
-// handle and the escaping Result slices — measured 4 allocs/op. The bound
-// leaves headroom over 4 but sits far below the dozens of transfer-wrapper
+// handle and the escaping Result slices — measured 3 allocs/op. The bound
+// leaves headroom over 3 but sits far below the dozens of transfer-wrapper
 // closures one traced run of this graph pays, so a hook leaking onto the
 // plain path trips it.
 func TestRunNilObserverSteadyStateAllocs(t *testing.T) {

@@ -180,16 +180,14 @@ type Runtime struct {
 	obsXfer  TransferObserver
 	obsSteal StealObserver
 
-	// Async-completion state (Start). onDone non-nil marks a runtime whose
-	// caller drives the engine externally — the cluster simulator, where many
-	// runtimes share one clock; startAt anchors its Makespan, which is a
-	// duration from job start rather than from the engine epoch, and asyncRun
-	// tells finishStats to window port utilization over [startAt, now] using
-	// the portBase traffic baseline sampled at Start (the machine's integrals
-	// are cumulative across the jobs that shared it).
+	// Run state. startAt is the instant Run or Start began: Makespan and the
+	// port utilization are measured from it, against the portBase traffic
+	// sampled then, because a machine's clock and traffic integrals carry
+	// every earlier run on it (back-to-back runs, or the cluster's many
+	// runtimes on one shared clock). onDone, set by Start, receives the
+	// result when the last task completes.
 	onDone   func(Result)
 	startAt  sim.Time
-	asyncRun bool
 	portBase []float64
 	portNow  []float64
 
@@ -736,33 +734,15 @@ func (r *Runtime) ReleaseDeferred() {
 // DeferredCount returns the tasks currently parked in the temporary queue.
 func (r *Runtime) DeferredCount() int { return len(r.tempQ) }
 
-// Run executes all submitted tasks to completion and returns the result.
-// It can only be called once.
+// Run executes all submitted tasks to completion and returns the result:
+// Start's prologue, then it pumps the engine until no event is left. Like
+// Start, it can only be called once.
 func (r *Runtime) Run() Result {
-	if r.ranAlready {
-		panic("rt: Run called twice")
-	}
-	r.ranAlready = true
-	r.running = true
-	r.remaining = len(r.tasks)
-	r.linkSuccs()
-	if p, ok := r.pol.(Preparer); ok {
-		p.Prepare(r)
-	}
-	// Make all dependency-free tasks ready at t=0, in submission order.
-	for _, t := range r.tasks {
-		if t.nDeps == 0 {
-			r.makeReady(t)
-		}
-	}
-	end := r.mach.Engine().Run()
+	r.begin(nil)
+	r.mach.Engine().Run()
 	if r.remaining != 0 {
 		panic(fmt.Sprintf("rt: %d tasks never ran (dependency deadlock?)", r.remaining))
 	}
-	r.running = false
-	r.stats.Makespan = end
-	r.stats.TasksRun = len(r.tasks)
-	r.finishStats()
 	return r.stats
 }
 
@@ -771,24 +751,29 @@ func (r *Runtime) Run() Result {
 // engine's event stream when the last task completes. It is the
 // shared-clock counterpart of Run — a cluster simulation starts many
 // runtimes (one per in-flight job, each on its own machine) against one
-// engine and pumps that engine itself. The prologue is identical to Run's;
-// only the drain differs: Run pumps the engine and returns the result,
-// Start leaves pumping to the caller and delivers the result through done.
+// engine and pumps that engine itself.
 //
 // A runtime with zero tasks completes immediately: done fires
 // synchronously, before Start returns. Like Run, Start can only be called
 // once; the runtime must not Submit afterwards.
 func (r *Runtime) Start(done func(Result)) {
-	if r.ranAlready {
-		panic("rt: Start on a runtime that already ran")
-	}
 	if done == nil {
 		panic("rt: Start with nil completion callback")
+	}
+	r.begin(done)
+}
+
+// begin is the prologue Run and Start share: it samples the run's start
+// instant and port traffic, links successors, lets the policy prepare and
+// makes every dependency-free task ready at the current instant, in
+// submission order.
+func (r *Runtime) begin(done func(Result)) {
+	if r.ranAlready {
+		panic("rt: Run or Start on a runtime that already ran")
 	}
 	r.ranAlready = true
 	r.running = true
 	r.onDone = done
-	r.asyncRun = true
 	r.startAt = r.Now()
 	r.portBase = resetSlice(r.portBase, r.mach.Sockets())
 	r.mach.PortTraffic(r.portBase)
@@ -798,11 +783,9 @@ func (r *Runtime) Start(done func(Result)) {
 		p.Prepare(r)
 	}
 	if r.remaining == 0 {
-		r.finishAsync()
+		r.finish()
 		return
 	}
-	// Make all dependency-free tasks ready at the current instant, in
-	// submission order.
 	for _, t := range r.tasks {
 		if t.nDeps == 0 {
 			r.makeReady(t)
@@ -810,17 +793,19 @@ func (r *Runtime) Start(done func(Result)) {
 	}
 }
 
-// finishAsync finalizes a Start'ed run and delivers the result. running is
-// cleared before the callback so the receiver may immediately Release the
-// runtime or start a successor job on the same machine.
-func (r *Runtime) finishAsync() {
+// finish finalizes the run when its last task completes and hands the
+// result to Start's done. running is cleared before the callback so the
+// receiver may immediately Release the runtime or start a successor job on
+// the same machine.
+func (r *Runtime) finish() {
 	r.running = false
 	r.stats.Makespan = r.Now() - r.startAt
 	r.stats.TasksRun = len(r.tasks)
 	r.finishStats()
-	done := r.onDone
-	r.onDone = nil
-	done(r.stats)
+	if done := r.onDone; done != nil {
+		r.onDone = nil
+		done(r.stats)
+	}
 }
 
 func (r *Runtime) makeReady(t *Task) {
@@ -1145,7 +1130,7 @@ func (r *Runtime) complete(core int, t *Task) {
 		}
 	}
 	r.dispatch(core)
-	if r.remaining == 0 && r.onDone != nil {
-		r.finishAsync()
+	if r.remaining == 0 {
+		r.finish()
 	}
 }

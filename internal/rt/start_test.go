@@ -10,11 +10,11 @@ import (
 )
 
 // sameResult compares two Results exactly except for the port-utilization
-// summaries, which are allowed a few ulps: on a recycled machine the job's
-// utilization is a windowed difference of cumulative traffic integrals, and
-// float subtraction of a settled integral is not bit-identical to a fresh
-// one. Everything the determinism goldens pin (times, counts, bytes) must
-// be exact.
+// summaries, which are allowed a few ulps: on a machine that ran earlier
+// jobs, a run's utilization is a windowed difference of cumulative traffic
+// integrals, and float subtraction of a settled integral is not
+// bit-identical to a fresh one. Everything the determinism goldens pin
+// (times, counts, bytes) must be exact.
 func sameResult(got, want Result) bool {
 	const tol = 1e-12
 	g, w := got, want
@@ -124,7 +124,9 @@ func TestStartSharedEngine(t *testing.T) {
 // TestStartBackToBackOnPooledMachine drives the exact recycling loop the
 // cluster's per-machine job queue runs: job finishes -> Release the runtime
 // -> immediately Start the next job on the same machine (same engine, same
-// Net, clock never rewound). Results must match solo runs.
+// Net, clock never rewound). Then three Runs in a row on one machine that is
+// never reset: Run measures from its own start just as Start does. Every
+// result must match the solo run.
 func TestStartBackToBackOnPooledMachine(t *testing.T) {
 	opts := Options{WindowSize: 6, Seed: 5, Steal: true, StealThreshold: 2}
 	want := func() Result {
@@ -157,5 +159,15 @@ func TestStartBackToBackOnPooledMachine(t *testing.T) {
 		if !sameResult(got, want) {
 			t.Fatalf("job %d on recycled machine differs from solo run:\n got %+v\nwant %+v", i, got, want)
 		}
+	}
+
+	m = machine.New(machine.TwoSocketXeon(), sim.NewEngine())
+	for i := 0; i < 3; i++ {
+		r := NewRuntime(m, cyclic{}, opts)
+		buildMixed(r, false)
+		if got := r.Run(); !sameResult(got, want) {
+			t.Fatalf("Run %d on a machine never reset differs from solo run:\n got %+v\nwant %+v", i, got, want)
+		}
+		r.Release()
 	}
 }

@@ -64,7 +64,7 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// finishStats computes the derived statistics after the run drains.
+// finishStats computes the derived statistics when the last task completes.
 func (r *Runtime) finishStats() {
 	// Cut bytes: TDG edges whose endpoints ran on different sockets.
 	for _, t := range r.tasks {
@@ -85,30 +85,19 @@ func (r *Runtime) finishStats() {
 		mean := float64(sum) / float64(len(r.stats.BusyTime))
 		r.stats.LoadImbalance = float64(max)/mean - 1
 	}
-	if r.asyncRun {
-		// Shared-clock job: the machine's traffic integrals span every job
-		// that ran on it, so window the utilization over this job's own
-		// [startAt, now] against the baseline Start sampled. For a job
-		// starting at the epoch on a fresh machine this computes bit-exactly
-		// what PortUtilization would.
-		dur := float64(r.Now() - r.startAt)
-		r.portNow = resetSlice(r.portNow, len(r.portBase))
-		r.mach.PortTraffic(r.portNow)
-		for s := range r.portBase {
-			var u float64
-			if dur > 0 {
-				u = (r.portNow[s] - r.portBase[s]) / (r.mach.Config().LinkBandwidth * dur)
-			}
-			r.stats.MeanPortUtilization += u / float64(len(r.portBase))
-			if u > r.stats.MaxPortUtilization {
-				r.stats.MaxPortUtilization = u
-			}
+	// Port utilization over the run's own [startAt, now], against the
+	// traffic baseline begin sampled. On a fresh machine (run starting at
+	// the epoch, zero baseline) this is bit-exactly carried / (bandwidth *
+	// now), the whole-machine average.
+	dur := float64(r.Now() - r.startAt)
+	r.portNow = resetSlice(r.portNow, len(r.portBase))
+	r.mach.PortTraffic(r.portNow)
+	for s := range r.portBase {
+		var u float64
+		if dur > 0 {
+			u = (r.portNow[s] - r.portBase[s]) / (r.mach.Config().LinkBandwidth * dur)
 		}
-		return
-	}
-	ports := r.mach.PortUtilization()
-	for _, u := range ports {
-		r.stats.MeanPortUtilization += u / float64(len(ports))
+		r.stats.MeanPortUtilization += u / float64(len(r.portBase))
 		if u > r.stats.MaxPortUtilization {
 			r.stats.MaxPortUtilization = u
 		}

@@ -34,8 +34,8 @@ import (
 //
 // Note the pooling interaction: AttachMachine registers hooks on the
 // machine's engine and network that cannot be detached, so a traced machine
-// must not be recycled into a pool serving untraced runs (core.Runner keeps
-// traced machines out of its pool for exactly this reason).
+// must not be recycled into a pool serving untraced runs (core keeps traced
+// machines out of its machine pool for exactly this reason).
 type Tracer struct {
 	mu    sync.Mutex
 	byPid map[int]*proc

@@ -14,8 +14,7 @@
 // Builders must be deterministic functions of (spec, scale, seed, machine
 // topology) and must not read the runtime's own Rand or clock: that contract
 // is what lets core.Experiment build a workload's TDG once (rt.Snap) and
-// install it into every replicate of a sweep (rt.Install). A builder that
-// cannot honor it sets NoCache.
+// install it into every replicate of a sweep (rt.Install).
 //
 // Every workload sizes its graph before building it and returns an error
 // above MaxTasks tasks or MaxBytes of regions (the synthetic generators and
@@ -52,9 +51,6 @@ type Workload struct {
 	// vary the runtime seed while the workload seed — and therefore the
 	// task graph — stays fixed, which is what makes the TDG cacheable.
 	Seed uint64
-	// NoCache marks a builder that violates the determinism contract (e.g.
-	// it consults the runtime's Rand); experiments then rebuild it per cell.
-	NoCache bool
 	// Build allocates the workload's regions from r.Mem() and submits its
 	// task graph. It must be safe for concurrent use on distinct runtimes.
 	Build func(r *rt.Runtime) error
@@ -69,13 +65,32 @@ func (w Workload) Key() string {
 
 // Instantiate builds the workload into a fresh throwaway runtime over the
 // given machine config with a no-op policy — the path dagen and dagpart use
-// to inspect or export a TDG, and core uses to prototype one for rt.Snap.
+// to inspect or export a TDG, and Snapshot uses to prototype one.
 func (w Workload) Instantiate(mc machine.Config) (*rt.Runtime, error) {
 	r := rt.NewRuntime(machine.New(mc, sim.NewEngine()), nopPolicy{}, rt.Options{})
 	if err := w.Build(r); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Snapshot builds the workload on a throwaway prototype runtime and
+// captures its task graph (rt.Snap) for installation into real runs — the
+// one builder behind core's experiment cache and cluster's prebuild.
+func (w Workload) Snapshot(mc machine.Config) (*rt.Snapshot, error) {
+	r, err := w.Instantiate(mc)
+	if err != nil {
+		return nil, fmt.Errorf("workload: build %s: %w", w.Spec, err)
+	}
+	snap, err := rt.Snap(r)
+	if err != nil {
+		return nil, err
+	}
+	// The snapshot copies task/region state and borrows only the TDG, which
+	// Release does not recycle — the prototype runtime's scratch can go back
+	// to the pool.
+	r.Release()
+	return snap, nil
 }
 
 type nopPolicy struct{}
@@ -86,7 +101,7 @@ func (nopPolicy) PickSocket(*rt.Runtime, *rt.Task) int { return 0 }
 // Factory resolves a parsed spec into a Workload. The reserved scale and
 // seed parameters are already stripped from the spec and passed explicitly.
 // New fills the Name/Spec/Scale/Seed metadata after the factory returns, so
-// factories only need to produce Build (and NoCache when applicable).
+// factories only need to produce Build.
 type Factory func(s Spec, scale apps.Scale, seed uint64) (Workload, error)
 
 type entry struct {

@@ -129,11 +129,11 @@
 //		})
 //	res, _ := numadag.Run(numadag.DefaultConfig("chain?n=128", "RGP+LAS", numadag.ScaleSmall))
 //
-// Experiments memoize each workload's built task graph in a bounded
-// per-experiment cache (one build per workload x machine, shared across
-// policies, variants and replicate seeds); builders must therefore be pure
-// functions of (spec, scale, seed, machine) — set Workload.NoCache to opt
-// out. cmd/dagen lists, describes, generates and exports workloads.
+// Experiments memoize each workload's built task graph in a per-experiment
+// cache (one build per workload x machine, shared across policies, variants
+// and replicate seeds, dropped after its last cell); builders must
+// therefore be pure functions of (spec, scale, seed, machine). cmd/dagen
+// lists, describes, generates and exports workloads.
 //
 // Policy names are registry specs: "name?key=value" parameterizes a
 // registered family (e.g. the RGP partitioner ablations). The built-ins are

@@ -9,10 +9,10 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_sim.json}"
 
 {
-  # 25 iterations so each cell's one-time TDG build+snapshot (amortized by
-  # the runner cache) stops dominating allocs/op: the number tracked across
-  # PRs is the steady-state per-run cost.
-  go test -run '^$' -bench 'BenchmarkFigure1|BenchmarkAblationSockets|BenchmarkMultiSeedSweep' -benchmem -benchtime 25x .
+  # 25 iterations so warming the runtime and machine pools stops moving
+  # allocs/op: the number tracked across PRs is the steady-state per-grid
+  # cost.
+  go test -run '^$' -bench 'BenchmarkMultiSeedSweep' -benchmem -benchtime 25x .
   go test -run '^$' -bench 'BenchmarkReallocate|BenchmarkFlowChurn|BenchmarkTimerChurn' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkInducedSubgraph' -benchmem ./internal/graph/
   go test -run '^$' -bench 'BenchmarkSnapshotInstall' -benchmem ./internal/rt/
