@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race test-allocs test-traced test-benchmark bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
+.PHONY: build test test-short test-race test-race-experiment test-allocs test-traced test-benchmark bench bench-sim bench-json bench-check fuzz-smoke vet fmt-check ci clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ test-short:
 # behind the plain test step.
 test-race:
 	$(GO) test -race ./...
+
+# The experiment scheduler sets replicates aside while their leader runs
+# and hands them back when it finishes; repeated race runs of the pool and
+# cache tests exercise more of those interleavings than one pass does. CI
+# runs it in the `race` job after `test-race`.
+test-race-experiment:
+	$(GO) test -race -count=10 -run 'TestExperiment|TestSnapshotCache' ./internal/core
 
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
@@ -69,7 +76,7 @@ fmt-check:
 # Mirrors the blocking steps of .github/workflows/ci.yml (the race job runs
 # in parallel there; fuzz-smoke is non-blocking and nightly.yml tracks the
 # benchmark trajectory).
-ci: fmt-check build vet test test-race test-allocs test-traced test-benchmark
+ci: fmt-check build vet test test-race test-race-experiment test-allocs test-traced test-benchmark
 
 # Full benchmark families (paper figures + ablations).
 bench:

@@ -16,16 +16,17 @@ import (
 // once.
 //
 // The cache knows each key's planned cells up front and counts them down as
-// they take the snapshot: the last one drops the entry, and the graph is
-// garbage once that cell finishes. Canonical order runs all of a workload's
-// cells before the next workload's, so a sweep holds only the graphs of the
-// workloads in progress — about one per worker and machine — however many
-// distinct graphs it runs.
+// they take the snapshot, or forgo it as copied replicates: the last one
+// drops the entry, and the graph is garbage once that cell finishes.
+// Canonical order runs all of a workload's cells before the next
+// workload's, so a sweep holds only the graphs of the workloads in
+// progress — about one per worker and machine — however many distinct
+// graphs it runs.
 type snapshotCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	// left counts, per key, the planned cells that have not yet taken the
-	// snapshot.
+	// left counts, per key, the planned cells that have not yet taken or
+	// forgone the snapshot.
 	left   map[string]int
 	hits   int
 	misses int
@@ -56,13 +57,27 @@ func (c *snapshotCache) get(key string, build func() (*rt.Snapshot, error)) (*rt
 		e = &cacheEntry{}
 		c.entries[key] = e
 	}
+	c.countDown(key)
+	c.mu.Unlock()
+	e.once.Do(func() { e.snap, e.err = build() })
+	return e.snap, e.err
+}
+
+// forgo counts down a planned cell of key that will not take the snapshot
+// (a replicate copied from its group leader's run).
+func (c *snapshotCache) forgo(key string) {
+	c.mu.Lock()
+	c.countDown(key)
+	c.mu.Unlock()
+}
+
+// countDown counts one planned cell of key as served and drops the entry
+// after the last one. The caller holds mu.
+func (c *snapshotCache) countDown(key string) {
 	if c.left[key]--; c.left[key] == 0 {
 		delete(c.entries, key)
 		delete(c.left, key)
 	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.snap, e.err = build() })
-	return e.snap, e.err
 }
 
 // stats returns the hit/miss counters (test hook).

@@ -15,12 +15,22 @@ import (
 	"numadag/internal/workload"
 )
 
-// countingWorkload registers a tiny unique workload whose Build invocations
-// are counted, and returns its spec plus the counter.
+// countingWorkloads maps each counting workload registered so far to its
+// counter, so a test repeated by -count reuses its registration.
+var countingWorkloads sync.Map
+
+// countingWorkload registers a tiny workload unique to the test whose Build
+// invocations are counted, and returns its spec plus the counter, reset to
+// zero.
 func countingWorkload(t *testing.T) (string, *atomic.Int64) {
 	t.Helper()
-	var builds atomic.Int64
 	name := fmt.Sprintf("count-%s", t.Name())
+	if c, ok := countingWorkloads.Load(name); ok {
+		builds := c.(*atomic.Int64)
+		builds.Store(0)
+		return name, builds
+	}
+	builds := new(atomic.Int64)
 	err := workload.Register(name, "test counter", func(s workload.Spec, _ apps.Scale, _ uint64) (workload.Workload, error) {
 		if err := s.Only(); err != nil {
 			return workload.Workload{}, err
@@ -43,7 +53,8 @@ func countingWorkload(t *testing.T) (string, *atomic.Int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return name, &builds
+	countingWorkloads.Store(name, builds)
+	return name, builds
 }
 
 // TestExperimentTDGCacheBuildsOnce runs a multi-replicate, multi-policy grid

@@ -68,6 +68,8 @@ type RunResult struct {
 	Config Config
 	Stats  rt.Result
 	Tasks  int
+	// seedUsed reports that the run reached its seed (rt.Runtime.SeedUsed).
+	seedUsed bool
 }
 
 // Run executes one configuration. Every run is audited against the task
@@ -78,10 +80,10 @@ func Run(cfg Config) (RunResult, error) {
 	return runWith(cfg, nil)
 }
 
-// runWith executes one configuration. The task graph is installed from snap
-// when it is non-nil (the Experiment cache's path — bit-identical to
-// rebuilding), and otherwise built by resolving cfg.App through the
-// workload registry.
+// runWith executes one configuration and reports whether the run used its
+// seed. The task graph is installed from snap when it is non-nil (the
+// Experiment cache's path — bit-identical to rebuilding), and otherwise
+// built by resolving cfg.App through the workload registry.
 func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
@@ -117,6 +119,7 @@ func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 	if err := r.AuditSchedule(); err != nil {
 		return RunResult{}, fmt.Errorf("core: %s/%s: %w", cfg.App, cfg.Policy, err)
 	}
+	seedUsed := r.SeedUsed()
 	if cfg.Runtime.Observer == nil && cfg.Trace == nil {
 		// No observer and no tracer means nothing outside this function saw
 		// a *Task, a *Region or the machine: the audit has run, the Result
@@ -127,7 +130,7 @@ func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 		r.Release()
 		releaseMachine(m)
 	}
-	return RunResult{Config: cfg, Stats: stats, Tasks: stats.TasksRun}, nil
+	return RunResult{Config: cfg, Stats: stats, Tasks: stats.TasksRun, seedUsed: seedUsed}, nil
 }
 
 // Figure1Options tunes the Figure-1 reproduction.
@@ -138,7 +141,9 @@ type Figure1Options struct {
 	// Seeds averages each (app, policy) cell over this many seeds (the
 	// paper averages repeated executions; randomized policies like LAS
 	// need it for stable numbers). As in Experiment.Seeds, 0 means 1 and a
-	// negative count is an error.
+	// negative count is an error. DFIFO and EP place by a fixed rule on
+	// the paper's apps and never reach the seed, so their later seeds are
+	// copies of the first seed's run, not simulations (see Experiment).
 	Seeds int
 	// Apps optionally restricts the benchmark list (nil = all eight).
 	Apps []string

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
@@ -69,16 +68,26 @@ type Sink interface {
 
 // Experiment declares an evaluation grid: the cross product of apps,
 // policy specs, machines, runtime-option variants and replicate seeds. Run
-// executes every cell through the audited core.Run path on a shared worker
-// pool and streams the results, in deterministic order, to the given
-// sinks. The paper's Figure 1 and all ablation sweeps are declarations of
-// this type.
+// executes every simulated cell through the audited core.Run path on a
+// shared worker pool and streams the results, in deterministic order, to
+// the given sinks. The paper's Figure 1 and all ablation sweeps are
+// declarations of this type.
 //
 // Each (workload, machine) task graph is built once (Workload.Snapshot),
 // installed by every policy, variant and replicate cell that runs it, and
 // dropped once the last of them has taken it, so a sweep's memory follows
 // its workers rather than its number of distinct graphs. Installed graphs
 // are bit-identical to rebuilt ones, so the cache never changes results.
+//
+// Replicates share results the same way. Replicate 0 of each (app,
+// policy, machine, variant) group leads it. When the leader's run never
+// reached its seed (rt.Runtime.SeedUsed) and had no tracer and no
+// observer, the run is the same at every seed, so each other replicate
+// receives a copy of the leader's audited result, with slices of its own
+// and its own Cell and Config, instead of simulating. DFIFO and EP on the
+// paper's apps are such runs; LAS and RGP are not. A copy never changes
+// results. No worker waits on a leader: a replicate whose leader is still
+// running is set aside while its worker claims the next cell.
 type Experiment struct {
 	// Name labels the experiment (used in progress/diagnostic output).
 	Name string
@@ -103,7 +112,8 @@ type Experiment struct {
 	// it must be safe for concurrent use, or the experiment must set
 	// Workers to 1.
 	Runtime rt.Options
-	// Seeds is the number of replicates per cell; 0 means 1.
+	// Seeds is the number of replicates per cell; 0 means 1. Replicates of
+	// a run that never reaches its seed are copies of replicate 0's result.
 	Seeds int
 	// Trace, when non-nil, records every cell, each attached under its
 	// canonical Index as the process id — so a grid's trace holds one
@@ -230,6 +240,15 @@ func (g *grid) runCell(cfg Config, p plan) (RunResult, error) {
 	return runWith(cfg, snap)
 }
 
+// copyCell is a follower's result when its group leader's run was
+// seed-free: the leader's statistics, with slices of its own, under the
+// cell's own Cell and Config. The cell is counted down in the snapshot
+// cache as if it had taken the snapshot.
+func (g *grid) copyCell(cfg Config, p plan, lead *rt.Result) CellResult {
+	g.cache.forgo(cacheKey(g.wls[p.cell.App], p.mach))
+	return CellResult{Cell: p.cell, Config: cfg, Stats: lead.Clone()}
+}
+
 // config builds the audited-run configuration for one plan.
 func (e *Experiment) config(p plan) Config {
 	cfg := Config{
@@ -251,8 +270,9 @@ func (e *Experiment) config(p plan) Config {
 // Run executes the grid. Cells run concurrently on the worker pool, but
 // individual runs are internally deterministic and results are delivered
 // to sinks in canonical cell order, so the stream — and therefore any
-// aggregation — is identical to a sequential evaluation. Every cell goes
-// through Run's schedule audit; the first error (bad config, audit
+// aggregation — is identical to a sequential evaluation. Every simulated
+// cell goes through Run's schedule audit, and a copied replicate carries
+// its leader's audited result; the first error (bad config, audit
 // failure, sink failure or ctx cancellation) cancels the remaining cells
 // and is returned after Close has been called on every sink.
 func (e *Experiment) Run(ctx context.Context, sinks ...Sink) error {
@@ -317,11 +337,6 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type outcome struct {
-		res CellResult
-		err error
-	}
-	results := make(chan outcome, len(ps))
 	workers := e.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -329,64 +344,48 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 	if workers > len(ps) {
 		workers = len(ps)
 	}
-	var next atomic.Int64
+	// Room for every cell and each worker's stopping error: no send blocks.
+	results := make(chan outcome, len(ps)+workers)
+	pl := newPool(ps, replicates(e.Seeds))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ps) {
-					return
-				}
-				if ctx.Err() != nil {
-					results <- outcome{err: ctx.Err()}
-					return
-				}
-				cfg := e.config(ps[i])
-				res, err := g.runCell(cfg, ps[i])
-				if err != nil {
-					// Any error dooms the experiment; stop claiming cells
-					// instead of burning cycles until cancellation lands.
-					results <- outcome{err: err}
-					return
-				}
-				results <- outcome{res: CellResult{Cell: ps[i].cell, Config: cfg, Stats: res.Stats}}
+			if err := e.work(ctx, g, pl, results); err != nil {
+				// Any error dooms the experiment; the worker stops claiming
+				// cells instead of burning cycles until cancellation lands.
+				results <- outcome{err: err}
 			}
 		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() { wg.Wait(); close(results) }()
 
 	// Reorder buffer: deliver results to sinks in canonical cell order,
-	// keyed by Cell.Index, which is the cell's position in ps.
+	// keyed by Cell.Index, which is the cell's position in ps. After the
+	// first error the loop only drains, until every worker has stopped.
 	pending := make(map[int]CellResult)
-	nextEmit, received := 0, 0
+	nextEmit := 0
 	var firstErr error
-	for received < len(ps) {
-		if firstErr != nil && received >= int(min(next.Load(), int64(len(ps)))) {
-			// After an error cancels the run, every claimed cell reports
-			// exactly once and workers claim nothing new; once all claims
-			// have reported, nothing more will ever arrive.
-			break
-		}
-		o := <-results
-		received++
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			cancel()
+	for o := range results {
+		if firstErr != nil {
 			continue
 		}
-		if firstErr != nil {
+		if o.err != nil {
+			firstErr = o.err
+			cancel()
 			continue
 		}
 		pending[o.res.Cell.Index] = o.res
 		for {
 			res, ok := pending[nextEmit]
 			if !ok {
+				break
+			}
+			// A cancelled caller gets no further cells, not even those the
+			// workers finished before they saw the cancellation.
+			if err := ctx.Err(); err != nil {
+				firstErr = err
 				break
 			}
 			delete(pending, nextEmit)
@@ -405,6 +404,47 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 			}
 		}
 	}
-	<-done
 	return firstErr
+}
+
+// outcome is one message from a worker: a cell's result or the error that
+// stopped the worker.
+type outcome struct {
+	res CellResult
+	err error
+}
+
+// work is one worker: it claims cells until none is left, runs or copies
+// each, and sends the results. It returns the error that stopped it.
+func (e *Experiment) work(ctx context.Context, g *grid, pl *pool, results chan<- outcome) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		j, ok := pl.claim()
+		if !ok {
+			return nil
+		}
+		p := g.ps[j.i]
+		cfg := e.config(p)
+		if j.lead != nil {
+			results <- outcome{res: g.copyCell(cfg, p, j.lead)}
+			continue
+		}
+		res, err := g.runCell(cfg, p)
+		if err != nil {
+			return err
+		}
+		results <- outcome{res: CellResult{Cell: p.cell, Config: cfg, Stats: res.Stats}}
+		free := !res.seedUsed && cfg.Trace == nil && cfg.Runtime.Observer == nil
+		copies, lead := pl.finish(j.i, &res.Stats, free)
+		for _, f := range copies {
+			// Nothing else stops a run of copies once the leader is done:
+			// a cancelled grid makes no more of them.
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			results <- outcome{res: g.copyCell(e.config(g.ps[f]), g.ps[f], lead)}
+		}
+	}
 }

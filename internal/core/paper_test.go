@@ -53,8 +53,9 @@ func TestFigure1PaperClaims(t *testing.T) {
 			"no choice of bullion constants reaches it (ROADMAP item 2)"},
 		{"nstream", "DFIFO"}: {0.774, "below the model's floor r_LAS/r_DFIFO = 0.65 " +
 			"(ROADMAP item 2)"},
-		{"syminv", "DFIFO"}: {0.986, "compute-bound in the model: a task's phases never " +
-			"overlap, so remote bytes barely move it (ROADMAP item 2)"},
+		{"syminv", "DFIFO"}: {0.986, "under LAS 53% of the core-time is idle and 6% is " +
+			"memory stall, and DFIFO adds only 1.9% more stall, so remote bytes cannot " +
+			"make it the paper's 47% slower (ROADMAP item 2)"},
 	}
 	tb, err := Figure1(DefaultFigure1Options())
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 type Histogram struct {
 	gamma    float64
 	logGamma float64
-	eps      float64
 
 	// counts[i] holds bucket base+i. The slice grows at either end as
 	// values arrive; base tracks the lowest represented bucket index.
@@ -50,14 +49,10 @@ func NewHistogram(eps float64) *Histogram {
 	return &Histogram{
 		gamma:    gamma,
 		logGamma: math.Log(gamma),
-		eps:      eps,
 		min:      math.Inf(1),
 		max:      math.Inf(-1),
 	}
 }
-
-// RelativeError returns the eps the histogram was created with.
-func (h *Histogram) RelativeError() float64 { return h.eps }
 
 // bucketIndex maps a positive value to its bucket: the smallest i with
 // value <= gamma^i.
@@ -186,16 +181,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Buckets returns the number of non-empty geometric buckets (test and
-// memory-accounting hook; the zero bucket is excluded).
-func (h *Histogram) Buckets() int {
-	n := 0
-	for _, c := range h.counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -129,9 +129,6 @@ func (g *Graph) addHalf(from, to int, w int64) {
 	g.adj[from] = append(g.adj[from], neighbor{to: int32(to), w: w})
 }
 
-// Degree returns the number of distinct neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Neighbors calls fn for every neighbor of v.
 func (g *Graph) Neighbors(v int, fn func(u int, w int64)) {
 	for _, nb := range g.adj[v] {

@@ -144,6 +144,8 @@ type Runtime struct {
 	pol  Policy
 	opts Options
 	rng  *xrand.Rand
+	// seedUsed records a Rand or Options call since NewRuntime (SeedUsed).
+	seedUsed bool
 
 	tdg   *graph.DAG
 	tasks []*Task
@@ -443,8 +445,19 @@ func (r *Runtime) Machine() *machine.Machine { return r.mach }
 func (r *Runtime) Mem() *memory.Manager { return r.mem }
 
 // Rand returns the runtime's seeded generator (policies share it so a run
-// remains a single deterministic stream).
-func (r *Runtime) Rand() *xrand.Rand { return r.rng }
+// remains a single deterministic stream). Calling it marks the run as using
+// its seed (SeedUsed).
+func (r *Runtime) Rand() *xrand.Rand {
+	r.seedUsed = true
+	return r.rng
+}
+
+// SeedUsed reports whether the run reached its seed: a Rand or Options call
+// since NewRuntime. Nothing else in rt touches the generator, and the
+// runtime's own option reads do not depend on the seed, so a run that
+// reports false under a policy keeping the Policy contract has the same
+// Result at every seed.
+func (r *Runtime) SeedUsed() bool { return r.seedUsed }
 
 // Graph returns the task dependency graph built so far. Node IDs equal task
 // IDs.
@@ -459,8 +472,12 @@ func (r *Runtime) Task(id graph.NodeID) *Task { return r.tasks[id] }
 // Now returns the current simulated time.
 func (r *Runtime) Now() sim.Time { return r.mach.Engine().Now() }
 
-// Options returns the runtime's options.
-func (r *Runtime) Options() Options { return r.opts }
+// Options returns the runtime's options. Calling it marks the run as using
+// its seed (SeedUsed), since the options carry it.
+func (r *Runtime) Options() Options {
+	r.seedUsed = true
+	return r.opts
+}
 
 // nextWindowSlot returns the window for the task being submitted and
 // advances the count-based window state.

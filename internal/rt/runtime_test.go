@@ -444,3 +444,49 @@ func TestDiamondGraphMakespan(t *testing.T) {
 		t.Fatalf("makespan %v far above critical path %v", res.Makespan, compute)
 	}
 }
+
+// randPick places each task on a socket drawn from the runtime's generator.
+type randPick struct{}
+
+func (randPick) Name() string { return "rand" }
+func (randPick) PickSocket(r *Runtime, _ *Task) int {
+	return r.Rand().Intn(r.Machine().Sockets())
+}
+
+// seedPick places each task by the seed in the options, as RGP seeds its
+// partitioner.
+type seedPick struct{}
+
+func (seedPick) Name() string { return "seed" }
+func (seedPick) PickSocket(r *Runtime, _ *Task) int {
+	return int(r.Options().Seed % uint64(r.Machine().Sockets()))
+}
+
+// TestSeedUsed pins the seed-use report: a Rand or an Options call marks the
+// run; nothing the runtime does on its own (windows, barriers, stealing)
+// does; and a runtime drawn from the pool starts unmarked.
+func TestSeedUsed(t *testing.T) {
+	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
+	for _, c := range []struct {
+		pol  Policy
+		want bool
+	}{
+		{randPick{}, true},
+		{cyclic{}, false},
+		{seedPick{}, true},
+		{pinned(1), false}, // every task on socket 1: socket 0 steals
+	} {
+		r := NewRuntime(m, c.pol, Options{WindowSize: 4, Seed: 7, Steal: true})
+		buildMixed(r, true)
+		buildLayeredRT(r, 10, 20)
+		res := r.Run()
+		if r.SeedUsed() != c.want {
+			t.Errorf("%s: SeedUsed = %v, want %v", c.pol.Name(), r.SeedUsed(), c.want)
+		}
+		if _, ok := c.pol.(pinned); ok && res.Steals == 0 {
+			t.Errorf("%s: no steals; the case must exercise stealing", c.pol.Name())
+		}
+		m.Reset()
+		r.Release()
+	}
+}

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"numadag/internal/sim"
@@ -37,6 +38,14 @@ type Result struct {
 	// pressure over the run: the saturation signal behind NUMA collapse.
 	MeanPortUtilization float64
 	MaxPortUtilization  float64
+}
+
+// Clone returns a copy of r whose slices are its own.
+func (r *Result) Clone() Result {
+	c := *r
+	c.BusyTime = slices.Clone(r.BusyTime)
+	c.SocketTasks = slices.Clone(r.SocketTasks)
+	return c
 }
 
 // RemoteRatio returns remote bytes / total bytes (0 when no traffic).

@@ -156,9 +156,6 @@ type Task struct {
 // Done reports whether the task has finished executing.
 func (t *Task) Done() bool { return t.state == stateDone }
 
-// Running reports whether the task is currently executing.
-func (t *Task) Running() bool { return t.state == stateRunning }
-
 // NumSuccs returns the number of distinct dependent tasks. Successor lists
 // are linked from the TDG when Run or Start begins; before that NumSuccs
 // reports zero (Runtime.Graph().OutDegree counts them at any time).

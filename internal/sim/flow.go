@@ -49,14 +49,6 @@ func (r *Resource) Carried(now Time) float64 {
 	return r.carried + r.rate*float64(now-r.lastUpdate)
 }
 
-// Utilization returns the average fraction of capacity used over [0, now].
-func (r *Resource) Utilization(now Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return r.Carried(now) / (r.capacity * float64(now))
-}
-
 // settle folds the running rate into the carried integral at time now.
 func (r *Resource) settle(now Time, newRate float64) {
 	r.carried += r.rate * float64(now-r.lastUpdate)

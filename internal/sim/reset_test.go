@@ -23,7 +23,7 @@ func flowScenario(eng *Engine, n *Net, rs []*Resource) (final Time, steps uint64
 	}
 	util = make([]float64, len(rs))
 	for i, r := range rs {
-		util[i] = r.Utilization(final)
+		util[i] = utilization(r, final)
 	}
 	return final, eng.Steps(), n.TotalBytes, util
 }
@@ -61,7 +61,7 @@ func TestResetEquivalence(t *testing.T) {
 			t.Fatal("net not rewound")
 		}
 		for _, r := range rs {
-			if r.Utilization(1000) != 0 || r.ActiveFlows() != 0 {
+			if utilization(r, 1000) != 0 || r.ActiveFlows() != 0 {
 				t.Fatal("resource integrals not rewound")
 			}
 		}

@@ -132,15 +132,22 @@
 // Experiments memoize each workload's built task graph in a per-experiment
 // cache (one build per workload x machine, shared across policies, variants
 // and replicate seeds, dropped after its last cell); builders must
-// therefore be pure functions of (spec, scale, seed, machine). cmd/dagen
-// lists, describes, generates and exports workloads.
+// therefore be pure functions of (spec, scale, seed, machine). Experiments
+// also reuse results across replicate seeds: when replicate 0 of an (app,
+// policy, machine, variant) group runs without reaching its seed, the
+// group's other replicates receive copies of its audited result instead of
+// simulating, while traced and observed cells always run. A policy must
+// therefore reach randomness and the runtime options only through
+// Runtime.Rand and Runtime.Options, the calls Runtime.SeedUsed reports.
+// cmd/dagen lists, describes, generates and exports workloads.
 //
 // Policy names are registry specs: "name?key=value" parameterizes a
 // registered family (e.g. the RGP partitioner ablations). The built-ins are
 // the four configurations the paper evaluates (DFIFO, LAS, EP, RGP+LAS) and
 // RGP, its repartition-every-window mode. Replicate seeds
 // always derive from the base seed via DeriveSeed — seed + 1000*replicate —
-// and every cell of an Experiment runs through the audited Run path.
+// and every simulated cell of an Experiment runs through the audited Run
+// path; a copied replicate carries its leader's audited result.
 package numadag
 
 import (
