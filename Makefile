@@ -41,9 +41,12 @@ test-race-experiment:
 # its own count — the gate the nightly bench-check held on the retired
 # root Figure-1 and socket-ablation benchmarks), cold task-graph
 # construction (build + snapshot of a random layered graph on a
-# pooled prototype runtime, bounded per task), and the cluster dispatcher's
-# placement step. A named, blocking CI step (`allocs` in ci.yml); a
-# regression fails the build, not just the nightly bench trend.
+# pooled prototype runtime, bounded per task), an experiment's single-use
+# cell (a random layered graph built straight into a pooled runtime's kept
+# graph storage, run, audited and released, bounded per task), a graph
+# rebuild after DAG.Reset (0), and the cluster dispatcher's placement
+# step. A named, blocking CI step (`allocs` in ci.yml); a regression fails
+# the build, not just the nightly bench trend.
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' -count=1 \
 		./internal/sim ./internal/partition ./internal/graph ./internal/rt ./internal/policy \

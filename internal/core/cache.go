@@ -9,11 +9,12 @@ import (
 	"numadag/internal/workload"
 )
 
-// snapshotCache memoizes built task graphs (rt.Snapshot), keyed by
-// (workload key, machine topology). Concurrent workers asking for the same
-// key share a single build — the first caller runs it under the entry's
-// once, the rest block on it — so a sweep constructs each graph exactly
-// once.
+// snapshotCache memoizes the task graphs (rt.Snapshot) that several cells
+// of a grid share, keyed by (workload key, machine topology). A graph only
+// one cell runs never enters it: that cell builds the graph in place (see
+// Experiment.resolve). Concurrent workers asking for the same key share a
+// single build — the first caller runs it under the entry's once, the rest
+// block on it — so a sweep constructs each graph exactly once.
 //
 // The cache knows each key's planned cells up front and counts them down as
 // they take the snapshot, or forgo it as copied replicates: the last one

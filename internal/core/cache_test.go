@@ -80,35 +80,118 @@ func TestExperimentTDGCacheBuildsOnce(t *testing.T) {
 }
 
 // TestExperimentCacheEquivalence pins the cache's core guarantee: every
-// cell of a grid, run on a cached snapshot, has statistics identical to
-// core.Run of the cell's config, which builds the graph from the generator.
+// cell of a grid, whether it installs a cached snapshot or builds its graph
+// in place, has statistics identical to core.Run of the cell's config,
+// which builds the graph from the generator. The second grid mixes both
+// paths: each random layered spec runs in one cell, so its graph is built
+// in place on the storage the pooled runtimes keep, while jacobi's graph,
+// named by two spellings of its spec, is shared by two cells. An Experiment
+// is a cross product, so two spellings are how a grid gives one graph two
+// cells and the others one. It runs at one and at two workers, so in-place
+// builds and releases interleave with installs of the shared snapshot.
 func TestExperimentCacheEquivalence(t *testing.T) {
-	var cached []CellResult
-	e := &Experiment{
-		Apps:     []string{"jacobi", "random-layered?layers=5&width=8&seed=3"},
-		Policies: []string{"LAS", "RGP+LAS"},
-		Scale:    apps.Tiny,
-		Seeds:    2,
+	mixed := func(workers int) Experiment {
+		return Experiment{
+			Apps: []string{"random-layered?layers=5&width=8&seed=3", "jacobi",
+				"random-layered?layers=6&width=7&seed=4", "jacobi?scale=tiny"},
+			Policies: []string{"RGP+LAS"},
+			Scale:    apps.Tiny,
+			Workers:  workers,
+		}
 	}
-	err := e.Run(context.Background(), SinkFunc(func(r CellResult) error {
-		cached = append(cached, r)
-		return nil
-	}))
+	for _, c := range []struct {
+		name    string
+		e       Experiment
+		cells   int
+		inPlace int
+	}{
+		{"shared", Experiment{
+			Apps:     []string{"jacobi", "random-layered?layers=5&width=8&seed=3"},
+			Policies: []string{"LAS", "RGP+LAS"},
+			Scale:    apps.Tiny,
+			Seeds:    2,
+		}, 8, 0},
+		{"mixed/workers=1", mixed(1), 4, 2},
+		{"mixed/workers=2", mixed(2), 4, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := c.e.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inPlace := 0
+			for _, p := range g.ps {
+				if p.inPlace {
+					inPlace++
+				}
+			}
+			if inPlace != c.inPlace {
+				t.Fatalf("%d of %d cells build in place, want %d", inPlace, len(g.ps), c.inPlace)
+			}
+			var cached []CellResult
+			err = c.e.Run(context.Background(), SinkFunc(func(r CellResult) error {
+				cached = append(cached, r)
+				return nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cached) != c.cells {
+				t.Fatalf("%d cells, want %d", len(cached), c.cells)
+			}
+			for i, r := range cached {
+				rebuilt, err := Run(r.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(r.Stats, rebuilt.Stats) {
+					t.Errorf("cell %d (%s/%s seed %d) diverged from core.Run:\n  grid:    %+v\n  rebuilt: %+v",
+						i, r.Cell.App, r.Cell.Policy, r.Cell.Seed, r.Stats, rebuilt.Stats)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotCacheGraphOutlivesPooledBuild pins who owns a snapshot's
+// graph: rt.Snap takes it from the prototype runtime, so once the prototype
+// is released, a pooled runtime that builds and releases a different graph
+// in place recycles none of the snapshot's storage, and the snapshot still
+// installs a run identical to a fresh core.Run.
+func TestSnapshotCacheGraphOutlivesPooledBuild(t *testing.T) {
+	mc := machine.TwoSocketXeon()
+	cfg := DefaultConfig("random-layered?layers=6&width=8&seed=3", "LAS", apps.Tiny)
+	cfg.Machine = mc
+	w, err := workload.New(cfg.App, cfg.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cached) != 2*2*2 {
-		t.Fatalf("%d cells, want 8", len(cached))
+	snap, err := w.Snapshot(mc) // Snap, then Release the prototype
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cached {
-		rebuilt, err := Run(c.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(c.Stats, rebuilt.Stats) {
-			t.Errorf("cell %d (%s/%s seed %d) diverged with cache:\n  cached:  %+v\n  rebuilt: %+v",
-				i, c.Cell.App, c.Cell.Policy, c.Cell.Seed, c.Stats, rebuilt.Stats)
-		}
+	other := DefaultConfig("random-layered?layers=9&width=11&seed=4", "LAS", apps.Tiny)
+	other.Machine = mc
+	ow, err := workload.New(other.App, other.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Builds into the pooled runtime the prototype went back to, runs and
+	// releases it.
+	if _, err := runWith(other, &ow, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runWith(cfg, nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("installed snapshot diverged from core.Run after a pooled in-place build:\n  installed: %+v\n  run:       %+v",
+			got.Stats, want.Stats)
 	}
 }
 

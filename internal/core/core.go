@@ -77,14 +77,16 @@ type RunResult struct {
 // statistics are trusted; an audit failure is a bug in the runtime or
 // policy, surfaced as an error rather than a silently wrong data point.
 func Run(cfg Config) (RunResult, error) {
-	return runWith(cfg, nil)
+	return runWith(cfg, nil, nil)
 }
 
 // runWith executes one configuration and reports whether the run used its
-// seed. The task graph is installed from snap when it is non-nil (the
-// Experiment cache's path — bit-identical to rebuilding), and otherwise
-// built by resolving cfg.App through the workload registry.
-func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
+// seed. The task graph is installed from snap when it is non-nil (a graph
+// an Experiment's cells share, through its snapshot cache — bit-identical
+// to rebuilding). Otherwise it is built in place, into the run's own
+// pooled runtime, from w, or from cfg.App resolved through the workload
+// registry when w is nil.
+func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, error) {
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return RunResult{}, err
@@ -94,6 +96,13 @@ func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 	}
 	if err := cfg.Runtime.Validate(); err != nil {
 		return RunResult{}, err
+	}
+	if snap == nil && w == nil {
+		resolved, err := workload.New(cfg.App, cfg.Scale)
+		if err != nil {
+			return RunResult{}, err
+		}
+		w = &resolved
 	}
 	m := acquireMachine(cfg.Machine)
 	if cfg.Trace != nil {
@@ -106,14 +115,8 @@ func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 	r := rt.NewRuntime(m, pol, cfg.Runtime)
 	if snap != nil {
 		snap.Install(r)
-	} else {
-		w, err := workload.New(cfg.App, cfg.Scale)
-		if err != nil {
-			return RunResult{}, err
-		}
-		if err := w.Build(r); err != nil {
-			return RunResult{}, fmt.Errorf("core: build %s: %w", cfg.App, err)
-		}
+	} else if err := w.BuildInto(r); err != nil {
+		return RunResult{}, err
 	}
 	stats := r.Run()
 	if err := r.AuditSchedule(); err != nil {
@@ -122,9 +125,10 @@ func runWith(cfg Config, snap *rt.Snapshot) (RunResult, error) {
 	seedUsed := r.SeedUsed()
 	if cfg.Runtime.Observer == nil && cfg.Trace == nil {
 		// No observer and no tracer means nothing outside this function saw
-		// a *Task, a *Region or the machine: the audit has run, the Result
-		// slices are per-run, and both the runtime's arenas and the
-		// machine/engine pair can go back to their pools for the next cell.
+		// a *Task, a *Region, the task graph or the machine: the audit has
+		// run, the Result slices are per-run, and both the runtime's arenas
+		// and graph storage and the machine/engine pair can go back to
+		// their pools for the next cell.
 		// Traced machines carry undetachable flow hooks and flushers, so
 		// they never re-enter the pool.
 		r.Release()

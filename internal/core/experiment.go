@@ -73,11 +73,15 @@ type Sink interface {
 // the given sinks. The paper's Figure 1 and all ablation sweeps are
 // declarations of this type.
 //
-// Each (workload, machine) task graph is built once (Workload.Snapshot),
-// installed by every policy, variant and replicate cell that runs it, and
-// dropped once the last of them has taken it, so a sweep's memory follows
-// its workers rather than its number of distinct graphs. Installed graphs
-// are bit-identical to rebuilt ones, so the cache never changes results.
+// Each (workload, machine) task graph that several cells run — several
+// policies, variants or replicates — is built once (Workload.Snapshot),
+// installed by every cell that runs it, and dropped once the last of them
+// has taken it, so a sweep's memory follows its workers rather than its
+// number of distinct graphs. A graph that exactly one cell runs is built
+// straight into that cell's runtime instead, on graph storage the runtime
+// pool keeps from build to build, and is never snapshotted. Installed
+// graphs are bit-identical to rebuilt ones, so neither path changes
+// results.
 //
 // Replicates share results the same way. Replicate 0 of each (app,
 // policy, machine, variant) group leads it. When the leader's run never
@@ -133,6 +137,11 @@ type plan struct {
 	cell Cell
 	mach machine.Config
 	vari Variant
+	// key is the cell's (workload, machine) graph in the snapshot cache,
+	// and inPlace marks a graph no other cell of the grid runs; resolve
+	// sets both.
+	key     string
+	inPlace bool
 }
 
 func (e *Experiment) plans() ([]plan, error) {
@@ -227,25 +236,31 @@ func (e *Experiment) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// runCell executes one grid cell on the cached task-graph snapshot of its
-// (workload, machine) pair.
+// runCell executes one grid cell. A graph the cell alone runs is built in
+// place, into the cell's own runtime, from the grid's resolved workload; a
+// shared one is installed from the cached snapshot of its (workload,
+// machine) pair.
 func (g *grid) runCell(cfg Config, p plan) (RunResult, error) {
 	w := g.wls[p.cell.App]
-	snap, err := g.cache.get(cacheKey(w, p.mach), func() (*rt.Snapshot, error) {
+	if p.inPlace {
+		return runWith(cfg, &w, nil)
+	}
+	snap, err := g.cache.get(p.key, func() (*rt.Snapshot, error) {
 		return w.Snapshot(p.mach)
 	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runWith(cfg, snap)
+	return runWith(cfg, nil, snap)
 }
 
 // copyCell is a follower's result when its group leader's run was
 // seed-free: the leader's statistics, with slices of its own, under the
 // cell's own Cell and Config. The cell is counted down in the snapshot
-// cache as if it had taken the snapshot.
+// cache as if it had taken the snapshot; a follower shares its graph with
+// its leader, so its graph is never an in-place one.
 func (g *grid) copyCell(cfg Config, p plan, lead *rt.Result) CellResult {
-	g.cache.forgo(cacheKey(g.wls[p.cell.App], p.mach))
+	g.cache.forgo(p.key)
 	return CellResult{Cell: p.cell, Config: cfg, Stats: lead.Clone()}
 }
 
@@ -302,7 +317,8 @@ type grid struct {
 }
 
 // resolve enumerates the cells Run will execute, resolves their workloads
-// and plans the snapshot cache.
+// and decides where each cell's task graph comes from: a graph planned for
+// one cell alone is built in place, and the cache plans the shared ones.
 func (e *Experiment) resolve() (*grid, error) {
 	ps, err := e.plans()
 	if err != nil {
@@ -314,7 +330,8 @@ func (e *Experiment) resolve() (*grid, error) {
 	// before any simulation time is spent.
 	wls := make(map[string]workload.Workload)
 	planned := make(map[string]int)
-	for _, p := range ps {
+	for i := range ps {
+		p := &ps[i]
 		w, ok := wls[p.cell.App]
 		if !ok {
 			var err error
@@ -323,9 +340,19 @@ func (e *Experiment) resolve() (*grid, error) {
 			}
 			wls[p.cell.App] = w
 		}
-		// Count the cells that will take each snapshot, under the cache's
-		// own key scheme.
-		planned[cacheKey(w, p.mach)]++
+		// Count the cells that run each graph, under the cache's own key
+		// scheme.
+		p.key = cacheKey(w, p.mach)
+		planned[p.key]++
+	}
+	// A graph one cell alone runs would be built, copied by rt.Snap and
+	// copied again by Install for that one run; the cell builds it into its
+	// own runtime instead, and the cache never sees it.
+	for i := range ps {
+		if p := &ps[i]; planned[p.key] == 1 {
+			p.inPlace = true
+			delete(planned, p.key)
+		}
 	}
 	return &grid{ps: ps, wls: wls, cache: newSnapshotCache(planned)}, nil
 }

@@ -81,7 +81,7 @@ func TestSeedUseReport(t *testing.T) {
 			for _, seed := range []uint64{1, 1001, 2001} {
 				cfg := DefaultConfig(app, pol, apps.Tiny)
 				cfg.Runtime.Seed = seed
-				r, err := runWith(cfg, nil)
+				r, err := runWith(cfg, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -247,6 +247,40 @@ func TestExperimentLeaderErrorAborts(t *testing.T) {
 		}
 		if delivered > 3 {
 			t.Errorf("workers=%d: %d cells delivered past the failing leader", workers, delivered)
+		}
+	}
+}
+
+// TestExperimentBuildErrorOneWording pins that a failed build reads the
+// same whichever path the cell took: built in place (its graph is the
+// cell's alone) or through the snapshot cache (two policies share it), and
+// the same as core.Run's.
+func TestExperimentBuildErrorOneWording(t *testing.T) {
+	var msgs []string
+	for _, pols := range [][]string{{"LAS"}, {"LAS", "DFIFO"}} {
+		e := &Experiment{Apps: []string{"test-fail"}, Policies: pols, Scale: apps.Tiny, Workers: 1}
+		g, err := e.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(pols) == 1; g.ps[0].inPlace != want {
+			t.Fatalf("policies %v: in place = %v, want %v", pols, g.ps[0].inPlace, want)
+		}
+		err = e.Run(context.Background())
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("policies %v: err = %v, want boom", pols, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	_, err := Run(DefaultConfig("test-fail", "LAS", apps.Tiny))
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("core.Run: err = %v, want boom", err)
+	}
+	msgs = append(msgs, err.Error())
+	const want = "workload: build test-fail: boom"
+	for i, m := range msgs {
+		if m != want {
+			t.Errorf("error %d = %q, want %q (in place, shared, core.Run)", i, m, want)
 		}
 	}
 }

@@ -28,3 +28,19 @@ func TestInducedSubgraphSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("InducedSubgraphInto allocates %v objects per op in steady state, want 0", avg)
 	}
 }
+
+// A graph rebuilt after Reset carves the chunks and fills the node arrays
+// of the build before it: a rebuild no larger than an earlier build must
+// not allocate. This is the storage a pooled runtime keeps between builds.
+func TestResetRebuildSteadyStateAllocs(t *testing.T) {
+	deps := randomDeps(xrand.New(4), 2000, 6, -1)
+	g := New()
+	buildDeps(g, deps) // grow the node arrays and chunks
+	avg := testing.AllocsPerRun(20, func() {
+		g.Reset()
+		buildDeps(g, deps)
+	})
+	if avg != 0 {
+		t.Fatalf("Reset and rebuild allocates %v objects per op, want 0", avg)
+	}
+}

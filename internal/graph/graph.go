@@ -22,7 +22,10 @@
 // list it creates or outgrows from shared chunks, again with exact
 // capacity. Compact then moves a finished graph into one exactly sized
 // slab, so a graph kept for a long time (a runtime snapshot's) holds no
-// construction slack.
+// construction slack. A graph that is built, used and dropped instead
+// (a pooled runtime's own) is Reset for the next build: its node arrays
+// and chunks are kept, so a rebuild of a graph no larger allocates none of
+// them again.
 package graph
 
 import "fmt"
@@ -51,9 +54,13 @@ type DAG struct {
 	succ   [][]halfEdge // sorted by target id per node (kept sorted on insert)
 	pred   [][]halfEdge
 	nEdges int
-	// adj is the unused tail of the chunk AddNodeDeps carves adjacency
-	// lists from.
-	adj []halfEdge
+	// chunks holds the chunks AddNodeDeps carves adjacency lists from, in
+	// the order carve first took them; chunks[:next] are in use and adj is
+	// the unused tail of the last of them. Reset rewinds next to 0, so the
+	// next build carves the same chunks again.
+	chunks [][]halfEdge
+	next   int
+	adj    []halfEdge
 }
 
 // adjChunk is the size of the chunks AddNodeDeps carves adjacency lists
@@ -61,11 +68,19 @@ type DAG struct {
 const adjChunk = 1024
 
 // carve returns an empty adjacency list with capacity n cut from the
-// current chunk. The capacity is exact, so appending to one carved list
-// reallocates it instead of clobbering its neighbor.
+// current chunk, moving on to the next kept chunk (or a new one) when the
+// current one is too short. The capacity is exact, so appending to one
+// carved list reallocates it instead of clobbering its neighbor.
 func (g *DAG) carve(n int) []halfEdge {
 	if cap(g.adj) < n {
-		g.adj = make([]halfEdge, max(n, adjChunk))
+		if g.next == len(g.chunks) {
+			g.chunks = append(g.chunks, nil)
+		}
+		if len(g.chunks[g.next]) < n {
+			g.chunks[g.next] = make([]halfEdge, max(n, adjChunk))
+		}
+		g.adj = g.chunks[g.next]
+		g.next++
 	}
 	l := g.adj[:0:n]
 	g.adj = g.adj[n:]
@@ -80,14 +95,20 @@ type halfEdge struct {
 // New returns an empty DAG.
 func New() *DAG { return &DAG{} }
 
-// NewWithCapacity returns an empty DAG with room for n nodes.
-func NewWithCapacity(n int) *DAG {
-	return &DAG{
-		nodeW:  make([]int64, 0, n),
-		labels: make([]string, 0, n),
-		succ:   make([][]halfEdge, 0, n),
-		pred:   make([][]halfEdge, 0, n),
-	}
+// Reset empties the graph for a new build and keeps its storage: the node
+// arrays, and every adjacency chunk, which AddNodeDeps carves again from
+// the first. Labels and adjacency lists are cleared, so a reset graph
+// references nothing of the build before it. Only the graph's sole owner
+// may reset it: anyone still reading the graph, or a list it handed out,
+// would see the next build overwrite it.
+func (g *DAG) Reset() {
+	clear(g.labels)
+	clear(g.succ)
+	clear(g.pred)
+	g.nodeW, g.labels = g.nodeW[:0], g.labels[:0]
+	g.succ, g.pred = g.succ[:0], g.pred[:0]
+	g.nEdges = 0
+	g.next, g.adj = 0, nil
 }
 
 // Len returns the number of nodes.
@@ -170,19 +191,11 @@ func (g *DAG) Compact() {
 			slab = slab[n:]
 		}
 	}
-	g.adj = nil
+	g.chunks, g.next, g.adj = nil, 0, nil
 }
 
 // NodeWeight returns the node's weight.
 func (g *DAG) NodeWeight(id NodeID) int64 { return g.nodeW[id] }
-
-// SetNodeWeight updates the node's weight.
-func (g *DAG) SetNodeWeight(id NodeID, w int64) {
-	if w < 0 {
-		panic(fmt.Sprintf("graph: negative node weight %d", w))
-	}
-	g.nodeW[id] = w
-}
 
 // Label returns the node's label.
 func (g *DAG) Label(id NodeID) string { return g.labels[id] }
@@ -209,14 +222,6 @@ func (g *DAG) AddEdge(from, to NodeID, weight int64) {
 	g.succ[from] = insertHalf(g.succ[from], halfEdge{to: to, w: weight})
 	g.pred[to] = insertHalf(g.pred[to], halfEdge{to: from, w: weight})
 	g.nEdges++
-}
-
-// HasEdge reports whether from -> to exists.
-func (g *DAG) HasEdge(from, to NodeID) bool {
-	g.checkID(from)
-	g.checkID(to)
-	_, ok := findHalf(g.succ[from], to)
-	return ok
 }
 
 // EdgeWeight returns the weight of from -> to, or 0 if absent.
@@ -248,28 +253,6 @@ func (g *DAG) OutDegree(id NodeID) int { return len(g.succ[id]) }
 
 // InDegree returns the number of predecessors.
 func (g *DAG) InDegree(id NodeID) int { return len(g.pred[id]) }
-
-// Roots returns the nodes with no predecessors, in ID order.
-func (g *DAG) Roots() []NodeID {
-	var out []NodeID
-	for i := range g.pred {
-		if len(g.pred[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// Leaves returns the nodes with no successors, in ID order.
-func (g *DAG) Leaves() []NodeID {
-	var out []NodeID
-	for i := range g.succ {
-		if len(g.succ[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
 
 // EdgeList returns every edge, ordered by (From, To).
 func (g *DAG) EdgeList() []Edge {
@@ -389,15 +372,6 @@ func (g *DAG) CriticalPathWeight() (int64, error) {
 		}
 	}
 	return best, nil
-}
-
-// InducedSubgraph returns the subgraph on the given nodes (in the given
-// order: subgraph ID i corresponds to nodes[i]) together with the mapping
-// back to the original IDs. Edges with both endpoints inside are preserved.
-// The result is independently owned; callers extracting many subgraphs on a
-// hot path should use InducedSubgraphInto with a reused SubgraphScratch.
-func (g *DAG) InducedSubgraph(nodes []NodeID) (*DAG, []NodeID) {
-	return g.InducedSubgraphInto(nil, nodes)
 }
 
 func (g *DAG) checkID(id NodeID) {

@@ -7,6 +7,40 @@ import (
 	"numadag/internal/xrand"
 )
 
+// hasEdge reports whether from -> to exists.
+func hasEdge(g *DAG, from, to NodeID) bool {
+	_, ok := findHalf(g.succ[from], to)
+	return ok
+}
+
+// rootsOf returns the nodes with no predecessors, in ID order.
+func rootsOf(g *DAG) []NodeID {
+	var out []NodeID
+	for i := 0; i < g.Len(); i++ {
+		if g.InDegree(NodeID(i)) == 0 {
+			out = append(out, NodeID(i))
+		}
+	}
+	return out
+}
+
+// leavesOf returns the nodes with no successors, in ID order.
+func leavesOf(g *DAG) []NodeID {
+	var out []NodeID
+	for i := 0; i < g.Len(); i++ {
+		if g.OutDegree(NodeID(i)) == 0 {
+			out = append(out, NodeID(i))
+		}
+	}
+	return out
+}
+
+// inducedSubgraph extracts the subgraph on nodes into a fresh scratch, so
+// the result is independently owned.
+func inducedSubgraph(g *DAG, nodes []NodeID) (*DAG, []NodeID) {
+	return g.InducedSubgraphInto(&SubgraphScratch{}, nodes)
+}
+
 // diamond builds a <- {b, c} <- d ... actually a->b, a->c, b->d, c->d.
 func diamond(t *testing.T) (*DAG, [4]NodeID) {
 	t.Helper()
@@ -27,7 +61,7 @@ func TestAddNodesAndEdges(t *testing.T) {
 	if g.Len() != 4 || g.Edges() != 4 {
 		t.Fatalf("len=%d edges=%d, want 4/4", g.Len(), g.Edges())
 	}
-	if !g.HasEdge(ids[0], ids[1]) || g.HasEdge(ids[1], ids[0]) {
+	if !hasEdge(g, ids[0], ids[1]) || hasEdge(g, ids[1], ids[0]) {
 		t.Fatal("edge direction wrong")
 	}
 	if w := g.EdgeWeight(ids[2], ids[3]); w != 40 {
@@ -77,7 +111,6 @@ func TestNegativeWeightsPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { g.AddNode("bad", -1) },
 		func() { g.AddEdge(a, b, -1) },
-		func() { g.SetNodeWeight(a, -2) },
 	} {
 		func() {
 			defer func() { _ = recover() }()
@@ -95,7 +128,7 @@ func TestDegreesRootsLeaves(t *testing.T) {
 	if g.InDegree(ids[3]) != 2 || g.OutDegree(ids[3]) != 0 {
 		t.Fatal("leaf degrees wrong")
 	}
-	roots, leaves := g.Roots(), g.Leaves()
+	roots, leaves := rootsOf(g), leavesOf(g)
 	if len(roots) != 1 || roots[0] != ids[0] {
 		t.Fatalf("roots = %v", roots)
 	}
@@ -174,7 +207,7 @@ func TestCriticalPath(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g, ids := diamond(t)
-	sub, back := g.InducedSubgraph([]NodeID{ids[0], ids[1], ids[3]})
+	sub, back := inducedSubgraph(g, []NodeID{ids[0], ids[1], ids[3]})
 	if sub.Len() != 3 {
 		t.Fatalf("subgraph len = %d", sub.Len())
 	}
@@ -197,7 +230,7 @@ func TestInducedSubgraphDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate node did not panic")
 		}
 	}()
-	g.InducedSubgraph([]NodeID{ids[0], ids[0]})
+	inducedSubgraph(g, []NodeID{ids[0], ids[0]})
 }
 
 func TestTotalWeights(t *testing.T) {
@@ -224,7 +257,7 @@ func TestOutOfRangePanics(t *testing.T) {
 // randomDAG builds a random DAG with edges only from lower to higher IDs
 // (guaranteed acyclic).
 func randomDAG(r *xrand.Rand, n, extraEdges int) *DAG {
-	g := NewWithCapacity(n)
+	g := New()
 	for i := 0; i < n; i++ {
 		g.AddNode("", int64(r.Intn(100)+1))
 	}
@@ -275,7 +308,7 @@ func TestPropertyInducedSubgraphIdentity(t *testing.T) {
 		for i := range all {
 			all[i] = NodeID(i)
 		}
-		sub, _ := g.InducedSubgraph(all)
+		sub, _ := inducedSubgraph(g, all)
 		if sub.Len() != g.Len() || sub.Edges() != g.Edges() {
 			return false
 		}
@@ -287,7 +320,7 @@ func TestPropertyInducedSubgraphIdentity(t *testing.T) {
 }
 
 func BenchmarkAddEdge(b *testing.B) {
-	g := NewWithCapacity(b.N + 1)
+	g := New()
 	for i := 0; i <= b.N; i++ {
 		g.AddNode("", 1)
 	}
@@ -414,6 +447,83 @@ func TestAddNodeDepsRejectsBadDeps(t *testing.T) {
 		}()
 		if g.Len() != 2 || g.Edges() != 0 {
 			t.Errorf("%s: a rejected AddNodeDeps left %d nodes, %d edges", name, g.Len(), g.Edges())
+		}
+	}
+}
+
+// randomDeps returns, for each of n nodes, a sorted, merged dependence list
+// on earlier nodes: up to maxK predecessors each, plus, for node wide, one
+// on every earlier node.
+func randomDeps(rng *xrand.Rand, n, maxK, wide int) [][]Dep {
+	deps := make([][]Dep, n)
+	for v := 1; v < n; v++ {
+		if v == wide {
+			for from := 0; from < v; from++ {
+				deps[v] = append(deps[v], Dep{From: NodeID(from), Weight: int64(from)})
+			}
+			continue
+		}
+		seen := map[NodeID]bool{}
+		for k := rng.Intn(maxK + 1); k > 0; k-- {
+			seen[NodeID(rng.Intn(v))] = true
+		}
+		for from := NodeID(0); from < NodeID(v); from++ {
+			if seen[from] {
+				deps[v] = append(deps[v], Dep{From: from, Weight: int64(rng.Intn(100))})
+			}
+		}
+	}
+	return deps
+}
+
+// buildDeps adds one node per dependence list to g.
+func buildDeps(g *DAG, deps [][]Dep) {
+	for v, d := range deps {
+		g.AddNodeDeps("n", int64(v), d)
+	}
+}
+
+// TestResetRebuildMatchesFresh pins Reset: a graph rebuilt after Reset,
+// reusing the chunks of larger and smaller earlier builds, equals the same
+// graph built on a new DAG, and a reset graph references no label or
+// adjacency list of the build before it.
+func TestResetRebuildMatchesFresh(t *testing.T) {
+	rng := xrand.New(11)
+	reused := New()
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(600)
+		wide := -1
+		if trial%5 == 4 {
+			n += adjChunk
+			wide = n - 1 // a predecessor list longer than a chunk
+		}
+		deps := randomDeps(rng, n, 6, wide)
+		fresh := New()
+		buildDeps(fresh, deps)
+		reused.Reset()
+		if reused.Len() != 0 || reused.Edges() != 0 {
+			t.Fatalf("trial %d: reset graph has %d nodes, %d edges", trial, reused.Len(), reused.Edges())
+		}
+		for i, l := range reused.labels[:cap(reused.labels)] {
+			if l != "" {
+				t.Fatalf("trial %d: reset graph keeps node %d's label", trial, i)
+			}
+		}
+		for _, lists := range [2][][]halfEdge{reused.succ[:cap(reused.succ)], reused.pred[:cap(reused.pred)]} {
+			for i, l := range lists {
+				if l != nil {
+					t.Fatalf("trial %d: reset graph keeps node %d's adjacency", trial, i)
+				}
+			}
+		}
+		buildDeps(reused, deps)
+		compareAdjacency(t, trial, fresh, reused)
+		for v := 0; v < n; v++ {
+			id := NodeID(v)
+			if fresh.Label(id) != reused.Label(id) || fresh.NodeWeight(id) != reused.NodeWeight(id) {
+				t.Fatalf("trial %d node %d: (%q, %d), want (%q, %d)", trial, v,
+					reused.Label(id), reused.NodeWeight(id), fresh.Label(id), fresh.NodeWeight(id))
+			}
 		}
 	}
 }

@@ -32,13 +32,8 @@ type SubgraphScratch struct {
 // downstream consumers (symmetrization, tie-breaks) see identical state.
 //
 // The returned DAG and slice are owned by sc and valid only until its next
-// use; they must not be retained across calls. A nil sc allocates a fresh
-// scratch, making the result independently owned — that is what
-// InducedSubgraph does.
+// use; they must not be retained across calls.
 func (g *DAG) InducedSubgraphInto(sc *SubgraphScratch, nodes []NodeID) (*DAG, []NodeID) {
-	if sc == nil {
-		sc = &SubgraphScratch{}
-	}
 	n := g.Len()
 	if cap(sc.idx) < n {
 		sc.idx = make([]int32, n)

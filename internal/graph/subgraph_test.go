@@ -7,12 +7,12 @@ import (
 	"numadag/internal/xrand"
 )
 
-// referenceInduced is the pre-scratch implementation of InducedSubgraph
-// (map-based index, incremental AddNode/AddEdge construction), kept as the
-// behavioral oracle: the slab-based path must reproduce it exactly,
-// including adjacency order.
+// referenceInduced is the pre-scratch implementation of induced-subgraph
+// extraction (map-based index, incremental AddNode/AddEdge construction),
+// kept as the behavioral oracle: the slab-based path must reproduce it
+// exactly, including adjacency order.
 func referenceInduced(g *DAG, nodes []NodeID) (*DAG, []NodeID) {
-	sub := NewWithCapacity(len(nodes))
+	sub := New()
 	toSub := make(map[NodeID]NodeID, len(nodes))
 	back := make([]NodeID, len(nodes))
 	for i, id := range nodes {
@@ -92,18 +92,18 @@ func TestInducedSubgraphIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// The exported InducedSubgraph wrapper returns an independently owned result:
-// extracting another subgraph from the same DAG must not disturb it.
+// An extraction into its own scratch is independently owned: extracting
+// another subgraph from the same DAG must not disturb it.
 func TestInducedSubgraphIndependentOwnership(t *testing.T) {
 	r := xrand.New(7)
 	g := randomDAG(r, 40, 120)
 	nodes := []NodeID{5, 1, 17, 30, 2, 9}
-	sub1, back1 := g.InducedSubgraph(nodes)
+	sub1, back1 := inducedSubgraph(g, nodes)
 	s1, p1 := adjacency(sub1)
 	back1Copy := append([]NodeID(nil), back1...)
 
 	// A second, different extraction (and one through a shared scratch).
-	g.InducedSubgraph([]NodeID{0, 3, 4, 6, 7, 8, 10, 11})
+	inducedSubgraph(g, []NodeID{0, 3, 4, 6, 7, 8, 10, 11})
 	sc := &SubgraphScratch{}
 	g.InducedSubgraphInto(sc, []NodeID{12, 13, 14})
 	g.InducedSubgraphInto(sc, []NodeID{20, 21, 22, 23})
@@ -120,7 +120,7 @@ func TestInducedSubgraphIndependentOwnership(t *testing.T) {
 // Appending an edge to a DAG extracted via a scratch must not clobber a
 // neighboring adjacency list carved from the same slab.
 func TestInducedSubgraphIntoAppendSafety(t *testing.T) {
-	g := NewWithCapacity(4)
+	g := New()
 	a := g.AddNode("a", 1)
 	b := g.AddNode("b", 1)
 	c := g.AddNode("c", 1)
@@ -140,7 +140,7 @@ func TestInducedSubgraphIntoAppendSafety(t *testing.T) {
 }
 
 func TestInducedSubgraphIntoDuplicatePanics(t *testing.T) {
-	g := NewWithCapacity(3)
+	g := New()
 	g.AddNode("a", 1)
 	g.AddNode("b", 1)
 	defer func() {
@@ -154,7 +154,7 @@ func TestInducedSubgraphIntoDuplicatePanics(t *testing.T) {
 // Epoch wrap: after the int32 stamp counter wraps, stale stamps must not be
 // mistaken for current membership.
 func TestSubgraphScratchEpochWrap(t *testing.T) {
-	g := NewWithCapacity(4)
+	g := New()
 	for i := 0; i < 4; i++ {
 		g.AddNode("", 1)
 	}
@@ -183,7 +183,7 @@ func BenchmarkInducedSubgraph(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g.InducedSubgraph(nodes)
+			inducedSubgraph(g, nodes)
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 )
 
 func randomTestDAG(r *xrand.Rand, n, extraEdges int) *graph.DAG {
-	d := graph.NewWithCapacity(n)
+	d := graph.New()
 	for i := 0; i < n; i++ {
 		d.AddNode("", int64(r.Intn(50))) // zero weights included: exercises the lift
 	}
@@ -87,7 +87,7 @@ func TestLoadDAGMatchesReference(t *testing.T) {
 // AddEdge on a loaded graph must grow the touched list out of the shared
 // slab without clobbering its neighbors.
 func TestLoadDAGAppendSafety(t *testing.T) {
-	d := graph.NewWithCapacity(4)
+	d := graph.New()
 	for i := 0; i < 4; i++ {
 		d.AddNode("", 1)
 	}

@@ -25,6 +25,9 @@ func checkInert(t *testing.T, step string, r *Runtime) {
 			}
 		}
 	}
+	if r.own != nil && (r.own.Len() != 0 || r.own.Edges() != 0) {
+		t.Fatalf("%s: own graph keeps %d nodes, %d edges", step, r.own.Len(), r.own.Edges())
+	}
 	if r.arena.cur != 0 || r.arena.used != 0 {
 		t.Fatalf("%s: arena not rewound (slab %d, slot %d)", step, r.arena.cur, r.arena.used)
 	}
@@ -69,5 +72,61 @@ func TestReleaseLeavesNoStaleTasks(t *testing.T) {
 			t.Fatalf("recycled runtime ran %d of %d tasks", res.TasksRun, len(r2.tasks))
 		}
 		r2.Release()
+	}
+}
+
+// TestGraphStorageOwnership pins who owns a task graph's storage. A runtime
+// building through Submit builds into storage it keeps through the pool:
+// Release resets it and the next NewRuntime from the pool builds into it
+// again. Snap takes the graph with the snapshot, so the prototype's Release
+// leaves it whole. A runtime a snapshot is installed into runs on the
+// snapshot's graph and leaves its own storage to a later build.
+func TestGraphStorageOwnership(t *testing.T) {
+	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
+	opts := Options{WindowSize: 4, Seed: 1}
+
+	r := NewRuntime(m, cyclic{}, opts)
+	own := r.Graph()
+	buildLayeredRT(r, 6, 5)
+	r.Release()
+	if own.Len() != 0 {
+		t.Fatalf("Release left %d nodes in the runtime's own graph", own.Len())
+	}
+	if r2 := NewRuntime(m, cyclic{}, opts); r2 == r && r2.Graph() != own {
+		t.Fatal("a pooled runtime did not build into the graph storage it kept")
+	} else {
+		r2.Release()
+	}
+
+	proto := NewRuntime(m, cyclic{}, opts)
+	buildMixed(proto, true)
+	n, edges := proto.Graph().Len(), proto.Graph().Edges()
+	snap, err := Snap(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto.Release()
+	if g := snap.Graph(); g.Len() != n || g.Edges() != edges {
+		t.Fatalf("releasing the prototype changed the snapshot's graph: %d nodes, %d edges, want %d, %d",
+			g.Len(), g.Edges(), n, edges)
+	}
+	if r3 := NewRuntime(m, cyclic{}, opts); r3 == proto && r3.Graph() == snap.Graph() {
+		t.Fatal("a pooled runtime builds into the graph a snapshot took")
+	} else {
+		r3.Release()
+	}
+
+	r4 := NewRuntime(m, cyclic{}, opts)
+	own4 := r4.own
+	snap.Install(r4)
+	if r4.Graph() != snap.Graph() || r4.own != own4 || own4.Len() != 0 {
+		t.Fatal("Install did not leave the runtime's own graph storage untouched")
+	}
+	r4.Run()
+	m.Reset()
+	r4.Release()
+	if g := snap.Graph(); g.Len() != n || g.Edges() != edges {
+		t.Fatalf("releasing an installed runtime changed the snapshot's graph: %d nodes, %d edges, want %d, %d",
+			g.Len(), g.Edges(), n, edges)
 	}
 }

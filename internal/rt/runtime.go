@@ -147,7 +147,12 @@ type Runtime struct {
 	// seedUsed records a Rand or Options call since NewRuntime (SeedUsed).
 	seedUsed bool
 
+	// tdg is the run's task graph: own, when the runtime builds it through
+	// Submit, or an installed snapshot's. own is the graph storage the
+	// runtime keeps through the pool: Release resets it for the next
+	// build, and Snap takes it away with the snapshot.
 	tdg   *graph.DAG
+	own   *graph.DAG
 	tasks []*Task
 	// tracks holds the dependence trackers, indexed by region ID. Entries
 	// past len are always clean (no writer, empty zeroed readers), so
@@ -243,9 +248,11 @@ type Runtime struct {
 var runtimePool freelist.List[Runtime]
 
 // NewRuntime creates a runtime over the machine, with its own memory
-// manager. It draws on the pool of Released runtimes when one is available.
-// It panics on options Validate rejects; callers taking options from input
-// validate them first.
+// manager. It draws on the pool of Released runtimes when one is available,
+// and then builds its task graph into the graph storage the pooled runtime
+// kept (reset at Release), so a rebuild no larger than an earlier build
+// allocates no node array or adjacency chunk. It panics on options
+// Validate rejects; callers taking options from input validate them first.
 func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 	if pol == nil {
 		panic("rt: nil policy")
@@ -269,13 +276,18 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 	} else {
 		rng.Reseed(opts.Seed)
 	}
+	own := r.own
+	if own == nil {
+		own = graph.New()
+	}
 	*r = Runtime{
 		mach:        m,
 		mem:         mem,
 		pol:         pol,
 		opts:        opts,
 		rng:         rng,
-		tdg:         graph.New(),
+		tdg:         own,
+		own:         own,
 		tasks:       r.tasks[:0],
 		sockQ:       resetDeques(r.sockQ, m.Sockets()),
 		coreQ:       resetDeques(r.coreQ, m.Cores()),
@@ -396,10 +408,16 @@ func resetSlice[T any](s []T, n int) []T {
 
 // Release returns the runtime's grow-only state to the package pool for
 // reuse by future NewRuntime calls. The caller must own the runtime
-// exclusively and retain no references to its tasks or regions afterwards —
-// in particular Release must not be used when an Observer was configured,
-// since observers typically hold *Task beyond the run. The per-run Result
-// (and its slices) remains valid. Release is a no-op on a second call.
+// exclusively and retain no references to its tasks, regions or task graph
+// afterwards — in particular Release must not be used when an Observer was
+// configured, since observers typically hold *Task beyond the run. The
+// per-run Result (and its slices) remains valid. Release is a no-op on a
+// second call.
+//
+// A graph the runtime built through Submit is the runtime's own storage:
+// Release resets it, and the next NewRuntime from the pool builds into it.
+// A graph Snap took, or one Install put in, is not the runtime's: Release
+// leaves it to the snapshot.
 func (r *Runtime) Release() {
 	if r.running {
 		panic("rt: Release during Run")
@@ -414,11 +432,14 @@ func (r *Runtime) Release() {
 }
 
 // recycle drops every reference the pooled state holds to this build's
-// tasks: the arena's slots are zeroed, the trackers emptied and the task
-// graph and policy handles cleared, so a runtime waiting in the pool pins
-// nothing of the build that used it — in particular not a snapshot's graph
-// that the experiment cache has already dropped.
+// tasks: the arena's slots are zeroed, the trackers emptied, the own graph
+// reset and the task graph and policy handles cleared, so a runtime waiting
+// in the pool pins nothing of the build that used it — in particular not a
+// snapshot's graph that the experiment cache has already dropped.
 func (r *Runtime) recycle() {
+	if r.own != nil {
+		r.own.Reset()
+	}
 	r.tdg, r.pol = nil, nil
 	r.arena.reset()
 	for i := range r.tracks {

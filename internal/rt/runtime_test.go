@@ -66,7 +66,7 @@ func TestRAWDependencyOrdersExecution(t *testing.T) {
 	if consumer.StartAt < producer.EndAt {
 		t.Fatalf("consumer started %v before producer ended %v", consumer.StartAt, producer.EndAt)
 	}
-	if !r.Graph().HasEdge(producer.ID, consumer.ID) {
+	if r.Graph().EdgeWeight(producer.ID, consumer.ID) == 0 {
 		t.Fatal("RAW edge missing")
 	}
 	if w := r.Graph().EdgeWeight(producer.ID, consumer.ID); w != 4096 {
@@ -84,10 +84,10 @@ func TestWARAndWAWDependencies(t *testing.T) {
 	w2 := r.Submit(TaskSpec{Label: "w2", Flops: 100,
 		Accesses: []Access{{Region: reg, Mode: Out}}, EPSocket: NoEPHint})
 	g := r.Graph()
-	if !g.HasEdge(w1.ID, w2.ID) {
+	if g.EdgeWeight(w1.ID, w2.ID) == 0 {
 		t.Error("WAW edge missing")
 	}
-	if !g.HasEdge(rd.ID, w2.ID) {
+	if g.EdgeWeight(rd.ID, w2.ID) == 0 {
 		t.Error("WAR edge missing")
 	}
 	if w := g.EdgeWeight(rd.ID, w2.ID); w != 1 {

@@ -15,8 +15,10 @@ import (
 //
 // The TDG itself is shared between the snapshot and every runtime it is
 // installed into: the graph is read-only once submission ends, so concurrent
-// runs can hold the same *graph.DAG. Tasks and regions are mutated during
-// execution (placement, first-touch), so Install materializes fresh ones.
+// runs can hold the same *graph.DAG. The snapshot owns it: Snap takes it from
+// the runtime that built it, and no runtime it is installed into resets or
+// recycles it. Tasks and regions are mutated during execution (placement,
+// first-touch), so Install materializes fresh ones.
 //
 // Window indices are not captured; Install replays the window state machine
 // against the target runtime's own WindowSize, so one snapshot serves every
@@ -48,10 +50,12 @@ type taskSnap struct {
 }
 
 // Snap captures the submission phase of r. It must be called after the task
-// graph is fully built and before Run. The snapshot borrows r's dependency
-// graph, compacted (graph.DAG.Compact) because it outlives the build, so r
-// must not submit further tasks afterwards (it is typically a throwaway
-// prototype runtime discarded after the capture).
+// graph is fully built and before Run. The snapshot takes r's dependency
+// graph, compacted (graph.DAG.Compact) because it outlives the build: r gives
+// the graph's storage up, so Releasing r afterwards recycles none of it and
+// the next runtime drawn from the pool builds into fresh storage. r must
+// not submit further tasks afterwards (it is typically a throwaway
+// prototype runtime released after the capture).
 //
 // Every region a task accesses must come from r's own memory manager
 // (r.Mem().Alloc); a builder that allocates elsewhere cannot be snapshotted.
@@ -97,6 +101,9 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
 	}
 	r.tdg.Compact()
+	if r.tdg == r.own {
+		r.own = nil
+	}
 	return &Snapshot{tdg: r.tdg, regions: rs, tasks: ts}, nil
 }
 
@@ -125,7 +132,8 @@ func (s *Snapshot) Graph() *graph.DAG { return s.tdg }
 // window indices are recomputed for the runtime's WindowSize. The result is
 // bit-identical to rebuilding the same task graph through Submit. The
 // runtime must be freshly created; after Install it can only Run, not
-// Submit.
+// Submit. The runtime runs on the snapshot's graph and leaves its own graph
+// storage untouched, for a later build.
 func (s *Snapshot) Install(r *Runtime) {
 	if r.running || r.ranAlready {
 		panic("rt: Install into a runtime that already ran")

@@ -63,32 +63,49 @@ func (w Workload) Key() string {
 	return fmt.Sprintf("%s@%s#%d", w.Spec, w.Scale, w.Seed)
 }
 
-// Instantiate builds the workload into a fresh throwaway runtime over the
-// given machine config with a no-op policy — the path dagen and dagpart use
-// to inspect or export a TDG, and Snapshot uses to prototype one.
+// BuildInto runs Build on r and names the workload in a failure, as
+// "workload: build <spec>: <cause>". Every path that builds a graph to run
+// goes through it — Snapshot's prototype, and a run that builds its graph
+// in place in its own runtime — so a failed build reads the same whichever
+// path a run took.
+func (w Workload) BuildInto(r *rt.Runtime) error {
+	if err := w.Build(r); err != nil {
+		return fmt.Errorf("workload: build %s: %w", w.Spec, err)
+	}
+	return nil
+}
+
+// prototype returns a fresh throwaway runtime over the given machine config
+// with a no-op policy, for a build that is inspected or captured, not run.
+func prototype(mc machine.Config) *rt.Runtime {
+	return rt.NewRuntime(machine.New(mc, sim.NewEngine()), nopPolicy{}, rt.Options{})
+}
+
+// Instantiate builds the workload into a prototype runtime — the path dagen
+// and dagpart use to inspect or export a TDG. A failed build returns
+// Build's own error.
 func (w Workload) Instantiate(mc machine.Config) (*rt.Runtime, error) {
-	r := rt.NewRuntime(machine.New(mc, sim.NewEngine()), nopPolicy{}, rt.Options{})
+	r := prototype(mc)
 	if err := w.Build(r); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// Snapshot builds the workload on a throwaway prototype runtime and
-// captures its task graph (rt.Snap) for installation into real runs — the
-// one builder behind core's experiment cache and cluster's prebuild.
+// Snapshot builds the workload on a prototype runtime and captures its task
+// graph (rt.Snap) for installation into real runs — the builder behind
+// cluster's prebuild and core's experiment cache, for the graphs several
+// runs share. The snapshot owns the graph: rt.Snap takes it from the
+// prototype, whose remaining scratch goes back to the runtime pool.
 func (w Workload) Snapshot(mc machine.Config) (*rt.Snapshot, error) {
-	r, err := w.Instantiate(mc)
-	if err != nil {
-		return nil, fmt.Errorf("workload: build %s: %w", w.Spec, err)
+	r := prototype(mc)
+	if err := w.BuildInto(r); err != nil {
+		return nil, err
 	}
 	snap, err := rt.Snap(r)
 	if err != nil {
 		return nil, err
 	}
-	// The snapshot copies task/region state and borrows only the TDG, which
-	// Release does not recycle — the prototype runtime's scratch can go back
-	// to the pool.
 	r.Release()
 	return snap, nil
 }

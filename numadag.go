@@ -129,9 +129,11 @@
 //		})
 //	res, _ := numadag.Run(numadag.DefaultConfig("chain?n=128", "RGP+LAS", numadag.ScaleSmall))
 //
-// Experiments memoize each workload's built task graph in a per-experiment
-// cache (one build per workload x machine, shared across policies, variants
-// and replicate seeds, dropped after its last cell); builders must
+// Experiments build each workload's task graph once per machine. A graph
+// several cells run (across policies, variants or replicate seeds) is
+// memoized in a per-experiment cache and dropped after its last cell; a
+// graph only one cell runs is built straight into that cell's runtime, on
+// graph storage the runtime pool keeps from build to build. Builders must
 // therefore be pure functions of (spec, scale, seed, machine). Experiments
 // also reuse results across replicate seeds: when replicate 0 of an (app,
 // policy, machine, variant) group runs without reaching its seed, the
