@@ -36,8 +36,10 @@ test-race-experiment:
 # extraction with a warmed scratch, snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
 # nothing when no Observer is configured), the RGP window-partitioning
-# pass, every small-scale Figure-1 cell and socket-ablation cell as a full
-# audited run through the pooled machine/engine pair (each row bounded at
+# pass, policy.New per spec (registry parse and lookup add nothing: 0 for
+# LAS, DFIFO and EP, 1 for RGP+LAS, 6 for RGP+LAS?matching=random), every
+# small-scale Figure-1 cell and socket-ablation cell as a full audited run
+# through the pooled machine/engine pair (each row bounded at
 # its own count — the gate the nightly bench-check held on the retired
 # root Figure-1 and socket-ablation benchmarks), cold task-graph
 # construction (build + snapshot of a random layered graph on a
@@ -118,8 +120,11 @@ bench-check:
 # weight stays within 2^62, never a panic or a hang), and
 # the policy spec grammar (any spec string must yield an error or a policy
 # whose tiny-jacobi schedule passes the audit, never a panic), the dcsim
-# tenant-mix grammar (any -tenants string and total rate must yield an error
-# or tenants whose 20-job audited run completes, never a panic or a hang),
+# dispatcher spec (any -dispatcher string must yield an error or a
+# dispatcher that places and removes 50 jobs on 4 machines, each in range,
+# never a panic), the dcsim tenant-mix grammar (any -tenants string and
+# total rate must yield an error or tenants whose 20-job audited run
+# completes, never a panic or a hang),
 # and the DAG-file loader behind the file workload and dagpart -in (any
 # bytes must yield an error or an acyclic graph within the workload caps
 # that partitions in two, never a panic).
@@ -131,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReallocate -fuzztime=15s ./internal/sim
 	$(GO) test -fuzz=FuzzArrivals -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzTenantMix -fuzztime=15s ./internal/cluster
+	$(GO) test -fuzz=FuzzDispatcherSpec -fuzztime=15s ./internal/cluster
 	$(GO) test -fuzz=FuzzWorkloadSpec -fuzztime=15s ./internal/workload
 	$(GO) test -fuzz=FuzzDAGFile -fuzztime=15s ./internal/workload
 	$(GO) test -fuzz=FuzzPolicySpec -fuzztime=15s ./internal/policy

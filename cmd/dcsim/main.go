@@ -21,6 +21,11 @@
 // arrival rate is set by -rate. Workload specs are the same registry specs
 // every other command accepts (see cmd/dagen -list).
 //
+// -dispatcher takes a spec in the same "name?key=value" grammar:
+// "kchoices?d=K" samples K machines per job and places it on the least
+// loaded (1 <= K <= 1024, cluster.MaxChoices; bare "kchoices" is d=2), and
+// "idle" places every job on the least-loaded machine overall.
+//
 // A fixed -seed makes the whole run — arrivals, dispatch, scheduling —
 // bit-identical across repeats and across -procs values; -procs only fans
 // out the one-time task-graph prebuilds. A run at the default sizes lasts
@@ -44,7 +49,7 @@ func main() {
 		machines = flag.Int("machines", 8, "fleet size")
 		machF    = cliutil.MachineFlag(flag.CommandLine, "2socket")
 		policyF  = flag.String("policy", "LAS", "per-job scheduling policy spec")
-		dispF    = flag.String("dispatcher", "kchoices?d=2", "dispatcher spec (kchoices?d=K, idle)")
+		dispF    = flag.String("dispatcher", "kchoices?d=2", fmt.Sprintf("dispatcher spec (kchoices?d=K with 1 <= K <= %d, idle)", cluster.MaxChoices))
 		scale    = cliutil.ScaleFlag(flag.CommandLine, "tiny")
 		jobs     = flag.Int("jobs", 500, "arrival stream length")
 		seed     = flag.Uint64("seed", 1, "base seed (tenants, dispatch, per-job runtimes)")

@@ -212,6 +212,7 @@ func TestDispatcherSpecs(t *testing.T) {
 		{"kchoices", "kchoices?d=2"},
 		{"kchoices?d=5", "kchoices?d=5"},
 		{"idle", "idle"},
+		{"kchoices?d=1024", "kchoices?d=1024"},
 	} {
 		d, err := NewDispatcher(tc.spec)
 		if err != nil {
@@ -221,7 +222,8 @@ func TestDispatcherSpecs(t *testing.T) {
 			t.Fatalf("%s: canonical name %q, want %q", tc.spec, d.Name(), tc.name)
 		}
 	}
-	for _, bad := range []string{"", "kchoices?d=0", "kchoices?d=x", "kchoices?k=2", "idle?x=1", "rr"} {
+	for _, bad := range []string{"", "kchoices?d=0", "kchoices?d=x", "kchoices?k=2", "idle?x=1", "rr",
+		"kchoices?d=4611686018427387904", "kchoices?d=1025", "kchoices?d=2&d=3", "kchoices?", "idle?"} {
 		if _, err := NewDispatcher(bad); err == nil {
 			t.Fatalf("spec %q should be rejected", bad)
 		}

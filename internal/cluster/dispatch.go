@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"numadag/internal/spec"
 	"numadag/internal/xrand"
 )
 
@@ -26,35 +25,43 @@ type Dispatcher interface {
 	Update(m, delta int)
 }
 
-// NewDispatcher parses a dispatcher spec. Supported:
+// MaxChoices caps kchoices' d. KChoices sizes its sample scratch by d and
+// draws d random machines for every arriving job, so an unchecked d could
+// ask for an impossible allocation or make every placement arbitrarily
+// slow. Least-loaded placement over the whole fleet is "idle".
+const MaxChoices = 1024
+
+// NewDispatcher parses a dispatcher spec (the grammar of package spec).
+// Supported:
 //
 //	"kchoices"       power-of-d-choices with d=2
-//	"kchoices?d=K"   sample K machines uniformly, pick least loaded
+//	"kchoices?d=K"   sample K machines uniformly, pick least loaded (1 <= K <= MaxChoices)
 //	"idle"           least-loaded machine overall via an indexed min-heap
-func NewDispatcher(spec string) (Dispatcher, error) {
-	name, arg, hasArg := strings.Cut(spec, "?")
-	switch name {
+func NewDispatcher(str string) (Dispatcher, error) {
+	s, err := spec.Parse("cluster", str)
+	if err != nil {
+		return nil, err
+	}
+	switch s.Name {
 	case "kchoices":
-		d := 2
-		if hasArg {
-			key, val, ok := strings.Cut(arg, "=")
-			if !ok || key != "d" {
-				return nil, fmt.Errorf("cluster: kchoices takes only d=K, got %q", arg)
-			}
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("cluster: bad kchoices d=%q", val)
-			}
-			d = n
+		if err := s.Only("d"); err != nil {
+			return nil, err
+		}
+		d, err := s.Int("d", 2)
+		if err != nil {
+			return nil, err
+		}
+		if d < 1 || d > MaxChoices {
+			return nil, fmt.Errorf("cluster: kchoices: d=%d is out of range [1, %d]", d, MaxChoices)
 		}
 		return &KChoices{D: d}, nil
 	case "idle":
-		if hasArg {
-			return nil, fmt.Errorf("cluster: idle dispatcher takes no parameters, got %q", arg)
+		if err := s.Only(); err != nil {
+			return nil, err
 		}
 		return &IdleHeap{}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown dispatcher %q (kchoices, idle)", name)
+		return nil, fmt.Errorf("cluster: unknown dispatcher %q (kchoices, idle)", s.Name)
 	}
 }
 

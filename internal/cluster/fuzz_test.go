@@ -9,6 +9,7 @@ import (
 	"numadag/internal/rt"
 	"numadag/internal/sim"
 	"numadag/internal/workload"
+	"numadag/internal/xrand"
 )
 
 // FuzzArrivals throws adversarial arrival patterns at the full service
@@ -170,6 +171,49 @@ func FuzzTenantMix(f *testing.F) {
 		// Run reports a stall as an error; check the count it returned.
 		if res.Stats.All.Jobs != len(res.Jobs) {
 			t.Fatalf("%q: %d of %d jobs completed", spec, res.Stats.All.Jobs, len(res.Jobs))
+		}
+	})
+}
+
+// FuzzDispatcherSpec drives arbitrary -dispatcher strings through
+// NewDispatcher. Every input must yield an error or a dispatcher that
+// initialises on 4 machines and places and removes 50 jobs, each on a
+// machine in range, and whose canonical name parses back to itself — never
+// a panic or an allocation sized by an unchecked d.
+func FuzzDispatcherSpec(f *testing.F) {
+	for _, s := range []string{
+		"kchoices",
+		"kchoices?d=2",
+		"kchoices?d=1024",
+		"idle",
+		"kchoices?d=4611686018427387904",
+		"kchoices?d=2&d=3",
+		"kchoices?",
+		"idle?",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := NewDispatcher(s)
+		if err != nil {
+			return
+		}
+		if again, err := NewDispatcher(d.Name()); err != nil || again.Name() != d.Name() {
+			t.Fatalf("%q: canonical name %q does not parse back: %v", s, d.Name(), err)
+		}
+		const machines, jobs = 4, 50
+		d.Init(machines, xrand.New(1))
+		placed := make([]int, 0, jobs)
+		for i := 0; i < jobs; i++ {
+			m := d.Pick()
+			if m < 0 || m >= machines {
+				t.Fatalf("%q: job %d placed on machine %d of %d", s, i, m, machines)
+			}
+			d.Update(m, +1)
+			placed = append(placed, m)
+		}
+		for _, m := range placed {
+			d.Update(m, -1)
 		}
 	})
 }

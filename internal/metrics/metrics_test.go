@@ -148,14 +148,6 @@ func TestTableWriteBars(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	ks := SortedKeys(m)
-	if len(ks) != 3 || ks[0] != "a" || ks[2] != "c" {
-		t.Fatalf("SortedKeys = %v", ks)
-	}
-}
-
 func TestTableWriteCSV(t *testing.T) {
 	tb := NewTable("t", "a", "b")
 	tb.Set("r1", "a", 1.5)

@@ -13,7 +13,7 @@ import (
 // measured call.
 func prepareRT(tb testing.TB, ws int) *rt.Runtime {
 	m := machine.New(machine.BullionS16(), sim.NewEngine())
-	r := rt.NewRuntime(m, NewRGPLAS(), rt.Options{WindowSize: ws, Seed: 1})
+	r := rt.NewRuntime(m, &RGP{Propagate: PropagateLAS}, rt.Options{WindowSize: ws, Seed: 1})
 	buildStencilLike(r, 12, 6) // 144 + 864 = 1008 tasks
 	return r
 }
@@ -34,7 +34,7 @@ func TestRGPPrepareSteadyStateAllocs(t *testing.T) {
 		pol.ready = false
 		pol.Prepare(r)
 	}
-	rgpPrepareProbe.pol = NewRGPRepartition()
+	rgpPrepareProbe.pol = &RGP{Propagate: PropagateRepartition}
 	for i := 0; i < 3; i++ {
 		run() // warm the prepare pool and the partitioner scratch
 	}
@@ -57,18 +57,51 @@ var rgpPrepareProbe struct{ pol *RGP }
 func BenchmarkRGPPrepare(b *testing.B) {
 	for _, mode := range []struct {
 		name string
-		mk   func() *RGP
+		prop Propagation
 	}{
-		{"first-window", NewRGPLAS},
-		{"repartition", NewRGPRepartition},
+		{"first-window", PropagateLAS},
+		{"repartition", PropagateRepartition},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			r := prepareRT(b, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mode.mk().Prepare(r)
+				(&RGP{Propagate: mode.prop}).Prepare(r)
 			}
 		})
 	}
 }
+
+// TestNewSteadyStateAllocs pins what resolving a spec through the registry
+// costs. Service mode resolves the job's policy spec once per job (fleet-16
+// does it 12,000 times a round), so parsing and lookup must add nothing:
+// a paramless policy is a shared value, an RGP spec allocates the fresh
+// *RGP, and a parameterized one also pays for its parameter map, the split
+// query and the Tune hook.
+func TestNewSteadyStateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		spec  string
+		limit float64
+	}{
+		{"LAS", 0},
+		{"DFIFO", 0},
+		{"EP", 0},
+		{"RGP+LAS", 1},
+		{"RGP+LAS?matching=random", 6},
+	} {
+		newProbe = c.spec
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := New(newProbe); err != nil {
+				panic(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs", c.spec, avg)
+		if avg > c.limit {
+			t.Errorf("New(%q) allocates %.0f, want <= %.0f", c.spec, avg, c.limit)
+		}
+	}
+}
+
+// newProbe keeps the measured spec out of the AllocsPerRun closure.
+var newProbe string

@@ -159,12 +159,6 @@ type prepScratch struct {
 // most as many as were ever in use at once.
 var prepPool freelist.List[prepScratch]
 
-// NewRGPLAS returns the paper's RGP+LAS configuration.
-func NewRGPLAS() *RGP { return &RGP{Propagate: PropagateLAS} }
-
-// NewRGPRepartition returns the repartition-every-window ablation.
-func NewRGPRepartition() *RGP { return &RGP{Propagate: PropagateRepartition} }
-
 // Name implements rt.Policy.
 func (p *RGP) Name() string {
 	if p.Propagate == PropagateLAS {

@@ -163,7 +163,7 @@ func buildStencilLike(r *rt.Runtime, nb, iters int) {
 }
 
 func TestRGPAssignsFirstWindowBySocket(t *testing.T) {
-	pol := NewRGPLAS()
+	pol := &RGP{Propagate: PropagateLAS}
 	r := newRT(t, pol, rt.Options{WindowSize: 64, Seed: 1, PartitionCostPerTask: 10})
 	buildStencilLike(r, 8, 4)
 	res := r.Run()
@@ -186,7 +186,7 @@ func TestRGPAssignsFirstWindowBySocket(t *testing.T) {
 }
 
 func TestRGPDeferredUntilPartitionCost(t *testing.T) {
-	pol := NewRGPLAS()
+	pol := &RGP{Propagate: PropagateLAS}
 	const costPer = 100
 	r := newRT(t, pol, rt.Options{WindowSize: 32, Seed: 1, PartitionCostPerTask: costPer})
 	buildStencilLike(r, 8, 1)
@@ -201,7 +201,7 @@ func TestRGPDeferredUntilPartitionCost(t *testing.T) {
 }
 
 func TestRGPRepartitionCoversAllWindows(t *testing.T) {
-	pol := NewRGPRepartition()
+	pol := &RGP{Propagate: PropagateRepartition}
 	r := newRT(t, pol, rt.Options{WindowSize: 50, Seed: 1})
 	buildStencilLike(r, 8, 3) // 64 + 192 = 256 tasks -> 6 windows
 	r.Run()
@@ -223,7 +223,7 @@ func TestRGPBeatsLASOnStencil(t *testing.T) {
 		return sum / 3
 	}
 	las := mean(func() rt.Policy { return LAS{} })
-	rgp := mean(func() rt.Policy { return NewRGPLAS() })
+	rgp := mean(func() rt.Policy { return &RGP{Propagate: PropagateLAS} })
 	if rgp > las*1.1 {
 		t.Fatalf("RGP+LAS (%.0f) lost to LAS (%.0f) by more than 10%%", rgp, las)
 	}
@@ -246,8 +246,8 @@ func TestPolicyNames(t *testing.T) {
 		{DFIFO{}, "DFIFO"},
 		{LAS{}, "LAS"},
 		{EP{}, "EP"},
-		{NewRGPLAS(), "RGP+LAS"},
-		{NewRGPRepartition(), "RGP(repartition)"},
+		{&RGP{Propagate: PropagateLAS}, "RGP+LAS"},
+		{&RGP{Propagate: PropagateRepartition}, "RGP(repartition)"},
 	} {
 		if got := c.pol.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
@@ -262,7 +262,7 @@ func TestRGPRemoteRatioBeatsLAS(t *testing.T) {
 		return r.Run()
 	}
 	lasRes := runWith(LAS{}, 1)
-	rgpRes := runWith(NewRGPLAS(), 1)
+	rgpRes := runWith(&RGP{Propagate: PropagateLAS}, 1)
 	if rgpRes.RemoteRatio() >= lasRes.RemoteRatio() {
 		t.Fatalf("RGP+LAS remote ratio %.3f not below LAS %.3f",
 			rgpRes.RemoteRatio(), lasRes.RemoteRatio())

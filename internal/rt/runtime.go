@@ -512,6 +512,20 @@ func (r *Runtime) nextWindowSlot() int {
 	return w
 }
 
+// barrierWindow returns the window of a barrier's sync task and advances
+// the window state past it: the current window closes if it holds any task,
+// the sync task takes one slot of the fresh window, and user tasks after it
+// get that window in full.
+func (r *Runtime) barrierWindow() int {
+	if r.windowCount > 0 {
+		r.curWindow++
+		r.windowCount = 0
+	}
+	r.nextWindowSlot()
+	r.windowCount = 0
+	return r.curWindow
+}
+
 // Barrier inserts a synchronization point, as an OmpSs taskwait would:
 // every task submitted afterwards depends (transitively, through a zero-work
 // sync task) on every task submitted before, and the current submission
@@ -527,11 +541,6 @@ func (r *Runtime) Barrier() {
 	}
 	if len(r.tasks) == 0 || r.tasks[len(r.tasks)-1] == r.barrierTask {
 		return // nothing submitted since the last barrier
-	}
-	// Close the current window so the sync task opens a fresh one.
-	if r.windowCount > 0 {
-		r.curWindow++
-		r.windowCount = 0
 	}
 	r.barriers++
 	// The sync task depends on the previous sync task and on every current
@@ -549,13 +558,9 @@ func (r *Runtime) Barrier() {
 		}
 	}
 	r.deps = deps
-	sync := r.addTask(TaskSpec{Label: "barrier#" + strconv.Itoa(r.barriers), EPSocket: NoEPHint}, deps)
+	sync := r.addTask(TaskSpec{Label: "barrier#" + strconv.Itoa(r.barriers), EPSocket: NoEPHint}, deps, r.barrierWindow())
 	r.barrierTask = sync
 	r.barrierIDs = append(r.barrierIDs, sync.ID)
-	// The sync task consumed one slot of the fresh window; give user tasks
-	// the full window after the barrier.
-	r.windowCount = 0
-	sync.Window = r.curWindow
 }
 
 // Barriers returns the number of barriers inserted.
@@ -645,7 +650,7 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 	}
 	slices.SortFunc(deps, func(a, b graph.Dep) int { return cmp.Compare(a.From, b.From) })
 	r.deps = deps
-	t := r.addTask(spec, deps)
+	t := r.addTask(spec, deps, r.nextWindowSlot())
 	// Update trackers after dependence edges are drawn.
 	for _, a := range spec.Accesses {
 		tr := &r.tracks[a.Region.ID()]
@@ -660,10 +665,10 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 	return t
 }
 
-// addTask appends the task for spec to the TDG and the task list, with the
-// given merged, ID-sorted dependences as its predecessors. The Task comes
-// from the pooled arena.
-func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep) *Task {
+// addTask appends the task for spec to the TDG and the task list, in the
+// given window, with the given merged, ID-sorted dependences as its
+// predecessors. The Task comes from the pooled arena.
+func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep, window int) *Task {
 	id := r.tdg.AddNodeDeps(spec.Label, int64(spec.Flops), deps)
 	t := r.arena.next()
 	*t = Task{
@@ -672,7 +677,7 @@ func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep) *Task {
 		Flops:    spec.Flops,
 		Accesses: spec.Accesses,
 		EPSocket: spec.EPSocket,
-		Window:   r.nextWindowSlot(),
+		Window:   window,
 		Socket:   -1,
 		Core:     -1,
 		nDeps:    len(deps),

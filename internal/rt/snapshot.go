@@ -165,18 +165,6 @@ func (s *Snapshot) Install(r *Runtime) {
 		r.accSlab = make([]Access, nAcc)
 	}
 	accSlab, accOff := r.accSlab[:nAcc], 0
-	// Window state machine, replayed exactly as Submit/Barrier drive it.
-	ws := r.opts.WindowSize
-	curWindow, windowCount := 0, 0
-	nextSlot := func() int {
-		w := curWindow
-		windowCount++
-		if ws > 0 && windowCount >= ws {
-			curWindow++
-			windowCount = 0
-		}
-		return w
-	}
 	for i := range s.tasks {
 		tp := &s.tasks[i]
 		t := r.arena.next()
@@ -199,27 +187,18 @@ func (s *Snapshot) Install(r *Runtime) {
 			nDeps:    s.tdg.InDegree(graph.NodeID(i)),
 			pickedBy: AnySocket,
 		}
+		// The window state machine is the one Submit and Barrier drive.
 		if tp.barrier {
-			// Mirror Barrier: close a non-empty window, burn one slot for
-			// the sync task, then hand user tasks a full fresh window.
-			if windowCount > 0 {
-				curWindow++
-				windowCount = 0
-			}
-			nextSlot()
-			windowCount = 0
-			t.Window = curWindow
+			t.Window = r.barrierWindow()
 			r.barriers++
 			r.barrierIDs = append(r.barrierIDs, t.ID)
 			r.barrierTask = t
 		} else {
-			t.Window = nextSlot()
+			t.Window = r.nextWindowSlot()
 		}
 		tasks[i] = t
 	}
 	r.tdg = s.tdg
 	r.tasks = tasks
-	r.curWindow = curWindow
-	r.windowCount = windowCount
 	r.installed = true
 }

@@ -26,15 +26,13 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
 	"numadag/internal/rt"
 	"numadag/internal/sim"
+	"numadag/internal/spec"
 )
 
 // Workload is a named, seeded task-graph builder resolved from a spec.
@@ -115,55 +113,41 @@ type nopPolicy struct{}
 func (nopPolicy) Name() string                         { return "nop" }
 func (nopPolicy) PickSocket(*rt.Runtime, *rt.Task) int { return 0 }
 
+// Spec is a parsed workload specification: a registered generator name plus
+// optional parameters, written "name?key=value&key=value" — the grammar of
+// package spec, which the policy registry shares. Two parameter keys are
+// reserved and handled by New for every workload: "scale" overrides the
+// contextual problem scale ("jacobi?scale=paper") and "seed" sets the
+// generator seed for stochastic builders ("random-layered?seed=7").
+// Factories never see them, so Spec.Only need not list them.
+type Spec = spec.Spec
+
+// ParseSpec parses "name" or "name?key=value&key=value" (see package spec).
+func ParseSpec(s string) (Spec, error) { return registry.Parse(s) }
+
 // Factory resolves a parsed spec into a Workload. The reserved scale and
 // seed parameters are already stripped from the spec and passed explicitly.
 // New fills the Name/Spec/Scale/Seed metadata after the factory returns, so
 // factories only need to produce Build.
 type Factory func(s Spec, scale apps.Scale, seed uint64) (Workload, error)
 
-type entry struct {
-	doc     string
-	factory Factory
-}
-
-var registry = struct {
-	sync.RWMutex
-	entries map[string]entry
-}{entries: make(map[string]entry)}
+var registry = spec.NewRegistry[Factory]("workload")
 
 // Register adds a workload factory under a name with a one-line doc string
 // (shown by dagen -list/-describe). It errors on empty or already-registered
 // names and on names that would not survive spec parsing. Registration is
 // typically done from init or before experiments start; it is safe for
 // concurrent use.
-func Register(name, doc string, f Factory) error {
-	if name == "" || strings.ContainsAny(name, "?&= \t\n") {
-		return fmt.Errorf("workload: invalid registry name %q", name)
-	}
-	if f == nil {
-		return fmt.Errorf("workload: nil factory for %q", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.entries[name]; dup {
-		return fmt.Errorf("workload: %q already registered", name)
-	}
-	registry.entries[name] = entry{doc: doc, factory: f}
-	return nil
-}
+func Register(name, doc string, f Factory) error { return registry.Register(name, doc, f) }
 
 // MustRegister is Register, panicking on error (init-time registration).
-func MustRegister(name, doc string, f Factory) {
-	if err := Register(name, doc, f); err != nil {
-		panic(err)
-	}
-}
+func MustRegister(name, doc string, f Factory) { registry.MustRegister(name, doc, f) }
 
 // New resolves a workload spec at the given contextual scale. The reserved
 // parameters are handled here for every generator: "scale=tiny|small|paper"
 // overrides scale, "seed=N" sets the generator seed (default 1).
 func New(spec string, scale apps.Scale) (Workload, error) {
-	s, err := ParseSpec(spec)
+	s, err := registry.Parse(spec)
 	if err != nil {
 		return Workload{}, err
 	}
@@ -184,14 +168,11 @@ func New(spec string, scale apps.Scale) (Workload, error) {
 		scale = sc
 		delete(s.Params, "scale")
 	}
-	registry.RLock()
-	e, ok := registry.entries[s.Name]
-	registry.RUnlock()
-	if !ok {
-		return Workload{}, fmt.Errorf("workload: unknown workload %q (registered: %s)",
-			s.Name, strings.Join(Names(), ", "))
+	f, err := registry.Lookup(s.Name)
+	if err != nil {
+		return Workload{}, err
 	}
-	w, err := e.factory(s, scale, seed)
+	w, err := f(s, scale, seed)
 	if err != nil {
 		return Workload{}, err
 	}
@@ -203,24 +184,7 @@ func New(spec string, scale apps.Scale) (Workload, error) {
 }
 
 // Names returns the registered workload names, sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	ns := make([]string, 0, len(registry.entries))
-	for n := range registry.entries {
-		ns = append(ns, n)
-	}
-	sort.Strings(ns)
-	return ns
-}
+func Names() []string { return registry.Names() }
 
 // Doc returns the registered one-line documentation for a workload name.
-func Doc(name string) (string, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	e, ok := registry.entries[name]
-	if !ok {
-		return "", fmt.Errorf("workload: unknown workload %q", name)
-	}
-	return e.doc, nil
-}
+func Doc(name string) (string, error) { return registry.Doc(name) }

@@ -94,9 +94,17 @@
 //
 // Quick start — workload specs:
 //
+// Policies, workloads and the service-mode dispatcher are all named in one
+// spec grammar, "name" or "name?key=value&key=value": keys non-empty and
+// unique, values possibly empty, unknown keys rejected by the named entry
+// (the typo guard, WorkloadSpec.Only). A spec's canonical form (String)
+// sorts its parameters, and experiments cache a workload's graph under it,
+// so "a?y=2&x=1" and "a?x=1&y=2" share one graph. Errors start with
+// "policy:", "workload:" or "cluster:".
+//
 // Wherever a benchmark name is accepted (Config.App, Experiment.Apps,
 // cmd/rgpsim -app, cmd/dagpart -app, cmd/dagen -spec), a full workload
-// registry spec works: "name?key=value&key=value". The registered
+// registry spec works. The registered
 // generators are the eight paper benchmarks (parameterizable:
 // "jacobi?nb=32&tile=1M&iters=4"), the synthetic families
 // "random-layered?layers=24&width=96&cv=0.4" and "forkjoin?depth=8&fanout=3",
@@ -143,8 +151,9 @@
 // Runtime.Rand and Runtime.Options, the calls Runtime.SeedUsed reports.
 // cmd/dagen lists, describes, generates and exports workloads.
 //
-// Policy names are registry specs: "name?key=value" parameterizes a
-// registered family (e.g. the RGP partitioner ablations). The built-ins are
+// Policy names are registry specs in the same grammar: "name?key=value"
+// parameterizes a registered family (e.g. the RGP partitioner ablations
+// "RGP+LAS?matching=random" and "RGP+LAS?refine=off"). The built-ins are
 // the four configurations the paper evaluates (DFIFO, LAS, EP, RGP+LAS) and
 // RGP, its repartition-every-window mode. Replicate seeds
 // always derive from the base seed via DeriveSeed — seed + 1000*replicate —

@@ -162,3 +162,51 @@ func TestFacadeExperimentWorkflow(t *testing.T) {
 		t.Fatalf("JSONL missing derived seed %d:\n%s", want, jsonl.String())
 	}
 }
+
+// TestFacadeSpecErrors pins, byte for byte, the errors a user sees for a
+// bad policy or workload spec: the grammar's parse errors, an unknown name
+// (with the registered names listed), the typo guard, a bad parameter
+// value, and a rejected registration.
+func TestFacadeSpecErrors(t *testing.T) {
+	policyFactory := func(numadag.PolicySpec) (numadag.Policy, error) { return nil, nil }
+	workloadFactory := func(numadag.WorkloadSpec, numadag.Scale, uint64) (numadag.Workload, error) {
+		return numadag.Workload{}, nil
+	}
+	newPolicy := func(s string) error { _, err := numadag.NewPolicy(s); return err }
+	newWorkload := func(s string) error { _, err := numadag.NewWorkload(s, numadag.ScaleTiny); return err }
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{func() error { _, err := numadag.ParsePolicySpec(""); return err }(), `policy: empty name in spec ""`},
+		{func() error { _, err := numadag.ParsePolicySpec("LAS?"); return err }(), `policy: malformed parameter "" in spec "LAS?" (want key=value)`},
+		{newPolicy("RGP?matching=heavy&matching=random"), `policy: duplicate parameter "matching" in spec "RGP?matching=heavy&matching=random"`},
+		{newPolicy("HEFT"), `policy: unknown policy "HEFT" (registered: ` + strings.Join(numadag.RegisteredPolicies(), ", ") + `)`},
+		{newPolicy("RGP+LAS?mathcing=random"), `policy: RGP+LAS does not take parameter "mathcing" (allowed: matching, refine)`},
+		{newPolicy("LAS?matching=random"), `policy: LAS does not take parameter "matching" (allowed: )`},
+		{newPolicy("RGP+LAS?matching=bogus"), `policy: RGP+LAS: matching="bogus" (want heavy or random)`},
+		{numadag.RegisterPolicy("has space", policyFactory), `policy: invalid registry name "has space"`},
+		{numadag.RegisterPolicy("nil-factory", nil), `policy: nil factory for "nil-factory"`},
+		{numadag.RegisterPolicy("LAS", policyFactory), `policy: "LAS" already registered`},
+
+		{func() error { _, err := numadag.ParseWorkloadSpec("?x=1"); return err }(), `workload: empty name in spec "?x=1"`},
+		{newWorkload("jacobi?nb"), `workload: malformed parameter "nb" in spec "jacobi?nb" (want key=value)`},
+		{newWorkload("jacobi?nb=1&nb=2"), `workload: duplicate parameter "nb" in spec "jacobi?nb=1&nb=2"`},
+		{newWorkload("no-such-workload"), `workload: unknown workload "no-such-workload" (registered: ` + strings.Join(numadag.WorkloadNames(), ", ") + `)`},
+		{newWorkload("forkjoin?fanuot=4"), `workload: forkjoin does not take parameter "fanuot" (allowed: depth, fanout, cv, bytes, flops)`},
+		{newWorkload("jacobi?nb="), `workload: jacobi: nb="" is not an integer`},
+		{newWorkload("random-layered?cv=x"), `workload: random-layered: cv="x" is not a number`},
+		{newWorkload("random-layered?cv=NaN"), `workload: random-layered: cv="NaN" is not a finite number`},
+		{newWorkload("jacobi?tile=1Q"), `workload: jacobi: tile="1Q" is not a size (want bytes with optional K/M/G suffix)`},
+		{newWorkload("random-layered?seed=-1"), `workload: random-layered: seed="-1" is not an unsigned integer`},
+		{newWorkload("jacobi?scale=huge"), `workload: jacobi: apps: unknown scale "huge" (tiny|small|paper)`},
+		{numadag.RegisterWorkload("a?b", "", workloadFactory), `workload: invalid registry name "a?b"`},
+		{numadag.RegisterWorkload("nil-factory", "", nil), `workload: nil factory for "nil-factory"`},
+		{numadag.RegisterWorkload("jacobi", "", workloadFactory), `workload: "jacobi" already registered`},
+		{func() error { _, err := numadag.WorkloadDoc("nope"); return err }(), `workload: unknown workload "nope"`},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("error %v\nwant       %s", c.err, c.want)
+		}
+	}
+}
