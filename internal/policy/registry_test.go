@@ -7,6 +7,27 @@ import (
 	"numadag/internal/rt"
 )
 
+func TestParseSpec(t *testing.T) {
+	s, err := ParseSpec("RGP+LAS?matching=random&refine=off")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "RGP+LAS" || s.Params["matching"] != "random" || s.Params["refine"] != "off" {
+		t.Fatalf("parsed %+v", s)
+	}
+	if got := s.String(); got != "RGP+LAS?matching=random&refine=off" {
+		t.Fatalf("String() = %q", got)
+	}
+	if s, err := ParseSpec("LAS"); err != nil || s.Name != "LAS" || s.Params != nil {
+		t.Fatalf("bare name: %+v, %v", s, err)
+	}
+	for _, bad := range []string{"", "?x=1", "LAS?", "LAS?novalue", "LAS?=v", "LAS?a=1&a=2"} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
 func TestRegistryBuiltins(t *testing.T) {
 	for _, n := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP"} {
 		p, err := New(n)

@@ -7,6 +7,31 @@ import (
 	"numadag/internal/apps"
 )
 
+func TestParseSpec(t *testing.T) {
+	s, err := ParseSpec("random-layered?width=96&layers=24&cv=0.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "random-layered" || len(s.Params) != 3 || s.Params["width"] != "96" {
+		t.Fatalf("parsed %+v", s)
+	}
+	// Canonical rendering sorts parameters.
+	if got := s.String(); got != "random-layered?cv=0.4&layers=24&width=96" {
+		t.Fatalf("String() = %q", got)
+	}
+	if p, err := ParseSpec("jacobi"); err != nil || p.Name != "jacobi" || p.Params != nil {
+		t.Fatalf("bare name: %+v, %v", p, err)
+	}
+}
+
+func TestParseSpecErrors(t *testing.T) {
+	for _, bad := range []string{"", "?x=1", "a?=1", "a?x", "a?x=1&x=2"} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
 func TestSpecParamHelpers(t *testing.T) {
 	s, err := ParseSpec("x?n=12&f=0.5&sz=256K&big=2M&s=hi")
 	if err != nil {
