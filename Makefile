@@ -43,12 +43,17 @@ test-race-experiment:
 # its own count — the gate the nightly bench-check held on the retired
 # root Figure-1 and socket-ablation benchmarks), cold task-graph
 # construction (build + snapshot of a random layered graph on a
-# pooled prototype runtime, bounded per task), an experiment's single-use
-# cell (a random layered graph built straight into a pooled runtime's kept
-# graph storage, run, audited and released, bounded per task), a graph
-# rebuild after DAG.Reset (0), and the cluster dispatcher's placement
-# step. A named, blocking CI step (`allocs` in ci.yml); a regression fails
-# the build, not just the nightly bench trend.
+# pooled prototype runtime, bounded per task), an app's build + snapshot
+# (small-scale jacobi, bounded at its count, so the builders keep refilling
+# one access list; skipped under -race, where fmt's sync.Pool drops
+# printers at random), an experiment's single-use cell (a random layered
+# graph built straight into a pooled runtime's kept graph storage and
+# access arena, run, audited and released, bounded per task in
+# allocations and in bytes: an access list kept per task costs well under
+# 0.01 allocations but ~72 bytes per task), a graph rebuild after
+# DAG.Reset (0), and the cluster dispatcher's placement step. A named,
+# blocking CI step (`allocs` in ci.yml); a regression fails the build, not
+# just the nightly bench trend.
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' -count=1 \
 		./internal/sim ./internal/partition ./internal/graph ./internal/rt ./internal/policy \

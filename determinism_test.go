@@ -27,8 +27,8 @@ import (
 	"numadag"
 	"numadag/internal/apps"
 	"numadag/internal/cluster"
-	"numadag/internal/core"
 	"numadag/internal/machine"
+	"numadag/internal/policy"
 	"numadag/internal/rt"
 	"numadag/internal/sim"
 	"numadag/internal/trace"
@@ -82,7 +82,7 @@ func runGoldenCell(t testing.TB, spec, polName string, seed uint64, tr *trace.Tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := core.NewPolicy(polName)
+	pol, err := policy.New(polName)
 	if err != nil {
 		t.Fatal(err)
 	}

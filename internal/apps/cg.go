@@ -65,28 +65,30 @@ func buildCG(r *rt.Runtime, p CGParams) {
 	vecFlops := float64(p.VecBlockBytes / 8)
 	spmvFlops := 2 * float64(p.ABlockBytes/8) // 2 flops per matrix entry
 
+	var acc []rt.Access // one list for every task: Submit copies it
 	for i := 0; i < p.Blocks; i++ {
 		owner := blockRowOwner(i, p.Blocks, sockets)
+		acc = append(acc[:0], rt.Access{Region: A[i], Mode: rt.Out})
 		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("init_A(%d)", i),
 			Flops:    float64(p.ABlockBytes / 8),
-			Accesses: []rt.Access{{Region: A[i], Mode: rt.Out}}, EPSocket: owner})
+			Accesses: acc, EPSocket: owner})
 		for _, v := range []struct {
 			n string
 			r *memory.Region
 		}{{"x", x[i]}, {"r", rr[i]}, {"p", pp[i]}} {
+			acc = append(acc[:0], rt.Access{Region: v.r, Mode: rt.Out})
 			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("init_%s(%d)", v.n, i),
 				Flops:    vecFlops,
-				Accesses: []rt.Access{{Region: v.r, Mode: rt.Out}}, EPSocket: owner})
+				Accesses: acc, EPSocket: owner})
 		}
 	}
 	for it := 0; it < p.Iters; it++ {
 		// q = A p (banded: each block reads p[i-1], p[i], p[i+1]).
 		for i := 0; i < p.Blocks; i++ {
-			acc := []rt.Access{
-				{Region: q[i], Mode: rt.Out},
-				{Region: A[i], Mode: rt.In},
-				{Region: pp[i], Mode: rt.In},
-			}
+			acc = append(acc[:0],
+				rt.Access{Region: q[i], Mode: rt.Out},
+				rt.Access{Region: A[i], Mode: rt.In},
+				rt.Access{Region: pp[i], Mode: rt.In})
 			if i > 0 {
 				acc = append(acc, rt.Access{Region: pp[i-1], Mode: rt.In})
 			}
@@ -99,64 +101,59 @@ func buildCG(r *rt.Runtime, p CGParams) {
 		}
 		// alpha = rr / (p . q): block partials then one reduction.
 		for i := 0; i < p.Blocks; i++ {
+			acc = append(acc[:0],
+				rt.Access{Region: pd1[i], Mode: rt.Out},
+				rt.Access{Region: pp[i], Mode: rt.In},
+				rt.Access{Region: q[i], Mode: rt.In})
 			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("dot1(%d,%d)", it, i),
-				Flops: 2 * vecFlops,
-				Accesses: []rt.Access{
-					{Region: pd1[i], Mode: rt.Out},
-					{Region: pp[i], Mode: rt.In},
-					{Region: q[i], Mode: rt.In},
-				},
+				Flops: 2 * vecFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
-		accRed := []rt.Access{{Region: alpha, Mode: rt.Out}}
+		acc = append(acc[:0], rt.Access{Region: alpha, Mode: rt.Out})
 		for i := 0; i < p.Blocks; i++ {
-			accRed = append(accRed, rt.Access{Region: pd1[i], Mode: rt.In})
+			acc = append(acc, rt.Access{Region: pd1[i], Mode: rt.In})
 		}
 		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("reduce1(%d)", it),
-			Flops: float64(p.Blocks), Accesses: accRed, EPSocket: 0})
+			Flops: float64(p.Blocks), Accesses: acc, EPSocket: 0})
 		// x += alpha p ; r -= alpha q.
 		for i := 0; i < p.Blocks; i++ {
 			owner := blockRowOwner(i, p.Blocks, sockets)
+			acc = append(acc[:0],
+				rt.Access{Region: x[i], Mode: rt.InOut},
+				rt.Access{Region: pp[i], Mode: rt.In},
+				rt.Access{Region: alpha, Mode: rt.In})
 			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("axpy_x(%d,%d)", it, i),
-				Flops: 2 * vecFlops,
-				Accesses: []rt.Access{
-					{Region: x[i], Mode: rt.InOut},
-					{Region: pp[i], Mode: rt.In},
-					{Region: alpha, Mode: rt.In},
-				}, EPSocket: owner})
+				Flops: 2 * vecFlops, Accesses: acc, EPSocket: owner})
+			acc = append(acc[:0],
+				rt.Access{Region: rr[i], Mode: rt.InOut},
+				rt.Access{Region: q[i], Mode: rt.In},
+				rt.Access{Region: alpha, Mode: rt.In})
 			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("axpy_r(%d,%d)", it, i),
-				Flops: 2 * vecFlops,
-				Accesses: []rt.Access{
-					{Region: rr[i], Mode: rt.InOut},
-					{Region: q[i], Mode: rt.In},
-					{Region: alpha, Mode: rt.In},
-				}, EPSocket: owner})
+				Flops: 2 * vecFlops, Accesses: acc, EPSocket: owner})
 		}
 		// beta = (r'.r') / (r.r): partials + reduction.
 		for i := 0; i < p.Blocks; i++ {
+			acc = append(acc[:0],
+				rt.Access{Region: pd2[i], Mode: rt.Out},
+				rt.Access{Region: rr[i], Mode: rt.In})
 			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("dot2(%d,%d)", it, i),
-				Flops: 2 * vecFlops,
-				Accesses: []rt.Access{
-					{Region: pd2[i], Mode: rt.Out},
-					{Region: rr[i], Mode: rt.In},
-				},
+				Flops: 2 * vecFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
-		accRed2 := []rt.Access{{Region: beta, Mode: rt.Out}}
+		acc = append(acc[:0], rt.Access{Region: beta, Mode: rt.Out})
 		for i := 0; i < p.Blocks; i++ {
-			accRed2 = append(accRed2, rt.Access{Region: pd2[i], Mode: rt.In})
+			acc = append(acc, rt.Access{Region: pd2[i], Mode: rt.In})
 		}
 		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("reduce2(%d)", it),
-			Flops: float64(p.Blocks), Accesses: accRed2, EPSocket: 0})
+			Flops: float64(p.Blocks), Accesses: acc, EPSocket: 0})
 		// p = r + beta p.
 		for i := 0; i < p.Blocks; i++ {
+			acc = append(acc[:0],
+				rt.Access{Region: pp[i], Mode: rt.InOut},
+				rt.Access{Region: rr[i], Mode: rt.In},
+				rt.Access{Region: beta, Mode: rt.In})
 			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("update_p(%d,%d)", it, i),
-				Flops: 2 * vecFlops,
-				Accesses: []rt.Access{
-					{Region: pp[i], Mode: rt.InOut},
-					{Region: rr[i], Mode: rt.In},
-					{Region: beta, Mode: rt.In},
-				},
+				Flops: 2 * vecFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
 	}

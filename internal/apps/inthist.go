@@ -57,13 +57,15 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 			hist[i][j] = r.Mem().Alloc(fmt.Sprintf("hist[%d][%d]", i, j), p.HistBytes, memory.Deferred, 0)
 		}
 	}
+	var acc []rt.Access // one list for every task: Submit copies it
 	// Load the image (first touch of the streamed input).
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
+			acc = append(acc[:0], rt.Access{Region: img[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    fmt.Sprintf("load(%d,%d)", i, j),
 				Flops:    float64(p.ImgTileBytes / 8),
-				Accesses: []rt.Access{{Region: img[i][j], Mode: rt.Out}},
+				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
 			})
 		}
@@ -72,10 +74,9 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 		// Horizontal pass: row scans, parallel across rows.
 		for i := 0; i < p.NB; i++ {
 			for j := 0; j < p.NB; j++ {
-				acc := []rt.Access{
-					{Region: hist[i][j], Mode: rt.Out},
-					{Region: img[i][j], Mode: rt.In},
-				}
+				acc = append(acc[:0],
+					rt.Access{Region: hist[i][j], Mode: rt.Out},
+					rt.Access{Region: img[i][j], Mode: rt.In})
 				if j > 0 {
 					acc = append(acc, rt.Access{Region: hist[i][j-1], Mode: rt.In})
 				}
@@ -91,13 +92,13 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 		// except the first reads the histogram tile of the row above.
 		for j := 0; j < p.NB; j++ {
 			for i := 1; i < p.NB; i++ {
+				acc = append(acc[:0],
+					rt.Access{Region: hist[i][j], Mode: rt.InOut},
+					rt.Access{Region: hist[i-1][j], Mode: rt.In})
 				r.Submit(rt.TaskSpec{
-					Label: fmt.Sprintf("vscan(%d,%d,%d)", f, i, j),
-					Flops: 2 * float64(p.HistBytes/8),
-					Accesses: []rt.Access{
-						{Region: hist[i][j], Mode: rt.InOut},
-						{Region: hist[i-1][j], Mode: rt.In},
-					},
+					Label:    fmt.Sprintf("vscan(%d,%d,%d)", f, i, j),
+					Flops:    2 * float64(p.HistBytes/8),
+					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),
 				})
 			}

@@ -73,59 +73,61 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 			T[i][j] = r.Mem().Alloc(fmt.Sprintf("T[%d][%d]", i, j), p.TileBytes/8, memory.Deferred, 0)
 		}
 	}
+	var acc []rt.Access // one list for every task: Submit copies it
 	for i := 0; i < p.NT; i++ {
 		for j := 0; j < p.NT; j++ {
+			acc = append(acc[:0], rt.Access{Region: A[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    fmt.Sprintf("init(%d,%d)", i, j),
 				Flops:    float64(p.TileBytes / 8),
-				Accesses: []rt.Access{{Region: A[i][j], Mode: rt.Out}},
+				Accesses: acc,
 				EPSocket: blockCyclic2D(i, j, sockets),
 			})
 		}
 	}
 	for k := 0; k < p.NT; k++ {
+		acc = append(acc[:0],
+			rt.Access{Region: A[k][k], Mode: rt.InOut},
+			rt.Access{Region: T[k][k], Mode: rt.Out})
 		r.Submit(rt.TaskSpec{
-			Label: fmt.Sprintf("geqrt(%d)", k),
-			Flops: panelFlops(p.TileBytes),
-			Accesses: []rt.Access{
-				{Region: A[k][k], Mode: rt.InOut},
-				{Region: T[k][k], Mode: rt.Out},
-			},
+			Label:    fmt.Sprintf("geqrt(%d)", k),
+			Flops:    panelFlops(p.TileBytes),
+			Accesses: acc,
 			EPSocket: blockCyclic2D(k, k, sockets),
 		})
 		for j := k + 1; j < p.NT; j++ {
+			acc = append(acc[:0],
+				rt.Access{Region: A[k][j], Mode: rt.InOut},
+				rt.Access{Region: A[k][k], Mode: rt.In},
+				rt.Access{Region: T[k][k], Mode: rt.In})
 			r.Submit(rt.TaskSpec{
-				Label: fmt.Sprintf("unmqr(%d,%d)", k, j),
-				Flops: trsmFlops(p.TileBytes),
-				Accesses: []rt.Access{
-					{Region: A[k][j], Mode: rt.InOut},
-					{Region: A[k][k], Mode: rt.In},
-					{Region: T[k][k], Mode: rt.In},
-				},
+				Label:    fmt.Sprintf("unmqr(%d,%d)", k, j),
+				Flops:    trsmFlops(p.TileBytes),
+				Accesses: acc,
 				EPSocket: blockCyclic2D(k, j, sockets),
 			})
 		}
 		for i := k + 1; i < p.NT; i++ {
+			acc = append(acc[:0],
+				rt.Access{Region: A[k][k], Mode: rt.InOut},
+				rt.Access{Region: A[i][k], Mode: rt.InOut},
+				rt.Access{Region: T[i][k], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label: fmt.Sprintf("tsqrt(%d,%d)", i, k),
-				Flops: trsmFlops(p.TileBytes),
-				Accesses: []rt.Access{
-					{Region: A[k][k], Mode: rt.InOut},
-					{Region: A[i][k], Mode: rt.InOut},
-					{Region: T[i][k], Mode: rt.Out},
-				},
+				Label:    fmt.Sprintf("tsqrt(%d,%d)", i, k),
+				Flops:    trsmFlops(p.TileBytes),
+				Accesses: acc,
 				EPSocket: blockCyclic2D(i, k, sockets),
 			})
 			for j := k + 1; j < p.NT; j++ {
+				acc = append(acc[:0],
+					rt.Access{Region: A[k][j], Mode: rt.InOut},
+					rt.Access{Region: A[i][j], Mode: rt.InOut},
+					rt.Access{Region: A[i][k], Mode: rt.In},
+					rt.Access{Region: T[i][k], Mode: rt.In})
 				r.Submit(rt.TaskSpec{
-					Label: fmt.Sprintf("tsmqr(%d,%d,%d)", i, j, k),
-					Flops: gemmFlops(p.TileBytes),
-					Accesses: []rt.Access{
-						{Region: A[k][j], Mode: rt.InOut},
-						{Region: A[i][j], Mode: rt.InOut},
-						{Region: A[i][k], Mode: rt.In},
-						{Region: T[i][k], Mode: rt.In},
-					},
+					Label:    fmt.Sprintf("tsmqr(%d,%d,%d)", i, j, k),
+					Flops:    gemmFlops(p.TileBytes),
+					Accesses: acc,
 					EPSocket: blockCyclic2D(i, j, sockets),
 				})
 			}

@@ -58,13 +58,15 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 		return a
 	}
 	src, dst := alloc2D("src"), alloc2D("dst")
+	var acc []rt.Access // one list for every task: Submit copies it
 	// Initialization tasks first-touch the source grid.
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
+			acc = append(acc[:0], rt.Access{Region: src[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    fmt.Sprintf("init(%d,%d)", i, j),
 				Flops:    float64(p.TileBytes / 8),
-				Accesses: []rt.Access{{Region: src[i][j], Mode: rt.Out}},
+				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
 			})
 		}
@@ -72,7 +74,9 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 	for it := 0; it < p.Iters; it++ {
 		for i := 0; i < p.NB; i++ {
 			for j := 0; j < p.NB; j++ {
-				acc := []rt.Access{{Region: dst[i][j], Mode: rt.Out}, {Region: src[i][j], Mode: rt.In}}
+				acc = append(acc[:0],
+					rt.Access{Region: dst[i][j], Mode: rt.Out},
+					rt.Access{Region: src[i][j], Mode: rt.In})
 				for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 					ni, nj := i+d[0], j+d[1]
 					if ni >= 0 && ni < p.NB && nj >= 0 && nj < p.NB {
@@ -109,12 +113,14 @@ func buildRedBlack(r *rt.Runtime, p StencilParams) {
 			u[i][j] = r.Mem().Alloc(fmt.Sprintf("u[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
+	var acc []rt.Access // one list for every task: Submit copies it
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
+			acc = append(acc[:0], rt.Access{Region: u[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    fmt.Sprintf("init(%d,%d)", i, j),
 				Flops:    float64(p.TileBytes / 8),
-				Accesses: []rt.Access{{Region: u[i][j], Mode: rt.Out}},
+				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
 			})
 		}
@@ -126,7 +132,7 @@ func buildRedBlack(r *rt.Runtime, p StencilParams) {
 					if (i+j)%2 != color {
 						continue
 					}
-					acc := []rt.Access{{Region: u[i][j], Mode: rt.InOut}}
+					acc = append(acc[:0], rt.Access{Region: u[i][j], Mode: rt.InOut})
 					for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 						ni, nj := i+d[0], j+d[1]
 						if ni >= 0 && ni < p.NB && nj >= 0 && nj < p.NB {
@@ -164,12 +170,14 @@ func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 			u[i][j] = r.Mem().Alloc(fmt.Sprintf("u[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
+	var acc []rt.Access // one list for every task: Submit copies it
 	for i := 0; i < p.NB; i++ {
 		for j := 0; j < p.NB; j++ {
+			acc = append(acc[:0], rt.Access{Region: u[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    fmt.Sprintf("init(%d,%d)", i, j),
 				Flops:    float64(p.TileBytes / 8),
-				Accesses: []rt.Access{{Region: u[i][j], Mode: rt.Out}},
+				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
 			})
 		}
@@ -177,7 +185,7 @@ func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 	for it := 0; it < p.Iters; it++ {
 		for i := 0; i < p.NB; i++ {
 			for j := 0; j < p.NB; j++ {
-				acc := []rt.Access{{Region: u[i][j], Mode: rt.InOut}}
+				acc = append(acc[:0], rt.Access{Region: u[i][j], Mode: rt.InOut})
 				for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 					ni, nj := i+d[0], j+d[1]
 					if ni >= 0 && ni < p.NB && nj >= 0 && nj < p.NB {

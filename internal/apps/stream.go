@@ -57,31 +57,33 @@ func buildNStream(r *rt.Runtime, p NStreamParams) {
 		return a
 	}
 	a, b, c := alloc("a"), alloc("b"), alloc("c")
+	var acc []rt.Access // one list for every task: Submit copies it
 	for j := 0; j < p.Chunks; j++ {
 		owner := blockRowOwner(j, p.Chunks, sockets)
 		for _, arr := range []struct {
 			name string
 			regs []*memory.Region
 		}{{"a", a}, {"b", b}, {"c", c}} {
+			acc = append(acc[:0], rt.Access{Region: arr.regs[j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    fmt.Sprintf("init_%s(%d)", arr.name, j),
 				Flops:    float64(p.ChunkBytes / 8),
-				Accesses: []rt.Access{{Region: arr.regs[j], Mode: rt.Out}},
+				Accesses: acc,
 				EPSocket: owner,
 			})
 		}
 	}
 	for it := 0; it < p.Iters; it++ {
 		for j := 0; j < p.Chunks; j++ {
+			acc = append(acc[:0],
+				rt.Access{Region: a[j], Mode: rt.Out},
+				rt.Access{Region: b[j], Mode: rt.In},
+				rt.Access{Region: c[j], Mode: rt.In})
 			r.Submit(rt.TaskSpec{
 				Label: fmt.Sprintf("triad(%d,%d)", it, j),
 				// Two flops per point: multiply and add.
-				Flops: 2 * float64(p.ChunkBytes/8),
-				Accesses: []rt.Access{
-					{Region: a[j], Mode: rt.Out},
-					{Region: b[j], Mode: rt.In},
-					{Region: c[j], Mode: rt.In},
-				},
+				Flops:    2 * float64(p.ChunkBytes/8),
+				Accesses: acc,
 				EPSocket: blockRowOwner(j, p.Chunks, sockets),
 			})
 		}

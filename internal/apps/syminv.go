@@ -33,11 +33,16 @@ func buildSymInv(r *rt.Runtime, p DenseParams) {
 			A[i][j] = r.Mem().Alloc(fmt.Sprintf("A[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
+	// list is the one access list every task is submitted with (Submit
+	// copies it); handing Submit acc itself would heap-allocate every call's
+	// arguments.
+	var list []rt.Access
 	submit := func(label string, flops float64, epI, epJ int, acc ...rt.Access) {
+		list = append(list[:0], acc...)
 		r.Submit(rt.TaskSpec{
 			Label:    label,
 			Flops:    flops,
-			Accesses: acc,
+			Accesses: list,
 			EPSocket: blockCyclic2D(epI, epJ, sockets),
 		})
 	}

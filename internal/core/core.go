@@ -22,14 +22,6 @@ import (
 // instantiable policies lives in the policy registry (policy.Names).
 var PolicyNames = []string{"DFIFO", "RGP+LAS", "EP", "LAS"}
 
-// NewPolicy instantiates a scheduling policy from a registry spec, e.g.
-// "LAS" or "RGP+LAS?matching=random". It is a thin veneer over policy.New;
-// custom policies registered with policy.Register are available here and
-// in every Experiment by name.
-func NewPolicy(spec string) (rt.Policy, error) {
-	return policy.New(spec)
-}
-
 // Config describes one simulation run. App is a workload registry spec —
 // a benchmark name ("jacobi"), a parameterized generator
 // ("random-layered?layers=24&width=96") or an imported DAG
@@ -87,7 +79,7 @@ func Run(cfg Config) (RunResult, error) {
 // pooled runtime, from w, or from cfg.App resolved through the workload
 // registry when w is nil.
 func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, error) {
-	pol, err := NewPolicy(cfg.Policy)
+	pol, err := policy.New(cfg.Policy)
 	if err != nil {
 		return RunResult{}, err
 	}

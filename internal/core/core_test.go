@@ -8,17 +8,18 @@ import (
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
+	"numadag/internal/policy"
 	"numadag/internal/rt"
 )
 
 func TestNewPolicyKnownNames(t *testing.T) {
 	for _, n := range []string{"DFIFO", "LAS", "EP", "RGP+LAS", "RGP"} {
-		p, err := NewPolicy(n)
+		p, err := policy.New(n)
 		if err != nil || p == nil {
-			t.Errorf("NewPolicy(%q): %v", n, err)
+			t.Errorf("policy.New(%q): %v", n, err)
 		}
 	}
-	if _, err := NewPolicy("bogus"); err == nil {
+	if _, err := policy.New("bogus"); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // checkInert demands that a runtime's pooled build state — the dependence
-// trackers, including the spare capacity of every readers list, and every
-// slot of every task-arena slab — holds no *Task and no task data.
+// trackers, including the spare capacity of every readers list, every slot
+// of every task-arena slab and every slot of every access-arena slab —
+// holds no *Task, no task data and no *memory.Region.
 func checkInert(t *testing.T, step string, r *Runtime) {
 	t.Helper()
 	if len(r.tracks) != 0 {
@@ -38,21 +39,33 @@ func checkInert(t *testing.T, step string, r *Runtime) {
 			}
 		}
 	}
+	if r.accArena.cur != 0 || r.accArena.used != 0 {
+		t.Fatalf("%s: access arena not rewound (slab %d, slot %d)", step, r.accArena.cur, r.accArena.used)
+	}
+	for i, slab := range r.accArena.slabs {
+		for j, a := range slab {
+			if a.Region != nil {
+				t.Fatalf("%s: access arena slab %d slot %d keeps region %q", step, i, j, a.Region.Name())
+			}
+		}
+	}
 }
 
 // TestReleaseLeavesNoStaleTasks pins the recycling contract of the Submit
 // path: after Release, and in the runtime NewRuntime draws from the pool,
-// the trackers and the task arena reference no task of the previous build.
-// A stale *Task there keeps that build's graph, access lists and arena slabs
-// alive for as long as the runtime sits in the pool.
+// the trackers and the task arena reference no task of the previous build,
+// and the access arena no region. A stale *Task there keeps that build's
+// graph and arena slabs alive for as long as the runtime sits in the pool,
+// and a stale *Region the regions of a memory manager reset since.
 func TestReleaseLeavesNoStaleTasks(t *testing.T) {
 	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
 	for _, run := range []bool{false, true} {
 		r := NewRuntime(m, cyclic{}, Options{WindowSize: 4, Seed: 1})
 		buildMixed(r, true)
-		buildLayeredRT(r, 30, 10) // grows the arena past its first slabs
-		if len(r.arena.slabs) < 2 || len(r.tracks) == 0 {
-			t.Fatalf("build left %d slabs, %d trackers: too small to test", len(r.arena.slabs), len(r.tracks))
+		buildLayeredRT(r, 30, 10) // grows both arenas past their first slabs
+		if len(r.arena.slabs) < 2 || len(r.accArena.slabs) < 2 || len(r.tracks) == 0 {
+			t.Fatalf("build left %d task slabs, %d access slabs, %d trackers: too small to test",
+				len(r.arena.slabs), len(r.accArena.slabs), len(r.tracks))
 		}
 		if run {
 			r.Run() // links every successor list into the arena's tasks

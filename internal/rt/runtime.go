@@ -73,21 +73,22 @@ type regionTrack struct {
 	readers    []*Task // readers since the last write
 }
 
-// taskArena hands out Task structs from pooled slabs. A slab is never
-// resized or dropped while the arena lives, so a *Task stays valid for the
-// whole build, and reset zeroes every slot handed out, so a pooled arena
-// references nothing of the previous build.
-type taskArena struct {
-	slabs [][]Task
+// slabArena hands out runs of T from pooled slabs: a runtime keeps one for
+// its Task structs and one for every task's access list. A slab is never
+// resized or dropped while the arena lives, so a run it handed out stays
+// valid for the whole build, and reset zeroes every slot handed out, so a
+// pooled arena references nothing of the previous build.
+type slabArena[T any] struct {
+	slabs [][]T
 	cur   int // slab being carved
 	used  int // slots handed out from slabs[cur]
 }
 
-// minArenaSlab is the smallest slab the Submit path grows the arena by.
+// minArenaSlab is the smallest slab the Submit path grows an arena by.
 const minArenaSlab = 64
 
 // free returns the number of slots left before the arena must grow.
-func (a *taskArena) free() int {
+func (a *slabArena[T]) free() int {
 	n := 0
 	for i := a.cur; i < len(a.slabs); i++ {
 		n += len(a.slabs[i])
@@ -99,17 +100,24 @@ func (a *taskArena) free() int {
 }
 
 // reserve grows the arena, by one slab of exactly the shortfall, until n
-// more slots are free — Install's exact sizing.
-func (a *taskArena) reserve(n int) {
+// more slots are free — Install's sizing. Single slots then need no more
+// room; a run can still grow the arena when it does not fit the rest of a
+// slab.
+func (a *slabArena[T]) reserve(n int) {
 	if short := n - a.free(); short > 0 {
-		a.slabs = append(a.slabs, make([]Task, short))
+		a.slabs = append(a.slabs, make([]T, short))
 	}
 }
 
-// next returns the next free slot, growing the arena by a slab as large as
-// everything carved so far when it is full.
-func (a *taskArena) next() *Task {
-	for a.cur < len(a.slabs) && a.used == len(a.slabs[a.cur]) {
+// take returns the next n slots, contiguous and capped at n (nil for n = 0):
+// from the current slab when it has room, else from the first later slab
+// that has, growing the arena by a slab as large as everything carved so far
+// (and at least n) when none has. A run never straddles two slabs.
+func (a *slabArena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	for a.cur < len(a.slabs) && len(a.slabs[a.cur])-a.used < n {
 		a.cur++
 		a.used = 0
 	}
@@ -118,16 +126,19 @@ func (a *taskArena) next() *Task {
 		for _, sl := range a.slabs {
 			total += len(sl)
 		}
-		a.slabs = append(a.slabs, make([]Task, max(total, minArenaSlab)))
+		a.slabs = append(a.slabs, make([]T, max(total, n, minArenaSlab)))
 	}
-	t := &a.slabs[a.cur][a.used]
-	a.used++
-	return t
+	run := a.slabs[a.cur][a.used : a.used+n : a.used+n]
+	a.used += n
+	return run
 }
+
+// next returns one slot.
+func (a *slabArena[T]) next() *T { return &a.take(1)[0] }
 
 // reset zeroes every slot handed out since the last reset and rewinds the
 // arena to its first slab.
-func (a *taskArena) reset() {
+func (a *slabArena[T]) reset() {
 	for i := 0; i < a.cur && i < len(a.slabs); i++ {
 		clear(a.slabs[i])
 	}
@@ -218,11 +229,12 @@ type Runtime struct {
 	// reuse keeps stable.
 	coreConts []coreCont
 	// Arena backing for Submit, Install and audit, recycled through the
-	// runtime pool: the Task structs, one slab for all successor lists
-	// (linked at Run/Start), one for all installed access lists.
-	arena      taskArena
+	// runtime pool: the Task structs, every task's access list (Submit
+	// copies the caller's, Install carves them from the snapshot's), and
+	// one slab for all successor lists (linked at Run/Start).
+	arena      slabArena[Task]
+	accArena   slabArena[Access]
 	succSlab   []*Task
-	accSlab    []Access
 	regScratch []*memory.Region
 	auditCore  [][]*Task
 	// barrierTask, when non-nil, is the synchronization task every
@@ -306,8 +318,8 @@ func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
 		depAt:       r.depAt[:0],
 		coreConts:   r.coreConts,
 		arena:       r.arena,
+		accArena:    r.accArena,
 		succSlab:    r.succSlab,
-		accSlab:     r.accSlab,
 		regScratch:  r.regScratch,
 		auditCore:   r.auditCore,
 	}
@@ -432,16 +444,18 @@ func (r *Runtime) Release() {
 }
 
 // recycle drops every reference the pooled state holds to this build's
-// tasks: the arena's slots are zeroed, the trackers emptied, the own graph
+// tasks: the arenas' slots are zeroed, the trackers emptied, the own graph
 // reset and the task graph and policy handles cleared, so a runtime waiting
 // in the pool pins nothing of the build that used it — in particular not a
-// snapshot's graph that the experiment cache has already dropped.
+// snapshot's graph that the experiment cache has already dropped, nor a
+// region of its own memory manager.
 func (r *Runtime) recycle() {
 	if r.own != nil {
 		r.own.Reset()
 	}
 	r.tdg, r.pol = nil, nil
 	r.arena.reset()
+	r.accArena.reset()
 	for i := range r.tracks {
 		tr := &r.tracks[i]
 		clear(tr.readers[:cap(tr.readers)])
@@ -597,7 +611,9 @@ func (r *Runtime) WindowTasks(w int) []*Task {
 // weighted with the region's bytes (the data the dependency represents);
 // WAR edges carry weight 1 (pure ordering). Submit must be called before
 // Run; the TDG is then complete, and the window mechanism reproduces the
-// paper's partial-knowledge partitioning.
+// paper's partial-knowledge partitioning. The task's access list is a copy
+// in the runtime's access arena: spec.Accesses is only read during the
+// call, so a builder may refill one slice for every task.
 func (r *Runtime) Submit(spec TaskSpec) *Task {
 	if r.running {
 		panic("rt: Submit during Run")
@@ -667,15 +683,18 @@ func (r *Runtime) Submit(spec TaskSpec) *Task {
 
 // addTask appends the task for spec to the TDG and the task list, in the
 // given window, with the given merged, ID-sorted dependences as its
-// predecessors. The Task comes from the pooled arena.
+// predecessors. The Task and its copy of spec's access list come from the
+// pooled arenas.
 func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep, window int) *Task {
 	id := r.tdg.AddNodeDeps(spec.Label, int64(spec.Flops), deps)
+	acc := r.accArena.take(len(spec.Accesses))
+	copy(acc, spec.Accesses)
 	t := r.arena.next()
 	*t = Task{
 		ID:       id,
 		Label:    spec.Label,
 		Flops:    spec.Flops,
-		Accesses: spec.Accesses,
+		Accesses: acc,
 		EPSocket: spec.EPSocket,
 		Window:   window,
 		Socket:   -1,

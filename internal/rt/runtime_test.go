@@ -369,6 +369,45 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitCopiesAccesses pins that Submit only borrows TaskSpec.Accesses:
+// each task keeps its own copy of the list, so a builder may refill one
+// slice for every task. Overwriting the caller's slice after Submit returns
+// leaves every task's list, and the dependences drawn from it, unchanged.
+func TestSubmitCopiesAccesses(t *testing.T) {
+	r := newTestRT(t, pinned(0), Options{})
+	a := r.Mem().Alloc("a", 1<<16, memory.Deferred, 0)
+	b := r.Mem().Alloc("b", 1<<10, memory.Deferred, 0)
+	acc := []Access{{Region: a, Mode: Out}}
+	w := r.Submit(TaskSpec{Label: "w", Flops: 1000, Accesses: acc, EPSocket: NoEPHint})
+	acc[0] = Access{Region: b, Mode: InOut}
+	acc = append(acc[:0], Access{Region: a, Mode: In}, Access{Region: b, Mode: Out})
+	rd := r.Submit(TaskSpec{Label: "r", Flops: 1000, Accesses: acc, EPSocket: NoEPHint})
+	acc[0], acc[1] = Access{Region: b, Mode: In}, Access{Region: a, Mode: InOut}
+	for _, c := range []struct {
+		task *Task
+		want []Access
+	}{
+		{w, []Access{{Region: a, Mode: Out}}},
+		{rd, []Access{{Region: a, Mode: In}, {Region: b, Mode: Out}}},
+	} {
+		if len(c.task.Accesses) != len(c.want) {
+			t.Fatalf("task %s keeps %d accesses, want %d", c.task.Label, len(c.task.Accesses), len(c.want))
+		}
+		for i, got := range c.task.Accesses {
+			if got != c.want[i] {
+				t.Fatalf("task %s access %d = {%s %v}, want {%s %v}", c.task.Label, i,
+					got.Region.Name(), got.Mode, c.want[i].Region.Name(), c.want[i].Mode)
+			}
+		}
+	}
+	if got := r.Graph().EdgeWeight(w.ID, rd.ID); got != a.Bytes() {
+		t.Fatalf("RAW edge w->r weighs %d, want %d", got, a.Bytes())
+	}
+	if res := r.Run(); res.TasksRun != 2 {
+		t.Fatalf("ran %d tasks, want 2", res.TasksRun)
+	}
+}
+
 func TestCutBytesStat(t *testing.T) {
 	// Producer on socket 0, consumer on socket 1 (per-task pinning via a
 	// tiny policy), with a 1 MiB RAW edge -> CutBytes must include it.

@@ -149,33 +149,27 @@ func (s *Snapshot) Install(r *Runtime) {
 		regs[i] = r.mem.Alloc(rp.name, rp.bytes, rp.placement, rp.home)
 	}
 	n := len(s.tasks)
-	// Tasks come out of the runtime's pooled arenas: the Task structs, one
-	// slab of pointers, one backing every access list. All are fully
-	// overwritten below, so recycling cannot leak state between runs.
-	r.arena.reserve(n)
-	if cap(r.tasks) < n {
-		r.tasks = make([]*Task, n)
-	}
-	tasks := r.tasks[:n]
+	// Tasks and their access lists come out of the runtime's pooled arenas,
+	// sized to the graph first; a slab of pointers holds the task list. All
+	// are fully overwritten below, so recycling cannot leak state between
+	// runs.
 	nAcc := 0
 	for i := range s.tasks {
 		nAcc += len(s.tasks[i].accesses)
 	}
-	if cap(r.accSlab) < nAcc {
-		r.accSlab = make([]Access, nAcc)
+	r.arena.reserve(n)
+	r.accArena.reserve(nAcc)
+	if cap(r.tasks) < n {
+		r.tasks = make([]*Task, n)
 	}
-	accSlab, accOff := r.accSlab[:nAcc], 0
+	tasks := r.tasks[:n]
 	for i := range s.tasks {
 		tp := &s.tasks[i]
-		t := r.arena.next()
-		var acc []Access
-		if len(tp.accesses) > 0 {
-			acc = accSlab[accOff : accOff+len(tp.accesses) : accOff+len(tp.accesses)]
-			accOff += len(tp.accesses)
-			for j, a := range tp.accesses {
-				acc[j] = Access{Region: regs[a.region], Mode: a.mode}
-			}
+		acc := r.accArena.take(len(tp.accesses))
+		for j, a := range tp.accesses {
+			acc[j] = Access{Region: regs[a.region], Mode: a.mode}
 		}
+		t := r.arena.next()
 		*t = Task{
 			ID:       graph.NodeID(i),
 			Label:    tp.label,

@@ -15,25 +15,26 @@
 // # Arena recycling
 //
 // Runtimes are pooled: Release returns a runtime's grow-only state — the
-// task arena, region pool, dependence trackers, successor/access slabs,
+// task and access arenas, region pool, dependence trackers, successor slab,
 // queues, per-core continuation closures, scratch — to a package pool
 // NewRuntime draws from, so a sweep's replicates, and the prototype
 // runtimes that build each graph once, stop allocating once the first use
 // has grown everything to the workload's high-water mark.
 //
 // Both ways of building a task graph draw on these arenas. Submit takes
-// each Task struct from the task arena (slabs that never move, so a *Task
-// stays valid while the graph grows), keeps the dependence trackers in a
+// each Task struct from the task arena and copies the task's access list
+// into the access arena (slabs that never move, so a *Task and its list
+// stay valid while the graph grows), keeps the dependence trackers in a
 // dense slice indexed by region ID, and merges each task's dependences in a
 // scratch before adding its TDG node with an exactly sized predecessor
-// list. Snapshot.Install sizes the arena to the graph and carves every
-// access list from one slab. Neither builds successor lists: Run and Start
-// link every task's successors once from the TDG, in its adjacency order
-// and from one slab, before the policy's Prepare, so Task.NumSuccs is valid
-// from then on (it reports zero before). Release zeroes every arena slot
-// and tracker the build used, so a pooled runtime references nothing of
-// its previous build, and reuse fully overwrites each slot. The two Result
-// slices and anything an Observer may retain escape the run and are
+// list. Snapshot.Install sizes both arenas to the graph and carves every
+// task and access list from them. Neither builds successor lists: Run and
+// Start link every task's successors once from the TDG, in its adjacency
+// order and from one slab, before the policy's Prepare, so Task.NumSuccs is
+// valid from then on (it reports zero before). Release zeroes every arena
+// slot and tracker the build used, so a pooled runtime references nothing
+// of its previous build, and reuse fully overwrites each slot. The two
+// Result slices and anything an Observer may retain escape the run and are
 // therefore always freshly allocated; Release is only legal when no
 // Observer was configured and the caller retains no *Task or *Region.
 //
@@ -97,7 +98,9 @@ type TaskSpec struct {
 	// equivalent abstract work unit; the machine's CoreFlops converts it to
 	// time).
 	Flops float64
-	// Accesses lists the task's region dependences.
+	// Accesses lists the task's region dependences. Submit only borrows the
+	// slice for the call: it copies the list into the runtime, so the
+	// caller may overwrite or reuse it as soon as Submit returns.
 	Accesses []Access
 	// EPSocket is the expert programmer's placement (the hardcoded schedule
 	// of the paper's EP configuration); NoEPHint if the app provides none.
@@ -123,9 +126,12 @@ const (
 // ones are managed by the runtime; policies may read them but must not
 // write.
 type Task struct {
-	ID       graph.NodeID
-	Label    string
-	Flops    float64
+	ID    graph.NodeID
+	Label string
+	Flops float64
+	// Accesses is the task's copy of its region dependences, in the
+	// runtime's access arena: it is runtime storage, valid until the
+	// runtime is Released, and must not be modified.
 	Accesses []Access
 	EPSocket int
 

@@ -40,8 +40,8 @@
 //     as flows start and finish rather than rebuilt per fill. Fills reuse
 //     per-Net scratch buffers.
 //   - Finished Flow structs are recycled through a free list; a *Flow handle
-//     is valid for inspection until the next StartFlow call on the same Net
-//     after the flow completes.
+//     is valid for inspection until the next StartFlowCapped call on the
+//     same Net after the flow completes.
 //   - Instead of one completion timer per flow, the Net keeps a single
 //     earliest-completion event. A flow's deadline is a plain Time field,
 //     set when its group fills and kept until the group fills again, and
@@ -464,7 +464,9 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with timestamps <= deadline, leaving later events
 // queued, and advances the clock to min(deadline, last event time). It
-// reports whether the queue drained.
+// reports whether the queue drained. Production code drains the engine with
+// Run or Step; RunUntil stays exported because rt's tests stop a shared
+// engine mid-run with it (internal/rt/start_test.go).
 func (e *Engine) RunUntil(deadline Time) bool {
 	for {
 		if len(e.heap) > 0 && e.slots[e.heap[0]].at <= deadline {
@@ -482,10 +484,6 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	}
 	return len(e.heap) == 0
 }
-
-// Pending returns the number of queued events. Stopped timers leave the
-// queue immediately, so this is a live count, in O(1).
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // Reset rewinds the engine to time zero with an empty queue and no pending
 // flush while keeping its grown arena capacity and its registered flushers,

@@ -70,17 +70,13 @@ func (r *Resource) Rate() float64 { return r.rate }
 // Capacity returns the resource capacity in bytes per nanosecond.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
-// ActiveFlows returns the number of flows currently crossing the resource
-// (a flow whose path names the resource twice counts twice).
-func (r *Resource) ActiveFlows() int { return len(r.crossing) }
-
 // Flow is an in-flight transfer of a byte volume across a path of resources.
 //
-// Flow structs are recycled: the *Flow returned by StartFlow is valid for
-// inspection while the flow is active and remains readable after completion,
-// but only until the next StartFlow call on the same Net — at that point the
-// struct may be reused for the new flow. Callers that need post-completion
-// data should copy it out in the done callback.
+// Flow structs are recycled: the *Flow returned by StartFlowCapped is valid
+// for inspection while the flow is active and remains readable after
+// completion, but only until the next StartFlowCapped call on the same Net —
+// at that point the struct may be reused for the new flow. Callers that need
+// post-completion data should copy it out in the done callback.
 type Flow struct {
 	id         int
 	volume     float64 // total bytes of the transfer
@@ -128,21 +124,6 @@ func (f *Flow) Path() []*Resource { return f.path }
 
 // Volume returns the total byte volume of the transfer.
 func (f *Flow) Volume() float64 { return f.volume }
-
-// Remaining returns the bytes not yet transferred, progressed to the current
-// simulated time.
-func (f *Flow) Remaining() float64 {
-	if f.finished {
-		return 0
-	}
-	f.net.flush() // deferred reallocation: refresh the rate before reading
-	elapsed := float64(f.net.eng.Now() - f.lastUpdate)
-	rem := f.remaining - elapsed*f.rate
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
 
 // Rate returns the current fair-share rate in bytes/ns.
 func (f *Flow) Rate() float64 {
@@ -292,20 +273,16 @@ func (n *Net) SetFlowHooks(onStart, onEnd func(*Flow)) {
 	n.onFlowStart, n.onFlowEnd = onStart, onEnd
 }
 
-// StartFlow begins moving bytes across path and calls done (if non-nil) when
-// the last byte arrives. A flow with an empty path or zero bytes completes
-// after zero simulated time (via an immediate event, preserving event order).
-// The returned flow can be inspected but not cancelled; flows always run to
-// completion. See Flow for the handle-recycling contract.
-func (n *Net) StartFlow(bytes float64, path []*Resource, done func()) *Flow {
-	return n.StartFlowCapped(bytes, path, math.Inf(1), done)
-}
-
-// StartFlowCapped is StartFlow with an additional per-flow rate ceiling in
-// bytes/ns. The cap models a source that cannot saturate the path on its own
-// — e.g. a single core whose outstanding-miss window limits its achievable
-// memory bandwidth. A negative, NaN or infinite volume panics, and so does a
-// cap that is not positive (NaN included); +Inf is a valid cap (uncapped).
+// StartFlowCapped begins moving bytes across path, at no more than maxRate
+// bytes/ns, and calls done (if non-nil) when the last byte arrives. The cap
+// models a source that cannot saturate the path on its own — e.g. a single
+// core whose outstanding-miss window limits its achievable memory bandwidth;
+// +Inf is a valid cap (uncapped). A flow with an empty path or zero bytes
+// completes after zero simulated time (via an immediate event, preserving
+// event order). The returned flow can be inspected but not cancelled; flows
+// always run to completion. See Flow for the handle-recycling contract. A
+// negative, NaN or infinite volume panics, and so does a cap that is not
+// positive (NaN included).
 func (n *Net) StartFlowCapped(bytes float64, path []*Resource, maxRate float64, done func()) *Flow {
 	if !(bytes >= 0) || math.IsInf(bytes, 1) {
 		panic(fmt.Sprintf("sim: flow volume %v is not a finite non-negative number", bytes))
@@ -432,9 +409,6 @@ func (n *Net) retireClass(c *flowClass) {
 	c.path = nil
 	n.freeClasses = append(n.freeClasses, c)
 }
-
-// ActiveFlows returns the number of in-flight flows.
-func (n *Net) ActiveFlows() int { return n.live }
 
 // progress advances f's remaining volume to now using its rate since the
 // last update.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,22 +83,25 @@ func (s Spec) String() string {
 
 // Only errors unless every parameter key is among the allowed ones: the
 // typo guard ("RGP+LAS?mathcing=random", "forkjoin?fanuot=4" fail instead of
-// silently running the default configuration).
+// silently running the default configuration). Of several unknown keys it
+// names the first in sorted order, so the error does not depend on map
+// iteration.
 func (s Spec) Only(allowed ...string) error {
+	bad, found := "", false
 	for k := range s.Params {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("%s: %s does not take parameter %q (allowed: %s)",
-				s.kind, s.Name, k, strings.Join(allowed, ", "))
+		if !slices.Contains(allowed, k) && (!found || k < bad) {
+			bad, found = k, true
 		}
 	}
-	return nil
+	switch {
+	case !found:
+		return nil
+	case len(allowed) == 0:
+		return fmt.Errorf("%s: %s takes no parameters, got %q", s.kind, s.Name, bad)
+	default:
+		return fmt.Errorf("%s: %s does not take parameter %q (allowed: %s)",
+			s.kind, s.Name, bad, strings.Join(allowed, ", "))
+	}
 }
 
 // Int returns the named integer parameter, or def when absent.

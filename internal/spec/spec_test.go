@@ -116,6 +116,41 @@ func TestGettersNameTheirKind(t *testing.T) {
 
 type factory func() int
 
+// TestOnlyWording pins the typo guard's two errors: an entry without
+// parameters says so instead of listing none, and of several unknown keys
+// the first in sorted order is named, whatever the map's iteration order.
+func TestOnlyWording(t *testing.T) {
+	for _, c := range []struct {
+		kind, in string
+		allowed  []string
+		want     string
+	}{
+		{"policy", "LAS?matching=random", nil, `policy: LAS takes no parameters, got "matching"`},
+		{"cluster", "idle?x=1", nil, `cluster: idle takes no parameters, got "x"`},
+		{"cluster", "idle?z=1&y=2&x=3", nil, `cluster: idle takes no parameters, got "x"`},
+		{"cluster", "kchoices?k=2", []string{"d"}, `cluster: kchoices does not take parameter "k" (allowed: d)`},
+		{"workload", "forkjoin?zz=1&fanout=2&aa=3", []string{"depth", "fanout"},
+			`workload: forkjoin does not take parameter "aa" (allowed: depth, fanout)`},
+	} {
+		s, err := Parse(c.kind, c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ { // map order varies between iterations
+			if err := s.Only(c.allowed...); err == nil || err.Error() != c.want {
+				t.Fatalf("%s: Only(%v) = %v, want %q", c.in, c.allowed, err, c.want)
+			}
+		}
+	}
+	s, err := Parse("policy", "RGP+LAS?refine=off")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Only("matching", "refine"); err != nil {
+		t.Fatalf("Only rejects an allowed key: %v", err)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry[factory]("thing")
 	one := factory(func() int { return 1 })

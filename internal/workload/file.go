@@ -109,8 +109,9 @@ func dagBuilder(d *graph.DAG, order []graph.NodeID) func(r *rt.Runtime) error {
 		// outRegions[id] holds the region task id writes for each of its
 		// out-edges, keyed by successor, created when the producer submits.
 		outRegions := make([]map[graph.NodeID]*memory.Region, d.Len())
+		var acc []rt.Access // one list for every task: Submit copies it
 		for _, id := range order {
-			var acc []rt.Access
+			acc = acc[:0]
 			d.Preds(id, func(from graph.NodeID, _ int64) {
 				acc = append(acc, rt.Access{Region: outRegions[from][id], Mode: rt.In})
 			})

@@ -55,21 +55,6 @@ func checkSize(gen string, tasks int, bytes int64, flops float64) error {
 	return nil
 }
 
-// accessSlab carves exactly sized access lists out of shared chunks, so a
-// generator pays one allocation per chunk instead of one or more per task.
-// The runtime keeps every task's list, so chunks are never reused.
-type accessSlab struct{ free []rt.Access }
-
-// take returns an empty list with capacity n.
-func (s *accessSlab) take(n int) []rt.Access {
-	if cap(s.free) < n {
-		s.free = make([]rt.Access, max(n, 1024))
-	}
-	a := s.free[:0:n]
-	s.free = s.free[n:]
-	return a
-}
-
 // jitter scales base by a uniform factor in [1-cv, 1+cv].
 func jitter(rng *xrand.Rand, base float64, cv float64) float64 {
 	if cv <= 0 {
@@ -148,7 +133,8 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 		rng := xrand.New(seed)
 		perm := make([]int, width) // parent draws, reused for every task
 		prev, cur := make([]*memory.Region, width), make([]*memory.Region, width)
-		var accs accessSlab
+		// One list for every task, sized for the longest (Submit copies it).
+		acc := make([]rt.Access, 0, 1+min(2*fan-1, width))
 		var text []byte
 		for l := 0; l < layers; l++ {
 			for i := 0; i < width; i++ {
@@ -165,7 +151,7 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 						k = len(prev)
 					}
 				}
-				acc := append(accs.take(1+k), rt.Access{Region: out, Mode: rt.Out})
+				acc = append(acc[:0], rt.Access{Region: out, Mode: rt.Out})
 				if k > 0 {
 					for _, p := range rng.PermInto(perm[:len(prev)])[:k] {
 						acc = append(acc, rt.Access{Region: prev[p], Mode: rt.In})
@@ -224,21 +210,23 @@ func forkJoinFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 	}
 	build := func(r *rt.Runtime) error {
 		rng := xrand.New(seed)
-		var accs accessSlab
+		// One list for every task, sized for a join (Submit copies it).
+		acc := make([]rt.Access, 0, fanout+1)
 		// submit allocates the task's output region, named like the task,
 		// and submits the task reading the non-nil inputs.
 		submit := func(label string, work float64, inputs ...*memory.Region) *memory.Region {
 			out := r.Mem().Alloc(label, bytes, memory.Deferred, 0)
-			acc := accs.take(len(inputs) + 1)
+			acc = acc[:0]
 			for _, in := range inputs {
 				if in != nil {
 					acc = append(acc, rt.Access{Region: in, Mode: rt.In})
 				}
 			}
+			acc = append(acc, rt.Access{Region: out, Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
 				Label:    label,
 				Flops:    jitter(rng, work, cv),
-				Accesses: append(acc, rt.Access{Region: out, Mode: rt.Out}),
+				Accesses: acc,
 				EPSocket: rt.NoEPHint,
 			})
 			return out

@@ -112,7 +112,9 @@
 // keys are reserved on every workload: scale=tiny|small|paper overrides the
 // contextual scale and seed=N drives the generator's own randomness —
 // distinct from the runtime seed, so an N-replicate sweep reuses one graph.
-// Custom generators register like policies:
+// Custom generators register like policies. Submit copies a task's access
+// list into the runtime (Task.Accesses is runtime storage until the runtime
+// is released), so a builder can refill one slice for every task:
 //
 //	numadag.MustRegisterWorkload("chain", "linear pipeline [n]",
 //		func(s numadag.WorkloadSpec, scale numadag.Scale, seed uint64) (numadag.Workload, error) {
@@ -122,9 +124,10 @@
 //			}
 //			return numadag.Workload{Build: func(r *numadag.Runtime) error {
 //				var prev *numadag.Region
+//				var acc []numadag.Access
 //				for i := 0; i < n; i++ {
 //					reg := r.Mem().Alloc(fmt.Sprintf("d%d", i), 64<<10, numadag.Deferred, 0)
-//					acc := []numadag.Access{{Region: reg, Mode: numadag.Out}}
+//					acc = append(acc[:0], numadag.Access{Region: reg, Mode: numadag.Out})
 //					if prev != nil {
 //						acc = append(acc, numadag.Access{Region: prev, Mode: numadag.In})
 //					}
@@ -414,7 +417,7 @@ func PolicyNames() []string { return append([]string(nil), core.PolicyNames...) 
 // (the paper's DFIFO, LAS, EP and RGP+LAS, plus RGP, which repartitions
 // every window), a registered custom name, or a parameterized form like
 // "RGP+LAS?matching=random".
-func NewPolicy(spec string) (Policy, error) { return core.NewPolicy(spec) }
+func NewPolicy(spec string) (Policy, error) { return policy.New(spec) }
 
 // Graph partitioning (the SCOTCH substitute), exposed for direct use.
 type (

@@ -183,7 +183,7 @@ func TestFacadeSpecErrors(t *testing.T) {
 		{newPolicy("RGP?matching=heavy&matching=random"), `policy: duplicate parameter "matching" in spec "RGP?matching=heavy&matching=random"`},
 		{newPolicy("HEFT"), `policy: unknown policy "HEFT" (registered: ` + strings.Join(numadag.RegisteredPolicies(), ", ") + `)`},
 		{newPolicy("RGP+LAS?mathcing=random"), `policy: RGP+LAS does not take parameter "mathcing" (allowed: matching, refine)`},
-		{newPolicy("LAS?matching=random"), `policy: LAS does not take parameter "matching" (allowed: )`},
+		{newPolicy("LAS?matching=random"), `policy: LAS takes no parameters, got "matching"`},
 		{newPolicy("RGP+LAS?matching=bogus"), `policy: RGP+LAS: matching="bogus" (want heavy or random)`},
 		{numadag.RegisterPolicy("has space", policyFactory), `policy: invalid registry name "has space"`},
 		{numadag.RegisterPolicy("nil-factory", nil), `policy: nil factory for "nil-factory"`},
