@@ -20,6 +20,7 @@ package apps
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"numadag/internal/rt"
 )
@@ -144,6 +145,34 @@ func grid2(sockets int) (pr, pc int) {
 		}
 	}
 	return pr, sockets / pr
+}
+
+// namer formats task labels and region names into one reused buffer with
+// strconv, as the workload generators do (appendPair), so a name costs only
+// its string. fmt.Sprintf would also box its arguments, and its printer
+// cache is a sync.Pool, which drops printers at random under -race.
+type namer struct{ buf []byte }
+
+// call returns the task label "fn(a,b,...)".
+func (n *namer) call(fn string, args ...int) string {
+	return n.format(fn, "(", ",", ")", args)
+}
+
+// index returns the region name "arr[a][b]...".
+func (n *namer) index(arr string, idx ...int) string {
+	return n.format(arr, "[", "][", "]", idx)
+}
+
+func (n *namer) format(head, open, sep, end string, args []int) string {
+	b := append(append(n.buf[:0], head...), open...)
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = strconv.AppendInt(b, int64(a), 10)
+	}
+	n.buf = append(b, end...)
+	return string(n.buf)
 }
 
 // kib and mib make sizes readable at call sites.

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -44,16 +42,17 @@ func NewCG(s Scale) App {
 
 func buildCG(r *rt.Runtime, p CGParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	allocVec := func(name string) []*memory.Region {
 		v := make([]*memory.Region, p.Blocks)
 		for i := range v {
-			v[i] = r.Mem().Alloc(fmt.Sprintf("%s[%d]", name, i), p.VecBlockBytes, memory.Deferred, 0)
+			v[i] = r.Mem().Alloc(nm.index(name, i), p.VecBlockBytes, memory.Deferred, 0)
 		}
 		return v
 	}
 	A := make([]*memory.Region, p.Blocks)
 	for i := range A {
-		A[i] = r.Mem().Alloc(fmt.Sprintf("A[%d]", i), p.ABlockBytes, memory.Deferred, 0)
+		A[i] = r.Mem().Alloc(nm.index("A", i), p.ABlockBytes, memory.Deferred, 0)
 	}
 	x, rr, pp, q := allocVec("x"), allocVec("r"), allocVec("p"), allocVec("q")
 	pd1, pd2 := allocVec("pd1"), allocVec("pd2")
@@ -69,15 +68,15 @@ func buildCG(r *rt.Runtime, p CGParams) {
 	for i := 0; i < p.Blocks; i++ {
 		owner := blockRowOwner(i, p.Blocks, sockets)
 		acc = append(acc[:0], rt.Access{Region: A[i], Mode: rt.Out})
-		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("init_A(%d)", i),
+		r.Submit(rt.TaskSpec{Label: nm.call("init_A", i),
 			Flops:    float64(p.ABlockBytes / 8),
 			Accesses: acc, EPSocket: owner})
 		for _, v := range []struct {
 			n string
 			r *memory.Region
-		}{{"x", x[i]}, {"r", rr[i]}, {"p", pp[i]}} {
+		}{{"init_x", x[i]}, {"init_r", rr[i]}, {"init_p", pp[i]}} {
 			acc = append(acc[:0], rt.Access{Region: v.r, Mode: rt.Out})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("init_%s(%d)", v.n, i),
+			r.Submit(rt.TaskSpec{Label: nm.call(v.n, i),
 				Flops:    vecFlops,
 				Accesses: acc, EPSocket: owner})
 		}
@@ -95,7 +94,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 			if i+1 < p.Blocks {
 				acc = append(acc, rt.Access{Region: pp[i+1], Mode: rt.In})
 			}
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("spmv(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: nm.call("spmv", it, i),
 				Flops: spmvFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
@@ -105,7 +104,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 				rt.Access{Region: pd1[i], Mode: rt.Out},
 				rt.Access{Region: pp[i], Mode: rt.In},
 				rt.Access{Region: q[i], Mode: rt.In})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("dot1(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: nm.call("dot1", it, i),
 				Flops: 2 * vecFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
@@ -113,7 +112,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 		for i := 0; i < p.Blocks; i++ {
 			acc = append(acc, rt.Access{Region: pd1[i], Mode: rt.In})
 		}
-		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("reduce1(%d)", it),
+		r.Submit(rt.TaskSpec{Label: nm.call("reduce1", it),
 			Flops: float64(p.Blocks), Accesses: acc, EPSocket: 0})
 		// x += alpha p ; r -= alpha q.
 		for i := 0; i < p.Blocks; i++ {
@@ -122,13 +121,13 @@ func buildCG(r *rt.Runtime, p CGParams) {
 				rt.Access{Region: x[i], Mode: rt.InOut},
 				rt.Access{Region: pp[i], Mode: rt.In},
 				rt.Access{Region: alpha, Mode: rt.In})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("axpy_x(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: nm.call("axpy_x", it, i),
 				Flops: 2 * vecFlops, Accesses: acc, EPSocket: owner})
 			acc = append(acc[:0],
 				rt.Access{Region: rr[i], Mode: rt.InOut},
 				rt.Access{Region: q[i], Mode: rt.In},
 				rt.Access{Region: alpha, Mode: rt.In})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("axpy_r(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: nm.call("axpy_r", it, i),
 				Flops: 2 * vecFlops, Accesses: acc, EPSocket: owner})
 		}
 		// beta = (r'.r') / (r.r): partials + reduction.
@@ -136,7 +135,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 			acc = append(acc[:0],
 				rt.Access{Region: pd2[i], Mode: rt.Out},
 				rt.Access{Region: rr[i], Mode: rt.In})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("dot2(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: nm.call("dot2", it, i),
 				Flops: 2 * vecFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}
@@ -144,7 +143,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 		for i := 0; i < p.Blocks; i++ {
 			acc = append(acc, rt.Access{Region: pd2[i], Mode: rt.In})
 		}
-		r.Submit(rt.TaskSpec{Label: fmt.Sprintf("reduce2(%d)", it),
+		r.Submit(rt.TaskSpec{Label: nm.call("reduce2", it),
 			Flops: float64(p.Blocks), Accesses: acc, EPSocket: 0})
 		// p = r + beta p.
 		for i := 0; i < p.Blocks; i++ {
@@ -152,7 +151,7 @@ func buildCG(r *rt.Runtime, p CGParams) {
 				rt.Access{Region: pp[i], Mode: rt.InOut},
 				rt.Access{Region: rr[i], Mode: rt.In},
 				rt.Access{Region: beta, Mode: rt.In})
-			r.Submit(rt.TaskSpec{Label: fmt.Sprintf("update_p(%d,%d)", it, i),
+			r.Submit(rt.TaskSpec{Label: nm.call("update_p", it, i),
 				Flops: 2 * vecFlops, Accesses: acc,
 				EPSocket: blockRowOwner(i, p.Blocks, sockets)})
 		}

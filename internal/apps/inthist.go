@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -47,14 +45,15 @@ func NewIntegralHistogram(s Scale) App {
 
 func buildIntHist(r *rt.Runtime, p IntHistParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	img := make([][]*memory.Region, p.NB)
 	hist := make([][]*memory.Region, p.NB)
 	for i := 0; i < p.NB; i++ {
 		img[i] = make([]*memory.Region, p.NB)
 		hist[i] = make([]*memory.Region, p.NB)
 		for j := 0; j < p.NB; j++ {
-			img[i][j] = r.Mem().Alloc(fmt.Sprintf("img[%d][%d]", i, j), p.ImgTileBytes, memory.Deferred, 0)
-			hist[i][j] = r.Mem().Alloc(fmt.Sprintf("hist[%d][%d]", i, j), p.HistBytes, memory.Deferred, 0)
+			img[i][j] = r.Mem().Alloc(nm.index("img", i, j), p.ImgTileBytes, memory.Deferred, 0)
+			hist[i][j] = r.Mem().Alloc(nm.index("hist", i, j), p.HistBytes, memory.Deferred, 0)
 		}
 	}
 	var acc []rt.Access // one list for every task: Submit copies it
@@ -63,7 +62,7 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 		for j := 0; j < p.NB; j++ {
 			acc = append(acc[:0], rt.Access{Region: img[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("load(%d,%d)", i, j),
+				Label:    nm.call("load", i, j),
 				Flops:    float64(p.ImgTileBytes / 8),
 				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -81,7 +80,7 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 					acc = append(acc, rt.Access{Region: hist[i][j-1], Mode: rt.In})
 				}
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("hscan(%d,%d,%d)", f, i, j),
+					Label:    nm.call("hscan", f, i, j),
 					Flops:    2*float64(p.ImgTileBytes/8) + float64(p.HistBytes/8),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -96,7 +95,7 @@ func buildIntHist(r *rt.Runtime, p IntHistParams) {
 					rt.Access{Region: hist[i][j], Mode: rt.InOut},
 					rt.Access{Region: hist[i-1][j], Mode: rt.In})
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("vscan(%d,%d,%d)", f, i, j),
+					Label:    nm.call("vscan", f, i, j),
 					Flops:    2 * float64(p.HistBytes/8),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"numadag/internal/memory"
@@ -62,15 +61,16 @@ func NewQR(s Scale) App {
 
 func buildQR(r *rt.Runtime, p DenseParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	A := make([][]*memory.Region, p.NT)
 	T := make([][]*memory.Region, p.NT)
 	for i := 0; i < p.NT; i++ {
 		A[i] = make([]*memory.Region, p.NT)
 		T[i] = make([]*memory.Region, p.NT)
 		for j := 0; j < p.NT; j++ {
-			A[i][j] = r.Mem().Alloc(fmt.Sprintf("A[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			A[i][j] = r.Mem().Alloc(nm.index("A", i, j), p.TileBytes, memory.Deferred, 0)
 			// T factors are narrow (ib x n): a fraction of a tile.
-			T[i][j] = r.Mem().Alloc(fmt.Sprintf("T[%d][%d]", i, j), p.TileBytes/8, memory.Deferred, 0)
+			T[i][j] = r.Mem().Alloc(nm.index("T", i, j), p.TileBytes/8, memory.Deferred, 0)
 		}
 	}
 	var acc []rt.Access // one list for every task: Submit copies it
@@ -78,7 +78,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 		for j := 0; j < p.NT; j++ {
 			acc = append(acc[:0], rt.Access{Region: A[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    nm.call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: acc,
 				EPSocket: blockCyclic2D(i, j, sockets),
@@ -90,7 +90,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 			rt.Access{Region: A[k][k], Mode: rt.InOut},
 			rt.Access{Region: T[k][k], Mode: rt.Out})
 		r.Submit(rt.TaskSpec{
-			Label:    fmt.Sprintf("geqrt(%d)", k),
+			Label:    nm.call("geqrt", k),
 			Flops:    panelFlops(p.TileBytes),
 			Accesses: acc,
 			EPSocket: blockCyclic2D(k, k, sockets),
@@ -101,7 +101,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 				rt.Access{Region: A[k][k], Mode: rt.In},
 				rt.Access{Region: T[k][k], Mode: rt.In})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("unmqr(%d,%d)", k, j),
+				Label:    nm.call("unmqr", k, j),
 				Flops:    trsmFlops(p.TileBytes),
 				Accesses: acc,
 				EPSocket: blockCyclic2D(k, j, sockets),
@@ -113,7 +113,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 				rt.Access{Region: A[i][k], Mode: rt.InOut},
 				rt.Access{Region: T[i][k], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("tsqrt(%d,%d)", i, k),
+				Label:    nm.call("tsqrt", i, k),
 				Flops:    trsmFlops(p.TileBytes),
 				Accesses: acc,
 				EPSocket: blockCyclic2D(i, k, sockets),
@@ -125,7 +125,7 @@ func buildQR(r *rt.Runtime, p DenseParams) {
 					rt.Access{Region: A[i][k], Mode: rt.In},
 					rt.Access{Region: T[i][k], Mode: rt.In})
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("tsmqr(%d,%d,%d)", i, j, k),
+					Label:    nm.call("tsmqr", i, j, k),
 					Flops:    gemmFlops(p.TileBytes),
 					Accesses: acc,
 					EPSocket: blockCyclic2D(i, j, sockets),

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -47,12 +45,13 @@ func NewJacobi(s Scale) App {
 
 func buildJacobi(r *rt.Runtime, p StencilParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	alloc2D := func(name string) [][]*memory.Region {
 		a := make([][]*memory.Region, p.NB)
 		for i := range a {
 			a[i] = make([]*memory.Region, p.NB)
 			for j := range a[i] {
-				a[i][j] = r.Mem().Alloc(fmt.Sprintf("%s[%d][%d]", name, i, j), p.TileBytes, memory.Deferred, 0)
+				a[i][j] = r.Mem().Alloc(nm.index(name, i, j), p.TileBytes, memory.Deferred, 0)
 			}
 		}
 		return a
@@ -64,7 +63,7 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 		for j := 0; j < p.NB; j++ {
 			acc = append(acc[:0], rt.Access{Region: src[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    nm.call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -84,7 +83,7 @@ func buildJacobi(r *rt.Runtime, p StencilParams) {
 					}
 				}
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("jacobi(%d,%d,%d)", it, i, j),
+					Label:    nm.call("jacobi", it, i, j),
 					Flops:    stencilFlops(p.TileBytes),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -106,11 +105,12 @@ func NewRedBlack(s Scale) App {
 
 func buildRedBlack(r *rt.Runtime, p StencilParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	u := make([][]*memory.Region, p.NB)
 	for i := range u {
 		u[i] = make([]*memory.Region, p.NB)
 		for j := range u[i] {
-			u[i][j] = r.Mem().Alloc(fmt.Sprintf("u[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			u[i][j] = r.Mem().Alloc(nm.index("u", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
 	var acc []rt.Access // one list for every task: Submit copies it
@@ -118,7 +118,7 @@ func buildRedBlack(r *rt.Runtime, p StencilParams) {
 		for j := 0; j < p.NB; j++ {
 			acc = append(acc[:0], rt.Access{Region: u[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    nm.call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -140,7 +140,7 @@ func buildRedBlack(r *rt.Runtime, p StencilParams) {
 						}
 					}
 					r.Submit(rt.TaskSpec{
-						Label:    fmt.Sprintf("rb(%d,%d,%d,%d)", it, color, i, j),
+						Label:    nm.call("rb", it, color, i, j),
 						Flops:    stencilFlops(p.TileBytes),
 						Accesses: acc,
 						EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -163,11 +163,12 @@ func NewGaussSeidel(s Scale) App {
 
 func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	u := make([][]*memory.Region, p.NB)
 	for i := range u {
 		u[i] = make([]*memory.Region, p.NB)
 		for j := range u[i] {
-			u[i][j] = r.Mem().Alloc(fmt.Sprintf("u[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			u[i][j] = r.Mem().Alloc(nm.index("u", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
 	var acc []rt.Access // one list for every task: Submit copies it
@@ -175,7 +176,7 @@ func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 		for j := 0; j < p.NB; j++ {
 			acc = append(acc[:0], rt.Access{Region: u[i][j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init(%d,%d)", i, j),
+				Label:    nm.call("init", i, j),
 				Flops:    float64(p.TileBytes / 8),
 				Accesses: acc,
 				EPSocket: blockRowOwner(i, p.NB, sockets),
@@ -193,7 +194,7 @@ func buildGaussSeidel(r *rt.Runtime, p StencilParams) {
 					}
 				}
 				r.Submit(rt.TaskSpec{
-					Label:    fmt.Sprintf("gs(%d,%d,%d)", it, i, j),
+					Label:    nm.call("gs", it, i, j),
 					Flops:    stencilFlops(p.TileBytes),
 					Accesses: acc,
 					EPSocket: blockRowOwner(i, p.NB, sockets),

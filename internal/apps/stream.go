@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -49,10 +47,11 @@ func NewNStream(s Scale) App {
 
 func buildNStream(r *rt.Runtime, p NStreamParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	alloc := func(name string) []*memory.Region {
 		a := make([]*memory.Region, p.Chunks)
 		for j := range a {
-			a[j] = r.Mem().Alloc(fmt.Sprintf("%s[%d]", name, j), p.ChunkBytes, memory.Deferred, 0)
+			a[j] = r.Mem().Alloc(nm.index(name, j), p.ChunkBytes, memory.Deferred, 0)
 		}
 		return a
 	}
@@ -63,10 +62,10 @@ func buildNStream(r *rt.Runtime, p NStreamParams) {
 		for _, arr := range []struct {
 			name string
 			regs []*memory.Region
-		}{{"a", a}, {"b", b}, {"c", c}} {
+		}{{"init_a", a}, {"init_b", b}, {"init_c", c}} {
 			acc = append(acc[:0], rt.Access{Region: arr.regs[j], Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    fmt.Sprintf("init_%s(%d)", arr.name, j),
+				Label:    nm.call(arr.name, j),
 				Flops:    float64(p.ChunkBytes / 8),
 				Accesses: acc,
 				EPSocket: owner,
@@ -80,7 +79,7 @@ func buildNStream(r *rt.Runtime, p NStreamParams) {
 				rt.Access{Region: b[j], Mode: rt.In},
 				rt.Access{Region: c[j], Mode: rt.In})
 			r.Submit(rt.TaskSpec{
-				Label: fmt.Sprintf("triad(%d,%d)", it, j),
+				Label: nm.call("triad", it, j),
 				// Two flops per point: multiply and add.
 				Flops:    2 * float64(p.ChunkBytes/8),
 				Accesses: acc,

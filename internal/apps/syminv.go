@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"numadag/internal/memory"
 	"numadag/internal/rt"
 )
@@ -25,12 +23,13 @@ func NewSymInv(s Scale) App {
 
 func buildSymInv(r *rt.Runtime, p DenseParams) {
 	sockets := r.Machine().Sockets()
+	var nm namer
 	// Lower triangle of tiles.
 	A := make([][]*memory.Region, p.NT)
 	for i := 0; i < p.NT; i++ {
 		A[i] = make([]*memory.Region, i+1)
 		for j := 0; j <= i; j++ {
-			A[i][j] = r.Mem().Alloc(fmt.Sprintf("A[%d][%d]", i, j), p.TileBytes, memory.Deferred, 0)
+			A[i][j] = r.Mem().Alloc(nm.index("A", i, j), p.TileBytes, memory.Deferred, 0)
 		}
 	}
 	// list is the one access list every task is submitted with (Submit
@@ -48,25 +47,25 @@ func buildSymInv(r *rt.Runtime, p DenseParams) {
 	}
 	for i := 0; i < p.NT; i++ {
 		for j := 0; j <= i; j++ {
-			submit(fmt.Sprintf("init(%d,%d)", i, j), float64(p.TileBytes/8), i, j,
+			submit(nm.call("init", i, j), float64(p.TileBytes/8), i, j,
 				rt.Access{Region: A[i][j], Mode: rt.Out})
 		}
 	}
 	// Sweep 1: POTRF.
 	for k := 0; k < p.NT; k++ {
-		submit(fmt.Sprintf("potrf(%d)", k), panelFlops(p.TileBytes), k, k,
+		submit(nm.call("potrf", k), panelFlops(p.TileBytes), k, k,
 			rt.Access{Region: A[k][k], Mode: rt.InOut})
 		for i := k + 1; i < p.NT; i++ {
-			submit(fmt.Sprintf("trsm(%d,%d)", i, k), trsmFlops(p.TileBytes), i, k,
+			submit(nm.call("trsm", i, k), trsmFlops(p.TileBytes), i, k,
 				rt.Access{Region: A[i][k], Mode: rt.InOut},
 				rt.Access{Region: A[k][k], Mode: rt.In})
 		}
 		for i := k + 1; i < p.NT; i++ {
-			submit(fmt.Sprintf("syrk(%d,%d)", i, k), trsmFlops(p.TileBytes), i, i,
+			submit(nm.call("syrk", i, k), trsmFlops(p.TileBytes), i, i,
 				rt.Access{Region: A[i][i], Mode: rt.InOut},
 				rt.Access{Region: A[i][k], Mode: rt.In})
 			for j := k + 1; j < i; j++ {
-				submit(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), gemmFlops(p.TileBytes), i, j,
+				submit(nm.call("gemm", i, j, k), gemmFlops(p.TileBytes), i, j,
 					rt.Access{Region: A[i][j], Mode: rt.InOut},
 					rt.Access{Region: A[i][k], Mode: rt.In},
 					rt.Access{Region: A[j][k], Mode: rt.In})
@@ -76,36 +75,36 @@ func buildSymInv(r *rt.Runtime, p DenseParams) {
 	// Sweep 2: TRTRI (tile lower-triangular inversion).
 	for k := 0; k < p.NT; k++ {
 		for i := k + 1; i < p.NT; i++ {
-			submit(fmt.Sprintf("trsm_l(%d,%d)", i, k), trsmFlops(p.TileBytes), i, k,
+			submit(nm.call("trsm_l", i, k), trsmFlops(p.TileBytes), i, k,
 				rt.Access{Region: A[i][k], Mode: rt.InOut},
 				rt.Access{Region: A[i][i], Mode: rt.In})
 			for j := k + 1; j < i; j++ {
-				submit(fmt.Sprintf("gemm_t(%d,%d,%d)", i, j, k), gemmFlops(p.TileBytes), i, k,
+				submit(nm.call("gemm_t", i, j, k), gemmFlops(p.TileBytes), i, k,
 					rt.Access{Region: A[i][k], Mode: rt.InOut},
 					rt.Access{Region: A[i][j], Mode: rt.In},
 					rt.Access{Region: A[j][k], Mode: rt.In})
 			}
 		}
-		submit(fmt.Sprintf("trtri(%d)", k), panelFlops(p.TileBytes), k, k,
+		submit(nm.call("trtri", k), panelFlops(p.TileBytes), k, k,
 			rt.Access{Region: A[k][k], Mode: rt.InOut})
 	}
 	// Sweep 3: LAUUM (A^-1 = L^-T L^-1 over the lower triangle).
 	for k := 0; k < p.NT; k++ {
 		for j := 0; j < k; j++ {
 			for i := k + 1; i < p.NT; i++ {
-				submit(fmt.Sprintf("gemm_u(%d,%d,%d)", i, j, k), gemmFlops(p.TileBytes), k, j,
+				submit(nm.call("gemm_u", i, j, k), gemmFlops(p.TileBytes), k, j,
 					rt.Access{Region: A[k][j], Mode: rt.InOut},
 					rt.Access{Region: A[i][k], Mode: rt.In},
 					rt.Access{Region: A[i][j], Mode: rt.In})
 			}
-			submit(fmt.Sprintf("trmm(%d,%d)", k, j), trsmFlops(p.TileBytes), k, j,
+			submit(nm.call("trmm", k, j), trsmFlops(p.TileBytes), k, j,
 				rt.Access{Region: A[k][j], Mode: rt.InOut},
 				rt.Access{Region: A[k][k], Mode: rt.In})
 		}
-		submit(fmt.Sprintf("lauum(%d)", k), panelFlops(p.TileBytes), k, k,
+		submit(nm.call("lauum", k), panelFlops(p.TileBytes), k, k,
 			rt.Access{Region: A[k][k], Mode: rt.InOut})
 		for i := k + 1; i < p.NT; i++ {
-			submit(fmt.Sprintf("syrk_u(%d,%d)", i, k), trsmFlops(p.TileBytes), k, k,
+			submit(nm.call("syrk_u", i, k), trsmFlops(p.TileBytes), k, k,
 				rt.Access{Region: A[k][k], Mode: rt.InOut},
 				rt.Access{Region: A[i][k], Mode: rt.In})
 		}

@@ -13,6 +13,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"numadag/internal/sim"
 )
@@ -228,8 +229,8 @@ func New(cfg Config, eng *sim.Engine) *Machine {
 	}
 	m := &Machine{cfg: cfg, eng: eng, net: sim.NewNet(eng)}
 	for s := 0; s < cfg.Sockets; s++ {
-		m.mcs = append(m.mcs, m.net.NewResource(fmt.Sprintf("mc%d", s), cfg.MemBandwidth))
-		m.ports = append(m.ports, m.net.NewResource(fmt.Sprintf("port%d", s), cfg.LinkBandwidth))
+		m.mcs = append(m.mcs, m.net.NewResource("mc"+strconv.Itoa(s), cfg.MemBandwidth))
+		m.ports = append(m.ports, m.net.NewResource("port"+strconv.Itoa(s), cfg.LinkBandwidth))
 	}
 	m.paths = make([][][]*sim.Resource, cfg.Sockets)
 	for home := 0; home < cfg.Sockets; home++ {

@@ -471,6 +471,9 @@ var releases atomic.Uint64
 
 // Releases returns the number of runtimes released to the pool since
 // process start. It only ever grows; tests diff it across an operation.
+// Production code never calls it; it stays exported because core's and
+// cluster's tests check the Release-vs-Observer contract with it
+// (internal/core/release_test.go, internal/cluster/observe_test.go).
 func Releases() uint64 { return releases.Load() }
 
 // Machine returns the simulated machine.
@@ -576,9 +579,6 @@ func (r *Runtime) Barrier() {
 	r.barrierTask = sync
 	r.barrierIDs = append(r.barrierIDs, sync.ID)
 }
-
-// Barriers returns the number of barriers inserted.
-func (r *Runtime) Barriers() int { return r.barriers }
 
 // Windows returns the number of submission windows.
 func (r *Runtime) Windows() int {
@@ -722,8 +722,8 @@ func (r *Runtime) track(id int) *regionTrack {
 
 // linkSuccs points every task's successor list at its TDG successors, in
 // the graph's adjacency order, carving all lists from one pooled slab. Run
-// and Start call it once, before the policy's Prepare; until then
-// Task.NumSuccs reports zero.
+// and Start call it once, before the policy's Prepare; until then every
+// successor list is empty.
 func (r *Runtime) linkSuccs() {
 	n := r.tdg.Edges()
 	if cap(r.succSlab) < n {
@@ -792,9 +792,6 @@ func (r *Runtime) ReleaseDeferred() {
 		r.place(t)
 	}
 }
-
-// DeferredCount returns the tasks currently parked in the temporary queue.
-func (r *Runtime) DeferredCount() int { return len(r.tempQ) }
 
 // Run executes all submitted tasks to completion and returns the result:
 // Start's prologue, then it pumps the engine until no event is left. Like

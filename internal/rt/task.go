@@ -30,8 +30,8 @@
 // list. Snapshot.Install sizes both arenas to the graph and carves every
 // task and access list from them. Neither builds successor lists: Run and
 // Start link every task's successors once from the TDG, in its adjacency
-// order and from one slab, before the policy's Prepare, so Task.NumSuccs is
-// valid from then on (it reports zero before). Release zeroes every arena
+// order and from one slab, before the policy's Prepare, so a task's
+// successor list is complete from then on (empty before). Release zeroes every arena
 // slot and tracker the build used, so a pooled runtime references nothing
 // of its previous build, and reuse fully overwrites each slot. The two
 // Result slices and anything an Observer may retain escape the run and are
@@ -161,11 +161,3 @@ type Task struct {
 
 // Done reports whether the task has finished executing.
 func (t *Task) Done() bool { return t.state == stateDone }
-
-// NumSuccs returns the number of distinct dependent tasks. Successor lists
-// are linked from the TDG when Run or Start begins; before that NumSuccs
-// reports zero (Runtime.Graph().OutDegree counts them at any time).
-func (t *Task) NumSuccs() int { return len(t.succs) }
-
-// PendingDeps returns the number of unresolved predecessors.
-func (t *Task) PendingDeps() int { return t.nDeps }
