@@ -19,11 +19,15 @@ test-race:
 	$(GO) test -race ./...
 
 # The experiment scheduler sets replicates aside while their leader runs
-# and hands them back when it finishes; repeated race runs of the pool and
-# cache tests exercise more of those interleavings than one pass does. CI
-# runs it in the `race` job after `test-race`.
+# and hands them back when it finishes, and runtimes that install one
+# snapshot share the values it keeps (rt.Runtime.Shared, RGP's window
+# plan): one builds while the others wait. Repeated race runs of the pool
+# and cache tests and of the sharing tests exercise more of those
+# interleavings than one pass does. CI runs it in the `race` job after
+# `test-race`.
 test-race-experiment:
 	$(GO) test -race -count=10 -run 'TestExperiment|TestSnapshotCache' ./internal/core
+	$(GO) test -race -count=10 -run 'TestShared' ./internal/rt
 
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
@@ -36,17 +40,20 @@ test-race-experiment:
 # extraction with a warmed scratch, snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
 # nothing when no Observer is configured), the RGP window-partitioning
-# pass, policy.New per spec (registry parse and lookup add nothing: 0 for
-# LAS, DFIFO and EP, 1 for RGP+LAS, 6 for RGP+LAS?matching=random), every
-# small-scale Figure-1 cell and socket-ablation cell as a full audited run
-# through the pooled machine/engine pair (each row bounded at
-# its own count — the gate the nightly bench-check held on the retired
-# root Figure-1 and socket-ablation benchmarks), cold task-graph
-# construction (build + snapshot of a random layered graph on a
-# pooled prototype runtime, bounded per task), an app's build + snapshot
-# (small-scale jacobi, bounded at its count, so the builders keep refilling
-# one access list; skipped under -race, where fmt's sync.Pool drops
-# printers at random), an experiment's single-use cell (a random layered
+# pass on a graph built in place (no snapshot keeps the plan, so every
+# Prepare partitions), policy.New per spec (registry parse and lookup add
+# nothing: 0 for LAS, DFIFO and EP, 1 for RGP+LAS, 6 for
+# RGP+LAS?matching=random), every small-scale Figure-1 cell and
+# socket-ablation cell as a full audited run through the pooled
+# machine/engine pair (each row bounded at its own count — the gate the
+# nightly bench-check held on the retired root Figure-1 and
+# socket-ablation benchmarks; an RGP+LAS cell reads the window plan its
+# snapshot keeps), cold task-graph construction (build + snapshot of a
+# random layered graph on a pooled prototype runtime, bounded per task),
+# an app's build + snapshot (small-scale jacobi, bounded at its count, so
+# the builders keep refilling one access list and name tasks and regions
+# without fmt, whose sync.Pool would make the count random under -race),
+# an experiment's single-use cell (a random layered
 # graph built straight into a pooled runtime's kept graph storage and
 # access arena, run, audited and released, bounded per task in
 # allocations and in bytes: an access list kept per task costs well under

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		scale    = cliutil.ScaleFlag(fs, "small")
 		machF    = cliutil.MachineFlag(fs, "bullion")
 		window   = fs.Int("window", rt.DefaultOptions().WindowSize, "window size limit (tasks)")
-		seed     = fs.Uint64("seed", 1, "random seed")
+		seed     = fs.Uint64("seed", 1, "runtime seed: scheduling tie-breaks and data-less placements (RGP's partitioner keeps a fixed seed)")
 		noSteal  = fs.Bool("nosteal", false, "disable cross-socket work stealing")
 		traceOut = cliutil.BindTrace(fs)
 		gantt    = fs.Bool("gantt", false, "print a text Gantt chart: per-core and per-link rows")

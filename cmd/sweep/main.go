@@ -24,7 +24,11 @@
 //
 // -apps takes workload registry specs (dagen -list), and every experiment
 // shares TDG construction across its policy/variant/seed cells through the
-// experiment's snapshot cache.
+// experiment's snapshot cache. Replicates (-seeds) vary the runtime seed,
+// which drives scheduling noise only: RGP's partitioner keeps a fixed seed,
+// so the replicates of a graph share one partition per window, under every
+// partitioner ablation (?matching=random too), and pure RGP's replicates
+// are copies of its first.
 package main
 
 import (

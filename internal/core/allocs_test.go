@@ -15,14 +15,17 @@ import (
 // are warm, a full audited cell through runWith — acquire machine, install
 // the snapshot, simulate, audit, release both — must not rebuild the
 // machine (engine arena, Net, resources, path tables: ~55 objects) or the
-// runtime. What remains is the genuinely per-run tail: policy construction,
-// the escaping Result slices and a handful of audit scratch, plus RGP's
-// partitioner interior, which grows with the socket count. The rows are the
-// small-scale Figure-1 grid (eight apps x four policies on the bullion) and
-// the socket ablation (nstream under LAS and RGP+LAS on 2, 4 and 8
-// sockets). The bounds, 4 allocs for LAS, DFIFO and EP and 16, 22 and 36
-// for RGP+LAS on 2, 4 and 8 sockets, sit one allocation above each row's
-// measured count, so a new per-cell allocation trips its row.
+// runtime. What remains is the genuinely per-run tail: the escaping Result
+// slices, plus for RGP+LAS the policy itself and its partition-latency
+// timer. RGP+LAS partitions nothing here: its window plan is computed once
+// per snapshot (rt.Runtime.Shared) by the warm-up and read by every later
+// cycle; policy.TestRGPPrepareSteadyStateAllocs pins the partitioning pass
+// itself. The rows are the small-scale Figure-1 grid (eight apps x four
+// policies on the bullion) and the socket ablation (nstream under LAS and
+// RGP+LAS on 2, 4 and 8 sockets). The bounds are 4 allocs for LAS, DFIFO
+// and EP (measured 2) and 5 for RGP+LAS on every socket count (measured 4;
+// 14, 20 and 34 on 2, 4 and 8 sockets when every cell partitioned its
+// first window again), so a new per-cell allocation trips its row.
 func TestPlainCellSteadyStateAllocs(t *testing.T) {
 	type row struct {
 		name, app, pol string
@@ -39,7 +42,6 @@ func TestPlainCellSteadyStateAllocs(t *testing.T) {
 			rows = append(rows, row{"AblationSockets/" + mc.Name + "/" + pol, "nstream", pol, mc})
 		}
 	}
-	rgpLimit := map[int]float64{2: 16, 4: 22, 8: 36}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			cfg := DefaultConfig(r.app, r.pol, apps.Small)
@@ -62,7 +64,7 @@ func TestPlainCellSteadyStateAllocs(t *testing.T) {
 			}
 			limit := 4.0
 			if r.pol == "RGP+LAS" {
-				limit = rgpLimit[r.mc.Sockets]
+				limit = 5
 			}
 			if avg := testing.AllocsPerRun(20, cycle); avg > limit {
 				t.Fatalf("cell allocates %.0f allocs/op in steady state, want <= %v", avg, limit)

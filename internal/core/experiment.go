@@ -16,10 +16,12 @@ import (
 
 // DeriveSeed is the single source of truth for replicate seeds across the
 // whole evaluation: replicate r of a configuration whose base seed is b
-// runs with seed b + 1000*r. Replicates are spaced 1000 apart so that
-// derived partitioner seeds (which follow the runtime seed) never collide
-// between replicates; every command and sweep must go through this formula
-// rather than hard-coding its own.
+// runs with seed b + 1000*r. Replicates are spaced 1000 apart so that the
+// seeds of neighbouring base seeds' replicates (b and b+1, as a multi-seed
+// command passes them) never collide; every command and sweep must go
+// through this formula rather than hard-coding its own. The seed drives
+// only run-to-run scheduling noise (rt.Runtime.Rand): RGP's partitioner
+// keeps a fixed seed, so replicates share one window plan.
 func DeriveSeed(base uint64, replicate int) uint64 {
 	return base + 1000*uint64(replicate)
 }
@@ -89,9 +91,11 @@ type Sink interface {
 // observer, the run is the same at every seed, so each other replicate
 // receives a copy of the leader's audited result, with slices of its own
 // and its own Cell and Config, instead of simulating. DFIFO and EP on the
-// paper's apps are such runs; LAS and RGP are not. A copy never changes
-// results. No worker waits on a leader: a replicate whose leader is still
-// running is set aside while its worker claims the next cell.
+// paper's apps are such runs, and so is RGP, which repartitions every
+// window with a fixed partitioner seed; LAS, and RGP+LAS on a graph of more
+// than one window, are not. A copy never changes results. No worker waits
+// on a leader: a replicate whose leader is still running is set aside while
+// its worker claims the next cell.
 type Experiment struct {
 	// Name labels the experiment (used in progress/diagnostic output).
 	Name string

@@ -66,9 +66,13 @@ func init() {
 
 // TestSeedUseReport pins the report the experiment's reuse rests on: a run
 // that reports it never reached its seed has the same Result at every seed,
-// and the policies that draw random numbers or read the seed report it.
+// and the policies that draw random numbers report it. RGP partitions every
+// window with a fixed partitioner seed, so it never reaches the runtime's
+// seed and its results must not move with it. A 16-task window gives every
+// graph several windows, so RGP+LAS places past its first window with LAS.
 func TestSeedUseReport(t *testing.T) {
-	seeded := map[string]bool{"LAS": true, "RGP+LAS": true, "RGP": true}
+	seeded := map[string]bool{"LAS": true, "RGP+LAS": true}
+	free := map[string]bool{"DFIFO": true, "RGP": true}
 	var pols []string
 	for _, p := range policy.Names() {
 		if !strings.HasPrefix(p, "test-") {
@@ -81,6 +85,7 @@ func TestSeedUseReport(t *testing.T) {
 			for _, seed := range []uint64{1, 1001, 2001} {
 				cfg := DefaultConfig(app, pol, apps.Tiny)
 				cfg.Runtime.Seed = seed
+				cfg.Runtime.WindowSize = 16
 				r, err := runWith(cfg, nil, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -90,8 +95,8 @@ func TestSeedUseReport(t *testing.T) {
 			if seeded[pol] && !res[0].seedUsed {
 				t.Errorf("%s %s: reports no seed use", app, pol)
 			}
-			if pol == "DFIFO" && res[0].seedUsed {
-				t.Errorf("%s %s: reports seed use; its cyclic order draws nothing", app, pol)
+			if free[pol] && res[0].seedUsed {
+				t.Errorf("%s %s: reports seed use; it draws nothing", app, pol)
 			}
 			for _, r := range res[1:] {
 				if r.seedUsed != res[0].seedUsed {
@@ -108,17 +113,22 @@ func TestSeedUseReport(t *testing.T) {
 }
 
 // TestExperimentReplicateCopiesMatchRuns pins the replicate reuse: every
-// cell of a grid mixing seeded (LAS, RGP+LAS), seed-free (DFIFO) and
-// per-app (EP falls back to LAS without placement hints) groups equals a
-// fresh core.Run of its config, each copy owns its slices, and with one
-// worker exactly the followers of seed-free leaders are copied.
+// cell of a grid mixing seeded (LAS, RGP+LAS), seed-free (DFIFO, and RGP,
+// whose window plan ignores the seed and is shared by the runs of one
+// snapshot) and per-app (EP falls back to LAS without placement hints)
+// groups equals a fresh core.Run of its config, each copy owns its slices,
+// and with one worker exactly the followers of seed-free leaders are
+// copied. A 16-task window gives every graph several windows.
 func TestExperimentReplicateCopiesMatchRuns(t *testing.T) {
 	const seeds = 3
+	opts := rt.DefaultOptions()
+	opts.WindowSize = 16
 	for _, workers := range []int{1, 2} {
 		e := &Experiment{
 			Apps:     []string{"jacobi", "cg", "random-layered?layers=5&width=8&seed=3"},
-			Policies: []string{"LAS", "DFIFO", "EP", "RGP+LAS"},
+			Policies: []string{"LAS", "DFIFO", "EP", "RGP+LAS", "RGP"},
 			Scale:    apps.Tiny,
+			Runtime:  opts,
 			Seeds:    seeds,
 			Workers:  workers,
 		}
@@ -131,8 +141,8 @@ func TestExperimentReplicateCopiesMatchRuns(t *testing.T) {
 		if err := e.execute(context.Background(), g, sink); err != nil {
 			t.Fatal(err)
 		}
-		if len(cells) != 3*4*seeds {
-			t.Fatalf("workers=%d: %d cells, want %d", workers, len(cells), 3*4*seeds)
+		if len(cells) != 3*5*seeds {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(cells), 3*5*seeds)
 		}
 		owners := make(map[any]int) // result slice -> the cell holding it
 		copyable := 0
@@ -150,6 +160,9 @@ func TestExperimentReplicateCopiesMatchRuns(t *testing.T) {
 			}
 			if c.Cell.Replicate == 0 && !want.seedUsed {
 				copyable += seeds - 1
+			}
+			if c.Cell.Policy == "RGP" && want.seedUsed {
+				t.Errorf("workers=%d: cell %d (%s/RGP) reached its seed", workers, i, c.Cell.App)
 			}
 			for _, p := range []any{&c.Stats.BusyTime[0], &c.Stats.SocketTasks[0]} {
 				if j, ok := owners[p]; ok {

@@ -13,7 +13,9 @@ import (
 // and ran with no tracer and no observer would give every follower the
 // same result, so each follower becomes a copy of it instead of a run. The
 // decision is the leader's, never the policy's: EP is seed-free on an app
-// with expert placements and falls back to LAS on one without.
+// with expert placements and falls back to LAS on one without, and RGP+LAS
+// is seed-free on a graph whose first window holds every task but places
+// later windows with LAS.
 //
 // No worker ever waits on a leader. A follower claimed while its leader
 // runs is set aside, and its worker claims the next cell. When the leader

@@ -19,18 +19,19 @@ func prepareRT(tb testing.TB, ws int) *rt.Runtime {
 }
 
 // TestRGPPrepareSteadyStateAllocs bounds the repartition-every-window
-// Prepare pass. The pooled prepare-state (subgraph scratch, symmetrized
+// Prepare pass on a runtime that built its own graph, where no snapshot
+// keeps the plan, so every Prepare computes it (rt.Runtime.Shared's miss
+// path). The pooled prepare-state (plan key, subgraph scratch, symmetrized
 // graph, dense anchor/fixed buffers) removes the old per-window maps and
 // slices, and the partitioner's pooled refiner removes MapOnto's per-level
-// graphs and buffers. What remains is the per-call assign array and
-// distance matrix plus MapOnto's fixed per-call count, about 20 per window
-// (its result, the socket groups of each split, targets and weights:
-// partition.TestMapOntoSteadyStateAllocs pins it).
+// graphs and buffers. What remains is the plan with its assign array, the
+// distance matrix and the latency timer, plus MapOnto's fixed per-call
+// count, about 20 per window (its result, the socket groups of each split,
+// targets and weights: partition.TestMapOntoSteadyStateAllocs pins it).
 func TestRGPPrepareSteadyStateAllocs(t *testing.T) {
 	r := prepareRT(t, 64)
 	run := func() {
 		pol := rgpPrepareProbe.pol
-		pol.windowsCut = 0
 		pol.ready = false
 		pol.Prepare(r)
 	}
@@ -38,12 +39,15 @@ func TestRGPPrepareSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		run() // warm the prepare pool and the partitioner scratch
 	}
-	// Measured 331 allocs for 16 windows. Reintroducing per-window maps or
-	// fresh subgraph, level or try construction adds hundreds more and trips
-	// the bound.
-	const limit = 360
+	// Measured 316 allocs for 16 windows (331 when each window resolved and
+	// heap-copied its own options). Reintroducing per-window maps or fresh
+	// subgraph, level or try construction adds hundreds more and trips the
+	// bound.
+	const limit = 345
 	if avg := testing.AllocsPerRun(10, run); avg > limit {
 		t.Fatalf("RGP repartition Prepare allocates %.0f allocs/op, want <= %d", avg, limit)
+	} else {
+		t.Logf("%.0f allocs/op", avg)
 	}
 }
 

@@ -14,9 +14,10 @@ const (
 
 // Policy decides where ready tasks run. Implementations must be
 // deterministic given the runtime's seeded Rand, and reach randomness and
-// the runtime options only through Runtime.Rand and Runtime.Options: those
-// calls are what Runtime.SeedUsed reports, and a grid reuses one replicate's
-// result for the others when a run never made them. PickSocket is invoked
+// the seed only through Runtime.Rand (Runtime.Options returns the options
+// with Seed zeroed): Rand calls are what Runtime.SeedUsed reports, and a
+// grid reuses one replicate's result for the others when a run never made
+// one. PickSocket is invoked
 // every time a task becomes ready (and again for each re-offer of a
 // deferred task); it returns a socket index, AnySocket or DeferPlacement.
 type Policy interface {

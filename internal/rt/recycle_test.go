@@ -10,9 +10,14 @@ import (
 // checkInert demands that a runtime's pooled build state — the dependence
 // trackers, including the spare capacity of every readers list, every slot
 // of every task-arena slab and every slot of every access-arena slab —
-// holds no *Task, no task data and no *memory.Region.
+// holds no *Task, no task data and no *memory.Region, and that the runtime
+// holds no snapshot (whose graph and shared values the experiment cache may
+// have dropped).
 func checkInert(t *testing.T, step string, r *Runtime) {
 	t.Helper()
+	if r.snap != nil {
+		t.Fatalf("%s: runtime keeps its installed snapshot", step)
+	}
 	if len(r.tracks) != 0 {
 		t.Fatalf("%s: %d live trackers", step, len(r.tracks))
 	}
@@ -135,9 +140,13 @@ func TestGraphStorageOwnership(t *testing.T) {
 	if r4.Graph() != snap.Graph() || r4.own != own4 || own4.Len() != 0 {
 		t.Fatal("Install did not leave the runtime's own graph storage untouched")
 	}
+	if r4.snap != snap {
+		t.Fatal("Install did not record the snapshot")
+	}
 	r4.Run()
 	m.Reset()
 	r4.Release()
+	checkInert(t, "after releasing an installed runtime", r4)
 	if g := snap.Graph(); g.Len() != n || g.Edges() != edges {
 		t.Fatalf("releasing an installed runtime changed the snapshot's graph: %d nodes, %d edges, want %d, %d",
 			g.Len(), g.Edges(), n, edges)

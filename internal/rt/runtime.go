@@ -155,15 +155,18 @@ type Runtime struct {
 	pol  Policy
 	opts Options
 	rng  *xrand.Rand
-	// seedUsed records a Rand or Options call since NewRuntime (SeedUsed).
+	// seedUsed records a Rand call since NewRuntime (SeedUsed).
 	seedUsed bool
 
 	// tdg is the run's task graph: own, when the runtime builds it through
 	// Submit, or an installed snapshot's. own is the graph storage the
 	// runtime keeps through the pool: Release resets it for the next
-	// build, and Snap takes it away with the snapshot.
+	// build, and Snap takes it away with the snapshot. snap is the
+	// installed snapshot (nil for a graph built through Submit), which
+	// keeps the values Shared computes.
 	tdg   *graph.DAG
 	own   *graph.DAG
+	snap  *Snapshot
 	tasks []*Task
 	// tracks holds the dependence trackers, indexed by region ID. Entries
 	// past len are always clean (no writer, empty zeroed readers), so
@@ -445,15 +448,16 @@ func (r *Runtime) Release() {
 
 // recycle drops every reference the pooled state holds to this build's
 // tasks: the arenas' slots are zeroed, the trackers emptied, the own graph
-// reset and the task graph and policy handles cleared, so a runtime waiting
-// in the pool pins nothing of the build that used it — in particular not a
-// snapshot's graph that the experiment cache has already dropped, nor a
-// region of its own memory manager.
+// reset and the task graph, snapshot and policy handles cleared, so a
+// runtime waiting in the pool pins nothing of the build that used it — in
+// particular not a snapshot (its graph and shared values) that the
+// experiment cache has already dropped, nor a region of its own memory
+// manager.
 func (r *Runtime) recycle() {
 	if r.own != nil {
 		r.own.Reset()
 	}
-	r.tdg, r.pol = nil, nil
+	r.tdg, r.snap, r.pol = nil, nil, nil
 	r.arena.reset()
 	r.accArena.reset()
 	for i := range r.tracks {
@@ -483,16 +487,16 @@ func (r *Runtime) Machine() *machine.Machine { return r.mach }
 func (r *Runtime) Mem() *memory.Manager { return r.mem }
 
 // Rand returns the runtime's seeded generator (policies share it so a run
-// remains a single deterministic stream). Calling it marks the run as using
-// its seed (SeedUsed).
+// remains a single deterministic stream). It is the only way to the seed,
+// and calling it marks the run as using its seed (SeedUsed).
 func (r *Runtime) Rand() *xrand.Rand {
 	r.seedUsed = true
 	return r.rng
 }
 
-// SeedUsed reports whether the run reached its seed: a Rand or Options call
-// since NewRuntime. Nothing else in rt touches the generator, and the
-// runtime's own option reads do not depend on the seed, so a run that
+// SeedUsed reports whether the run reached its seed: a Rand call since
+// NewRuntime. Nothing else in rt touches the generator, and neither the
+// runtime's own option reads nor Options reveal the seed, so a run that
 // reports false under a policy keeping the Policy contract has the same
 // Result at every seed.
 func (r *Runtime) SeedUsed() bool { return r.seedUsed }
@@ -510,11 +514,13 @@ func (r *Runtime) Task(id graph.NodeID) *Task { return r.tasks[id] }
 // Now returns the current simulated time.
 func (r *Runtime) Now() sim.Time { return r.mach.Engine().Now() }
 
-// Options returns the runtime's options. Calling it marks the run as using
-// its seed (SeedUsed), since the options carry it.
+// Options returns the runtime's options with Seed zeroed: the seed stands
+// for run-to-run scheduling noise and is reachable only through Rand, so
+// reading the options does not mark the run as using it (SeedUsed).
 func (r *Runtime) Options() Options {
-	r.seedUsed = true
-	return r.opts
+	o := r.opts
+	o.Seed = 0
+	return o
 }
 
 // nextWindowSlot returns the window for the task being submitted and

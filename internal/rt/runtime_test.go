@@ -492,8 +492,8 @@ func (randPick) PickSocket(r *Runtime, _ *Task) int {
 	return r.Rand().Intn(r.Machine().Sockets())
 }
 
-// seedPick places each task by the seed in the options, as RGP seeds its
-// partitioner.
+// seedPick places each task by the seed in the options, which Options
+// hides: every task lands on socket 0.
 type seedPick struct{}
 
 func (seedPick) Name() string { return "seed" }
@@ -501,9 +501,10 @@ func (seedPick) PickSocket(r *Runtime, _ *Task) int {
 	return int(r.Options().Seed % uint64(r.Machine().Sockets()))
 }
 
-// TestSeedUsed pins the seed-use report: a Rand or an Options call marks the
-// run; nothing the runtime does on its own (windows, barriers, stealing)
-// does; and a runtime drawn from the pool starts unmarked.
+// TestSeedUsed pins the seed-use report: a Rand call marks the run; an
+// Options call does not, because the options it returns carry no seed;
+// nothing the runtime does on its own (windows, barriers, stealing) does;
+// and a runtime drawn from the pool starts unmarked.
 func TestSeedUsed(t *testing.T) {
 	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
 	for _, c := range []struct {
@@ -512,7 +513,7 @@ func TestSeedUsed(t *testing.T) {
 	}{
 		{randPick{}, true},
 		{cyclic{}, false},
-		{seedPick{}, true},
+		{seedPick{}, false},
 		{pinned(1), false}, // every task on socket 1: socket 0 steals
 	} {
 		r := NewRuntime(m, c.pol, Options{WindowSize: 4, Seed: 7, Steal: true})
@@ -521,6 +522,9 @@ func TestSeedUsed(t *testing.T) {
 		res := r.Run()
 		if r.SeedUsed() != c.want {
 			t.Errorf("%s: SeedUsed = %v, want %v", c.pol.Name(), r.SeedUsed(), c.want)
+		}
+		if seed := r.Options().Seed; seed != 0 {
+			t.Errorf("%s: Options().Seed = %d, want 0 (the seed is reachable only through Rand)", c.pol.Name(), seed)
 		}
 		if _, ok := c.pol.(pinned); ok && res.Steals == 0 {
 			t.Errorf("%s: no steals; the case must exercise stealing", c.pol.Name())

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"sync"
 
 	"numadag/internal/graph"
 	"numadag/internal/memory"
@@ -23,10 +24,25 @@ import (
 // Window indices are not captured; Install replays the window state machine
 // against the target runtime's own WindowSize, so one snapshot serves every
 // window-size variant of an experiment.
+//
+// A snapshot also keeps the values its runtimes compute through
+// Runtime.Shared, one per key, for as long as the snapshot lives.
 type Snapshot struct {
 	tdg     *graph.DAG
 	regions []regionSnap
 	tasks   []taskSnap
+
+	mu     sync.Mutex
+	shared map[string]*sharedValue
+}
+
+// sharedValue is one key's entry of Snapshot.shared: once runs the build,
+// and a build that panicked leaves its panic value for every later caller.
+type sharedValue struct {
+	once     sync.Once
+	done     bool // the build returned val
+	val      any
+	panicked any
 }
 
 type regionSnap struct {
@@ -195,4 +211,49 @@ func (s *Snapshot) Install(r *Runtime) {
 	r.tdg = s.tdg
 	r.tasks = tasks
 	r.installed = true
+	r.snap = s
+}
+
+// Shared returns build's value for key, computed once per installed
+// snapshot: the first runtime of a snapshot to ask for key runs build, and
+// every runtime of that snapshot asking for key then or later, on any
+// goroutine, receives the same value (a concurrent caller waits for the
+// build). A runtime that built its own graph runs build on every call.
+//
+// The value is shared read-only by concurrent runs, so build must compute
+// it from the task graph, its window indices and what key encodes, and no
+// caller may mutate it. In particular build must not reach the runtime's
+// seed, clock or run state: a run that receives a value another run built
+// would otherwise depend on that run. key is copied; the caller may reuse
+// its buffer. Distinct callers should prefix their keys with their own
+// name. If build panics, every call for key on that snapshot panics with
+// the same value, so no runtime reads a value that was never built.
+func (r *Runtime) Shared(key []byte, build func() any) any {
+	s := r.snap
+	if s == nil {
+		return build()
+	}
+	s.mu.Lock()
+	v := s.shared[string(key)]
+	if v == nil {
+		if s.shared == nil {
+			s.shared = make(map[string]*sharedValue)
+		}
+		v = &sharedValue{}
+		s.shared[string(key)] = v
+	}
+	s.mu.Unlock()
+	v.once.Do(func() {
+		defer func() {
+			if !v.done {
+				v.panicked = recover()
+			}
+		}()
+		v.val = build()
+		v.done = true
+	})
+	if !v.done {
+		panic(v.panicked) // the build's own panic, in every caller
+	}
+	return v.val
 }

@@ -150,8 +150,11 @@
 // policy, machine, variant) group runs without reaching its seed, the
 // group's other replicates receive copies of its audited result instead of
 // simulating, while traced and observed cells always run. A policy must
-// therefore reach randomness and the runtime options only through
-// Runtime.Rand and Runtime.Options, the calls Runtime.SeedUsed reports.
+// therefore reach randomness only through Runtime.Rand, the call
+// Runtime.SeedUsed reports; Runtime.Options returns the options with the
+// seed zeroed. A value that is a pure function of the task graph and
+// inputs a policy can name (RGP's window plan) is computed once per
+// installed snapshot through Runtime.Shared and shared read-only.
 // cmd/dagen lists, describes, generates and exports workloads.
 //
 // Policy names are registry specs in the same grammar: "name?key=value"
