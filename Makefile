@@ -19,15 +19,17 @@ test-race:
 	$(GO) test -race ./...
 
 # The experiment scheduler sets replicates aside while their leader runs
-# and hands them back when it finishes, and runtimes that install one
-# snapshot share the values it keeps (rt.Runtime.Shared, RGP's window
-# plan): one builds while the others wait. Repeated race runs of the pool
-# and cache tests and of the sharing tests exercise more of those
-# interleavings than one pass does. CI runs it in the `race` job after
-# `test-race`.
+# and hands them back when it finishes, runtimes that install one snapshot
+# share the values it keeps (rt.Runtime.Shared, RGP's window plan): one
+# builds while the others wait, and the snapshot cache recycles a
+# snapshot's storage once the last cell holding it has released its
+# runtime, for the next graph's snapshot to fill. Repeated race runs of the
+# pool and cache tests, of the sharing tests and of the snapshot recycling
+# tests exercise more of those interleavings than one pass does. CI runs it
+# in the `race` job after `test-race`.
 test-race-experiment:
 	$(GO) test -race -count=10 -run 'TestExperiment|TestSnapshotCache' ./internal/core
-	$(GO) test -race -count=10 -run 'TestShared' ./internal/rt
+	$(GO) test -race -count=10 -run 'TestShared|TestRecycledSnapshot|TestGraphStorageOwnership' ./internal/rt
 
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
@@ -37,7 +39,9 @@ test-race-experiment:
 # partitioner's fmRefine and DAG symmetrization, a whole MapOnto call (the
 # same fixed count for a 256- and a 4096-vertex graph, with and without
 # fixed vertices: no per-level or per-bisection allocation), induced-subgraph
-# extraction with a warmed scratch, snapshot Install into pooled runtime
+# extraction with a warmed scratch, a compacting copy into a DAG that
+# already held a graph no smaller (0: a recycled snapshot's graph storage),
+# snapshot Install into pooled runtime
 # arenas, a full nil-observer simulated run (the tracing hooks must cost
 # nothing when no Observer is configured), the RGP window-partitioning
 # pass on a graph built in place (no snapshot keeps the plan, so every
@@ -49,7 +53,12 @@ test-race-experiment:
 # nightly bench-check held on the retired root Figure-1 and
 # socket-ablation benchmarks; an RGP+LAS cell reads the window plan its
 # snapshot keeps), cold task-graph construction (build + snapshot of a
-# random layered graph on a pooled prototype runtime, bounded per task),
+# random layered graph on a pooled prototype runtime, which keeps its build
+# storage while Snap copies the graph out, bounded per task), a shared
+# graph's full cycle through the experiment's snapshot cache (build and
+# snapshot into recycled snapshot storage, install into two cells, release
+# both, recycle; bounded per task in allocations and in bytes, since the
+# snapshot's storage is a few large arrays that a count barely sees),
 # an app's build + snapshot (small-scale jacobi, bounded at its count, so
 # the builders keep refilling one access list and name tasks and regions
 # without fmt, whose sync.Pool would make the count random under -race),

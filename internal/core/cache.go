@@ -18,11 +18,19 @@ import (
 //
 // The cache knows each key's planned cells up front and counts them down as
 // they take the snapshot, or forgo it as copied replicates: the last one
-// drops the entry, and the graph is garbage once that cell finishes.
-// Canonical order runs all of a workload's cells before the next
-// workload's, so a sweep holds only the graphs of the workloads in
+// drops the entry. Canonical order runs all of a workload's cells before
+// the next workload's, so a sweep holds only the graphs of the workloads in
 // progress — about one per worker and machine — however many distinct
 // graphs it runs.
+//
+// The cache is also the sole owner of every snapshot it builds, and
+// recycles it under the rule rt.Snapshot.Recycle states. Besides the
+// planned cells, it counts the cells that hold the snapshot, from get until
+// put, which a cell calls once its runtime is released. When both counts
+// reach zero the snapshot's storage goes back to rt's free list, and the
+// next graph's build fills it again. A cell whose runtime is never released
+// (a traced or observed cell, or one that failed) never calls put, so its
+// snapshot is left to the garbage collector, as is one whose build failed.
 type snapshotCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -31,24 +39,37 @@ type snapshotCache struct {
 	left   map[string]int
 	hits   int
 	misses int
+	// recycle returns a snapshot's storage to rt's free list; tests wrap it
+	// to watch what the cache recycles.
+	recycle func(*rt.Snapshot)
 }
 
 type cacheEntry struct {
 	once sync.Once
 	snap *rt.Snapshot
 	err  error
+	// holds counts the cells between get and put, and served is set once
+	// every planned cell has taken or forgone the snapshot; the cache's mu
+	// guards both.
+	holds  int
+	served bool
 }
 
 // newSnapshotCache returns an empty cache. planned maps each key to the
 // number of get calls that will ask for it, and the cache takes ownership
 // of it.
 func newSnapshotCache(planned map[string]int) *snapshotCache {
-	return &snapshotCache{entries: make(map[string]*cacheEntry), left: planned}
+	return &snapshotCache{entries: make(map[string]*cacheEntry), left: planned, recycle: (*rt.Snapshot).Recycle}
 }
 
-// get returns the snapshot for key, building it at most once across
-// concurrent callers.
-func (c *snapshotCache) get(key string, build func() (*rt.Snapshot, error)) (*rt.Snapshot, error) {
+// get returns key's entry, whose snap is the snapshot, building it at most
+// once across concurrent callers. The caller also gets a hold on the
+// snapshot, which put ends; a caller that never calls put keeps it from
+// being recycled. The hold is taken under mu together with the count-down,
+// before the build finishes: a cell that has counted down must already keep
+// the snapshot from a faster cell that would otherwise find both counts at
+// zero and recycle it before this cell installs it.
+func (c *snapshotCache) get(key string, build func() (*rt.Snapshot, error)) (*cacheEntry, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
@@ -58,26 +79,45 @@ func (c *snapshotCache) get(key string, build func() (*rt.Snapshot, error)) (*rt
 		e = &cacheEntry{}
 		c.entries[key] = e
 	}
-	c.countDown(key)
+	e.holds++
+	c.countDown(key, e)
 	c.mu.Unlock()
 	e.once.Do(func() { e.snap, e.err = build() })
-	return e.snap, e.err
+	return e, e.err
+}
+
+// put ends a hold get gave out, once the cell's runtime has gone back to
+// the runtime pool and so dropped its reference to the snapshot.
+func (c *snapshotCache) put(e *cacheEntry) {
+	c.mu.Lock()
+	e.holds--
+	done := e.served && e.holds == 0
+	c.mu.Unlock()
+	if done {
+		c.recycle(e.snap)
+	}
 }
 
 // forgo counts down a planned cell of key that will not take the snapshot
-// (a replicate copied from its group leader's run).
+// (a replicate copied from its group leader's run); it holds nothing.
 func (c *snapshotCache) forgo(key string) {
 	c.mu.Lock()
-	c.countDown(key)
+	e := c.entries[key] // its leader took it, so it is still planned
+	c.countDown(key, e)
+	done := e.served && e.holds == 0
 	c.mu.Unlock()
+	if done {
+		c.recycle(e.snap)
+	}
 }
 
-// countDown counts one planned cell of key as served and drops the entry
-// after the last one. The caller holds mu.
-func (c *snapshotCache) countDown(key string) {
+// countDown counts one planned cell of key's entry e as served and drops
+// the entry after the last one. The caller holds mu.
+func (c *snapshotCache) countDown(key string, e *cacheEntry) {
 	if c.left[key]--; c.left[key] == 0 {
 		delete(c.entries, key)
 		delete(c.left, key)
+		e.served = true
 	}
 }
 

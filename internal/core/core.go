@@ -115,18 +115,23 @@ func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, er
 		return RunResult{}, fmt.Errorf("core: %s/%s: %w", cfg.App, cfg.Policy, err)
 	}
 	seedUsed := r.SeedUsed()
-	if cfg.Runtime.Observer == nil && cfg.Trace == nil {
-		// No observer and no tracer means nothing outside this function saw
-		// a *Task, a *Region, the task graph or the machine: the audit has
-		// run, the Result slices are per-run, and both the runtime's arenas
-		// and graph storage and the machine/engine pair can go back to
-		// their pools for the next cell.
-		// Traced machines carry undetachable flow hooks and flushers, so
-		// they never re-enter the pool.
+	if cfg.pooled() {
+		// The audit has run and the Result slices are per-run, so both the
+		// runtime's arenas and graph storage and the machine/engine pair
+		// can go back to their pools for the next cell.
 		r.Release()
 		releaseMachine(m)
 	}
 	return RunResult{Config: cfg, Stats: stats, Tasks: stats.TasksRun, seedUsed: seedUsed}, nil
+}
+
+// pooled reports whether a successful run of cfg releases its runtime and
+// machine to their pools: with no observer and no tracer, nothing outside
+// runWith saw a *Task, a *Region, the task graph or the machine. Traced
+// machines carry undetachable flow hooks and flushers, and observers may
+// hold tasks beyond the run, so neither re-enters a pool.
+func (cfg *Config) pooled() bool {
+	return cfg.Runtime.Observer == nil && cfg.Trace == nil
 }
 
 // Figure1Options tunes the Figure-1 reproduction.

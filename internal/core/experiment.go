@@ -79,11 +79,14 @@ type Sink interface {
 // policies, variants or replicates — is built once (Workload.Snapshot),
 // installed by every cell that runs it, and dropped once the last of them
 // has taken it, so a sweep's memory follows its workers rather than its
-// number of distinct graphs. A graph that exactly one cell runs is built
-// straight into that cell's runtime instead, on graph storage the runtime
-// pool keeps from build to build, and is never snapshotted. Installed
-// graphs are bit-identical to rebuilt ones, so neither path changes
-// results.
+// number of distinct graphs. Once the last of them has also released its
+// runtime, the snapshot's storage is recycled for the next graph's
+// snapshot (see snapshotCache); a traced or observed cell never releases
+// its runtime, so its snapshot is left to the garbage collector. A graph
+// that exactly one cell runs is built straight into that cell's runtime
+// instead, on graph storage the runtime pool keeps from build to build, and
+// is never snapshotted. Installed graphs are bit-identical to rebuilt ones,
+// so neither path changes results.
 //
 // Replicates share results the same way. Replicate 0 of each (app,
 // policy, machine, variant) group leads it. When the leader's run never
@@ -243,19 +246,23 @@ func (e *Experiment) Cells() ([]Cell, error) {
 // runCell executes one grid cell. A graph the cell alone runs is built in
 // place, into the cell's own runtime, from the grid's resolved workload; a
 // shared one is installed from the cached snapshot of its (workload,
-// machine) pair.
+// machine) pair, which the cell holds until its runtime is released.
 func (g *grid) runCell(cfg Config, p plan) (RunResult, error) {
 	w := g.wls[p.cell.App]
 	if p.inPlace {
 		return runWith(cfg, &w, nil)
 	}
-	snap, err := g.cache.get(p.key, func() (*rt.Snapshot, error) {
+	e, err := g.cache.get(p.key, func() (*rt.Snapshot, error) {
 		return w.Snapshot(p.mach)
 	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runWith(cfg, nil, snap)
+	res, err := runWith(cfg, nil, e.snap)
+	if err == nil && cfg.pooled() {
+		g.cache.put(e) // the runtime went back to the pool
+	}
+	return res, err
 }
 
 // copyCell is a follower's result when its group leader's run was
@@ -467,7 +474,7 @@ func (e *Experiment) work(ctx context.Context, g *grid, pl *pool, results chan<-
 			return err
 		}
 		results <- outcome{res: CellResult{Cell: p.cell, Config: cfg, Stats: res.Stats}}
-		free := !res.seedUsed && cfg.Trace == nil && cfg.Runtime.Observer == nil
+		free := !res.seedUsed && cfg.pooled()
 		copies, lead := pl.finish(j.i, &res.Stats, free)
 		for _, f := range copies {
 			// Nothing else stops a run of copies once the leader is done:

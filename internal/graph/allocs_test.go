@@ -44,3 +44,22 @@ func TestResetRebuildSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Reset and rebuild allocates %v objects per op, want 0", avg)
 	}
 }
+
+// Compacting into a DAG that already received a graph no smaller reuses its
+// node arrays and slab: the copy a recycled runtime snapshot keeps must not
+// allocate.
+func TestCompactIntoSteadyStateAllocs(t *testing.T) {
+	rng := xrand.New(4)
+	big, small := New(), New()
+	buildDeps(big, randomDeps(rng, 2000, 6, -1))
+	buildDeps(small, randomDeps(rng, 1500, 6, -1))
+	dst := New()
+	big.CompactInto(dst) // grow the node arrays and slab
+	avg := testing.AllocsPerRun(20, func() {
+		small.CompactInto(dst)
+		big.CompactInto(dst)
+	})
+	if avg != 0 {
+		t.Fatalf("CompactInto allocates %v objects per op in steady state, want 0", avg)
+	}
+}

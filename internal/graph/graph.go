@@ -20,12 +20,14 @@
 // Streaming construction is allocation-lean the same way: AddNodeDeps adds
 // a node with all its incoming edges at once and carves every adjacency
 // list it creates or outgrows from shared chunks, again with exact
-// capacity. Compact then moves a finished graph into one exactly sized
-// slab, so a graph kept for a long time (a runtime snapshot's) holds no
-// construction slack. A graph that is built, used and dropped instead
-// (a pooled runtime's own) is Reset for the next build: its node arrays
-// and chunks are kept, so a rebuild of a graph no larger allocates none of
-// them again.
+// capacity. A graph that is built, used and dropped (a pooled runtime's
+// own) is Reset for the next build: its node arrays and chunks are kept, so
+// a rebuild of a graph no larger allocates none of them again. CompactInto
+// copies a finished graph into another DAG with every adjacency list in one
+// slab and no construction slack: the copy a runtime snapshot keeps while
+// the build's storage goes on to the next build. The destination's node
+// arrays and slab are reused the same way, so compacting into a recycled
+// DAG no smaller allocates nothing either.
 package graph
 
 import "fmt"
@@ -173,25 +175,60 @@ func (g *DAG) AddNodeDeps(label string, weight int64, deps []Dep) NodeID {
 	return id
 }
 
-// Compact moves every adjacency list into one exactly sized slab, releasing
-// the spare capacity and the outgrown lists that incremental construction
-// (AddEdge's appends, AddNodeDeps' chunks) leaves behind. Contents and
-// order are unchanged. A graph that is built once and then kept read-only,
-// such as a snapshot's, calls it when construction ends.
-func (g *DAG) Compact() {
-	slab := make([]halfEdge, 2*g.nEdges)
-	for _, lists := range [2][][]halfEdge{g.succ, g.pred} {
-		for i, l := range lists {
-			if len(l) == 0 {
-				lists[i] = nil
-				continue
-			}
-			n := copy(slab, l)
-			lists[i] = slab[:n:n]
-			slab = slab[n:]
+// CompactInto makes dst a copy of g, with the same nodes, labels, weights
+// and adjacency in the same order, after resetting dst. Every adjacency
+// list of the copy is cut, with exact capacity, from one slab that dst keeps
+// as its first chunk, so the copy holds none of the spare capacity and
+// outgrown lists incremental construction (AddEdge's appends, AddNodeDeps'
+// chunks) leaves in g. dst's node arrays and slab are reused when they are
+// large enough and reallocated at exactly the size g needs when not, so a
+// DAG that receives graphs no larger than an earlier one allocates nothing.
+// g is only read; dst must be another DAG.
+func (g *DAG) CompactInto(dst *DAG) {
+	dst.Reset()
+	n := len(g.nodeW)
+	dst.nodeW = append(fit(dst.nodeW, n), g.nodeW...)
+	dst.labels = append(fit(dst.labels, n), g.labels...)
+	var slab []halfEdge
+	if need := 2 * g.nEdges; need > 0 {
+		if len(dst.chunks) == 0 {
+			dst.chunks = append(dst.chunks, nil)
 		}
+		if len(dst.chunks[0]) < need {
+			dst.chunks[0] = make([]halfEdge, need)
+		}
+		// The slab is in use: a later AddNodeDeps carves from the chunks
+		// after it, and Reset hands it back to carve.
+		slab, dst.next = dst.chunks[0], 1
 	}
-	g.chunks, g.next, g.adj = nil, 0, nil
+	dst.succ, slab = compactLists(fit(dst.succ, n), g.succ, slab)
+	dst.pred, _ = compactLists(fit(dst.pred, n), g.pred, slab)
+	dst.nEdges = g.nEdges
+}
+
+// compactLists appends to dst a copy of each list of src, cut from slab with
+// exact capacity (nil for an empty list), and returns dst and the unused
+// rest of slab.
+func compactLists(dst, src [][]halfEdge, slab []halfEdge) ([][]halfEdge, []halfEdge) {
+	for _, l := range src {
+		if len(l) == 0 {
+			dst = append(dst, nil)
+			continue
+		}
+		k := copy(slab, l)
+		dst = append(dst, slab[:k:k])
+		slab = slab[k:]
+	}
+	return dst, slab
+}
+
+// fit returns s emptied, with room for n elements: s itself when its
+// capacity suffices, else a new array of exactly n.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // NodeWeight returns the node's weight.

@@ -343,10 +343,10 @@ func BenchmarkTopoOrder10k(b *testing.B) {
 // TestAddNodeDepsMatchesAddEdge builds random DAGs twice — once with
 // AddNode plus one AddEdge per (possibly repeated) dependence, once with
 // AddNodeDeps over the merged, sorted dependences — and demands identical
-// adjacency, in order, with identical weights and edge counts — also after
-// Compact moves every list into one slab. Extra edges inserted afterwards
-// with AddEdge into the middle of lists carved from a shared chunk or slab
-// must not clobber their neighbors.
+// adjacency, in order, with identical weights and edge counts — also in the
+// copy CompactInto makes with every list in one slab. Extra edges inserted
+// afterwards with AddEdge into the middle of lists carved from a shared
+// chunk or slab must not clobber their neighbors.
 func TestAddNodeDepsMatchesAddEdge(t *testing.T) {
 	rng := xrand.New(5)
 	for trial := 0; trial < 50; trial++ {
@@ -381,7 +381,9 @@ func TestAddNodeDepsMatchesAddEdge(t *testing.T) {
 		}
 		compareAdjacency(t, trial, ref, got)
 		if trial%2 == 1 {
-			got.Compact()
+			compacted := New()
+			got.CompactInto(compacted)
+			got = compacted
 			compareAdjacency(t, trial, ref, got)
 			for v := 0; v < n; v++ {
 				if s, p := got.succ[v], got.pred[v]; cap(s) != len(s) || cap(p) != len(p) {
@@ -525,5 +527,65 @@ func TestResetRebuildMatchesFresh(t *testing.T) {
 					reused.Label(id), reused.NodeWeight(id), fresh.Label(id), fresh.NodeWeight(id))
 			}
 		}
+	}
+}
+
+// TestCompactIntoMatchesSource pins CompactInto on one reused destination
+// across graphs that grow, shrink and grow again: the copy equals its
+// source (nodes, labels, weights, adjacency in order), every list has
+// exact capacity, the source is left as it was, a destination no smaller
+// than the graph keeps its node arrays and slab, and neither appending to a
+// compacted list nor adding nodes after it clobbers a neighbor.
+func TestCompactIntoMatchesSource(t *testing.T) {
+	rng := xrand.New(17)
+	dst := New()
+	for trial, n := range []int{300, 40, 900, 5, 0, 600, adjChunk + 50} {
+		wide := -1
+		if n > adjChunk {
+			wide = n - 1 // a predecessor list longer than a chunk
+		}
+		deps := randomDeps(rng, n, 6, wide)
+		src, ref := New(), New()
+		buildDeps(src, deps)
+		buildDeps(ref, deps)
+		nodeW, slab := dst.nodeW[:cap(dst.nodeW)], []halfEdge(nil)
+		if len(dst.chunks) > 0 {
+			slab = dst.chunks[0]
+		}
+		src.CompactInto(dst)
+		compareAdjacency(t, trial, ref, src)
+		compareAdjacency(t, trial, ref, dst)
+		for v := 0; v < n; v++ {
+			id := NodeID(v)
+			if dst.Label(id) != ref.Label(id) || dst.NodeWeight(id) != ref.NodeWeight(id) {
+				t.Fatalf("trial %d node %d: (%q, %d), want (%q, %d)", trial, v,
+					dst.Label(id), dst.NodeWeight(id), ref.Label(id), ref.NodeWeight(id))
+			}
+			if s, p := dst.succ[v], dst.pred[v]; cap(s) != len(s) || cap(p) != len(p) {
+				t.Fatalf("trial %d node %d: compacted lists have spare capacity", trial, v)
+			}
+		}
+		if n > 0 && n <= len(nodeW) && &dst.nodeW[0] != &nodeW[0] {
+			t.Fatalf("trial %d: %d nodes did not reuse node arrays of capacity %d", trial, n, cap(nodeW))
+		}
+		if need := 2 * ref.Edges(); need > 0 && need <= len(slab) && &dst.chunks[0][0] != &slab[0] {
+			t.Fatalf("trial %d: %d half-edges did not reuse a slab of %d", trial, need, len(slab))
+		}
+		if n < 2 {
+			continue
+		}
+		// Grow the copy: AddEdge appends to exact-capacity lists, and
+		// AddNodeDeps carves from chunks past the slab.
+		for k := 0; k < n; k++ {
+			from := NodeID(rng.Intn(n - 1))
+			to := from + 1 + NodeID(rng.Intn(n-1-int(from)))
+			w := int64(rng.Intn(50))
+			ref.AddEdge(from, to, w)
+			dst.AddEdge(from, to, w)
+		}
+		more := []Dep{{From: 0, Weight: 3}, {From: NodeID(n - 1), Weight: 4}}
+		ref.AddNodeDeps("extra", 1, more)
+		dst.AddNodeDeps("extra", 1, more)
+		compareAdjacency(t, trial, ref, dst)
 	}
 }

@@ -168,11 +168,6 @@ func FourSocket() Config {
 	}
 }
 
-// Uniform returns a machine with no NUMA effects at all: zero hop latency
-// and effectively infinite controllers and links, so a transfer's duration
-// depends only on the core's own concurrency limit, never on placement.
-// It is the control configuration: every placement policy must converge on
-// it (TestUniformMachineEqualizesPolicies relies on this).
 // ByName returns a preset topology by its CLI name — the shared vocabulary
 // of every command's -machine flag.
 func ByName(name string) (Config, error) {
@@ -190,6 +185,13 @@ func ByName(name string) (Config, error) {
 	}
 }
 
+// Uniform returns a machine with no NUMA effects at all: zero hop latency
+// and effectively infinite controllers and links, so a transfer's duration
+// depends only on the core's own concurrency limit, never on placement
+// (TestUniformMachineHasNoNUMAGap). It is the control configuration: what
+// separates placement policies on it is load balance, not locality, so
+// their spread is smaller than on the bullion
+// (core.TestUniformMachineShrinksPolicyGap).
 func Uniform(sockets, coresPerSocket int) Config {
 	return Config{
 		Name:           fmt.Sprintf("uniform-%dx%d", sockets, coresPerSocket),

@@ -96,8 +96,9 @@ func TestReleaseLeavesNoStaleTasks(t *testing.T) {
 // TestGraphStorageOwnership pins who owns a task graph's storage. A runtime
 // building through Submit builds into storage it keeps through the pool:
 // Release resets it and the next NewRuntime from the pool builds into it
-// again. Snap takes the graph with the snapshot, so the prototype's Release
-// leaves it whole. A runtime a snapshot is installed into runs on the
+// again. Snap copies the graph into the snapshot's own storage, so the
+// prototype keeps its build storage too, and releasing it leaves the
+// snapshot whole. A runtime a snapshot is installed into runs on the
 // snapshot's graph and leaves its own storage to a later build.
 func TestGraphStorageOwnership(t *testing.T) {
 	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
@@ -117,19 +118,26 @@ func TestGraphStorageOwnership(t *testing.T) {
 	}
 
 	proto := NewRuntime(m, cyclic{}, opts)
+	protoOwn := proto.Graph()
 	buildMixed(proto, true)
-	n, edges := proto.Graph().Len(), proto.Graph().Edges()
+	n, edges := protoOwn.Len(), protoOwn.Edges()
 	snap, err := Snap(proto)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if snap.Graph() == protoOwn || proto.own != protoOwn || proto.Graph() != protoOwn {
+		t.Fatal("Snap took the prototype's graph storage instead of copying it")
+	}
 	proto.Release()
+	if protoOwn.Len() != 0 {
+		t.Fatalf("releasing the prototype left %d nodes in its own graph", protoOwn.Len())
+	}
 	if g := snap.Graph(); g.Len() != n || g.Edges() != edges {
 		t.Fatalf("releasing the prototype changed the snapshot's graph: %d nodes, %d edges, want %d, %d",
 			g.Len(), g.Edges(), n, edges)
 	}
-	if r3 := NewRuntime(m, cyclic{}, opts); r3 == proto && r3.Graph() == snap.Graph() {
-		t.Fatal("a pooled runtime builds into the graph a snapshot took")
+	if r3 := NewRuntime(m, cyclic{}, opts); r3 == proto && r3.Graph() != protoOwn {
+		t.Fatal("a pooled prototype did not build into the graph storage it kept")
 	} else {
 		r3.Release()
 	}
@@ -150,5 +158,106 @@ func TestGraphStorageOwnership(t *testing.T) {
 	if g := snap.Graph(); g.Len() != n || g.Edges() != edges {
 		t.Fatalf("releasing an installed runtime changed the snapshot's graph: %d nodes, %d edges, want %d, %d",
 			g.Len(), g.Edges(), n, edges)
+	}
+}
+
+// checkRecycled demands that a recycled snapshot's storage — its region
+// and task arrays up to their capacity — references no region name, label or
+// access list of the graph it held, that it keeps no shared value, and that
+// its graph is reset (graph.TestResetRebuildMatchesFresh pins that a reset
+// graph keeps no label or adjacency list).
+func checkRecycled(t *testing.T, step string, s *Snapshot) {
+	t.Helper()
+	if !s.recycled {
+		t.Fatalf("%s: snapshot not marked recycled", step)
+	}
+	if g := s.tdg; g.Len() != 0 || g.Edges() != 0 {
+		t.Fatalf("%s: recycled graph keeps %d nodes, %d edges", step, g.Len(), g.Edges())
+	}
+	for i, rs := range s.regions[:cap(s.regions)] {
+		if rs != (regionSnap{}) {
+			t.Fatalf("%s: recycled region slot %d keeps %q", step, i, rs.name)
+		}
+	}
+	for i, ts := range s.tasks[:cap(s.tasks)] {
+		if ts.label != "" || ts.accesses != nil {
+			t.Fatalf("%s: recycled task slot %d keeps %q", step, i, ts.label)
+		}
+	}
+	if len(s.shared) != 0 {
+		t.Fatalf("%s: recycled snapshot keeps %d shared values", step, len(s.shared))
+	}
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestRecycledSnapshotMatchesFresh pins Snapshot.Recycle. Graphs that grow,
+// shrink and grow again are each snapshotted twice: into new storage, with
+// the free list empty, and into the storage of the previous graph's
+// snapshot, recycled. Both must install runs identical to each other, and
+// the recycled storage must be reused, reference nothing of the graph it
+// held (labels, region names, adjacency, access lists, shared values), and
+// refuse a second Recycle and an Install while it waits on the free list.
+func TestRecycledSnapshotMatchesFresh(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(*Runtime)
+	}{
+		{"layered-6x5", func(r *Runtime) { buildLayeredRT(r, 6, 5) }},
+		{"mixed", func(r *Runtime) { buildMixed(r, false) }},
+		{"layered-20x12", func(r *Runtime) { buildLayeredRT(r, 20, 12) }},
+		{"mixed-barriers", func(r *Runtime) { buildMixed(r, true) }},
+		{"layered-2x3", func(r *Runtime) { buildLayeredRT(r, 2, 3) }},
+		{"layered-30x16", func(r *Runtime) { buildLayeredRT(r, 30, 16) }},
+	}
+	snapOf := func(build func(*Runtime)) *Snapshot {
+		proto := newSnapRT(pinned(0), Options{})
+		build(proto)
+		s, err := Snap(proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto.Release()
+		return s
+	}
+	opts := Options{WindowSize: 5, Seed: 4, Steal: true, StealThreshold: 1}
+	key := []byte("test-key")
+	var prev *Snapshot
+	for _, b := range builds {
+		for snapshotPool.Get() != nil {
+		}
+		fresh := snapOf(b.build)
+		if prev != nil {
+			prev.Recycle()
+			checkRecycled(t, b.name+": after Recycle", prev)
+			mustPanic(t, b.name+": a second Recycle", prev.Recycle)
+			mustPanic(t, b.name+": Install of a recycled snapshot", func() { prev.Install(newSnapRT(cyclic{}, opts)) })
+		}
+		reused := snapOf(b.build)
+		if prev != nil && reused != prev {
+			t.Fatalf("%s: Snap did not reuse the recycled snapshot", b.name)
+		}
+		want, got := newSnapRT(cyclic{}, opts), newSnapRT(cyclic{}, opts)
+		fresh.Install(want)
+		reused.Install(got)
+		// The graph's shared value is built anew, not read from the graph
+		// the storage held before.
+		builtFor := reused.Tasks()
+		if v := got.Shared(key, func() any { return builtFor }); v != builtFor {
+			t.Fatalf("%s: Shared returned %v, a value kept from an earlier graph; want %d", b.name, v, builtFor)
+		}
+		requireSameRun(t, b.name, want, got)
+		want.Release()
+		got.Release()
+		prev = reused
 	}
 }

@@ -160,10 +160,9 @@ type Runtime struct {
 
 	// tdg is the run's task graph: own, when the runtime builds it through
 	// Submit, or an installed snapshot's. own is the graph storage the
-	// runtime keeps through the pool: Release resets it for the next
-	// build, and Snap takes it away with the snapshot. snap is the
-	// installed snapshot (nil for a graph built through Submit), which
-	// keeps the values Shared computes.
+	// runtime keeps through the pool: Release resets it for the next build,
+	// and Snap only copies it. snap is the installed snapshot (nil for a
+	// graph built through Submit), which keeps the values Shared computes.
 	tdg   *graph.DAG
 	own   *graph.DAG
 	snap  *Snapshot
@@ -265,7 +264,8 @@ var runtimePool freelist.List[Runtime]
 // NewRuntime creates a runtime over the machine, with its own memory
 // manager. It draws on the pool of Released runtimes when one is available,
 // and then builds its task graph into the graph storage the pooled runtime
-// kept (reset at Release), so a rebuild no larger than an earlier build
+// kept (reset at Release) — also when that runtime was a prototype whose
+// graph Snap copied — so a rebuild no larger than an earlier build
 // allocates no node array or adjacency chunk. It panics on options
 // Validate rejects; callers taking options from input validate them first.
 func NewRuntime(m *machine.Machine, pol Policy, opts Options) *Runtime {
@@ -429,10 +429,11 @@ func resetSlice[T any](s []T, n int) []T {
 // per-run Result (and its slices) remains valid. Release is a no-op on a
 // second call.
 //
-// A graph the runtime built through Submit is the runtime's own storage:
-// Release resets it, and the next NewRuntime from the pool builds into it.
-// A graph Snap took, or one Install put in, is not the runtime's: Release
-// leaves it to the snapshot.
+// A graph the runtime built through Submit is the runtime's own storage,
+// whether or not Snap copied it: Release resets it, and the next NewRuntime
+// from the pool builds into it. A graph Install put in is the snapshot's:
+// Release only drops the runtime's reference to it, after which the
+// snapshot's owner may recycle it (Snapshot.Recycle).
 func (r *Runtime) Release() {
 	if r.running {
 		panic("rt: Release during Run")
@@ -450,9 +451,9 @@ func (r *Runtime) Release() {
 // tasks: the arenas' slots are zeroed, the trackers emptied, the own graph
 // reset and the task graph, snapshot and policy handles cleared, so a
 // runtime waiting in the pool pins nothing of the build that used it — in
-// particular not a snapshot (its graph and shared values) that the
-// experiment cache has already dropped, nor a region of its own memory
-// manager.
+// particular not an installed snapshot, whose owner may recycle its storage
+// for another graph once every runtime it was installed into is released,
+// nor a region of its own memory manager.
 func (r *Runtime) recycle() {
 	if r.own != nil {
 		r.own.Reset()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"numadag/internal/freelist"
 	"numadag/internal/graph"
 	"numadag/internal/memory"
 )
@@ -16,25 +17,38 @@ import (
 //
 // The TDG itself is shared between the snapshot and every runtime it is
 // installed into: the graph is read-only once submission ends, so concurrent
-// runs can hold the same *graph.DAG. The snapshot owns it: Snap takes it from
-// the runtime that built it, and no runtime it is installed into resets or
-// recycles it. Tasks and regions are mutated during execution (placement,
-// first-touch), so Install materializes fresh ones.
+// runs can hold the same *graph.DAG. The snapshot owns its graph and the
+// arrays that describe its regions, tasks and access lists: Snap copies them
+// out of the runtime that built them, and no runtime the snapshot is
+// installed into resets or reuses them. Tasks and regions are mutated during
+// execution (placement, first-touch), so Install materializes fresh ones.
+// The storage itself comes from a free list of recycled snapshots (see
+// Recycle); a snapshot nobody recycles is left to the garbage collector.
 //
 // Window indices are not captured; Install replays the window state machine
 // against the target runtime's own WindowSize, so one snapshot serves every
 // window-size variant of an experiment.
 //
 // A snapshot also keeps the values its runtimes compute through
-// Runtime.Shared, one per key, for as long as the snapshot lives.
+// Runtime.Shared, one per key, until it is recycled or collected.
 type Snapshot struct {
 	tdg     *graph.DAG
 	regions []regionSnap
 	tasks   []taskSnap
+	// acc backs every task's access list.
+	acc []accessSnap
+	// recycled marks a snapshot waiting on the free list: Install and a
+	// second Recycle panic on it.
+	recycled bool
 
 	mu     sync.Mutex
 	shared map[string]*sharedValue
 }
+
+// snapshotPool holds recycled snapshots, whose storage Snap fills again. Like
+// the runtime pool it is never emptied by the garbage collector, so it holds
+// at most as many snapshots as were ever live at once.
+var snapshotPool freelist.List[Snapshot]
 
 // sharedValue is one key's entry of Snapshot.shared: once runs the build,
 // and a build that panicked leaves its panic value for every later caller.
@@ -66,11 +80,14 @@ type taskSnap struct {
 }
 
 // Snap captures the submission phase of r. It must be called after the task
-// graph is fully built and before Run. The snapshot takes r's dependency
-// graph, compacted (graph.DAG.Compact) because it outlives the build: r gives
-// the graph's storage up, so Releasing r afterwards recycles none of it and
-// the next runtime drawn from the pool builds into fresh storage. r must
-// not submit further tasks afterwards (it is typically a throwaway
+// graph is fully built and before Run. The snapshot copies what it keeps —
+// the dependency graph, compacted (graph.DAG.CompactInto) because it
+// outlives the build, and the region, task and access arrays — into the
+// storage of a recycled snapshot when the free list has one, and into new,
+// exactly sized storage when not. r keeps its own build storage, so
+// Releasing r afterwards hands its graph's node arrays and adjacency chunks
+// to the next runtime drawn from the pool, as after an in-place build. r
+// must not submit further tasks afterwards (it is typically a throwaway
 // prototype runtime released after the capture).
 //
 // Every region a task accesses must come from r's own memory manager
@@ -80,13 +97,18 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		return nil, fmt.Errorf("rt: Snap on a runtime that already ran")
 	}
 	regions := r.mem.Regions()
-	rs := make([]regionSnap, len(regions))
+	s := snapshotPool.Get()
+	if s == nil {
+		s = &Snapshot{tdg: graph.New()}
+	}
+	s.recycled = false
+	s.regions = resetSlice(s.regions, len(regions))
 	for i, reg := range regions {
 		home := 0
 		if reg.Placement() == memory.Home {
 			home = int(reg.HomeOfPage(0))
 		}
-		rs[i] = regionSnap{name: reg.Name(), bytes: reg.Bytes(), placement: reg.Placement(), home: home}
+		s.regions[i] = regionSnap{name: reg.Name(), bytes: reg.Bytes(), placement: reg.Placement(), home: home}
 	}
 	// Every task's access list is carved from one slab, and barrierIDs is
 	// in submission order, so one cursor marks the sync tasks.
@@ -94,8 +116,9 @@ func Snap(r *Runtime) (*Snapshot, error) {
 	for _, t := range r.tasks {
 		nAcc += len(t.Accesses)
 	}
-	slab := make([]accessSnap, nAcc)
-	ts := make([]taskSnap, len(r.tasks))
+	s.acc = resetSlice(s.acc, nAcc)
+	s.tasks = resetSlice(s.tasks, len(r.tasks))
+	slab := s.acc
 	nextBarrier := 0
 	for i, t := range r.tasks {
 		var acc []accessSnap
@@ -114,13 +137,35 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		if barrier {
 			nextBarrier++
 		}
-		ts[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
+		s.tasks[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
 	}
-	r.tdg.Compact()
-	if r.tdg == r.own {
-		r.own = nil
+	r.tdg.CompactInto(s.tdg)
+	return s, nil
+}
+
+// Recycle returns the snapshot's storage — its graph's node arrays and
+// adjacency slab, and its region, task and access arrays — to the free list
+// Snap fills snapshots from, and drops every value Runtime.Shared kept on
+// it. Afterwards the storage references no label, region name, adjacency
+// list or shared value of the graph it held.
+//
+// Only the snapshot's sole owner may call it, and only after every runtime
+// the snapshot was installed into has been Released: a runtime that still
+// runs, or was never released (an observed or traced run), reads the graph
+// the next Snap overwrites. Nothing else may use the snapshot afterwards.
+// Installing a recycled snapshot, or recycling it again, panics. A snapshot
+// that is never recycled is simply left to the garbage collector.
+func (s *Snapshot) Recycle() {
+	if s.recycled {
+		panic("rt: Recycle of a recycled snapshot")
 	}
-	return &Snapshot{tdg: r.tdg, regions: rs, tasks: ts}, nil
+	s.tdg.Reset()
+	clear(s.regions)
+	clear(s.tasks)
+	s.regions, s.tasks, s.acc = s.regions[:0], s.tasks[:0], s.acc[:0]
+	clear(s.shared)
+	s.recycled = true
+	snapshotPool.Put(s)
 }
 
 // Tasks returns the number of captured tasks.
@@ -148,9 +193,13 @@ func (s *Snapshot) Graph() *graph.DAG { return s.tdg }
 // window indices are recomputed for the runtime's WindowSize. The result is
 // bit-identical to rebuilding the same task graph through Submit. The
 // runtime must be freshly created; after Install it can only Run, not
-// Submit. The runtime runs on the snapshot's graph and leaves its own graph
-// storage untouched, for a later build.
+// Submit. The runtime runs on the snapshot's graph (Recycle says how long
+// the snapshot must then live) and leaves its own graph storage untouched,
+// for a later build. Installing a recycled snapshot panics.
 func (s *Snapshot) Install(r *Runtime) {
+	if s.recycled {
+		panic("rt: Install of a recycled snapshot")
+	}
 	if r.running || r.ranAlready {
 		panic("rt: Install into a runtime that already ran")
 	}

@@ -78,61 +78,70 @@ func TestSnapshotInstallEquivalence(t *testing.T) {
 			}
 			installed := newSnapRT(cyclic{}, opts)
 			snap.Install(installed)
+			requireSameRun(t, name, direct, installed)
+		}
+	}
+}
 
-			if len(direct.tasks) != len(installed.tasks) {
-				t.Fatalf("%s: task count %d vs %d", name, len(direct.tasks), len(installed.tasks))
-			}
-			for i := range direct.tasks {
-				d, in := direct.tasks[i], installed.tasks[i]
-				if d.Label != in.Label || d.Flops != in.Flops || d.EPSocket != in.EPSocket ||
-					d.Window != in.Window || d.nDeps != in.nDeps {
-					t.Fatalf("%s: task %d differs: direct {%s f=%v ep=%d w=%d deps=%d} installed {%s f=%v ep=%d w=%d deps=%d}",
-						name, i, d.Label, d.Flops, d.EPSocket, d.Window, d.nDeps,
-						in.Label, in.Flops, in.EPSocket, in.Window, in.nDeps)
-				}
-				if len(d.Accesses) != len(in.Accesses) {
-					t.Fatalf("%s: task %d access count differs", name, i)
-				}
-				for j := range d.Accesses {
-					da, ia := d.Accesses[j], in.Accesses[j]
-					if da.Mode != ia.Mode || da.Region.ID() != ia.Region.ID() ||
-						da.Region.Bytes() != ia.Region.Bytes() || da.Region.Placement() != ia.Region.Placement() {
-						t.Fatalf("%s: task %d access %d differs", name, i, j)
-					}
-				}
-			}
-			if direct.barriers != installed.barriers {
-				t.Fatalf("%s: barriers %d vs %d", name, direct.barriers, installed.barriers)
-			}
-
-			dRes := direct.Run()
-			iRes := installed.Run()
-			if !reflect.DeepEqual(dRes, iRes) {
-				t.Fatalf("%s: run results diverge:\ndirect:    %+v\ninstalled: %+v", name, dRes, iRes)
-			}
-			linked := 0
-			for i := range direct.tasks {
-				d, in := direct.tasks[i], installed.tasks[i]
-				if len(d.succs) != len(in.succs) || len(d.succs) != direct.tdg.OutDegree(d.ID) {
-					t.Fatalf("%s: task %d: %d direct vs %d installed successors, %d in the TDG",
-						name, i, len(d.succs), len(in.succs), direct.tdg.OutDegree(d.ID))
-				}
-				for j := range d.succs {
-					if d.succs[j].ID != in.succs[j].ID {
-						t.Fatalf("%s: task %d succ %d: %d vs %d", name, i, j, d.succs[j].ID, in.succs[j].ID)
-					}
-				}
-				linked += len(d.succs)
-			}
-			if linked == 0 {
-				t.Fatalf("%s: no successor lists were linked", name)
-			}
-			dSteps := direct.mach.Engine().Steps()
-			iSteps := installed.mach.Engine().Steps()
-			if dSteps != iSteps {
-				t.Fatalf("%s: engine steps %d vs %d", name, dSteps, iSteps)
+// requireSameRun demands that two runtimes holding the same task graph,
+// neither run yet, agree on every task's label, work, EP hint, window,
+// dependence count and accesses and on the barrier count, then runs both and
+// demands bit-identical results, the same successor lists in the same order
+// and the same number of engine steps.
+func requireSameRun(t *testing.T, name string, want, got *Runtime) {
+	t.Helper()
+	if len(want.tasks) != len(got.tasks) {
+		t.Fatalf("%s: task count %d vs %d", name, len(want.tasks), len(got.tasks))
+	}
+	for i := range want.tasks {
+		d, in := want.tasks[i], got.tasks[i]
+		if d.Label != in.Label || d.Flops != in.Flops || d.EPSocket != in.EPSocket ||
+			d.Window != in.Window || d.nDeps != in.nDeps {
+			t.Fatalf("%s: task %d differs: want {%s f=%v ep=%d w=%d deps=%d} got {%s f=%v ep=%d w=%d deps=%d}",
+				name, i, d.Label, d.Flops, d.EPSocket, d.Window, d.nDeps,
+				in.Label, in.Flops, in.EPSocket, in.Window, in.nDeps)
+		}
+		if len(d.Accesses) != len(in.Accesses) {
+			t.Fatalf("%s: task %d access count differs", name, i)
+		}
+		for j := range d.Accesses {
+			da, ia := d.Accesses[j], in.Accesses[j]
+			if da.Mode != ia.Mode || da.Region.ID() != ia.Region.ID() || da.Region.Name() != ia.Region.Name() ||
+				da.Region.Bytes() != ia.Region.Bytes() || da.Region.Placement() != ia.Region.Placement() {
+				t.Fatalf("%s: task %d access %d differs", name, i, j)
 			}
 		}
+	}
+	if want.barriers != got.barriers {
+		t.Fatalf("%s: barriers %d vs %d", name, want.barriers, got.barriers)
+	}
+
+	wRes := want.Run()
+	gRes := got.Run()
+	if !reflect.DeepEqual(wRes, gRes) {
+		t.Fatalf("%s: run results diverge:\nwant: %+v\ngot:  %+v", name, wRes, gRes)
+	}
+	linked := 0
+	for i := range want.tasks {
+		d, in := want.tasks[i], got.tasks[i]
+		if len(d.succs) != len(in.succs) || len(d.succs) != want.tdg.OutDegree(d.ID) {
+			t.Fatalf("%s: task %d: %d vs %d successors, %d in the TDG",
+				name, i, len(d.succs), len(in.succs), want.tdg.OutDegree(d.ID))
+		}
+		for j := range d.succs {
+			if d.succs[j].ID != in.succs[j].ID {
+				t.Fatalf("%s: task %d succ %d: %d vs %d", name, i, j, d.succs[j].ID, in.succs[j].ID)
+			}
+		}
+		linked += len(d.succs)
+	}
+	if linked == 0 && want.tdg.Edges() > 0 {
+		t.Fatalf("%s: no successor lists were linked", name)
+	}
+	wSteps := want.mach.Engine().Steps()
+	gSteps := got.mach.Engine().Steps()
+	if wSteps != gSteps {
+		t.Fatalf("%s: engine steps %d vs %d", name, wSteps, gSteps)
 	}
 }
 

@@ -38,6 +38,14 @@
 // therefore always freshly allocated; Release is only legal when no
 // Observer was configured and the caller retains no *Task or *Region.
 //
+// Snapshots are recycled the same way. Snap copies a built graph — the
+// compacted TDG and the region, task and access arrays — into the storage
+// of a recycled snapshot, so the prototype runtime that built it keeps its
+// build storage through the pool, as a runtime that builds and runs its
+// graph in place does. Snapshot.Recycle returns a snapshot's storage to the
+// free list Snap draws from; only the snapshot's sole owner may call it, and
+// a snapshot nobody recycles is left to the garbage collector.
+//
 // Recycling never trades away determinism: a pooled runtime re-runs a
 // configuration bit-identically to a fresh one (queue order, RNG stream,
 // event schedule), which the determinism goldens in the root package pin.

@@ -93,8 +93,8 @@ func (w Workload) Instantiate(mc machine.Config) (*rt.Runtime, error) {
 // Snapshot builds the workload on a prototype runtime and captures its task
 // graph (rt.Snap) for installation into real runs — the builder behind
 // cluster's prebuild and core's experiment cache, for the graphs several
-// runs share. The snapshot owns the graph: rt.Snap takes it from the
-// prototype, whose remaining scratch goes back to the runtime pool.
+// runs share. rt.Snap copies the graph into the snapshot's own storage, and
+// the prototype, with its build storage, goes back to the runtime pool.
 func (w Workload) Snapshot(mc machine.Config) (*rt.Snapshot, error) {
 	r := prototype(mc)
 	if err := w.BuildInto(r); err != nil {

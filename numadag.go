@@ -142,9 +142,10 @@
 //
 // Experiments build each workload's task graph once per machine. A graph
 // several cells run (across policies, variants or replicate seeds) is
-// memoized in a per-experiment cache and dropped after its last cell; a
-// graph only one cell runs is built straight into that cell's runtime, on
-// graph storage the runtime pool keeps from build to build. Builders must
+// memoized in a per-experiment cache and dropped after its last cell, whose
+// storage then holds the next such graph; a graph only one cell runs is
+// built straight into that cell's runtime, on graph storage the runtime
+// pool keeps from build to build. Builders must
 // therefore be pure functions of (spec, scale, seed, machine). Experiments
 // also reuse results across replicate seeds: when replicate 0 of an (app,
 // policy, machine, variant) group runs without reaching its seed, the
