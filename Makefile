@@ -60,14 +60,17 @@ test-race-experiment:
 # both, recycle; bounded per task in allocations and in bytes, since the
 # snapshot's storage is a few large arrays that a count barely sees),
 # an app's build + snapshot (small-scale jacobi, bounded at its count, so
-# the builders keep refilling one access list and name tasks and regions
-# without fmt, whose sync.Pool would make the count random under -race),
-# an experiment's single-use cell (a random layered
-# graph built straight into a pooled runtime's kept graph storage and
-# access arena, run, audited and released, bounded per task in
-# allocations and in bytes: an access list kept per task costs well under
-# 0.01 allocations but ~72 bytes per task), a graph rebuild after
-# DAG.Reset (0), and the cluster dispatcher's placement step. A named,
+# the builders keep refilling one access list and one name buffer, whose
+# views Submit and Alloc copy into storage the graph and the memory manager
+# keep, and name tasks and regions without fmt, whose sync.Pool would make
+# the count random under -race), an experiment's single-use cell (a random
+# layered graph built straight into a pooled runtime's kept graph storage,
+# label bytes included, region names and access arena, run, audited and
+# released, bounded at one fixed count per cell for a 512- and a 2048-task
+# graph, so an allocation per task fails the larger, and per task in bytes:
+# an access list kept per task costs well under 0.01 allocations but ~72
+# bytes per task), a graph rebuild after DAG.Reset (0), and the cluster
+# dispatcher's placement step. A named,
 # blocking CI step (`allocs` in ci.yml); a regression fails the build, not
 # just the nightly bench trend.
 test-allocs:

@@ -141,7 +141,12 @@ func BenchmarkDagpart(b *testing.B) {
 		for _, mode := range []string{"kway", "map"} {
 			b.Run(fmt.Sprintf("%s/%s", spec, mode), func(b *testing.B) {
 				b.ReportAllocs()
-				arch := partition.NewUniformArch(8)
+				// A flat 8-socket architecture: every two sockets one hop apart.
+				arch := &partition.Arch{Dist: make([][]int, 8)}
+				for i := range arch.Dist {
+					arch.Dist[i] = []int{1, 1, 1, 1, 1, 1, 1, 1}
+					arch.Dist[i][i] = 0
+				}
 				var cut int64
 				for i := 0; i < b.N; i++ {
 					opt := partition.DefaultOptions(8)

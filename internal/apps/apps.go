@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 
+	"numadag/internal/names"
 	"numadag/internal/rt"
 )
 
@@ -148,8 +149,11 @@ func grid2(sockets int) (pr, pc int) {
 }
 
 // namer formats task labels and region names into one reused buffer with
-// strconv, as the workload generators do (appendPair), so a name costs only
-// its string. fmt.Sprintf would also box its arguments, and its printer
+// strconv, as the workload generators do (appendPair), and returns a view
+// of it (names.View): Submit and Alloc copy a name into storage the runtime
+// keeps before they return, so a name costs no allocation. The view
+// changes with the next name, so each name is formatted in the call that
+// passes it. fmt.Sprintf would also box its arguments, and its printer
 // cache is a sync.Pool, which drops printers at random under -race.
 type namer struct{ buf []byte }
 
@@ -172,7 +176,7 @@ func (n *namer) format(head, open, sep, end string, args []int) string {
 		b = strconv.AppendInt(b, int64(a), 10)
 	}
 	n.buf = append(b, end...)
-	return string(n.buf)
+	return names.View(n.buf)
 }
 
 // kib and mib make sizes readable at call sites.

@@ -101,7 +101,7 @@ func TestEPHintsWithinRange(t *testing.T) {
 				}
 				withHint++
 				if task.EPSocket < 0 || task.EPSocket >= sockets {
-					t.Fatalf("task %s EP socket %d out of range", task.Label, task.EPSocket)
+					t.Fatalf("task %s EP socket %d out of range", task.Label(), task.EPSocket)
 				}
 			}
 			if withHint == 0 {
@@ -141,7 +141,7 @@ func TestJacobiStructure(t *testing.T) {
 	// An interior tile task must read 5 tiles and write 1.
 	var interior *rt.Task
 	for _, task := range r.Tasks() {
-		if task.Label == "jacobi(1,1,1)" {
+		if task.Label() == "jacobi(1,1,1)" {
 			interior = task
 		}
 	}
@@ -175,7 +175,7 @@ func TestGaussSeidelWavefront(t *testing.T) {
 	}
 	find := func(label string) *rt.Task {
 		for _, task := range r.Tasks() {
-			if task.Label == label {
+			if task.Label() == label {
 				return task
 			}
 		}
@@ -221,7 +221,7 @@ func TestQRTaskKinds(t *testing.T) {
 	buildQR(r, p)
 	counts := map[string]int{}
 	for _, task := range r.Tasks() {
-		kind := task.Label[:strings.Index(task.Label, "(")]
+		kind := task.Label()[:strings.Index(task.Label(), "(")]
 		counts[kind]++
 	}
 	nt := p.NT
@@ -252,7 +252,7 @@ func TestQRPanelOrdering(t *testing.T) {
 	r.Run()
 	byLabel := map[string]*rt.Task{}
 	for _, task := range r.Tasks() {
-		byLabel[task.Label] = task
+		byLabel[task.Label()] = task
 	}
 	// geqrt(1) must run after the trailing update tsmqr(1,1,0) completes.
 	if byLabel["geqrt(1)"].StartAt < byLabel["tsmqr(1,1,0)"].EndAt {
@@ -268,7 +268,7 @@ func TestSymInvThreeSweepsChain(t *testing.T) {
 	r.Run()
 	byLabel := map[string]*rt.Task{}
 	for _, task := range r.Tasks() {
-		byLabel[task.Label] = task
+		byLabel[task.Label()] = task
 	}
 	potrf0 := byLabel["potrf(0)"]
 	trtri0 := byLabel["trtri(0)"]
@@ -298,7 +298,7 @@ func TestCGReductionIsGlobalSync(t *testing.T) {
 	buildCG(r, p)
 	var reduce *rt.Task
 	for _, task := range r.Tasks() {
-		if task.Label == "reduce1(0)" {
+		if task.Label() == "reduce1(0)" {
 			reduce = task
 		}
 	}
@@ -319,10 +319,10 @@ func TestRedBlackColorPhases(t *testing.T) {
 	r.Run()
 	var red, black []*rt.Task
 	for _, task := range r.Tasks() {
-		if strings.HasPrefix(task.Label, "rb(0,0,") {
+		if strings.HasPrefix(task.Label(), "rb(0,0,") {
 			red = append(red, task)
 		}
-		if strings.HasPrefix(task.Label, "rb(0,1,") {
+		if strings.HasPrefix(task.Label(), "rb(0,1,") {
 			black = append(black, task)
 		}
 	}
@@ -334,7 +334,7 @@ func TestRedBlackColorPhases(t *testing.T) {
 	// tile (1,2) (black since 1+2 odd) against neighbor (1,1).
 	byLabel := map[string]*rt.Task{}
 	for _, task := range r.Tasks() {
-		byLabel[task.Label] = task
+		byLabel[task.Label()] = task
 	}
 	b12 := byLabel["rb(0,1,1,2)"]
 	r11 := byLabel["rb(0,0,1,1)"]

@@ -79,16 +79,17 @@ func TestPlainCellSteadyStateAllocs(t *testing.T) {
 // TestBuildSnapshotSteadyStateAllocs pins cold task-graph construction:
 // building a random layered graph through rt.Submit on a warmed pooled
 // prototype runtime and snapshotting it — Workload.Snapshot, the experiment
-// cache's builder — may allocate only what the graph itself keeps. Per task
-// that is its label and region name, plus its share of the prototype
-// machine and of the snapshot's exactly sized arrays, which nothing
-// recycles here — measured 2.287 allocs per task, also under -race (2.373
-// when Snap took the prototype's graph, so every build grew its node arrays
-// and adjacency chunks again; an early design made ~18). Trackers, the
-// TDG's build storage, the Task structs and their access lists, the merge
+// cache's builder — may allocate only what the snapshot keeps and the
+// prototype machine, which nothing recycles here: measured 0.314 allocs
+// per task (161 per build of 512 tasks), also under -race. Labels and
+// region names are copied into storage the graph, the memory manager and
+// the snapshot own (2.287 when each was its own string; 2.373 when Snap
+// also took the prototype's graph, so every build grew its node arrays and
+// adjacency chunks again; an early design made ~18). Trackers, the TDG's
+// build storage, the Task structs and their access lists, the merge
 // scratch and the regions come from the pooled runtime; a map-based
-// tracker, per-list adjacency allocation or heap-allocated tasks each add
-// at least one per task.
+// tracker, per-list adjacency allocation, heap-allocated tasks or a string
+// per name each add at least one per task.
 func TestBuildSnapshotSteadyStateAllocs(t *testing.T) {
 	const layers, width = 16, 32
 	w, err := workload.New(fmt.Sprintf("random-layered?layers=%d&width=%d&seed=5", layers, width), apps.Paper)
@@ -104,26 +105,25 @@ func TestBuildSnapshotSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		build() // grow the pooled prototype runtime
 	}
-	const limit = 2.3
+	const limit = 0.315
 	if perTask := testing.AllocsPerRun(10, build) / (layers * width); perTask > limit {
-		t.Fatalf("build+snapshot allocates %.3f allocs per task in steady state, want <= %v", perTask, limit)
+		t.Fatalf("build+snapshot allocates %.4f allocs per task in steady state, want <= %v", perTask, limit)
 	} else {
-		t.Logf("%.3f allocs per task", perTask)
+		t.Logf("%.4f allocs per task", perTask)
 	}
 }
 
 // TestStencilBuildSnapshotSteadyStateAllocs pins an app builder's side of
-// the access-list contract: Submit copies each task's list into the
-// runtime, so jacobi refills one list for all of its tasks instead of
-// allocating a literal (and the appends of up to four neighbours) per task.
-// One build+snapshot of small-scale jacobi (320 tasks) on a warmed
-// prototype runtime measured 613 allocations, the bound; 655 when Snap took
-// the prototype's graph storage, with a list per task 1593, and with
-// fmt.Sprintf names 781. What remains is one string per label and region
-// name, plus the prototype machine and the snapshot's own arrays. Those
-// names, and the prototype machine's resource names, are built with
-// strconv, not fmt, whose printer cache is a sync.Pool that drops printers
-// at random under -race, so the count is exact there too.
+// the borrowing contract: Submit copies each task's access list and label,
+// and Alloc each region's name, into storage the runtime keeps, so jacobi
+// refills one access list and one name buffer for all of its tasks. One
+// build+snapshot of small-scale jacobi (320 tasks) on a warmed prototype
+// runtime measured 174 allocations, the bound: the prototype machine and
+// the snapshot's own arrays. It measured 613 with a string per label and
+// region name, 655 when Snap also took the prototype's graph storage, 1593
+// with an access list per task, and 781 with fmt.Sprintf names. The names
+// are built with strconv, not fmt, whose printer cache is a sync.Pool that
+// drops printers at random under -race, so the count is exact there too.
 func TestStencilBuildSnapshotSteadyStateAllocs(t *testing.T) {
 	w, err := workload.New("jacobi", apps.Small)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestStencilBuildSnapshotSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		build() // grow the pooled prototype runtime
 	}
-	const limit = 613
+	const limit = 174
 	if avg := testing.AllocsPerRun(10, build); avg > limit {
 		t.Fatalf("jacobi build+snapshot allocates %.0f allocs/op in steady state, want <= %v", avg, limit)
 	} else {
@@ -149,48 +149,56 @@ func TestStencilBuildSnapshotSteadyStateAllocs(t *testing.T) {
 // TestInPlaceCellSteadyStateAllocs pins the single-use cell of an
 // Experiment: building a random layered graph straight into a warmed
 // pooled runtime, running, auditing and releasing it through runWith. The
-// runtime keeps its graph storage from build to build (graph.DAG.Reset at
-// Release) and copies every task's access list into its pooled access
-// arena, so what a cell allocates per task is the generator's two label
-// strings plus the run's fixed tail: measured 2.016 allocs per task, one
-// allocation per cell under the bound. A runtime that allocates its
-// graph's node arrays and adjacency chunks again on every build measured
-// 2.115; heap-allocated tasks or per-list adjacency add a whole one per
-// task. The count cannot see an access list kept per task — a generator's
-// shared slab of lists costs well under 0.01 allocations per task — so the
-// cell's bytes are bounded too: 20.4 per task (92.2 when each task kept its
-// list), 34.4 under -race, whose runtime gives every short label a whole
-// 16-byte slot.
+// runtime keeps its graph storage, label bytes included, from build to
+// build (graph.DAG.Reset at Release), its memory manager keeps the region
+// names, and every task's access list is copied into its pooled access
+// arena, so a cell allocates only its fixed tail: 8 allocations, for 512
+// tasks and for 2048 alike, also under -race. A build that allocates per
+// task again fails the larger row first: a string per label and region
+// name made 2.016 per task, and a runtime that allocates its graph's node
+// arrays and adjacency chunks on every build 2.115. The count cannot see an
+// access list kept per task — a generator's shared slab of lists costs
+// well under 0.01 allocations per task — so the cell's bytes are bounded
+// too: measured 2.36 per task at 512 tasks and 0.97 at 2048 (the
+// generator's per-build scratch, one entry per layer slot), the same under
+// -race; 20.4 (34.4 under -race) with a string per name, and 92.2 when each
+// task also kept its list.
 func TestInPlaceCellSteadyStateAllocs(t *testing.T) {
-	const layers, width = 16, 32
-	spec := fmt.Sprintf("random-layered?layers=%d&width=%d&seed=5", layers, width)
-	w, err := workload.New(spec, apps.Paper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(spec, "LAS", apps.Paper)
-	cycle := func() {
-		if _, err := runWith(cfg, &w, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		cycle() // warm the machine and runtime pools
-	}
-	const limit = 2.018
-	if perTask := testing.AllocsPerRun(10, cycle) / (layers * width); perTask > limit {
-		t.Fatalf("in-place cell allocates %.3f allocs per task in steady state, want <= %v", perTask, limit)
-	} else {
-		t.Logf("%.3f allocs per task", perTask)
-	}
-	byteLimit := 20.5
-	if raceEnabled {
-		byteLimit = 34.5
-	}
-	if perTask := bytesPerRun(10, cycle) / (layers * width); perTask > byteLimit {
-		t.Fatalf("in-place cell allocates %.1f bytes per task in steady state, want <= %v", perTask, byteLimit)
-	} else {
-		t.Logf("%.1f bytes per task", perTask)
+	for _, row := range []struct {
+		layers, width int
+		bytesPerTask  float64
+	}{
+		{16, 32, 2.4},
+		{32, 64, 1.0},
+	} {
+		spec := fmt.Sprintf("random-layered?layers=%d&width=%d&seed=5", row.layers, row.width)
+		t.Run(spec, func(t *testing.T) {
+			w, err := workload.New(spec, apps.Paper)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(spec, "LAS", apps.Paper)
+			cycle := func() {
+				if _, err := runWith(cfg, &w, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				cycle() // warm the machine and runtime pools
+			}
+			const limit = 8
+			if avg := testing.AllocsPerRun(10, cycle); avg > limit {
+				t.Fatalf("in-place cell allocates %.1f allocs per cell in steady state, want <= %v", avg, limit)
+			} else {
+				t.Logf("%.1f allocs per cell", avg)
+			}
+			tasks := float64(row.layers * row.width)
+			if perTask := bytesPerRun(10, cycle) / tasks; perTask > row.bytesPerTask {
+				t.Fatalf("in-place cell allocates %.2f bytes per task in steady state, want <= %v", perTask, row.bytesPerTask)
+			} else {
+				t.Logf("%.2f bytes per task", perTask)
+			}
+		})
 	}
 }
 
@@ -199,14 +207,16 @@ func TestInPlaceCellSteadyStateAllocs(t *testing.T) {
 // snapshots it (Workload.Snapshot), two cells install it, run, audit and
 // release their runtimes (runWith), and the second one's put recycles the
 // snapshot. The prototype runtime builds into the graph storage the runtime
-// pool keeps, Snap copies into the storage of the snapshot recycled by the
-// cycle before, and both cells' runtimes come from the pool, so what a
-// cycle may allocate per task is the build's label and region-name strings,
-// plus the fixed tails of the prototype machine, the cache and each cell:
-// measured 2.285 allocations and 35.5 bytes per task (49.9 under -race).
-// A cycle that leaves its snapshot to the collector instead measured 2.307
-// and 382.1: the snapshot's storage is a few exactly sized arrays, so the
-// bytes bound is what catches it.
+// pool keeps, Snap copies the graph, labels and region names into the
+// storage of the snapshot recycled by the cycle before, and both cells'
+// runtimes come from the pool and copy the region names into their memory
+// managers, so what a cycle may allocate is the fixed tails of the
+// prototype machine, the cache and each cell: measured 0.285 allocations
+// and 17.5 bytes per task (17.9 under -race). With a string per label and
+// region name it measured 2.285 and 35.5 (49.9 under -race). A cycle that
+// leaves its snapshot to the collector instead measured 2.307 and 382.1
+// then: the snapshot's storage is a few exactly sized arrays, so the bytes
+// bound is what catches it.
 func TestSharedGraphCycleSteadyStateAllocs(t *testing.T) {
 	const layers, width = 16, 32
 	spec := fmt.Sprintf("random-layered?layers=%d&width=%d&seed=5", layers, width)
@@ -232,20 +242,20 @@ func TestSharedGraphCycleSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cycle() // warm the runtime, machine and snapshot pools
 	}
-	const limit = 2.29
+	const limit = 0.286
 	if perTask := testing.AllocsPerRun(10, cycle) / (layers * width); perTask > limit {
-		t.Fatalf("shared graph cycle allocates %.3f allocs per task in steady state, want <= %v", perTask, limit)
+		t.Fatalf("shared graph cycle allocates %.4f allocs per task in steady state, want <= %v", perTask, limit)
 	} else {
-		t.Logf("%.3f allocs per task", perTask)
+		t.Logf("%.4f allocs per task", perTask)
 	}
-	byteLimit := 36.0
+	byteLimit := 17.6
 	if raceEnabled {
-		byteLimit = 51
+		byteLimit = 18.0
 	}
 	if perTask := bytesPerRun(10, cycle) / (layers * width); perTask > byteLimit {
-		t.Fatalf("shared graph cycle allocates %.1f bytes per task in steady state, want <= %v", perTask, byteLimit)
+		t.Fatalf("shared graph cycle allocates %.2f bytes per task in steady state, want <= %v", perTask, byteLimit)
 	} else {
-		t.Logf("%.1f bytes per task", perTask)
+		t.Logf("%.2f bytes per task", perTask)
 	}
 }
 

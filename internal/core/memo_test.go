@@ -33,7 +33,7 @@ type gatePolicy struct{}
 func (gatePolicy) Name() string                         { return "test-gate" }
 func (gatePolicy) PickSocket(*rt.Runtime, *rt.Task) int { return rt.AnySocket }
 func (gatePolicy) Prepare(r *rt.Runtime) {
-	if r.Tasks()[0].Label == "gate" {
+	if r.Tasks()[0].Label() == "gate" {
 		gateHit <- struct{}{}
 		<-gateOpen
 	}

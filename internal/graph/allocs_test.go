@@ -16,7 +16,7 @@ func TestInducedSubgraphSteadyStateAllocs(t *testing.T) {
 	const n = 1500
 	g := randomDAG(r, n, 4*n)
 	nodes := make([]NodeID, 0, n/2)
-	for _, v := range r.Perm(n)[: n/2 : n/2] {
+	for _, v := range r.PermInto(make([]int, n))[: n/2 : n/2] {
 		nodes = append(nodes, NodeID(v))
 	}
 	sc := &SubgraphScratch{}
@@ -30,8 +30,8 @@ func TestInducedSubgraphSteadyStateAllocs(t *testing.T) {
 }
 
 // A graph rebuilt after Reset carves the chunks and fills the node arrays
-// of the build before it: a rebuild no larger than an earlier build must
-// not allocate. This is the storage a pooled runtime keeps between builds.
+// and label bytes of the build before it: a rebuild no larger than an
+// earlier build must not allocate. This is the storage a pooled runtime keeps between builds.
 func TestResetRebuildSteadyStateAllocs(t *testing.T) {
 	deps := randomDeps(xrand.New(4), 2000, 6, -1)
 	g := New()
@@ -46,8 +46,8 @@ func TestResetRebuildSteadyStateAllocs(t *testing.T) {
 }
 
 // Compacting into a DAG that already received a graph no smaller reuses its
-// node arrays and slab: the copy a recycled runtime snapshot keeps must not
-// allocate.
+// node arrays, label bytes and slab: the copy a recycled runtime snapshot
+// keeps must not allocate.
 func TestCompactIntoSteadyStateAllocs(t *testing.T) {
 	rng := xrand.New(4)
 	big, small := New(), New()

@@ -20,17 +20,24 @@
 // Streaming construction is allocation-lean the same way: AddNodeDeps adds
 // a node with all its incoming edges at once and carves every adjacency
 // list it creates or outgrows from shared chunks, again with exact
-// capacity. A graph that is built, used and dropped (a pooled runtime's
-// own) is Reset for the next build: its node arrays and chunks are kept, so
-// a rebuild of a graph no larger allocates none of them again. CompactInto
-// copies a finished graph into another DAG with every adjacency list in one
+// capacity. Node labels are not one string each: the graph copies every
+// label's bytes into one byte array it owns, so a caller may pass a view of
+// a buffer it refills, and Label hands out a copy. A graph that is built,
+// used and dropped (a pooled runtime's own) is Reset for the next build:
+// its node arrays, label bytes and chunks are kept, so a rebuild of a graph
+// no larger allocates none of them again. CompactInto copies a finished
+// graph, labels included, into another DAG with every adjacency list in one
 // slab and no construction slack: the copy a runtime snapshot keeps while
 // the build's storage goes on to the next build. The destination's node
-// arrays and slab are reused the same way, so compacting into a recycled
-// DAG no smaller allocates nothing either.
+// arrays, label bytes and slab are reused the same way, so compacting into
+// a recycled DAG no smaller allocates nothing either.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"numadag/internal/names"
+)
 
 // NodeID indexes a node within its DAG. IDs are dense: 0..N-1 in insertion
 // order.
@@ -52,7 +59,7 @@ type Edge struct {
 // cyclic input and Validate performs a full check.
 type DAG struct {
 	nodeW  []int64
-	labels []string
+	labels names.List   // node i's label is labels' name i
 	succ   [][]halfEdge // sorted by target id per node (kept sorted on insert)
 	pred   [][]halfEdge
 	nEdges int
@@ -98,16 +105,18 @@ type halfEdge struct {
 func New() *DAG { return &DAG{} }
 
 // Reset empties the graph for a new build and keeps its storage: the node
-// arrays, and every adjacency chunk, which AddNodeDeps carves again from
-// the first. Labels and adjacency lists are cleared, so a reset graph
-// references nothing of the build before it. Only the graph's sole owner
-// may reset it: anyone still reading the graph, or a list it handed out,
-// would see the next build overwrite it.
+// arrays, the label bytes, and every adjacency chunk, which AddNodeDeps
+// carves again from the first. Adjacency lists are cleared, so a reset
+// graph references nothing of the build before it, and the next build
+// overwrites the label bytes. Only the graph's sole owner may reset it:
+// anyone still reading the graph, or a list it handed out, would see the
+// next build overwrite it. A label Label returned before stays valid: it is
+// a copy.
 func (g *DAG) Reset() {
-	clear(g.labels)
 	clear(g.succ)
 	clear(g.pred)
-	g.nodeW, g.labels = g.nodeW[:0], g.labels[:0]
+	g.labels.Reset()
+	g.nodeW = g.nodeW[:0]
 	g.succ, g.pred = g.succ[:0], g.pred[:0]
 	g.nEdges = 0
 	g.next, g.adj = 0, nil
@@ -120,13 +129,15 @@ func (g *DAG) Len() int { return len(g.nodeW) }
 func (g *DAG) Edges() int { return g.nEdges }
 
 // AddNode appends a node with the given label and weight, returning its ID.
+// The graph copies the label's bytes before AddNode returns, so label may
+// be a view of a buffer the caller refills for every node.
 func (g *DAG) AddNode(label string, weight int64) NodeID {
 	if weight < 0 {
 		panic(fmt.Sprintf("graph: negative node weight %d", weight))
 	}
 	id := NodeID(len(g.nodeW))
 	g.nodeW = append(g.nodeW, weight)
-	g.labels = append(g.labels, label)
+	g.labels.Add(label)
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
 	return id
@@ -180,15 +191,17 @@ func (g *DAG) AddNodeDeps(label string, weight int64, deps []Dep) NodeID {
 // list of the copy is cut, with exact capacity, from one slab that dst keeps
 // as its first chunk, so the copy holds none of the spare capacity and
 // outgrown lists incremental construction (AddEdge's appends, AddNodeDeps'
-// chunks) leaves in g. dst's node arrays and slab are reused when they are
-// large enough and reallocated at exactly the size g needs when not, so a
-// DAG that receives graphs no larger than an earlier one allocates nothing.
-// g is only read; dst must be another DAG.
+// chunks) leaves in g. The label bytes are copied into dst's own, so g's
+// storage may be reset and refilled while dst lives. dst's node arrays,
+// label bytes and slab are reused when they are large enough and
+// reallocated at exactly the size g needs when not, so a DAG that receives
+// graphs no larger than an earlier one allocates nothing. g is only read;
+// dst must be another DAG.
 func (g *DAG) CompactInto(dst *DAG) {
 	dst.Reset()
 	n := len(g.nodeW)
 	dst.nodeW = append(fit(dst.nodeW, n), g.nodeW...)
-	dst.labels = append(fit(dst.labels, n), g.labels...)
+	dst.labels.CopyFrom(&g.labels)
 	var slab []halfEdge
 	if need := 2 * g.nEdges; need > 0 {
 		if len(dst.chunks) == 0 {
@@ -234,8 +247,9 @@ func fit[T any](s []T, n int) []T {
 // NodeWeight returns the node's weight.
 func (g *DAG) NodeWeight(id NodeID) int64 { return g.nodeW[id] }
 
-// Label returns the node's label.
-func (g *DAG) Label(id NodeID) string { return g.labels[id] }
+// Label returns the node's label: a copy, which stays valid after the graph
+// is Reset or refilled. Only traces, exports and error paths read labels.
+func (g *DAG) Label(id NodeID) string { return g.labels.Get(int(id)) }
 
 // AddEdge inserts an edge from -> to with the given weight. Inserting a
 // parallel edge accumulates its weight onto the existing edge (multiple

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -478,12 +479,29 @@ func randomDeps(rng *xrand.Rand, n, maxK, wide int) [][]Dep {
 	return deps
 }
 
-// buildDeps adds one node per dependence list to g.
+// buildDeps adds one node per dependence list to g, labelling node v of an
+// n-node graph depsLabel(v, n): graphs of different sizes differ in every
+// label, and labels differ in length.
 func buildDeps(g *DAG, deps [][]Dep) {
+	labels := depsLabels[len(deps)]
+	if labels == nil {
+		labels = make([]string, len(deps))
+		for v := range labels {
+			labels[v] = depsLabel(v, len(deps))
+		}
+		depsLabels[len(deps)] = labels
+	}
 	for v, d := range deps {
-		g.AddNodeDeps("n", int64(v), d)
+		g.AddNodeDeps(labels[v], int64(v), d)
 	}
 }
+
+// depsLabel is the label buildDeps gives node v of an n-node graph.
+func depsLabel(v, n int) string { return strconv.Itoa(v) + "/" + strconv.Itoa(n) }
+
+// depsLabels memoizes buildDeps' labels by graph size, so a rebuild in an
+// allocation test formats none.
+var depsLabels = map[int][]string{}
 
 // TestResetRebuildMatchesFresh pins Reset: a graph rebuilt after Reset,
 // reusing the chunks of larger and smaller earlier builds, equals the same
@@ -506,10 +524,8 @@ func TestResetRebuildMatchesFresh(t *testing.T) {
 		if reused.Len() != 0 || reused.Edges() != 0 {
 			t.Fatalf("trial %d: reset graph has %d nodes, %d edges", trial, reused.Len(), reused.Edges())
 		}
-		for i, l := range reused.labels[:cap(reused.labels)] {
-			if l != "" {
-				t.Fatalf("trial %d: reset graph keeps node %d's label", trial, i)
-			}
+		if reused.labels.Len() != 0 {
+			t.Fatalf("trial %d: reset graph keeps %d labels", trial, reused.labels.Len())
 		}
 		for _, lists := range [2][][]halfEdge{reused.succ[:cap(reused.succ)], reused.pred[:cap(reused.pred)]} {
 			for i, l := range lists {
@@ -534,11 +550,16 @@ func TestResetRebuildMatchesFresh(t *testing.T) {
 // across graphs that grow, shrink and grow again: the copy equals its
 // source (nodes, labels, weights, adjacency in order), every list has
 // exact capacity, the source is left as it was, a destination no smaller
-// than the graph keeps its node arrays and slab, and neither appending to a
-// compacted list nor adding nodes after it clobbers a neighbor.
+// than the graph keeps its node arrays and slab (and its label bytes, which
+// TestCompactIntoSteadyStateAllocs pins), and neither appending to a
+// compacted list nor adding nodes after it clobbers a neighbor. The copy's
+// labels are its own: they survive the source being reset and rebuilt with
+// other labels, and a label read from the copy keeps its value after the
+// next graph is compacted into the same storage.
 func TestCompactIntoMatchesSource(t *testing.T) {
 	rng := xrand.New(17)
 	dst := New()
+	var kept, keptWant string // a label read from the previous trial's copy
 	for trial, n := range []int{300, 40, 900, 5, 0, 600, adjChunk + 50} {
 		wide := -1
 		if n > adjChunk {
@@ -554,16 +575,26 @@ func TestCompactIntoMatchesSource(t *testing.T) {
 		}
 		src.CompactInto(dst)
 		compareAdjacency(t, trial, ref, src)
+		// The source's storage goes on to another build, as a runtime's
+		// does once Snap has copied its graph.
+		src.Reset()
+		buildDeps(src, randomDeps(rng, n+7, 3, -1))
 		compareAdjacency(t, trial, ref, dst)
 		for v := 0; v < n; v++ {
 			id := NodeID(v)
-			if dst.Label(id) != ref.Label(id) || dst.NodeWeight(id) != ref.NodeWeight(id) {
+			if dst.Label(id) != depsLabel(v, n) || dst.Label(id) != ref.Label(id) || dst.NodeWeight(id) != ref.NodeWeight(id) {
 				t.Fatalf("trial %d node %d: (%q, %d), want (%q, %d)", trial, v,
 					dst.Label(id), dst.NodeWeight(id), ref.Label(id), ref.NodeWeight(id))
 			}
 			if s, p := dst.succ[v], dst.pred[v]; cap(s) != len(s) || cap(p) != len(p) {
 				t.Fatalf("trial %d node %d: compacted lists have spare capacity", trial, v)
 			}
+		}
+		if kept != keptWant {
+			t.Fatalf("trial %d: a label read from the previous copy changed from %q to %q", trial, keptWant, kept)
+		}
+		if n > 0 {
+			kept, keptWant = dst.Label(NodeID(n-1)), depsLabel(n-1, n)
 		}
 		if n > 0 && n <= len(nodeW) && &dst.nodeW[0] != &nodeW[0] {
 			t.Fatalf("trial %d: %d nodes did not reuse node arrays of capacity %d", trial, n, cap(nodeW))

@@ -27,7 +27,7 @@ func (g *DAG) DOT(w io.Writer, name string, part []int32) error {
 			color = palette[int(part[i])%len(palette)]
 			partNote = fmt.Sprintf("\\np%d", part[i])
 		}
-		label := g.labels[i]
+		label := g.Label(NodeID(i))
 		if label == "" {
 			label = fmt.Sprintf("n%d", i)
 		}
@@ -69,7 +69,7 @@ type jsonEdge struct {
 func (g *DAG) MarshalJSON() ([]byte, error) {
 	jg := jsonGraph{Nodes: make([]jsonNode, g.Len())}
 	for i := 0; i < g.Len(); i++ {
-		jg.Nodes[i] = jsonNode{Label: g.labels[i], Weight: g.nodeW[i]}
+		jg.Nodes[i] = jsonNode{Label: g.Label(NodeID(i)), Weight: g.nodeW[i]}
 	}
 	for _, e := range g.EdgeList() {
 		jg.Edges = append(jg.Edges, jsonEdge{From: int32(e.From), To: int32(e.To), Weight: e.Weight})

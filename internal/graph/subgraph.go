@@ -60,7 +60,12 @@ func (g *DAG) InducedSubgraphInto(sc *SubgraphScratch, nodes []NodeID) (*DAG, []
 	ns := len(nodes)
 	sub := &sc.dag
 	sub.nodeW = grow(sub.nodeW, ns)
-	sub.labels = grow(sub.labels, ns)
+	sub.labels.Reset()
+	size := 0
+	for _, v := range nodes {
+		size += len(g.labels.View(int(v)))
+	}
+	sub.labels.Grow(ns, size)
 	sub.succ = grow(sub.succ, ns)
 	sub.pred = grow(sub.pred, ns)
 	sc.back = grow(sc.back, ns)
@@ -73,7 +78,7 @@ func (g *DAG) InducedSubgraphInto(sc *SubgraphScratch, nodes []NodeID) (*DAG, []
 	for i, v := range nodes {
 		sc.back[i] = v
 		sub.nodeW[i] = g.nodeW[v]
-		sub.labels[i] = g.labels[v]
+		sub.labels.Add(g.labels.View(int(v)))
 		d := 0
 		for _, h := range g.succ[v] {
 			if stamp[h.to] == e {

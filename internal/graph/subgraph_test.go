@@ -77,7 +77,7 @@ func TestInducedSubgraphIntoMatchesReference(t *testing.T) {
 		n := r.Intn(60) + 2
 		g := randomDAG(r, n, r.Intn(4*n))
 		// Random subset in random order.
-		perm := r.Perm(n)
+		perm := r.PermInto(make([]int, n))
 		k := r.Intn(n) + 1
 		nodes := make([]NodeID, k)
 		for i := 0; i < k; i++ {
@@ -177,7 +177,7 @@ func BenchmarkInducedSubgraph(b *testing.B) {
 	const n = 2048
 	g := randomDAG(r, n, 4*n)
 	nodes := make([]NodeID, 0, n/2)
-	for _, v := range r.Perm(n)[: n/2 : n/2] {
+	for _, v := range r.PermInto(make([]int, n))[: n/2 : n/2] {
 		nodes = append(nodes, NodeID(v))
 	}
 	b.Run("fresh", func(b *testing.B) {

@@ -28,6 +28,8 @@ package memory
 
 import (
 	"fmt"
+
+	"numadag/internal/names"
 )
 
 // DefaultPageSize is the simulated page granularity (4 KiB, as on the
@@ -75,7 +77,6 @@ const Unallocated = int16(-1)
 // different sockets.
 type Region struct {
 	id    int
-	name  string
 	bytes int64
 	// homes[i] is the socket of page i, or Unallocated.
 	homes []int16
@@ -89,13 +90,16 @@ type Region struct {
 // ID returns the region's dense identifier within its Manager.
 func (r *Region) ID() int { return r.id }
 
-// Name returns the diagnostic name.
-func (r *Region) Name() string { return r.name }
+// Name returns the diagnostic name: a copy, which stays valid after the
+// manager is Reset. Only traces, exports and error paths read names.
+func (r *Region) Name() string { return r.mgr.names.Get(r.id) }
 
 // Bytes returns the region size.
 func (r *Region) Bytes() int64 { return r.bytes }
 
-// Pages returns the number of pages.
+// Pages returns the number of pages. The simulator reads the page table
+// directly; Pages is facade API for custom builders (numadag.Region
+// aliases Region).
 func (r *Region) Pages() int { return len(r.homes) }
 
 // Placement returns the placement policy the region was created with.
@@ -130,15 +134,6 @@ func (r *Region) AddBytesOnSocket(out []int64) {
 	for s, b := range r.onSocket() {
 		out[s] += b
 	}
-}
-
-// AllocatedBytes returns the bytes with a home.
-func (r *Region) AllocatedBytes() int64 {
-	var n int64
-	for _, b := range r.onSocket() {
-		n += b
-	}
-	return n
 }
 
 // pageBytes returns the size of page i (the last page may be partial, and
@@ -178,13 +173,16 @@ func (r *Region) Touch(socket int) int64 {
 }
 
 // Manager owns the regions of one simulated application run. A Manager can
-// be Reset and refilled: the Region structs and their page tables are kept
-// pointer-stable across resets, so a pooled runtime re-running the same
-// workload shape allocates no region state after the first run.
+// be Reset and refilled: the Region structs, their page tables and the
+// bytes of their names are kept across resets, so a pooled runtime
+// re-running the same workload shape allocates no region state after the
+// first run.
 type Manager struct {
 	sockets  int
 	pageSize int64
 	regions  []*Region
+	// names holds region i's name as its name i.
+	names names.List
 	// pool holds every Region struct ever created, in ID order; regions is
 	// always pool[:n]. Reset just truncates, and Alloc revives pool entries
 	// (reusing their homes tables) before allocating fresh ones.
@@ -224,7 +222,11 @@ func (m *Manager) Regions() []*Region { return m.regions }
 
 // Alloc creates a region of the given size under the placement policy.
 // homeSocket is only used by Home (pass 0 otherwise). Zero-byte regions are
-// legal and occupy one (empty) page so they still have an identity.
+// legal and occupy one (empty) page so they still have an identity. Alloc
+// only borrows name for the call, as rt.Runtime.Submit borrows a task's
+// label and access list: the manager copies its bytes into storage it
+// keeps, so a builder may pass a view of one buffer it refills for every
+// region.
 func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocket int) *Region {
 	if bytes < 0 {
 		panic(fmt.Sprintf("memory: alloc %q of %d bytes", name, bytes))
@@ -257,9 +259,9 @@ func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocke
 	if homes == nil {
 		homes = make([]int16, nPages)
 	}
+	m.names.Add(name)
 	*r = Region{
 		id:        id,
-		name:      name,
 		bytes:     bytes,
 		homes:     homes,
 		pageSize:  m.pageSize,
@@ -294,28 +296,16 @@ func (m *Manager) Alloc(name string, bytes int64, placement Placement, homeSocke
 	return r
 }
 
-// Reset discards every region while keeping their structs and page tables
-// pooled for reuse by subsequent Allocs. Region pointers handed out before
-// the reset are recycled by those later Allocs and must not be retained.
+// Reset discards every region while keeping their structs, page tables
+// and name bytes pooled for reuse by subsequent Allocs. Region pointers
+// handed out before the reset are recycled by those later Allocs and must
+// not be retained; a name Name returned stays valid.
 func (m *Manager) Reset() {
 	m.regions = m.pool[:0]
 	m.homed = m.homed[:0]
+	m.names.Reset()
 }
 
-// TotalBytesOnSocket sums the homed bytes of every region per socket.
-func (m *Manager) TotalBytesOnSocket() []int64 {
-	out := make([]int64, m.sockets)
-	for i, b := range m.homed {
-		out[i%m.sockets] += b
-	}
-	return out
-}
-
-// UnallocatedBytes returns the total bytes still without a home.
-func (m *Manager) UnallocatedBytes() int64 {
-	var n int64
-	for _, r := range m.regions {
-		n += r.bytes - r.AllocatedBytes()
-	}
-	return n
-}
+// CopyNames makes dst a copy of the regions' names, in ID order (see
+// names.List.CopyFrom): the form a runtime snapshot keeps them in.
+func (m *Manager) CopyNames(dst *names.List) { dst.CopyFrom(&m.names) }

@@ -84,7 +84,9 @@ func (t *Table) Get(row, col string) float64 {
 	return math.NaN()
 }
 
-// Rows returns the row names in insertion order.
+// Rows returns the row names in insertion order. No production code path
+// reads it, but it is facade API: numadag.Table aliases Table, and a user
+// reading a result table by row needs it.
 func (t *Table) Rows() []string { return append([]string(nil), t.rows...) }
 
 // ColumnValues returns the column's values in row order, skipping absent

@@ -112,7 +112,10 @@ func (h *Histogram) bump(idx int, n uint64) {
 	h.counts[idx-h.base] += n
 }
 
-// Count returns the number of recorded values.
+// Count returns the number of recorded values. Count, Sum and Min have no
+// production caller here, but they are facade API: numadag.Histogram
+// aliases Histogram for users' own latency summaries, and these complete
+// its read side next to Mean, Max and Quantile.
 func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum returns the sum of recorded values.

@@ -30,7 +30,7 @@ func coarsenReference(g *Graph, fixed []int32, kind MatchingKind, rng *xrand.Ran
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
+	order := rng.PermInto(make([]int, n))
 	matched := 0
 	for _, v := range order {
 		if match[v] != -1 {

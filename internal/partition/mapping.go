@@ -18,20 +18,6 @@ type Arch struct {
 	Capacity []float64
 }
 
-// NewUniformArch returns a flat architecture of n equidistant sockets.
-func NewUniformArch(n int) *Arch {
-	d := make([][]int, n)
-	for i := range d {
-		d[i] = make([]int, n)
-		for j := range d[i] {
-			if i != j {
-				d[i][j] = 1
-			}
-		}
-	}
-	return &Arch{Dist: d}
-}
-
 // Sockets returns the socket count.
 func (a *Arch) Sockets() int { return len(a.Dist) }
 

@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// NewUniformArch returns a flat architecture of n equidistant sockets.
+func NewUniformArch(n int) *Arch {
+	d := make([][]int, n)
+	for i := range d {
+		d[i] = make([]int, n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = 1
+			}
+		}
+	}
+	return &Arch{Dist: d}
+}
+
 // bullionArch mirrors machine.BullionS16's distance matrix without importing
 // the machine package (keeps partition dependency-free).
 func bullionArch() *Arch {

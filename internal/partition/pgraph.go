@@ -96,6 +96,10 @@ func NewGraph(n int) *Graph {
 func (g *Graph) Len() int { return len(g.nw) }
 
 // SetVertexWeight assigns the vertex weight (must be non-negative).
+// Production graphs get their weights from FromDAG and coarsening;
+// SetVertexWeight, VertexWeight and Neighbors are facade API for custom
+// builders (numadag.PGraph aliases Graph, and NewPGraph returns an empty
+// one).
 func (g *Graph) SetVertexWeight(v int, w int64) {
 	if w < 0 {
 		panic(fmt.Sprintf("partition: negative vertex weight %d", w))
@@ -103,7 +107,7 @@ func (g *Graph) SetVertexWeight(v int, w int64) {
 	g.nw[v] = w
 }
 
-// VertexWeight returns the vertex weight.
+// VertexWeight returns the vertex weight (facade API, see SetVertexWeight).
 func (g *Graph) VertexWeight(v int) int64 { return g.nw[v] }
 
 // AddEdge inserts an undirected edge, accumulating weight over duplicates.
@@ -129,7 +133,8 @@ func (g *Graph) addHalf(from, to int, w int64) {
 	g.adj[from] = append(g.adj[from], neighbor{to: int32(to), w: w})
 }
 
-// Neighbors calls fn for every neighbor of v.
+// Neighbors calls fn for every neighbor of v (facade API, see
+// SetVertexWeight).
 func (g *Graph) Neighbors(v int, fn func(u int, w int64)) {
 	for _, nb := range g.adj[v] {
 		fn(int(nb.to), nb.w)

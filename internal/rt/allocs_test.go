@@ -1,21 +1,35 @@
 package rt
 
 import (
-	"fmt"
+	"strconv"
 	"testing"
 
 	"numadag/internal/machine"
 	"numadag/internal/memory"
+	"numadag/internal/names"
 	"numadag/internal/sim"
 )
 
 // buildLayeredRT submits a layered task graph (width tasks per layer, each
 // depending on its own region and its left neighbor's) — a mid-sized install
-// workload for the arena benchmarks.
+// workload for the arena benchmarks. Region i is named "r<i>@<layers>x<width>"
+// and task i of layer l "t<l>.<i>@<layers>x<width>", so graphs of different
+// shapes differ in every name; like the built-in builders, it formats each
+// name into one buffer and passes a view of it.
 func buildLayeredRT(r *Runtime, layers, width int) {
+	var name []byte
+	format := func(head string, a, b int) string {
+		name = strconv.AppendInt(append(name[:0], head...), int64(a), 10)
+		if b >= 0 {
+			name = strconv.AppendInt(append(name, '.'), int64(b), 10)
+		}
+		name = strconv.AppendInt(append(name, '@'), int64(layers), 10)
+		name = strconv.AppendInt(append(name, 'x'), int64(width), 10)
+		return names.View(name)
+	}
 	regs := make([]*memory.Region, width)
 	for i := range regs {
-		regs[i] = r.Mem().Alloc(fmt.Sprintf("r%d", i), 64<<10, memory.Deferred, 0)
+		regs[i] = r.Mem().Alloc(format("r", i, -1), 64<<10, memory.Deferred, 0)
 	}
 	for l := 0; l < layers; l++ {
 		for i := 0; i < width; i++ {
@@ -23,7 +37,7 @@ func buildLayeredRT(r *Runtime, layers, width int) {
 			if i > 0 {
 				acc = append(acc, Access{Region: regs[i-1], Mode: In})
 			}
-			r.Submit(TaskSpec{Label: "t", Flops: 1000, Accesses: acc, EPSocket: NoEPHint})
+			r.Submit(TaskSpec{Label: format("t", l, i), Flops: 1000, Accesses: acc, EPSocket: NoEPHint})
 		}
 	}
 }

@@ -23,17 +23,17 @@ func (r *Runtime) AuditSchedule() error {
 	}
 	for _, t := range r.tasks {
 		if t.state != stateDone {
-			return fmt.Errorf("rt: task %s never completed", t.Label)
+			return fmt.Errorf("rt: task %s never completed", t.Label())
 		}
 		if t.EndAt < t.StartAt || t.StartAt < t.ReadyAt {
 			return fmt.Errorf("rt: task %s has incoherent timeline ready=%v start=%v end=%v",
-				t.Label, t.ReadyAt, t.StartAt, t.EndAt)
+				t.Label(), t.ReadyAt, t.StartAt, t.EndAt)
 		}
 		if t.Core < 0 || t.Core >= r.mach.Cores() {
-			return fmt.Errorf("rt: task %s ran on core %d", t.Label, t.Core)
+			return fmt.Errorf("rt: task %s ran on core %d", t.Label(), t.Core)
 		}
 		if r.mach.SocketOf(t.Core) != t.Socket {
-			return fmt.Errorf("rt: task %s socket %d does not own core %d", t.Label, t.Socket, t.Core)
+			return fmt.Errorf("rt: task %s socket %d does not own core %d", t.Label(), t.Socket, t.Core)
 		}
 	}
 	// Dependencies: use the TDG, not the succs lists, so the audit is
@@ -44,7 +44,7 @@ func (r *Runtime) AuditSchedule() error {
 			succ := r.tasks[to]
 			if err == nil && succ.StartAt < t.EndAt {
 				err = fmt.Errorf("rt: dependency violated: %s (ends %v) -> %s (starts %v)",
-					t.Label, t.EndAt, succ.Label, succ.StartAt)
+					t.Label(), t.EndAt, succ.Label(), succ.StartAt)
 			}
 		})
 		if err != nil {
@@ -67,7 +67,7 @@ func (r *Runtime) AuditSchedule() error {
 		}
 		for i := 1; i < len(ts); i++ {
 			if ts[i].StartAt < ts[i-1].EndAt {
-				return fmt.Errorf("rt: core %d ran %s and %s concurrently", c, ts[i-1].Label, ts[i].Label)
+				return fmt.Errorf("rt: core %d ran %s and %s concurrently", c, ts[i-1].Label(), ts[i].Label())
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"numadag/internal/machine"
@@ -23,11 +25,11 @@ func checkInert(t *testing.T, step string, r *Runtime) {
 	}
 	for i, tr := range r.tracks[:cap(r.tracks)] {
 		if tr.lastWriter != nil {
-			t.Fatalf("%s: tracker %d keeps writer %q", step, i, tr.lastWriter.Label)
+			t.Fatalf("%s: tracker %d keeps writer %q", step, i, tr.lastWriter.Label())
 		}
 		for j, rd := range tr.readers[:cap(tr.readers)] {
 			if rd != nil {
-				t.Fatalf("%s: tracker %d reader slot %d keeps task %q", step, i, j, rd.Label)
+				t.Fatalf("%s: tracker %d reader slot %d keeps task %q", step, i, j, rd.Label())
 			}
 		}
 	}
@@ -39,8 +41,8 @@ func checkInert(t *testing.T, step string, r *Runtime) {
 	}
 	for i, slab := range r.arena.slabs {
 		for j := range slab {
-			if tk := &slab[j]; tk.Label != "" || tk.Accesses != nil || tk.succs != nil || tk.ID != 0 {
-				t.Fatalf("%s: arena slab %d slot %d keeps task %d %q", step, i, j, tk.ID, tk.Label)
+			if tk := &slab[j]; tk.tdg != nil || tk.Accesses != nil || tk.succs != nil || tk.ID != 0 {
+				t.Fatalf("%s: arena slab %d slot %d keeps task %d", step, i, j, tk.ID)
 			}
 		}
 	}
@@ -96,10 +98,11 @@ func TestReleaseLeavesNoStaleTasks(t *testing.T) {
 // TestGraphStorageOwnership pins who owns a task graph's storage. A runtime
 // building through Submit builds into storage it keeps through the pool:
 // Release resets it and the next NewRuntime from the pool builds into it
-// again. Snap copies the graph into the snapshot's own storage, so the
-// prototype keeps its build storage too, and releasing it leaves the
-// snapshot whole. A runtime a snapshot is installed into runs on the
-// snapshot's graph and leaves its own storage to a later build.
+// again. Snap copies the graph, its labels and its region names into the
+// snapshot's own storage, so the prototype keeps its build storage too,
+// and releasing it and building another graph there leaves the snapshot
+// whole. A runtime a snapshot is installed into runs on the snapshot's
+// graph and leaves its own storage to a later build.
 func TestGraphStorageOwnership(t *testing.T) {
 	m := machine.New(machine.TwoSocketXeon(), sim.NewEngine())
 	opts := Options{WindowSize: 4, Seed: 1}
@@ -121,6 +124,7 @@ func TestGraphStorageOwnership(t *testing.T) {
 	protoOwn := proto.Graph()
 	buildMixed(proto, true)
 	n, edges := protoOwn.Len(), protoOwn.Edges()
+	protoNames := namesOf(proto)
 	snap, err := Snap(proto)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +143,7 @@ func TestGraphStorageOwnership(t *testing.T) {
 	if r3 := NewRuntime(m, cyclic{}, opts); r3 == proto && r3.Graph() != protoOwn {
 		t.Fatal("a pooled prototype did not build into the graph storage it kept")
 	} else {
+		buildLayeredRT(r3, 4, 3) // other labels and region names, in the prototype's storage
 		r3.Release()
 	}
 
@@ -151,6 +156,9 @@ func TestGraphStorageOwnership(t *testing.T) {
 	if r4.snap != snap {
 		t.Fatal("Install did not record the snapshot")
 	}
+	if got := namesOf(r4); !slices.Equal(got, protoNames) {
+		t.Fatalf("the snapshot installs names %q after its prototype's storage built another graph, want %q", got, protoNames)
+	}
 	r4.Run()
 	m.Reset()
 	r4.Release()
@@ -162,9 +170,9 @@ func TestGraphStorageOwnership(t *testing.T) {
 }
 
 // checkRecycled demands that a recycled snapshot's storage — its region
-// and task arrays up to their capacity — references no region name, label or
-// access list of the graph it held, that it keeps no shared value, and that
-// its graph is reset (graph.TestResetRebuildMatchesFresh pins that a reset
+// and task arrays up to their capacity — references no access list of the
+// graph it held, that it keeps no region name or shared value, and that its
+// graph is reset (graph.TestResetRebuildMatchesFresh pins that a reset
 // graph keeps no label or adjacency list).
 func checkRecycled(t *testing.T, step string, s *Snapshot) {
 	t.Helper()
@@ -174,14 +182,17 @@ func checkRecycled(t *testing.T, step string, s *Snapshot) {
 	if g := s.tdg; g.Len() != 0 || g.Edges() != 0 {
 		t.Fatalf("%s: recycled graph keeps %d nodes, %d edges", step, g.Len(), g.Edges())
 	}
+	if s.names.Len() != 0 {
+		t.Fatalf("%s: recycled snapshot keeps %d region names", step, s.names.Len())
+	}
 	for i, rs := range s.regions[:cap(s.regions)] {
 		if rs != (regionSnap{}) {
-			t.Fatalf("%s: recycled region slot %d keeps %q", step, i, rs.name)
+			t.Fatalf("%s: recycled region slot %d keeps %+v", step, i, rs)
 		}
 	}
 	for i, ts := range s.tasks[:cap(s.tasks)] {
-		if ts.label != "" || ts.accesses != nil {
-			t.Fatalf("%s: recycled task slot %d keeps %q", step, i, ts.label)
+		if ts.accesses != nil {
+			t.Fatalf("%s: recycled task slot %d keeps its access list", step, i)
 		}
 	}
 	if len(s.shared) != 0 {
@@ -200,13 +211,30 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
+// namesOf returns every task label of r, in submission order, then every
+// region name, in allocation order.
+func namesOf(r *Runtime) []string {
+	var out []string
+	for _, t := range r.tasks {
+		out = append(out, t.Label())
+	}
+	for _, reg := range r.mem.Regions() {
+		out = append(out, reg.Name())
+	}
+	return out
+}
+
 // TestRecycledSnapshotMatchesFresh pins Snapshot.Recycle. Graphs that grow,
 // shrink and grow again are each snapshotted twice: into new storage, with
 // the free list empty, and into the storage of the previous graph's
-// snapshot, recycled. Both must install runs identical to each other, and
-// the recycled storage must be reused, reference nothing of the graph it
-// held (labels, region names, adjacency, access lists, shared values), and
-// refuse a second Recycle and an Install while it waits on the free list.
+// snapshot, recycled. Both must install runs identical to each other, with
+// the labels and region names of a fresh build, and the recycled storage
+// must be reused, reference nothing of the graph it held (labels, region
+// names, adjacency, access lists, shared values), and refuse a second
+// Recycle and an Install while it waits on the free list. Labels and
+// region names read from a run before its runtime is released and its
+// snapshot recycled keep their values once that storage holds the next
+// graph.
 func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -232,6 +260,9 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 	opts := Options{WindowSize: 5, Seed: 4, Steal: true, StealThreshold: 1}
 	key := []byte("test-key")
 	var prev *Snapshot
+	// kept holds the names read from the previous graph's recycled run,
+	// keptWant a copy of their bytes taken when they were read.
+	var kept, keptWant []string
 	for _, b := range builds {
 		for snapshotPool.Get() != nil {
 		}
@@ -249,6 +280,20 @@ func TestRecycledSnapshotMatchesFresh(t *testing.T) {
 		want, got := newSnapRT(cyclic{}, opts), newSnapRT(cyclic{}, opts)
 		fresh.Install(want)
 		reused.Install(got)
+		built := newSnapRT(cyclic{}, opts)
+		b.build(built)
+		if n, w := namesOf(got), namesOf(built); !slices.Equal(n, w) {
+			t.Fatalf("%s: run installed from recycled storage names %q, a fresh build %q", b.name, n, w)
+		}
+		if !slices.Equal(kept, keptWant) {
+			t.Fatalf("%s: names read before the storage was refilled changed to %q, want %q", b.name, kept, keptWant)
+		}
+		kept = namesOf(got)
+		keptWant = make([]string, len(kept))
+		for i, n := range kept {
+			keptWant[i] = strings.Clone(n) // the bytes as read, copied at once
+		}
+		built.Release()
 		// The graph's shared value is built anew, not read from the graph
 		// the storage held before.
 		builtFor := reused.Tasks()

@@ -426,8 +426,9 @@ func resetSlice[T any](s []T, n int) []T {
 // exclusively and retain no references to its tasks, regions or task graph
 // afterwards — in particular Release must not be used when an Observer was
 // configured, since observers typically hold *Task beyond the run. The
-// per-run Result (and its slices) remains valid. Release is a no-op on a
-// second call.
+// per-run Result (and its slices) remains valid, and so do the labels and
+// region names read before (Task.Label, Region.Name), which are copies.
+// Release is a no-op on a second call.
 //
 // A graph the runtime built through Submit is the runtime's own storage,
 // whether or not Snap copied it: Release resets it, and the next NewRuntime
@@ -453,7 +454,8 @@ func (r *Runtime) Release() {
 // runtime waiting in the pool pins nothing of the build that used it — in
 // particular not an installed snapshot, whose owner may recycle its storage
 // for another graph once every runtime it was installed into is released,
-// nor a region of its own memory manager.
+// nor a region of its own memory manager. The next build overwrites the own
+// graph's label bytes and the memory manager's region names.
 func (r *Runtime) recycle() {
 	if r.own != nil {
 		r.own.Reset()
@@ -555,7 +557,10 @@ func (r *Runtime) barrierWindow() int {
 // sync task) on every task submitted before, and the current submission
 // window closes — the paper's runtime partitions the accumulated subgraph
 // "once the execution goes through a barrier point" (§2.2). Calling Barrier
-// with no tasks submitted since the last one is a no-op.
+// with no tasks submitted since the last one is a no-op. No built-in
+// workload calls it; it is facade API for custom builders (numadag.Runtime
+// aliases Runtime), the taskwait of an OmpSs program, and Snap and Install
+// replay the windows it closes.
 func (r *Runtime) Barrier() {
 	if r.running {
 		panic("rt: Barrier during Run")
@@ -619,8 +624,9 @@ func (r *Runtime) WindowTasks(w int) []*Task {
 // WAR edges carry weight 1 (pure ordering). Submit must be called before
 // Run; the TDG is then complete, and the window mechanism reproduces the
 // paper's partial-knowledge partitioning. The task's access list is a copy
-// in the runtime's access arena: spec.Accesses is only read during the
-// call, so a builder may refill one slice for every task.
+// in the runtime's access arena, and its label a copy in the task graph's
+// storage: spec.Accesses and spec.Label are only read during the call, so a
+// builder may refill one slice and one name buffer for every task.
 func (r *Runtime) Submit(spec TaskSpec) *Task {
 	if r.running {
 		panic("rt: Submit during Run")
@@ -699,7 +705,6 @@ func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep, window int) *Task {
 	t := r.arena.next()
 	*t = Task{
 		ID:       id,
-		Label:    spec.Label,
 		Flops:    spec.Flops,
 		Accesses: acc,
 		EPSocket: spec.EPSocket,
@@ -708,6 +713,7 @@ func (r *Runtime) addTask(spec TaskSpec, deps []graph.Dep, window int) *Task {
 		Core:     -1,
 		nDeps:    len(deps),
 		pickedBy: AnySocket,
+		tdg:      r.tdg,
 	}
 	r.tasks = append(r.tasks, t)
 	r.depAt = append(r.depAt, 0)

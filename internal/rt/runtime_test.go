@@ -391,11 +391,11 @@ func TestSubmitCopiesAccesses(t *testing.T) {
 		{rd, []Access{{Region: a, Mode: In}, {Region: b, Mode: Out}}},
 	} {
 		if len(c.task.Accesses) != len(c.want) {
-			t.Fatalf("task %s keeps %d accesses, want %d", c.task.Label, len(c.task.Accesses), len(c.want))
+			t.Fatalf("task %s keeps %d accesses, want %d", c.task.Label(), len(c.task.Accesses), len(c.want))
 		}
 		for i, got := range c.task.Accesses {
 			if got != c.want[i] {
-				t.Fatalf("task %s access %d = {%s %v}, want {%s %v}", c.task.Label, i,
+				t.Fatalf("task %s access %d = {%s %v}, want {%s %v}", c.task.Label(), i,
 					got.Region.Name(), got.Mode, c.want[i].Region.Name(), c.want[i].Mode)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"numadag/internal/freelist"
 	"numadag/internal/graph"
 	"numadag/internal/memory"
+	"numadag/internal/names"
 )
 
 // Snapshot captures the complete submission phase of a runtime — regions,
@@ -17,10 +18,11 @@ import (
 //
 // The TDG itself is shared between the snapshot and every runtime it is
 // installed into: the graph is read-only once submission ends, so concurrent
-// runs can hold the same *graph.DAG. The snapshot owns its graph and the
-// arrays that describe its regions, tasks and access lists: Snap copies them
-// out of the runtime that built them, and no runtime the snapshot is
-// installed into resets or reuses them. Tasks and regions are mutated during
+// runs can hold the same *graph.DAG, and read their tasks' labels from it.
+// The snapshot owns its graph and the arrays that describe its regions
+// (names included), tasks and access lists: Snap copies them out of the
+// runtime that built them, and no runtime the snapshot is installed into
+// resets or reuses them. Tasks and regions are mutated during
 // execution (placement, first-touch), so Install materializes fresh ones.
 // The storage itself comes from a free list of recycled snapshots (see
 // Recycle); a snapshot nobody recycles is left to the garbage collector.
@@ -34,7 +36,10 @@ import (
 type Snapshot struct {
 	tdg     *graph.DAG
 	regions []regionSnap
-	tasks   []taskSnap
+	// names holds region i's name as its name i (the task labels are in
+	// tdg).
+	names names.List
+	tasks []taskSnap
 	// acc backs every task's access list.
 	acc []accessSnap
 	// recycled marks a snapshot waiting on the free list: Install and a
@@ -60,7 +65,6 @@ type sharedValue struct {
 }
 
 type regionSnap struct {
-	name      string
 	bytes     int64
 	placement memory.Placement
 	home      int
@@ -72,7 +76,6 @@ type accessSnap struct {
 }
 
 type taskSnap struct {
-	label    string
 	flops    float64
 	ep       int
 	barrier  bool
@@ -103,12 +106,13 @@ func Snap(r *Runtime) (*Snapshot, error) {
 	}
 	s.recycled = false
 	s.regions = resetSlice(s.regions, len(regions))
+	r.mem.CopyNames(&s.names)
 	for i, reg := range regions {
 		home := 0
 		if reg.Placement() == memory.Home {
 			home = int(reg.HomeOfPage(0))
 		}
-		s.regions[i] = regionSnap{name: reg.Name(), bytes: reg.Bytes(), placement: reg.Placement(), home: home}
+		s.regions[i] = regionSnap{bytes: reg.Bytes(), placement: reg.Placement(), home: home}
 	}
 	// Every task's access list is carved from one slab, and barrierIDs is
 	// in submission order, so one cursor marks the sync tasks.
@@ -128,7 +132,7 @@ func Snap(r *Runtime) (*Snapshot, error) {
 			for j, a := range t.Accesses {
 				id := a.Region.ID()
 				if id < 0 || id >= len(regions) || regions[id] != a.Region {
-					return nil, fmt.Errorf("rt: Snap: task %q accesses a region not allocated from the runtime's memory manager", t.Label)
+					return nil, fmt.Errorf("rt: Snap: task %q accesses a region not allocated from the runtime's memory manager", t.Label())
 				}
 				acc[j] = accessSnap{region: int32(id), mode: a.Mode}
 			}
@@ -137,17 +141,20 @@ func Snap(r *Runtime) (*Snapshot, error) {
 		if barrier {
 			nextBarrier++
 		}
-		s.tasks[i] = taskSnap{label: t.Label, flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
+		s.tasks[i] = taskSnap{flops: t.Flops, ep: t.EPSocket, barrier: barrier, accesses: acc}
 	}
 	r.tdg.CompactInto(s.tdg)
 	return s, nil
 }
 
-// Recycle returns the snapshot's storage — its graph's node arrays and
-// adjacency slab, and its region, task and access arrays — to the free list
-// Snap fills snapshots from, and drops every value Runtime.Shared kept on
-// it. Afterwards the storage references no label, region name, adjacency
-// list or shared value of the graph it held.
+// Recycle returns the snapshot's storage — its graph's node arrays, label
+// bytes and adjacency slab, and its region, region-name, task and access
+// arrays — to the free list Snap fills snapshots from, and drops every
+// value Runtime.Shared kept on it. Afterwards the storage references no
+// adjacency list or shared value of the graph it held, and the next Snap
+// overwrites its labels and region names. A label or region name read
+// before (Task.Label, Region.Name, graph.DAG.Label) is a copy and keeps its
+// value.
 //
 // Only the snapshot's sole owner may call it, and only after every runtime
 // the snapshot was installed into has been Released: a runtime that still
@@ -162,6 +169,7 @@ func (s *Snapshot) Recycle() {
 	s.tdg.Reset()
 	clear(s.regions)
 	clear(s.tasks)
+	s.names.Reset()
 	s.regions, s.tasks, s.acc = s.regions[:0], s.tasks[:0], s.acc[:0]
 	clear(s.shared)
 	s.recycled = true
@@ -211,7 +219,7 @@ func (s *Snapshot) Install(r *Runtime) {
 	}
 	regs := r.regScratch[:len(s.regions)]
 	for i, rp := range s.regions {
-		regs[i] = r.mem.Alloc(rp.name, rp.bytes, rp.placement, rp.home)
+		regs[i] = r.mem.Alloc(s.names.View(i), rp.bytes, rp.placement, rp.home)
 	}
 	n := len(s.tasks)
 	// Tasks and their access lists come out of the runtime's pooled arenas,
@@ -237,7 +245,6 @@ func (s *Snapshot) Install(r *Runtime) {
 		t := r.arena.next()
 		*t = Task{
 			ID:       graph.NodeID(i),
-			Label:    tp.label,
 			Flops:    tp.flops,
 			Accesses: acc,
 			EPSocket: tp.ep,
@@ -245,6 +252,7 @@ func (s *Snapshot) Install(r *Runtime) {
 			Core:     -1,
 			nDeps:    s.tdg.InDegree(graph.NodeID(i)),
 			pickedBy: AnySocket,
+			tdg:      s.tdg,
 		}
 		// The window state machine is the one Submit and Barrier drive.
 		if tp.barrier {

@@ -95,11 +95,11 @@ func requireSameRun(t *testing.T, name string, want, got *Runtime) {
 	}
 	for i := range want.tasks {
 		d, in := want.tasks[i], got.tasks[i]
-		if d.Label != in.Label || d.Flops != in.Flops || d.EPSocket != in.EPSocket ||
+		if d.Label() != in.Label() || d.Flops != in.Flops || d.EPSocket != in.EPSocket ||
 			d.Window != in.Window || d.nDeps != in.nDeps {
 			t.Fatalf("%s: task %d differs: want {%s f=%v ep=%d w=%d deps=%d} got {%s f=%v ep=%d w=%d deps=%d}",
-				name, i, d.Label, d.Flops, d.EPSocket, d.Window, d.nDeps,
-				in.Label, in.Flops, in.EPSocket, in.Window, in.nDeps)
+				name, i, d.Label(), d.Flops, d.EPSocket, d.Window, d.nDeps,
+				in.Label(), in.Flops, in.EPSocket, in.Window, in.nDeps)
 		}
 		if len(d.Accesses) != len(in.Accesses) {
 			t.Fatalf("%s: task %d access count differs", name, i)

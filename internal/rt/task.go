@@ -27,8 +27,12 @@
 // stay valid while the graph grows), keeps the dependence trackers in a
 // dense slice indexed by region ID, and merges each task's dependences in a
 // scratch before adding its TDG node with an exactly sized predecessor
-// list. Snapshot.Install sizes both arenas to the graph and carves every
-// task and access list from them. Neither builds successor lists: Run and
+// list. Names are bytes in storage the build already keeps: the TDG copies
+// each task's label, and the memory manager each region's name, so a
+// builder passes views of one buffer (names.View) and a build allocates no
+// string per task. Snapshot.Install sizes both arenas to the graph and
+// carves every task and access list from them. Neither builds successor
+// lists: Run and
 // Start link every task's successors once from the TDG, in its adjacency
 // order and from one slab, before the policy's Prepare, so a task's
 // successor list is complete from then on (empty before). Release zeroes every arena
@@ -39,12 +43,13 @@
 // Observer was configured and the caller retains no *Task or *Region.
 //
 // Snapshots are recycled the same way. Snap copies a built graph — the
-// compacted TDG and the region, task and access arrays — into the storage
-// of a recycled snapshot, so the prototype runtime that built it keeps its
-// build storage through the pool, as a runtime that builds and runs its
-// graph in place does. Snapshot.Recycle returns a snapshot's storage to the
-// free list Snap draws from; only the snapshot's sole owner may call it, and
-// a snapshot nobody recycles is left to the garbage collector.
+// compacted TDG with its labels, and the region, region-name, task and
+// access arrays — into the storage of a recycled snapshot, so the prototype
+// runtime that built it keeps its build storage through the pool, as a
+// runtime that builds and runs its graph in place does. Snapshot.Recycle
+// returns a snapshot's storage to the free list Snap draws from; only the
+// snapshot's sole owner may call it, and a snapshot nobody recycles is left
+// to the garbage collector.
 //
 // Recycling never trades away determinism: a pooled runtime re-runs a
 // configuration bit-identically to a fresh one (queue order, RNG stream,
@@ -101,6 +106,9 @@ type Access struct {
 // TaskSpec describes a task at submission time.
 type TaskSpec struct {
 	// Label names the task for traces and DOT dumps (e.g. "gemm(2,3)").
+	// Submit only borrows it for the call, as it does Accesses: the task
+	// graph copies its bytes before Submit returns, so the caller may pass
+	// a view of a buffer it refills for every task (names.View).
 	Label string
 	// Flops is the task's compute work in floating-point operations (or an
 	// equivalent abstract work unit; the machine's CoreFlops converts it to
@@ -135,7 +143,6 @@ const (
 // write.
 type Task struct {
 	ID    graph.NodeID
-	Label string
 	Flops float64
 	// Accesses is the task's copy of its region dependences, in the
 	// runtime's access arena: it is runtime storage, valid until the
@@ -163,7 +170,16 @@ type Task struct {
 	nDeps    int     // unresolved predecessors
 	succs    []*Task // linked from the TDG when Run or Start begins
 	pickedBy int     // socket chosen by the policy (before stealing), -1 for cyclic
+	// tdg is the task graph that keeps the task's label.
+	tdg *graph.DAG
 }
+
+// Label returns the task's label, as its TaskSpec named it. The label's
+// bytes are kept once, in the storage of the task graph (the runtime's own,
+// or its installed snapshot's); Label returns a copy, which stays valid
+// after the runtime is Released and the snapshot Recycled. Only traces,
+// exports and error paths read labels.
+func (t *Task) Label() string { return t.tdg.Label(t.ID) }
 
 // State helpers used by tests and policies.
 

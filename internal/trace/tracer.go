@@ -229,7 +229,7 @@ func (o *machObserver) TaskEnd(t *rt.Task) {
 		args = `{"stolen":true}`
 	}
 	o.p.spans = append(o.p.spans, span{
-		tid: t.Core, name: t.Label, ts: t.StartAt, dur: t.EndAt - t.StartAt, args: args,
+		tid: t.Core, name: t.Label(), ts: t.StartAt, dur: t.EndAt - t.StartAt, args: args,
 	})
 	o.tr.mu.Unlock()
 }
@@ -266,7 +266,7 @@ func (o *machObserver) TaskStolen(t *rt.Task, victim, thief int) {
 	o.p.instants = append(o.p.instants, instant{
 		name: "steal",
 		ts:   now,
-		args: fmt.Sprintf(`{"task":%s,"victim":%d,"thief":%d}`, QuoteString(t.Label), victim, thief),
+		args: fmt.Sprintf(`{"task":%s,"victim":%d,"thief":%d}`, QuoteString(t.Label()), victim, thief),
 	})
 	o.tr.mu.Unlock()
 }

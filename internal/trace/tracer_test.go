@@ -22,7 +22,7 @@ type pinByLabel struct{}
 
 func (pinByLabel) Name() string { return "pinbylabel" }
 func (pinByLabel) PickSocket(_ *rt.Runtime, t *rt.Task) int {
-	if t.Label == "near" {
+	if t.Label() == "near" {
 		return 0
 	}
 	return 1

@@ -6,6 +6,7 @@ import (
 
 	"numadag/internal/apps"
 	"numadag/internal/memory"
+	"numadag/internal/names"
 	"numadag/internal/rt"
 	"numadag/internal/xrand"
 )
@@ -139,7 +140,7 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 		for l := 0; l < layers; l++ {
 			for i := 0; i < width; i++ {
 				text = appendPair(append(text[:0], "d["...), l, "][", i, "]")
-				out := r.Mem().Alloc(string(text), bytes, memory.Deferred, 0)
+				out := r.Mem().Alloc(names.View(text), bytes, memory.Deferred, 0)
 				cur[i] = out
 				k := 0
 				if l > 0 {
@@ -159,7 +160,7 @@ func randomLayeredFactory(s Spec, scale apps.Scale, seed uint64) (Workload, erro
 				}
 				text = appendPair(append(text[:0], "t("...), l, ",", i, ")")
 				r.Submit(rt.TaskSpec{
-					Label:    string(text),
+					Label:    names.View(text),
 					Flops:    jitter(rng, flops, cv),
 					Accesses: acc,
 					EPSocket: rt.NoEPHint,
@@ -212,10 +213,15 @@ func forkJoinFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 		rng := xrand.New(seed)
 		// One list for every task, sized for a join (Submit copies it).
 		acc := make([]rt.Access, 0, fanout+1)
-		// submit allocates the task's output region, named like the task,
-		// and submits the task reading the non-nil inputs.
-		submit := func(label string, work float64, inputs ...*memory.Region) *memory.Region {
-			out := r.Mem().Alloc(label, bytes, memory.Deferred, 0)
+		// path is the current node's position in the tree (".1.0" for the
+		// first child of the second child of the root), and label the
+		// buffer each task's name is formatted into.
+		var path, label []byte
+		// submit allocates the task's output region, named kind+path like
+		// the task, and submits the task reading the non-nil inputs.
+		submit := func(kind string, work float64, inputs ...*memory.Region) *memory.Region {
+			label = append(append(label[:0], kind...), path...)
+			out := r.Mem().Alloc(names.View(label), bytes, memory.Deferred, 0)
 			acc = acc[:0]
 			for _, in := range inputs {
 				if in != nil {
@@ -224,26 +230,29 @@ func forkJoinFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 			}
 			acc = append(acc, rt.Access{Region: out, Mode: rt.Out})
 			r.Submit(rt.TaskSpec{
-				Label:    label,
+				Label:    names.View(label),
 				Flops:    jitter(rng, work, cv),
 				Accesses: acc,
 				EPSocket: rt.NoEPHint,
 			})
 			return out
 		}
-		var expand func(level int, path string, in *memory.Region) *memory.Region
-		expand = func(level int, path string, in *memory.Region) *memory.Region {
+		var expand func(level int, in *memory.Region) *memory.Region
+		expand = func(level int, in *memory.Region) *memory.Region {
 			if level == depth {
-				return submit("leaf"+path, flops, in)
+				return submit("leaf", flops, in)
 			}
-			fork := submit("fork"+path, flops/4, in)
+			fork := submit("fork", flops/4, in)
 			children := make([]*memory.Region, fanout)
+			n := len(path)
 			for c := range children {
-				children[c] = expand(level+1, path+"."+strconv.Itoa(c), fork)
+				path = strconv.AppendInt(append(path[:n], '.'), int64(c), 10)
+				children[c] = expand(level+1, fork)
 			}
-			return submit("join"+path, flops/2, children...)
+			path = path[:n]
+			return submit("join", flops/2, children...)
 		}
-		expand(0, "", nil)
+		expand(0, nil)
 		return nil
 	}
 	return Workload{Build: build}, nil
@@ -299,9 +308,11 @@ func noopFactory(s Spec, scale apps.Scale, seed uint64) (Workload, error) {
 		return Workload{}, err
 	}
 	build := func(r *rt.Runtime) error {
+		var label []byte
 		for i := 0; i < tasks; i++ {
+			label = strconv.AppendInt(append(label[:0], "noop"...), int64(i), 10)
 			r.Submit(rt.TaskSpec{
-				Label:    "noop" + strconv.Itoa(i),
+				Label:    names.View(label),
 				Flops:    flops,
 				EPSocket: rt.NoEPHint,
 			})

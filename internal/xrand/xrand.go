@@ -53,13 +53,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.PermInto(make([]int, n)) }
-
 // PermInto overwrites p with a pseudo-random permutation of [0, len(p)) and
-// returns it. It draws exactly what Perm(len(p)) draws, so a caller that
-// reuses one buffer sees the same permutations and leaves the generator in
-// the same state.
+// returns it: a Fisher–Yates shuffle of the identity, drawing Intn(i+1)
+// for i from len(p)-1 down to 1, whatever p held before. A caller reuses
+// one buffer for every permutation.
 func (r *Rand) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i

@@ -78,14 +78,14 @@ func TestFloat64Range(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(5)
 	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := r.Perm(n)
+		p := r.PermInto(make([]int, n))
 		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+			t.Fatalf("PermInto of %d has length %d", n, len(p))
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("PermInto of %d = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}
@@ -93,9 +93,9 @@ func TestPermIsPermutation(t *testing.T) {
 }
 
 // TestPermIntoMatchesPerm pins PermInto to the draws of the Fisher–Yates
-// loop Perm has always used: the same permutation for every seed and
-// length, whatever the buffer held before, and the same generator state
-// afterwards.
+// loop the allocating Perm it replaced always used: the same permutation
+// for every seed and length, whatever the buffer held before, and the same
+// generator state afterwards.
 func TestPermIntoMatchesPerm(t *testing.T) {
 	reference := func(r *Rand, n int) []int {
 		p := make([]int, n)
@@ -111,21 +111,20 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 	buf := make([]int, 100)
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
 		for _, n := range []int{0, 1, 2, 3, 17, 64, 100} {
-			want, viaPerm, viaInto := New(seed), New(seed), New(seed)
+			want, viaInto := New(seed), New(seed)
 			ref := reference(want, n)
-			perm := viaPerm.Perm(n)
 			for i := range buf {
 				buf[i] = -7 // stale contents must not leak into the result
 			}
 			into := viaInto.PermInto(buf[:n])
 			for i := 0; i < n; i++ {
-				if perm[i] != ref[i] || into[i] != ref[i] {
-					t.Fatalf("seed %d n %d: position %d: reference %d, Perm %d, PermInto %d",
-						seed, n, i, ref[i], perm[i], into[i])
+				if into[i] != ref[i] {
+					t.Fatalf("seed %d n %d: position %d: reference %d, PermInto %d",
+						seed, n, i, ref[i], into[i])
 				}
 			}
 			next := want.Uint64()
-			if viaPerm.Uint64() != next || viaInto.Uint64() != next {
+			if viaInto.Uint64() != next {
 				t.Fatalf("seed %d n %d: generator state diverged after the permutation", seed, n)
 			}
 		}

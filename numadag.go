@@ -113,8 +113,10 @@
 // contextual scale and seed=N drives the generator's own randomness —
 // distinct from the runtime seed, so an N-replicate sweep reuses one graph.
 // Custom generators register like policies. Submit copies a task's access
-// list into the runtime (Task.Accesses is runtime storage until the runtime
-// is released), so a builder can refill one slice for every task:
+// list and label into the runtime, and Mem().Alloc a region's name
+// (Task.Accesses is runtime storage until the runtime is released;
+// Task.Label and Region.Name return copies), so a builder can refill one
+// slice for every task:
 //
 //	numadag.MustRegisterWorkload("chain", "linear pipeline [n]",
 //		func(s numadag.WorkloadSpec, scale numadag.Scale, seed uint64) (numadag.Workload, error) {
@@ -224,7 +226,8 @@ type (
 	RuntimeOptions = rt.Options
 	// TaskSpec describes a task at submission.
 	TaskSpec = rt.TaskSpec
-	// Task is a submitted task instance.
+	// Task is a submitted task instance. Its label is kept once, in the
+	// task graph's storage; the Label method returns a copy.
 	Task = rt.Task
 	// Access is one region dependence of a task.
 	Access = rt.Access
