@@ -18,18 +18,30 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# The experiment scheduler sets replicates aside while their leader runs
-# and hands them back when it finishes, runtimes that install one snapshot
-# share the values it keeps (rt.Runtime.Shared, RGP's window plan): one
-# builds while the others wait, and the snapshot cache recycles a
-# snapshot's storage once the last cell holding it has released its
-# runtime, for the next graph's snapshot to fill. Repeated race runs of the
-# pool and cache tests, of the sharing tests and of the snapshot recycling
-# tests exercise more of those interleavings than one pass does. CI runs it
-# in the `race` job after `test-race`.
+# The experiment's pool is its one scheduler: it sets a cell aside while
+# its graph's snapshot is being built or its replicate leader runs, builds
+# each shared graph once, and recycles a snapshot's storage once the last
+# cell holding it has released its runtime, for the next graph's snapshot
+# to fill; runtimes that install one snapshot share the values it keeps
+# (rt.Runtime.Shared, RGP's window plan): one builds, and a follower run
+# beside it, by a worker with nothing else to claim, waits.
+# Repeated race runs of the pool and experiment tests (the two no-wait
+# tests among them), of the sharing tests and of the snapshot recycling
+# tests exercise more of those interleavings than one pass does. Every
+# alternative of each -run pattern must list a test (go test -list), so a
+# renamed test cannot leave the gate silently empty. CI runs it in the
+# `race` job after `test-race`.
+RACE_CORE = TestExperiment|TestPool|TestSnapshotCacheGraphOutlivesPooledBuild
+RACE_RT = TestShared|TestRecycledSnapshot|TestGraphStorageOwnership
+listed = for pat in $(subst |, ,$(1)); do \
+		$(GO) test -list "$$pat" $(2) | grep -q '^Test' || { echo "-run $$pat lists no test in $(2)" >&2; exit 1; }; \
+	done
+
 test-race-experiment:
-	$(GO) test -race -count=10 -run 'TestExperiment|TestSnapshotCache' ./internal/core
-	$(GO) test -race -count=10 -run 'TestShared|TestRecycledSnapshot|TestGraphStorageOwnership' ./internal/rt
+	@$(call listed,$(RACE_CORE),./internal/core)
+	@$(call listed,$(RACE_RT),./internal/rt)
+	$(GO) test -race -count=10 -run '$(RACE_CORE)' ./internal/core
+	$(GO) test -race -count=10 -run '$(RACE_RT)' ./internal/rt
 
 # Blocking allocation-contract gate: deterministic testing.AllocsPerRun
 # tests (not benchmarks) asserting steady-state allocation bounds for the
@@ -55,9 +67,9 @@ test-race-experiment:
 # snapshot keeps), cold task-graph construction (build + snapshot of a
 # random layered graph on a pooled prototype runtime, which keeps its build
 # storage while Snap copies the graph out, bounded per task), a shared
-# graph's full cycle through the experiment's snapshot cache (build and
-# snapshot into recycled snapshot storage, install into two cells, release
-# both, recycle; bounded per task in allocations and in bytes, since the
+# graph's full cycle through the experiment's pool (build and snapshot
+# into recycled snapshot storage, install into two cells, release both,
+# recycle; bounded per task in allocations and in bytes, since the
 # snapshot's storage is a few large arrays that a count barely sees),
 # an app's build + snapshot (small-scale jacobi, bounded at its count, so
 # the builders keep refilling one access list and one name buffer, whose
@@ -69,14 +81,16 @@ test-race-experiment:
 # released, bounded at one fixed count per cell for a 512- and a 2048-task
 # graph, so an allocation per task fails the larger, and per task in bytes:
 # an access list kept per task costs well under 0.01 allocations but ~72
-# bytes per task), a graph rebuild after DAG.Reset (0), and the cluster
-# dispatcher's placement step. A named,
-# blocking CI step (`allocs` in ci.yml); a regression fails the build, not
-# just the nightly bench trend.
+# bytes per task), a file workload's build into a pooled runtime (one fixed
+# count per build for a 512- and a 2048-task graph: labels and edge numbers
+# are resolved with the spec, region names formatted into one buffer), a
+# graph rebuild after DAG.Reset (0), and the cluster dispatcher's placement
+# step. A named, blocking CI step (`allocs` in ci.yml); a regression fails
+# the build, not just the nightly bench trend.
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' -count=1 \
 		./internal/sim ./internal/partition ./internal/graph ./internal/rt ./internal/policy \
-		./internal/core ./internal/cluster
+		./internal/core ./internal/cluster ./internal/workload
 
 # Traced-determinism gate: the full determinism golden sweep with a Tracer
 # attached to every cell must reproduce the untraced goldens byte for byte
@@ -111,7 +125,7 @@ ci: fmt-check build vet test test-race test-race-experiment test-allocs test-tra
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Simulator hot-path families only: the multi-seed sweep (TDG-cache)
+# Simulator hot-path families only: the multi-seed sweep (shared-graph)
 # family, plus the sim micro-benchmarks whose allocs/op pin the
 # zero-allocation contract.
 bench-sim:

@@ -7,7 +7,7 @@
 // TestPlainCellSteadyStateAllocs (make test-allocs). What stays here:
 //
 //	BenchmarkAblationPartitioner/...  A2: partitioner quality on app TDGs
-//	BenchmarkMultiSeedSweep/cached    a replicated grid on the TDG cache
+//	BenchmarkMultiSeedSweep/cached    a replicated grid on shared snapshots
 //	BenchmarkPartitionerScaling/...   partitioner cost on growing grids
 //	BenchmarkDagpart/...              cmd/dagpart's partition + mapping flow
 package numadag_test

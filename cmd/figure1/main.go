@@ -3,7 +3,7 @@
 // simulated Atos bullion S16 (8 sockets x 4 cores), plus the geometric mean.
 //
 // Each (workload, machine) task graph is built once per run and shared
-// across the policy/seed cells via the experiment's TDG cache, so multi-seed
+// across the policy/seed cells by the experiment's pool, so multi-seed
 // sweeps pay generator cost once. -apps accepts workload registry specs, so
 // the figure can be regenerated over synthetic or imported DAGs too. The
 // whole grid runs in one process: its 96 cells at paper scale take 1–1.5 s

@@ -6,8 +6,8 @@
 // dependence pattern (each tile waits on its north and west neighbors —
 // dynamic programming, Smith-Waterman, LU-style sweeps). Once registered,
 // "wavefront?n=24" is a first-class workload spec: Run, Experiment grids
-// and the CLIs all resolve it, the experiment's TDG cache builds it once
-// per machine no matter how many seeds race over it, and every run goes
+// and the CLIs all resolve it, an experiment builds its graph once per
+// machine no matter how many seeds race over it, and every run goes
 // through the audited path.
 //
 //	go run ./examples/customworkload

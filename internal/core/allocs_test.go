@@ -7,7 +7,6 @@ import (
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
-	"numadag/internal/rt"
 	"numadag/internal/workload"
 )
 
@@ -79,7 +78,7 @@ func TestPlainCellSteadyStateAllocs(t *testing.T) {
 // TestBuildSnapshotSteadyStateAllocs pins cold task-graph construction:
 // building a random layered graph through rt.Submit on a warmed pooled
 // prototype runtime and snapshotting it — Workload.Snapshot, the experiment
-// cache's builder — may allocate only what the snapshot keeps and the
+// pool's builder — may allocate only what the snapshot keeps and the
 // prototype machine, which nothing recycles here: measured 0.314 allocs
 // per task (161 per build of 512 tasks), also under -race. Labels and
 // region names are copied into storage the graph, the memory manager and
@@ -203,40 +202,36 @@ func TestInPlaceCellSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSharedGraphCycleSteadyStateAllocs pins the storage cycle of a graph
-// an Experiment shares, on warmed pools: the snapshot cache builds and
-// snapshots it (Workload.Snapshot), two cells install it, run, audit and
-// release their runtimes (runWith), and the second one's put recycles the
-// snapshot. The prototype runtime builds into the graph storage the runtime
-// pool keeps, Snap copies the graph, labels and region names into the
-// storage of the snapshot recycled by the cycle before, and both cells'
-// runtimes come from the pool and copy the region names into their memory
-// managers, so what a cycle may allocate is the fixed tails of the
-// prototype machine, the cache and each cell: measured 0.285 allocations
-// and 17.5 bytes per task (17.9 under -race). With a string per label and
-// region name it measured 2.285 and 35.5 (49.9 under -race). A cycle that
-// leaves its snapshot to the collector instead measured 2.307 and 382.1
-// then: the snapshot's storage is a few exactly sized arrays, so the bytes
-// bound is what catches it.
+// an Experiment shares, on warmed pools: the experiment's pool is made, its
+// first claimed cell builds and snapshots the graph (Workload.Snapshot),
+// both cells install it, run, audit and release their runtimes (runWith),
+// and the second one's release recycles the snapshot. The prototype runtime
+// builds into the graph storage the runtime pool keeps, Snap copies the
+// graph, labels and region names into the storage of the snapshot recycled
+// by the cycle before, and both cells' runtimes come from the pool and copy
+// the region names into their memory managers, so what a cycle may
+// allocate is the fixed tails of the prototype machine, the pool and each
+// cell: measured 0.281 allocations and 16.9 bytes per task (17.3 under
+// -race). With a string per label and region name it measured 2.285 and
+// 35.5 (49.9 under -race). A cycle that leaves its snapshot to the
+// collector instead measured 2.307 and 382.1 then: the snapshot's storage
+// is a few exactly sized arrays, so the bytes bound is what catches it.
 func TestSharedGraphCycleSteadyStateAllocs(t *testing.T) {
 	const layers, width = 16, 32
 	spec := fmt.Sprintf("random-layered?layers=%d&width=%d&seed=5", layers, width)
-	w, err := workload.New(spec, apps.Paper)
+	e := &Experiment{Apps: []string{spec}, Policies: []string{"LAS", "LAS"}, Scale: apps.Paper}
+	grid, err := e.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(spec, "LAS", apps.Paper)
-	build := func() (*rt.Snapshot, error) { return w.Snapshot(cfg.Machine) }
 	cycle := func() {
-		c := newSnapshotCache(map[string]int{"k": 2})
+		p := newPool(grid.ps, grid.wls, 1, 1)
 		for range 2 {
-			e, err := c.get("k", build)
-			if err != nil {
+			j, _ := p.claim()
+			if _, err := p.run(cfg, j); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := runWith(cfg, nil, e.snap); err != nil {
-				t.Fatal(err)
-			}
-			c.put(e)
 		}
 	}
 	for i := 0; i < 5; i++ {

@@ -11,7 +11,7 @@ import (
 
 // coldSweepSpecs returns the 48 distinct random layered specs of the
 // benchmark's cold-sweep workload (seeds 1000..1047): every graph is built
-// and snapshotted once, so construction is not amortised by the cache.
+// and snapshotted once, so construction is not amortised across cells.
 func coldSweepSpecs() []string {
 	specs := make([]string, 48)
 	for k := range specs {
@@ -23,7 +23,7 @@ func coldSweepSpecs() []string {
 // BenchmarkBuildSnapshot measures cold task-graph construction: one op
 // resolves, builds (rt.Submit's dependence derivation on a pooled
 // prototype runtime) and snapshots every spec of a row once, through the
-// same Workload.Snapshot the experiment cache calls. Rows: the eight paper
+// same Workload.Snapshot the experiment's pool calls. Rows: the eight paper
 // apps and the cold-sweep specs, both at paper scale on the bullion.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	mc := machine.BullionS16()

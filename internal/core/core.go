@@ -74,8 +74,8 @@ func Run(cfg Config) (RunResult, error) {
 
 // runWith executes one configuration and reports whether the run used its
 // seed. The task graph is installed from snap when it is non-nil (a graph
-// an Experiment's cells share, through its snapshot cache — bit-identical
-// to rebuilding). Otherwise it is built in place, into the run's own
+// an Experiment's cells share, through its pool — bit-identical to
+// rebuilding). Otherwise it is built in place, into the run's own
 // pooled runtime, from w, or from cfg.App resolved through the workload
 // registry when w is nil.
 func runWith(cfg Config, w *workload.Workload, snap *rt.Snapshot) (RunResult, error) {

@@ -76,17 +76,16 @@ type Sink interface {
 // declarations of this type.
 //
 // Each (workload, machine) task graph that several cells run — several
-// policies, variants or replicates — is built once (Workload.Snapshot),
-// installed by every cell that runs it, and dropped once the last of them
-// has taken it, so a sweep's memory follows its workers rather than its
-// number of distinct graphs. Once the last of them has also released its
-// runtime, the snapshot's storage is recycled for the next graph's
-// snapshot (see snapshotCache); a traced or observed cell never releases
-// its runtime, so its snapshot is left to the garbage collector. A graph
-// that exactly one cell runs is built straight into that cell's runtime
-// instead, on graph storage the runtime pool keeps from build to build, and
-// is never snapshotted. Installed graphs are bit-identical to rebuilt ones,
-// so neither path changes results.
+// policies, variants or replicates — is built once (Workload.Snapshot) and
+// installed by every cell that runs it. Once the last of them has released
+// its runtime, the snapshot's storage is recycled for the next graph's
+// snapshot, so a sweep's memory follows its workers rather than its number
+// of distinct graphs; a traced or observed cell never releases its runtime,
+// so its snapshot is left to the garbage collector. A graph that exactly
+// one cell runs is built straight into that cell's runtime instead, on
+// graph storage the runtime pool keeps from build to build, and is never
+// snapshotted. Installed graphs are bit-identical to rebuilt ones, so
+// neither path changes results.
 //
 // Replicates share results the same way. Replicate 0 of each (app,
 // policy, machine, variant) group leads it. When the leader's run never
@@ -96,9 +95,11 @@ type Sink interface {
 // and its own Cell and Config, instead of simulating. DFIFO and EP on the
 // paper's apps are such runs, and so is RGP, which repartitions every
 // window with a fixed partitioner seed; LAS, and RGP+LAS on a graph of more
-// than one window, are not. A copy never changes results. No worker waits
-// on a leader: a replicate whose leader is still running is set aside while
-// its worker claims the next cell.
+// than one window, are not. A copy never changes results.
+//
+// One scheduler does both (see pool): no worker waits while it has a cell
+// to run. A cell whose graph another worker is building, or whose leader
+// is still running, is set aside while its worker claims the next cell.
 type Experiment struct {
 	// Name labels the experiment (used in progress/diagnostic output).
 	Name string
@@ -144,11 +145,10 @@ type plan struct {
 	cell Cell
 	mach machine.Config
 	vari Variant
-	// key is the cell's (workload, machine) graph in the snapshot cache,
-	// and inPlace marks a graph no other cell of the grid runs; resolve
-	// sets both.
-	key     string
-	inPlace bool
+	// graph numbers the cell's (workload, machine) graph among the graphs
+	// several cells share, or is -1 for a graph the cell alone runs, which
+	// it builds in place; resolve sets it.
+	graph int
 }
 
 func (e *Experiment) plans() ([]plan, error) {
@@ -243,38 +243,6 @@ func (e *Experiment) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// runCell executes one grid cell. A graph the cell alone runs is built in
-// place, into the cell's own runtime, from the grid's resolved workload; a
-// shared one is installed from the cached snapshot of its (workload,
-// machine) pair, which the cell holds until its runtime is released.
-func (g *grid) runCell(cfg Config, p plan) (RunResult, error) {
-	w := g.wls[p.cell.App]
-	if p.inPlace {
-		return runWith(cfg, &w, nil)
-	}
-	e, err := g.cache.get(p.key, func() (*rt.Snapshot, error) {
-		return w.Snapshot(p.mach)
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	res, err := runWith(cfg, nil, e.snap)
-	if err == nil && cfg.pooled() {
-		g.cache.put(e) // the runtime went back to the pool
-	}
-	return res, err
-}
-
-// copyCell is a follower's result when its group leader's run was
-// seed-free: the leader's statistics, with slices of its own, under the
-// cell's own Cell and Config. The cell is counted down in the snapshot
-// cache as if it had taken the snapshot; a follower shares its graph with
-// its leader, so its graph is never an in-place one.
-func (g *grid) copyCell(cfg Config, p plan, lead *rt.Result) CellResult {
-	g.cache.forgo(p.key)
-	return CellResult{Cell: p.cell, Config: cfg, Stats: lead.Clone()}
-}
-
 // config builds the audited-run configuration for one plan.
 func (e *Experiment) config(p plan) Config {
 	cfg := Config{
@@ -312,66 +280,60 @@ func (e *Experiment) Run(ctx context.Context, sinks ...Sink) error {
 }
 
 func (e *Experiment) run(ctx context.Context, sinks ...Sink) error {
-	g, err := e.resolve()
+	p, err := e.resolve()
 	if err != nil {
 		return err
 	}
-	return e.execute(ctx, g, sinks...)
-}
-
-// grid is one Run's resolved work: the cells to execute, their workloads
-// by spec, and the snapshot cache.
-type grid struct {
-	ps    []plan
-	wls   map[string]workload.Workload
-	cache *snapshotCache
+	return e.execute(ctx, p, sinks...)
 }
 
 // resolve enumerates the cells Run will execute, resolves their workloads
 // and decides where each cell's task graph comes from: a graph planned for
-// one cell alone is built in place, and the cache plans the shared ones.
-func (e *Experiment) resolve() (*grid, error) {
+// one cell alone is built in place, and the pool numbers the shared ones.
+func (e *Experiment) resolve() (*pool, error) {
 	ps, err := e.plans()
 	if err != nil {
 		return nil, err
 	}
 	// Resolve each distinct workload spec once up front: resolution may
 	// touch disk (file import) and the instances are shared by every cell
-	// and by the snapshot cache. A bad spec fails the whole grid here,
+	// and by the pool's builds. A bad spec fails the whole grid here,
 	// before any simulation time is spent.
 	wls := make(map[string]workload.Workload)
-	planned := make(map[string]int)
+	keys := make([]string, len(ps))
+	cells := make(map[string]int)
 	for i := range ps {
-		p := &ps[i]
-		w, ok := wls[p.cell.App]
+		w, ok := wls[ps[i].cell.App]
 		if !ok {
 			var err error
-			if w, err = workload.New(p.cell.App, e.Scale); err != nil {
+			if w, err = workload.New(ps[i].cell.App, e.Scale); err != nil {
 				return nil, err
 			}
-			wls[p.cell.App] = w
+			wls[ps[i].cell.App] = w
 		}
-		// Count the cells that run each graph, under the cache's own key
-		// scheme.
-		p.key = cacheKey(w, p.mach)
-		planned[p.key]++
+		keys[i] = graphKey(w, ps[i].mach)
+		cells[keys[i]]++
 	}
 	// A graph one cell alone runs would be built, copied by rt.Snap and
 	// copied again by Install for that one run; the cell builds it into its
-	// own runtime instead, and the cache never sees it.
-	for i := range ps {
-		if p := &ps[i]; planned[p.key] == 1 {
-			p.inPlace = true
-			delete(planned, p.key)
+	// own runtime instead, and the pool never sees it.
+	graphs := make(map[string]int)
+	for i, key := range keys {
+		ps[i].graph = -1
+		if cells[key] > 1 {
+			if _, ok := graphs[key]; !ok {
+				graphs[key] = len(graphs)
+			}
+			ps[i].graph = graphs[key]
 		}
 	}
-	return &grid{ps: ps, wls: wls, cache: newSnapshotCache(planned)}, nil
+	return newPool(ps, wls, replicates(e.Seeds), len(graphs)), nil
 }
 
 // execute runs the resolved cells on the worker pool and delivers their
 // results to the sinks in canonical order.
-func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error {
-	ps := g.ps
+func (e *Experiment) execute(ctx context.Context, p *pool, sinks ...Sink) error {
+	ps := p.ps
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -384,13 +346,12 @@ func (e *Experiment) execute(ctx context.Context, g *grid, sinks ...Sink) error 
 	}
 	// Room for every cell and each worker's stopping error: no send blocks.
 	results := make(chan outcome, len(ps)+workers)
-	pl := newPool(ps, replicates(e.Seeds))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := e.work(ctx, g, pl, results); err != nil {
+			if err := e.work(ctx, p, results); err != nil {
 				// Any error dooms the experiment; the worker stops claiming
 				// cells instead of burning cycles until cancellation lands.
 				results <- outcome{err: err}
@@ -454,35 +415,29 @@ type outcome struct {
 
 // work is one worker: it claims cells until none is left, runs or copies
 // each, and sends the results. It returns the error that stopped it.
-func (e *Experiment) work(ctx context.Context, g *grid, pl *pool, results chan<- outcome) error {
+func (e *Experiment) work(ctx context.Context, p *pool, results chan<- outcome) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		j, ok := pl.claim()
+		j, ok := p.claim()
 		if !ok {
 			return nil
 		}
-		p := g.ps[j.i]
-		cfg := e.config(p)
+		pl := p.ps[j.i]
+		cfg := e.config(pl)
 		if j.lead != nil {
-			results <- outcome{res: g.copyCell(cfg, p, j.lead)}
+			// A copy: the leader's statistics, with slices of its own,
+			// under the cell's own Cell and Config.
+			results <- outcome{res: CellResult{Cell: pl.cell, Config: cfg, Stats: j.lead.Clone()}}
+			p.release(j)
 			continue
 		}
-		res, err := g.runCell(cfg, p)
+		res, err := p.run(cfg, j)
 		if err != nil {
 			return err
 		}
-		results <- outcome{res: CellResult{Cell: p.cell, Config: cfg, Stats: res.Stats}}
-		free := !res.seedUsed && cfg.pooled()
-		copies, lead := pl.finish(j.i, &res.Stats, free)
-		for _, f := range copies {
-			// Nothing else stops a run of copies once the leader is done:
-			// a cancelled grid makes no more of them.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			results <- outcome{res: g.copyCell(e.config(g.ps[f]), g.ps[f], lead)}
-		}
+		results <- outcome{res: CellResult{Cell: pl.cell, Config: cfg, Stats: res.Stats}}
+		p.finish(j.i, &res.Stats, !res.seedUsed && cfg.pooled())
 	}
 }

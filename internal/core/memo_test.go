@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"numadag/internal/apps"
-	"numadag/internal/memory"
 	"numadag/internal/policy"
 	"numadag/internal/rt"
 	"numadag/internal/workload"
@@ -27,7 +26,8 @@ var (
 )
 
 // gatePolicy places like DFIFO, never reaching the seed, and blocks in
-// Prepare on the test-gate workload.
+// Prepare on the test-gate workload (a two-task graph, registered with the
+// others in pool_test.go).
 type gatePolicy struct{}
 
 func (gatePolicy) Name() string                         { return "test-gate" }
@@ -41,21 +41,7 @@ func (gatePolicy) Prepare(r *rt.Runtime) {
 
 func init() {
 	policy.MustRegister("test-gate", func(s policy.Spec) (rt.Policy, error) { return gatePolicy{}, nil })
-	err := workload.Register("test-gate", "a small graph the test-gate policy blocks on",
-		func(s workload.Spec, _ apps.Scale, _ uint64) (workload.Workload, error) {
-			return workload.Workload{Build: func(r *rt.Runtime) error {
-				reg := r.Mem().Alloc("x", 64<<10, memory.Deferred, 0)
-				r.Submit(rt.TaskSpec{Label: "gate", Flops: 4000,
-					Accesses: []rt.Access{{Region: reg, Mode: rt.Out}}, EPSocket: rt.NoEPHint})
-				r.Submit(rt.TaskSpec{Label: "read", Flops: 2000,
-					Accesses: []rt.Access{{Region: reg, Mode: rt.In}}, EPSocket: rt.NoEPHint})
-				return nil
-			}}, s.Only()
-		})
-	if err != nil {
-		panic(err)
-	}
-	err = workload.Register("test-fail", "a workload whose build fails",
+	err := workload.Register("test-fail", "a workload whose build fails",
 		func(s workload.Spec, _ apps.Scale, _ uint64) (workload.Workload, error) {
 			return workload.Workload{Build: func(*rt.Runtime) error { return errBoom }}, s.Only()
 		})
@@ -132,13 +118,13 @@ func TestExperimentReplicateCopiesMatchRuns(t *testing.T) {
 			Seeds:    seeds,
 			Workers:  workers,
 		}
-		g, err := e.resolve()
+		p, err := e.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var cells []CellResult
 		sink := SinkFunc(func(r CellResult) error { cells = append(cells, r); return nil })
-		if err := e.execute(context.Background(), g, sink); err != nil {
+		if err := e.execute(context.Background(), p, sink); err != nil {
 			t.Fatal(err)
 		}
 		if len(cells) != 3*5*seeds {
@@ -171,10 +157,7 @@ func TestExperimentReplicateCopiesMatchRuns(t *testing.T) {
 				owners[p] = i
 			}
 		}
-		// Every simulated cell takes its snapshot from the cache; a copy
-		// only counts its entry down.
-		hits, misses := g.cache.stats()
-		simulated := hits + misses
+		simulated := len(cells) - p.copies
 		if copyable == 0 || copyable == len(cells) {
 			t.Fatalf("%d of %d cells copyable: the grid must mix seeded and seed-free groups", copyable, len(cells))
 		}
@@ -184,8 +167,10 @@ func TestExperimentReplicateCopiesMatchRuns(t *testing.T) {
 		if simulated < len(cells)-copyable || simulated > len(cells) {
 			t.Errorf("workers=%d: simulated %d cells, want %d..%d", workers, simulated, len(cells)-copyable, len(cells))
 		}
-		if n := g.cache.size(); n != 0 || len(g.cache.left) != 0 {
-			t.Errorf("workers=%d: after Run: %d cached snapshots, %d planned keys left; want none", workers, n, len(g.cache.left))
+		for k, g := range p.graphs {
+			if g != nil {
+				t.Errorf("workers=%d: after Run: graph %d still planned for %d cells; want none", workers, k, g.left)
+			}
 		}
 	}
 }
@@ -206,14 +191,14 @@ func TestExperimentCancelWithFollowersSetAside(t *testing.T) {
 		Seeds:    3,
 		Workers:  2,
 	}
-	g, err := e.resolve()
+	p, err := e.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errc := make(chan error, 1)
-	go func() { errc <- e.execute(ctx, g) }()
+	go func() { errc <- e.execute(ctx, p) }()
 	for k := 0; k < 2; k++ {
 		select {
 		case <-gateHit:
@@ -231,14 +216,18 @@ func TestExperimentCancelWithFollowersSetAside(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("Run hung after cancellation with a follower set aside")
 	}
-	// A copy counts its cell down in the snapshot cache: the set-aside
-	// follower must still be planned there, the grid's only cell left.
-	alone := len(g.cache.left) == 1
-	for _, n := range g.cache.left {
-		alone = alone && n == 1
+	// A copy is claimed, and so counted down in its graph: the set-aside
+	// follower must still be planned there and set aside, the grid's only
+	// cell left.
+	left := 0
+	for _, g := range p.graphs {
+		if g != nil {
+			left += g.left
+		}
 	}
-	if !alone {
-		t.Errorf("planned cells left in the cache: %v; want the set-aside follower alone", g.cache.left)
+	if left != 1 || len(p.aside) != 1 || p.next != len(p.ps) {
+		t.Errorf("%d planned cells left, %d set aside, %d never claimed; want the set-aside follower alone",
+			left, len(p.aside), len(p.ps)-p.next)
 	}
 }
 
@@ -266,18 +255,19 @@ func TestExperimentLeaderErrorAborts(t *testing.T) {
 
 // TestExperimentBuildErrorOneWording pins that a failed build reads the
 // same whichever path the cell took: built in place (its graph is the
-// cell's alone) or through the snapshot cache (two policies share it), and
+// cell's alone) or through the pool's shared snapshot (two policies share
+// it), and
 // the same as core.Run's.
 func TestExperimentBuildErrorOneWording(t *testing.T) {
 	var msgs []string
 	for _, pols := range [][]string{{"LAS"}, {"LAS", "DFIFO"}} {
 		e := &Experiment{Apps: []string{"test-fail"}, Policies: pols, Scale: apps.Tiny, Workers: 1}
-		g, err := e.resolve()
+		p, err := e.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := len(pols) == 1; g.ps[0].inPlace != want {
-			t.Fatalf("policies %v: in place = %v, want %v", pols, g.ps[0].inPlace, want)
+		if want := len(pols) == 1; (p.ps[0].graph < 0) != want {
+			t.Fatalf("policies %v: in place = %v, want %v", pols, p.ps[0].graph < 0, want)
 		}
 		err = e.Run(context.Background())
 		if !errors.Is(err, errBoom) {

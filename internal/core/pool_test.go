@@ -2,17 +2,17 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"numadag/internal/apps"
 	"numadag/internal/machine"
 	"numadag/internal/memory"
+	"numadag/internal/policy"
 	"numadag/internal/rt"
 	"numadag/internal/trace"
 	"numadag/internal/workload"
@@ -62,7 +62,8 @@ func countingWorkload(t *testing.T) (string, *atomic.Int64) {
 
 // TestExperimentTDGCacheBuildsOnce runs a multi-replicate, multi-policy grid
 // on concurrent workers and checks the workload generator ran exactly once
-// per (workload, machine) pair.
+// per (workload, machine) pair: the pool builds each shared graph's
+// snapshot once.
 func TestExperimentTDGCacheBuildsOnce(t *testing.T) {
 	spec, builds := countingWorkload(t)
 	e := &Experiment{
@@ -82,10 +83,10 @@ func TestExperimentTDGCacheBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestExperimentCacheEquivalence pins the cache's core guarantee: every
-// cell of a grid, whether it installs a cached snapshot or builds its graph
-// in place, has statistics identical to core.Run of the cell's config,
-// which builds the graph from the generator. The shared grid's DFIFO
+// TestExperimentCacheEquivalence pins the guarantee of the pool's shared
+// graphs: every cell of a grid, whether it installs a shared snapshot or
+// builds its graph in place, has statistics identical to core.Run of the
+// cell's config, which builds the graph from the generator. The shared grid's DFIFO
 // replicates are copies of their leader's run. The mixed grid mixes both
 // paths: each random layered spec runs in one cell, so its graph is built
 // in place on the storage the pooled runtimes keep, while jacobi's graph,
@@ -93,7 +94,7 @@ func TestExperimentTDGCacheBuildsOnce(t *testing.T) {
 // is a cross product, so two spellings are how a grid gives one graph two
 // cells and the others one. Both run at one and at two workers, so in-place
 // builds and releases interleave with installs of the shared snapshots.
-// Each grid runs twice in a row: the cache recycles every snapshot it built
+// Each grid runs twice in a row: the pool recycles every snapshot it built
 // once its cells have released their runtimes, so the second run builds
 // its snapshots into the storage the first one recycled, and both runs must
 // match core.Run.
@@ -139,22 +140,22 @@ func TestExperimentCacheEquivalence(t *testing.T) {
 // built was recycled, and that every cell equals core.Run of its config.
 func checkCacheEquivalence(t *testing.T, e *Experiment, name string, cells, inPlace int, copies bool) {
 	t.Helper()
-	g, err := e.resolve()
+	p, err := e.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, p := range g.ps {
-		if p.inPlace {
+	for _, pl := range p.ps {
+		if pl.graph < 0 {
 			n++
 		}
 	}
 	if n != inPlace {
-		t.Fatalf("%s: %d of %d cells build in place, want %d", name, n, len(g.ps), inPlace)
+		t.Fatalf("%s: %d of %d cells build in place, want %d", name, n, len(p.ps), inPlace)
 	}
-	recycled := countRecycles(g.cache)
+	recycled := countRecycles(p)
 	var cached []CellResult
-	err = e.execute(context.Background(), g, SinkFunc(func(r CellResult) error {
+	err = e.execute(context.Background(), p, SinkFunc(func(r CellResult) error {
 		cached = append(cached, r)
 		return nil
 	}))
@@ -164,12 +165,11 @@ func checkCacheEquivalence(t *testing.T, e *Experiment, name string, cells, inPl
 	if len(cached) != cells {
 		t.Fatalf("%s: %d cells, want %d", name, len(cached), cells)
 	}
-	hits, misses := g.cache.stats()
-	if recycled.total() != misses {
-		t.Errorf("%s: recycled %d snapshots, built %d", name, recycled.total(), misses)
+	if recycled.total() != len(p.graphs) {
+		t.Errorf("%s: recycled %d snapshots, built %d", name, recycled.total(), len(p.graphs))
 	}
-	if copied := len(cached) - inPlace - hits - misses; copies != (copied > 0) {
-		t.Errorf("%s: %d cells copied, want copies %v", name, copied, copies)
+	if copies != (p.copies > 0) {
+		t.Errorf("%s: %d cells copied, want copies %v", name, p.copies, copies)
 	}
 	for i, r := range cached {
 		rebuilt, err := Run(r.Config)
@@ -183,7 +183,7 @@ func checkCacheEquivalence(t *testing.T, e *Experiment, name string, cells, inPl
 	}
 }
 
-// recycles records what a snapshot cache recycles: how many snapshots, and
+// recycles records what a pool recycles: how many snapshots, and
 // how many times each snapshot's storage (one *rt.Snapshot, refilled by
 // every Snap that takes it from the free list) was recycled.
 type recycles struct {
@@ -191,12 +191,12 @@ type recycles struct {
 	storage map[*rt.Snapshot]int
 }
 
-// countRecycles wraps c's recycle to record into the returned recycles.
-// Call it before the cache's first get.
-func countRecycles(c *snapshotCache) *recycles {
+// countRecycles wraps p's recycle to record into the returned recycles.
+// Call it before the pool's first claim.
+func countRecycles(p *pool) *recycles {
 	r := &recycles{storage: make(map[*rt.Snapshot]int)}
-	recycle := c.recycle
-	c.recycle = func(s *rt.Snapshot) {
+	recycle := p.recycle
+	p.recycle = func(s *rt.Snapshot) {
 		r.mu.Lock()
 		r.storage[s]++
 		r.mu.Unlock()
@@ -266,34 +266,47 @@ func TestSnapshotCacheGraphOutlivesPooledBuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheSingleflight hammers one key from many goroutines and
-// demands exactly one build, everyone sharing its result.
-func TestSnapshotCacheSingleflight(t *testing.T) {
-	const callers = 16
-	c := newSnapshotCache(map[string]int{"k": callers})
-	var builds atomic.Int64
-	w, err := workload.New("forkjoin?depth=3&fanout=2", apps.Tiny)
+// sharedGrid resolves a grid of n cells, one per policy, that all run the
+// tiny graph of spec on a two-socket machine.
+func sharedGrid(t *testing.T, spec string, n int) *pool {
+	t.Helper()
+	e := &Experiment{Apps: []string{spec}, Scale: apps.Tiny, Machines: []machine.Config{machine.TwoSocketXeon()}}
+	for range n {
+		e.Policies = append(e.Policies, "LAS")
+	}
+	p, err := e.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() (*rt.Snapshot, error) {
-		builds.Add(1)
-		return w.Snapshot(machine.TwoSocketXeon())
-	}
-	recycled := countRecycles(c)
+	return p
+}
+
+// TestPoolBuildsOnce claims every cell of one shared graph from many
+// goroutines and demands exactly one build, everyone sharing its result,
+// and one recycle once every cell has released its hold.
+func TestPoolBuildsOnce(t *testing.T) {
+	const callers = 16
+	spec, builds := countingWorkload(t)
+	p := sharedGrid(t, spec, callers)
+	recycled := countRecycles(p)
 	var wg sync.WaitGroup
 	snaps := make([]*rt.Snapshot, callers)
 	for i := 0; i < len(snaps); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.get("k", build)
+			j, ok := p.claim()
+			if !ok {
+				t.Error("no cell left to claim")
+				return
+			}
+			snap, err := p.snapshot(j)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			snaps[i] = e.snap
-			c.put(e)
+			snaps[i] = snap
+			p.release(j)
 		}(i)
 	}
 	wg.Wait()
@@ -305,96 +318,89 @@ func TestSnapshotCacheSingleflight(t *testing.T) {
 			t.Fatal("goroutines received different snapshots")
 		}
 	}
-	hits, misses := c.stats()
-	if hits != 15 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 15/1", hits, misses)
+	if _, ok := p.claim(); ok {
+		t.Error("a cell was left to claim")
 	}
 	if n := recycled.total(); n != 1 {
-		t.Errorf("recycled %d times once every caller put it back, want 1", n)
+		t.Errorf("recycled %d times once every cell released its hold, want 1", n)
 	}
 }
 
-// TestSnapshotCacheHoldTakenInGet pins when a cell's hold begins: in get,
-// under the cache's lock, together with its count-down, so before the
-// build finishes. Cell A builds the snapshot; cell B, the key's last
-// planned cell, asks for it meanwhile and waits on the build. When A's build
-// sees B's count-down, B must hold the snapshot already. A then finishes
-// first and puts its hold back with every planned cell served: the
-// snapshot must not be recycled under B, which still installs and runs it;
-// B's put recycles it.
-func TestSnapshotCacheHoldTakenInGet(t *testing.T) {
-	mc := machine.TwoSocketXeon()
-	cfg := DefaultConfig("forkjoin?depth=3&fanout=2", "LAS", apps.Tiny)
-	cfg.Machine = mc
-	w, err := workload.New(cfg.App, cfg.Scale)
-	if err != nil {
-		t.Fatal(err)
+// TestPoolHoldTakenAtClaim pins when a cell's hold begins: at its claim,
+// under the pool's lock, together with its count-down, so before the build
+// finishes. Cell A is claimed first and builds the snapshot; cell B, the
+// graph's last planned cell, is claimed while the build is still to come,
+// by a worker with nothing else to claim, which waits for it. B must hold
+// the snapshot from its claim. A then finishes first and releases its hold
+// with every planned cell claimed: the snapshot must not be recycled under
+// B, which still installs and runs it; B's release recycles it.
+func TestPoolHoldTakenAtClaim(t *testing.T) {
+	p := sharedGrid(t, "forkjoin?depth=3&fanout=2", 2)
+	recycled := countRecycles(p)
+	a, _ := p.claim()
+	b, ok := p.claim()
+	if !a.build || !ok || b.build || b.g != a.g {
+		t.Fatalf("claims %+v and %+v (ok %v), want a builder and a cell of its graph", a, b, ok)
 	}
-	c := newSnapshotCache(map[string]int{"k": 2})
-	recycled := countRecycles(c)
+	p.mu.Lock()
+	if a.g.left != 0 || a.g.holds != 2 || a.g.ready {
+		t.Errorf("B claimed: %d cells left, %d holds, ready %v; want 0, 2 and a build still to come", a.g.left, a.g.holds, a.g.ready)
+	}
+	p.mu.Unlock()
 	type got struct {
-		e   *cacheEntry
-		err error
+		snap *rt.Snapshot
+		err  error
 	}
 	bc := make(chan got, 1)
-	a, err := c.get("k", func() (*rt.Snapshot, error) {
-		c.mu.Lock()
-		e := c.entries["k"] // the map drops it at B's count-down
-		c.mu.Unlock()
-		go func() {
-			e, err := c.get("k", func() (*rt.Snapshot, error) { return nil, errors.New("built twice") })
-			bc <- got{e, err}
-		}()
-		for counted := false; !counted; runtime.Gosched() {
-			c.mu.Lock()
-			if counted = c.left["k"] == 0; counted && e.holds != 2 {
-				t.Errorf("B counted down holding nothing: %d holds, want 2", e.holds)
-			}
-			c.mu.Unlock()
-		}
-		return w.Snapshot(mc)
-	})
-	if err != nil {
+	go func() {
+		snap, err := p.snapshot(b)
+		bc <- got{snap, err}
+	}()
+	cfg := DefaultConfig("forkjoin?depth=3&fanout=2", "LAS", apps.Tiny)
+	cfg.Machine = machine.TwoSocketXeon()
+	if _, err := p.run(cfg, a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runWith(cfg, nil, a.snap); err != nil {
-		t.Fatal(err)
-	}
-	c.put(a)
 	if n := recycled.total(); n != 0 {
-		t.Fatalf("A's put recycled the snapshot while B holds it")
+		t.Fatalf("A's release recycled the snapshot while B holds it")
 	}
-	b := <-bc
-	if b.err != nil || b.e != a {
-		t.Fatalf("B got entry %p, err %v; want A's entry %p", b.e, b.err, a)
+	bs := <-bc
+	if bs.err != nil || bs.snap != a.g.snap {
+		t.Fatalf("B got snapshot %p, err %v; want A's %p", bs.snap, bs.err, a.g.snap)
 	}
-	if _, err := runWith(cfg, nil, b.e.snap); err != nil {
+	if _, err := runWith(cfg, nil, bs.snap); err != nil {
 		t.Fatal(err)
 	}
-	c.put(b.e)
+	p.release(b)
 	if n := recycled.total(); n != 1 {
 		t.Errorf("recycled %d times after both holds ended, want 1", n)
 	}
 }
 
-// size returns the number of cached snapshots (test hook).
-func (c *snapshotCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// held returns the number of shared graphs whose build has started and
+// whose planned cells are not all claimed (test hook).
+func (p *pool) held() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, g := range p.graphs {
+		if g != nil && g.built != nil {
+			n++
+		}
+	}
+	return n
 }
 
-// TestSnapshotCacheLastUse pins the cache's memory bound: an Experiment
-// drops each snapshot once the last cell planned for it has taken it, so
-// with each graph's cells back to back the cache never holds more than one
-// graph per worker plus the one the next cell starts, and it is empty when
-// Run returns. Dropping an entry early would rebuild its graph; the
-// counting workload checks that each graph is still built once. Every
-// snapshot the run built is recycled exactly once (rt panics on a second
-// Recycle of one snapshot), and the snapshots share at most one storage per
-// worker plus one, so the run adds no more than that to rt's free list of
-// snapshot storage.
-func TestSnapshotCacheLastUse(t *testing.T) {
+// TestPoolLastUse pins the pool's memory bound: an Experiment drops each
+// snapshot once the last cell planned for it has been claimed, so with each
+// graph's cells back to back the pool never holds more than one graph per
+// worker plus the one the next cell starts, and it holds none when Run
+// returns. Dropping a graph early would rebuild it; the counting workload
+// checks that each graph is still built once. Every snapshot the run built
+// is recycled exactly once (rt panics on a second Recycle of one snapshot),
+// and the snapshots share at most one storage per worker plus one, so the
+// run adds no more than that to rt's free list of snapshot storage.
+func TestPoolLastUse(t *testing.T) {
 	spec, builds := countingWorkload(t)
 	specs := []string{spec}
 	for k := 0; k < 6; k++ {
@@ -417,27 +423,29 @@ func TestSnapshotCacheLastUse(t *testing.T) {
 				Seeds:    2,
 				Workers:  c.workers,
 			}
-			g, err := e.resolve()
+			p, err := e.resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
-			recycled := countRecycles(g.cache)
+			recycled := countRecycles(p)
 			peak := 0
-			e.Progress = func(int, int, CellResult) { peak = max(peak, g.cache.size()) }
-			if err := e.execute(context.Background(), g); err != nil {
+			e.Progress = func(int, int, CellResult) { peak = max(peak, p.held()) }
+			if err := e.execute(context.Background(), p); err != nil {
 				t.Fatal(err)
 			}
 			if peak > c.workers+1 {
-				t.Errorf("cache held %d snapshots with %d workers, want <= %d", peak, c.workers, c.workers+1)
+				t.Errorf("pool held %d snapshots with %d workers, want <= %d", peak, c.workers, c.workers+1)
 			}
-			if n := g.cache.size(); n != 0 || len(g.cache.left) != 0 {
-				t.Errorf("after Run: %d cached snapshots, %d planned keys left; want none", n, len(g.cache.left))
+			for k, g := range p.graphs {
+				if g != nil {
+					t.Errorf("after Run: graph %d still planned for %d cells; want none", k, g.left)
+				}
 			}
 			if got := builds.Load(); got != 1 {
-				t.Errorf("cached workload built %d times, want 1", got)
+				t.Errorf("counting workload built %d times, want 1", got)
 			}
-			if _, misses := g.cache.stats(); recycled.total() != misses || misses != len(specs) {
-				t.Errorf("recycled %d of %d snapshots built for %d graphs", recycled.total(), misses, len(specs))
+			if recycled.total() != len(specs) {
+				t.Errorf("recycled %d snapshots built for %d graphs", recycled.total(), len(specs))
 			}
 			if n := recycled.storages(); n > c.workers+1 {
 				t.Errorf("snapshots used %d storages with %d workers, want <= %d", n, c.workers, c.workers+1)
@@ -483,21 +491,128 @@ func TestExperimentPinnedSnapshotsNotRecycled(t *testing.T) {
 		{"failing/workers=2", failing(2), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			g, err := c.e.resolve()
+			p, err := c.e.resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
-			recycled := countRecycles(g.cache)
-			err = c.e.execute(context.Background(), g)
+			if len(p.graphs) == 0 {
+				t.Fatal("no cell shares a snapshot")
+			}
+			recycled := countRecycles(p)
+			err = c.e.execute(context.Background(), p)
 			if c.fails != (err != nil) {
 				t.Fatalf("err = %v, want an error: %v", err, c.fails)
-			}
-			if _, misses := g.cache.stats(); misses == 0 {
-				t.Fatal("no cell took a snapshot")
 			}
 			if n := recycled.total(); n != 0 {
 				t.Errorf("recycled %d snapshots that a traced, observed or failed cell pinned", n)
 			}
 		})
 	}
+}
+
+// onBuild and onPrepare, when set, are called with the first task's label
+// of the test-first, test-second and test-gate workloads ("first",
+// "second" or "gate"), at the start of each build and in each test-seeded
+// run's Prepare.
+var onBuild, onPrepare func(label string)
+
+// seededPolicy reaches its seed in Prepare, so its followers always run,
+// and places every task on any socket.
+type seededPolicy struct{}
+
+func (seededPolicy) Name() string                         { return "test-seeded" }
+func (seededPolicy) PickSocket(*rt.Runtime, *rt.Task) int { return rt.AnySocket }
+func (seededPolicy) Prepare(r *rt.Runtime) {
+	r.Rand()
+	if onPrepare != nil {
+		onPrepare(r.Tasks()[0].Label())
+	}
+}
+
+func init() {
+	policy.MustRegister("test-seeded", func(policy.Spec) (rt.Policy, error) { return seededPolicy{}, nil })
+	for _, label := range []string{"first", "second", "gate"} {
+		err := workload.Register("test-"+label, "a two-task graph whose first task is "+label,
+			func(s workload.Spec, _ apps.Scale, _ uint64) (workload.Workload, error) {
+				return workload.Workload{Build: func(r *rt.Runtime) error {
+					if onBuild != nil {
+						onBuild(label)
+					}
+					reg := r.Mem().Alloc("x", 64<<10, memory.Deferred, 0)
+					r.Submit(rt.TaskSpec{Label: label, Flops: 4000,
+						Accesses: []rt.Access{{Region: reg, Mode: rt.Out}}, EPSocket: rt.NoEPHint})
+					r.Submit(rt.TaskSpec{Label: "read", Flops: 2000,
+						Accesses: []rt.Access{{Region: reg, Mode: rt.In}}, EPSocket: rt.NoEPHint})
+					return nil
+				}}, s.Only()
+			})
+		if err != nil {
+			panic(err)
+		}
+	}
+}
+
+// runWithin runs e and fails the test when Run fails or takes a minute: a
+// worker that waits while it has a cell to run waits for good here.
+func runWithin(t *testing.T, e *Experiment) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- e.Run(context.Background()) }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run hung: a worker waited while it had a cell to run")
+	}
+}
+
+// TestPoolNoWaitOnBuild pins that a worker never waits for another
+// worker's build while it has a cell to run. Two graphs of two cells each
+// run on two workers, and the first graph's build waits until the second
+// graph's build has run: the worker that claims the first graph's second
+// cell must set it aside and build the second graph.
+func TestPoolNoWaitOnBuild(t *testing.T) {
+	second := make(chan struct{})
+	onBuild = func(label string) {
+		if label == "second" {
+			close(second)
+		} else {
+			<-second
+		}
+	}
+	defer func() { onBuild = nil }()
+	runWithin(t, &Experiment{
+		Apps:     []string{"test-first", "test-second"},
+		Policies: []string{"LAS", "DFIFO"},
+		Scale:    apps.Tiny,
+		Workers:  2,
+	})
+}
+
+// TestPoolNoWaitOnLeader pins that a worker never runs a follower beside
+// its leader while it has another cell to run. A seeded policy's two
+// replicates run on each of two graphs, on two workers, and the leader on
+// the first graph waits in Prepare until a run on the second graph
+// prepares: the worker that claims the first graph's follower must set it
+// aside and run the second graph's leader.
+func TestPoolNoWaitOnLeader(t *testing.T) {
+	second := make(chan struct{})
+	var once sync.Once
+	onPrepare = func(label string) {
+		if label == "second" {
+			once.Do(func() { close(second) })
+		} else {
+			<-second
+		}
+	}
+	defer func() { onPrepare = nil }()
+	runWithin(t, &Experiment{
+		Apps:     []string{"test-first", "test-second"},
+		Policies: []string{"test-seeded"},
+		Scale:    apps.Tiny,
+		Seeds:    2,
+		Workers:  2,
+	})
 }

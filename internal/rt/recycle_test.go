@@ -13,8 +13,8 @@ import (
 // trackers, including the spare capacity of every readers list, every slot
 // of every task-arena slab and every slot of every access-arena slab —
 // holds no *Task, no task data and no *memory.Region, and that the runtime
-// holds no snapshot (whose graph and shared values the experiment cache may
-// have dropped).
+// holds no snapshot (whose graph and shared values the experiment's pool
+// may have recycled).
 func checkInert(t *testing.T, step string, r *Runtime) {
 	t.Helper()
 	if r.snap != nil {

@@ -1059,7 +1059,7 @@ func (r *Runtime) buildConts(cores int) {
 			r.mach.Engine().After(r.mach.ComputeTime(t.Flops), r.coreConts[c].afterCompute)
 		}
 		r.coreConts[c].afterCompute = func() {
-			r.writePhase(c, r.coreTask[c], r.coreConts[c].afterWrite)
+			r.phase(c, r.coreTask[c], true, r.coreConts[c].afterWrite)
 		}
 		r.coreConts[c].afterWrite = func() {
 			r.complete(c, r.coreTask[c])
@@ -1089,41 +1089,21 @@ func (r *Runtime) execute(core int, t *Task) {
 		r.opts.Observer.TaskStart(t)
 	}
 
-	r.readPhase(core, t, r.coreConts[core].afterRead)
+	r.phase(core, t, false, r.coreConts[core].afterRead)
 }
 
-// readPhase fetches every input byte from its home socket, concurrently.
-// Unallocated input pages are first-touched on the executing socket (the
-// reader allocates, as Linux would).
-func (r *Runtime) readPhase(core int, t *Task, done func()) {
+// phase moves a task's data between its home sockets and the executing
+// one, concurrently: the read phase (write false) fetches every input
+// byte, the write phase stores every output byte. An unallocated page is
+// first-touched on the executing socket: the reader allocates, as Linux
+// would, and a task's output lands on the socket it ran on, which is
+// deferred allocation paying off.
+func (r *Runtime) phase(core int, t *Task, write bool, done func()) {
 	socket := r.mach.SocketOf(core)
 	perHome := r.scratchHome
-	for i := range perHome {
-		perHome[i] = 0
-	}
+	clear(perHome)
 	for _, a := range t.Accesses {
-		if !a.Mode.Reads() {
-			continue
-		}
-		if !a.Region.Allocated() {
-			a.Region.Touch(socket)
-		}
-		a.Region.AddBytesOnSocket(perHome)
-	}
-	r.fanOutTransfers(core, socket, perHome, done)
-}
-
-// writePhase stores outputs to their home sockets. Unallocated output pages
-// are first-touched locally — this is deferred allocation paying off: a
-// task's output lands on the socket it ran on.
-func (r *Runtime) writePhase(core int, t *Task, done func()) {
-	socket := r.mach.SocketOf(core)
-	perHome := r.scratchHome
-	for i := range perHome {
-		perHome[i] = 0
-	}
-	for _, a := range t.Accesses {
-		if !a.Mode.Writes() {
+		if write && !a.Mode.Writes() || !write && !a.Mode.Reads() {
 			continue
 		}
 		if !a.Region.Allocated() {

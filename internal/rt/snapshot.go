@@ -277,6 +277,14 @@ func (s *Snapshot) Install(r *Runtime) {
 // goroutine, receives the same value (a concurrent caller waits for the
 // build). A runtime that built its own graph runs build on every call.
 //
+// In an Experiment the runs of one snapshot that ask for one key are a
+// replicate group's, and its pool sets a follower aside while the leader
+// runs, so a caller waits only when its worker has nothing else to claim:
+// a follower run beside its leader at a grid's tail. The wait is kept
+// because that follower building the value again costs more: with RGP's
+// window plan rebuilt there, the benchmark's rgp-repartition workload
+// allocated 13.7% more per run on a 2-core host.
+//
 // The value is shared read-only by concurrent runs, so build must compute
 // it from the task graph, its window indices and what key encodes, and no
 // caller may mutate it. In particular build must not reach the runtime's

@@ -146,8 +146,8 @@ func requireSameRun(t *testing.T, name string, want, got *Runtime) {
 }
 
 // TestSnapshotSharedAcrossRuns installs one snapshot into several runtimes
-// and checks they all reproduce the direct run (the Experiment cache's
-// access pattern, minus concurrency — the race detector covers that via the
+// and checks they all reproduce the direct run (the access pattern of an
+// Experiment's shared graphs, minus concurrency — the race detector covers that via the
 // core tests).
 func TestSnapshotSharedAcrossRuns(t *testing.T) {
 	proto := newSnapRT(pinned(0), Options{})

@@ -6,8 +6,8 @@
 //
 // A spec is "name" or "name?key=value&key=value": a non-empty name, then
 // optional parameters with non-empty, unique keys and possibly empty values.
-// String renders it canonically (parameters sorted by key); the experiment
-// cache keys a workload's graph on that form. Every error a spec or registry returns
+// String renders it canonically (parameters sorted by key); an experiment
+// keys a workload's graph on that form. Every error a spec or registry returns
 // starts with its kind ("policy: ...", "workload: ...", "cluster: ..."), the
 // prefix its caller chose when parsing or creating the registry.
 package spec

@@ -60,7 +60,7 @@ func TestParse(t *testing.T) {
 }
 
 // TestStringRoundTrip pins that a parsed spec's canonical String parses
-// back to an equal spec: the snapshot cache and the result tables key on
+// back to an equal spec: the experiment's graphs and the result tables key on
 // that string, so two spellings of one spec must meet there.
 func TestStringRoundTrip(t *testing.T) {
 	for _, in := range []string{

@@ -3,10 +3,12 @@ package workload
 import (
 	"fmt"
 	"os"
+	"strconv"
 
 	"numadag/internal/apps"
 	"numadag/internal/graph"
 	"numadag/internal/memory"
+	"numadag/internal/names"
 	"numadag/internal/rt"
 )
 
@@ -101,34 +103,50 @@ func checkDAGSize(d *graph.DAG) error {
 	return nil
 }
 
-// dagBuilder replays an in-memory DAG through Submit, in topological order
-// so every producing task precedes its consumers (Submit derives RAW edges
-// from the region's last writer).
+// dagBuilder replays a loaded DAG through Submit, in topological order so
+// every producing task precedes its consumers (Submit derives RAW edges
+// from the region's last writer). What every build reads is resolved here,
+// once: each task's label, or its n<id> default, and each task's inputs in
+// Preds order as edge numbers, an edge's number being the order in which a
+// build allocates its region. A build keeps its regions in one slice
+// indexed by those numbers and formats their names into one buffer.
 func dagBuilder(d *graph.DAG, order []graph.NodeID) func(r *rt.Runtime) error {
+	var labels names.List
+	for id := range d.Len() {
+		if l := d.Label(graph.NodeID(id)); l != "" {
+			labels.Add(l)
+		} else {
+			labels.Add("n" + strconv.Itoa(id))
+		}
+	}
+	number := make(map[[2]graph.NodeID]int32, d.Edges())
+	degree := 0 // the longest access list
+	for _, from := range order {
+		d.Succs(from, func(to graph.NodeID, _ int64) { number[[2]graph.NodeID{from, to}] = int32(len(number)) })
+		degree = max(degree, d.InDegree(from)+d.OutDegree(from))
+	}
+	in := make([]int32, 0, d.Edges())
+	for _, to := range order {
+		d.Preds(to, func(from graph.NodeID, _ int64) { in = append(in, number[[2]graph.NodeID{from, to}]) })
+	}
 	return func(r *rt.Runtime) error {
-		// outRegions[id] holds the region task id writes for each of its
-		// out-edges, keyed by successor, created when the producer submits.
-		outRegions := make([]map[graph.NodeID]*memory.Region, d.Len())
-		var acc []rt.Access // one list for every task: Submit copies it
+		regions := make([]*memory.Region, 0, len(in))
+		acc := make([]rt.Access, 0, degree) // one list for every task: Submit copies it
+		name := make([]byte, 0, 48)         // every region name, e<from>-<to>: Alloc copies it
+		next := in
 		for _, id := range order {
 			acc = acc[:0]
-			d.Preds(id, func(from graph.NodeID, _ int64) {
-				acc = append(acc, rt.Access{Region: outRegions[from][id], Mode: rt.In})
+			for _, e := range next[:d.InDegree(id)] {
+				acc = append(acc, rt.Access{Region: regions[e], Mode: rt.In})
+			}
+			next = next[d.InDegree(id):]
+			d.Succs(id, func(to graph.NodeID, w int64) {
+				name = strconv.AppendInt(append(strconv.AppendInt(append(name[:0], 'e'), int64(id), 10), '-'), int64(to), 10)
+				regions = append(regions, r.Mem().Alloc(names.View(name), w, memory.Deferred, 0))
+				acc = append(acc, rt.Access{Region: regions[len(regions)-1], Mode: rt.Out})
 			})
-			if n := d.OutDegree(id); n > 0 {
-				outRegions[id] = make(map[graph.NodeID]*memory.Region, n)
-				d.Succs(id, func(to graph.NodeID, w int64) {
-					reg := r.Mem().Alloc(fmt.Sprintf("e%d-%d", id, to), w, memory.Deferred, 0)
-					outRegions[id][to] = reg
-					acc = append(acc, rt.Access{Region: reg, Mode: rt.Out})
-				})
-			}
-			label := d.Label(id)
-			if label == "" {
-				label = fmt.Sprintf("n%d", id)
-			}
 			r.Submit(rt.TaskSpec{
-				Label:    label,
+				Label:    labels.View(int(id)),
 				Flops:    float64(d.NodeWeight(id)),
 				Accesses: acc,
 				EPSocket: rt.NoEPHint,
@@ -136,20 +154,6 @@ func dagBuilder(d *graph.DAG, order []graph.NodeID) func(r *rt.Runtime) error {
 		}
 		return nil
 	}
-}
-
-// FromDAG wraps an in-memory DAG as a Workload, for programmatic use (the
-// file generator is this plus JSON loading). The DAG must be acyclic and is
-// not copied; it must not be mutated afterwards.
-func FromDAG(name string, d *graph.DAG) (Workload, error) {
-	if err := checkDAGSize(d); err != nil {
-		return Workload{}, fmt.Errorf("workload: %s: %w", name, err)
-	}
-	order, err := d.TopoOrder()
-	if err != nil {
-		return Workload{}, fmt.Errorf("workload: %w", err)
-	}
-	return Workload{Name: name, Spec: name, Seed: 1, Build: dagBuilder(d, order)}, nil
 }
 
 func init() {

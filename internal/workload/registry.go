@@ -92,7 +92,7 @@ func (w Workload) Instantiate(mc machine.Config) (*rt.Runtime, error) {
 
 // Snapshot builds the workload on a prototype runtime and captures its task
 // graph (rt.Snap) for installation into real runs — the builder behind
-// cluster's prebuild and core's experiment cache, for the graphs several
+// cluster's prebuild and core's experiment pool, for the graphs several
 // runs share. rt.Snap copies the graph into the snapshot's own storage, and
 // the prototype, with its build storage, goes back to the runtime pool.
 func (w Workload) Snapshot(mc machine.Config) (*rt.Snapshot, error) {

@@ -142,17 +142,20 @@
 //		})
 //	res, _ := numadag.Run(numadag.DefaultConfig("chain?n=128", "RGP+LAS", numadag.ScaleSmall))
 //
-// Experiments build each workload's task graph once per machine. A graph
-// several cells run (across policies, variants or replicate seeds) is
-// memoized in a per-experiment cache and dropped after its last cell, whose
-// storage then holds the next such graph; a graph only one cell runs is
-// built straight into that cell's runtime, on graph storage the runtime
-// pool keeps from build to build. Builders must
+// Experiments build each workload's task graph once per machine. One
+// scheduler, the experiment's pool, hands out the cells and shares their
+// work. A graph several cells run (across policies, variants or replicate
+// seeds) is snapshotted by the first of them and installed by the rest, and
+// after its last cell its storage holds the next such graph; a graph only
+// one cell runs is built straight into that cell's runtime, on graph
+// storage the runtime pool keeps from build to build. Builders must
 // therefore be pure functions of (spec, scale, seed, machine). Experiments
 // also reuse results across replicate seeds: when replicate 0 of an (app,
 // policy, machine, variant) group runs without reaching its seed, the
 // group's other replicates receive copies of its audited result instead of
-// simulating, while traced and observed cells always run. A policy must
+// simulating, while traced and observed cells always run. A cell whose
+// graph is still being built, or whose group's first replicate still runs,
+// waits aside while its worker runs another cell. A policy must
 // therefore reach randomness only through Runtime.Rand, the call
 // Runtime.SeedUsed reports; Runtime.Options returns the options with the
 // seed zeroed. A value that is a pure function of the task graph and
